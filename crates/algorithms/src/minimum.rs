@@ -8,20 +8,22 @@
 //!   a commutative associative operator, hence super-idempotent.
 //! * `h(S) = Σ_a x_a` — non-negative and integer-valued, so well-founded.
 //! * `R`: any group step that keeps the group minimum while reducing the
-//!   group sum.  [`adopt_min_step`] makes every member adopt the group
-//!   minimum (the fastest admissible move); [`partial_descent_step`] lets
+//!   group sum.  [`AdoptMinStep`] makes every member adopt the group
+//!   minimum (the fastest admissible move); [`PartialDescentStep`] lets
 //!   every member move to a random value between the group minimum and its
 //!   current value (the paper's "any value between their current value and
-//!   the minimum of the group").
+//!   the minimum of the group").  Both rules are written once, in place
+//!   ([`GroupStep::step_in_place`]), so the engine steps a contiguous group
+//!   without copying it.
 //! * `Q`: `Q_E` for any connected graph `E`.
 
 use rand::Rng;
 
 use selfsim_core::{
-    ConsensusFunction, FnGroupStep, GroupStep, SelfSimilarSystem, SummationObjective,
+    ConsensusFunction, GroupStates, GroupStep, SelfSimilarSystem, SummationObjective,
 };
 use selfsim_env::{FairnessSpec, Topology};
-use selfsim_multiset::Multiset;
+use selfsim_multiset::{Multiset, SignedCounts};
 
 /// The agent state: a single non-negative integer.
 pub type State = i64;
@@ -39,40 +41,91 @@ pub fn objective() -> SummationObjective<State, impl Fn(&State) -> f64> {
 }
 
 /// The "adopt the group minimum" group step: the fastest refinement of `D`.
-pub fn adopt_min_step() -> impl GroupStep<State> {
-    FnGroupStep::new(
-        "adopt-min",
-        |states: &[State], _rng: &mut dyn rand::RngCore| {
-            let m = states.iter().copied().min().unwrap_or(0);
-            vec![m; states.len()]
-        },
-    )
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AdoptMinStep;
+
+impl GroupStep<State> for AdoptMinStep {
+    fn step(&self, states: &[State], rng: &mut dyn rand::RngCore) -> Vec<State> {
+        step_copy(self, states, rng)
+    }
+
+    fn step_in_place(&self, group: &mut GroupStates<'_, State>, _rng: &mut dyn rand::RngCore) {
+        let m = group_min(group);
+        for k in 0..group.len() {
+            group.set(k, m);
+        }
+    }
+
+    fn name(&self) -> &str {
+        "adopt-min"
+    }
 }
 
 /// A slower admissible step: every member moves to a uniformly random value
 /// between the group minimum and its current value (inclusive).  Still
 /// conserves the minimum and never increases the sum; the step only counts
 /// as a change when at least one member actually moved.
-pub fn partial_descent_step() -> impl GroupStep<State> {
-    FnGroupStep::new(
-        "partial-descent",
-        |states: &[State], rng: &mut dyn rand::RngCore| {
-            let m = states.iter().copied().min().unwrap_or(0);
-            let mut out: Vec<State> = states
-                .iter()
-                .map(|&x| if x > m { rng.gen_range(m..=x) } else { x })
-                .collect();
-            // Guarantee strict descent whenever descent is possible: if the
-            // random draws all stayed put but some member is above the
-            // minimum, pull one of them down by one.
-            if out == states {
-                if let Some(i) = out.iter().position(|&x| x > m) {
-                    out[i] -= 1;
+///
+/// It draws once per member above the group minimum, in member order.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PartialDescentStep;
+
+impl GroupStep<State> for PartialDescentStep {
+    fn step(&self, states: &[State], rng: &mut dyn rand::RngCore) -> Vec<State> {
+        step_copy(self, states, rng)
+    }
+
+    fn step_in_place(&self, group: &mut GroupStates<'_, State>, rng: &mut dyn rand::RngCore) {
+        let m = group_min(group);
+        let mut first_above = None;
+        for k in 0..group.len() {
+            match group.as_slice().get(k) {
+                Some(&x) if x > m => {
+                    first_above.get_or_insert((k, x));
+                    group.set(k, rng.gen_range(m..=x));
                 }
+                _ => {}
             }
-            out
-        },
-    )
+        }
+        // Guarantee strict descent whenever descent is possible: if the
+        // random draws all stayed put but some member is above the
+        // minimum, pull the first of them down by one.
+        if let (false, Some((k, x))) = (group.moved(), first_above) {
+            group.set(k, x - 1);
+        }
+    }
+
+    fn name(&self) -> &str {
+        "partial-descent"
+    }
+}
+
+/// The minimum of a group's states (0 for an empty group).
+fn group_min(group: &GroupStates<'_, State>) -> State {
+    group.as_slice().iter().copied().min().unwrap_or(0)
+}
+
+/// `step` for a step whose rule lives in `step_in_place`: runs it on a
+/// copy of `states`.
+fn step_copy(
+    step: &impl GroupStep<State>,
+    states: &[State],
+    rng: &mut dyn rand::RngCore,
+) -> Vec<State> {
+    let mut out = states.to_vec();
+    let mut delta = SignedCounts::new();
+    step.step_in_place(&mut GroupStates::new(&mut out, &mut delta), rng);
+    out
+}
+
+/// The "adopt the group minimum" group step ([`AdoptMinStep`]).
+pub fn adopt_min_step() -> AdoptMinStep {
+    AdoptMinStep
+}
+
+/// The partial-descent group step ([`PartialDescentStep`]).
+pub fn partial_descent_step() -> PartialDescentStep {
+    PartialDescentStep
 }
 
 /// The fairness assumption: `Q_E` for the given (connected) graph.
@@ -190,6 +243,41 @@ mod tests {
         assert_ne!(before, after);
         assert_eq!(after.iter().copied().min(), Some(2));
         assert!(after.iter().sum::<i64>() < before.iter().sum::<i64>());
+    }
+
+    /// The closure form of partial descent, before its rule moved into
+    /// `step_in_place`: the in-place rule must draw and move exactly as
+    /// this does, or every recorded ring trajectory changes.
+    fn partial_descent_reference(states: &[State], rng: &mut dyn rand::RngCore) -> Vec<State> {
+        let m = states.iter().copied().min().unwrap_or(0);
+        let mut out: Vec<State> = states
+            .iter()
+            .map(|&x| if x > m { rng.gen_range(m..=x) } else { x })
+            .collect();
+        if out == states {
+            if let Some(i) = out.iter().position(|&x| x > m) {
+                out[i] -= 1;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn partial_descent_keeps_its_draws_and_moves() {
+        let mut gen = StdRng::seed_from_u64(4);
+        for seed in 0..500 {
+            let len = gen.gen_range(1..9usize);
+            let before: Vec<State> = (0..len).map(|_| gen.gen_range(0..4)).collect();
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            let after = partial_descent_step().step(&before, &mut a);
+            assert_eq!(
+                after,
+                partial_descent_reference(&before, &mut b),
+                "{before:?}"
+            );
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "{before:?}");
+        }
     }
 
     #[test]

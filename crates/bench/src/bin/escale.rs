@@ -280,10 +280,15 @@ fn main() -> ExitCode {
         }
     }
 
-    // --- BENCH_10.json (stable key order, hand-formatted so the vendored
+    // --- the bench JSON (stable key order, hand-formatted so the vendored
     // serde_json subset stays out of the measurement path) ---
     let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"BENCH_10\",\n  \"escale\": [\n");
+    // The file's own name labels it, so a curve regenerated under a new
+    // name does not claim to be an older one.
+    let label = std::path::Path::new(&args.out)
+        .file_stem()
+        .map_or("BENCH".into(), |stem| stem.to_string_lossy());
+    json.push_str(&format!("{{\n  \"bench\": \"{label}\",\n  \"escale\": [\n"));
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let events_per_sec =

@@ -64,7 +64,7 @@ pub use objective::{
 };
 pub use partition::{all_partitions, bell_number, random_partition, split_in_two};
 pub use relation::RelationD;
-pub use step::{CheckedGroupStep, FnGroupStep, GroupStep, IdentityStep};
+pub use step::{CheckedGroupStep, FnGroupStep, GroupStates, GroupStep, IdentityStep};
 pub use system::{SelfSimilarSystem, StepOutcome, StepScratch, SystemState};
 
 /// Super-idempotence checks (definition, single-element criterion, and the

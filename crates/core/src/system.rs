@@ -5,9 +5,11 @@ use std::sync::OnceLock;
 use selfsim_env::{AgentId, FairnessSpec};
 use selfsim_multiset::{Multiset, SignedCounts};
 
-use crate::{DistributedFunction, GroupStep, ObjectiveFunction, RelationD};
+use crate::{DistributedFunction, GroupStates, GroupStep, ObjectiveFunction, RelationD};
 
-/// Reusable scratch buffers for [`SelfSimilarSystem::apply_group_step_with`].
+/// Reusable scratch buffers for [`SelfSimilarSystem::apply_group_step_with`]:
+/// the gather buffer for groups that are not a contiguous run of agent ids,
+/// and the signed multiset delta of the last step.
 ///
 /// A simulator allocates one of these per run and threads it through every
 /// group step; the buffers grow to the largest group seen and are then
@@ -218,8 +220,7 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the group step returns a different number of states than
-    /// the group has members, or if a group member index is out of range.
+    /// As [`Self::apply_group_step_with`].
     pub fn apply_group_step(
         &self,
         state: &mut SystemState<S>,
@@ -233,8 +234,16 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
 
     /// Allocation-reusing form of [`Self::apply_group_step`].
     ///
-    /// `scratch` provides the buffers for the before-image and for signed
-    /// change counting; they keep their capacity across calls.  If `global`
+    /// `group` lists distinct agent ids; a group of three or more members
+    /// must list them in ascending order, as every partition producer does
+    /// (`GroupIndex::group`, `EnvState::groups`, `Topology::components`).
+    /// Pairs may come in either order.  Under that precondition the group
+    /// is a contiguous run of `state` exactly when
+    /// `last == first + len - 1`; a run is stepped in place, with no copy.
+    /// Any other group is gathered into `scratch`, stepped there and
+    /// scattered back only if it moved.
+    ///
+    /// `scratch`'s buffers keep their capacity across calls.  If `global`
     /// is given, it must be the multiset view of `state` *before* the step
     /// and is updated in place to the view after the step, letting a
     /// simulator maintain the whole-system multiset incrementally instead of
@@ -244,6 +253,8 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
     ///
     /// Panics if the group step returns a different number of states than
     /// the group has members, or if a group member index is out of range.
+    /// Debug builds also panic on a group of three or more members that is
+    /// not in ascending order.
     pub fn apply_group_step_with(
         &self,
         state: &mut SystemState<S>,
@@ -252,54 +263,43 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
         scratch: &mut StepScratch<S>,
         global: Option<&mut Multiset<S>>,
     ) -> StepOutcome {
-        if group.is_empty() {
+        let (Some(first), Some(last)) = (group.first(), group.last()) else {
             return StepOutcome {
                 multiset_changed: false,
                 positionally_fixed: true,
             };
-        }
-        // A group of consecutive agent ids (the common case for block
-        // partitions and whole-system groups) is a contiguous slice of
-        // `state`, so the step can read it in place — no before-image copy.
-        let lo = group.first().map(AgentId::index).unwrap_or_default();
-        let contiguous = group
-            .windows(2)
-            .all(|w| w.get(1).map(|a| a.index()) == w.first().map(|a| a.index() + 1));
-        let after = match state.get(lo..lo + group.len()) {
-            Some(before) if contiguous => self.step.step(before, rng),
-            _ => {
-                scratch.before.clear();
-                scratch.before.extend(group.iter().map(|a| {
-                    state
-                        .get(a.index())
-                        .unwrap_or_else(|| panic!("agent {a} out of range"))
-                        .clone()
-                }));
-                self.step.step(&scratch.before, rng)
-            }
         };
-        assert_eq!(
-            group.len(),
-            after.len(),
-            "group step `{}` changed the group size",
-            self.step.name()
+        debug_assert!(
+            group.len() <= 2 || group.windows(2).all(|w| w.first() < w.get(1)),
+            "groups of three or more members must list their agent ids in ascending order"
         );
-        // One fused pass: positions that kept their value contribute -1 and
-        // +1 of the same value to the signed counter and need no write-back;
-        // skipping them keeps the counter small for the common mostly-idle
-        // step and touches each changed slot exactly once.  The before-value
-        // is read from the slot itself just before overwriting it.
-        scratch.delta.clear();
-        let mut positionally_fixed = true;
-        for (agent, new_state) in group.iter().zip(after) {
-            let slot = state
-                .get_mut(agent.index())
-                .unwrap_or_else(|| panic!("agent {agent} out of range"));
-            if *slot != new_state {
-                positionally_fixed = false;
-                scratch.delta.add(slot.clone(), -1);
-                scratch.delta.add(new_state.clone(), 1);
-                *slot = new_state;
+        let lo = first.index();
+        let run = last.index() == lo + group.len() - 1;
+        if !run {
+            scratch.before.clear();
+            scratch.before.extend(group.iter().map(|a| {
+                state
+                    .get(a.index())
+                    .unwrap_or_else(|| panic!("agent {a} out of range"))
+                    .clone()
+            }));
+        }
+        let members = if run {
+            state
+                .get_mut(lo..=last.index())
+                .unwrap_or_else(|| panic!("agent {last} out of range"))
+        } else {
+            scratch.before.as_mut_slice()
+        };
+        let mut members = GroupStates::new(members, &mut scratch.delta);
+        self.step.step_in_place(&mut members, rng);
+        let moved = members.moved();
+        if moved && !run {
+            // Every id was range-checked by the gather above.
+            for (agent, value) in group.iter().zip(scratch.before.drain(..)) {
+                if let Some(slot) = state.get_mut(agent.index()) {
+                    *slot = value;
+                }
             }
         }
         let multiset_changed = !scratch.delta.is_balanced();
@@ -314,7 +314,7 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
         }
         StepOutcome {
             multiset_changed,
-            positionally_fixed,
+            positionally_fixed: !moved,
         }
     }
 
@@ -329,9 +329,13 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
         groups: &[Vec<AgentId>],
         rng: &mut dyn rand::RngCore,
     ) -> usize {
+        let mut scratch = StepScratch::new();
         let mut changed = 0;
         for group in groups {
-            if self.apply_group_step(state, group, rng) {
+            if self
+                .apply_group_step_with(state, group, rng, &mut scratch, None)
+                .multiset_changed
+            {
                 changed += 1;
             }
         }
@@ -500,6 +504,38 @@ mod tests {
             vec![1, 2, 3],
             FairnessSpec::for_graph(&Topology::line(5)),
         );
+    }
+
+    #[test]
+    fn gathered_groups_match_positional_step() {
+        let sys = min_system(vec![9, 5, 3, 7]);
+        let mut state = sys.initial_state().clone();
+        let mut global = sys.multiset(&state);
+        let mut scratch = StepScratch::new();
+        // A descending pair and a gapped group both take the gather path.
+        for group in [vec![AgentId(1), AgentId(0)], vec![AgentId(0), AgentId(3)]] {
+            sys.apply_group_step_with(
+                &mut state,
+                &group,
+                &mut rng(),
+                &mut scratch,
+                Some(&mut global),
+            );
+        }
+        assert_eq!(state, vec![5, 5, 3, 5]);
+        assert_eq!(global, sys.multiset(&state));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ascending order")]
+    fn unordered_group_that_looks_like_a_run_is_rejected() {
+        // First and last are two apart over three members, but the middle
+        // member is out of order: stepping `state[0..=2]` would be wrong.
+        let sys = min_system(vec![9, 5, 3, 7]);
+        let mut state = sys.initial_state().clone();
+        let group = [AgentId(0), AgentId(3), AgentId(2)];
+        sys.apply_group_step(&mut state, &group, &mut rng());
     }
 
     #[test]
