@@ -78,9 +78,9 @@ fn e7_baselines(c: &mut Criterion) {
 }
 
 /// Hot-path micro-benches: the convergence check (target multiset cached
-/// per instance) and the full static-environment run (group partition
-/// memoised on the enabled-set fingerprint — a static environment reuses
-/// the round-1 partition for the whole run).
+/// per instance) and the full static-environment run (a static environment
+/// keeps the round-1 partition, and its converged groups are elided as
+/// fixpoints for the whole cooldown).
 ///
 /// The kernels live in [`selfsim_bench::hotpath`] so the `bench_campaign`
 /// binary (which emits `BENCH_3.json` in CI) times exactly this code.

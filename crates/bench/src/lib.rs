@@ -8,8 +8,8 @@
 #![warn(missing_docs)]
 
 /// The hot-path benchmark kernels: convergence checking (target multiset
-/// cached per instance) and full simulator runs that exercise the
-/// group-partition memo.  Construction (`new`) is setup and excluded from
+/// cached per instance) and full simulator runs that exercise fixpoint
+/// elision on unchanging connectivity.  Construction (`new`) is setup and excluded from
 /// timing; `run` is one measured iteration.
 pub mod hotpath {
     use selfsim_algorithms::minimum;
@@ -46,8 +46,8 @@ pub mod hotpath {
         }
     }
 
-    /// 512 cooldown rounds on an unchanging environment: every round is a
-    /// memoised-partition hit plus one cached-target convergence check.
+    /// 512 cooldown rounds on an unchanging environment: every round keeps
+    /// the connectivity and elides the one converged (fixpoint) group.
     pub struct StaticCooldown {
         system: SelfSimilarSystem<i64>,
         n: usize,
@@ -84,7 +84,8 @@ pub mod hotpath {
     }
 
     /// The single-edge adversary repeats its silent (fully-disabled) state
-    /// between activations, so 3 of every 4 rounds reuse the partition.
+    /// between activations, so in every 4-round cycle the two silent rounds
+    /// after the first keep the partition unchanged.
     pub struct AdversaryRun {
         system: SelfSimilarSystem<i64>,
         n: usize,
@@ -192,9 +193,9 @@ pub mod escale {
     /// the emitted scaling row.
     #[derive(Clone, Copy, Debug)]
     pub struct EscaleOutcome {
-        /// Events popped off the queue over the whole run.
+        /// The run's event count (`RunMetrics::events_processed`).
         pub events_processed: usize,
-        /// High-water mark of the event queue.
+        /// The run's peak round (`RunMetrics::peak_queue_depth`).
         pub peak_queue_depth: usize,
         /// Rounds the run executed.
         pub rounds_executed: usize,

@@ -64,13 +64,15 @@ pub struct TrialRecord {
     /// Omitted from the JSONL encoding when zero, so requeue-free campaigns
     /// stay byte-identical to pre-observability outputs.
     pub messages_requeued: usize,
-    /// Events popped off the event-driven runtime's queue; structurally
-    /// zero for sync and async cells, which have no event queue.  Omitted
-    /// from the JSONL encoding when zero, so sync/async campaigns stay
-    /// byte-identical to pre-event-runtime outputs.
+    /// The event-driven runtime's work count
+    /// ([`selfsim_trace::RunMetrics::events_processed`]); structurally zero
+    /// for sync and async cells.  Omitted from the JSONL encoding when zero,
+    /// so sync/async campaigns stay byte-identical to pre-event-runtime
+    /// outputs.
     pub events_processed: usize,
-    /// High-water mark of the event queue's depth; zero (and omitted from
-    /// the JSONL encoding) for runtimes without an event queue.
+    /// The event-driven runtime's peak round
+    /// ([`selfsim_trace::RunMetrics::peak_queue_depth`]); zero (and omitted
+    /// from the JSONL encoding) for the other runtimes.
     pub peak_queue_depth: usize,
     /// `h(S(0))`.
     pub initial_objective: f64,

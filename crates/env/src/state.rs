@@ -136,11 +136,9 @@ impl EnvState {
     }
 
     /// Returns `true` if `other` induces the same agent partition as `self`:
-    /// identical enabled-edge and enabled-agent sets.  This is the
-    /// memoisation fingerprint simulators use to reuse [`EnvState::groups`]
-    /// across consecutive rounds — connected components only change when the
-    /// enabled sets change, and set equality is far cheaper than a
-    /// union-find recomputation.
+    /// identical enabled-edge and enabled-agent sets.  Connected components
+    /// only change when the enabled sets change, and set equality is far
+    /// cheaper than recomputing them.
     pub fn same_connectivity(&self, other: &EnvState) -> bool {
         // The enabled sets plus the agent count are the whole state, so the
         // derived equality is exactly the connectivity fingerprint; aliased

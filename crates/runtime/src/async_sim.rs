@@ -10,7 +10,17 @@ use selfsim_env::{AgentId, Environment};
 use selfsim_temporal::Trace;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{usable_edges, DeliveryDecision, DeliveryRule, SimulationReport};
+use crate::{DeliveryDecision, DeliveryRule, SimulationReport};
+
+/// Edges of `state` whose endpoints can actually communicate right now —
+/// the connectivity digest recorded by `env-transition` trace events.
+fn usable_edges(state: &selfsim_env::EnvState) -> usize {
+    state
+        .enabled_edges()
+        .iter()
+        .filter(|edge| state.can_communicate(edge.lo(), edge.hi()))
+        .count()
+}
 
 /// Configuration of an [`AsyncSimulator`] run.
 #[derive(Clone, Debug)]

@@ -1,174 +1,28 @@
-//! The event-driven simulator: a deterministic priority queue of
-//! environment and interaction events.
+//! The event-driven face of the round loop.
 //!
-//! [`EventSimulator`] realises the same transition system as
-//! [`SyncSimulator`](crate::SyncSimulator) — one environment transition
-//! followed by one agent transition per round — but drives it from an event
-//! queue instead of a dense per-round sweep:
-//!
-//! * **Events, not rounds.**  The run is a priority queue of events keyed by
-//!   `(time, tie)`, where the tie keys are derived from the seed through a
-//!   SplitMix64 finalizer.  Within a round the keys order the environment
-//!   transition before every group interaction and the group interactions in
-//!   partition order, so the RNG stream is consumed in exactly the order the
-//!   round-based simulator consumes it — that is what makes the two
-//!   runtimes' measurements identical on the cells where they must agree.
-//! * **Delta-based connectivity over a flat core.**  The environment is
-//!   advanced through [`Environment::step_delta`]; incremental
-//!   [`selfsim_env::EnvChanges`] are folded into a [`GroupIndex`] — group
-//!   maintenance over the topology's CSR adjacency that merges on edge-up
-//!   and re-splits via a bounded bidirectional search on edge-down, touching
-//!   only the affected component instead of rescanning the graph.
-//!   [`selfsim_env::EnvDelta::Unchanged`] costs nothing and
-//!   [`selfsim_env::EnvDelta::AllEnabled`] avoids even *materialising* the
-//!   full [`EnvState`]: a fully-enabled static complete graph on 10⁵ agents
-//!   never allocates its ~5·10⁹ edges.
-//! * **Sparse interaction scheduling.**  A group observed to map its state
-//!   to itself *bit for bit while drawing no randomness* is a fixpoint
-//!   group: re-running it is provably the identity on both the state and the
-//!   RNG stream, so no further events are scheduled for it until
-//!   connectivity changes.  Its per-round accounting (group steps, message
-//!   counts, a `changed: false` group-step trace event) is kept identical to
-//!   the round-based runtime; only the work is elided.  After convergence an
-//!   idle system costs two events per cooldown round, independent of `n`.
+//! [`EventSimulator`] runs exactly the loop [`SyncSimulator`] runs (see the
+//! `round` module) and so measures exactly what it measures.  It differs
+//! only in the record columns it fills: the environment name carries an
+//! `event/` prefix, and the two event columns report the work of the round
+//! loop as events.  Per round there is one environment event, one event per
+//! group actually stepped (groups elided as fixpoints cost none) and one
+//! round-boundary event, so after convergence an idle system costs two
+//! events per cooldown round, independent of `n`.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use selfsim_core::SelfSimilarSystem;
+use selfsim_env::Environment;
 
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use crate::round::run_rounds;
+use crate::{SimulationReport, SyncConfig};
 
-use selfsim_core::{SelfSimilarSystem, StepScratch};
-use selfsim_env::{AgentId, EnvDelta, EnvState, Environment, GroupIndex};
-use selfsim_temporal::Trace;
-use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
-
-use crate::SimulationReport;
-
-/// Configuration of an [`EventSimulator`] run.
-///
-/// The knobs mirror [`SyncConfig`](crate::SyncConfig) exactly — the event
-/// queue is an execution strategy, not a semantic parameter.
-#[derive(Clone, Debug)]
-pub struct EventConfig {
-    /// Maximum number of rounds before giving up.
-    pub max_rounds: usize,
-    /// Number of extra rounds to execute *after* convergence is first
-    /// detected (the stability audit of `stable (S = f(S))`).
-    pub cooldown_rounds: usize,
-    /// RNG seed; every run with the same seed, system and environment is
-    /// identical, and the stream is consumed in the same order as the
-    /// round-based simulator's.
-    pub seed: u64,
-    /// When `true`, the full environment and agent-state traces are kept in
-    /// the report (needed by the auditing tests; costs memory on long runs,
-    /// and forces symbolic fully-enabled states to be materialised).
-    pub record_traces: bool,
-    /// When `true`, the run records a structured [`TraceEvent`] stream in
-    /// the report.  Note that within a round the group-step events of
-    /// fixpoint groups precede those of scheduled groups, so the stream is
-    /// deterministic but not interleaved identically to the round-based
-    /// runtime's.
-    pub record_events: bool,
-}
-
-impl Default for EventConfig {
-    fn default() -> Self {
-        EventConfig {
-            max_rounds: 10_000,
-            cooldown_rounds: 0,
-            seed: 0,
-            record_traces: false,
-            record_events: false,
-        }
-    }
-}
-
-impl EventConfig {
-    /// A config with tracing enabled — what the correctness tests use.
-    pub fn traced(seed: u64, max_rounds: usize) -> Self {
-        EventConfig {
-            max_rounds,
-            cooldown_rounds: 0,
-            seed,
-            record_traces: true,
-            record_events: false,
-        }
-    }
-}
-
-/// The SplitMix64 finalizer; seeds the queue's tie keys.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The environment transition's tie key: below every group key (which is at
-/// least `tie_base + 1 > 0`) so the round always opens with it.
-const ENV_TIE: u64 = 0;
-/// The round boundary's tie key: above every group key (`tie_base` is
-/// masked to 32 bits and partitions are far smaller than 2⁶⁴ − 2³³).
-const ROUND_END_TIE: u64 = u64::MAX;
-
-/// What a queue entry schedules.  The derived order is only a formal
-/// tiebreaker — the `(time, tie)` keys are distinct by construction.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-enum EventKind {
-    /// The environment transition that opens a round.
-    Env,
-    /// One scheduled interaction of the group at this index of the current
-    /// partition.
-    Group(usize),
-    /// The round boundary: fold the round's accounting, run the
-    /// convergence/cooldown bookkeeping, schedule the next round.
-    RoundEnd,
-}
-
-/// The current connectivity, kept symbolic when the environment allows it.
-enum Connectivity {
-    /// Nothing enabled yet — the placeholder before the first absolute
-    /// delta (the `step_delta` contract makes the first delta absolute, so
-    /// this is never read as real connectivity; it just lets a
-    /// contract-violating `Unchanged` first delta degrade to an empty
-    /// partition instead of a panic).
-    Empty,
-    /// Every topology edge available and every agent enabled — represented
-    /// without materialising the edge set, so complete graphs stay cheap.
-    Full,
-    /// An incrementally maintained group index over the topology's flat CSR
-    /// adjacency: edge/agent deltas merge or re-split only the affected
-    /// components instead of rescanning the whole graph.  Boxed: the index
-    /// is ~2.5 hundred bytes of inline `Vec` headers, the other variants
-    /// are unit.
-    Tracked(Box<GroupIndex>),
-}
-
-/// An RNG adapter that counts how many core draws pass through it, so a
-/// group step can be proven randomness-free before its interaction is
-/// elided from the queue.
-struct CountingRng<'a> {
-    inner: &'a mut StdRng,
-    draws: u64,
-}
-
-impl RngCore for CountingRng<'_> {
-    fn next_u32(&mut self) -> u32 {
-        self.draws += 1;
-        self.inner.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.inner.next_u64()
-    }
-}
+/// Configuration of an [`EventSimulator`] run: the same knobs as a
+/// [`SyncSimulator`](crate::SyncSimulator) run.
+pub type EventConfig = SyncConfig;
 
 /// The event-driven realisation of the paper's transition system.
 ///
-/// See the [module documentation](self) for how it differs from — and when
-/// it is measurement-identical to — the round-based simulator.
+/// See the [module documentation](self) for what distinguishes its records
+/// from the round-based simulator's.
 pub struct EventSimulator {
     config: EventConfig,
 }
@@ -181,17 +35,10 @@ impl EventSimulator {
 
     /// Creates a simulator with default configuration and the given seed.
     pub fn with_seed(seed: u64) -> Self {
-        EventSimulator {
-            config: EventConfig {
-                seed,
-                ..EventConfig::default()
-            },
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EventConfig {
-        &self.config
+        EventSimulator::new(EventConfig {
+            seed,
+            ..EventConfig::default()
+        })
     }
 
     /// Runs `system` under `environment` until it converges (plus the
@@ -205,386 +52,23 @@ impl EventSimulator {
         S: Ord + Clone + std::fmt::Debug,
         E: Environment + ?Sized,
     {
-        let n = system.agent_count();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut state = system.initial_state().clone();
-        let mut metrics =
-            RunMetrics::new(system.name(), format!("event/{}", environment.name()), n);
-        let mut env_trace = Trace::new();
-        let mut state_trace = Vec::new();
-
-        // Incremental multiset view of `state`; see `SyncSimulator::run`.
-        // `state` is still `S(0)` here, so start from the instance's cached
-        // initial multiset instead of re-collecting n states.
-        let mut global = system.initial_multiset().clone();
-        let mut scratch = StepScratch::new();
-        metrics
-            .objective_trajectory
-            .push(system.objective_of(&global));
-        if self.config.record_traces {
-            state_trace.push(global.clone());
-        }
-
-        let mut converged_at: Option<usize> = None;
-        let mut cooldown_left = self.config.cooldown_rounds;
-        let mut events = if self.config.record_events {
-            EventLog::enabled()
-        } else {
-            EventLog::disabled()
-        };
-
-        let tie_base = splitmix64(self.config.seed) & 0xFFFF_FFFF;
-        let mut heap: BinaryHeap<Reverse<(u64, u64, EventKind)>> = BinaryHeap::new();
-        let mut peak_queue_depth = 0usize;
-        if self.config.max_rounds > 0 {
-            heap.push(Reverse((1, ENV_TIE, EventKind::Env)));
-            peak_queue_depth = peak_queue_depth.max(heap.len());
-        }
-
-        let mut connectivity = Connectivity::Empty;
-        let mut groups: Vec<Vec<AgentId>> = Vec::new();
-        let mut at_fixpoint: Vec<bool> = Vec::new();
-
-        // The objective and the convergence check read the state multiset,
-        // so they are recomputed only when some group actually moved.
-        let mut state_dirty = true;
-        let mut cached_objective = metrics.objective_trajectory[0];
-        let mut cached_converged = false;
-
-        let mut round_messages = 0usize;
-        let mut changed_groups = 0usize;
-
-        while let Some(Reverse((time, _tie, kind))) = heap.pop() {
-            metrics.events_processed += 1;
-            let round = time as usize;
-            match kind {
-                EventKind::Env => {
-                    round_messages = 0;
-                    changed_groups = 0;
-                    let connectivity_changed = match environment.step_delta(&mut rng) {
-                        EnvDelta::Unchanged => false,
-                        EnvDelta::AllEnabled => {
-                            let was_full = matches!(connectivity, Connectivity::Full);
-                            connectivity = Connectivity::Full;
-                            !was_full
-                        }
-                        EnvDelta::Full(next) => match &mut connectivity {
-                            Connectivity::Tracked(index) => {
-                                if index.same_connectivity(&next) {
-                                    false
-                                } else {
-                                    index.reset_from_state(&next);
-                                    true
-                                }
-                            }
-                            Connectivity::Full => {
-                                // Cheap count rejection first: the closed
-                                // form avoids materialising a symbolic
-                                // clique unless the counts actually match.
-                                let topo = environment.topology();
-                                let same = next.enabled_agents().len() == n
-                                    && next.enabled_edges().len() == topo.edge_count()
-                                    && EnvState::fully_enabled(topo).same_connectivity(&next);
-                                if same {
-                                    false
-                                } else {
-                                    let mut index = GroupIndex::new(topo);
-                                    index.reset_from_state(&next);
-                                    connectivity = Connectivity::Tracked(Box::new(index));
-                                    true
-                                }
-                            }
-                            Connectivity::Empty => {
-                                if next.enabled_edges().is_empty()
-                                    && next.enabled_agents().is_empty()
-                                {
-                                    false
-                                } else {
-                                    let mut index = GroupIndex::new(environment.topology());
-                                    index.reset_from_state(&next);
-                                    connectivity = Connectivity::Tracked(Box::new(index));
-                                    true
-                                }
-                            }
-                        },
-                        EnvDelta::Changes(changes) => {
-                            if !matches!(connectivity, Connectivity::Tracked(_)) {
-                                let mut index = GroupIndex::new(environment.topology());
-                                if matches!(connectivity, Connectivity::Full) {
-                                    index.reset_all_enabled();
-                                }
-                                connectivity = Connectivity::Tracked(Box::new(index));
-                            }
-                            if let Connectivity::Tracked(index) = &mut connectivity {
-                                index.apply_changes(&changes);
-                            }
-                            !changes.is_empty()
-                        }
-                    };
-                    if self.config.record_traces {
-                        env_trace.push(match &connectivity {
-                            Connectivity::Empty => EnvState::fully_disabled(n),
-                            Connectivity::Full => EnvState::fully_enabled(environment.topology()),
-                            Connectivity::Tracked(index) => index.to_env_state(),
-                        });
-                    }
-                    events.emit(|| TraceEvent::EnvTransition {
-                        tick: time,
-                        edges: match &connectivity {
-                            Connectivity::Empty => 0,
-                            Connectivity::Full => environment.topology().edge_count(),
-                            Connectivity::Tracked(index) => index.usable_edge_count(),
-                        },
-                    });
-                    if connectivity_changed {
-                        // A tracked index exposes its groups by borrow (see
-                        // the `Group(i)` arm); only the full-connectivity
-                        // fast path still materialises a member list.
-                        groups = match &connectivity {
-                            Connectivity::Empty | Connectivity::Tracked(_) => Vec::new(),
-                            Connectivity::Full => environment.topology().components(),
-                        };
-                        let group_count = match &connectivity {
-                            Connectivity::Tracked(index) => index.group_count(),
-                            _ => groups.len(),
-                        };
-                        at_fixpoint = vec![false; group_count];
-                    }
-                    for (i, &done) in at_fixpoint.iter().enumerate() {
-                        let size = match &connectivity {
-                            Connectivity::Tracked(index) => index.group(i).len(),
-                            _ => groups.get(i).map(Vec::len).unwrap_or_default(),
-                        };
-                        if done {
-                            // Elided interaction, round-based accounting.
-                            metrics.group_steps += 1;
-                            round_messages += size;
-                            events.emit(|| TraceEvent::GroupStep {
-                                tick: time,
-                                size,
-                                changed: false,
-                            });
-                        } else {
-                            heap.push(Reverse((
-                                time,
-                                tie_base + 1 + i as u64,
-                                EventKind::Group(i),
-                            )));
-                        }
-                    }
-                    heap.push(Reverse((time, ROUND_END_TIE, EventKind::RoundEnd)));
-                    peak_queue_depth = peak_queue_depth.max(heap.len());
-                }
-                EventKind::Group(i) => {
-                    let group: &[AgentId] = match &connectivity {
-                        Connectivity::Tracked(index) => index.group(i),
-                        _ => groups.get(i).map(Vec::as_slice).unwrap_or_default(),
-                    };
-                    metrics.group_steps += 1;
-                    round_messages += group.len();
-                    let mut counting = CountingRng {
-                        inner: &mut rng,
-                        draws: 0,
-                    };
-                    let outcome = system.apply_group_step_with(
-                        &mut state,
-                        group,
-                        &mut counting,
-                        &mut scratch,
-                        Some(&mut global),
-                    );
-                    let changed = outcome.multiset_changed;
-                    if outcome.positionally_fixed && counting.draws == 0 {
-                        at_fixpoint[i] = true;
-                    }
-                    if !outcome.positionally_fixed {
-                        state_dirty = true;
-                    }
-                    if changed {
-                        changed_groups += 1;
-                    }
-                    let size = group.len();
-                    events.emit(|| TraceEvent::GroupStep {
-                        tick: time,
-                        size,
-                        changed,
-                    });
-                }
-                EventKind::RoundEnd => {
-                    metrics.effective_group_steps += changed_groups;
-                    metrics.messages += round_messages;
-                    metrics.rounds_executed = round;
-                    if state_dirty {
-                        cached_objective = system.objective_of(&global);
-                        cached_converged = system.is_converged_multiset(&global);
-                        state_dirty = false;
-                    }
-                    metrics.objective_trajectory.push(cached_objective);
-                    if self.config.record_traces {
-                        state_trace.push(global.clone());
-                    }
-                    if cached_converged {
-                        if converged_at.is_none() {
-                            converged_at = Some(round);
-                            events.emit(|| TraceEvent::ConvergenceEntered { tick: time });
-                        }
-                        if cooldown_left == 0 {
-                            break;
-                        }
-                        cooldown_left -= 1;
-                    } else {
-                        if converged_at.is_some() {
-                            events.emit(|| TraceEvent::ConvergenceLeft { tick: time });
-                        }
-                        converged_at = None;
-                        cooldown_left = self.config.cooldown_rounds;
-                    }
-                    if round < self.config.max_rounds {
-                        heap.push(Reverse((time + 1, ENV_TIE, EventKind::Env)));
-                        peak_queue_depth = peak_queue_depth.max(heap.len());
-                    }
-                }
-            }
-        }
-
-        metrics.peak_queue_depth = peak_queue_depth;
-        metrics.rounds_to_convergence = converged_at;
-        SimulationReport {
-            metrics,
-            final_state: state,
-            env_trace,
-            state_trace,
-            events: events.into_events(),
-        }
+        let (mut report, stepped) = run_rounds(&self.config, system, environment);
+        let metrics = &mut report.metrics;
+        metrics.environment = format!("event/{}", metrics.environment);
+        let rounds = metrics.rounds_executed;
+        metrics.events_processed = 2 * rounds + stepped.total;
+        // At most the stepped groups of one round plus its boundary wait
+        // at once; an empty run never has a pending event.
+        metrics.peak_queue_depth = if rounds == 0 { 0 } else { stepped.peak + 1 };
+        report
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SyncConfig, SyncSimulator};
-    use selfsim_algorithms::{minimum, sorting};
-    use selfsim_env::{
-        CrashRestartEnv, MarkovLinkEnv, PeriodicPartitionEnv, RandomChurnEnv, StaticEnv, Topology,
-    };
-
-    /// Asserts that the event-driven run measures exactly what the
-    /// round-based run measures (modulo the runtime-specific columns:
-    /// environment prefix, events processed, queue depth).
-    fn assert_matches_sync<S: Ord + Clone + std::fmt::Debug>(
-        event: &SimulationReport<S>,
-        sync: &SimulationReport<S>,
-    ) {
-        let mut normalized = event.metrics.clone();
-        assert_eq!(
-            normalized.environment,
-            format!("event/{}", sync.metrics.environment)
-        );
-        normalized.environment = sync.metrics.environment.clone();
-        normalized.events_processed = 0;
-        normalized.peak_queue_depth = 0;
-        assert_eq!(normalized, sync.metrics);
-        assert_eq!(event.final_state, sync.final_state);
-    }
-
-    fn run_both<S, E>(
-        system: &SelfSimilarSystem<S>,
-        mut make_env: impl FnMut() -> E,
-        seed: u64,
-        cooldown: usize,
-    ) -> (SimulationReport<S>, SimulationReport<S>)
-    where
-        S: Ord + Clone + std::fmt::Debug,
-        E: Environment,
-    {
-        let event = EventSimulator::new(EventConfig {
-            cooldown_rounds: cooldown,
-            seed,
-            ..EventConfig::default()
-        })
-        .run(system, &mut make_env());
-        let sync = SyncSimulator::new(SyncConfig {
-            cooldown_rounds: cooldown,
-            seed,
-            ..SyncConfig::default()
-        })
-        .run(system, &mut make_env());
-        (event, sync)
-    }
-
-    #[test]
-    fn matches_sync_on_static_environments() {
-        let sys = minimum::system(&[9, 4, 7, 1, 5], Topology::line(5));
-        let (event, sync) = run_both(&sys, || StaticEnv::new(Topology::line(5)), 1, 0);
-        assert!(event.converged());
-        assert_matches_sync(&event, &sync);
-    }
-
-    #[test]
-    fn matches_sync_under_incremental_and_fallback_deltas() {
-        // Markov links exercise the `Changes` path, the periodic partition
-        // the phase-boundary `Full`/`Unchanged` mix, crash/restart and
-        // random churn the default full-rescan fallback.
-        let topo = || Topology::ring(8);
-        let sys = minimum::system(&[9, 4, 7, 1, 5, 14, 3, 8], topo());
-        for seed in [3, 7, 11] {
-            let (event, sync) = run_both(&sys, || MarkovLinkEnv::new(topo(), 0.4, 0.4), seed, 0);
-            assert_matches_sync(&event, &sync);
-            let (event, sync) = run_both(&sys, || PeriodicPartitionEnv::new(topo(), 2, 4), seed, 0);
-            assert_matches_sync(&event, &sync);
-            let (event, sync) = run_both(&sys, || CrashRestartEnv::new(topo(), 0.2, 0.7), seed, 0);
-            assert_matches_sync(&event, &sync);
-            let (event, sync) = run_both(&sys, || RandomChurnEnv::new(topo(), 0.5, 0.9), seed, 0);
-            assert_matches_sync(&event, &sync);
-        }
-    }
-
-    #[test]
-    fn matches_sync_for_positional_movement_with_unchanged_multisets() {
-        // Sorting permutes positions while the multiset (and hence the
-        // `changed` flag) stays put: the fixpoint detector must look at
-        // positions, not multisets, or it would freeze a still-sorting
-        // group.
-        let sys = sorting::system(&[5, 3, 1, 4, 2, 6]);
-        let (event, sync) = run_both(&sys, || StaticEnv::new(Topology::line(6)), 2, 0);
-        assert!(event.converged(), "sorting converges on the static line");
-        assert_matches_sync(&event, &sync);
-        let (event, sync) = run_both(
-            &sys,
-            || MarkovLinkEnv::new(Topology::line(6), 0.5, 0.3),
-            9,
-            0,
-        );
-        assert_matches_sync(&event, &sync);
-    }
-
-    #[test]
-    fn matches_sync_through_cooldown_rounds() {
-        let topo = || Topology::complete(3);
-        let sys = minimum::system(&[5, 2, 9], topo());
-        let (event, sync) = run_both(&sys, || StaticEnv::new(topo()), 4, 10);
-        assert!(event.converged());
-        assert!(
-            event.metrics.rounds_executed > event.rounds_to_convergence().expect("run converged")
-        );
-        assert_matches_sync(&event, &sync);
-    }
-
-    #[test]
-    fn traced_runs_match_sync_traces() {
-        let topo = || Topology::ring(6);
-        let sys = minimum::system(&[6, 5, 4, 3, 2, 1], topo());
-        let event = EventSimulator::new(EventConfig::traced(7, 5_000))
-            .run(&sys, &mut RandomChurnEnv::new(topo(), 0.4, 0.9));
-        let sync = SyncSimulator::new(SyncConfig::traced(7, 5_000))
-            .run(&sys, &mut RandomChurnEnv::new(topo(), 0.4, 0.9));
-        assert_matches_sync(&event, &sync);
-        assert_eq!(event.state_trace, sync.state_trace);
-        assert_eq!(event.env_trace.len(), sync.env_trace.len());
-        for (a, b) in event.env_trace.iter().zip(sync.env_trace.iter()) {
-            assert!(a.same_connectivity(b));
-        }
-    }
+    use selfsim_algorithms::minimum;
+    use selfsim_env::{RandomChurnEnv, StaticEnv, Topology};
 
     #[test]
     fn runs_are_seed_deterministic_including_the_event_stream() {
@@ -624,6 +108,8 @@ mod tests {
         assert_eq!(report.metrics.rounds_executed, 11);
         // Rounds 1–2: env + group + boundary; rounds 3–11: env + boundary.
         assert_eq!(report.metrics.events_processed, 2 * 3 + 9 * 2);
+        // The busiest round stepped one group: one event plus the boundary.
+        assert_eq!(report.metrics.peak_queue_depth, 2);
         // Accounting still reports one group step per round, like sync.
         assert_eq!(report.metrics.group_steps, 11);
     }

@@ -2,32 +2,31 @@
 //!
 //! The transition system of Chandy & Charpentier (ICDCS 2007) alternates
 //! environment transitions (arbitrary) with agent transitions (every group
-//! of a partition takes one collaborative step).  This crate provides three
-//! executable realisations of that system:
+//! of a partition takes one collaborative step).  This crate executes that
+//! system in two ways:
 //!
-//! * [`SyncSimulator`] — the direct, round-based realisation: at every round
-//!   the environment produces a new [`selfsim_env::EnvState`], the induced
-//!   partition (connected components of the enabled subgraph) is computed,
-//!   and every group executes one step of the algorithm's group relation
-//!   `R`.  This is the semantics used for all correctness claims and most
-//!   experiments.
-//! * [`AsyncSimulator`] — a discrete-event, message-passing realisation in
-//!   the spirit of the remark at the end of §4.5: agents interact pairwise
-//!   when a (possibly delayed, possibly dropped) message is delivered over
-//!   an edge, rather than in lockstep rounds.  Group steps are still steps
-//!   of `R` restricted to the two endpoints, so all invariants carry over;
-//!   what changes is *when* interactions happen — and the [`DeliveryRule`]
-//!   decides what happens to a message whose edge is down when it comes
-//!   due, which over environments with connectivity windows shorter than
-//!   the message latency decides convergence itself (see the
-//!   `delivery` module docs and experiment E14).
-//! * [`EventSimulator`] — the synchronous semantics driven from a
-//!   deterministic priority queue of environment and interaction events,
-//!   with delta-based connectivity updates
-//!   ([`selfsim_env::Environment::step_delta`]) and sparse interaction
-//!   scheduling, so idle agents cost nothing and million-agent systems stay
-//!   tractable.  On every cell it measures exactly what [`SyncSimulator`]
-//!   measures (the `event` module docs state the guarantee precisely).
+//! * **Rounds** — [`SyncSimulator`] and [`EventSimulator`] run one shared
+//!   round loop: at every round the environment transition is folded into
+//!   the connectivity as a delta ([`selfsim_env::Environment::step_delta`]),
+//!   and every group of the induced partition (connected components of the
+//!   enabled subgraph) executes one step of the algorithm's group relation
+//!   `R`, in partition order.  Groups proven to be randomness-free
+//!   fixpoints are not stepped again until connectivity changes, so idle
+//!   agents cost nothing and million-agent systems stay tractable.  This is
+//!   the semantics used for all correctness claims and most experiments.
+//!   The two names differ only in the record columns they fill: event runs
+//!   prefix the environment with `event/` and report the loop's work as
+//!   events processed and peak queue depth.
+//! * **Messages** — [`AsyncSimulator`] is a discrete-event, message-passing
+//!   realisation in the spirit of the remark at the end of §4.5: agents
+//!   interact pairwise when a (possibly delayed, possibly dropped) message
+//!   is delivered over an edge, rather than in lockstep rounds.  Group
+//!   steps are still steps of `R` restricted to the two endpoints, so all
+//!   invariants carry over; what changes is *when* interactions happen —
+//!   and the [`DeliveryRule`] decides what happens to a message whose edge
+//!   is down when it comes due, which over environments with connectivity
+//!   windows shorter than the message latency decides convergence itself
+//!   (see the `delivery` module docs and experiment E14).
 //!
 //! All simulators are deterministic given a seed, record
 //! [`selfsim_trace::RunMetrics`], optionally keep the full environment and
@@ -47,6 +46,7 @@ mod delivery;
 mod event;
 mod mode;
 mod report;
+mod round;
 mod sync;
 
 pub use async_sim::{validate_async_knobs, AsyncConfig, AsyncSimulator};
@@ -55,13 +55,3 @@ pub use event::{EventConfig, EventSimulator};
 pub use mode::{ExecutionMode, Runtime};
 pub use report::SimulationReport;
 pub use sync::{SyncConfig, SyncSimulator};
-
-/// Edges of `state` whose endpoints can actually communicate right now —
-/// the connectivity digest recorded by `env-transition` trace events.
-pub(crate) fn usable_edges(state: &selfsim_env::EnvState) -> usize {
-    state
-        .enabled_edges()
-        .iter()
-        .filter(|edge| state.can_communicate(edge.lo(), edge.hi()))
-        .count()
-}

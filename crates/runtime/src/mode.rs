@@ -12,19 +12,17 @@ use selfsim_core::SelfSimilarSystem;
 use selfsim_env::Environment;
 
 use crate::{
-    AsyncConfig, AsyncSimulator, DeliveryRule, EventConfig, EventSimulator, SimulationReport,
-    SyncConfig, SyncSimulator,
+    AsyncConfig, AsyncSimulator, DeliveryRule, EventSimulator, SimulationReport, SyncConfig,
+    SyncSimulator,
 };
 
 /// A runtime that can execute a self-similar system under an environment —
-/// the common face of [`SyncSimulator`] and [`AsyncSimulator`].
+/// the common face of [`SyncSimulator`], [`EventSimulator`] and
+/// [`AsyncSimulator`].
 ///
 /// Object-safe so that callers generic only in the *state* type can hold a
 /// `Box<dyn Runtime<S>>` chosen at run time from an [`ExecutionMode`].
 pub trait Runtime<S: Ord + Clone + std::fmt::Debug> {
-    /// Short runtime name (`"sync"` / `"async"`), used in reports.
-    fn mode_name(&self) -> &'static str;
-
     /// Runs `system` under `environment` until convergence or the budget
     /// (rounds or ticks, depending on the runtime) is exhausted.
     fn execute(
@@ -35,10 +33,6 @@ pub trait Runtime<S: Ord + Clone + std::fmt::Debug> {
 }
 
 impl<S: Ord + Clone + std::fmt::Debug> Runtime<S> for SyncSimulator {
-    fn mode_name(&self) -> &'static str {
-        "sync"
-    }
-
     fn execute(
         &self,
         system: &SelfSimilarSystem<S>,
@@ -49,10 +43,6 @@ impl<S: Ord + Clone + std::fmt::Debug> Runtime<S> for SyncSimulator {
 }
 
 impl<S: Ord + Clone + std::fmt::Debug> Runtime<S> for AsyncSimulator {
-    fn mode_name(&self) -> &'static str {
-        "async"
-    }
-
     fn execute(
         &self,
         system: &SelfSimilarSystem<S>,
@@ -63,10 +53,6 @@ impl<S: Ord + Clone + std::fmt::Debug> Runtime<S> for AsyncSimulator {
 }
 
 impl<S: Ord + Clone + std::fmt::Debug> Runtime<S> for EventSimulator {
-    fn mode_name(&self) -> &'static str {
-        "event"
-    }
-
     fn execute(
         &self,
         system: &SelfSimilarSystem<S>,
@@ -89,10 +75,10 @@ pub enum ExecutionMode {
         /// campaign's baseline adapters) ignore it.
         cooldown: usize,
     },
-    /// Event-driven execution on [`EventSimulator`]: the same round
-    /// semantics as [`ExecutionMode::Sync`], driven from a deterministic
-    /// priority queue with delta-based connectivity and sparse interaction
-    /// scheduling, so idle agents cost nothing.
+    /// Event-driven execution on [`EventSimulator`]: the same round loop as
+    /// [`ExecutionMode::Sync`], with the same records except that the
+    /// environment is prefixed `event/` and the loop's work is reported as
+    /// events processed and peak queue depth.
     Event {
         /// Extra rounds to run *after* convergence is first detected; the
         /// same knob (and the same semantics) as the sync cooldown.
@@ -279,21 +265,16 @@ impl ExecutionMode {
         record_traces: bool,
         record_events: bool,
     ) -> Box<dyn Runtime<S>> {
+        let rounds = |cooldown_rounds| SyncConfig {
+            max_rounds: budget,
+            cooldown_rounds,
+            seed,
+            record_traces,
+            record_events,
+        };
         match *self {
-            ExecutionMode::Sync { cooldown } => Box::new(SyncSimulator::new(SyncConfig {
-                max_rounds: budget,
-                cooldown_rounds: cooldown,
-                seed,
-                record_traces,
-                record_events,
-            })),
-            ExecutionMode::Event { cooldown } => Box::new(EventSimulator::new(EventConfig {
-                max_rounds: budget,
-                cooldown_rounds: cooldown,
-                seed,
-                record_traces,
-                record_events,
-            })),
+            ExecutionMode::Sync { cooldown } => Box::new(SyncSimulator::new(rounds(cooldown))),
+            ExecutionMode::Event { cooldown } => Box::new(EventSimulator::new(rounds(cooldown))),
             ExecutionMode::Async {
                 interaction_rate,
                 max_latency,

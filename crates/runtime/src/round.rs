@@ -1,0 +1,305 @@
+//! The round loop behind [`SyncSimulator`](crate::SyncSimulator) and
+//! [`EventSimulator`](crate::EventSimulator).
+//!
+//! Every round is one environment transition followed by one step of `R`
+//! per group of the induced partition, groups taken in partition order
+//! (ascending smallest member).  Three things keep a round cheap without
+//! changing what it measures:
+//!
+//! * **Delta-based connectivity.**  The environment is advanced through
+//!   [`Environment::step_delta`] and the delta is folded into a
+//!   [`GroupIndex`], which merges on edge-up and re-splits only the affected
+//!   component on edge-down.  [`EnvDelta::Unchanged`] costs nothing, and
+//!   [`EnvDelta::AllEnabled`] never materialises the edge set: a static
+//!   complete graph on 10⁵ agents never allocates its ~5·10⁹ edges.
+//! * **Fixpoint elision.**  A group observed to map its state to itself
+//!   *bit for bit while drawing no randomness* is a fixpoint group:
+//!   stepping it again is the identity on both the state and the RNG
+//!   stream, so it is not stepped again until connectivity changes.  Its
+//!   accounting (group steps, messages, a `changed: false` group-step trace
+//!   event) is kept in place; only the work is elided.
+//! * **Cached round bookkeeping.**  The objective and the convergence check
+//!   read the state multiset, so they are recomputed only after some group
+//!   moved.
+
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+
+use selfsim_core::{SelfSimilarSystem, StepScratch};
+use selfsim_env::{AgentId, EnvDelta, EnvState, Environment, GroupIndex, Topology};
+use selfsim_temporal::Trace;
+use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
+
+use crate::{SimulationReport, SyncConfig};
+
+/// The current connectivity, kept symbolic when the environment allows it.
+enum Connectivity {
+    /// Nothing enabled yet — the placeholder before the first absolute
+    /// delta (the `step_delta` contract makes the first delta absolute, so
+    /// this is never read as real connectivity; it just lets a
+    /// contract-violating `Unchanged` first delta degrade to an empty
+    /// partition instead of a panic).
+    Empty,
+    /// Every topology edge available and every agent enabled, with the
+    /// topology's components as the partition — represented without
+    /// materialising the edge set, so complete graphs stay cheap.
+    Full(Vec<Vec<AgentId>>),
+    /// An incrementally maintained group index over the topology's flat CSR
+    /// adjacency.  Boxed: the index is ~2.5 hundred bytes of inline `Vec`
+    /// headers.
+    Tracked(Box<GroupIndex>),
+}
+
+impl Connectivity {
+    /// Folds one environment transition in; `true` when the partition may
+    /// have changed (which resets every group's fixpoint proof).
+    fn advance(&mut self, delta: EnvDelta, topology: &Topology) -> bool {
+        match delta {
+            EnvDelta::Unchanged => false,
+            EnvDelta::AllEnabled => {
+                if matches!(self, Connectivity::Full(_)) {
+                    return false;
+                }
+                *self = Connectivity::Full(topology.components());
+                true
+            }
+            EnvDelta::Full(next) => {
+                let same = match self {
+                    Connectivity::Empty => {
+                        next.enabled_edges().is_empty() && next.enabled_agents().is_empty()
+                    }
+                    // Cheap count rejection first: the closed form avoids
+                    // materialising a symbolic clique unless the counts match.
+                    Connectivity::Full(_) => {
+                        next.enabled_agents().len() == topology.agent_count()
+                            && next.enabled_edges().len() == topology.edge_count()
+                            && EnvState::fully_enabled(topology).same_connectivity(&next)
+                    }
+                    Connectivity::Tracked(index) => index.same_connectivity(&next),
+                };
+                if !same {
+                    match self {
+                        Connectivity::Tracked(index) => index.reset_from_state(&next),
+                        Connectivity::Empty | Connectivity::Full(_) => {
+                            let mut index = GroupIndex::new(topology);
+                            index.reset_from_state(&next);
+                            *self = Connectivity::Tracked(Box::new(index));
+                        }
+                    }
+                }
+                !same
+            }
+            EnvDelta::Changes(changes) => {
+                match self {
+                    Connectivity::Tracked(index) => index.apply_changes(&changes),
+                    Connectivity::Empty | Connectivity::Full(_) => {
+                        let mut index = GroupIndex::new(topology);
+                        if matches!(self, Connectivity::Full(_)) {
+                            index.reset_all_enabled();
+                        }
+                        index.apply_changes(&changes);
+                        *self = Connectivity::Tracked(Box::new(index));
+                    }
+                }
+                !changes.is_empty()
+            }
+        }
+    }
+
+    fn group_count(&self) -> usize {
+        match self {
+            Connectivity::Empty => 0,
+            Connectivity::Full(groups) => groups.len(),
+            Connectivity::Tracked(index) => index.group_count(),
+        }
+    }
+
+    fn group(&self, i: usize) -> &[AgentId] {
+        match self {
+            Connectivity::Empty => &[],
+            Connectivity::Full(groups) => groups.get(i).map_or(&[], Vec::as_slice),
+            Connectivity::Tracked(index) => index.group(i),
+        }
+    }
+
+    /// Edges whose endpoints can communicate — the `env-transition` digest.
+    fn usable_edges(&self, topology: &Topology) -> usize {
+        match self {
+            Connectivity::Empty => 0,
+            Connectivity::Full(_) => topology.edge_count(),
+            Connectivity::Tracked(index) => index.usable_edge_count(),
+        }
+    }
+
+    fn to_env_state(&self, topology: &Topology) -> EnvState {
+        match self {
+            Connectivity::Empty => EnvState::fully_disabled(topology.agent_count()),
+            Connectivity::Full(_) => EnvState::fully_enabled(topology),
+            Connectivity::Tracked(index) => index.to_env_state(),
+        }
+    }
+}
+
+/// An RNG adapter that counts how many core draws pass through it, so a
+/// group step can be proven randomness-free before it is elided.
+struct CountingRng<'a> {
+    inner: &'a mut StdRng,
+    draws: u64,
+}
+
+impl RngCore for CountingRng<'_> {
+    fn next_u32(&mut self) -> u32 {
+        self.draws += 1;
+        self.inner.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.inner.next_u64()
+    }
+}
+
+/// Groups the loop actually stepped, i.e. did not elide as fixpoints.
+#[derive(Default)]
+pub(crate) struct Stepped {
+    /// Summed over all rounds.
+    pub(crate) total: usize,
+    /// The most in any one round.
+    pub(crate) peak: usize,
+}
+
+/// Runs `system` under `environment` until it converges (plus the
+/// configured cooldown) or the round budget is exhausted.
+pub(crate) fn run_rounds<S, E>(
+    config: &SyncConfig,
+    system: &SelfSimilarSystem<S>,
+    environment: &mut E,
+) -> (SimulationReport<S>, Stepped)
+where
+    S: Ord + Clone + std::fmt::Debug,
+    E: Environment + ?Sized,
+{
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut state = system.initial_state().clone();
+    let mut metrics = RunMetrics::new(system.name(), environment.name(), system.agent_count());
+    let mut env_trace = Trace::new();
+    let mut state_trace = Vec::new();
+    let mut events = if config.record_events {
+        EventLog::enabled()
+    } else {
+        EventLog::disabled()
+    };
+
+    // The whole-system multiset is maintained incrementally by the group
+    // steps; `h` folds it in ascending value order either way, so the
+    // objective trajectory is byte-identical to recomputing the multiset
+    // from the positional state every round.  `state` is still `S(0)` here,
+    // so the cached initial multiset is exactly the view to start from.
+    let mut global = system.initial_multiset().clone();
+    let mut scratch = StepScratch::new();
+    let mut objective = system.objective_of(&global);
+    let mut converged = false;
+    let mut dirty = true;
+    metrics.objective_trajectory.push(objective);
+    if config.record_traces {
+        state_trace.push(global.clone());
+    }
+
+    let mut connectivity = Connectivity::Empty;
+    let mut at_fixpoint: Vec<bool> = Vec::new();
+    let mut stepped = Stepped::default();
+    let mut converged_at: Option<usize> = None;
+    let mut cooldown_left = config.cooldown_rounds;
+
+    for round in 1..=config.max_rounds {
+        let tick = round as u64;
+        let delta = environment.step_delta(&mut rng);
+        let topology = environment.topology();
+        if connectivity.advance(delta, topology) {
+            at_fixpoint = vec![false; connectivity.group_count()];
+        }
+        if config.record_traces {
+            env_trace.push(connectivity.to_env_state(topology));
+        }
+        events.emit(|| TraceEvent::EnvTransition {
+            tick,
+            edges: connectivity.usable_edges(topology),
+        });
+
+        let mut round_stepped = 0usize;
+        for (i, fixed) in at_fixpoint.iter_mut().enumerate() {
+            let group = connectivity.group(i);
+            metrics.group_steps += 1;
+            // A k-agent collaborative step costs k messages in this
+            // accounting (each member contributes its state once).
+            metrics.messages += group.len();
+            let changed = if *fixed {
+                false
+            } else {
+                round_stepped += 1;
+                let mut counting = CountingRng {
+                    inner: &mut rng,
+                    draws: 0,
+                };
+                let outcome = system.apply_group_step_with(
+                    &mut state,
+                    group,
+                    &mut counting,
+                    &mut scratch,
+                    Some(&mut global),
+                );
+                *fixed = outcome.positionally_fixed && counting.draws == 0;
+                dirty |= !outcome.positionally_fixed;
+                outcome.multiset_changed
+            };
+            metrics.effective_group_steps += usize::from(changed);
+            events.emit(|| TraceEvent::GroupStep {
+                tick,
+                size: group.len(),
+                changed,
+            });
+        }
+        metrics.rounds_executed = round;
+        stepped.total += round_stepped;
+        stepped.peak = stepped.peak.max(round_stepped);
+
+        if dirty {
+            objective = system.objective_of(&global);
+            converged = system.is_converged_multiset(&global);
+            dirty = false;
+        }
+        metrics.objective_trajectory.push(objective);
+        if config.record_traces {
+            state_trace.push(global.clone());
+        }
+
+        if converged {
+            if converged_at.is_none() {
+                converged_at = Some(round);
+                events.emit(|| TraceEvent::ConvergenceEntered { tick });
+            }
+            if cooldown_left == 0 {
+                break;
+            }
+            cooldown_left -= 1;
+        } else {
+            if converged_at.is_some() {
+                events.emit(|| TraceEvent::ConvergenceLeft { tick });
+            }
+            // If a later round leaves the target state the algorithm is
+            // broken; reset so the reported number is honest.
+            converged_at = None;
+            cooldown_left = config.cooldown_rounds;
+        }
+    }
+
+    metrics.rounds_to_convergence = converged_at;
+    let report = SimulationReport {
+        metrics,
+        final_state: state,
+        env_trace,
+        state_trace,
+        events: events.into_events(),
+    };
+    (report, stepped)
+}

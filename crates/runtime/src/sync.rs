@@ -1,16 +1,14 @@
-//! The round-based (synchronous) simulator.
+//! The round-based (synchronous) simulator and the configuration both
+//! round runtimes share.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use selfsim_core::{SelfSimilarSystem, StepScratch};
+use selfsim_core::SelfSimilarSystem;
 use selfsim_env::Environment;
-use selfsim_temporal::Trace;
-use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{usable_edges, SimulationReport};
+use crate::round::run_rounds;
+use crate::SimulationReport;
 
-/// Configuration of a [`SyncSimulator`] run.
+/// Configuration of a [`SyncSimulator`] or
+/// [`EventSimulator`](crate::EventSimulator) run.
 #[derive(Clone, Debug)]
 pub struct SyncConfig {
     /// Maximum number of rounds before giving up.
@@ -23,12 +21,13 @@ pub struct SyncConfig {
     /// identical.
     pub seed: u64,
     /// When `true`, the full environment and agent-state traces are kept in
-    /// the report (needed by the auditing tests; costs memory on long runs).
+    /// the report (needed by the auditing tests; costs memory on long runs,
+    /// and forces symbolic fully-enabled states to be materialised).
     pub record_traces: bool,
-    /// When `true`, the run records a structured [`TraceEvent`] stream
-    /// (env transitions, group steps, convergence changes) in the report.
-    /// When `false` (the default) event recording is a single branch per
-    /// would-be event and allocates nothing.
+    /// When `true`, the run records a structured [`selfsim_trace::TraceEvent`]
+    /// stream (env transitions, group steps, convergence changes) in the
+    /// report.  When `false` (the default) event recording is a single
+    /// branch per would-be event and allocates nothing.
     pub record_events: bool,
 }
 
@@ -49,10 +48,9 @@ impl SyncConfig {
     pub fn traced(seed: u64, max_rounds: usize) -> Self {
         SyncConfig {
             max_rounds,
-            cooldown_rounds: 0,
             seed,
             record_traces: true,
-            record_events: false,
+            ..SyncConfig::default()
         }
     }
 }
@@ -66,7 +64,8 @@ impl SyncConfig {
 /// connected components, and every group executes one step of `R`.
 /// Disabled agents belong to no group and keep their state, which is the
 /// paper's "a disabled process executes no actions and does not change
-/// state".
+/// state".  Groups proven to be randomness-free fixpoints are not stepped
+/// again until connectivity changes; that changes no measurement.
 pub struct SyncSimulator {
     config: SyncConfig,
 }
@@ -79,17 +78,10 @@ impl SyncSimulator {
 
     /// Creates a simulator with default configuration and the given seed.
     pub fn with_seed(seed: u64) -> Self {
-        SyncSimulator {
-            config: SyncConfig {
-                seed,
-                ..SyncConfig::default()
-            },
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SyncConfig {
-        &self.config
+        SyncSimulator::new(SyncConfig {
+            seed,
+            ..SyncConfig::default()
+        })
     }
 
     /// Runs `system` under `environment` until it converges (plus the
@@ -103,152 +95,7 @@ impl SyncSimulator {
         S: Ord + Clone + std::fmt::Debug,
         E: Environment + ?Sized,
     {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut state = system.initial_state().clone();
-        let mut metrics = RunMetrics::new(system.name(), environment.name(), system.agent_count());
-        let mut env_trace = Trace::new();
-        let mut state_trace = Vec::new();
-
-        // The whole-system multiset is maintained incrementally by the
-        // group steps; `h` folds it in ascending value order either way, so
-        // the objective trajectory is byte-identical to recomputing the
-        // multiset from the positional state every round.
-        // `state` is still `S(0)` here, so the cached initial multiset is
-        // exactly the view to start from.
-        let mut global = system.initial_multiset().clone();
-        let mut scratch = StepScratch::new();
-        metrics
-            .objective_trajectory
-            .push(system.objective_of(&global));
-        if self.config.record_traces {
-            state_trace.push(global.clone());
-        }
-
-        let mut converged_at: Option<usize> = None;
-        let mut cooldown_left = self.config.cooldown_rounds;
-        let mut events = if self.config.record_events {
-            EventLog::enabled()
-        } else {
-            EventLog::disabled()
-        };
-        // Connected components only change when the enabled sets change, so
-        // the partition from the previous round is reused whenever the
-        // environment repeats itself (always under `StaticEnv`, most rounds
-        // under slow Markov links or a silent adversary).
-        let mut groups_memo: Option<(selfsim_env::EnvState, Vec<Vec<selfsim_env::AgentId>>)> = None;
-
-        for round in 0..self.config.max_rounds {
-            let env_state = environment.step(&mut rng);
-            if self.config.record_traces {
-                env_trace.push(env_state.clone());
-            }
-            events.emit(|| TraceEvent::EnvTransition {
-                tick: (round + 1) as u64,
-                edges: usable_edges(&env_state),
-            });
-            let reusable = groups_memo
-                .as_ref()
-                .is_some_and(|(prev, _)| prev.same_connectivity(&env_state));
-            if !reusable {
-                let fresh = env_state.groups();
-                groups_memo = Some((env_state, fresh));
-            }
-            let groups = &groups_memo.as_ref().expect("memo just filled").1;
-
-            let mut round_messages = 0usize;
-            let mut changed_groups = 0usize;
-            for group in groups {
-                metrics.group_steps += 1;
-                // A k-agent collaborative step costs k messages in this
-                // accounting (each member contributes its state once).
-                round_messages += group.len();
-                let changed = system
-                    .apply_group_step_with(
-                        &mut state,
-                        group,
-                        &mut rng,
-                        &mut scratch,
-                        Some(&mut global),
-                    )
-                    .multiset_changed;
-                if changed {
-                    changed_groups += 1;
-                }
-                events.emit(|| TraceEvent::GroupStep {
-                    tick: (round + 1) as u64,
-                    size: group.len(),
-                    changed,
-                });
-            }
-            metrics.effective_group_steps += changed_groups;
-            metrics.messages += round_messages;
-            metrics.rounds_executed = round + 1;
-            metrics
-                .objective_trajectory
-                .push(system.objective_of(&global));
-            if self.config.record_traces {
-                state_trace.push(global.clone());
-            }
-
-            if system.is_converged_multiset(&global) {
-                if converged_at.is_none() {
-                    converged_at = Some(round + 1);
-                    events.emit(|| TraceEvent::ConvergenceEntered {
-                        tick: (round + 1) as u64,
-                    });
-                }
-                if cooldown_left == 0 {
-                    break;
-                }
-                cooldown_left -= 1;
-            } else {
-                if converged_at.is_some() {
-                    events.emit(|| TraceEvent::ConvergenceLeft {
-                        tick: (round + 1) as u64,
-                    });
-                }
-                // If a later round leaves the target state the algorithm is
-                // broken; reset so the reported number is honest.
-                converged_at = None;
-                cooldown_left = self.config.cooldown_rounds;
-            }
-        }
-
-        metrics.rounds_to_convergence = converged_at;
-        SimulationReport {
-            metrics,
-            final_state: state,
-            env_trace,
-            state_trace,
-            events: events.into_events(),
-        }
-    }
-
-    /// Runs the same system/environment pair over several seeds, returning
-    /// one report per seed.  Environments are re-created per run via the
-    /// `make_env` closure so that their internal state does not leak across
-    /// runs.
-    pub fn run_many<S, E>(
-        &self,
-        system: &SelfSimilarSystem<S>,
-        mut make_env: impl FnMut() -> E,
-        seeds: impl IntoIterator<Item = u64>,
-    ) -> Vec<SimulationReport<S>>
-    where
-        S: Ord + Clone + std::fmt::Debug,
-        E: Environment,
-    {
-        seeds
-            .into_iter()
-            .map(|seed| {
-                let sim = SyncSimulator::new(SyncConfig {
-                    seed,
-                    ..self.config.clone()
-                });
-                let mut env = make_env();
-                sim.run(system, &mut env)
-            })
-            .collect()
+        run_rounds(&self.config, system, environment).0
     }
 }
 
@@ -335,19 +182,6 @@ mod tests {
             .position(|ms| *ms == target)
             .unwrap();
         assert!(report.state_trace[first..].iter().all(|ms| *ms == target));
-    }
-
-    #[test]
-    fn run_many_produces_one_report_per_seed() {
-        let topo = Topology::ring(6);
-        let sys = minimum::system(&[6, 5, 4, 3, 2, 1], topo.clone());
-        let reports = SyncSimulator::new(SyncConfig::default()).run_many(
-            &sys,
-            || RandomChurnEnv::new(Topology::ring(6), 0.5, 1.0),
-            0..5,
-        );
-        assert_eq!(reports.len(), 5);
-        assert!(reports.iter().all(|r| r.converged()));
     }
 
     #[test]

@@ -37,13 +37,15 @@ pub struct RunMetrics {
     /// zero under `valid-at-delivery` and `valid-at-send` (those rules
     /// never requeue) and for synchronous runtimes.
     pub messages_requeued: usize,
-    /// Events popped off the event queue by the event-driven runtime (one
-    /// per environment transition, scheduled group interaction and
-    /// round-boundary marker).  Zero for the round-based and message-passing
-    /// runtimes, which have no event queue.
+    /// The event-driven runtime's work count: summed over the rounds
+    /// executed, `2 + g` where `g` is the number of groups the round
+    /// actually stepped (one environment transition, `g` group steps, one
+    /// round boundary; groups elided as fixpoints count nothing).  Zero for
+    /// the round-based and message-passing runtimes.
     pub events_processed: usize,
-    /// High-water mark of the event queue's depth over the run.  Zero for
-    /// runtimes without an event queue.
+    /// The event-driven runtime's peak round: the maximum over the rounds
+    /// executed of `g + 1` (the stepped groups plus the round boundary),
+    /// zero when no round ran.  Zero for the other runtimes.
     pub peak_queue_depth: usize,
     /// The global objective value `h(S)` after every round (index 0 is the
     /// initial value).
