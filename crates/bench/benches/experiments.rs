@@ -3,12 +3,15 @@
 //! reduced parameter grids so `cargo bench` stays fast.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 use selfsim_algorithms::{minimum, sorting};
 use selfsim_baselines::{FloodingAggregator, SnapshotAggregator};
 use selfsim_env::{
-    AgentId, Edge, EnvChanges, EnvState, GroupIndex, RandomChurnEnv, StaticEnv, Topology,
+    AgentId, Edge, EnvChanges, EnvDelta, EnvState, Environment, GroupIndex, RandomChurnEnv,
+    StaticEnv, Topology,
 };
 use selfsim_runtime::{SyncConfig, SyncSimulator};
 
@@ -131,11 +134,31 @@ fn escale(c: &mut Criterion) {
 
 /// The flat connectivity core's group-maintenance kernels, isolated from
 /// the simulators: full rescans (`reset_from_state`), the bounded
-/// edge-down re-split plus edge-up merge round-trip, and a scattered
-/// churn-style batch.  Each round-trip restores the index, so iterations
-/// are independent without cloning it.
+/// edge-down re-split plus edge-up merge round-trip, a scattered
+/// churn-style batch, and the tiny-graph regime of the campaign's churn
+/// cells (a fixed 10⁴-delta stream of an 8-agent ring under
+/// `RandomChurnEnv(0.5, 0.9)`).  Each round-trip restores the index, so
+/// iterations are independent without cloning it.
 fn connectivity(c: &mut Criterion) {
     let mut group = c.benchmark_group("connectivity");
+    group.bench_function("churn-ring-8-stream", |b| {
+        let ring = Topology::ring(8);
+        let mut env = RandomChurnEnv::new(ring.clone(), 0.5, 0.9);
+        let mut rng = StdRng::seed_from_u64(8);
+        let stream: Vec<EnvDelta> = (0..10_000).map(|_| env.step_delta(&mut rng)).collect();
+        let mut index = GroupIndex::new(&ring);
+        b.iter(|| {
+            for delta in &stream {
+                match delta {
+                    EnvDelta::Unchanged => {}
+                    EnvDelta::AllEnabled => index.reset_all_enabled(),
+                    EnvDelta::Full(state) => index.reset_from_state(state),
+                    EnvDelta::Changes(changes) => index.apply_changes(changes),
+                }
+            }
+            black_box(index.group_count())
+        })
+    });
     for &n in &[10_000usize, 100_000] {
         let ring = Topology::ring(n);
         // The two-block partition state: every edge except the two cross

@@ -2,27 +2,41 @@
 //!
 //! A [`GroupIndex`] tracks the partition of agents into groups — connected
 //! components of the enabled subgraph restricted to enabled agents — under
-//! a stream of [`EnvChanges`] deltas, at cost proportional to the *change*
-//! rather than the graph:
+//! a stream of [`EnvChanges`] deltas.  The partition lives in three flat
+//! arrays: `comp_of` maps each agent to its group's position, `members`
+//! holds every enabled agent grouped (groups in ascending-min order, each
+//! group ascending), and group `i` is `members[starts[i]..starts[i + 1]]`.
 //!
-//! - **edge up** merges two groups by splicing their sorted member lists
-//!   (a flat union-find-style merge keyed by smallest member);
-//! - **edge down** runs a bidirectional BFS confined to the affected
-//!   component, with epoch-stamped `visited: Vec<u32>` scratch instead of
-//!   fresh `BTreeSet`s, and splits only if the endpoints really separated;
-//! - **agent up/down** reduce to the two cases above plus a bounded
-//!   re-label of the touched component;
-//! - [`EnvDelta::Full`](crate::EnvDelta::Full) falls back to one flat full
-//!   rescan ([`GroupIndex::reset_from_state`]).
+//! A delta first moves *labels* in `comp_of`, at cost proportional to the
+//! change:
 //!
-//! Groups are always exposed sorted internally and ordered by smallest
-//! member — exactly the order [`EnvState::groups`] produces — so records
-//! derived from either path are byte-identical.
+//! - **edge up / agent up** merges two groups by re-labelling the smaller
+//!   one (a scan of its `members` run if no earlier change in the delta
+//!   touched it, else a BFS confined to its old label), never the merged
+//!   group;
+//! - a **lone edge down** runs a bidirectional BFS probe confined to the
+//!   affected group and, if the endpoints really separated, re-labels only
+//!   the side that exhausted first;
+//! - an **edge-down batch** or an **agent down** re-labels each affected
+//!   group over the final masks, one BFS per piece, seeded at the touched
+//!   endpoints.
+//!
+//! If any label or member changed, one counting pass over the agents in
+//! ascending order then renumbers labels to positions and rebuilds
+//! `members` and `starts`; ascending-min order falls out of the scan.  A
+//! delta that moves no label (a probe that met, flips of unusable edges)
+//! rebuilds nothing.  [`EnvDelta::Full`](crate::EnvDelta::Full) falls back
+//! to a full BFS labelling followed by the same pass
+//! ([`GroupIndex::reset_from_state`]).
+//!
+//! Every buffer is sized to the agent count in [`GroupIndex::new`], so no
+//! update allocates.  Groups come out exactly as [`EnvState::groups`]
+//! produces them, so records derived from either path are byte-identical.
 
 use std::sync::Arc;
 
 use crate::csr::Csr;
-use crate::topology::{at, at_mut, at_ref};
+use crate::topology::{at, at_mut};
 use crate::{AgentId, Edge, EnvChanges, EnvState, Topology};
 
 const NONE: u32 = u32::MAX;
@@ -40,14 +54,25 @@ pub struct GroupIndex {
     /// Enabled edges whose endpoints are both enabled (the edges a group
     /// step can actually use).
     usable_edge_count: usize,
-    /// Agent index → slot id of its group (`NONE` for disabled agents).
+    /// Agent index → its group's position (`NONE` for disabled agents).
+    /// During an update it holds labels, which [`Self::rebuild`] renumbers.
     comp_of: Vec<u32>,
-    /// Slot id → sorted member list; empty slots are on the free list.
-    slots: Vec<Vec<AgentId>>,
-    free: Vec<u32>,
-    /// Slot ids ordered by smallest member — the public group order.
-    order: Vec<u32>,
-    /// Epoch-stamped BFS scratch (no per-delta allocation).
+    /// Every enabled agent, grouped; see the module docs.
+    members: Vec<AgentId>,
+    /// Group `i` is `members[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    /// Label → group size.  Labels live in `0..2n`: an update starts with
+    /// at most `n` in use and creates at most `n` more before a rebuild.
+    size: Vec<u32>,
+    /// Label → whether the group is still exactly its `members` run (only
+    /// labels untouched since the last rebuild).
+    intact: Vec<bool>,
+    /// Label → position, used by the rebuild.
+    pos_of: Vec<u32>,
+    next_label: u32,
+    /// A label or a membership changed since the last rebuild.
+    stale: bool,
+    /// Epoch-stamped BFS scratch.
     visited: Vec<u32>,
     epoch: u32,
     queue_a: Vec<u32>,
@@ -64,6 +89,8 @@ impl GroupIndex {
         let csr = topology.csr();
         let n = csr.agent_count();
         let m = csr.edge_count();
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
         GroupIndex {
             edge_enabled: vec![false; m],
             agent_enabled: vec![false; n],
@@ -71,13 +98,17 @@ impl GroupIndex {
             enabled_agent_count: 0,
             usable_edge_count: 0,
             comp_of: vec![NONE; n],
-            slots: Vec::new(),
-            free: Vec::new(),
-            order: Vec::new(),
+            members: Vec::with_capacity(n),
+            starts,
+            size: vec![0; 2 * n],
+            intact: vec![false; 2 * n],
+            pos_of: vec![0; 2 * n],
+            next_label: 0,
+            stale: false,
             visited: vec![0; n],
             epoch: 0,
-            queue_a: Vec::new(),
-            queue_b: Vec::new(),
+            queue_a: Vec::with_capacity(n),
+            queue_b: Vec::with_capacity(n),
             csr,
         }
     }
@@ -89,21 +120,22 @@ impl GroupIndex {
 
     /// Number of groups.
     pub fn group_count(&self) -> usize {
-        self.order.len()
+        self.starts.len() - 1
     }
 
     /// The `i`-th group in ascending-minimum order, sorted ascending.
     pub fn group(&self, i: usize) -> &[AgentId] {
-        let slot: &Vec<AgentId> = at_ref(&self.slots, at(&self.order, i) as usize);
-        slot
+        let (lo, hi) = (at(&self.starts, i), at(&self.starts, i + 1));
+        self.members
+            .get(lo as usize..hi as usize)
+            .expect("group position in range")
     }
 
     /// All groups, in the same order and encoding as
     /// [`EnvState::groups`].
     pub fn groups(&self) -> Vec<Vec<AgentId>> {
-        self.order
-            .iter()
-            .map(|&s| at_ref(&self.slots, s as usize).clone())
+        (0..self.group_count())
+            .map(|i| self.group(i).to_vec())
             .collect()
     }
 
@@ -138,7 +170,7 @@ impl GroupIndex {
         self.enabled_edge_count = self.edge_enabled.len();
         self.enabled_agent_count = self.agent_enabled.len();
         self.usable_edge_count = self.enabled_edge_count;
-        self.rebuild_groups();
+        self.relabel_all();
     }
 
     /// Full-rescan fallback: adopts `state`'s enabled sets wholesale.
@@ -177,7 +209,7 @@ impl GroupIndex {
             }
         }
         self.recount_usable();
-        self.rebuild_groups();
+        self.relabel_all();
     }
 
     /// Returns `true` if this index describes exactly the connectivity of
@@ -225,14 +257,20 @@ impl GroupIndex {
     pub fn apply_changes(&mut self, changes: &EnvChanges) {
         // A lone downed edge gets the bounded bidirectional probe; a batch
         // is resolved against the final masks with one re-label per affected
-        // component, so k edges leaving one component cost one sweep, not k.
+        // group, so k edges leaving one group cost one sweep, not k.
         match changes.edges_down.as_slice() {
             [] => {}
-            [e] => self.edge_down(e),
+            [e] => {
+                if let Some((a, b)) = self.flip_edge(e, false) {
+                    self.probe_split(a, b);
+                }
+            }
             batch => self.edges_down_batch(batch),
         }
         for e in &changes.edges_up {
-            self.edge_up(e);
+            if let Some((a, b)) = self.flip_edge(e, true) {
+                self.merge(a, b);
+            }
         }
         for a in &changes.agents_down {
             self.agent_down(*a);
@@ -240,74 +278,53 @@ impl GroupIndex {
         for a in &changes.agents_up {
             self.agent_up(*a);
         }
+        if self.stale {
+            self.rebuild();
+        }
     }
 
-    fn edge_up(&mut self, e: &Edge) {
-        let Some(eid) = self.csr.edge_id(e) else {
-            return; // outside the topology: unreachable by contract
-        };
-        if at(&self.edge_enabled, eid as usize) {
-            return;
+    /// Sets edge `e`'s mask to `on`.  Returns its endpoints if that flipped
+    /// a usable edge (both endpoints enabled); redundant flips and edges
+    /// outside the topology (unreachable by contract) return `None`.
+    fn flip_edge(&mut self, e: &Edge, on: bool) -> Option<(u32, u32)> {
+        let eid = self.csr.edge_id(e)? as usize;
+        if at(&self.edge_enabled, eid) == on {
+            return None;
         }
-        *at_mut(&mut self.edge_enabled, eid as usize) = true;
-        self.enabled_edge_count += 1;
+        *at_mut(&mut self.edge_enabled, eid) = on;
         let (a, b) = (e.lo().index(), e.hi().index());
-        if at(&self.agent_enabled, a) && at(&self.agent_enabled, b) {
-            self.usable_edge_count += 1;
-            self.merge_slots(at(&self.comp_of, a), at(&self.comp_of, b));
-        }
-    }
-
-    fn edge_down(&mut self, e: &Edge) {
-        let Some(eid) = self.csr.edge_id(e) else {
-            return;
-        };
-        if !at(&self.edge_enabled, eid as usize) {
-            return;
-        }
-        *at_mut(&mut self.edge_enabled, eid as usize) = false;
-        self.enabled_edge_count -= 1;
-        let (a, b) = (e.lo().index(), e.hi().index());
-        if at(&self.agent_enabled, a) && at(&self.agent_enabled, b) {
-            self.usable_edge_count -= 1;
-            self.resplit_after_edge_down(a as u32, b as u32);
-        }
-    }
-
-    /// Batched form of [`Self::edge_down`]: flips every mask first, then
-    /// re-labels each affected component once against the final masks.  The
-    /// result is the same partition the one-at-a-time path reaches (both are
-    /// the connected components of the final enabled subgraph, in
-    /// ascending-min order) without paying one bidirectional BFS per edge.
-    fn edges_down_batch(&mut self, edges: &[Edge]) {
-        let mut affected: Vec<u32> = Vec::new();
-        for e in edges {
-            let Some(eid) = self.csr.edge_id(e) else {
-                continue; // outside the topology: unreachable by contract
-            };
-            if !at(&self.edge_enabled, eid as usize) {
-                continue;
-            }
-            *at_mut(&mut self.edge_enabled, eid as usize) = false;
+        let usable = at(&self.agent_enabled, a) && at(&self.agent_enabled, b);
+        if on {
+            self.enabled_edge_count += 1;
+            self.usable_edge_count += usize::from(usable);
+        } else {
             self.enabled_edge_count -= 1;
-            let (a, b) = (e.lo().index(), e.hi().index());
-            if at(&self.agent_enabled, a) && at(&self.agent_enabled, b) {
-                self.usable_edge_count -= 1;
-                // A usable edge joins two enabled agents, so both endpoints
-                // sit in the same (pre-batch) component.
-                affected.push(at(&self.comp_of, a));
+            self.usable_edge_count -= usize::from(usable);
+        }
+        usable.then_some((a as u32, b as u32))
+    }
+
+    /// Batched edge-downs: flips every mask first, then re-labels each
+    /// piece of every affected group once against the final masks.  Every
+    /// piece touches a downed usable edge, so seeding one BFS at each
+    /// not-yet-relabelled endpoint covers them all without paying one
+    /// bidirectional probe per edge.
+    fn edges_down_batch(&mut self, edges: &[Edge]) {
+        let (seed, _) = self.fresh_epochs();
+        for e in edges {
+            if let Some((a, b)) = self.flip_edge(e, false) {
+                *at_mut(&mut self.visited, a as usize) = seed;
+                *at_mut(&mut self.visited, b as usize) = seed;
             }
         }
-        affected.sort_unstable();
-        affected.dedup();
-        for slot in affected {
-            self.remove_from_order(slot);
-            let members = std::mem::take(at_mut(&mut self.slots, slot as usize));
-            self.free.push(slot);
-            for &m in &members {
-                *at_mut(&mut self.comp_of, m.index()) = NONE;
+        self.make_label_room();
+        // Labels below `first` are pre-batch; a seed still holding one has
+        // not been swept into an earlier piece.
+        let first = self.next_label;
+        for x in edges.iter().flat_map(|e| [e.lo().index(), e.hi().index()]) {
+            if self.visited.get(x) == Some(&seed) && at(&self.comp_of, x) < first {
+                self.split_off(x as u32);
             }
-            self.relabel_members(members.iter().copied());
         }
     }
 
@@ -316,18 +333,20 @@ impl GroupIndex {
         if i >= self.agent_enabled.len() || at(&self.agent_enabled, i) {
             return;
         }
+        self.make_label_room();
         *at_mut(&mut self.agent_enabled, i) = true;
         self.enabled_agent_count += 1;
-        // New singleton group for `a`.
-        let slot = self.alloc_slot(vec![a]);
-        *at_mut(&mut self.comp_of, i) = slot;
-        self.insert_into_order(slot);
-        // Every usable incident edge now exists; merge across each.
-        let incident: Vec<(u32, u32)> = self.csr.neighbors(i).collect();
-        for (nbr, eid) in incident {
+        // New singleton group for `a`, then a merge across every usable
+        // incident edge.
+        let label = self.fresh_label();
+        *at_mut(&mut self.comp_of, i) = label;
+        *at_mut(&mut self.size, label as usize) = 1;
+        self.stale = true;
+        let csr = Arc::clone(&self.csr);
+        for (nbr, eid) in csr.neighbors(i) {
             if at(&self.edge_enabled, eid as usize) && at(&self.agent_enabled, nbr as usize) {
                 self.usable_edge_count += 1;
-                self.merge_slots(at(&self.comp_of, i), at(&self.comp_of, nbr as usize));
+                self.merge(i as u32, nbr);
             }
         }
     }
@@ -339,127 +358,92 @@ impl GroupIndex {
         }
         *at_mut(&mut self.agent_enabled, i) = false;
         self.enabled_agent_count -= 1;
-        let incident: Vec<(u32, u32)> = self.csr.neighbors(i).collect();
-        for (nbr, eid) in incident {
+        let label = at(&self.comp_of, i);
+        *at_mut(&mut self.comp_of, i) = NONE;
+        *at_mut(&mut self.size, label as usize) -= 1;
+        self.stale = true;
+        // Every piece of the rest of the group holds a usable neighbour of
+        // `a`; each gets a fresh label, so `label` dies.
+        self.make_label_room();
+        let first = self.next_label;
+        let csr = Arc::clone(&self.csr);
+        for (nbr, eid) in csr.neighbors(i) {
             if at(&self.edge_enabled, eid as usize) && at(&self.agent_enabled, nbr as usize) {
                 self.usable_edge_count -= 1;
-            }
-        }
-        let slot = at(&self.comp_of, i);
-        *at_mut(&mut self.comp_of, i) = NONE;
-        // Remove the old group from the order, drop `a` from its members,
-        // and re-label what remains (it may fall apart into several groups).
-        self.remove_from_order(slot);
-        let members = std::mem::take(at_mut(&mut self.slots, slot as usize));
-        self.free.push(slot);
-        for &m in &members {
-            *at_mut(&mut self.comp_of, m.index()) = NONE;
-        }
-        self.relabel_members(members.iter().copied().filter(|&m| m != a));
-    }
-
-    /// Re-labels a set of enabled agents whose old group assignment was
-    /// cleared: BFS from each in ascending order (so new slots appear in
-    /// ascending-min order), then rebuild the sorted member lists.
-    fn relabel_members(&mut self, members: impl Iterator<Item = AgentId> + Clone) {
-        let mut pieces: Vec<(u32, AgentId)> = Vec::new();
-        for m in members.clone() {
-            if at(&self.comp_of, m.index()) != NONE {
-                continue;
-            }
-            let slot = self.alloc_slot(Vec::new());
-            *at_mut(&mut self.comp_of, m.index()) = slot;
-            self.queue_a.clear();
-            self.queue_a.push(m.index() as u32);
-            let mut head = 0;
-            while head < self.queue_a.len() {
-                let x = at(&self.queue_a, head);
-                head += 1;
-                for (nbr, eid) in self.csr.neighbors(x as usize) {
-                    if at(&self.edge_enabled, eid as usize)
-                        && at(&self.agent_enabled, nbr as usize)
-                        && at(&self.comp_of, nbr as usize) == NONE
-                    {
-                        *at_mut(&mut self.comp_of, nbr as usize) = slot;
-                        self.queue_a.push(nbr);
-                    }
+                if at(&self.comp_of, nbr as usize) < first {
+                    self.split_off(nbr);
                 }
             }
-            // `m` is the smallest member of its piece (ascending scan over a
-            // sorted member list).
-            pieces.push((slot, m));
-        }
-        // Second pass in ascending member order keeps every list sorted.
-        for m in members {
-            let slot = at(&self.comp_of, m.index());
-            at_mut(&mut self.slots, slot as usize).push(m);
-        }
-        // Order insertion last: `insert_into_order_with` inspects the other
-        // ordered slots' minima, so every piece must be populated first.
-        for (slot, min) in pieces {
-            self.insert_into_order_with(slot, min);
         }
     }
 
-    /// Merges the groups in slots `x` and `y` (no-op if equal).  The slot
-    /// holding the smaller minimum keeps its id — and therefore its
-    /// position in the order — while the other is freed.
-    fn merge_slots(&mut self, x: u32, y: u32) {
-        if x == y {
+    /// Merges the groups of agents `a` and `b` (no-op if already one) by
+    /// re-labelling the smaller one with the larger one's label: a scan of
+    /// its `members` run while that is intact, else a BFS confined to it.
+    fn merge(&mut self, a: u32, b: u32) {
+        let (la, lb) = (at(&self.comp_of, a as usize), at(&self.comp_of, b as usize));
+        if la == lb {
             return;
         }
-        let (keep, gone) = if self.slot_min(x) < self.slot_min(y) {
-            (x, y)
+        let (seed, from, to) = if at(&self.size, la as usize) < at(&self.size, lb as usize) {
+            (a, la, lb)
         } else {
-            (y, x)
+            (b, lb, la)
         };
-        self.remove_from_order(gone);
-        let gone_members = std::mem::take(at_mut(&mut self.slots, gone as usize));
-        self.free.push(gone);
-        for m in &gone_members {
-            *at_mut(&mut self.comp_of, m.index()) = keep;
+        if at(&self.intact, from as usize) {
+            for k in at(&self.starts, from as usize)..at(&self.starts, from as usize + 1) {
+                let m = at(&self.members, k as usize);
+                *at_mut(&mut self.comp_of, m.index()) = to;
+            }
+        } else {
+            self.flood(seed, from, to);
         }
-        let keep_members = std::mem::take(at_mut(&mut self.slots, keep as usize));
-        let mut merged = Vec::with_capacity(keep_members.len() + gone_members.len());
-        let mut ka = keep_members.iter().copied().peekable();
-        let mut ga = gone_members.iter().copied().peekable();
-        loop {
-            match (ka.peek(), ga.peek()) {
-                (Some(&k), Some(&g)) => {
-                    if k < g {
-                        merged.push(k);
-                        ka.next();
-                    } else {
-                        merged.push(g);
-                        ga.next();
-                    }
+        *at_mut(&mut self.size, to as usize) += at(&self.size, from as usize);
+        *at_mut(&mut self.intact, to as usize) = false;
+        self.stale = true;
+    }
+
+    /// Gives the piece of `seed`'s group reachable over the current masks a
+    /// fresh label.
+    fn split_off(&mut self, seed: u32) {
+        let from = at(&self.comp_of, seed as usize);
+        let to = self.fresh_label();
+        let moved = self.flood(seed, from, to);
+        *at_mut(&mut self.size, to as usize) = moved;
+        *at_mut(&mut self.intact, from as usize) = false;
+        self.stale = true;
+    }
+
+    /// Re-labels `from` → `to` on every agent reachable from `seed` over
+    /// usable edges through agents labelled `from` (`NONE` labels a full
+    /// rescan), and returns how many it re-labelled.
+    fn flood(&mut self, seed: u32, from: u32, to: u32) -> u32 {
+        *at_mut(&mut self.comp_of, seed as usize) = to;
+        self.queue_a.clear();
+        self.queue_a.push(seed);
+        let mut head = 0;
+        while head < self.queue_a.len() {
+            let x = at(&self.queue_a, head);
+            head += 1;
+            for (nbr, eid) in self.csr.neighbors(x as usize) {
+                if at(&self.edge_enabled, eid as usize)
+                    && at(&self.agent_enabled, nbr as usize)
+                    && at(&self.comp_of, nbr as usize) == from
+                {
+                    *at_mut(&mut self.comp_of, nbr as usize) = to;
+                    self.queue_a.push(nbr);
                 }
-                (Some(_), None) => {
-                    merged.extend(ka.by_ref());
-                }
-                (None, Some(_)) => {
-                    merged.extend(ga.by_ref());
-                }
-                (None, None) => break,
             }
         }
-        *at_mut(&mut self.slots, keep as usize) = merged;
+        self.queue_a.len() as u32
     }
 
     /// After disabling the usable edge `(a, b)`: decides connectivity with a
-    /// bidirectional BFS confined to the affected component and splits it if
-    /// the endpoints separated.
-    fn resplit_after_edge_down(&mut self, a: u32, b: u32) {
-        let slot = at(&self.comp_of, a as usize);
-        debug_assert_eq!(slot, at(&self.comp_of, b as usize));
-        if self.epoch >= u32::MAX - 2 {
-            self.visited.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let ea = self.epoch;
-        self.epoch += 1;
-        let eb = self.epoch;
+    /// bidirectional BFS confined to the affected group and, if the
+    /// endpoints separated, re-labels the side that exhausted first.
+    fn probe_split(&mut self, a: u32, b: u32) {
+        debug_assert_eq!(at(&self.comp_of, a as usize), at(&self.comp_of, b as usize));
+        let (ea, eb) = self.fresh_epochs();
         let mut qa = std::mem::take(&mut self.queue_a);
         let mut qb = std::mem::take(&mut self.queue_b);
         qa.clear();
@@ -471,53 +455,35 @@ impl GroupIndex {
         let (mut ha, mut hb) = (0usize, 0usize);
         // Lockstep expansion: the exhausted side is the (smaller) split-off
         // candidate; meeting the other side's stamp proves connectivity.
-        let split_epoch = loop {
+        let exhausted = loop {
             match self.expand_one(&mut qa, &mut ha, ea, eb) {
                 Expand::Connected => break None,
-                Expand::Exhausted => break Some(ea),
+                Expand::Exhausted => break Some(&qa),
                 Expand::Progress => {}
             }
             match self.expand_one(&mut qb, &mut hb, eb, ea) {
                 Expand::Connected => break None,
-                Expand::Exhausted => break Some(eb),
+                Expand::Exhausted => break Some(&qb),
                 Expand::Progress => {}
             }
         };
+        if let Some(side) = exhausted {
+            self.make_label_room();
+            let from = at(&self.comp_of, a as usize);
+            let to = self.fresh_label();
+            for &x in side {
+                *at_mut(&mut self.comp_of, x as usize) = to;
+            }
+            *at_mut(&mut self.size, to as usize) = side.len() as u32;
+            *at_mut(&mut self.size, from as usize) -= side.len() as u32;
+            *at_mut(&mut self.intact, from as usize) = false;
+            self.stale = true;
+        }
         self.queue_a = qa;
         self.queue_b = qb;
-        let Some(side) = split_epoch else {
-            return; // still connected
-        };
-        // Partition the old sorted member list by the side stamp; both
-        // halves stay sorted.  The half holding the old minimum keeps the
-        // slot id (and its order position); the other becomes a new group.
-        let old_members = std::mem::take(at_mut(&mut self.slots, slot as usize));
-        let old_min = old_members.first().copied().expect("non-empty group");
-        let mut in_side = Vec::new();
-        let mut out_side = Vec::new();
-        for &m in &old_members {
-            if at(&self.visited, m.index()) == side {
-                in_side.push(m);
-            } else {
-                out_side.push(m);
-            }
-        }
-        let min_in_side = in_side.first().copied() == Some(old_min);
-        let (keep_list, new_list) = if min_in_side {
-            (in_side, out_side)
-        } else {
-            (out_side, in_side)
-        };
-        *at_mut(&mut self.slots, slot as usize) = keep_list;
-        let new_slot = self.alloc_slot(Vec::new());
-        for m in &new_list {
-            *at_mut(&mut self.comp_of, m.index()) = new_slot;
-        }
-        *at_mut(&mut self.slots, new_slot as usize) = new_list;
-        self.insert_into_order(new_slot);
     }
 
-    /// Expands one node of one BFS side; see `resplit_after_edge_down`.
+    /// Expands one node of one BFS side; see `probe_split`.
     fn expand_one(&mut self, q: &mut Vec<u32>, head: &mut usize, own: u32, other: u32) -> Expand {
         if *head == q.len() {
             return Expand::Exhausted;
@@ -541,48 +507,96 @@ impl GroupIndex {
         Expand::Progress
     }
 
-    /// Full flat rescan of the group partition from the current bitmasks.
-    fn rebuild_groups(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.order.clear();
+    /// Full rescan: labels every group by BFS from the current masks, then
+    /// rebuilds.
+    fn relabel_all(&mut self) {
         self.comp_of.fill(NONE);
-        let n = self.agent_enabled.len();
-        let mut queue = std::mem::take(&mut self.queue_a);
-        for i in 0..n {
-            if !at(&self.agent_enabled, i) || at(&self.comp_of, i) != NONE {
+        self.next_label = 0;
+        for i in 0..self.agent_count() {
+            if at(&self.agent_enabled, i) && at(&self.comp_of, i) == NONE {
+                let label = self.fresh_label();
+                let size = self.flood(i as u32, NONE, label);
+                *at_mut(&mut self.size, label as usize) = size;
+            }
+        }
+        self.rebuild();
+    }
+
+    /// The counting pass, over the agents in ascending order: a label met
+    /// for the first time belongs to the group with the next-smallest
+    /// minimum, so it takes the next position, and its run starts where the
+    /// previous run ends (`size` is exact for every live label); each agent
+    /// is then placed at its run's cursor and renumbered to the position.
+    fn rebuild(&mut self) {
+        self.pos_of
+            .get_mut(..self.next_label as usize)
+            .expect("labels in range")
+            .fill(NONE);
+        self.starts.clear();
+        self.starts.push(0);
+        self.members.clear();
+        self.members.resize(self.enabled_agent_count, AgentId(0));
+        let mut end = 0;
+        // The current label's position and cursor stay in locals while
+        // consecutive agents share it; a label left mid-run parks its cursor
+        // in `size`, which holds only a size until the label is first met.
+        let (mut run, mut pos, mut cursor) = (NONE, 0, 0);
+        for (i, label) in self.comp_of.iter_mut().enumerate() {
+            if *label == NONE {
                 continue;
             }
-            let slot = self.slots.len() as u32;
-            self.slots.push(Vec::new());
-            self.order.push(slot);
-            *at_mut(&mut self.comp_of, i) = slot;
-            queue.clear();
-            queue.push(i as u32);
-            let mut head = 0;
-            while head < queue.len() {
-                let x = at(&queue, head);
-                head += 1;
-                for (nbr, eid) in self.csr.neighbors(x as usize) {
-                    if at(&self.edge_enabled, eid as usize)
-                        && at(&self.agent_enabled, nbr as usize)
-                        && at(&self.comp_of, nbr as usize) == NONE
-                    {
-                        *at_mut(&mut self.comp_of, nbr as usize) = slot;
-                        queue.push(nbr);
-                    }
+            if *label != run {
+                if run != NONE {
+                    *at_mut(&mut self.size, run as usize) = cursor;
+                }
+                run = *label;
+                pos = at(&self.pos_of, run as usize);
+                if pos == NONE {
+                    pos = (self.starts.len() - 1) as u32;
+                    *at_mut(&mut self.pos_of, run as usize) = pos;
+                    cursor = end;
+                    end += at(&self.size, run as usize);
+                    self.starts.push(end);
+                } else {
+                    cursor = at(&self.size, run as usize);
                 }
             }
+            *at_mut(&mut self.members, cursor as usize) = AgentId(i);
+            cursor += 1;
+            *label = pos;
         }
-        self.queue_a = queue;
-        // Ascending emission pass: every member list comes out sorted, and
-        // slot k (== order[k]) holds the k-th smallest minimum.
-        for i in 0..n {
-            let slot = at(&self.comp_of, i);
-            if slot != NONE {
-                at_mut(&mut self.slots, slot as usize).push(AgentId(i));
-            }
+        let groups = self.group_count();
+        for g in 0..groups {
+            *at_mut(&mut self.size, g) = at(&self.starts, g + 1) - at(&self.starts, g);
+            *at_mut(&mut self.intact, g) = true;
         }
+        self.next_label = groups as u32;
+        self.stale = false;
+    }
+
+    /// Rebuilds early if fewer than `n` labels are left, so the next
+    /// operation (which creates at most `n`) stays inside `0..2n`.
+    fn make_label_room(&mut self) {
+        if self.next_label as usize > self.agent_count() {
+            self.rebuild();
+        }
+    }
+
+    fn fresh_label(&mut self) -> u32 {
+        let label = self.next_label;
+        *at_mut(&mut self.intact, label as usize) = false;
+        self.next_label += 1;
+        label
+    }
+
+    /// Two epochs no `visited` entry holds yet.
+    fn fresh_epochs(&mut self) -> (u32, u32) {
+        if self.epoch >= u32::MAX - 2 {
+            self.visited.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+        (self.epoch - 1, self.epoch)
     }
 
     fn recount_usable(&mut self) {
@@ -597,45 +611,12 @@ impl GroupIndex {
             })
             .count();
     }
-
-    fn slot_min(&self, slot: u32) -> AgentId {
-        at_ref(&self.slots, slot as usize)
-            .first()
-            .copied()
-            .expect("group slots in the order are non-empty")
-    }
-
-    fn alloc_slot(&mut self, members: Vec<AgentId>) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            *at_mut(&mut self.slots, slot as usize) = members;
-            slot
-        } else {
-            self.slots.push(members);
-            (self.slots.len() - 1) as u32
-        }
-    }
-
-    fn insert_into_order(&mut self, slot: u32) {
-        self.insert_into_order_with(slot, self.slot_min(slot));
-    }
-
-    fn insert_into_order_with(&mut self, slot: u32, min: AgentId) {
-        let pos = self.order.partition_point(|&s| self.slot_min(s) < min);
-        self.order.insert(pos, slot);
-    }
-
-    fn remove_from_order(&mut self, slot: u32) {
-        let min = self.slot_min(slot);
-        let pos = self.order.partition_point(|&s| self.slot_min(s) < min);
-        debug_assert_eq!(self.order.get(pos).copied(), Some(slot));
-        self.order.remove(pos);
-    }
 }
 
 enum Expand {
     /// One node expanded without meeting the other side.
     Progress,
-    /// This side's frontier is exhausted: it is a separate component.
+    /// This side's frontier is exhausted: it is a separate group.
     Exhausted,
     /// This side reached a node stamped by the other side: still connected.
     Connected,
@@ -730,6 +711,23 @@ mod tests {
         assert_eq!(gi.group_count(), 2);
         assert_eq!(gi.group(0), [AgentId(0), AgentId(1)]);
         assert_eq!(gi.group(1), [AgentId(2), AgentId(3)]);
+    }
+
+    #[test]
+    fn one_delta_can_spend_more_than_n_labels() {
+        // Shatter a star, re-join it, shatter it again at the center and
+        // bring the center back, all in one delta: more than `n` fresh
+        // labels, so the label space is compacted mid-delta.
+        let topo = Topology::star(5);
+        let spokes: Vec<Edge> = (1..5).map(|i| edge(0, i)).collect();
+        let c = changes(spokes.clone(), spokes, vec![AgentId(0)], vec![AgentId(0)]);
+        let mut gi = GroupIndex::new(&topo);
+        gi.reset_all_enabled();
+        let mut state = EnvState::fully_enabled(&topo);
+        gi.apply_changes(&c);
+        state.apply_changes(&c);
+        assert_eq!(gi.groups(), state.groups());
+        assert_eq!(gi.group_count(), 1);
     }
 
     #[test]

@@ -697,12 +697,6 @@ pub(crate) fn at_mut<T>(v: &mut [T], i: usize) -> &mut T {
     v.get_mut(i).expect("flat-core index in range")
 }
 
-/// Checked shared slice access for non-`Copy` elements; see [`at`].
-#[inline]
-pub(crate) fn at_ref<T>(v: &[T], i: usize) -> &T {
-    v.get(i).expect("flat-core index in range")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,0 +1,168 @@
+//! `GroupIndex` against the `EnvState` oracle over arbitrary change
+//! streams.
+//!
+//! The environments' own delta streams (see `delta_equivalence.rs`) are
+//! well-formed diffs.  Here the deltas are arbitrary [`EnvChanges`] on
+//! rings, stars, complete graphs and random connected sparse graphs with up
+//! to 48 agents, and the streams deliberately include:
+//!
+//! - redundant flips (downing a down edge, upping an up agent, repeats
+//!   within one list);
+//! - lone usable edge-downs, which take the bidirectional-probe path;
+//! - an edge-up together with an endpoint's agent-down in one delta;
+//! - pure merges (edge-ups only) and scattered mixed batches.
+//!
+//! After every delta the index must report exactly the oracle's groups (in
+//! order), usable-edge count, enabled sets and connectivity.
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use selfsim_env::{AgentId, Edge, EnvChanges, EnvState, GroupIndex, Topology};
+
+fn topology(choice: u8, n: usize, rng: &mut StdRng) -> Topology {
+    match choice % 4 {
+        0 => Topology::ring(n),
+        1 => Topology::star(n),
+        2 => Topology::complete(n),
+        _ => Topology::random_connected_sparse(n, 3.0, rng),
+    }
+}
+
+fn usable_edges(state: &EnvState) -> Vec<Edge> {
+    state
+        .enabled_edges()
+        .iter()
+        .filter(|e| state.can_communicate(e.lo(), e.hi()))
+        .copied()
+        .collect()
+}
+
+fn pick<T: Copy>(items: &[T], rng: &mut StdRng) -> Option<T> {
+    (!items.is_empty()).then(|| items[rng.gen_range(0..items.len())])
+}
+
+/// One delta of the stream, drawn against the oracle's current state so
+/// the targeted paths are actually exercised.
+fn draw_changes(topo: &Topology, state: &EnvState, rng: &mut StdRng) -> EnvChanges {
+    let edges: Vec<Edge> = topo.edges().iter().copied().collect();
+    let n = topo.agent_count();
+    let mut changes = EnvChanges::default();
+    let agent = |rng: &mut StdRng| AgentId(rng.gen_range(0..n));
+    match rng.gen_range(0..6) {
+        // A lone usable edge-down: the probe path.
+        0 => changes.edges_down.extend(pick(&usable_edges(state), rng)),
+        // Edge-ups only: pure merges.
+        1 => {
+            for _ in 0..rng.gen_range(1..4) {
+                changes.edges_up.extend(pick(&edges, rng));
+            }
+        }
+        // An edge comes up while one of its endpoints goes down.
+        2 => {
+            if let Some(e) = pick(&edges, rng) {
+                changes.edges_up.push(e);
+                changes
+                    .agents_down
+                    .push(if rng.gen_bool(0.5) { e.lo() } else { e.hi() });
+            }
+        }
+        // Redundant flips only: already-down edges down, up agents up.
+        3 => {
+            let down: Vec<Edge> = edges
+                .iter()
+                .filter(|e| !state.enabled_edges().contains(e))
+                .copied()
+                .collect();
+            changes.edges_down.extend(pick(&down, rng));
+            changes.edges_down.extend(pick(&down, rng));
+            changes.agents_up.extend(pick(
+                &state.enabled_agents().iter().copied().collect::<Vec<_>>(),
+                rng,
+            ));
+        }
+        // Agent churn alone (shatters and re-joins groups).
+        4 => {
+            for _ in 0..rng.gen_range(1..3) {
+                changes.agents_down.push(agent(rng));
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                changes.agents_up.push(agent(rng));
+            }
+        }
+        // A scattered mixed batch, repeats included.
+        _ => {
+            let k = rng.gen_range(0..=edges.len().min(8));
+            for _ in 0..k {
+                changes.edges_down.extend(pick(&edges, rng));
+            }
+            for _ in 0..rng.gen_range(0..=k) {
+                changes.edges_up.extend(pick(&edges, rng));
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                changes.agents_down.push(agent(rng));
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                changes.agents_up.push(agent(rng));
+            }
+        }
+    }
+    changes
+}
+
+/// A random starting state over `topo` (each edge and agent kept with
+/// probability `keep`).
+fn random_state(topo: &Topology, keep: f64, rng: &mut StdRng) -> EnvState {
+    let edges: Vec<Edge> = topo
+        .edges()
+        .iter()
+        .filter(|_| rng.gen_bool(keep))
+        .copied()
+        .collect();
+    let agents: Vec<AgentId> = topo.agents().filter(|_| rng.gen_bool(keep)).collect();
+    EnvState::new(topo.agent_count(), edges, agents)
+}
+
+proptest! {
+    #[test]
+    fn group_index_matches_oracle_over_arbitrary_change_streams(
+        seed in 0u64..1_000_000,
+        choice in 0u8..4,
+        n in 2usize..=48,
+        keep in 0.0f64..=1.0,
+        deltas in 1usize..60,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = topology(choice, n, &mut rng);
+        let mut index = GroupIndex::new(&topo);
+        let mut state = if rng.gen_bool(0.5) {
+            index.reset_all_enabled();
+            EnvState::fully_enabled(&topo)
+        } else {
+            let state = random_state(&topo, keep, &mut rng);
+            index.reset_from_state(&state);
+            state
+        };
+        for step in 0..deltas {
+            let changes = draw_changes(&topo, &state, &mut rng);
+            state.apply_changes(&changes);
+            index.apply_changes(&changes);
+            prop_assert!(
+                index.groups() == state.groups(),
+                "groups diverged at step {} (seed {}) after {:?}: {:?} vs {:?}",
+                step,
+                seed,
+                changes,
+                index.groups(),
+                state.groups()
+            );
+            prop_assert_eq!(index.usable_edge_count(), usable_edges(&state).len());
+            prop_assert!(index.to_env_state() == state, "to_env_state diverged at step {}", step);
+            prop_assert!(
+                index.same_connectivity(&state),
+                "same_connectivity disagreed at step {}",
+                step
+            );
+        }
+    }
+}

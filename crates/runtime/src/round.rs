@@ -9,15 +9,17 @@
 //! * **Delta-based connectivity.**  The environment is advanced through
 //!   [`Environment::step_delta`] and the delta is folded into a
 //!   [`GroupIndex`], which merges on edge-up and re-splits only the affected
-//!   component on edge-down.  [`EnvDelta::Unchanged`] costs nothing, and
-//!   [`EnvDelta::AllEnabled`] never materialises the edge set: a static
-//!   complete graph on 10⁵ agents never allocates its ~5·10⁹ edges.
+//!   component on edge-down, without allocating.  [`EnvDelta::Unchanged`]
+//!   costs nothing, and [`EnvDelta::AllEnabled`] never materialises the
+//!   edge set: a static complete graph on 10⁵ agents never allocates its
+//!   ~5·10⁹ edges.
 //! * **Fixpoint elision.**  A group observed to map its state to itself
 //!   *bit for bit while drawing no randomness* is a fixpoint group:
 //!   stepping it again is the identity on both the state and the RNG
 //!   stream, so it is not stepped again until connectivity changes.  Its
 //!   accounting (group steps, messages, a `changed: false` group-step trace
-//!   event) is kept in place; only the work is elided.
+//!   event) is kept in place; only the work is elided.  The per-group flags
+//!   live in one buffer that a connectivity change clears and resizes.
 //! * **Cached round bookkeeping.**  The objective and the convergence check
 //!   read the state multiset, so they are recomputed only after some group
 //!   moved.
@@ -45,7 +47,7 @@ enum Connectivity {
     /// materialising the edge set, so complete graphs stay cheap.
     Full(Vec<Vec<AgentId>>),
     /// An incrementally maintained group index over the topology's flat CSR
-    /// adjacency.  Boxed: the index is ~2.5 hundred bytes of inline `Vec`
+    /// adjacency.  Boxed: the index is ~3 hundred bytes of inline `Vec`
     /// headers.
     Tracked(Box<GroupIndex>),
 }
@@ -216,7 +218,8 @@ where
         let delta = environment.step_delta(&mut rng);
         let topology = environment.topology();
         if connectivity.advance(delta, topology) {
-            at_fixpoint = vec![false; connectivity.group_count()];
+            at_fixpoint.clear();
+            at_fixpoint.resize(connectivity.group_count(), false);
         }
         if config.record_traces {
             env_trace.push(connectivity.to_env_state(topology));
