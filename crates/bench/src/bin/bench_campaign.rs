@@ -24,9 +24,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use selfsim_bench::hotpath;
+use selfsim_bench::{hotpath, peak_rss_kb};
 use selfsim_campaign::{
-    distribute_trials, AlgorithmKind, Campaign, EnvModel, ScenarioGrid, TopologyFamily,
+    distribute_trials, Campaign, EnvRegistry, Registry, ScenarioGrid, TopologyRegistry,
 };
 use selfsim_trace::MetricsRegistry;
 
@@ -126,14 +126,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Peak resident set size in KiB from `/proc/self/status` (`VmHWM`);
-/// `None` off Linux.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
 /// Times `run` (ns/iter): a few warmup iterations, then the best of three
 /// timed batches — cheap, stable enough for a regression trajectory.
 fn time_ns_per_iter(iters: u32, mut run: impl FnMut()) -> f64 {
@@ -221,15 +213,17 @@ fn main() -> ExitCode {
     // cost is runner + serialization + aggregation, not one algorithm's
     // convergence pathology.
     let scenarios = ScenarioGrid::new()
-        .algorithms([AlgorithmKind::Minimum])
-        .topologies([TopologyFamily::Ring])
-        .envs([
-            EnvModel::Static,
-            EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 0.9,
-            },
-        ])
+        .algorithms([Registry::builtin_ref()
+            .resolve("minimum")
+            .expect("builtin label")])
+        .topologies([TopologyRegistry::builtin_ref()
+            .resolve("ring")
+            .expect("builtin label")])
+        .envs(["static", "churn(e=0.5,a=0.9)"].map(|label| {
+            EnvRegistry::builtin_ref()
+                .resolve(label)
+                .expect("builtin label")
+        }))
         .sizes([8])
         .trials(1) // replaced below by the exact budget split
         .max_rounds(100_000)

@@ -129,15 +129,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Peak resident set size in KiB from `/proc/self/status` (`VmHWM`);
-/// `None` off Linux.  Monotone over the process lifetime — meaningful
-/// per-cell only because each cell runs in its own child process.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
 /// What one cell measured, before the topology/n labels are attached.
 #[derive(Clone, Copy)]
 struct CellResult {
@@ -176,7 +167,9 @@ fn run_cell(topology: EscaleTopology, n: usize) -> CellResult {
         rounds: outcome.rounds_executed,
         converged: outcome.converged,
         wall_seconds: best_wall,
-        peak_rss_kb: peak_rss_kb(),
+        // Process-lifetime peak: meaningful per cell only because each
+        // cell runs in its own child process.
+        peak_rss_kb: selfsim_bench::peak_rss_kb(),
     }
 }
 

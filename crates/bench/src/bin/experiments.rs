@@ -20,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfsim_algorithms::{convex_hull, second_smallest, sum};
 use selfsim_campaign::{
-    emit, AlgorithmKind, Campaign, DeliveryRule, EnvModel, EnvRegistry, ExecutionMode, Registry,
-    Scenario, ScenarioGrid, ScenarioSummary, TopologyFamily,
+    emit, AlgorithmRef, Campaign, DeliveryRule, EnvRef, EnvRegistry, ExecutionMode, Registry,
+    Scenario, ScenarioGrid, ScenarioSummary, TopoRef, TopologyRegistry,
 };
 use selfsim_core::DistributedFunction;
 use selfsim_env::{AdversarialEnv, Environment, RandomChurnEnv, Topology};
@@ -35,6 +35,24 @@ const SEEDS: std::ops::Range<u64> = 0..10;
 /// A named factory of boxed environments (bespoke experiments only).
 type EnvCases = Vec<(&'static str, Box<dyn Fn() -> Box<dyn Environment>>)>;
 const CAMPAIGN_SEED: u64 = 2007;
+
+fn algorithm(label: &str) -> AlgorithmRef {
+    Registry::builtin_ref()
+        .resolve(label)
+        .expect("builtin label")
+}
+
+fn topology(label: &str) -> TopoRef {
+    TopologyRegistry::builtin_ref()
+        .resolve(label)
+        .expect("builtin label")
+}
+
+fn env(label: &str) -> EnvRef {
+    EnvRegistry::builtin_ref()
+        .resolve(label)
+        .expect("builtin label")
+}
 
 fn values_for(n: usize) -> Vec<i64> {
     (0..n).map(|i| ((i as i64 * 37 + 11) % 199) + 1).collect()
@@ -70,15 +88,12 @@ fn run_campaign_open(title: &str, scenarios: Vec<Scenario>) -> Vec<ScenarioSumma
 /// E4 — convergence vs. system size, per algorithm and environment.
 fn e4_scaling() {
     let scenarios = ScenarioGrid::new()
-        .algorithms([AlgorithmKind::Minimum, AlgorithmKind::Sum])
-        .topologies([TopologyFamily::Line, TopologyFamily::Ring])
+        .algorithms([algorithm("minimum"), algorithm("sum")])
+        .topologies([topology("line"), topology("ring")])
         .envs([
-            EnvModel::Static,
-            EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 1.0,
-            },
-            EnvModel::Adversarial { silence: 1 },
+            env("static"),
+            env("churn(e=0.5,a=1)"),
+            env("adversary(s=1)"),
         ])
         .sizes([8, 16, 32, 64])
         .trials(SEEDS.end)
@@ -93,13 +108,9 @@ fn e4_scaling() {
 /// open environment dimension from the bench layer.
 fn e5_churn() {
     let scenarios = ScenarioGrid::new()
-        .algorithms([AlgorithmKind::Minimum])
-        .topologies([TopologyFamily::Ring])
-        .envs([0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0].map(|p| {
-            EnvRegistry::builtin_ref()
-                .resolve(&format!("churn(e={p},a=1)"))
-                .expect("parameterised churn label")
-        }))
+        .algorithms([algorithm("minimum")])
+        .topologies([topology("ring")])
+        .envs([0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0].map(|p| env(&format!("churn(e={p},a=1)"))))
         .sizes([32])
         .trials(SEEDS.end)
         .max_rounds(500_000)
@@ -114,19 +125,13 @@ fn e5_churn() {
 /// environments.
 fn e6_adaptivity() {
     let scenarios = ScenarioGrid::new()
-        .algorithms([AlgorithmKind::Minimum, AlgorithmKind::ConvexHull])
-        .topologies([TopologyFamily::Ring])
+        .algorithms([algorithm("minimum"), algorithm("convex-hull")])
+        .topologies([topology("ring")])
         .envs([
-            EnvModel::Static,
-            EnvModel::RandomChurn {
-                p_edge: 0.3,
-                p_agent: 1.0,
-            },
-            EnvModel::PeriodicPartition {
-                blocks: 4,
-                period: 8,
-            },
-            EnvModel::Adversarial { silence: 3 },
+            env("static"),
+            env("churn(e=0.3,a=1)"),
+            env("partition(b=4,t=8)"),
+            env("adversary(s=3)"),
         ])
         .sizes([24])
         .trials(SEEDS.end)
@@ -142,12 +147,9 @@ fn e6_adaptivity() {
 /// monotonically (the `monotone` column of the summary).
 fn e9_sorting() {
     let scenarios = ScenarioGrid::new()
-        .algorithms([AlgorithmKind::Sorting])
-        .topologies([TopologyFamily::Line])
-        .envs([EnvModel::RandomChurn {
-            p_edge: 0.5,
-            p_agent: 1.0,
-        }])
+        .algorithms([algorithm("sorting")])
+        .topologies([topology("line")])
+        .envs([env("churn(e=0.5,a=1)")])
         .sizes([8, 16, 32, 64])
         .trials(SEEDS.end)
         .max_rounds(500_000)
@@ -163,20 +165,13 @@ fn e9_sorting() {
 /// the baselines are ordinary registry algorithms now, so the comparison
 /// scales with the grid instead of living in a bespoke harness.
 fn e7_baselines() {
-    let registry = Registry::builtin();
-    let strategies = ["minimum", "snapshot", "flooding"]
-        .map(|label| registry.resolve(label).expect("registered"));
-    let envs: Vec<EnvModel> = [0.1, 0.3, 0.6, 1.0]
-        .iter()
-        .map(|&p| EnvModel::RandomChurn {
-            p_edge: p,
-            p_agent: 1.0,
-        })
-        .chain([EnvModel::Adversarial { silence: 0 }])
-        .collect();
+    let envs = [0.1, 0.3, 0.6, 1.0]
+        .map(|p| env(&format!("churn(e={p},a=1)")))
+        .into_iter()
+        .chain([env("adversary(s=0)")]);
     let scenarios = ScenarioGrid::new()
-        .algorithms(strategies)
-        .topologies([TopologyFamily::Complete])
+        .algorithms(["minimum", "snapshot", "flooding"].map(algorithm))
+        .topologies([topology("complete")])
         .envs(envs)
         .sizes([16])
         .trials(SEEDS.end)
@@ -203,19 +198,10 @@ fn e7_baselines() {
 /// what groups it is applied); the message-passing model is slower in
 /// virtual time and costs more messages.
 fn e13_cross_runtime() {
-    let registry = Registry::builtin();
     let scenarios = ScenarioGrid::new()
-        .algorithms(
-            ["minimum", "set-union", "flooding"].map(|label| registry.resolve(label).unwrap()),
-        )
-        .topologies([TopologyFamily::Ring])
-        .envs([
-            EnvModel::Static,
-            EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 1.0,
-            },
-        ])
+        .algorithms(["minimum", "set-union", "flooding"].map(algorithm))
+        .topologies([topology("ring")])
+        .envs([env("static"), env("churn(e=0.5,a=1)")])
         .modes(ExecutionMode::both())
         .sizes([16])
         .trials(SEEDS.end)
@@ -252,16 +238,10 @@ fn e13_cross_runtime() {
 /// `□◇Q` survives the translation to message passing only when the
 /// delivery rule is window-aware.
 fn e14_delivery_semantics() {
-    let registry = Registry::builtin();
     let scenarios = ScenarioGrid::new()
-        .algorithms(
-            ["minimum", "flooding", "snapshot"].map(|label| registry.resolve(label).unwrap()),
-        )
-        .topologies([TopologyFamily::Complete])
-        .envs([EnvModel::PeriodicPartition {
-            blocks: 2,
-            period: 8,
-        }])
+        .algorithms(["minimum", "flooding", "snapshot"].map(algorithm))
+        .topologies([topology("complete")])
+        .envs([env("partition(b=2,t=8)")])
         .modes(DeliveryRule::all().map(ExecutionMode::asynchronous_with))
         .sizes([16])
         .trials(SEEDS.end)
@@ -442,25 +422,13 @@ fn e12_fairness() {
         "E12: measured fairness — fraction of rounds each Q_e held (min over edges), and □◇Q verdict",
         &["environment", "min satisfaction rate", "□◇Q holds (tolerance 25%)"],
     );
-    let cases: Vec<(&str, EnvModel)> = vec![
-        ("static", EnvModel::Static),
-        (
-            "churn p=0.3",
-            EnvModel::RandomChurn {
-                p_edge: 0.3,
-                p_agent: 1.0,
-            },
-        ),
-        (
-            "adversary (silence 2)",
-            EnvModel::Adversarial { silence: 2 },
-        ),
+    let cases: Vec<(&str, EnvRef)> = vec![
+        ("static", env("static")),
+        ("churn p=0.3", env("churn(e=0.3,a=1)")),
+        ("adversary (silence 2)", env("adversary(s=2)")),
         (
             "dead (p=0) — violates the assumption",
-            EnvModel::RandomChurn {
-                p_edge: 0.0,
-                p_agent: 1.0,
-            },
+            env("churn(e=0,a=1)"),
         ),
     ];
     let spec = selfsim_env::FairnessSpec::for_graph(&topo);

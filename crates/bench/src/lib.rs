@@ -307,6 +307,15 @@ pub mod escale {
     }
 }
 
+/// Peak resident set size of this process in KiB, from
+/// `/proc/self/status` (`VmHWM`); `None` off Linux.  Monotone over the
+/// process lifetime.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::{escale, hotpath};

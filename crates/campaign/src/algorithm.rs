@@ -32,8 +32,7 @@ use selfsim_geometry::{enclosing_circle_of_circles, Circle, Point};
 use selfsim_runtime::{DeliveryRule, ExecutionMode};
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::dimension::TopoRef;
-use crate::scenario::TopologyFamily;
+use crate::dimension::{CompleteTopology, LineTopology, TopoRef};
 
 /// The assertable outcome an algorithm claims for its trials.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -371,7 +370,7 @@ impl CampaignAlgorithm for SumAlgo {
         "§4.2 — one agent concentrates the sum (complete fairness graph)"
     }
     fn forced_topology(&self) -> Option<TopoRef> {
-        Some(TopologyFamily::Complete.into())
+        Some(TopoRef::new(CompleteTopology))
     }
     fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
         let values = int_values(setup.n, setup.rng);
@@ -389,7 +388,7 @@ impl CampaignAlgorithm for SortingAlgo {
         "§4.4 — values sort themselves along a line"
     }
     fn forced_topology(&self) -> Option<TopoRef> {
-        Some(TopologyFamily::Line.into())
+        Some(TopoRef::new(LineTopology))
     }
     fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
         let values = int_values(setup.n, setup.rng);
@@ -780,7 +779,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(7);
             let topology = algorithm
                 .forced_topology()
-                .unwrap_or_else(|| TopologyFamily::Ring.into())
+                .unwrap_or_else(|| TopoRef::new(crate::dimension::RingTopology))
                 .build(6, &mut rng);
             let mut env: Box<dyn Environment> = Box::new(StaticEnv::new(topology.clone()));
             let mut setup = TrialSetup {

@@ -13,8 +13,8 @@
 //! # the delivery-semantics sweep: one async cell per rule, custom knobs
 //! cargo run --release --bin campaign -- \
 //!     --algorithms minimum,flooding --envs partition --topologies complete \
-//!     --modes async --delivery valid-at-delivery,valid-at-send,any-overlap \
-//!     --async-rate 0.5 --async-latency 3 --async-drop 0.1 --trials 120
+//!     --modes 'async(d=0.1,dv=valid-at-delivery),async(d=0.1,dv=valid-at-send),async(d=0.1,dv=any-overlap)' \
+//!     --trials 120
 //!
 //! # the same sweep as three processes (possibly three machines) ...
 //! cargo run --release --bin campaign -- --trials 200 --shard 0/3 --out s0.jsonl

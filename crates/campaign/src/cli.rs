@@ -44,10 +44,9 @@ use std::time::Duration;
 
 use crate::{
     distribute_trials, emit, merge_shards, merge_trace_shards, Aggregator, AlgorithmRef, Campaign,
-    CampaignResult, DeliveryRule, EnvRef, EnvRegistry, ExecutionMode, MergeOrder, ProgressThrottle,
-    Registry, ScenarioGrid, ShardSpec, TopoRef, TopologyRegistry, TrialRecord,
+    CampaignResult, EnvRef, EnvRegistry, ExecutionMode, MergeOrder, ProgressThrottle, Registry,
+    ScenarioGrid, ShardSpec, TopoRef, TopologyRegistry, TrialRecord,
 };
-use selfsim_runtime::validate_async_knobs;
 use selfsim_trace::MetricsRegistry;
 
 /// The three registries a campaign CLI resolves labels against — pass your
@@ -81,10 +80,6 @@ struct Args {
     envs: Vec<EnvRef>,
     modes: Vec<ExecutionMode>,
     sizes: Vec<usize>,
-    async_rate: Option<f64>,
-    async_latency: Option<usize>,
-    async_drop: Option<f64>,
-    delivery: Vec<DeliveryRule>,
     trials: u64,
     max_rounds: usize,
     seed: u64,
@@ -137,10 +132,6 @@ fn default_args(registries: &CliRegistries) -> Args {
         ]),
         modes: vec![ExecutionMode::sync()],
         sizes: vec![12],
-        async_rate: None,
-        async_latency: None,
-        async_drop: None,
-        delivery: Vec::new(),
         trials: 100,
         max_rounds: 200_000,
         seed: 0,
@@ -173,14 +164,11 @@ OPTIONS
     --modes m,..          execution modes to sweep (default sync); bare or
                           parameterised, round-tripping the mode column:
                           sync|sync(cd=N)|event|event(cd=N)|
-                          async|async(i=P,l=N,d=P,dv=RULE)
-    --mode m              alias for --modes with a single value
-    --async-rate P        async: per-tick interaction probability (default 0.5)
-    --async-latency N     async: latency drawn from 1..=N ticks (default 3)
-    --async-drop P        async: in-flight loss probability (default 0)
-    --delivery r,..       async delivery rule(s): valid-at-delivery|valid-at-send|
-                          any-overlap|any-overlap(g=N) — each rule becomes its own
-                          grid cell (default valid-at-delivery)
+                          async|async(i=P,l=N,d=P,dv=RULE); async takes the
+                          interaction probability i (default 0.5), latency
+                          1..=l ticks (default 3), loss probability d (default
+                          0) and delivery rule dv: valid-at-delivery (default)|
+                          valid-at-send|any-overlap|any-overlap(g=N)
     --sizes n,..          agents per system (default 12)
     --trials N            total trial budget, split exactly over scenarios (default 100)
     --max-rounds N        per-trial round/tick budget (default 200000)
@@ -237,38 +225,14 @@ fn parse_args(argv: &[String], registries: &CliRegistries) -> Result<Args, Strin
             "--envs" => {
                 args.envs = parse_list(&value("--envs")?, |s| registries.environments.resolve(s))?;
             }
-            "--modes" | "--mode" => {
-                args.modes = parse_list(&value(flag)?, ExecutionMode::parse_label)?;
+            "--modes" => {
+                args.modes = parse_list(&value("--modes")?, ExecutionMode::parse_label)?;
             }
             "--sizes" => {
                 args.sizes = parse_list(&value("--sizes")?, |s| {
                     s.parse::<usize>()
                         .map_err(|e| format!("bad size `{s}`: {e}"))
                 })?;
-            }
-            "--async-rate" => {
-                args.async_rate = Some(
-                    value("--async-rate")?
-                        .parse()
-                        .map_err(|e| format!("bad --async-rate: {e}"))?,
-                );
-            }
-            "--async-latency" => {
-                args.async_latency = Some(
-                    value("--async-latency")?
-                        .parse()
-                        .map_err(|e| format!("bad --async-latency: {e}"))?,
-                );
-            }
-            "--async-drop" => {
-                args.async_drop = Some(
-                    value("--async-drop")?
-                        .parse()
-                        .map_err(|e| format!("bad --async-drop: {e}"))?,
-                );
-            }
-            "--delivery" => {
-                args.delivery = parse_list(&value("--delivery")?, DeliveryRule::parse_label)?;
             }
             "--trials" => {
                 args.trials = value("--trials")?
@@ -328,7 +292,6 @@ fn parse_args(argv: &[String], registries: &CliRegistries) -> Result<Args, Strin
     if args.trials == 0 {
         return Err("--trials must be positive".into());
     }
-    apply_async_knobs(&mut args)?;
     if let Some(n) = args.sizes.iter().find(|&&n| n < 2) {
         return Err(format!("--sizes values must be at least 2, got {n}"));
     }
@@ -376,59 +339,6 @@ fn parse_args(argv: &[String], registries: &CliRegistries) -> Result<Args, Strin
         }
     }
     Ok(args)
-}
-
-/// Folds the async knob flags (`--async-rate/-latency/-drop`) into every
-/// async mode and expands the `--delivery` dimension (one async mode per
-/// rule).  The flags only make sense with an async mode selected, so their
-/// presence without one is a hard error rather than a silent no-op.
-fn apply_async_knobs(args: &mut Args) -> Result<(), String> {
-    let has_knobs = args.async_rate.is_some()
-        || args.async_latency.is_some()
-        || args.async_drop.is_some()
-        || !args.delivery.is_empty();
-    if !has_knobs {
-        return Ok(());
-    }
-    if !args.modes.iter().any(|m| m.is_async()) {
-        return Err(
-            "--async-rate/--async-latency/--async-drop/--delivery only apply to the async \
-             runtime; add `async` to --modes"
-                .into(),
-        );
-    }
-    let rules: Option<&[DeliveryRule]> = if args.delivery.is_empty() {
-        None
-    } else {
-        Some(&args.delivery)
-    };
-    let mut modes = Vec::new();
-    for mode in &args.modes {
-        match *mode {
-            ExecutionMode::Async {
-                interaction_rate,
-                max_latency,
-                drop_rate,
-                delivery,
-            } => {
-                let interaction_rate = args.async_rate.unwrap_or(interaction_rate);
-                let max_latency = args.async_latency.unwrap_or(max_latency);
-                let drop_rate = args.async_drop.unwrap_or(drop_rate);
-                validate_async_knobs(interaction_rate, max_latency, drop_rate)?;
-                for &delivery in rules.unwrap_or(&[delivery]) {
-                    modes.push(ExecutionMode::Async {
-                        interaction_rate,
-                        max_latency,
-                        drop_rate,
-                        delivery,
-                    });
-                }
-            }
-            sync => modes.push(sync),
-        }
-    }
-    args.modes = modes;
-    Ok(())
 }
 
 /// Splits a CSV flag value into items and parses each.  The split is
@@ -920,6 +830,29 @@ mod tests {
         // An explicit unknown label errors against the sparse registry.
         let err = parse_args(&["--envs".to_string(), "churn".to_string()], &sparse).unwrap_err();
         assert!(err.contains("unknown environment `churn`"), "{err}");
+    }
+
+    #[test]
+    fn async_knobs_are_mode_label_fields() {
+        let registries = CliRegistries::default();
+        let argv = |flags: &[&str]| flags.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let args = parse_args(
+            &argv(&["--modes", "async(i=0.6,l=2,d=0.1,dv=valid-at-send)"]),
+            &registries,
+        )
+        .expect("async label parses");
+        assert_eq!(
+            args.modes,
+            [ExecutionMode::Async {
+                interaction_rate: 0.6,
+                max_latency: 2,
+                drop_rate: 0.1,
+                delivery: crate::DeliveryRule::ValidAtSend,
+            }]
+        );
+        let err = parse_args(&argv(&["--async-rate", "0.5"]), &registries)
+            .expect_err("the knobs have no flags of their own");
+        assert_eq!(err, "unknown flag `--async-rate`");
     }
 
     #[test]

@@ -26,10 +26,8 @@
 //!   JSONL record or markdown table parses back to the identical cell —
 //!   the round-trip law.
 //!
-//! The closed [`EnvModel`](crate::EnvModel) and
-//! [`TopologyFamily`](crate::TopologyFamily) enums remain as thin
-//! `Into<EnvRef>` / `Into<TopoRef>` shims, exactly as
-//! [`AlgorithmKind`](crate::AlgorithmKind) was kept.
+//! A label is the only way to name a builtin family from outside this
+//! crate: `EnvRegistry::builtin_ref().resolve("churn(e=0.5,a=0.9)")`.
 //!
 //! [`Registry`]: crate::Registry
 //! [`Expectation`]: crate::Expectation
@@ -437,8 +435,8 @@ impl EnvFactory for StaticEnvFactory {
 /// Independent per-round churn (`churn(e=…,a=…)`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ChurnEnvFactory {
-    pub p_edge: f64,
-    pub p_agent: f64,
+    p_edge: f64,
+    p_agent: f64,
 }
 
 impl Default for ChurnEnvFactory {
@@ -477,8 +475,8 @@ impl EnvFactory for ChurnEnvFactory {
 /// Two-state Markov on/off links (`markov(up=…,down=…)`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct MarkovEnvFactory {
-    pub p_up: f64,
-    pub p_down: f64,
+    p_up: f64,
+    p_down: f64,
 }
 
 impl Default for MarkovEnvFactory {
@@ -519,8 +517,8 @@ impl EnvFactory for MarkovEnvFactory {
 /// (`partition(b=…,t=…)`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PartitionEnvFactory {
-    pub blocks: usize,
-    pub period: usize,
+    blocks: usize,
+    period: usize,
 }
 
 impl Default for PartitionEnvFactory {
@@ -564,8 +562,8 @@ impl EnvFactory for PartitionEnvFactory {
 /// Agent crash/restart faults (`crash(c=…,r=…)`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CrashEnvFactory {
-    pub p_crash: f64,
-    pub p_restart: f64,
+    p_crash: f64,
+    p_restart: f64,
 }
 
 impl Default for CrashEnvFactory {
@@ -606,7 +604,7 @@ impl EnvFactory for CrashEnvFactory {
 /// (`adversary(s=…)`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct AdversaryEnvFactory {
-    pub silence: usize,
+    silence: usize,
 }
 
 impl Default for AdversaryEnvFactory {
@@ -643,9 +641,9 @@ impl EnvFactory for AdversaryEnvFactory {
 /// (`churn+crash(e=…,c=…,r=…)`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ChurnPlusCrashEnvFactory {
-    pub p_edge: f64,
-    pub p_crash: f64,
-    pub p_restart: f64,
+    p_edge: f64,
+    p_crash: f64,
+    p_restart: f64,
 }
 
 impl Default for ChurnPlusCrashEnvFactory {
@@ -773,7 +771,7 @@ fixed_topology!(
 /// trial from the trial's seed (`random(p=…)`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RandomTopology {
-    pub p: f64,
+    p: f64,
 }
 
 impl Default for RandomTopology {

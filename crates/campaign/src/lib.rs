@@ -40,8 +40,8 @@
 //! # Example: self-similar vs. baseline, sync vs. async, one grid
 //!
 //! ```
-//! use selfsim_campaign::{Campaign, EnvModel, ExecutionMode, Registry, ScenarioGrid,
-//!                        TopologyFamily};
+//! use selfsim_campaign::{Campaign, EnvRegistry, ExecutionMode, Registry, ScenarioGrid,
+//!                        TopologyRegistry};
 //!
 //! let registry = Registry::builtin();
 //! let scenarios = ScenarioGrid::new()
@@ -50,8 +50,8 @@
 //!         registry.resolve("snapshot").expect("builtin label"),
 //!         registry.resolve("flooding").expect("builtin label"),
 //!     ])
-//!     .topologies([TopologyFamily::Complete])
-//!     .envs([EnvModel::RandomChurn { p_edge: 0.5, p_agent: 0.9 }])
+//!     .topologies([TopologyRegistry::builtin_ref().resolve("complete").expect("builtin label")])
+//!     .envs([EnvRegistry::builtin_ref().resolve("churn(e=0.5,a=0.9)").expect("builtin label")])
 //!     .modes(ExecutionMode::both())
 //!     .sizes([8])
 //!     .trials(3)
@@ -60,9 +60,9 @@
 //! println!("{}", selfsim_campaign::emit::markdown_summary(&result.summaries));
 //! ```
 //!
-//! The closed [`AlgorithmKind`] enum of the original API remains as a thin
-//! shim: anywhere an algorithm is expected, `AlgorithmKind::Minimum` and
-//! `registry.resolve("minimum")?` are interchangeable.
+//! Every grid dimension is named by its label, exactly as it appears in
+//! records: algorithms, environments and topologies resolve through their
+//! registries, execution modes through [`ExecutionMode::parse_label`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,10 +86,7 @@ pub use dimension::{
     TopologyRegistry,
 };
 pub use runner::{Campaign, CampaignConfig, CampaignResult, CollectedResult, ProgressThrottle};
-pub use scenario::{
-    distribute_trials, grid_dims, AlgorithmKind, EnvModel, Scenario, ScenarioBuilder, ScenarioGrid,
-    TopologyFamily,
-};
+pub use scenario::{distribute_trials, grid_dims, Scenario, ScenarioBuilder, ScenarioGrid};
 pub use selfsim_env::{parse_label, split_top_level, Params};
 pub use selfsim_runtime::{DeliveryRule, ExecutionMode, Runtime};
 pub use shard::{merge_shards, merge_trace_shards, MergeOrder, ShardSpec};

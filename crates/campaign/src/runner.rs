@@ -181,7 +181,7 @@ impl Campaign {
     /// `pipeline/reorder-depth` histogram and `pipeline/sink-stalls`
     /// counter, and the `sim/*` / `campaign/trials` counters folded from
     /// every finished record.  Counters and the depth histogram are exact;
-    /// the stage timers sample one trial in [`OBS_SAMPLE`] to keep clock
+    /// the stage timers sample one trial in `OBS_SAMPLE` (8) to keep clock
     /// reads off the per-trial hot path.  Metrics read the run — they
     /// never perturb the records or their bytes; without a registry the
     /// run takes no clock readings at all.
@@ -671,19 +671,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{AlgorithmKind, EnvModel, ScenarioGrid, TopologyFamily};
+    use crate::scenario::test_labels::{algorithm, env, topology};
+    use crate::scenario::ScenarioGrid;
 
     fn small_campaign() -> Campaign {
         let scenarios = ScenarioGrid::new()
-            .algorithms([AlgorithmKind::Minimum, AlgorithmKind::Maximum])
-            .topologies([TopologyFamily::Ring])
-            .envs([
-                EnvModel::Static,
-                EnvModel::RandomChurn {
-                    p_edge: 0.5,
-                    p_agent: 0.9,
-                },
-            ])
+            .algorithms([algorithm("minimum"), algorithm("maximum")])
+            .topologies([topology("ring")])
+            .envs([env("static"), env("churn(e=0.5,a=0.9)")])
             .sizes([6])
             .trials(3)
             .max_rounds(50_000)
@@ -743,9 +738,9 @@ mod tests {
         // More trials than the reorder window for 8 workers: fast workers
         // must park and the released stream must still be in order.
         let scenarios = ScenarioGrid::new()
-            .algorithms([AlgorithmKind::Minimum])
-            .topologies([TopologyFamily::Ring])
-            .envs([EnvModel::Static])
+            .algorithms([algorithm("minimum")])
+            .topologies([topology("ring")])
+            .envs([env("static")])
             .sizes([4])
             .trials(500)
             .max_rounds(10_000)

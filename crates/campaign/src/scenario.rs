@@ -9,190 +9,16 @@
 //! runner, so scenarios can be freely sent across threads and expanded into
 //! grids.
 //!
-//! All three grid dimensions are open: algorithms, environments and
-//! topologies resolve by label against their registries
+//! Every grid dimension is named one way: algorithms, environments and
+//! topologies by label against their registries
 //! ([`Registry`](crate::Registry), [`EnvRegistry`](crate::EnvRegistry),
-//! [`TopologyRegistry`](crate::TopologyRegistry)).  The closed
-//! [`AlgorithmKind`], [`EnvModel`] and [`TopologyFamily`] enums of the
-//! original API remain as thin `Into<…Ref>` shims.
+//! [`TopologyRegistry`](crate::TopologyRegistry)), execution modes by
+//! [`ExecutionMode::parse_label`].
 
-use rand::Rng;
 use selfsim_runtime::ExecutionMode;
 
-use crate::algorithm::{AlgorithmRef, Registry};
-use crate::dimension::{
-    AdversaryEnvFactory, ChurnEnvFactory, ChurnPlusCrashEnvFactory, CompleteTopology,
-    CrashEnvFactory, EnvRef, GridTopology, LineTopology, MarkovEnvFactory, PartitionEnvFactory,
-    RandomTopology, RingTopology, StarTopology, StaticEnvFactory, TopoRef,
-};
-
-/// The closed enum of the original campaign API, kept as a thin shim over
-/// the open [`Registry`]: existing callers keep writing
-/// `AlgorithmKind::Minimum` and conversion into an [`AlgorithmRef`] happens
-/// wherever a scenario is built.  New algorithms (baselines, the
-/// counterexample, user-registered ones) are addressed by label instead.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AlgorithmKind {
-    /// §4.1 — every agent adopts the minimum.
-    Minimum,
-    /// Extension — every agent adopts the maximum.
-    Maximum,
-    /// §4.2 — one agent concentrates the sum, the others go to zero.
-    Sum,
-    /// §4.4 — values sort themselves along a line (topology is forced to
-    /// [`TopologyFamily::Line`]).
-    Sorting,
-    /// §4.3 — every agent learns the pair (smallest, second smallest).
-    SecondSmallest,
-    /// §4.5 — every agent learns the convex hull of all sites.
-    ConvexHull,
-}
-
-impl AlgorithmKind {
-    /// Short stable label used in scenario names and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AlgorithmKind::Minimum => "minimum",
-            AlgorithmKind::Maximum => "maximum",
-            AlgorithmKind::Sum => "sum",
-            AlgorithmKind::Sorting => "sorting",
-            AlgorithmKind::SecondSmallest => "second-smallest",
-            AlgorithmKind::ConvexHull => "convex-hull",
-        }
-    }
-
-    /// Parses a label produced by [`AlgorithmKind::label`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "minimum" => Some(AlgorithmKind::Minimum),
-            "maximum" => Some(AlgorithmKind::Maximum),
-            "sum" => Some(AlgorithmKind::Sum),
-            "sorting" => Some(AlgorithmKind::Sorting),
-            "second-smallest" => Some(AlgorithmKind::SecondSmallest),
-            "convex-hull" => Some(AlgorithmKind::ConvexHull),
-            _ => None,
-        }
-    }
-
-    /// All supported algorithms.
-    pub fn all() -> &'static [AlgorithmKind] {
-        &[
-            AlgorithmKind::Minimum,
-            AlgorithmKind::Maximum,
-            AlgorithmKind::Sum,
-            AlgorithmKind::Sorting,
-            AlgorithmKind::SecondSmallest,
-            AlgorithmKind::ConvexHull,
-        ]
-    }
-
-    /// `true` when the algorithm's fairness argument fixes the topology:
-    /// sorting needs the line graph (§4.4) and sum the complete graph
-    /// (§4.2 — with pairwise interactions, zero-valued agents cannot relay
-    /// mass, so every pair must eventually share an edge).
-    pub fn forced_topology(&self) -> Option<TopologyFamily> {
-        match self {
-            AlgorithmKind::Sorting => Some(TopologyFamily::Line),
-            AlgorithmKind::Sum => Some(TopologyFamily::Complete),
-            _ => None,
-        }
-    }
-
-    /// The registry entry this shim variant stands for.
-    pub fn resolve(&self) -> AlgorithmRef {
-        Registry::builtin_ref()
-            .get(self.label())
-            .expect("every AlgorithmKind label is registered")
-    }
-}
-
-impl From<AlgorithmKind> for AlgorithmRef {
-    fn from(kind: AlgorithmKind) -> AlgorithmRef {
-        kind.resolve()
-    }
-}
-
-/// The closed topology enum of the original API, kept as a thin shim over
-/// the open [`TopologyRegistry`](crate::TopologyRegistry): each variant
-/// converts into the [`TopoRef`] of the corresponding builtin family, and
-/// user families are addressed by label instead.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TopologyFamily {
-    /// Cycle on `n` agents.
-    Ring,
-    /// Path on `n` agents.
-    Line,
-    /// Near-square grid (largest divisor split of `n`).
-    Grid,
-    /// Complete graph on `n` agents.
-    Complete,
-    /// Star with agent 0 at the centre.
-    Star,
-    /// Connected Erdős–Rényi graph with edge probability `p`, re-sampled
-    /// per trial from the trial's seed.
-    Random {
-        /// Edge probability.
-        p: f64,
-    },
-}
-
-impl TopologyFamily {
-    /// Short stable label used in scenario names and reports.  Like every
-    /// method that goes through [`TopologyFamily::resolve`], panics on
-    /// out-of-range public fields (see its `# Panics`).
-    pub fn label(&self) -> String {
-        self.resolve().label()
-    }
-
-    /// Parses a bare family name (random takes its default `p = 0.3`).
-    /// Parameterised labels resolve through
-    /// [`TopologyRegistry::resolve`](crate::TopologyRegistry::resolve)
-    /// instead, which also covers user-registered families.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ring" => Some(TopologyFamily::Ring),
-            "line" => Some(TopologyFamily::Line),
-            "grid" => Some(TopologyFamily::Grid),
-            "complete" => Some(TopologyFamily::Complete),
-            "star" => Some(TopologyFamily::Star),
-            "random" => Some(TopologyFamily::Random { p: 0.3 }),
-            _ => None,
-        }
-    }
-
-    /// Materialises the graph for `n` agents, drawing any randomness from
-    /// `rng` (so random families are deterministic per trial).  Panics on
-    /// out-of-range public fields (see [`TopologyFamily::resolve`]).
-    pub fn build(&self, n: usize, rng: &mut impl Rng) -> selfsim_env::Topology {
-        self.resolve().build(n, rng)
-    }
-
-    /// The registry family instance this shim variant stands for.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the field named when a random family's `p` lies
-    /// outside `[0, 1]` — at construction, not mid-campaign.
-    pub fn resolve(&self) -> TopoRef {
-        match *self {
-            TopologyFamily::Ring => TopoRef::new(RingTopology),
-            TopologyFamily::Line => TopoRef::new(LineTopology),
-            TopologyFamily::Grid => TopoRef::new(GridTopology),
-            TopologyFamily::Complete => TopoRef::new(CompleteTopology),
-            TopologyFamily::Star => TopoRef::new(StarTopology),
-            TopologyFamily::Random { p } => TopoRef::new(RandomTopology {
-                p: selfsim_env::validate_probability("p", p)
-                    .unwrap_or_else(|message| panic!("TopologyFamily: {message}")),
-            }),
-        }
-    }
-}
-
-impl From<TopologyFamily> for TopoRef {
-    fn from(family: TopologyFamily) -> TopoRef {
-        family.resolve()
-    }
-}
+use crate::algorithm::AlgorithmRef;
+use crate::dimension::{EnvRef, RingTopology, StaticEnvFactory, TopoRef};
 
 /// Distributes a total trial budget *exactly* over expanded scenarios:
 /// every cell gets `total / cells` trials and the first `total % cells`
@@ -208,10 +34,11 @@ impl From<TopologyFamily> for TopoRef {
 /// cells run empty).  `base == 0` on return is the signal:
 ///
 /// ```
-/// use selfsim_campaign::{distribute_trials, AlgorithmKind, Scenario};
+/// use selfsim_campaign::{distribute_trials, Registry, Scenario};
 ///
+/// let minimum = Registry::builtin().resolve("minimum").expect("builtin label");
 /// let mut cells: Vec<Scenario> = (0..4)
-///     .map(|i| Scenario::builder(AlgorithmKind::Minimum).agents(4 + 2 * i).build())
+///     .map(|i| Scenario::builder(minimum.clone()).agents(4 + 2 * i).build())
 ///     .collect();
 /// // 10 trials over 4 cells: 2 each, the first two get one more.
 /// assert_eq!(distribute_trials(&mut cells, 10), (2, 2));
@@ -266,170 +93,6 @@ pub fn grid_dims(n: usize) -> (usize, usize) {
     (rows, n / rows)
 }
 
-/// The closed environment enum of the original API, kept as a thin shim
-/// over the open [`EnvRegistry`](crate::EnvRegistry): each variant converts
-/// into the [`EnvRef`] of the corresponding builtin family, and user
-/// families are addressed by label instead.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum EnvModel {
-    /// Fully benign: every edge available, every agent enabled.
-    Static,
-    /// Independent per-round churn.
-    RandomChurn {
-        /// Probability an edge is available each round.
-        p_edge: f64,
-        /// Probability an agent is enabled each round.
-        p_agent: f64,
-    },
-    /// Two-state Markov on/off links.
-    MarkovLink {
-        /// down → up probability.
-        p_up: f64,
-        /// up → down probability.
-        p_down: f64,
-    },
-    /// Periodic partition into blocks with periodic global merges.
-    PeriodicPartition {
-        /// Number of contiguous blocks.
-        blocks: usize,
-        /// Rounds per merge.
-        period: usize,
-    },
-    /// Agent crash/restart faults.
-    CrashRestart {
-        /// up → down probability.
-        p_crash: f64,
-        /// down → up probability.
-        p_restart: f64,
-    },
-    /// Minimally fair adversary: one edge every `silence + 1` rounds.
-    Adversarial {
-        /// Silent rounds between activations.
-        silence: usize,
-    },
-    /// Link churn composed with crash/restart faults.
-    ChurnPlusCrash {
-        /// Probability an edge is available each round.
-        p_edge: f64,
-        /// up → down probability.
-        p_crash: f64,
-        /// down → up probability.
-        p_restart: f64,
-    },
-}
-
-impl EnvModel {
-    /// Short stable label used in scenario names and reports.  Like every
-    /// method that goes through [`EnvModel::resolve`], panics on
-    /// out-of-range public fields (see its `# Panics`) — values the old
-    /// API silently clamped.
-    pub fn label(&self) -> String {
-        self.resolve().label()
-    }
-
-    /// Parses a bare model name into its default parameterisation.
-    /// Parameterised labels resolve through
-    /// [`EnvRegistry::resolve`](crate::EnvRegistry::resolve) instead,
-    /// which also covers user-registered families.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "static" => Some(EnvModel::Static),
-            "churn" => Some(EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 0.9,
-            }),
-            "markov" => Some(EnvModel::MarkovLink {
-                p_up: 0.3,
-                p_down: 0.3,
-            }),
-            "partition" => Some(EnvModel::PeriodicPartition {
-                blocks: 3,
-                period: 8,
-            }),
-            "crash" => Some(EnvModel::CrashRestart {
-                p_crash: 0.05,
-                p_restart: 0.5,
-            }),
-            "adversary" => Some(EnvModel::Adversarial { silence: 1 }),
-            "churn+crash" => Some(EnvModel::ChurnPlusCrash {
-                p_edge: 0.6,
-                p_crash: 0.05,
-                p_restart: 0.5,
-            }),
-            _ => None,
-        }
-    }
-
-    /// `true` when the environment's *parameters* allow it to split the
-    /// agents into proper subgroups (see
-    /// [`EnvFactory::can_fragment`](crate::EnvFactory::can_fragment)).
-    /// Panics on out-of-range public fields (see [`EnvModel::resolve`]).
-    pub fn can_fragment(&self) -> bool {
-        self.resolve().can_fragment()
-    }
-
-    /// Materialises the environment process over `topology`.  Panics on
-    /// out-of-range public fields (see [`EnvModel::resolve`]).
-    pub fn build(&self, topology: selfsim_env::Topology) -> Box<dyn selfsim_env::Environment> {
-        self.resolve().build(topology)
-    }
-
-    /// The registry family instance this shim variant stands for.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the offending field named when a probability lies
-    /// outside `[0, 1]` or a partition count/period is zero (the enum's
-    /// fields are public, so invalid values can reach it) — failing here,
-    /// at scenario construction, instead of mid-campaign on a worker
-    /// thread after other cells' records have already streamed.
-    pub fn resolve(&self) -> EnvRef {
-        let prob = |field: &str, p: f64| {
-            selfsim_env::validate_probability(field, p)
-                .unwrap_or_else(|message| panic!("EnvModel: {message}"))
-        };
-        let positive = |field: &str, value: usize| {
-            assert!(value > 0, "EnvModel: {field} must be at least 1");
-            value
-        };
-        match *self {
-            EnvModel::Static => EnvRef::new(StaticEnvFactory),
-            EnvModel::RandomChurn { p_edge, p_agent } => EnvRef::new(ChurnEnvFactory {
-                p_edge: prob("p_edge", p_edge),
-                p_agent: prob("p_agent", p_agent),
-            }),
-            EnvModel::MarkovLink { p_up, p_down } => EnvRef::new(MarkovEnvFactory {
-                p_up: prob("p_up", p_up),
-                p_down: prob("p_down", p_down),
-            }),
-            EnvModel::PeriodicPartition { blocks, period } => EnvRef::new(PartitionEnvFactory {
-                blocks: positive("blocks", blocks),
-                period: positive("period", period),
-            }),
-            EnvModel::CrashRestart { p_crash, p_restart } => EnvRef::new(CrashEnvFactory {
-                p_crash: prob("p_crash", p_crash),
-                p_restart: prob("p_restart", p_restart),
-            }),
-            EnvModel::Adversarial { silence } => EnvRef::new(AdversaryEnvFactory { silence }),
-            EnvModel::ChurnPlusCrash {
-                p_edge,
-                p_crash,
-                p_restart,
-            } => EnvRef::new(ChurnPlusCrashEnvFactory {
-                p_edge: prob("p_edge", p_edge),
-                p_crash: prob("p_crash", p_crash),
-                p_restart: prob("p_restart", p_restart),
-            }),
-        }
-    }
-}
-
-impl From<EnvModel> for EnvRef {
-    fn from(model: EnvModel) -> EnvRef {
-        model.resolve()
-    }
-}
-
 /// One cell of a campaign: every field needed to reproduce its trials.
 #[derive(Clone, Debug)]
 pub struct Scenario {
@@ -450,17 +113,16 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Starts a builder with the given algorithm (an [`AlgorithmKind`]
-    /// shim variant or any [`AlgorithmRef`] from a registry).
-    pub fn builder(algorithm: impl Into<AlgorithmRef>) -> ScenarioBuilder {
-        let algorithm = algorithm.into();
+    /// Starts a builder with the given algorithm, on the ring topology in
+    /// the static environment unless the algorithm forces its topology.
+    pub fn builder(algorithm: AlgorithmRef) -> ScenarioBuilder {
         ScenarioBuilder {
             scenario: Scenario {
                 topology: algorithm
                     .forced_topology()
-                    .unwrap_or_else(|| TopologyFamily::Ring.into()),
+                    .unwrap_or_else(|| TopoRef::new(RingTopology)),
                 algorithm,
-                env: EnvModel::Static.into(),
+                env: EnvRef::new(StaticEnvFactory),
                 mode: ExecutionMode::sync(),
                 n: 16,
                 trials: 10,
@@ -519,22 +181,15 @@ pub struct ScenarioBuilder {
 }
 
 impl ScenarioBuilder {
-    /// Sets the topology family (ignored — forced — for sorting).  Accepts
-    /// a [`TopologyFamily`] shim variant or any [`TopoRef`] from a
-    /// registry.
-    pub fn topology(mut self, family: impl Into<TopoRef>) -> Self {
-        self.scenario.topology = self
-            .scenario
-            .algorithm
-            .forced_topology()
-            .unwrap_or_else(|| family.into());
+    /// Sets the topology family (ignored — forced — for sum and sorting).
+    pub fn topology(mut self, family: TopoRef) -> Self {
+        self.scenario.topology = self.scenario.algorithm.forced_topology().unwrap_or(family);
         self
     }
 
-    /// Sets the environment model (an [`EnvModel`] shim variant or any
-    /// [`EnvRef`] from a registry).
-    pub fn env(mut self, model: impl Into<EnvRef>) -> Self {
-        self.scenario.env = model.into();
+    /// Sets the environment model.
+    pub fn env(mut self, model: EnvRef) -> Self {
+        self.scenario.env = model;
         self
     }
 
@@ -607,29 +262,21 @@ impl ScenarioGrid {
         }
     }
 
-    /// Adds algorithms to the sweep ([`AlgorithmKind`] shim variants and
-    /// registry [`AlgorithmRef`]s mix freely).
-    pub fn algorithms<A: Into<AlgorithmRef>>(
-        mut self,
-        algorithms: impl IntoIterator<Item = A>,
-    ) -> Self {
-        self.algorithms
-            .extend(algorithms.into_iter().map(Into::into));
+    /// Adds algorithms to the sweep.
+    pub fn algorithms(mut self, algorithms: impl IntoIterator<Item = AlgorithmRef>) -> Self {
+        self.algorithms.extend(algorithms);
         self
     }
 
-    /// Adds topology families to the sweep ([`TopologyFamily`] shim
-    /// variants and registry [`TopoRef`]s mix freely).
-    pub fn topologies<T: Into<TopoRef>>(mut self, topologies: impl IntoIterator<Item = T>) -> Self {
-        self.topologies
-            .extend(topologies.into_iter().map(Into::into));
+    /// Adds topology families to the sweep.
+    pub fn topologies(mut self, topologies: impl IntoIterator<Item = TopoRef>) -> Self {
+        self.topologies.extend(topologies);
         self
     }
 
-    /// Adds environment models to the sweep ([`EnvModel`] shim variants
-    /// and registry [`EnvRef`]s mix freely).
-    pub fn envs<E: Into<EnvRef>>(mut self, envs: impl IntoIterator<Item = E>) -> Self {
-        self.envs.extend(envs.into_iter().map(Into::into));
+    /// Adds environment models to the sweep.
+    pub fn envs(mut self, envs: impl IntoIterator<Item = EnvRef>) -> Self {
+        self.envs.extend(envs);
         self
     }
 
@@ -711,6 +358,7 @@ impl ScenarioGrid {
 
 #[cfg(test)]
 mod tests {
+    use super::test_labels::{algorithm, env, topology};
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -719,7 +367,7 @@ mod tests {
     fn distribute_trials_is_exact() {
         let mut scenarios: Vec<Scenario> = (0..6)
             .map(|i| {
-                Scenario::builder(AlgorithmKind::Minimum)
+                Scenario::builder(algorithm("minimum"))
                     .agents(4 + 2 * i)
                     .build()
             })
@@ -750,23 +398,16 @@ mod tests {
     #[test]
     fn topology_families_have_right_size() {
         let mut rng = StdRng::seed_from_u64(1);
-        for family in [
-            TopologyFamily::Ring,
-            TopologyFamily::Line,
-            TopologyFamily::Grid,
-            TopologyFamily::Complete,
-            TopologyFamily::Star,
-            TopologyFamily::Random { p: 0.4 },
-        ] {
-            let topo = family.build(12, &mut rng);
-            assert_eq!(topo.agent_count(), 12, "{}", family.label());
-            assert!(topo.is_connected(), "{}", family.label());
+        for label in ["ring", "line", "grid", "complete", "star", "random(p=0.4)"] {
+            let topo = topology(label).build(12, &mut rng);
+            assert_eq!(topo.agent_count(), 12, "{label}");
+            assert!(topo.is_connected(), "{label}");
         }
     }
 
     #[test]
     fn random_topology_is_seed_deterministic() {
-        let family = TopologyFamily::Random { p: 0.3 };
+        let family = topology("random(p=0.3)");
         let a = family.build(10, &mut StdRng::seed_from_u64(9));
         let b = family.build(10, &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
@@ -774,16 +415,13 @@ mod tests {
 
     #[test]
     fn scenario_names_are_stable_keys() {
-        let s = Scenario::builder(AlgorithmKind::Minimum)
-            .topology(TopologyFamily::Ring)
-            .env(EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 0.9,
-            })
+        let s = Scenario::builder(algorithm("minimum"))
+            .topology(topology("ring"))
+            .env(env("churn(e=0.5,a=0.9)"))
             .agents(8)
             .build();
         assert_eq!(s.name(), "minimum/ring/churn(e=0.5,a=0.9)/n=8/sync");
-        let a = Scenario::builder(AlgorithmKind::Minimum)
+        let a = Scenario::builder(algorithm("minimum"))
             .mode(ExecutionMode::asynchronous())
             .build();
         assert!(a.name().ends_with("/async"));
@@ -791,84 +429,59 @@ mod tests {
 
     #[test]
     fn registry_refs_build_scenarios_like_shim_variants() {
-        // Registry-resolved dimensions produce the same cells as the
-        // closed-enum shims — the shim contract.
-        let env = crate::EnvRegistry::builtin()
-            .resolve("churn(e=0.5,a=0.9)")
-            .unwrap();
-        let topo = crate::TopologyRegistry::builtin().resolve("ring").unwrap();
-        let via_registry = Scenario::builder(AlgorithmKind::Minimum)
-            .topology(topo)
-            .env(env)
+        // The builder's default dimensions are factory values built
+        // directly; the registry labels must name the same cells.
+        assert_eq!(topology("ring"), TopoRef::new(RingTopology));
+        assert_eq!(env("static"), EnvRef::new(StaticEnvFactory));
+        let via_registry = Scenario::builder(algorithm("minimum"))
+            .topology(topology("ring"))
+            .env(env("static"))
             .agents(8)
             .build();
-        let via_shim = Scenario::builder(AlgorithmKind::Minimum)
-            .topology(TopologyFamily::Ring)
-            .env(EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 0.9,
-            })
+        let via_factory = Scenario::builder(algorithm("minimum"))
+            .topology(TopoRef::new(RingTopology))
+            .env(EnvRef::new(StaticEnvFactory))
             .agents(8)
             .build();
-        assert_eq!(via_registry.name(), via_shim.name());
-        assert_eq!(via_registry.fragmenting(), via_shim.fragmenting());
+        assert_eq!(via_registry.name(), via_factory.name());
+        assert_eq!(via_registry.fragmenting(), via_factory.fragmenting());
     }
 
     #[test]
     fn can_fragment_is_parameter_aware() {
-        assert!(!EnvModel::Static.can_fragment());
-        // Dynamic in name only: every edge and agent up every round.
-        assert!(!EnvModel::RandomChurn {
-            p_edge: 1.0,
-            p_agent: 1.0
+        for (label, fragments) in [
+            ("static", false),
+            // Dynamic in name only: every edge and agent up every round.
+            ("churn(e=1,a=1)", false),
+            ("churn(e=0.5,a=1)", true),
+            ("markov(up=0.5,down=0)", false),
+            ("partition(b=1,t=4)", false),
+            ("crash(c=0,r=1)", false),
+            ("adversary(s=0)", true),
+            ("churn+crash(e=1,c=0,r=1)", false),
+            ("churn+crash(e=1,c=0.1,r=1)", true),
+        ] {
+            assert_eq!(env(label).can_fragment(), fragments, "{label}");
         }
-        .can_fragment());
-        assert!(EnvModel::RandomChurn {
-            p_edge: 0.5,
-            p_agent: 1.0
-        }
-        .can_fragment());
-        assert!(!EnvModel::MarkovLink {
-            p_up: 0.5,
-            p_down: 0.0
-        }
-        .can_fragment());
-        assert!(!EnvModel::PeriodicPartition {
-            blocks: 1,
-            period: 4
-        }
-        .can_fragment());
-        assert!(!EnvModel::CrashRestart {
-            p_crash: 0.0,
-            p_restart: 1.0
-        }
-        .can_fragment());
-        assert!(EnvModel::Adversarial { silence: 0 }.can_fragment());
     }
 
     #[test]
     fn fragmenting_tracks_env_and_mode() {
-        let sync_static = Scenario::builder(AlgorithmKind::Minimum).build();
+        let sync_static = Scenario::builder(algorithm("minimum")).build();
         assert!(!sync_static.fragmenting());
-        let async_static = Scenario::builder(AlgorithmKind::Minimum)
+        let async_static = Scenario::builder(algorithm("minimum"))
             .mode(ExecutionMode::asynchronous())
             .build();
         assert!(async_static.fragmenting());
-        let sync_churn = Scenario::builder(AlgorithmKind::Minimum)
-            .env(EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 0.9,
-            })
+        let sync_churn = Scenario::builder(algorithm("minimum"))
+            .env(env("churn(e=0.5,a=0.9)"))
             .build();
         assert!(sync_churn.fragmenting());
         // Two agents can never take a proper-subgroup step: singleton
         // groups idle and a pair step is the whole system.
-        let two_async = Scenario::builder(AlgorithmKind::Minimum)
+        let two_async = Scenario::builder(algorithm("minimum"))
             .mode(ExecutionMode::asynchronous())
-            .env(EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 0.9,
-            })
+            .env(env("churn(e=0.5,a=0.9)"))
             .agents(2)
             .build();
         assert!(!two_async.fragmenting());
@@ -876,21 +489,23 @@ mod tests {
 
     #[test]
     fn registry_labels_build_scenarios_like_shim_variants() {
-        let registry = crate::Registry::builtin();
-        let via_label = Scenario::builder(registry.resolve("minimum").unwrap()).build();
-        let via_shim = Scenario::builder(AlgorithmKind::Minimum).build();
-        assert_eq!(via_label.name(), via_shim.name());
-        // Baselines are ordinary grid citizens now.
-        let snapshot = Scenario::builder(registry.resolve("snapshot").unwrap()).build();
+        // Every algorithm label names a cell under the builder defaults.
+        for label in crate::Registry::builtin_ref().labels() {
+            let scenario = Scenario::builder(algorithm(&label)).build();
+            assert_eq!(scenario.algorithm.label(), label);
+            assert!(scenario.name().ends_with("/static/n=16/sync"), "{label}");
+        }
+        // Baselines are ordinary grid citizens.
+        let snapshot = Scenario::builder(algorithm("snapshot")).build();
         assert_eq!(snapshot.name(), "snapshot/ring/static/n=16/sync");
     }
 
     #[test]
     fn grid_mode_dimension_multiplies_cells_and_defaults_to_sync() {
         let base = ScenarioGrid::new()
-            .algorithms([AlgorithmKind::Minimum])
-            .topologies([TopologyFamily::Ring])
-            .envs([EnvModel::Static])
+            .algorithms([algorithm("minimum")])
+            .topologies([topology("ring")])
+            .envs([env("static")])
             .sizes([8]);
         let sync_only = base.clone().expand();
         assert_eq!(sync_only.len(), 1);
@@ -903,8 +518,8 @@ mod tests {
 
     #[test]
     fn sorting_topology_is_forced_to_line() {
-        let s = Scenario::builder(AlgorithmKind::Sorting)
-            .topology(TopologyFamily::Complete)
+        let s = Scenario::builder(algorithm("sorting"))
+            .topology(topology("complete"))
             .build();
         assert_eq!(s.topology.label(), "line");
     }
@@ -912,9 +527,9 @@ mod tests {
     #[test]
     fn grid_expansion_covers_product_and_dedups_sorting() {
         let scenarios = ScenarioGrid::new()
-            .algorithms([AlgorithmKind::Minimum, AlgorithmKind::Sorting])
-            .topologies([TopologyFamily::Ring, TopologyFamily::Complete])
-            .envs([EnvModel::Static, EnvModel::Adversarial { silence: 1 }])
+            .algorithms([algorithm("minimum"), algorithm("sorting")])
+            .topologies([topology("ring"), topology("complete")])
+            .envs([env("static"), env("adversary(s=1)")])
             .sizes([8, 12])
             .expand();
         // minimum: 2 topologies × 2 envs × 2 sizes = 8; sorting: line only
@@ -928,19 +543,9 @@ mod tests {
     #[test]
     fn grid_mixes_shim_variants_and_registry_refs() {
         let scenarios = ScenarioGrid::new()
-            .algorithms([AlgorithmKind::Minimum])
-            .topologies([
-                TopologyFamily::Ring.into(),
-                crate::TopologyRegistry::builtin()
-                    .resolve("random(p=0.15)")
-                    .unwrap(),
-            ])
-            .envs([
-                EnvModel::Static.into(),
-                crate::EnvRegistry::builtin()
-                    .resolve("churn(e=0.3,a=0.8)")
-                    .unwrap(),
-            ])
+            .algorithms([algorithm("minimum")])
+            .topologies([TopoRef::new(RingTopology), topology("random(p=0.15)")])
+            .envs([EnvRef::new(StaticEnvFactory), env("churn(e=0.3,a=0.8)")])
             .sizes([8])
             .expand();
         assert_eq!(scenarios.len(), 4);
@@ -953,71 +558,86 @@ mod tests {
     #[should_panic(expected = "at least two agents")]
     fn grid_expansion_rejects_degenerate_sizes() {
         let _ = ScenarioGrid::new()
-            .algorithms([AlgorithmKind::Minimum])
-            .topologies([TopologyFamily::Ring])
-            .envs([EnvModel::Static])
+            .algorithms([algorithm("minimum")])
+            .topologies([topology("ring")])
+            .envs([env("static")])
             .sizes([8, 1])
             .expand();
     }
 
     #[test]
     fn labels_parse_back() {
-        for kind in AlgorithmKind::all() {
-            assert_eq!(AlgorithmKind::parse(kind.label()), Some(*kind));
+        let algorithms = crate::Registry::builtin_ref();
+        for label in algorithms.labels() {
+            let resolved = algorithms.resolve(&label).expect("builtin label");
+            assert_eq!(resolved.label(), label);
         }
-        assert_eq!(TopologyFamily::parse("grid"), Some(TopologyFamily::Grid));
-        assert!(EnvModel::parse("churn").is_some());
-        assert!(EnvModel::parse("nonsense").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "p_edge must be a probability")]
-    fn shim_resolve_rejects_out_of_range_probabilities_at_construction() {
-        // Fail at scenario construction with the field named, not
-        // mid-campaign on a worker thread.
-        let _ = EnvModel::RandomChurn {
-            p_edge: 1.7,
-            p_agent: 0.5,
-        }
-        .resolve();
-    }
-
-    #[test]
-    #[should_panic(expected = "blocks must be at least 1")]
-    fn shim_resolve_rejects_zero_partition_blocks() {
-        let _ = EnvModel::PeriodicPartition {
-            blocks: 0,
-            period: 8,
-        }
-        .resolve();
-    }
-
-    #[test]
-    #[should_panic(expected = "p must be a probability")]
-    fn shim_resolve_rejects_out_of_range_random_topology() {
-        let _ = TopologyFamily::Random { p: -0.5 }.resolve();
+        assert_eq!(topology("grid").label(), "grid");
+        assert_eq!(env("churn").label(), "churn(e=0.5,a=0.9)");
+        assert!(crate::EnvRegistry::builtin_ref()
+            .resolve("nonsense")
+            .is_err());
     }
 
     #[test]
     fn shim_parse_defaults_match_registry_defaults() {
-        // The shim parsers hardcode each family's default parameters and
-        // the factory `Default` impls hardcode them again; this pins the
-        // two together so a bumped default cannot silently make
-        // `EnvModel::parse("churn")` and `EnvRegistry::resolve("churn")`
-        // name different cells.
-        for family in crate::EnvRegistry::builtin().families() {
-            let shim = EnvModel::parse(&family)
-                .expect("every builtin environment family has a shim variant")
-                .resolve();
-            let registry = crate::EnvRegistry::builtin().resolve(&family).unwrap();
-            assert_eq!(shim, registry, "{family}");
+        // A bare family label takes the factory's default parameters; the
+        // label it reports spells those defaults out and must name the
+        // same cell.
+        let envs = crate::EnvRegistry::builtin_ref();
+        for family in envs.families() {
+            let bare = env(&family);
+            assert_eq!(env(&bare.label()), bare, "{family}");
         }
-        for family in crate::TopologyRegistry::builtin().families() {
-            let shim = TopologyFamily::parse(&family)
-                .expect("every builtin topology family has a shim variant")
-                .resolve();
-            let registry = crate::TopologyRegistry::builtin().resolve(&family).unwrap();
-            assert_eq!(shim, registry, "{family}");
+        let topologies = crate::TopologyRegistry::builtin_ref();
+        for family in topologies.families() {
+            let bare = topology(&family);
+            assert_eq!(topology(&bare.label()), bare, "{family}");
         }
+    }
+
+    // Out-of-range parameters fail at label resolution with the parameter
+    // named, not mid-campaign on a worker thread.
+
+    #[test]
+    #[should_panic(expected = "parameter `e` must be a probability")]
+    fn shim_resolve_rejects_out_of_range_probabilities_at_construction() {
+        let _ = env("churn(e=1.7,a=0.5)");
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter `b` must be at least 1")]
+    fn shim_resolve_rejects_zero_partition_blocks() {
+        let _ = env("partition(b=0,t=8)");
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter `p` must be a probability")]
+    fn shim_resolve_rejects_out_of_range_random_topology() {
+        let _ = topology("random(p=-0.5)");
+    }
+}
+
+/// Builtin labels resolved for unit tests across the crate.
+#[cfg(test)]
+pub(crate) mod test_labels {
+    use crate::{AlgorithmRef, EnvRef, EnvRegistry, Registry, TopoRef, TopologyRegistry};
+
+    pub(crate) fn algorithm(label: &str) -> AlgorithmRef {
+        Registry::builtin_ref()
+            .resolve(label)
+            .expect("builtin label")
+    }
+
+    pub(crate) fn topology(label: &str) -> TopoRef {
+        TopologyRegistry::builtin_ref()
+            .resolve(label)
+            .expect("builtin label")
+    }
+
+    pub(crate) fn env(label: &str) -> EnvRef {
+        EnvRegistry::builtin_ref()
+            .resolve(label)
+            .expect("builtin label")
     }
 }

@@ -316,13 +316,14 @@ fn run_trial_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{AlgorithmKind, EnvModel, Scenario, TopologyFamily};
+    use crate::scenario::test_labels::{algorithm, env, topology};
+    use crate::scenario::Scenario;
     use crate::{ExecutionMode, Registry};
 
-    fn tiny(algorithm: AlgorithmKind, env: EnvModel) -> Scenario {
-        Scenario::builder(algorithm)
-            .topology(TopologyFamily::Ring)
-            .env(env)
+    fn tiny(algorithm_label: &str, env_label: &str) -> Scenario {
+        Scenario::builder(algorithm(algorithm_label))
+            .topology(topology("ring"))
+            .env(env(env_label))
             .agents(6)
             .max_rounds(50_000)
             .build()
@@ -332,7 +333,7 @@ mod tests {
     fn every_registered_algorithm_meets_its_expectation_under_static_env() {
         for algorithm in Registry::builtin().iter() {
             let scenario = Scenario::builder(algorithm.clone())
-                .topology(TopologyFamily::Ring)
+                .topology(topology("ring"))
                 .agents(6)
                 .max_rounds(50_000)
                 .build();
@@ -346,8 +347,15 @@ mod tests {
 
     #[test]
     fn shim_variants_still_converge_and_descend() {
-        for &algorithm in AlgorithmKind::all() {
-            let scenario = tiny(algorithm, EnvModel::Static);
+        for label in [
+            "minimum",
+            "maximum",
+            "sum",
+            "sorting",
+            "second-smallest",
+            "convex-hull",
+        ] {
+            let scenario = tiny(label, "static");
             let record = run_trial(&scenario, 0, 42);
             assert!(record.converged, "{} did not converge", scenario.name());
             assert!(record.objective_monotone, "{}", scenario.name());
@@ -356,13 +364,7 @@ mod tests {
 
     #[test]
     fn trials_are_seed_deterministic() {
-        let scenario = tiny(
-            AlgorithmKind::Minimum,
-            EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 0.9,
-            },
-        );
+        let scenario = tiny("minimum", "churn(e=0.5,a=0.9)");
         let a = run_trial(&scenario, 3, 777);
         let b = run_trial(&scenario, 3, 777);
         assert_eq!(a, b);
@@ -372,12 +374,9 @@ mod tests {
 
     #[test]
     fn async_trials_are_seed_deterministic() {
-        let scenario = Scenario::builder(AlgorithmKind::Minimum)
-            .topology(TopologyFamily::Ring)
-            .env(EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 0.9,
-            })
+        let scenario = Scenario::builder(algorithm("minimum"))
+            .topology(topology("ring"))
+            .env(env("churn(e=0.5,a=0.9)"))
             .mode(ExecutionMode::asynchronous())
             .agents(6)
             .max_rounds(100_000)
@@ -395,12 +394,9 @@ mod tests {
     fn delivery_rule_is_a_scenario_dimension() {
         use selfsim_runtime::DeliveryRule;
         let scenario = |rule| {
-            Scenario::builder(AlgorithmKind::Minimum)
-                .topology(TopologyFamily::Complete)
-                .env(EnvModel::PeriodicPartition {
-                    blocks: 2,
-                    period: 8,
-                })
+            Scenario::builder(algorithm("minimum"))
+                .topology(topology("complete"))
+                .env(env("partition(b=2,t=8)"))
                 .mode(ExecutionMode::asynchronous_with(rule))
                 .agents(8)
                 .max_rounds(3_000)
@@ -424,12 +420,9 @@ mod tests {
 
     #[test]
     fn random_topology_trials_converge() {
-        let scenario = Scenario::builder(AlgorithmKind::Minimum)
-            .topology(TopologyFamily::Random { p: 0.3 })
-            .env(EnvModel::MarkovLink {
-                p_up: 0.4,
-                p_down: 0.4,
-            })
+        let scenario = Scenario::builder(algorithm("minimum"))
+            .topology(topology("random(p=0.3)"))
+            .env(env("markov(up=0.4,down=0.4)"))
             .agents(10)
             .max_rounds(100_000)
             .build();
@@ -441,19 +434,12 @@ mod tests {
 
     #[test]
     fn counterexample_diverges_under_partition_and_meets_expectation() {
-        let scenario = Scenario::builder(
-            Registry::builtin()
-                .resolve("circumscribing-circle")
-                .expect("builtin registry label"),
-        )
-        .topology(TopologyFamily::Ring)
-        .env(EnvModel::PeriodicPartition {
-            blocks: 2,
-            period: 8,
-        })
-        .agents(8)
-        .max_rounds(2_000)
-        .build();
+        let scenario = Scenario::builder(algorithm("circumscribing-circle"))
+            .topology(topology("ring"))
+            .env(env("partition(b=2,t=8)"))
+            .agents(8)
+            .max_rounds(2_000)
+            .build();
         let record = run_trial(&scenario, 0, 5);
         assert!(!record.converged, "fragmented naive circle must overshoot");
         assert!(record.meets_expectation);
@@ -462,16 +448,12 @@ mod tests {
 
     #[test]
     fn baseline_record_reports_snapshot_stall_under_adversary() {
-        let scenario = Scenario::builder(
-            Registry::builtin()
-                .resolve("snapshot")
-                .expect("builtin registry label"),
-        )
-        .topology(TopologyFamily::Complete)
-        .env(EnvModel::Adversarial { silence: 0 })
-        .agents(6)
-        .max_rounds(3_000)
-        .build();
+        let scenario = Scenario::builder(algorithm("snapshot"))
+            .topology(topology("complete"))
+            .env(env("adversary(s=0)"))
+            .agents(6)
+            .max_rounds(3_000)
+            .build();
         let record = run_trial(&scenario, 0, 9);
         assert!(!record.converged, "one edge at a time: no global snapshot");
         assert!(!record.meets_expectation, "baseline expected to converge");
@@ -479,7 +461,7 @@ mod tests {
 
     #[test]
     fn jsonl_line_round_trips() {
-        let scenario = tiny(AlgorithmKind::Minimum, EnvModel::Static);
+        let scenario = tiny("minimum", "static");
         let record = run_trial(&scenario, 2, 77);
         let line = record.to_jsonl_line().expect("record serializes");
         assert_eq!(line.last(), Some(&b'\n'));
@@ -500,7 +482,7 @@ mod tests {
 
     #[test]
     fn record_carries_scenario_coordinates() {
-        let scenario = tiny(AlgorithmKind::Sum, EnvModel::Static);
+        let scenario = tiny("sum", "static");
         let record = run_trial(&scenario, 5, 99);
         assert_eq!(record.agents, 6);
         assert_eq!(record.trial, 5);

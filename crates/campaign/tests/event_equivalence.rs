@@ -6,9 +6,21 @@
 //! JSONL bytes the same way).
 
 use selfsim_campaign::{
-    merge_shards, Campaign, EnvModel, ExecutionMode, Registry, ScenarioGrid, ShardSpec,
-    TopologyFamily, TrialRecord,
+    merge_shards, Campaign, EnvRef, EnvRegistry, ExecutionMode, Registry, ScenarioGrid, ShardSpec,
+    TopoRef, TopologyRegistry, TrialRecord,
 };
+
+fn topology(label: &str) -> TopoRef {
+    TopologyRegistry::builtin_ref()
+        .resolve(label)
+        .expect("builtin label")
+}
+
+fn static_env() -> EnvRef {
+    EnvRegistry::builtin_ref()
+        .resolve("static")
+        .expect("builtin label")
+}
 
 /// A grid over the cells the equivalence claim covers: both agreeing
 /// algorithm shapes (value-adopting and position-permuting), two topology
@@ -21,8 +33,8 @@ fn grid(mode: ExecutionMode) -> Campaign {
         .collect::<Vec<_>>();
     let scenarios = ScenarioGrid::new()
         .algorithms(algorithms)
-        .topologies([TopologyFamily::Ring, TopologyFamily::Complete])
-        .envs([EnvModel::Static])
+        .topologies([topology("ring"), topology("complete")])
+        .envs([static_env()])
         .modes([mode])
         .sizes([8])
         .trials(3)
@@ -105,8 +117,8 @@ fn a_hundred_thousand_agent_complete_cell_is_sweepable() {
     let registry = Registry::builtin();
     let scenarios = ScenarioGrid::new()
         .algorithms([registry.get("minimum").expect("builtin algorithm")])
-        .topologies([TopologyFamily::Complete])
-        .envs([EnvModel::Static])
+        .topologies([topology("complete")])
+        .envs([static_env()])
         .modes([ExecutionMode::event()])
         .sizes([100_000])
         .trials(1)

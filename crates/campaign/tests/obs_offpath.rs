@@ -11,8 +11,8 @@
 use std::path::PathBuf;
 
 use selfsim_campaign::{
-    AlgorithmRef, Campaign, DeliveryRule, EnvModel, ExecutionMode, Registry, ScenarioGrid,
-    TopologyFamily,
+    AlgorithmRef, Campaign, DeliveryRule, EnvRegistry, ExecutionMode, Registry, ScenarioGrid,
+    TopologyRegistry,
 };
 
 fn fixture_path() -> PathBuf {
@@ -34,14 +34,14 @@ fn guard_campaign() -> Campaign {
         .collect();
     let scenarios = ScenarioGrid::new()
         .algorithms(algorithms)
-        .topologies([TopologyFamily::Ring])
-        .envs([
-            EnvModel::Static,
-            EnvModel::PeriodicPartition {
-                blocks: 2,
-                period: 8,
-            },
-        ])
+        .topologies([TopologyRegistry::builtin_ref()
+            .resolve("ring")
+            .expect("builtin label")])
+        .envs(["static", "partition(b=2,t=8)"].map(|label| {
+            EnvRegistry::builtin_ref()
+                .resolve(label)
+                .expect("builtin label")
+        }))
         .modes([
             ExecutionMode::sync(),
             ExecutionMode::asynchronous(),

@@ -13,8 +13,8 @@
 use std::io::BufReader;
 
 use selfsim_campaign::{
-    merge_shards, merge_trace_shards, AlgorithmRef, Campaign, DeliveryRule, EnvModel,
-    ExecutionMode, Registry, ScenarioGrid, ShardSpec, TopologyFamily,
+    merge_shards, merge_trace_shards, AlgorithmRef, Campaign, DeliveryRule, EnvRef, EnvRegistry,
+    ExecutionMode, Registry, ScenarioGrid, ShardSpec, TopoRef, TopologyRegistry,
 };
 use selfsim_trace::TraceEvent;
 use serde::Deserialize;
@@ -22,6 +22,18 @@ use serde::Deserialize;
 /// A grid crossing the sync simulator, the async simulator (all three
 /// delivery rules) and both baselines over a fragmenting environment —
 /// every event-emitting code path.
+fn ring() -> TopoRef {
+    TopologyRegistry::builtin_ref()
+        .resolve("ring")
+        .expect("builtin label")
+}
+
+fn partition() -> EnvRef {
+    EnvRegistry::builtin_ref()
+        .resolve("partition(b=2,t=8)")
+        .expect("builtin label")
+}
+
 fn traced_campaign() -> Campaign {
     let registry = Registry::builtin();
     let algorithms: Vec<AlgorithmRef> = ["minimum", "snapshot", "flooding"]
@@ -30,13 +42,12 @@ fn traced_campaign() -> Campaign {
         .collect();
     let scenarios = ScenarioGrid::new()
         .algorithms(algorithms)
-        .topologies([TopologyFamily::Ring])
+        .topologies([ring()])
         .envs([
-            EnvModel::Static,
-            EnvModel::PeriodicPartition {
-                blocks: 2,
-                period: 8,
-            },
+            EnvRegistry::builtin_ref()
+                .resolve("static")
+                .expect("builtin label"),
+            partition(),
         ])
         .modes([
             ExecutionMode::sync(),
@@ -144,11 +155,8 @@ fn requeues_are_counted_under_any_overlap_and_zero_otherwise() {
     let registry = Registry::builtin();
     let scenarios = ScenarioGrid::new()
         .algorithms([registry.get("minimum").expect("builtin")])
-        .topologies([TopologyFamily::Ring])
-        .envs([EnvModel::PeriodicPartition {
-            blocks: 2,
-            period: 8,
-        }])
+        .topologies([ring()])
+        .envs([partition()])
         .modes([
             ExecutionMode::asynchronous(),
             ExecutionMode::asynchronous_with(DeliveryRule::ValidAtSend),

@@ -175,8 +175,8 @@ impl GroupIndex {
 
     /// Full-rescan fallback: adopts `state`'s enabled sets wholesale.
     ///
-    /// Edges outside the topology are ignored — the [`Environment`]
-    /// (crate::Environment) contract says they never occur.
+    /// Edges outside the topology are ignored — the
+    /// [`Environment`](crate::Environment) contract says they never occur.
     pub fn reset_from_state(&mut self, state: &EnvState) {
         self.edge_enabled.fill(false);
         self.agent_enabled.fill(false);

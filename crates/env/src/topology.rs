@@ -211,7 +211,7 @@ impl Eq for EdgeSet {}
 /// [`EnvState`](crate::EnvState)).  The fairness sets `Q_E` of the paper's
 /// examples are defined over topology edges.
 ///
-/// Complete graphs are held symbolically (see [`EdgeSet`]), so
+/// Complete graphs are held symbolically (see `EdgeSet`), so
 /// [`Topology::complete`] is O(1) and clique queries never expand the edge
 /// set; only [`Topology::edges`] does, lazily.
 ///

@@ -15,8 +15,8 @@ use std::fmt;
 /// A reusable signed counter over values of type `T`.
 ///
 /// Conceptually a map `T → isize` that tracks how many entries are currently
-/// non-zero.  The entries `Vec` keeps its capacity across [`clear`]
-/// (`SignedCounts::clear`), so a long-running simulation performs no
+/// non-zero.  The entries `Vec` keeps its capacity across
+/// [`clear`](SignedCounts::clear), so a long-running simulation performs no
 /// per-step allocation once the buffer has grown to the largest group seen.
 #[derive(Clone, Default)]
 pub struct SignedCounts<T: Ord> {

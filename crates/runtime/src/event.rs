@@ -21,8 +21,10 @@ pub type EventConfig = SyncConfig;
 
 /// The event-driven realisation of the paper's transition system.
 ///
-/// See the [module documentation](self) for what distinguishes its records
-/// from the round-based simulator's.
+/// It runs the [`SyncSimulator`](crate::SyncSimulator) round loop and
+/// differs only in its records: the environment name carries an `event/`
+/// prefix, and the event columns count one environment event, one event
+/// per stepped group and one round-boundary event per round.
 pub struct EventSimulator {
     config: EventConfig,
 }

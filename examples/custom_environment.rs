@@ -20,7 +20,7 @@
 use rand::RngCore;
 use self_similar::env::{EnvState, Environment, Params, Topology};
 use selfsim_campaign::{
-    emit, AlgorithmKind, Campaign, EnvFactory, EnvRef, EnvRegistry, ScenarioGrid, TopoRef,
+    emit, Campaign, EnvFactory, EnvRef, EnvRegistry, Registry, ScenarioGrid, TopoRef,
     TopologyFactory, TopologyRegistry,
 };
 
@@ -159,7 +159,11 @@ fn main() {
     );
 
     let scenarios = ScenarioGrid::new()
-        .algorithms([AlgorithmKind::Minimum, AlgorithmKind::SecondSmallest])
+        .algorithms(["minimum", "second-smallest"].map(|label| {
+            Registry::builtin_ref()
+                .resolve(label)
+                .expect("builtin label")
+        }))
         .topologies([double_ring])
         .envs([envs.resolve("daynight").expect("defaults"), night_heavy])
         .sizes([8, 16])

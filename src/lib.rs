@@ -8,7 +8,7 @@
 //! * [`core`] — the methodology: distributed functions, super-idempotence,
 //!   variant functions, the relation `D`, proof obligations;
 //! * [`algorithms`] — the paper's worked examples (§4) and extensions;
-//! * [`env`] — environments: topologies, churn, partitions, fairness `Q`;
+//! * [`env`](mod@env) — environments: topologies, churn, partitions, fairness `Q`;
 //! * [`runtime`] — synchronous and asynchronous simulators;
 //! * [`baselines`] — snapshot and flooding baselines (§5 comparison);
 //! * [`multiset`], [`geometry`], [`temporal`], [`trace`] — substrates.

@@ -6,31 +6,40 @@
 //! the opt-in collected mode must produce the same bytes.
 
 use selfsim_campaign::{
-    emit, merge_shards, AlgorithmKind, Campaign, CollectedResult, DeliveryRule, EnvFactory,
-    EnvModel, EnvRef, EnvRegistry, ExecutionMode, Params, Registry, ScenarioGrid, ShardSpec,
-    TopologyFamily,
+    emit, merge_shards, AlgorithmRef, Campaign, CollectedResult, DeliveryRule, EnvFactory, EnvRef,
+    EnvRegistry, ExecutionMode, Params, Registry, ScenarioGrid, ShardSpec, TopoRef,
+    TopologyRegistry,
 };
+
+fn algorithm(label: &str) -> AlgorithmRef {
+    Registry::builtin_ref()
+        .resolve(label)
+        .expect("builtin label")
+}
+
+fn topology(label: &str) -> TopoRef {
+    TopologyRegistry::builtin_ref()
+        .resolve(label)
+        .expect("builtin label")
+}
+
+fn env(label: &str) -> EnvRef {
+    EnvRegistry::builtin_ref()
+        .resolve(label)
+        .expect("builtin label")
+}
 
 const TRIALS: u64 = 5;
 
 fn sweep() -> Vec<selfsim_campaign::Scenario> {
     ScenarioGrid::new()
-        .algorithms([AlgorithmKind::Minimum, AlgorithmKind::Sorting])
-        .topologies([TopologyFamily::Ring])
+        .algorithms([algorithm("minimum"), algorithm("sorting")])
+        .topologies([topology("ring")])
         .envs([
-            EnvModel::Static,
-            EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 0.9,
-            },
-            EnvModel::MarkovLink {
-                p_up: 0.3,
-                p_down: 0.3,
-            },
-            EnvModel::PeriodicPartition {
-                blocks: 3,
-                period: 8,
-            },
+            env("static"),
+            env("churn(e=0.5,a=0.9)"),
+            env("markov(up=0.3,down=0.3)"),
+            env("partition(b=3,t=8)"),
         ])
         .sizes([8])
         .trials(TRIALS)
@@ -273,10 +282,8 @@ fn user_registered_environment_participates_in_expectation_checking() {
     let env = registry.resolve("half-split").expect("registered by label");
 
     let scenarios = ScenarioGrid::new()
-        .algorithms([Registry::builtin()
-            .resolve("circumscribing-circle")
-            .unwrap()])
-        .topologies([TopologyFamily::Complete])
+        .algorithms([algorithm("circumscribing-circle")])
+        .topologies([topology("complete")])
         .envs([env])
         .sizes([8])
         .trials(3)
@@ -304,15 +311,9 @@ fn user_registered_environment_participates_in_expectation_checking() {
 
 fn async_sweep() -> Vec<selfsim_campaign::Scenario> {
     ScenarioGrid::new()
-        .algorithms([AlgorithmKind::Minimum, AlgorithmKind::SecondSmallest])
-        .topologies([TopologyFamily::Ring])
-        .envs([
-            EnvModel::Static,
-            EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 0.9,
-            },
-        ])
+        .algorithms([algorithm("minimum"), algorithm("second-smallest")])
+        .topologies([topology("ring")])
+        .envs([env("static"), env("churn(e=0.5,a=0.9)")])
         .modes([ExecutionMode::asynchronous()])
         .sizes([8])
         .trials(TRIALS)
@@ -349,15 +350,9 @@ fn async_campaign_is_byte_identical_across_thread_counts() {
 #[test]
 fn sync_and_async_cells_compare_cell_by_cell() {
     let scenarios = ScenarioGrid::new()
-        .algorithms([AlgorithmKind::Minimum])
-        .topologies([TopologyFamily::Ring])
-        .envs([
-            EnvModel::Static,
-            EnvModel::RandomChurn {
-                p_edge: 0.5,
-                p_agent: 0.9,
-            },
-        ])
+        .algorithms([algorithm("minimum")])
+        .topologies([topology("ring")])
+        .envs([env("static"), env("churn(e=0.5,a=0.9)")])
         .modes(ExecutionMode::both())
         .sizes([8])
         .trials(TRIALS)
@@ -410,15 +405,9 @@ fn sync_and_async_cells_compare_cell_by_cell() {
 #[test]
 fn delivery_rules_sweep_as_grid_cells_and_fix_the_partition_stall() {
     let scenarios = ScenarioGrid::new()
-        .algorithms([
-            Registry::builtin().resolve("minimum").unwrap(),
-            Registry::builtin().resolve("flooding").unwrap(),
-        ])
-        .topologies([TopologyFamily::Complete])
-        .envs([EnvModel::PeriodicPartition {
-            blocks: 2,
-            period: 8,
-        }])
+        .algorithms([algorithm("minimum"), algorithm("flooding")])
+        .topologies([topology("complete")])
+        .envs([env("partition(b=2,t=8)")])
         .modes(DeliveryRule::all().map(ExecutionMode::asynchronous_with))
         .sizes([8])
         .trials(3)
@@ -467,14 +456,10 @@ fn delivery_rules_sweep_as_grid_cells_and_fix_the_partition_stall() {
 /// campaign, per-cell summaries with an execution-mode column.
 #[test]
 fn self_similar_and_baselines_sweep_both_runtimes_in_one_grid() {
-    let registry = Registry::builtin();
     let scenarios = ScenarioGrid::new()
-        .algorithms(["minimum", "snapshot", "flooding"].map(|l| registry.resolve(l).unwrap()))
-        .topologies([TopologyFamily::Complete])
-        .envs([EnvModel::RandomChurn {
-            p_edge: 0.5,
-            p_agent: 0.9,
-        }])
+        .algorithms(["minimum", "snapshot", "flooding"].map(algorithm))
+        .topologies([topology("complete")])
+        .envs([env("churn(e=0.5,a=0.9)")])
         .modes(ExecutionMode::both())
         .sizes([8])
         .trials(TRIALS)

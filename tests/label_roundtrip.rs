@@ -3,55 +3,97 @@
 //! drawn parameters*, not just the defaults — `parse(label(x)) == x`.
 //!
 //! This is the contract that makes emitted output re-runnable: the
-//! `environment`, `topology`, `mode` and `delivery` columns of any JSONL
-//! record or markdown row feed back into `--envs`/`--topologies`/
-//! `--modes`/`--delivery` (or the registries' `resolve`) and reconstruct
-//! the *identical* grid cell.  Rust's shortest-round-trip float formatting
-//! is what makes this hold for probability parameters.
+//! `environment`, `topology` and `mode` columns of any JSONL record or
+//! markdown row feed back into `--envs`/`--topologies`/`--modes` (or the
+//! registries' `resolve`) and reconstruct the *identical* grid cell; the
+//! `delivery` column is the `dv` field of the async mode label.  Rust's
+//! shortest-round-trip float formatting is what makes this hold for
+//! probability parameters.
 
 use proptest::prelude::*;
-use selfsim_campaign::{
-    DeliveryRule, EnvModel, EnvRegistry, ExecutionMode, TopologyFamily, TopologyRegistry,
-};
+use proptest::TestCaseError;
+use selfsim_campaign::{parse_label, DeliveryRule, EnvRegistry, ExecutionMode, TopologyRegistry};
 
-/// Resolves the cell an [`EnvModel`] stands for, feeds its label back
-/// through the registry, and checks the reconstruction is identical in
-/// label *and* behaviourally relevant metadata.
-fn assert_env_round_trips(model: EnvModel) -> Result<(), proptest::TestCaseError> {
-    let cell = model.resolve();
-    let reparsed = EnvRegistry::builtin()
-        .resolve(&cell.label())
-        .map_err(proptest::TestCaseError::fail)?;
+/// `family(k=v,…)` over the drawn probabilities, then the drawn counts.
+fn format_label(family: &str, probabilities: &[(&str, f64)], counts: &[(&str, usize)]) -> String {
+    let params: Vec<String> = probabilities
+        .iter()
+        .map(|(key, value)| format!("{key}={value}"))
+        .chain(counts.iter().map(|(key, value)| format!("{key}={value}")))
+        .collect();
+    format!("{family}({})", params.join(","))
+}
+
+/// Checks that `label` names `family` and carries exactly the drawn
+/// parameter values — the typed-field guarantee, read back from text.
+fn assert_params_read_back(
+    label: &str,
+    family: &str,
+    probabilities: &[(&str, f64)],
+    counts: &[(&str, usize)],
+) -> Result<(), TestCaseError> {
+    let (name, mut params) = parse_label(label).map_err(TestCaseError::fail)?;
+    prop_assert_eq!(name, family);
+    for &(key, drawn) in probabilities {
+        prop_assert_eq!(
+            params.take_probability(key).map_err(TestCaseError::fail)?,
+            Some(drawn)
+        );
+    }
+    for &(key, drawn) in counts {
+        prop_assert_eq!(
+            params.take::<usize>(key).map_err(TestCaseError::fail)?,
+            Some(drawn)
+        );
+    }
+    params.finish(&[]).map_err(TestCaseError::fail)?;
+    Ok(())
+}
+
+/// Resolves the environment cell named by the drawn parameters, feeds its
+/// label back through the registry, and checks the reconstruction is
+/// identical in label *and* behaviourally relevant metadata, with every
+/// drawn value readable from the label.
+fn assert_env_round_trips(
+    family: &str,
+    probabilities: &[(&str, f64)],
+    counts: &[(&str, usize)],
+) -> Result<(), TestCaseError> {
+    let envs = EnvRegistry::builtin_ref();
+    let cell = envs
+        .resolve(&format_label(family, probabilities, counts))
+        .map_err(TestCaseError::fail)?;
+    let reparsed = envs.resolve(&cell.label()).map_err(TestCaseError::fail)?;
     prop_assert_eq!(reparsed.label(), cell.label());
     prop_assert_eq!(reparsed.can_fragment(), cell.can_fragment());
     prop_assert_eq!(&reparsed, &cell);
-    Ok(())
+    assert_params_read_back(&cell.label(), family, probabilities, counts)
 }
 
 proptest! {
     #[test]
     fn churn_labels_round_trip(e in 0.0..=1.0f64, a in 0.0..=1.0f64) {
-        assert_env_round_trips(EnvModel::RandomChurn { p_edge: e, p_agent: a })?;
+        assert_env_round_trips("churn", &[("e", e), ("a", a)], &[])?;
     }
 
     #[test]
     fn markov_labels_round_trip(up in 0.0..=1.0f64, down in 0.0..=1.0f64) {
-        assert_env_round_trips(EnvModel::MarkovLink { p_up: up, p_down: down })?;
+        assert_env_round_trips("markov", &[("up", up), ("down", down)], &[])?;
     }
 
     #[test]
     fn partition_labels_round_trip(blocks in 1usize..=8, period in 1usize..=64) {
-        assert_env_round_trips(EnvModel::PeriodicPartition { blocks, period })?;
+        assert_env_round_trips("partition", &[], &[("b", blocks), ("t", period)])?;
     }
 
     #[test]
     fn crash_labels_round_trip(c in 0.0..=1.0f64, r in 0.0..=1.0f64) {
-        assert_env_round_trips(EnvModel::CrashRestart { p_crash: c, p_restart: r })?;
+        assert_env_round_trips("crash", &[("c", c), ("r", r)], &[])?;
     }
 
     #[test]
     fn adversary_labels_round_trip(silence in 0usize..=32) {
-        assert_env_round_trips(EnvModel::Adversarial { silence })?;
+        assert_env_round_trips("adversary", &[], &[("s", silence)])?;
     }
 
     #[test]
@@ -60,21 +102,19 @@ proptest! {
         c in 0.0..=1.0f64,
         r in 0.0..=1.0f64,
     ) {
-        assert_env_round_trips(EnvModel::ChurnPlusCrash {
-            p_edge: e,
-            p_crash: c,
-            p_restart: r,
-        })?;
+        assert_env_round_trips("churn+crash", &[("e", e), ("c", c), ("r", r)], &[])?;
     }
 
     #[test]
     fn random_topology_labels_round_trip(p in 0.0..=1.0f64) {
-        let cell = TopologyFamily::Random { p }.resolve();
-        let reparsed = TopologyRegistry::builtin()
-            .resolve(&cell.label())
-            .map_err(proptest::TestCaseError::fail)?;
+        let topos = TopologyRegistry::builtin_ref();
+        let cell = topos
+            .resolve(&format_label("random", &[("p", p)], &[]))
+            .map_err(TestCaseError::fail)?;
+        let reparsed = topos.resolve(&cell.label()).map_err(TestCaseError::fail)?;
         prop_assert_eq!(reparsed.label(), cell.label());
         prop_assert_eq!(&reparsed, &cell);
+        assert_params_read_back(&cell.label(), "random", &[("p", p)], &[])?;
     }
 
     #[test]
@@ -118,8 +158,7 @@ proptest! {
     }
 }
 
-/// Every *default* builtin instance round-trips too (the bare-label path),
-/// and its label re-resolves through the shim parsers where those exist.
+/// Every *default* builtin instance round-trips too (the bare-label path).
 #[test]
 fn builtin_defaults_round_trip() {
     let envs = EnvRegistry::builtin();
