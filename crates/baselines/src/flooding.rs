@@ -2,14 +2,13 @@
 
 use std::collections::BTreeSet;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use selfsim_env::Environment;
-use selfsim_runtime::{validate_async_knobs, DeliveryDecision, DeliveryRule};
+use selfsim_env::{AgentId, Environment};
+use selfsim_runtime::{DeliveryDecision, ExecutionMode};
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::usable_edge_count;
+use crate::{aggregate, drive, validate, Tick};
 
 /// A flooding aggregator: every agent keeps the set of `(agent, value)`
 /// pairs it has heard of (initially just its own) and, every round,
@@ -32,135 +31,32 @@ impl FloodingAggregator {
         FloodingAggregator { values, max_rounds }
     }
 
-    /// Runs the baseline under `environment`, aggregating with `fold`.
-    /// Returns the metrics and the aggregate (if every agent heard from
-    /// everyone within the budget).
+    /// Runs the baseline under `environment` in `mode`, aggregating with
+    /// `fold` and emitting trace events into `events` (a disabled log costs
+    /// one branch per would-be event).  Returns the metrics and the
+    /// aggregate (if every agent heard from everyone within the budget).
+    ///
+    /// `Sync` and `Event` run rounds: every round, both endpoints of each
+    /// usable edge send each other their whole knowledge set.  `Async` runs
+    /// the message-passing model: every tick, each usable edge gossips
+    /// with probability `interaction_rate` — both endpoints send a snapshot
+    /// of their whole knowledge set, which is lost with probability
+    /// `drop_rate` or arrives after a uniform `1..=max_latency` latency;
+    /// the [`DeliveryRule`](selfsim_runtime::DeliveryRule) decides what
+    /// happens when the pair can no longer communicate at the due tick
+    /// (the same rule the self-similar async runtime applies, so
+    /// cross-runtime comparisons stay apples-to-apples).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, when an `Async` mode carries an invalid
+    /// knob.
     pub fn run<E: Environment + ?Sized>(
         &self,
         environment: &mut E,
         seed: u64,
+        mode: ExecutionMode,
         fold: impl FnMut(i64, i64) -> i64,
-    ) -> (RunMetrics, Option<i64>) {
-        self.run_observed(environment, seed, fold, &mut EventLog::disabled())
-    }
-
-    /// Like [`FloodingAggregator::run`], emitting trace events into
-    /// `events` (a disabled log costs one branch per would-be event).
-    pub fn run_observed<E: Environment + ?Sized>(
-        &self,
-        environment: &mut E,
-        seed: u64,
-        mut fold: impl FnMut(i64, i64) -> i64,
-        events: &mut EventLog,
-    ) -> (RunMetrics, Option<i64>) {
-        let n = self.values.len();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut metrics = RunMetrics::new("flooding-baseline", environment.name(), n);
-        // knowledge[a] = set of agent indices whose value agent a knows.
-        let mut knowledge: Vec<BTreeSet<usize>> = (0..n).map(|i| BTreeSet::from([i])).collect();
-        let mut result = None;
-
-        for round in 0..self.max_rounds {
-            let env_state = environment.step(&mut rng);
-            metrics.rounds_executed = round + 1;
-            events.emit(|| TraceEvent::EnvTransition {
-                tick: (round + 1) as u64,
-                edges: usable_edge_count(&env_state),
-            });
-            let before = knowledge.clone();
-            for edge in env_state.enabled_edges() {
-                let (a, b) = (edge.lo().index(), edge.hi().index());
-                if !env_state.can_communicate(edge.lo(), edge.hi()) {
-                    continue;
-                }
-                // Each endpoint sends its whole knowledge set to the other;
-                // message cost is proportional to the entries sent.
-                metrics.messages += before[a].len() + before[b].len();
-                metrics.group_steps += 1;
-                let merged: BTreeSet<usize> = before[a].union(&before[b]).copied().collect();
-                let changed = merged != knowledge[a] || merged != knowledge[b];
-                if changed {
-                    metrics.effective_group_steps += 1;
-                }
-                events.emit(|| TraceEvent::GroupStep {
-                    tick: (round + 1) as u64,
-                    size: 2,
-                    changed,
-                });
-                knowledge[a].extend(merged.iter().copied());
-                knowledge[b].extend(merged.iter().copied());
-            }
-            if knowledge.iter().all(|k| k.len() == n) {
-                let aggregate = self
-                    .values
-                    .iter()
-                    .copied()
-                    .reduce(&mut fold)
-                    .expect("at least one agent");
-                result = Some(aggregate);
-                metrics.rounds_to_convergence = Some(round + 1);
-                events.emit(|| TraceEvent::ConvergenceEntered {
-                    tick: (round + 1) as u64,
-                });
-                break;
-            }
-        }
-        (metrics, result)
-    }
-
-    /// Runs the baseline on the asynchronous message-passing model: every
-    /// tick, each currently-usable edge gossips with probability
-    /// `interaction_rate` — both endpoints send a snapshot of their whole
-    /// knowledge set, which is lost with probability `drop_rate` or arrives
-    /// after a uniform `1..=max_latency` latency; the [`DeliveryRule`]
-    /// decides what happens when the pair can no longer communicate at the
-    /// due tick (the same rule the self-similar async runtime applies, so
-    /// cross-runtime comparisons stay apples-to-apples).  The run converges
-    /// when every agent has heard from every other agent.
-    ///
-    /// (The parameter list deliberately mirrors `AsyncConfig`'s knobs so
-    /// the campaign dispatch stays a positional passthrough.)
-    // the knob list deliberately mirrors `AsyncConfig` so campaign dispatch
-    // stays a positional passthrough; a config struct here would just move
-    // the arity one call deeper
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_async<E: Environment + ?Sized>(
-        &self,
-        environment: &mut E,
-        seed: u64,
-        interaction_rate: f64,
-        max_latency: usize,
-        drop_rate: f64,
-        delivery: DeliveryRule,
-        fold: impl FnMut(i64, i64) -> i64,
-    ) -> (RunMetrics, Option<i64>) {
-        self.run_async_observed(
-            environment,
-            seed,
-            interaction_rate,
-            max_latency,
-            drop_rate,
-            delivery,
-            fold,
-            &mut EventLog::disabled(),
-        )
-    }
-
-    /// Like [`FloodingAggregator::run_async`], emitting trace events into
-    /// `events` (a disabled log costs one branch per would-be event).
-    // the knob list deliberately mirrors `AsyncConfig` so campaign dispatch
-    // stays a positional passthrough; a config struct here would just move
-    // the arity one call deeper
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_async_observed<E: Environment + ?Sized>(
-        &self,
-        environment: &mut E,
-        seed: u64,
-        interaction_rate: f64,
-        max_latency: usize,
-        drop_rate: f64,
-        delivery: DeliveryRule,
-        mut fold: impl FnMut(i64, i64) -> i64,
         events: &mut EventLog,
     ) -> (RunMetrics, Option<i64>) {
         struct Gossip {
@@ -170,133 +66,159 @@ impl FloodingAggregator {
             to: usize,
             payload: BTreeSet<usize>,
         }
-        if let Err(message) = validate_async_knobs(interaction_rate, max_latency, drop_rate) {
-            panic!("invalid async parameters: {message}");
-        }
+        validate(mode);
         let n = self.values.len();
-        let mut rng = StdRng::seed_from_u64(seed);
         let mut metrics = RunMetrics::new("flooding-baseline", environment.name(), n);
+        // knowledge[a] = set of agent indices whose value agent a knows.
         let mut knowledge: Vec<BTreeSet<usize>> = (0..n).map(|i| BTreeSet::from([i])).collect();
         let mut pending: Vec<Gossip> = Vec::new();
-        let mut result = None;
 
-        for tick in 0..self.max_rounds {
-            let env_state = environment.step(&mut rng);
-            metrics.rounds_executed = tick + 1;
-            events.emit(|| TraceEvent::EnvTransition {
-                tick: (tick + 1) as u64,
-                edges: usable_edge_count(&env_state),
-            });
-
-            for edge in env_state.enabled_edges() {
-                if !env_state.can_communicate(edge.lo(), edge.hi()) {
-                    continue;
-                }
-                if !rng.gen_bool(interaction_rate) {
-                    continue;
-                }
-                for (from, to) in [
-                    (edge.lo().index(), edge.hi().index()),
-                    (edge.hi().index(), edge.lo().index()),
-                ] {
-                    // Message cost is in knowledge entries sent; drops are
-                    // tracked in the same unit so the two stay comparable.
-                    metrics.messages += knowledge[from].len();
-                    if rng.gen_bool(drop_rate) {
-                        metrics.messages_dropped += knowledge[from].len();
-                        events.emit(|| TraceEvent::MessageDropped {
-                            tick: tick as u64,
-                            from,
-                            to,
+        let body = |Tick {
+                        tick,
+                        rng,
+                        connectivity,
+                        topology,
+                        metrics,
+                        events,
+                    }: Tick<'_>| {
+            match mode {
+                ExecutionMode::Sync { .. } | ExecutionMode::Event { .. } => {
+                    let before = knowledge.clone();
+                    for edge in connectivity.usable_edges(topology) {
+                        let (a, b) = (edge.lo().index(), edge.hi().index());
+                        // Each endpoint sends its whole knowledge set to the
+                        // other; message cost is proportional to the entries
+                        // sent.
+                        metrics.messages += before[a].len() + before[b].len();
+                        metrics.group_steps += 1;
+                        let merged: BTreeSet<usize> =
+                            before[a].union(&before[b]).copied().collect();
+                        let changed = merged != knowledge[a] || merged != knowledge[b];
+                        if changed {
+                            metrics.effective_group_steps += 1;
+                        }
+                        events.emit(|| TraceEvent::GroupStep {
+                            tick: (tick + 1) as u64,
+                            size: 2,
+                            changed,
                         });
-                        continue; // lost in flight
+                        knowledge[a].extend(merged.iter().copied());
+                        knowledge[b].extend(merged.iter().copied());
                     }
-                    let latency = rng.gen_range(1..=max_latency);
-                    let deliver_at = tick + latency;
-                    events.emit(|| TraceEvent::MessageSent {
-                        tick: tick as u64,
-                        from,
-                        to,
-                        deliver_at: deliver_at as u64,
-                    });
-                    pending.push(Gossip {
-                        deliver_at,
-                        expires_at: delivery.expiry(deliver_at),
-                        from,
-                        to,
-                        payload: knowledge[from].clone(),
-                    });
                 }
-            }
+                ExecutionMode::Async {
+                    interaction_rate,
+                    max_latency,
+                    drop_rate,
+                    delivery,
+                } => {
+                    for edge in connectivity.usable_edges(topology) {
+                        if !rng.gen_bool(interaction_rate) {
+                            continue;
+                        }
+                        for (from, to) in [
+                            (edge.lo().index(), edge.hi().index()),
+                            (edge.hi().index(), edge.lo().index()),
+                        ] {
+                            // Message cost is in knowledge entries sent;
+                            // drops are tracked in the same unit so the two
+                            // stay comparable.
+                            metrics.messages += knowledge[from].len();
+                            if rng.gen_bool(drop_rate) {
+                                metrics.messages_dropped += knowledge[from].len();
+                                events.emit(|| TraceEvent::MessageDropped {
+                                    tick: tick as u64,
+                                    from,
+                                    to,
+                                });
+                                continue; // lost in flight
+                            }
+                            let latency = rng.gen_range(1..=max_latency);
+                            let deliver_at = tick + latency;
+                            events.emit(|| TraceEvent::MessageSent {
+                                tick: tick as u64,
+                                from,
+                                to,
+                                deliver_at: deliver_at as u64,
+                            });
+                            pending.push(Gossip {
+                                deliver_at,
+                                expires_at: delivery.expiry(deliver_at),
+                                from,
+                                to,
+                                payload: knowledge[from].clone(),
+                            });
+                        }
+                    }
 
-            // In-place drain (order-preserving): no per-tick reallocation
-            // of the undelivered queue.  Re-queued gossip moves to the back
-            // of the queue, which is still seed-deterministic.
-            let due: Vec<Gossip> = pending.extract_if(.., |g| g.deliver_at <= tick).collect();
-            for gossip in due {
-                use selfsim_env::AgentId;
-                let usable_now =
-                    env_state.can_communicate(AgentId(gossip.from), AgentId(gossip.to));
-                // The edge was usable at send time by construction.
-                match delivery.decide(usable_now, true, tick, gossip.expires_at) {
-                    DeliveryDecision::Discard => {
-                        events.emit(|| TraceEvent::MessageDiscarded {
+                    // In-place drain (order-preserving): no per-tick
+                    // reallocation of the undelivered queue.  Re-queued
+                    // gossip moves to the back of the queue, which is still
+                    // seed-deterministic.
+                    let due: Vec<Gossip> =
+                        pending.extract_if(.., |g| g.deliver_at <= tick).collect();
+                    for gossip in due {
+                        let usable_now = connectivity.can_communicate(
+                            AgentId(gossip.from),
+                            AgentId(gossip.to),
+                            topology,
+                        );
+                        // The edge was usable at send time by construction.
+                        match delivery.decide(usable_now, true, tick, gossip.expires_at) {
+                            DeliveryDecision::Discard => {
+                                events.emit(|| TraceEvent::MessageDiscarded {
+                                    tick: tick as u64,
+                                    from: gossip.from,
+                                    to: gossip.to,
+                                });
+                                continue;
+                            }
+                            DeliveryDecision::Requeue => {
+                                metrics.messages_requeued += 1;
+                                events.emit(|| TraceEvent::MessageRequeued {
+                                    tick: tick as u64,
+                                    from: gossip.from,
+                                    to: gossip.to,
+                                });
+                                pending.push(Gossip {
+                                    deliver_at: tick + 1,
+                                    ..gossip
+                                });
+                                continue;
+                            }
+                            DeliveryDecision::Deliver => {}
+                        }
+                        metrics.group_steps += 1;
+                        events.emit(|| TraceEvent::MessageDelivered {
                             tick: tick as u64,
                             from: gossip.from,
                             to: gossip.to,
                         });
-                        continue;
-                    }
-                    DeliveryDecision::Requeue => {
-                        metrics.messages_requeued += 1;
-                        events.emit(|| TraceEvent::MessageRequeued {
-                            tick: tick as u64,
-                            from: gossip.from,
-                            to: gossip.to,
+                        let before = knowledge[gossip.to].len();
+                        knowledge[gossip.to].extend(gossip.payload.iter().copied());
+                        let changed = knowledge[gossip.to].len() > before;
+                        if changed {
+                            metrics.effective_group_steps += 1;
+                        }
+                        events.emit(|| TraceEvent::GroupStep {
+                            tick: (tick + 1) as u64,
+                            size: 2,
+                            changed,
                         });
-                        pending.push(Gossip {
-                            deliver_at: tick + 1,
-                            ..gossip
-                        });
-                        continue;
                     }
-                    DeliveryDecision::Deliver => {}
                 }
-                metrics.group_steps += 1;
-                events.emit(|| TraceEvent::MessageDelivered {
-                    tick: tick as u64,
-                    from: gossip.from,
-                    to: gossip.to,
-                });
-                let before = knowledge[gossip.to].len();
-                knowledge[gossip.to].extend(gossip.payload.iter().copied());
-                let changed = knowledge[gossip.to].len() > before;
-                if changed {
-                    metrics.effective_group_steps += 1;
-                }
-                events.emit(|| TraceEvent::GroupStep {
-                    tick: (tick + 1) as u64,
-                    size: 2,
-                    changed,
-                });
             }
-
-            if knowledge.iter().all(|k| k.len() == n) {
-                let aggregate = self
-                    .values
-                    .iter()
-                    .copied()
-                    .reduce(&mut fold)
-                    .expect("at least one agent");
-                result = Some(aggregate);
-                metrics.rounds_to_convergence = Some(tick + 1);
-                events.emit(|| TraceEvent::ConvergenceEntered {
-                    tick: (tick + 1) as u64,
-                });
-                break;
-            }
-        }
-        (metrics, result)
+            knowledge.iter().all(|k| k.len() == n)
+        };
+        let converged = drive(
+            environment,
+            seed,
+            self.max_rounds,
+            &mut metrics,
+            events,
+            body,
+        );
+        (metrics, converged.then(|| aggregate(&self.values, fold)))
     }
 }
 
@@ -304,13 +226,39 @@ impl FloodingAggregator {
 mod tests {
     use super::*;
     use selfsim_env::{AdversarialEnv, PeriodicPartitionEnv, RandomChurnEnv, StaticEnv, Topology};
+    use selfsim_runtime::DeliveryRule;
+
+    fn asynchronous(
+        interaction_rate: f64,
+        max_latency: usize,
+        drop_rate: f64,
+        delivery: DeliveryRule,
+    ) -> ExecutionMode {
+        ExecutionMode::Async {
+            interaction_rate,
+            max_latency,
+            drop_rate,
+            delivery,
+        }
+    }
+
+    /// Runs `baseline` in `mode`, aggregating with `min`, without an event
+    /// log.
+    fn run_min(
+        baseline: &FloodingAggregator,
+        env: &mut dyn Environment,
+        seed: u64,
+        mode: ExecutionMode,
+    ) -> (RunMetrics, Option<i64>) {
+        baseline.run(env, seed, mode, i64::min, &mut EventLog::disabled())
+    }
 
     #[test]
     fn flooding_converges_in_diameter_rounds_on_a_static_line() {
         let topo = Topology::line(5);
         let mut env = StaticEnv::new(topo);
         let baseline = FloodingAggregator::new(vec![9, 4, 7, 1, 5], 100);
-        let (metrics, result) = baseline.run(&mut env, 1, i64::min);
+        let (metrics, result) = run_min(&baseline, &mut env, 1, ExecutionMode::sync());
         assert_eq!(result, Some(1));
         // Knowledge spreads one hop per round: the line of 5 has diameter 4.
         assert_eq!(metrics.rounds_to_convergence, Some(4));
@@ -321,7 +269,7 @@ mod tests {
         let topo = Topology::ring(6);
         let mut env = RandomChurnEnv::new(topo, 0.4, 1.0);
         let baseline = FloodingAggregator::new(vec![6, 5, 4, 3, 2, 1], 2_000);
-        let (metrics, result) = baseline.run(&mut env, 7, i64::min);
+        let (metrics, result) = run_min(&baseline, &mut env, 7, ExecutionMode::sync());
         assert_eq!(result, Some(1));
         assert!(metrics.converged());
     }
@@ -331,7 +279,7 @@ mod tests {
         let topo = Topology::complete(4);
         let mut env = AdversarialEnv::new(topo, 0);
         let baseline = FloodingAggregator::new(vec![4, 3, 2, 1], 500);
-        let (metrics, result) = baseline.run(&mut env, 3, i64::min);
+        let (metrics, result) = run_min(&baseline, &mut env, 3, ExecutionMode::sync());
         assert_eq!(result, Some(1));
         assert!(metrics.converged());
     }
@@ -341,7 +289,7 @@ mod tests {
         let topo = Topology::complete(6);
         let mut env = StaticEnv::new(topo.clone());
         let flooding = FloodingAggregator::new(vec![1, 2, 3, 4, 5, 6], 100);
-        let (metrics, _) = flooding.run(&mut env, 5, i64::min);
+        let (metrics, _) = run_min(&flooding, &mut env, 5, ExecutionMode::sync());
         // Full flooding on a complete graph: at least one entry per edge per
         // round, typically far more.
         assert!(metrics.messages > topo.edge_count());
@@ -352,8 +300,12 @@ mod tests {
         let topo = Topology::line(5);
         let mut env = StaticEnv::new(topo);
         let baseline = FloodingAggregator::new(vec![9, 4, 7, 1, 5], 2_000);
-        let (metrics, result) =
-            baseline.run_async(&mut env, 1, 1.0, 1, 0.0, DeliveryRule::default(), i64::min);
+        let (metrics, result) = run_min(
+            &baseline,
+            &mut env,
+            1,
+            asynchronous(1.0, 1, 0.0, DeliveryRule::default()),
+        );
         assert_eq!(result, Some(1));
         assert!(metrics.converged());
         assert_eq!(metrics.messages_dropped, 0, "drop_rate 0 drops nothing");
@@ -364,8 +316,12 @@ mod tests {
         let topo = Topology::ring(6);
         let mut env = RandomChurnEnv::new(topo, 0.5, 1.0);
         let baseline = FloodingAggregator::new(vec![6, 5, 4, 3, 2, 1], 20_000);
-        let (metrics, result) =
-            baseline.run_async(&mut env, 7, 0.5, 3, 0.3, DeliveryRule::default(), i64::min);
+        let (metrics, result) = run_min(
+            &baseline,
+            &mut env,
+            7,
+            asynchronous(0.5, 3, 0.3, DeliveryRule::default()),
+        );
         assert_eq!(result, Some(1));
         assert!(metrics.converged());
         assert!(metrics.messages_dropped > 0);
@@ -377,14 +333,11 @@ mod tests {
         for rule in DeliveryRule::all() {
             let run = || {
                 let mut env = RandomChurnEnv::new(Topology::ring(5), 0.6, 1.0);
-                FloodingAggregator::new(vec![5, 4, 3, 2, 1], 10_000).run_async(
+                run_min(
+                    &FloodingAggregator::new(vec![5, 4, 3, 2, 1], 10_000),
                     &mut env,
                     13,
-                    0.5,
-                    2,
-                    0.2,
-                    rule,
-                    i64::min,
+                    asynchronous(0.5, 2, 0.2, rule),
                 )
             };
             let (a_metrics, a_result) = run();
@@ -402,14 +355,11 @@ mod tests {
         // window-aware grace both restore convergence from the same seed.
         let run = |rule: DeliveryRule| {
             let mut env = PeriodicPartitionEnv::new(Topology::complete(6), 2, 8);
-            FloodingAggregator::new(vec![6, 5, 4, 3, 2, 1], 2_000).run_async(
+            run_min(
+                &FloodingAggregator::new(vec![6, 5, 4, 3, 2, 1], 2_000),
                 &mut env,
                 3,
-                0.5,
-                3,
-                0.0,
-                rule,
-                i64::min,
+                asynchronous(0.5, 3, 0.0, rule),
             )
         };
         let (stalled, no_result) = run(DeliveryRule::ValidAtDelivery);
@@ -427,7 +377,7 @@ mod tests {
         let topo = Topology::line(3);
         let mut env = RandomChurnEnv::new(topo, 0.0, 0.0);
         let baseline = FloodingAggregator::new(vec![3, 2, 1], 50);
-        let (metrics, result) = baseline.run(&mut env, 9, i64::min);
+        let (metrics, result) = run_min(&baseline, &mut env, 9, ExecutionMode::sync());
         assert_eq!(result, None);
         assert!(!metrics.converged());
         assert_eq!(metrics.rounds_executed, 50);

@@ -17,7 +17,13 @@
 //!   heard from everyone.
 //!
 //! Both compute the same aggregate (parameterised by a fold function) so the
-//! results can be cross-checked against the self-similar systems.
+//! results can be cross-checked against the self-similar systems.  Each has
+//! one entry point, `run`, that takes an [`ExecutionMode`]: `Sync` and
+//! `Event` run the round-based protocol, `Async` its message-passing
+//! variant.  Every tick of either advances the environment by one
+//! [`Environment::step_delta`] and folds it into a [`Connectivity`] — the
+//! same fold the self-similar runtimes use — from which the baselines read
+//! groups, usable edges and pairwise reachability.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,12 +34,89 @@ mod snapshot;
 pub use flooding::FloodingAggregator;
 pub use snapshot::SnapshotAggregator;
 
-/// Edges of `state` whose endpoints can actually communicate right now —
-/// the connectivity digest recorded by `env-transition` trace events.
-pub(crate) fn usable_edge_count(state: &selfsim_env::EnvState) -> usize {
-    state
-        .enabled_edges()
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use selfsim_env::{Connectivity, Environment, Topology};
+use selfsim_runtime::{validate_async_knobs, ExecutionMode};
+use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
+
+/// What one tick of a baseline loop sees.
+struct Tick<'a> {
+    /// Zero-based tick (round) number.
+    tick: usize,
+    rng: &'a mut StdRng,
+    connectivity: &'a Connectivity,
+    topology: &'a Topology,
+    metrics: &'a mut RunMetrics,
+    events: &'a mut EventLog,
+}
+
+/// Panics, naming the field, when `mode` carries invalid async knobs —
+/// the check [`AsyncConfig::validate`](selfsim_runtime::AsyncConfig::validate)
+/// makes for the self-similar runtime.
+fn validate(mode: ExecutionMode) {
+    if let ExecutionMode::Async {
+        interaction_rate,
+        max_latency,
+        drop_rate,
+        ..
+    } = mode
+    {
+        if let Err(message) = validate_async_knobs(interaction_rate, max_latency, drop_rate) {
+            panic!("invalid async parameters: {message}");
+        }
+    }
+}
+
+/// The loop both baselines share: each of at most `max_rounds` ticks
+/// advances `environment` by one delta, folds it into one
+/// [`Connectivity`], emits the `env-transition` event and runs `body`.
+/// The first tick whose body returns `true` has learned the aggregate: the
+/// loop records convergence and stops, returning `true`.
+fn drive<E: Environment + ?Sized>(
+    environment: &mut E,
+    seed: u64,
+    max_rounds: usize,
+    metrics: &mut RunMetrics,
+    events: &mut EventLog,
+    mut body: impl FnMut(Tick<'_>) -> bool,
+) -> bool {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut connectivity = Connectivity::default();
+    for tick in 0..max_rounds {
+        let delta = environment.step_delta(&mut rng);
+        let topology = environment.topology();
+        connectivity.advance(delta, topology);
+        metrics.rounds_executed = tick + 1;
+        events.emit(|| TraceEvent::EnvTransition {
+            tick: (tick + 1) as u64,
+            edges: connectivity.usable_edge_count(topology),
+        });
+        let done = body(Tick {
+            tick,
+            rng: &mut rng,
+            connectivity: &connectivity,
+            topology,
+            metrics,
+            events,
+        });
+        if done {
+            metrics.rounds_to_convergence = Some(tick + 1);
+            events.emit(|| TraceEvent::ConvergenceEntered {
+                tick: (tick + 1) as u64,
+            });
+            return true;
+        }
+    }
+    false
+}
+
+/// The aggregate of a converged run.
+fn aggregate(values: &[i64], fold: impl FnMut(i64, i64) -> i64) -> i64 {
+    values
         .iter()
-        .filter(|edge| state.can_communicate(edge.lo(), edge.hi()))
-        .count()
+        .copied()
+        .reduce(fold)
+        .expect("at least one agent")
 }

@@ -1,13 +1,12 @@
 //! The repeated-global-snapshot baseline.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use selfsim_env::{AgentId, EnvState, Environment};
-use selfsim_runtime::{validate_async_knobs, DeliveryDecision, DeliveryRule};
+use selfsim_env::Environment;
+use selfsim_runtime::{DeliveryDecision, ExecutionMode};
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::usable_edge_count;
+use crate::{aggregate, drive, validate, Tick};
 
 /// A coordinator-based aggregator: agent 0 repeatedly attempts to take a
 /// global snapshot of all values.  A snapshot attempt in a given round
@@ -31,127 +30,37 @@ impl SnapshotAggregator {
         SnapshotAggregator { values, max_rounds }
     }
 
-    /// Runs the baseline under `environment`, aggregating with `fold`
-    /// (e.g. `min`, `+`).  Returns the metrics and the aggregate (if a
-    /// snapshot ever succeeded).
-    pub fn run<E: Environment + ?Sized>(
-        &self,
-        environment: &mut E,
-        seed: u64,
-        fold: impl FnMut(i64, i64) -> i64,
-    ) -> (RunMetrics, Option<i64>) {
-        self.run_observed(environment, seed, fold, &mut EventLog::disabled())
-    }
-
-    /// Like [`SnapshotAggregator::run`], emitting trace events into
-    /// `events` (a disabled log costs one branch per would-be event).
-    pub fn run_observed<E: Environment + ?Sized>(
-        &self,
-        environment: &mut E,
-        seed: u64,
-        mut fold: impl FnMut(i64, i64) -> i64,
-        events: &mut EventLog,
-    ) -> (RunMetrics, Option<i64>) {
-        let n = self.values.len();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut metrics = RunMetrics::new("snapshot-baseline", environment.name(), n);
-        let coordinator = AgentId(0);
-        let mut result = None;
-
-        for round in 0..self.max_rounds {
-            let env_state = environment.step(&mut rng);
-            metrics.rounds_executed = round + 1;
-            events.emit(|| TraceEvent::EnvTransition {
-                tick: (round + 1) as u64,
-                edges: usable_edge_count(&env_state),
-            });
-            // One request per agent per attempt, whether or not it succeeds —
-            // the coordinator cannot know in advance that the system is
-            // partitioned.
-            metrics.messages += n.saturating_sub(1);
-            let groups = env_state.groups();
-            let coordinator_group = groups.iter().find(|g| g.contains(&coordinator));
-            let all_reachable = coordinator_group.map(|g| g.len() == n).unwrap_or(false);
-            metrics.group_steps += 1;
-            events.emit(|| TraceEvent::GroupStep {
-                tick: (round + 1) as u64,
-                size: n,
-                changed: all_reachable,
-            });
-            if all_reachable {
-                metrics.effective_group_steps += 1;
-                let aggregate = self
-                    .values
-                    .iter()
-                    .copied()
-                    .reduce(&mut fold)
-                    .expect("at least one agent");
-                result = Some(aggregate);
-                metrics.rounds_to_convergence = Some(round + 1);
-                events.emit(|| TraceEvent::ConvergenceEntered {
-                    tick: (round + 1) as u64,
-                });
-                break;
-            }
-        }
-        (metrics, result)
-    }
-
-    /// Runs the baseline on the asynchronous message-passing model: every
-    /// tick the coordinator launches, with probability `interaction_rate`, a
+    /// Runs the baseline under `environment` in `mode`, aggregating with
+    /// `fold` (e.g. `min`, `+`) and emitting trace events into `events` (a
+    /// disabled log costs one branch per would-be event).  Returns the
+    /// metrics and the aggregate (if a snapshot ever succeeded).
+    ///
+    /// `Sync` and `Event` run rounds: every round the coordinator sends one
+    /// request per remote agent, and the round succeeds when it reaches
+    /// them all.  `Async` runs the message-passing model: every tick the
+    /// coordinator launches, with probability `interaction_rate`, a
     /// snapshot attempt of one probe per remote agent.  Each probe is lost
     /// with probability `drop_rate` or delivered after a uniform
     /// `1..=max_latency` latency.  The snapshot's connectivity condition is
     /// full (multi-hop) reachability of every agent from the coordinator;
-    /// the [`DeliveryRule`] decides *when* that condition must hold — at
-    /// the probe's delivery tick (the historical `ValidAtDelivery`), at its
-    /// send tick (`ValidAtSend`), or at any tick of the probe's grace
-    /// window (`AnyOverlap`, re-queueing blocked probes).  An attempt
-    /// succeeds when all of its probes succeed.
+    /// the [`DeliveryRule`](selfsim_runtime::DeliveryRule) decides *when*
+    /// that condition must hold — at the probe's delivery tick (the
+    /// historical `ValidAtDelivery`), at its send tick (`ValidAtSend`), or
+    /// at any tick of the probe's grace window (`AnyOverlap`, re-queueing
+    /// blocked probes).  An attempt succeeds when all of its probes
+    /// succeed; an attempt with no remote agent succeeds at its launch
+    /// tick.
     ///
-    /// (The parameter list deliberately mirrors `AsyncConfig`'s knobs so
-    /// the campaign dispatch stays a positional passthrough.)
-    // the knob list deliberately mirrors `AsyncConfig` so campaign dispatch
-    // stays a positional passthrough; a config struct here would just move
-    // the arity one call deeper
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_async<E: Environment + ?Sized>(
+    /// # Panics
+    ///
+    /// Panics, naming the field, when an `Async` mode carries an invalid
+    /// knob.
+    pub fn run<E: Environment + ?Sized>(
         &self,
         environment: &mut E,
         seed: u64,
-        interaction_rate: f64,
-        max_latency: usize,
-        drop_rate: f64,
-        delivery: DeliveryRule,
+        mode: ExecutionMode,
         fold: impl FnMut(i64, i64) -> i64,
-    ) -> (RunMetrics, Option<i64>) {
-        self.run_async_observed(
-            environment,
-            seed,
-            interaction_rate,
-            max_latency,
-            drop_rate,
-            delivery,
-            fold,
-            &mut EventLog::disabled(),
-        )
-    }
-
-    /// Like [`SnapshotAggregator::run_async`], emitting trace events into
-    /// `events` (a disabled log costs one branch per would-be event).
-    // the knob list deliberately mirrors `AsyncConfig` so campaign dispatch
-    // stays a positional passthrough; a config struct here would just move
-    // the arity one call deeper
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_async_observed<E: Environment + ?Sized>(
-        &self,
-        environment: &mut E,
-        seed: u64,
-        interaction_rate: f64,
-        max_latency: usize,
-        drop_rate: f64,
-        delivery: DeliveryRule,
-        mut fold: impl FnMut(i64, i64) -> i64,
         events: &mut EventLog,
     ) -> (RunMetrics, Option<i64>) {
         struct Probe {
@@ -161,44 +70,55 @@ impl SnapshotAggregator {
             attempt: usize,
             target: usize,
         }
-        if let Err(message) = validate_async_knobs(interaction_rate, max_latency, drop_rate) {
-            panic!("invalid async parameters: {message}");
-        }
+        validate(mode);
         let n = self.values.len();
-        let mut rng = StdRng::seed_from_u64(seed);
         let mut metrics = RunMetrics::new("snapshot-baseline", environment.name(), n);
-        let coordinator = AgentId(0);
-        let reachable = |env_state: &EnvState| {
-            env_state
-                .groups()
-                .iter()
-                .find(|g| g.contains(&coordinator))
-                .map(|g| g.len() == n)
-                .unwrap_or(false)
-        };
-        let mut result = None;
         // outstanding probes / already-failed flag, per launched attempt.
         let mut attempts: Vec<(usize, bool)> = Vec::new();
         let mut pending: Vec<Probe> = Vec::new();
 
-        'ticks: for tick in 0..self.max_rounds {
-            let env_state = environment.step(&mut rng);
-            metrics.rounds_executed = tick + 1;
-            events.emit(|| TraceEvent::EnvTransition {
-                tick: (tick + 1) as u64,
-                edges: usable_edge_count(&env_state),
-            });
+        let body = |Tick {
+                        tick,
+                        rng,
+                        connectivity,
+                        metrics,
+                        events,
+                        ..
+                    }: Tick<'_>| {
+            // The coordinator reaches every agent exactly when one group
+            // holds all `n` of them.
+            let reached = connectivity.group_count() == 1 && connectivity.group(0).len() == n;
+            let ExecutionMode::Async {
+                interaction_rate,
+                max_latency,
+                drop_rate,
+                delivery,
+            } = mode
+            else {
+                // A round: one request per agent per attempt, whether or
+                // not it succeeds — the coordinator cannot know in advance
+                // that the system is partitioned.
+                metrics.messages += n.saturating_sub(1);
+                metrics.group_steps += 1;
+                metrics.effective_group_steps += usize::from(reached);
+                events.emit(|| TraceEvent::GroupStep {
+                    tick: (tick + 1) as u64,
+                    size: n,
+                    changed: reached,
+                });
+                return reached;
+            };
 
-            if rng.gen_bool(interaction_rate) && n > 1 {
-                let attempt = attempts.len();
-                attempts.push((n - 1, false));
+            if rng.gen_bool(interaction_rate) && n > 0 {
                 metrics.group_steps += 1;
                 metrics.messages += n - 1;
-                // Only `ValidAtSend` judges probes by send-time
-                // reachability, so the component computation is skipped for
-                // the other rules.
-                let reachable_at_send =
-                    delivery == DeliveryRule::ValidAtSend && reachable(&env_state);
+                if n == 1 {
+                    // No remote agent to probe: the snapshot is complete.
+                    metrics.effective_group_steps += 1;
+                    return true;
+                }
+                let attempt = attempts.len();
+                attempts.push((n - 1, false));
                 // One probe per remote agent, each with its own latency; a
                 // single loss already kills the attempt, so the rest of a
                 // dead attempt's probes are counted but never tracked.
@@ -227,7 +147,7 @@ impl SnapshotAggregator {
                     pending.push(Probe {
                         deliver_at,
                         expires_at: delivery.expiry(deliver_at),
-                        reachable_at_send,
+                        reachable_at_send: reached,
                         attempt,
                         target,
                     });
@@ -237,23 +157,12 @@ impl SnapshotAggregator {
             // In-place drain (order-preserving): no per-tick reallocation
             // of the undelivered queue.
             let due: Vec<Probe> = pending.extract_if(.., |p| p.deliver_at <= tick).collect();
-            if due.iter().all(|p| attempts[p.attempt].1) {
-                continue; // nothing live due: skip the component computation
-            }
-            // `ValidAtSend` never reads delivery-time reachability, so it
-            // skips this component computation too.
-            let all_reachable = delivery != DeliveryRule::ValidAtSend && reachable(&env_state);
             for probe in due {
                 let (outstanding, failed) = &mut attempts[probe.attempt];
                 if *failed {
                     continue;
                 }
-                match delivery.decide(
-                    all_reachable,
-                    probe.reachable_at_send,
-                    tick,
-                    probe.expires_at,
-                ) {
+                match delivery.decide(reached, probe.reachable_at_send, tick, probe.expires_at) {
                     DeliveryDecision::Discard => {
                         *failed = true;
                         events.emit(|| TraceEvent::MessageDiscarded {
@@ -286,22 +195,20 @@ impl SnapshotAggregator {
                 });
                 if *outstanding == 0 && !*failed {
                     metrics.effective_group_steps += 1;
-                    let aggregate = self
-                        .values
-                        .iter()
-                        .copied()
-                        .reduce(&mut fold)
-                        .expect("at least one agent");
-                    result = Some(aggregate);
-                    metrics.rounds_to_convergence = Some(tick + 1);
-                    events.emit(|| TraceEvent::ConvergenceEntered {
-                        tick: (tick + 1) as u64,
-                    });
-                    break 'ticks;
+                    return true;
                 }
             }
-        }
-        (metrics, result)
+            false
+        };
+        let converged = drive(
+            environment,
+            seed,
+            self.max_rounds,
+            &mut metrics,
+            events,
+            body,
+        );
+        (metrics, converged.then(|| aggregate(&self.values, fold)))
     }
 }
 
@@ -309,13 +216,39 @@ impl SnapshotAggregator {
 mod tests {
     use super::*;
     use selfsim_env::{AdversarialEnv, PeriodicPartitionEnv, StaticEnv, Topology};
+    use selfsim_runtime::DeliveryRule;
+
+    fn asynchronous(
+        interaction_rate: f64,
+        max_latency: usize,
+        drop_rate: f64,
+        delivery: DeliveryRule,
+    ) -> ExecutionMode {
+        ExecutionMode::Async {
+            interaction_rate,
+            max_latency,
+            drop_rate,
+            delivery,
+        }
+    }
+
+    /// Runs `baseline` in `mode`, aggregating with `min`, without an event
+    /// log.
+    fn run_min(
+        baseline: &SnapshotAggregator,
+        env: &mut dyn Environment,
+        seed: u64,
+        mode: ExecutionMode,
+    ) -> (RunMetrics, Option<i64>) {
+        baseline.run(env, seed, mode, i64::min, &mut EventLog::disabled())
+    }
 
     #[test]
     fn snapshot_succeeds_immediately_on_a_static_network() {
         let topo = Topology::complete(5);
         let mut env = StaticEnv::new(topo);
         let baseline = SnapshotAggregator::new(vec![9, 4, 7, 1, 5], 100);
-        let (metrics, result) = baseline.run(&mut env, 1, i64::min);
+        let (metrics, result) = run_min(&baseline, &mut env, 1, ExecutionMode::sync());
         assert_eq!(result, Some(1));
         assert_eq!(metrics.rounds_to_convergence, Some(1));
         assert_eq!(metrics.messages, 4);
@@ -326,7 +259,7 @@ mod tests {
         let topo = Topology::complete(6);
         let mut env = PeriodicPartitionEnv::new(topo, 2, 5);
         let baseline = SnapshotAggregator::new(vec![6, 5, 4, 3, 2, 1], 100);
-        let (metrics, result) = baseline.run(&mut env, 2, i64::min);
+        let (metrics, result) = run_min(&baseline, &mut env, 2, ExecutionMode::sync());
         assert_eq!(result, Some(1));
         // The partition only merges every 5th round.
         assert_eq!(metrics.rounds_to_convergence, Some(5));
@@ -337,7 +270,7 @@ mod tests {
         let topo = Topology::complete(4);
         let mut env = AdversarialEnv::new(topo, 0);
         let baseline = SnapshotAggregator::new(vec![4, 3, 2, 1], 200);
-        let (metrics, result) = baseline.run(&mut env, 3, i64::min);
+        let (metrics, result) = run_min(&baseline, &mut env, 3, ExecutionMode::sync());
         // The adversary never enables more than one edge at a time, so a
         // global snapshot is impossible — yet the self-similar algorithm
         // converges under the same environment (see the runtime tests).
@@ -351,8 +284,12 @@ mod tests {
         let topo = Topology::complete(5);
         let mut env = StaticEnv::new(topo);
         let baseline = SnapshotAggregator::new(vec![9, 4, 7, 1, 5], 500);
-        let (metrics, result) =
-            baseline.run_async(&mut env, 1, 1.0, 2, 0.0, DeliveryRule::default(), i64::min);
+        let (metrics, result) = run_min(
+            &baseline,
+            &mut env,
+            1,
+            asynchronous(1.0, 2, 0.0, DeliveryRule::default()),
+        );
         assert_eq!(result, Some(1));
         assert!(metrics.converged());
         assert!(metrics.messages >= 4);
@@ -367,7 +304,8 @@ mod tests {
             let topo = Topology::complete(4);
             let mut env = AdversarialEnv::new(topo, 0);
             let baseline = SnapshotAggregator::new(vec![4, 3, 2, 1], 300);
-            let (metrics, result) = baseline.run_async(&mut env, 3, 1.0, 2, 0.0, rule, i64::min);
+            let (metrics, result) =
+                run_min(&baseline, &mut env, 3, asynchronous(1.0, 2, 0.0, rule));
             assert_eq!(result, None, "{}", rule.label());
             assert!(!metrics.converged(), "{}", rule.label());
             assert_eq!(metrics.rounds_executed, 300, "{}", rule.label());
@@ -379,14 +317,11 @@ mod tests {
         for rule in DeliveryRule::all() {
             let run = || {
                 let mut env = PeriodicPartitionEnv::new(Topology::complete(6), 2, 5);
-                SnapshotAggregator::new(vec![6, 5, 4, 3, 2, 1], 500).run_async(
+                run_min(
+                    &SnapshotAggregator::new(vec![6, 5, 4, 3, 2, 1], 500),
                     &mut env,
                     11,
-                    0.7,
-                    3,
-                    0.1,
-                    rule,
-                    i64::min,
+                    asynchronous(0.7, 3, 0.1, rule),
                 )
             };
             let (a_metrics, a_result) = run();
@@ -405,14 +340,11 @@ mod tests {
         // restores the snapshot.
         let run = |rule: DeliveryRule| {
             let mut env = PeriodicPartitionEnv::new(Topology::complete(6), 2, 8);
-            SnapshotAggregator::new(vec![6, 5, 4, 3, 2, 1], 200).run_async(
+            run_min(
+                &SnapshotAggregator::new(vec![6, 5, 4, 3, 2, 1], 200),
                 &mut env,
                 2,
-                1.0,
-                3,
-                0.0,
-                rule,
-                i64::min,
+                asynchronous(1.0, 3, 0.0, rule),
             )
         };
         let (stalled, none) = run(DeliveryRule::ValidAtDelivery);
@@ -426,11 +358,33 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_agent_snapshots_at_the_first_launch_in_every_mode() {
+        for mode in [
+            ExecutionMode::sync(),
+            asynchronous(0.5, 3, 0.0, DeliveryRule::default()),
+        ] {
+            let mut env = StaticEnv::new(Topology::line(1));
+            let baseline = SnapshotAggregator::new(vec![7], 50);
+            let (metrics, result) = run_min(&baseline, &mut env, 1, mode);
+            assert_eq!(result, Some(7), "{mode:?}");
+            assert!(metrics.converged(), "{mode:?}");
+            assert_eq!(metrics.messages, 0, "{mode:?}: no remote agent to ask");
+            assert_eq!(metrics.effective_group_steps, 1, "{mode:?}");
+        }
+    }
+
+    #[test]
     fn snapshot_computes_other_aggregates() {
         let topo = Topology::complete(3);
         let mut env = StaticEnv::new(topo);
         let baseline = SnapshotAggregator::new(vec![1, 2, 3], 10);
-        let (_, sum) = baseline.run(&mut env, 4, |a, b| a + b);
+        let (_, sum) = baseline.run(
+            &mut env,
+            4,
+            ExecutionMode::sync(),
+            |a, b| a + b,
+            &mut EventLog::disabled(),
+        );
         assert_eq!(sum, Some(6));
     }
 }

@@ -13,7 +13,8 @@ use selfsim_env::{
     AgentId, Edge, EnvChanges, EnvDelta, EnvState, Environment, GroupIndex, RandomChurnEnv,
     StaticEnv, Topology,
 };
-use selfsim_runtime::{SyncConfig, SyncSimulator};
+use selfsim_runtime::{ExecutionMode, SyncConfig, SyncSimulator};
+use selfsim_trace::EventLog;
 
 fn values_for(n: usize) -> Vec<i64> {
     (0..n).map(|i| ((i as i64 * 37 + 11) % 199) + 1).collect()
@@ -68,13 +69,25 @@ fn e7_baselines(c: &mut Criterion) {
     group.bench_function("snapshot", |b| {
         b.iter(|| {
             let mut env = RandomChurnEnv::new(Topology::complete(n), p, 1.0);
-            black_box(SnapshotAggregator::new(values.clone(), 20_000).run(&mut env, 3, i64::min))
+            black_box(SnapshotAggregator::new(values.clone(), 20_000).run(
+                &mut env,
+                3,
+                ExecutionMode::sync(),
+                i64::min,
+                &mut EventLog::disabled(),
+            ))
         })
     });
     group.bench_function("flooding", |b| {
         b.iter(|| {
             let mut env = RandomChurnEnv::new(Topology::complete(n), p, 1.0);
-            black_box(FloodingAggregator::new(values.clone(), 20_000).run(&mut env, 3, i64::min))
+            black_box(FloodingAggregator::new(values.clone(), 20_000).run(
+                &mut env,
+                3,
+                ExecutionMode::sync(),
+                i64::min,
+                &mut EventLog::disabled(),
+            ))
         })
     });
     group.finish();

@@ -24,7 +24,7 @@ use selfsim_campaign::{
     Scenario, ScenarioGrid, ScenarioSummary, TopoRef, TopologyRegistry,
 };
 use selfsim_core::DistributedFunction;
-use selfsim_env::{AdversarialEnv, Environment, RandomChurnEnv, Topology};
+use selfsim_env::{AdversarialEnv, Connectivity, Environment, RandomChurnEnv, Topology};
 use selfsim_geometry::Point;
 use selfsim_multiset::Multiset;
 use selfsim_runtime::{AsyncConfig, AsyncSimulator, SyncConfig, SyncSimulator};
@@ -435,10 +435,13 @@ fn e12_fairness() {
     for (name, model) in &cases {
         let mut env = model.build(topo.clone());
         let mut rng = StdRng::seed_from_u64(7);
+        let mut connectivity = Connectivity::default();
         let mut trace = selfsim_temporal::Trace::new();
         let steps = 600;
         for _ in 0..steps {
-            trace.push(env.step(&mut rng));
+            let delta = env.step_delta(&mut rng);
+            connectivity.advance(delta, env.topology());
+            trace.push(connectivity.to_env_state(env.topology()));
         }
         let min_rate = spec
             .satisfaction_counts(&trace)

@@ -29,7 +29,7 @@ use selfsim_baselines::{FloodingAggregator, SnapshotAggregator};
 use selfsim_core::{FnGroupStep, SelfSimilarSystem, SummationObjective};
 use selfsim_env::{Environment, FairnessSpec, Topology};
 use selfsim_geometry::{enclosing_circle_of_circles, Circle, Point};
-use selfsim_runtime::{DeliveryRule, ExecutionMode};
+use selfsim_runtime::ExecutionMode;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
 use crate::dimension::{CompleteTopology, LineTopology, TopoRef};
@@ -556,64 +556,33 @@ impl CampaignAlgorithm for CircumscribingAlgo {
 // ---------------------------------------------------------------------------
 // The §5 baselines.
 //
-// Both adapters map `Sync` cells onto the baselines' round-based protocol
-// and `Async` cells onto their message-passing variants.  The `Sync`
-// cooldown knob is a *stability* audit (`stable (S = f(S))`) that only
-// makes sense for self-similar systems; the baselines terminate the moment
-// their aggregate is known, so a non-zero cooldown is ignored — compare
-// baseline cells on `rounds_to_convergence`/`messages`, not
-// `rounds_executed`.
+// Both adapters hand the cell's mode to the baseline's one entry point:
+// `Sync` and `Event` cells run its round-based protocol, `Async` cells its
+// message-passing variant under the same delivery rule as the self-similar
+// runtime.  The `Sync` cooldown knob is a *stability* audit
+// (`stable (S = f(S))`) that only makes sense for self-similar systems; the
+// baselines terminate the moment their aggregate is known, so a non-zero
+// cooldown is ignored — compare baseline cells on
+// `rounds_to_convergence`/`messages`, not `rounds_executed`.
 // ---------------------------------------------------------------------------
 
-/// The one dispatch site mapping an [`ExecutionMode`] onto a baseline's
-/// round-based / message-passing entry points.  The delivery rule rides
-/// along with the other async knobs, so baselines and the self-similar
-/// runtime always judge blocked messages by the same rule — and the event
-/// log is handed to whichever entry point runs, so traced cells observe
+/// Runs a baseline with an [`EventLog`] matching the setup's event request
+/// and appends the recording to the setup's sink, so traced cells observe
 /// baselines through the same stream as the self-similar runtimes.
-fn dispatch_baseline<R>(
-    mode: ExecutionMode,
-    env: &mut dyn Environment,
-    events: &mut EventLog,
-    sync: impl FnOnce(&mut dyn Environment, &mut EventLog) -> R,
-    asynchronous: impl FnOnce(&mut dyn Environment, f64, usize, f64, DeliveryRule, &mut EventLog) -> R,
-) -> R {
-    match mode {
-        // The baselines terminate on their own; the event-driven runtime's
-        // queue is an execution strategy for the synchronous round
-        // semantics, so event cells run the same round-based entry point.
-        ExecutionMode::Sync { .. } | ExecutionMode::Event { .. } => sync(env, events),
-        ExecutionMode::Async {
-            interaction_rate,
-            max_latency,
-            drop_rate,
-            delivery,
-        } => asynchronous(
-            env,
-            interaction_rate,
-            max_latency,
-            drop_rate,
-            delivery,
-            events,
-        ),
-    }
-}
-
-/// An [`EventLog`] matching a [`TrialSetup`]'s event request, plus the
-/// flush gluing its recording back onto the setup's sink — the shared
-/// prologue/epilogue of both baseline adapters.
-fn baseline_event_log(setup: &TrialSetup<'_>) -> EventLog {
-    if setup.events.is_some() {
+fn run_baseline(
+    setup: &mut TrialSetup<'_>,
+    run: impl FnOnce(&mut EventLog) -> (RunMetrics, Option<i64>),
+) -> RunMetrics {
+    let mut log = if setup.events.is_some() {
         EventLog::enabled()
     } else {
         EventLog::disabled()
-    }
-}
-
-fn flush_baseline_events(setup: &mut TrialSetup<'_>, log: EventLog) {
+    };
+    let (metrics, _) = run(&mut log);
     if let Some(events) = setup.events.as_deref_mut() {
         events.extend(log.into_events());
     }
+    metrics
 }
 
 struct SnapshotBaseline;
@@ -625,21 +594,9 @@ impl CampaignAlgorithm for SnapshotBaseline {
         "§5 baseline — coordinator-driven global snapshots; stalls whenever the system fragments"
     }
     fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let values = int_values(setup.n, setup.rng);
-        let baseline = SnapshotAggregator::new(values, setup.max_rounds);
-        let seed = setup.seed;
-        let mut log = baseline_event_log(setup);
-        let (metrics, _) = dispatch_baseline(
-            setup.mode,
-            env,
-            &mut log,
-            |env, ev| baseline.run_observed(env, seed, i64::min, ev),
-            |env, i, l, d, dv, ev| {
-                baseline.run_async_observed(env, seed, i, l, d, dv, i64::min, ev)
-            },
-        );
-        flush_baseline_events(setup, log);
-        metrics
+        let baseline = SnapshotAggregator::new(int_values(setup.n, setup.rng), setup.max_rounds);
+        let (seed, mode) = (setup.seed, setup.mode);
+        run_baseline(setup, |log| baseline.run(env, seed, mode, i64::min, log))
     }
 }
 
@@ -652,21 +609,9 @@ impl CampaignAlgorithm for FloodingBaseline {
         "§5 baseline — full-information flooding; robust to churn, pays in message volume"
     }
     fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let values = int_values(setup.n, setup.rng);
-        let baseline = FloodingAggregator::new(values, setup.max_rounds);
-        let seed = setup.seed;
-        let mut log = baseline_event_log(setup);
-        let (metrics, _) = dispatch_baseline(
-            setup.mode,
-            env,
-            &mut log,
-            |env, ev| baseline.run_observed(env, seed, i64::min, ev),
-            |env, i, l, d, dv, ev| {
-                baseline.run_async_observed(env, seed, i, l, d, dv, i64::min, ev)
-            },
-        );
-        flush_baseline_events(setup, log);
-        metrics
+        let baseline = FloodingAggregator::new(int_values(setup.n, setup.rng), setup.max_rounds);
+        let (seed, mode) = (setup.seed, setup.mode);
+        run_baseline(setup, |log| baseline.run(env, seed, mode, i64::min, log))
     }
 }
 

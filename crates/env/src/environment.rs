@@ -41,9 +41,9 @@ impl EnvChanges {
     }
 }
 
-/// One environment transition expressed incrementally, for consumers (the
-/// event-driven runtime) that maintain connectivity state across rounds
-/// instead of rescanning a full [`EnvState`] every tick.
+/// One environment transition expressed incrementally, for
+/// [`Connectivity`](crate::Connectivity), which maintains connectivity
+/// across rounds instead of rescanning a full [`EnvState`] every tick.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EnvDelta {
     /// Connectivity is identical to the previous step.
@@ -80,9 +80,10 @@ pub trait Environment {
     /// exclusively, and the two must consume *identical* RNG streams and
     /// describe identical state sequences — folding the deltas with
     /// [`EnvState::apply_changes`] reproduces `step`'s states byte for
-    /// byte.  That equivalence is what lets the event-driven runtime match
-    /// the synchronous runtime's records exactly, and the
-    /// `delta_equivalence` proptests pin it for every builtin.
+    /// byte.  That equivalence is what lets every runtime and baseline
+    /// read a [`Connectivity`](crate::Connectivity) fold of the deltas in
+    /// place of `step`'s states, and the `delta_equivalence` proptests pin
+    /// it for every builtin.
     ///
     /// The default implementation falls back to a full rescan, so existing
     /// `Environment` impls are delta-capable for free; environments whose
@@ -695,8 +696,8 @@ mod tests {
         let mut r = rng();
         for _ in 0..10 {
             let s = env.step(&mut r);
-            assert!(s.is_fully_connected());
-            assert_eq!(s.enabled_edges().len(), 5);
+            assert_eq!(s, EnvState::fully_enabled(&Topology::ring(5)));
+            assert_eq!(s.groups(), vec![(0..5).map(AgentId).collect::<Vec<_>>()]);
         }
         assert_eq!(env.name(), "static");
     }
@@ -782,7 +783,7 @@ mod tests {
         let mut merged_steps = Vec::new();
         for step in 0..8 {
             let s = env.step(&mut r);
-            if s.is_fully_connected() {
+            if s.groups() == [(0..6).map(AgentId).collect::<Vec<_>>()] {
                 merged_steps.push(step);
             } else {
                 // During partitioned phases there are exactly two groups.
@@ -815,7 +816,7 @@ mod tests {
         let mut env = CrashRestartEnv::new(Topology::complete(5), 0.0, 1.0);
         let s = env.step(&mut rng());
         assert_eq!(s.enabled_agents().len(), 5);
-        assert!(s.is_fully_connected());
+        assert_eq!(s.groups(), vec![(0..5).map(AgentId).collect::<Vec<_>>()]);
     }
 
     #[test]

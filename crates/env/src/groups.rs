@@ -32,12 +32,16 @@
 //! Every buffer is sized to the agent count in [`GroupIndex::new`], so no
 //! update allocates.  Groups come out exactly as [`EnvState::groups`]
 //! produces them, so records derived from either path are byte-identical.
+//!
+//! [`Connectivity`] is the fold every run uses: it keeps the fully enabled
+//! state symbolic and switches to a `GroupIndex` on the first delta that
+//! needs one.
 
 use std::sync::Arc;
 
 use crate::csr::Csr;
 use crate::topology::{at, at_mut};
-use crate::{AgentId, Edge, EnvChanges, EnvState, Topology};
+use crate::{AgentId, Edge, EnvChanges, EnvDelta, EnvState, Topology};
 
 const NONE: u32 = u32::MAX;
 
@@ -142,6 +146,33 @@ impl GroupIndex {
     /// Enabled edges whose two endpoints are both enabled.
     pub fn usable_edge_count(&self) -> usize {
         self.usable_edge_count
+    }
+
+    /// The usable edges (enabled, both endpoints enabled), in ascending
+    /// [`Edge`] order: CSR edge ids already follow it.
+    pub fn usable_edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.csr
+            .edges()
+            .iter()
+            .zip(self.edge_enabled.iter())
+            .filter(|(e, &on)| {
+                on && at(&self.agent_enabled, e.lo().index())
+                    && at(&self.agent_enabled, e.hi().index())
+            })
+            .map(|(e, _)| *e)
+    }
+
+    /// Returns `true` if `a` and `b` are distinct enabled agents joined by
+    /// an enabled edge — the analogue of [`EnvState::can_communicate`].
+    pub fn can_communicate(&self, a: AgentId, b: AgentId) -> bool {
+        let enabled = |x: AgentId| self.agent_enabled.get(x.index()) == Some(&true);
+        a != b
+            && enabled(a)
+            && enabled(b)
+            && self
+                .csr
+                .edge_id(&Edge::new(a, b))
+                .is_some_and(|eid| at(&self.edge_enabled, eid as usize))
     }
 
     /// Reconstructs the equivalent [`EnvState`] (for trace recording and
@@ -600,16 +631,7 @@ impl GroupIndex {
     }
 
     fn recount_usable(&mut self) {
-        self.usable_edge_count = self
-            .csr
-            .edges()
-            .iter()
-            .zip(self.edge_enabled.iter())
-            .filter(|(e, &on)| {
-                on && at(&self.agent_enabled, e.lo().index())
-                    && at(&self.agent_enabled, e.hi().index())
-            })
-            .count();
+        self.usable_edge_count = self.usable_edges().count();
     }
 }
 
@@ -620,6 +642,159 @@ enum Expand {
     Exhausted,
     /// This side reached a node stamped by the other side: still connected.
     Connected,
+}
+
+/// The current connectivity of a run, folded from its [`EnvDelta`] stream
+/// and kept symbolic while the environment allows it.
+///
+/// This is the one fold of environment deltas: the round loop, the
+/// message-passing runtime and the baselines all advance one of these with
+/// [`Environment::step_delta`](crate::Environment::step_delta) and read
+/// groups, usable edges and pairwise reachability from it.  Every query
+/// takes the topology the deltas were folded against.  A new fold is
+/// empty: nothing enabled until the first (absolute) delta.
+#[derive(Debug, Default)]
+pub struct Connectivity(Repr);
+
+#[derive(Debug, Default)]
+enum Repr {
+    /// Nothing enabled yet — the placeholder before the first absolute
+    /// delta (the `step_delta` contract makes the first delta absolute, so
+    /// this is never read as real connectivity; it just lets a
+    /// contract-violating `Unchanged` first delta degrade to an empty
+    /// partition instead of a panic).
+    #[default]
+    Empty,
+    /// Every topology edge available and every agent enabled, with the
+    /// topology's components as the partition — represented without
+    /// materialising the edge set, so complete graphs stay cheap.
+    Full(Vec<Vec<AgentId>>),
+    /// An incrementally maintained group index over the topology's flat CSR
+    /// adjacency.  Boxed: the index is ~3 hundred bytes of inline `Vec`
+    /// headers.
+    Tracked(Box<GroupIndex>),
+}
+
+impl Connectivity {
+    /// Folds one environment transition in; `true` when the partition may
+    /// have changed (it is `true` whenever the groups did change).
+    pub fn advance(&mut self, delta: EnvDelta, topology: &Topology) -> bool {
+        match delta {
+            EnvDelta::Unchanged => false,
+            EnvDelta::AllEnabled => {
+                if matches!(self.0, Repr::Full(_)) {
+                    return false;
+                }
+                self.0 = Repr::Full(topology.components());
+                true
+            }
+            EnvDelta::Full(next) => {
+                let same = match &self.0 {
+                    Repr::Empty => {
+                        next.enabled_edges().is_empty() && next.enabled_agents().is_empty()
+                    }
+                    // Cheap count rejection first: the closed form avoids
+                    // materialising a symbolic clique unless the counts match.
+                    Repr::Full(_) => {
+                        next.enabled_agents().len() == topology.agent_count()
+                            && next.enabled_edges().len() == topology.edge_count()
+                            && EnvState::fully_enabled(topology).same_connectivity(&next)
+                    }
+                    Repr::Tracked(index) => index.same_connectivity(&next),
+                };
+                if !same {
+                    let mut index = self.take_index(topology);
+                    index.reset_from_state(&next);
+                    self.0 = Repr::Tracked(index);
+                }
+                !same
+            }
+            EnvDelta::Changes(changes) => {
+                let mut index = self.take_index(topology);
+                index.apply_changes(&changes);
+                self.0 = Repr::Tracked(index);
+                !changes.is_empty()
+            }
+        }
+    }
+
+    /// Moves the connectivity out as a group index over `topology`,
+    /// building one for the symbolic variants.
+    fn take_index(&mut self, topology: &Topology) -> Box<GroupIndex> {
+        match std::mem::take(&mut self.0) {
+            Repr::Tracked(index) => index,
+            Repr::Empty => Box::new(GroupIndex::new(topology)),
+            Repr::Full(_) => {
+                let mut index = Box::new(GroupIndex::new(topology));
+                index.reset_all_enabled();
+                index
+            }
+        }
+    }
+
+    /// Number of groups.
+    #[inline]
+    pub fn group_count(&self) -> usize {
+        match &self.0 {
+            Repr::Empty => 0,
+            Repr::Full(groups) => groups.len(),
+            Repr::Tracked(index) => index.group_count(),
+        }
+    }
+
+    /// The `i`-th group in ascending-minimum order, sorted ascending.
+    #[inline]
+    pub fn group(&self, i: usize) -> &[AgentId] {
+        match &self.0 {
+            Repr::Empty => &[],
+            Repr::Full(groups) => groups.get(i).map_or(&[], Vec::as_slice),
+            Repr::Tracked(index) => index.group(i),
+        }
+    }
+
+    /// Number of edges whose endpoints can communicate — the
+    /// `env-transition` digest.
+    pub fn usable_edge_count(&self, topology: &Topology) -> usize {
+        match &self.0 {
+            Repr::Empty => 0,
+            Repr::Full(_) => topology.edge_count(),
+            Repr::Tracked(index) => index.usable_edge_count(),
+        }
+    }
+
+    /// The edges whose endpoints can communicate, in ascending [`Edge`]
+    /// order.  The symbolic `Full` case walks the topology's edge set, which
+    /// materialises a symbolic clique once.
+    pub fn usable_edges<'a>(&'a self, topology: &'a Topology) -> impl Iterator<Item = Edge> + 'a {
+        let (full, tracked) = match &self.0 {
+            Repr::Empty => (None, None),
+            Repr::Full(_) => (Some(topology.edges().iter().copied()), None),
+            Repr::Tracked(index) => (None, Some(index.usable_edges())),
+        };
+        full.into_iter()
+            .flatten()
+            .chain(tracked.into_iter().flatten())
+    }
+
+    /// Returns `true` if `a` and `b` can collaborate now: distinct enabled
+    /// agents joined by an enabled edge.
+    pub fn can_communicate(&self, a: AgentId, b: AgentId, topology: &Topology) -> bool {
+        match &self.0 {
+            Repr::Empty => false,
+            Repr::Full(_) => topology.has_edge(a, b),
+            Repr::Tracked(index) => index.can_communicate(a, b),
+        }
+    }
+
+    /// The equivalent [`EnvState`] (for trace recording; not on the hot
+    /// path).
+    pub fn to_env_state(&self, topology: &Topology) -> EnvState {
+        match &self.0 {
+            Repr::Empty => EnvState::fully_disabled(topology.agent_count()),
+            Repr::Full(_) => EnvState::fully_enabled(topology),
+            Repr::Tracked(index) => index.to_env_state(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -19,6 +19,9 @@
 //!   [`EnvState`] at every system step, with implementations ranging from a
 //!   benign static network to random churn, Markov on/off links, periodic
 //!   partitions, crash/restart of agents, and a minimally-fair adversary;
+//! * [`Connectivity`] — the groups, usable edges and pairwise reachability
+//!   of the current state, maintained from the environment's
+//!   [`EnvDelta`] stream; every runtime and baseline reads it;
 //! * [`FairnessSpec`] — the set `Q_E` of per-edge fairness predicates and a
 //!   checker that a recorded environment trace satisfied `□◇Q_e` for every
 //!   edge.
@@ -26,16 +29,17 @@
 //! # Example
 //!
 //! ```
-//! use selfsim_env::{Environment, RandomChurnEnv, Topology};
+//! use selfsim_env::{Connectivity, Environment, RandomChurnEnv, Topology};
 //! use rand::SeedableRng;
 //!
 //! let topo = Topology::ring(6);
 //! let mut env = RandomChurnEnv::new(topo, 0.5, 0.9);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let state = env.step(&mut rng);
+//! let mut connectivity = Connectivity::default();
+//! connectivity.advance(env.step_delta(&mut rng), env.topology());
 //! // Each group is a set of agents that can run a collaborative step now.
-//! for group in state.groups() {
-//!     assert!(!group.is_empty());
+//! for i in 0..connectivity.group_count() {
+//!     assert!(!connectivity.group(i).is_empty());
 //! }
 //! ```
 
@@ -56,7 +60,7 @@ pub use environment::{
     PeriodicPartitionEnv, RandomChurnEnv, StaticEnv,
 };
 pub use fairness::FairnessSpec;
-pub use groups::GroupIndex;
+pub use groups::{Connectivity, GroupIndex};
 pub use params::{parse_label, split_top_level, validate_probability, Params};
 pub use state::EnvState;
 pub use topology::{AgentId, Edge, Topology};

@@ -156,28 +156,14 @@ impl EnvState {
     /// Every enabled agent appears in exactly one group (isolated enabled
     /// agents form singleton groups); disabled agents appear in no group.
     /// Groups are returned sorted by their smallest member.
+    ///
+    /// This full BFS is the oracle: runs read their groups from the
+    /// delta-fed [`Connectivity`](crate::Connectivity), and the tests check
+    /// that fold against this method.
     pub fn groups(&self) -> Vec<Vec<AgentId>> {
         connected_components(self.agent_count, &self.enabled_edges, |a| {
             self.enabled_agents.contains(&a)
         })
-    }
-
-    /// Groups of size at least two — the only ones that can perform a
-    /// non-trivial collaborative state change in the paper's examples
-    /// (singleton groups can only take the reflexive step).
-    pub fn collaborative_groups(&self) -> Vec<Vec<AgentId>> {
-        self.groups().into_iter().filter(|g| g.len() >= 2).collect()
-    }
-
-    /// Returns `true` if every enabled agent is in a single group covering
-    /// all agents of the system (i.e. the whole system can collaborate).
-    pub fn is_fully_connected(&self) -> bool {
-        // One rescan, not two: compute the partition once and inspect it.
-        let groups = self.groups();
-        match groups.first() {
-            Some(g) => groups.len() == 1 && g.len() == self.agent_count,
-            None => false,
-        }
     }
 
     /// Applies an incremental connectivity update in place: downed edges
@@ -259,9 +245,7 @@ mod tests {
     #[test]
     fn fully_enabled_state_has_one_group() {
         let s = EnvState::fully_enabled(&topo4());
-        assert!(s.is_fully_connected());
-        assert_eq!(s.groups().len(), 1);
-        assert_eq!(s.groups()[0].len(), 4);
+        assert_eq!(s.groups(), vec![(0..4).map(AgentId).collect::<Vec<_>>()]);
         assert!(s.can_communicate(AgentId(0), AgentId(1)));
         assert!(!s.can_communicate(AgentId(0), AgentId(2))); // no direct edge
     }
@@ -270,8 +254,6 @@ mod tests {
     fn fully_disabled_state_has_no_groups() {
         let s = EnvState::fully_disabled(4);
         assert!(s.groups().is_empty());
-        assert!(s.collaborative_groups().is_empty());
-        assert!(!s.is_fully_connected());
         assert!(!s.can_communicate(AgentId(0), AgentId(1)));
     }
 
@@ -286,7 +268,6 @@ mod tests {
         let groups = s.groups();
         // 0-1 form a group; 3 is isolated because 2 is down.
         assert_eq!(groups, vec![vec![AgentId(0), AgentId(1)], vec![AgentId(3)]]);
-        assert_eq!(s.collaborative_groups().len(), 1);
         assert!(!s.can_communicate(AgentId(1), AgentId(2)));
     }
 
@@ -312,7 +293,6 @@ mod tests {
         let groups = s.groups();
         assert_eq!(groups.len(), 3);
         assert!(groups.iter().all(|g| g.len() == 1));
-        assert!(s.collaborative_groups().is_empty());
     }
 
     #[test]

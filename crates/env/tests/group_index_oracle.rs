@@ -14,11 +14,18 @@
 //!
 //! After every delta the index must report exactly the oracle's groups (in
 //! order), usable-edge count, enabled sets and connectivity.
+//!
+//! The second property drives [`Connectivity`] — the fold every runtime and
+//! baseline reads — with streams of all four [`EnvDelta`] variants and
+//! checks each of its queries against an `EnvState` fold of the same
+//! stream.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selfsim_env::{AgentId, Edge, EnvChanges, EnvState, GroupIndex, Topology};
+use selfsim_env::{
+    AgentId, Connectivity, Edge, EnvChanges, EnvDelta, EnvState, GroupIndex, Topology,
+};
 
 fn topology(choice: u8, n: usize, rng: &mut StdRng) -> Topology {
     match choice % 4 {
@@ -123,6 +130,39 @@ fn random_state(topo: &Topology, keep: f64, rng: &mut StdRng) -> EnvState {
     EnvState::new(topo.agent_count(), edges, agents)
 }
 
+/// One delta of any variant, drawn against the oracle's current state: the
+/// absolute ones sometimes restate the current state, so the "nothing
+/// changed" paths run too.
+fn draw_delta(topo: &Topology, state: &EnvState, rng: &mut StdRng) -> EnvDelta {
+    match rng.gen_range(0..8) {
+        0 => EnvDelta::Unchanged,
+        1 => EnvDelta::AllEnabled,
+        2 => EnvDelta::Full(random_state(topo, rng.gen_range(0.0..=1.0), rng)),
+        3 => EnvDelta::Full(match rng.gen_range(0..3) {
+            0 => state.clone(),
+            1 => EnvState::fully_enabled(topo),
+            _ => EnvState::fully_disabled(topo.agent_count()),
+        }),
+        _ => EnvDelta::Changes(draw_changes(topo, state, rng)),
+    }
+}
+
+/// The oracle's fold of one delta.
+fn fold(state: &mut EnvState, delta: &EnvDelta, topo: &Topology) {
+    match delta {
+        EnvDelta::Unchanged => {}
+        EnvDelta::AllEnabled => *state = EnvState::fully_enabled(topo),
+        EnvDelta::Full(next) => *state = next.clone(),
+        EnvDelta::Changes(changes) => state.apply_changes(changes),
+    }
+}
+
+fn groups_of(connectivity: &Connectivity) -> Vec<Vec<AgentId>> {
+    (0..connectivity.group_count())
+        .map(|i| connectivity.group(i).to_vec())
+        .collect()
+}
+
 proptest! {
     #[test]
     fn group_index_matches_oracle_over_arbitrary_change_streams(
@@ -161,6 +201,59 @@ proptest! {
             prop_assert!(
                 index.same_connectivity(&state),
                 "same_connectivity disagreed at step {}",
+                step
+            );
+        }
+    }
+
+    #[test]
+    fn connectivity_matches_oracle_over_every_delta_variant(
+        seed in 0u64..1_000_000,
+        choice in 0u8..4,
+        n in 2usize..=48,
+        deltas in 1usize..40,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = topology(choice, n, &mut rng);
+        let mut connectivity = Connectivity::default();
+        let mut state = EnvState::fully_disabled(n);
+        for step in 0..deltas {
+            let delta = draw_delta(&topo, &state, &mut rng);
+            let before = state.groups();
+            fold(&mut state, &delta, &topo);
+            let changed = connectivity.advance(delta, &topo);
+            let groups = state.groups();
+            prop_assert!(
+                groups_of(&connectivity) == groups,
+                "groups diverged at step {}",
+                step
+            );
+            prop_assert!(
+                changed || groups == before,
+                "a group change went unreported at step {}",
+                step
+            );
+            let usable = usable_edges(&state);
+            prop_assert!(
+                connectivity.usable_edges(&topo).collect::<Vec<_>>() == usable,
+                "usable edges diverged at step {}",
+                step
+            );
+            prop_assert_eq!(connectivity.usable_edge_count(&topo), usable.len());
+            for a in topo.agents() {
+                for b in topo.agents() {
+                    prop_assert!(
+                        connectivity.can_communicate(a, b, &topo) == state.can_communicate(a, b),
+                        "can_communicate({}, {}) diverged at step {}",
+                        a,
+                        b,
+                        step
+                    );
+                }
+            }
+            prop_assert!(
+                connectivity.to_env_state(&topo) == state,
+                "to_env_state diverged at step {}",
                 step
             );
         }

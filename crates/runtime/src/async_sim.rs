@@ -1,4 +1,12 @@
 //! The discrete-event, message-passing simulator.
+//!
+//! Every tick advances the environment through
+//! [`Environment::step_delta`] and folds the delta into a
+//! [`Connectivity`] — the same fold the round loop uses.  New rendezvous
+//! requests are drawn over its usable edges in ascending edge order, and a
+//! request that comes due asks it whether its two endpoints can still
+//! communicate; no full environment state is built unless traces are
+//! recorded.
 
 use std::collections::BinaryHeap;
 
@@ -6,21 +14,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use selfsim_core::{SelfSimilarSystem, StepScratch};
-use selfsim_env::{AgentId, Environment};
+use selfsim_env::{AgentId, Connectivity, Environment};
 use selfsim_temporal::Trace;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
 use crate::{DeliveryDecision, DeliveryRule, SimulationReport};
-
-/// Edges of `state` whose endpoints can actually communicate right now —
-/// the connectivity digest recorded by `env-transition` trace events.
-fn usable_edges(state: &selfsim_env::EnvState) -> usize {
-    state
-        .enabled_edges()
-        .iter()
-        .filter(|edge| state.can_communicate(edge.lo(), edge.hi()))
-        .count()
-}
 
 /// Configuration of an [`AsyncSimulator`] run.
 #[derive(Clone, Debug)]
@@ -73,7 +71,7 @@ impl AsyncConfig {
 }
 
 /// Validates the knobs every message-passing execution shares — the
-/// [`AsyncSimulator`] *and* the baselines' `run_async` variants — naming
+/// [`AsyncSimulator`] *and* the baselines' message-passing runs — naming
 /// the offending field in the error.
 pub fn validate_async_knobs(
     interaction_rate: f64,
@@ -222,21 +220,23 @@ impl AsyncSimulator {
             EventLog::disabled()
         };
 
+        let mut connectivity = Connectivity::default();
+
         for tick in 0..self.config.max_ticks {
-            let env_state = environment.step(&mut rng);
+            let delta = environment.step_delta(&mut rng);
+            let topology = environment.topology();
+            connectivity.advance(delta, topology);
             if self.config.record_traces {
-                env_trace.push(env_state.clone());
+                env_trace.push(connectivity.to_env_state(topology));
             }
             events.emit(|| TraceEvent::EnvTransition {
                 tick: (tick + 1) as u64,
-                edges: usable_edges(&env_state),
+                edges: connectivity.usable_edge_count(topology),
             });
 
-            // New rendezvous requests from currently usable edges.
-            for edge in env_state.enabled_edges() {
-                if !env_state.can_communicate(edge.lo(), edge.hi()) {
-                    continue;
-                }
+            // New rendezvous requests from currently usable edges, in
+            // ascending edge order.
+            for edge in connectivity.usable_edges(topology) {
                 if !rng.gen_bool(self.config.interaction_rate) {
                     continue;
                 }
@@ -273,7 +273,7 @@ impl AsyncSimulator {
             // here; the rule decides on the current state of the edge.
             while pending.peek().is_some_and(|p| p.deliver_at <= tick) {
                 let p = pending.pop().expect("peeked");
-                let usable_now = env_state.can_communicate(p.initiator, p.responder);
+                let usable_now = connectivity.can_communicate(p.initiator, p.responder, topology);
                 match self
                     .config
                     .delivery

@@ -2,15 +2,17 @@
 //!
 //! The transition system of Chandy & Charpentier (ICDCS 2007) alternates
 //! environment transitions (arbitrary) with agent transitions (every group
-//! of a partition takes one collaborative step).  This crate executes that
-//! system in two ways:
+//! of a partition takes one collaborative step).  Both ways this crate
+//! executes that system read connectivity from one place: every round or
+//! tick folds the environment transition, as a delta
+//! ([`selfsim_env::Environment::step_delta`]), into a
+//! [`selfsim_env::Connectivity`], and the groups, usable edges and pairwise
+//! reachability all come from it.
 //!
 //! * **Rounds** — [`SyncSimulator`] and [`EventSimulator`] run one shared
-//!   round loop: at every round the environment transition is folded into
-//!   the connectivity as a delta ([`selfsim_env::Environment::step_delta`]),
-//!   and every group of the induced partition (connected components of the
-//!   enabled subgraph) executes one step of the algorithm's group relation
-//!   `R`, in partition order.  Groups proven to be randomness-free
+//!   round loop: every group of the induced partition (connected components
+//!   of the enabled subgraph) executes one step of the algorithm's group
+//!   relation `R`, in partition order.  Groups proven to be randomness-free
 //!   fixpoints are not stepped again until connectivity changes, so idle
 //!   agents cost nothing and million-agent systems stay tractable.  This is
 //!   the semantics used for all correctness claims and most experiments.
@@ -20,9 +22,9 @@
 //! * **Messages** — [`AsyncSimulator`] is a discrete-event, message-passing
 //!   realisation in the spirit of the remark at the end of §4.5: agents
 //!   interact pairwise when a (possibly delayed, possibly dropped) message
-//!   is delivered over an edge, rather than in lockstep rounds.  Group
-//!   steps are still steps of `R` restricted to the two endpoints, so all
-//!   invariants carry over; what changes is *when* interactions happen —
+//!   sent over a usable edge is delivered, rather than in lockstep rounds.
+//!   Group steps are still steps of `R` restricted to the two endpoints, so
+//!   all invariants carry over; what changes is *when* interactions happen —
 //!   and the [`DeliveryRule`] decides what happens to a message whose edge
 //!   is down when it comes due, which over environments with connectivity
 //!   windows shorter than the message latency decides convergence itself

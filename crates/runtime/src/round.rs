@@ -7,12 +7,14 @@
 //! changing what it measures:
 //!
 //! * **Delta-based connectivity.**  The environment is advanced through
-//!   [`Environment::step_delta`] and the delta is folded into a
-//!   [`GroupIndex`], which merges on edge-up and re-splits only the affected
-//!   component on edge-down, without allocating.  [`EnvDelta::Unchanged`]
-//!   costs nothing, and [`EnvDelta::AllEnabled`] never materialises the
-//!   edge set: a static complete graph on 10⁵ agents never allocates its
-//!   ~5·10⁹ edges.
+//!   [`Environment::step_delta`] and the delta is folded into the shared
+//!   [`Connectivity`] — the same fold the message-passing runtime and the
+//!   baselines read — which merges on edge-up and re-splits only the
+//!   affected component on edge-down, without allocating.
+//!   [`EnvDelta::Unchanged`](selfsim_env::EnvDelta::Unchanged) costs
+//!   nothing, and [`EnvDelta::AllEnabled`](selfsim_env::EnvDelta::AllEnabled)
+//!   never materialises the edge set: a static complete graph on 10⁵ agents
+//!   never allocates its ~5·10⁹ edges.
 //! * **Fixpoint elision.**  A group observed to map its state to itself
 //!   *bit for bit while drawing no randomness* is a fixpoint group:
 //!   stepping it again is the identity on both the state and the RNG
@@ -28,119 +30,11 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use selfsim_core::{SelfSimilarSystem, StepScratch};
-use selfsim_env::{AgentId, EnvDelta, EnvState, Environment, GroupIndex, Topology};
+use selfsim_env::{Connectivity, Environment};
 use selfsim_temporal::Trace;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
 use crate::{SimulationReport, SyncConfig};
-
-/// The current connectivity, kept symbolic when the environment allows it.
-enum Connectivity {
-    /// Nothing enabled yet — the placeholder before the first absolute
-    /// delta (the `step_delta` contract makes the first delta absolute, so
-    /// this is never read as real connectivity; it just lets a
-    /// contract-violating `Unchanged` first delta degrade to an empty
-    /// partition instead of a panic).
-    Empty,
-    /// Every topology edge available and every agent enabled, with the
-    /// topology's components as the partition — represented without
-    /// materialising the edge set, so complete graphs stay cheap.
-    Full(Vec<Vec<AgentId>>),
-    /// An incrementally maintained group index over the topology's flat CSR
-    /// adjacency.  Boxed: the index is ~3 hundred bytes of inline `Vec`
-    /// headers.
-    Tracked(Box<GroupIndex>),
-}
-
-impl Connectivity {
-    /// Folds one environment transition in; `true` when the partition may
-    /// have changed (which resets every group's fixpoint proof).
-    fn advance(&mut self, delta: EnvDelta, topology: &Topology) -> bool {
-        match delta {
-            EnvDelta::Unchanged => false,
-            EnvDelta::AllEnabled => {
-                if matches!(self, Connectivity::Full(_)) {
-                    return false;
-                }
-                *self = Connectivity::Full(topology.components());
-                true
-            }
-            EnvDelta::Full(next) => {
-                let same = match self {
-                    Connectivity::Empty => {
-                        next.enabled_edges().is_empty() && next.enabled_agents().is_empty()
-                    }
-                    // Cheap count rejection first: the closed form avoids
-                    // materialising a symbolic clique unless the counts match.
-                    Connectivity::Full(_) => {
-                        next.enabled_agents().len() == topology.agent_count()
-                            && next.enabled_edges().len() == topology.edge_count()
-                            && EnvState::fully_enabled(topology).same_connectivity(&next)
-                    }
-                    Connectivity::Tracked(index) => index.same_connectivity(&next),
-                };
-                if !same {
-                    match self {
-                        Connectivity::Tracked(index) => index.reset_from_state(&next),
-                        Connectivity::Empty | Connectivity::Full(_) => {
-                            let mut index = GroupIndex::new(topology);
-                            index.reset_from_state(&next);
-                            *self = Connectivity::Tracked(Box::new(index));
-                        }
-                    }
-                }
-                !same
-            }
-            EnvDelta::Changes(changes) => {
-                match self {
-                    Connectivity::Tracked(index) => index.apply_changes(&changes),
-                    Connectivity::Empty | Connectivity::Full(_) => {
-                        let mut index = GroupIndex::new(topology);
-                        if matches!(self, Connectivity::Full(_)) {
-                            index.reset_all_enabled();
-                        }
-                        index.apply_changes(&changes);
-                        *self = Connectivity::Tracked(Box::new(index));
-                    }
-                }
-                !changes.is_empty()
-            }
-        }
-    }
-
-    fn group_count(&self) -> usize {
-        match self {
-            Connectivity::Empty => 0,
-            Connectivity::Full(groups) => groups.len(),
-            Connectivity::Tracked(index) => index.group_count(),
-        }
-    }
-
-    fn group(&self, i: usize) -> &[AgentId] {
-        match self {
-            Connectivity::Empty => &[],
-            Connectivity::Full(groups) => groups.get(i).map_or(&[], Vec::as_slice),
-            Connectivity::Tracked(index) => index.group(i),
-        }
-    }
-
-    /// Edges whose endpoints can communicate — the `env-transition` digest.
-    fn usable_edges(&self, topology: &Topology) -> usize {
-        match self {
-            Connectivity::Empty => 0,
-            Connectivity::Full(_) => topology.edge_count(),
-            Connectivity::Tracked(index) => index.usable_edge_count(),
-        }
-    }
-
-    fn to_env_state(&self, topology: &Topology) -> EnvState {
-        match self {
-            Connectivity::Empty => EnvState::fully_disabled(topology.agent_count()),
-            Connectivity::Full(_) => EnvState::fully_enabled(topology),
-            Connectivity::Tracked(index) => index.to_env_state(),
-        }
-    }
-}
 
 /// An RNG adapter that counts how many core draws pass through it, so a
 /// group step can be proven randomness-free before it is elided.
@@ -207,7 +101,7 @@ where
         state_trace.push(global.clone());
     }
 
-    let mut connectivity = Connectivity::Empty;
+    let mut connectivity = Connectivity::default();
     let mut at_fixpoint: Vec<bool> = Vec::new();
     let mut stepped = Stepped::default();
     let mut converged_at: Option<usize> = None;
@@ -226,7 +120,7 @@ where
         }
         events.emit(|| TraceEvent::EnvTransition {
             tick,
-            edges: connectivity.usable_edges(topology),
+            edges: connectivity.usable_edge_count(topology),
         });
 
         let mut round_stepped = 0usize;

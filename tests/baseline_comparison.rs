@@ -7,7 +7,8 @@
 use self_similar::algorithms::minimum;
 use self_similar::baselines::{FloodingAggregator, SnapshotAggregator};
 use self_similar::env::{AdversarialEnv, PeriodicPartitionEnv, StaticEnv, Topology};
-use self_similar::runtime::{SyncConfig, SyncSimulator};
+use self_similar::runtime::{ExecutionMode, SyncConfig, SyncSimulator};
+use self_similar::trace::EventLog;
 
 const VALUES: [i64; 6] = [6, 5, 4, 3, 2, 1];
 
@@ -35,7 +36,9 @@ fn all_three_strategies_agree_on_a_static_network() {
     let (snap_metrics, snap) = SnapshotAggregator::new(VALUES.to_vec(), 100).run(
         &mut StaticEnv::new(topology.clone()),
         1,
+        ExecutionMode::sync(),
         i64::min,
+        &mut EventLog::disabled(),
     );
     assert_eq!(snap, Some(1));
     assert_eq!(snap_metrics.rounds_to_convergence, Some(1));
@@ -43,7 +46,9 @@ fn all_three_strategies_agree_on_a_static_network() {
     let (flood_metrics, flood) = FloodingAggregator::new(VALUES.to_vec(), 100).run(
         &mut StaticEnv::new(topology),
         1,
+        ExecutionMode::sync(),
         i64::min,
+        &mut EventLog::disabled(),
     );
     assert_eq!(flood, Some(1));
     assert!(flood_metrics.converged());
@@ -60,7 +65,13 @@ fn snapshot_fails_under_the_adversary_while_self_similar_succeeds() {
     assert!(ss.is_some(), "self-similar minimum should converge");
 
     let mut env = AdversarialEnv::new(Topology::complete(VALUES.len()), 0);
-    let (_, snap) = SnapshotAggregator::new(VALUES.to_vec(), 5_000).run(&mut env, 1, i64::min);
+    let (_, snap) = SnapshotAggregator::new(VALUES.to_vec(), 5_000).run(
+        &mut env,
+        1,
+        ExecutionMode::sync(),
+        i64::min,
+        &mut EventLog::disabled(),
+    );
     assert_eq!(
         snap, None,
         "a global snapshot is impossible under the adversary"
@@ -88,8 +99,13 @@ fn self_similar_beats_snapshot_under_periodic_partitions() {
         .expect("self-similar converges");
 
     let mut env = PeriodicPartitionEnv::new(topology, blocks, period);
-    let (snap_metrics, snap) =
-        SnapshotAggregator::new(VALUES.to_vec(), 1_000).run(&mut env, 1, i64::min);
+    let (snap_metrics, snap) = SnapshotAggregator::new(VALUES.to_vec(), 1_000).run(
+        &mut env,
+        1,
+        ExecutionMode::sync(),
+        i64::min,
+        &mut EventLog::disabled(),
+    );
     assert_eq!(snap, Some(1));
     let snapshot_rounds = snap_metrics.rounds_to_convergence.unwrap();
     assert!(
@@ -121,8 +137,13 @@ fn flooding_converges_under_partitions_but_costs_more_messages() {
     assert!(ss_report.converged());
 
     let mut env = PeriodicPartitionEnv::new(topology, 2, 6);
-    let (flood_metrics, flood) =
-        FloodingAggregator::new(VALUES.to_vec(), 5_000).run(&mut env, 2, i64::min);
+    let (flood_metrics, flood) = FloodingAggregator::new(VALUES.to_vec(), 5_000).run(
+        &mut env,
+        2,
+        ExecutionMode::sync(),
+        i64::min,
+        &mut EventLog::disabled(),
+    );
     assert_eq!(flood, Some(1));
     // Flooding sends whole knowledge sets along every live edge each round.
     assert!(flood_metrics.messages > ss_report.metrics.messages / 2);
