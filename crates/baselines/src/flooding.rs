@@ -2,13 +2,11 @@
 
 use std::collections::BTreeSet;
 
-use rand::Rng;
-
 use selfsim_env::{AgentId, Environment};
-use selfsim_runtime::{DeliveryDecision, ExecutionMode};
+use selfsim_runtime::{DeliveryDecision, ExecutionMode, Message};
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{aggregate, drive, validate, Tick};
+use crate::{aggregate, drive, Tick};
 
 /// A flooding aggregator: every agent keeps the set of `(agent, value)`
 /// pairs it has heard of (initially just its own) and, every round,
@@ -46,11 +44,6 @@ impl FloodingAggregator {
     /// happens when the pair can no longer communicate at the due tick
     /// (the same rule the self-similar async runtime applies, so
     /// cross-runtime comparisons stay apples-to-apples).
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the field, when an `Async` mode carries an invalid
-    /// knob.
     pub fn run<E: Environment + ?Sized>(
         &self,
         environment: &mut E,
@@ -60,13 +53,9 @@ impl FloodingAggregator {
         events: &mut EventLog,
     ) -> (RunMetrics, Option<i64>) {
         struct Gossip {
-            deliver_at: usize,
-            expires_at: usize,
-            from: usize,
-            to: usize,
+            message: Message,
             payload: BTreeSet<usize>,
         }
-        validate(mode);
         let n = self.values.len();
         let mut metrics = RunMetrics::new("flooding-baseline", environment.name(), n);
         // knowledge[a] = set of agent indices whose value agent a knows.
@@ -106,14 +95,9 @@ impl FloodingAggregator {
                         knowledge[b].extend(merged.iter().copied());
                     }
                 }
-                ExecutionMode::Async {
-                    interaction_rate,
-                    max_latency,
-                    drop_rate,
-                    delivery,
-                } => {
+                ExecutionMode::Async(knobs) => {
                     for edge in connectivity.usable_edges(topology) {
-                        if !rng.gen_bool(interaction_rate) {
+                        if !knobs.initiates(rng) {
                             continue;
                         }
                         for (from, to) in [
@@ -124,30 +108,13 @@ impl FloodingAggregator {
                             // drops are tracked in the same unit so the two
                             // stay comparable.
                             metrics.messages += knowledge[from].len();
-                            if rng.gen_bool(drop_rate) {
-                                metrics.messages_dropped += knowledge[from].len();
-                                events.emit(|| TraceEvent::MessageDropped {
-                                    tick: tick as u64,
-                                    from,
-                                    to,
-                                });
-                                continue; // lost in flight
+                            match knobs.send(rng, tick, from, to, events) {
+                                Some(message) => pending.push(Gossip {
+                                    message,
+                                    payload: knowledge[from].clone(),
+                                }),
+                                None => metrics.messages_dropped += knowledge[from].len(),
                             }
-                            let latency = rng.gen_range(1..=max_latency);
-                            let deliver_at = tick + latency;
-                            events.emit(|| TraceEvent::MessageSent {
-                                tick: tick as u64,
-                                from,
-                                to,
-                                deliver_at: deliver_at as u64,
-                            });
-                            pending.push(Gossip {
-                                deliver_at,
-                                expires_at: delivery.expiry(deliver_at),
-                                from,
-                                to,
-                                payload: knowledge[from].clone(),
-                            });
                         }
                     }
 
@@ -155,48 +122,33 @@ impl FloodingAggregator {
                     // reallocation of the undelivered queue.  Re-queued
                     // gossip moves to the back of the queue, which is still
                     // seed-deterministic.
-                    let due: Vec<Gossip> =
-                        pending.extract_if(.., |g| g.deliver_at <= tick).collect();
-                    for gossip in due {
-                        let usable_now = connectivity.can_communicate(
-                            AgentId(gossip.from),
-                            AgentId(gossip.to),
-                            topology,
-                        );
+                    let due: Vec<Gossip> = pending
+                        .extract_if(.., |g| g.message.deliver_at <= tick)
+                        .collect();
+                    for mut gossip in due {
+                        let Message { from, to, .. } = gossip.message;
+                        let usable_now =
+                            connectivity.can_communicate(AgentId(from), AgentId(to), topology);
                         // The edge was usable at send time by construction.
-                        match delivery.decide(usable_now, true, tick, gossip.expires_at) {
-                            DeliveryDecision::Discard => {
-                                events.emit(|| TraceEvent::MessageDiscarded {
-                                    tick: tick as u64,
-                                    from: gossip.from,
-                                    to: gossip.to,
-                                });
-                                continue;
-                            }
+                        match knobs.settle(
+                            &mut gossip.message,
+                            tick,
+                            usable_now,
+                            true,
+                            metrics,
+                            events,
+                        ) {
+                            DeliveryDecision::Discard => continue,
                             DeliveryDecision::Requeue => {
-                                metrics.messages_requeued += 1;
-                                events.emit(|| TraceEvent::MessageRequeued {
-                                    tick: tick as u64,
-                                    from: gossip.from,
-                                    to: gossip.to,
-                                });
-                                pending.push(Gossip {
-                                    deliver_at: tick + 1,
-                                    ..gossip
-                                });
+                                pending.push(gossip);
                                 continue;
                             }
                             DeliveryDecision::Deliver => {}
                         }
                         metrics.group_steps += 1;
-                        events.emit(|| TraceEvent::MessageDelivered {
-                            tick: tick as u64,
-                            from: gossip.from,
-                            to: gossip.to,
-                        });
-                        let before = knowledge[gossip.to].len();
-                        knowledge[gossip.to].extend(gossip.payload.iter().copied());
-                        let changed = knowledge[gossip.to].len() > before;
+                        let before = knowledge[to].len();
+                        knowledge[to].extend(gossip.payload.iter().copied());
+                        let changed = knowledge[to].len() > before;
                         if changed {
                             metrics.effective_group_steps += 1;
                         }
@@ -226,7 +178,7 @@ impl FloodingAggregator {
 mod tests {
     use super::*;
     use selfsim_env::{AdversarialEnv, PeriodicPartitionEnv, RandomChurnEnv, StaticEnv, Topology};
-    use selfsim_runtime::DeliveryRule;
+    use selfsim_runtime::{AsyncKnobs, DeliveryRule};
 
     fn asynchronous(
         interaction_rate: f64,
@@ -234,12 +186,9 @@ mod tests {
         drop_rate: f64,
         delivery: DeliveryRule,
     ) -> ExecutionMode {
-        ExecutionMode::Async {
-            interaction_rate,
-            max_latency,
-            drop_rate,
-            delivery,
-        }
+        AsyncKnobs::new(interaction_rate, max_latency, drop_rate, delivery)
+            .map(ExecutionMode::Async)
+            .expect("valid knobs")
     }
 
     /// Runs `baseline` in `mode`, aggregating with `min`, without an event

@@ -18,12 +18,17 @@
 //!
 //! Both compute the same aggregate (parameterised by a fold function) so the
 //! results can be cross-checked against the self-similar systems.  Each has
-//! one entry point, `run`, that takes an [`ExecutionMode`]: `Sync` and
+//! one entry point, `run`, that takes an
+//! [`ExecutionMode`](selfsim_runtime::ExecutionMode): `Sync` and
 //! `Event` run the round-based protocol, `Async` its message-passing
 //! variant.  Every tick of either advances the environment by one
 //! [`Environment::step_delta`] and folds it into a [`Connectivity`] — the
 //! same fold the self-similar runtimes use — from which the baselines read
-//! groups, usable edges and pairwise reachability.
+//! groups, usable edges and pairwise reachability.  The message-passing
+//! variants send and settle their messages through the same message layer
+//! as the self-similar async runtime
+//! ([`AsyncKnobs`](selfsim_runtime::AsyncKnobs)); each keeps its own queue
+//! and counts message cost in its own unit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +43,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use selfsim_env::{Connectivity, Environment, Topology};
-use selfsim_runtime::{validate_async_knobs, ExecutionMode};
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
 /// What one tick of a baseline loop sees.
@@ -50,23 +54,6 @@ struct Tick<'a> {
     topology: &'a Topology,
     metrics: &'a mut RunMetrics,
     events: &'a mut EventLog,
-}
-
-/// Panics, naming the field, when `mode` carries invalid async knobs —
-/// the check [`AsyncConfig::validate`](selfsim_runtime::AsyncConfig::validate)
-/// makes for the self-similar runtime.
-fn validate(mode: ExecutionMode) {
-    if let ExecutionMode::Async {
-        interaction_rate,
-        max_latency,
-        drop_rate,
-        ..
-    } = mode
-    {
-        if let Err(message) = validate_async_knobs(interaction_rate, max_latency, drop_rate) {
-            panic!("invalid async parameters: {message}");
-        }
-    }
 }
 
 /// The loop both baselines share: each of at most `max_rounds` ticks

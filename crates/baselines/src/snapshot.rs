@@ -1,12 +1,10 @@
 //! The repeated-global-snapshot baseline.
 
-use rand::Rng;
-
 use selfsim_env::Environment;
-use selfsim_runtime::{DeliveryDecision, ExecutionMode};
+use selfsim_runtime::{DeliveryDecision, ExecutionMode, Message};
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{aggregate, drive, validate, Tick};
+use crate::{aggregate, drive, Tick};
 
 /// A coordinator-based aggregator: agent 0 repeatedly attempts to take a
 /// global snapshot of all values.  A snapshot attempt in a given round
@@ -50,11 +48,6 @@ impl SnapshotAggregator {
     /// blocked probes).  An attempt succeeds when all of its probes
     /// succeed; an attempt with no remote agent succeeds at its launch
     /// tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the field, when an `Async` mode carries an invalid
-    /// knob.
     pub fn run<E: Environment + ?Sized>(
         &self,
         environment: &mut E,
@@ -64,13 +57,10 @@ impl SnapshotAggregator {
         events: &mut EventLog,
     ) -> (RunMetrics, Option<i64>) {
         struct Probe {
-            deliver_at: usize,
-            expires_at: usize,
+            message: Message,
             reachable_at_send: bool,
             attempt: usize,
-            target: usize,
         }
-        validate(mode);
         let n = self.values.len();
         let mut metrics = RunMetrics::new("snapshot-baseline", environment.name(), n);
         // outstanding probes / already-failed flag, per launched attempt.
@@ -88,13 +78,7 @@ impl SnapshotAggregator {
             // The coordinator reaches every agent exactly when one group
             // holds all `n` of them.
             let reached = connectivity.group_count() == 1 && connectivity.group(0).len() == n;
-            let ExecutionMode::Async {
-                interaction_rate,
-                max_latency,
-                drop_rate,
-                delivery,
-            } = mode
-            else {
+            let ExecutionMode::Async(knobs) = mode else {
                 // A round: one request per agent per attempt, whether or
                 // not it succeeds — the coordinator cannot know in advance
                 // that the system is partitioned.
@@ -109,7 +93,7 @@ impl SnapshotAggregator {
                 return reached;
             };
 
-            if rng.gen_bool(interaction_rate) && n > 0 {
+            if knobs.initiates(rng) && n > 0 {
                 metrics.group_steps += 1;
                 metrics.messages += n - 1;
                 if n == 1 {
@@ -126,73 +110,49 @@ impl SnapshotAggregator {
                     if attempts[attempt].1 {
                         break;
                     }
-                    if rng.gen_bool(drop_rate) {
-                        metrics.messages_dropped += 1;
-                        events.emit(|| TraceEvent::MessageDropped {
-                            tick: tick as u64,
-                            from: 0,
-                            to: target,
-                        });
-                        attempts[attempt].1 = true; // probe lost: attempt dead
-                        continue;
+                    match knobs.send(rng, tick, 0, target, events) {
+                        Some(message) => pending.push(Probe {
+                            message,
+                            reachable_at_send: reached,
+                            attempt,
+                        }),
+                        None => {
+                            metrics.messages_dropped += 1;
+                            attempts[attempt].1 = true; // probe lost: attempt dead
+                        }
                     }
-                    let latency = rng.gen_range(1..=max_latency);
-                    let deliver_at = tick + latency;
-                    events.emit(|| TraceEvent::MessageSent {
-                        tick: tick as u64,
-                        from: 0,
-                        to: target,
-                        deliver_at: deliver_at as u64,
-                    });
-                    pending.push(Probe {
-                        deliver_at,
-                        expires_at: delivery.expiry(deliver_at),
-                        reachable_at_send: reached,
-                        attempt,
-                        target,
-                    });
                 }
             }
 
             // In-place drain (order-preserving): no per-tick reallocation
             // of the undelivered queue.
-            let due: Vec<Probe> = pending.extract_if(.., |p| p.deliver_at <= tick).collect();
-            for probe in due {
+            let due: Vec<Probe> = pending
+                .extract_if(.., |p| p.message.deliver_at <= tick)
+                .collect();
+            for mut probe in due {
                 let (outstanding, failed) = &mut attempts[probe.attempt];
                 if *failed {
                     continue;
                 }
-                match delivery.decide(reached, probe.reachable_at_send, tick, probe.expires_at) {
+                match knobs.settle(
+                    &mut probe.message,
+                    tick,
+                    reached,
+                    probe.reachable_at_send,
+                    metrics,
+                    events,
+                ) {
                     DeliveryDecision::Discard => {
                         *failed = true;
-                        events.emit(|| TraceEvent::MessageDiscarded {
-                            tick: tick as u64,
-                            from: 0,
-                            to: probe.target,
-                        });
                         continue;
                     }
                     DeliveryDecision::Requeue => {
-                        metrics.messages_requeued += 1;
-                        events.emit(|| TraceEvent::MessageRequeued {
-                            tick: tick as u64,
-                            from: 0,
-                            to: probe.target,
-                        });
-                        pending.push(Probe {
-                            deliver_at: tick + 1,
-                            ..probe
-                        });
+                        pending.push(probe);
                         continue;
                     }
                     DeliveryDecision::Deliver => {}
                 }
                 *outstanding -= 1;
-                events.emit(|| TraceEvent::MessageDelivered {
-                    tick: tick as u64,
-                    from: 0,
-                    to: probe.target,
-                });
                 if *outstanding == 0 && !*failed {
                     metrics.effective_group_steps += 1;
                     return true;
@@ -216,7 +176,7 @@ impl SnapshotAggregator {
 mod tests {
     use super::*;
     use selfsim_env::{AdversarialEnv, PeriodicPartitionEnv, StaticEnv, Topology};
-    use selfsim_runtime::DeliveryRule;
+    use selfsim_runtime::{AsyncKnobs, DeliveryRule};
 
     fn asynchronous(
         interaction_rate: f64,
@@ -224,12 +184,9 @@ mod tests {
         drop_rate: f64,
         delivery: DeliveryRule,
     ) -> ExecutionMode {
-        ExecutionMode::Async {
-            interaction_rate,
-            max_latency,
-            drop_rate,
-            delivery,
-        }
+        AsyncKnobs::new(interaction_rate, max_latency, drop_rate, delivery)
+            .map(ExecutionMode::Async)
+            .expect("valid knobs")
     }
 
     /// Runs `baseline` in `mode`, aggregating with `min`, without an event

@@ -27,7 +27,7 @@ use selfsim_core::DistributedFunction;
 use selfsim_env::{AdversarialEnv, Connectivity, Environment, RandomChurnEnv, Topology};
 use selfsim_geometry::Point;
 use selfsim_multiset::Multiset;
-use selfsim_runtime::{AsyncConfig, AsyncSimulator, SyncConfig, SyncSimulator};
+use selfsim_runtime::{AsyncConfig, AsyncKnobs, AsyncSimulator, SyncConfig, SyncSimulator};
 use selfsim_trace::{Summary, Table};
 
 const SEEDS: std::ops::Range<u64> = 0..10;
@@ -393,7 +393,7 @@ fn e11_async_hull() {
             let mut env = RandomChurnEnv::new(Topology::ring(n), 0.5, 1.0);
             let report = AsyncSimulator::new(AsyncConfig {
                 max_ticks: 500_000,
-                drop_rate: 0.2,
+                knobs: AsyncKnobs::new(0.5, 3, 0.2, DeliveryRule::default()).expect("valid knobs"),
                 seed,
                 ..AsyncConfig::default()
             })

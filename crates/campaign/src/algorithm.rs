@@ -140,10 +140,13 @@ pub fn run_system<S: Ord + Clone + std::fmt::Debug>(
     setup: &mut TrialSetup<'_>,
     env: &mut dyn Environment,
 ) -> RunMetrics {
-    let report = setup
-        .mode
-        .runtime::<S>(setup.seed, setup.max_rounds, false, setup.events.is_some())
-        .execute(system, env);
+    let report = setup.mode.run(
+        system,
+        env,
+        setup.seed,
+        setup.max_rounds,
+        setup.events.is_some(),
+    );
     if let Some(events) = setup.events.as_deref_mut() {
         events.extend(report.events);
     }

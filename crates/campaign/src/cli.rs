@@ -843,12 +843,10 @@ mod tests {
         .expect("async label parses");
         assert_eq!(
             args.modes,
-            [ExecutionMode::Async {
-                interaction_rate: 0.6,
-                max_latency: 2,
-                drop_rate: 0.1,
-                delivery: crate::DeliveryRule::ValidAtSend,
-            }]
+            [ExecutionMode::Async(
+                crate::AsyncKnobs::new(0.6, 2, 0.1, crate::DeliveryRule::ValidAtSend)
+                    .expect("valid knobs")
+            )]
         );
         let err = parse_args(&argv(&["--async-rate", "0.5"]), &registries)
             .expect_err("the knobs have no flags of their own");

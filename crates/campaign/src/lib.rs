@@ -17,7 +17,7 @@
 //!   with builder and cartesian grid expansion;
 //! * [`ExecutionMode`] — the runtime dimension: the same cell runs on the
 //!   synchronous round-based simulator or the asynchronous message-passing
-//!   one (latency, drops), behind the [`Runtime`] trait from
+//!   one (latency, drops), through [`ExecutionMode::run`] from
 //!   `selfsim-runtime`;
 //! * [`Campaign`] — a *streaming* runner that executes trials on a worker
 //!   pool with *derived* per-trial seeds and spills each finished record
@@ -88,6 +88,6 @@ pub use dimension::{
 pub use runner::{Campaign, CampaignConfig, CampaignResult, CollectedResult, ProgressThrottle};
 pub use scenario::{distribute_trials, grid_dims, Scenario, ScenarioBuilder, ScenarioGrid};
 pub use selfsim_env::{parse_label, split_top_level, Params};
-pub use selfsim_runtime::{DeliveryRule, ExecutionMode, Runtime};
+pub use selfsim_runtime::{AsyncKnobs, DeliveryRule, ExecutionMode};
 pub use shard::{merge_shards, merge_trace_shards, MergeOrder, ShardSpec};
 pub use trial::{run_trial, run_trial_traced, TrialRecord};

@@ -21,9 +21,7 @@
 //! (`dv=any-overlap(g=4)`) parse as one value.  [`Params`] hands the pairs
 //! to a consumer with *named-field* errors — unknown keys, duplicate keys,
 //! unparseable numbers and out-of-range probabilities all name the
-//! offending parameter, in the [`AsyncConfig::validate`] style.
-//!
-//! [`AsyncConfig::validate`]: https://docs.rs/selfsim-runtime
+//! offending parameter, in the style of `selfsim_runtime::AsyncKnobs::new`.
 
 use std::fmt::Display;
 use std::str::FromStr;

@@ -11,28 +11,22 @@
 use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use selfsim_core::{SelfSimilarSystem, StepScratch};
 use selfsim_env::{AgentId, Connectivity, Environment};
 use selfsim_temporal::Trace;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{DeliveryDecision, DeliveryRule, SimulationReport};
+use crate::{AsyncKnobs, DeliveryDecision, Message, SimulationReport};
 
 /// Configuration of an [`AsyncSimulator`] run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct AsyncConfig {
     /// Maximum virtual time (number of ticks) before giving up.
     pub max_ticks: usize,
-    /// Probability that an enabled edge initiates an interaction at a tick.
-    pub interaction_rate: f64,
-    /// Message latency is drawn uniformly from `1..=max_latency` ticks.
-    pub max_latency: usize,
-    /// Probability that an in-flight message is lost.
-    pub drop_rate: f64,
-    /// What happens to a message whose edge is down when it comes due.
-    pub delivery: DeliveryRule,
+    /// Interaction rate, latency, loss and delivery rule of the messages.
+    pub knobs: AsyncKnobs,
     /// RNG seed.
     pub seed: u64,
     /// Record the full state trace in the report.
@@ -48,10 +42,7 @@ impl Default for AsyncConfig {
     fn default() -> Self {
         AsyncConfig {
             max_ticks: 50_000,
-            interaction_rate: 0.5,
-            max_latency: 3,
-            drop_rate: 0.0,
-            delivery: DeliveryRule::default(),
+            knobs: AsyncKnobs::default(),
             seed: 0,
             record_traces: false,
             record_events: false,
@@ -59,54 +50,12 @@ impl Default for AsyncConfig {
     }
 }
 
-impl AsyncConfig {
-    /// Checks the field invariants, naming the offending field in the
-    /// error: `max_latency` must be at least one tick (latency is drawn
-    /// from `1..=max_latency`; zero used to be silently clamped to 1) and
-    /// the two rates must be probabilities (out-of-range values used to
-    /// panic deep inside the RNG with an unhelpful message).
-    pub fn validate(&self) -> Result<(), String> {
-        validate_async_knobs(self.interaction_rate, self.max_latency, self.drop_rate)
-    }
-}
-
-/// Validates the knobs every message-passing execution shares — the
-/// [`AsyncSimulator`] *and* the baselines' message-passing runs — naming
-/// the offending field in the error.
-pub fn validate_async_knobs(
-    interaction_rate: f64,
-    max_latency: usize,
-    drop_rate: f64,
-) -> Result<(), String> {
-    if max_latency == 0 {
-        return Err(
-            "max_latency must be at least 1 (message latency is drawn from 1..=max_latency)".into(),
-        );
-    }
-    for (name, value) in [
-        ("interaction_rate", interaction_rate),
-        ("drop_rate", drop_rate),
-    ] {
-        if !(0.0..=1.0).contains(&value) {
-            return Err(format!(
-                "{name} must be a probability in [0, 1], got {value}"
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// A pending rendezvous request: when delivered (subject to the
-/// [`DeliveryRule`]), the two endpoint agents execute one pairwise step of
-/// `R`.
+/// [`DeliveryRule`](crate::DeliveryRule)), its two endpoint agents execute
+/// one pairwise step of `R`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct PendingInteraction {
-    deliver_at: usize,
-    /// Last tick delivery may still happen ([`DeliveryRule::expiry`] of
-    /// the original due tick; only `AnyOverlap` re-queues up to it).
-    expires_at: usize,
-    initiator: AgentId,
-    responder: AgentId,
+    message: Message,
     sequence: usize,
 }
 
@@ -115,8 +64,9 @@ impl Ord for PendingInteraction {
         // BinaryHeap is a max-heap; invert so the earliest delivery pops first,
         // breaking ties by sequence number for determinism.
         other
+            .message
             .deliver_at
-            .cmp(&self.deliver_at)
+            .cmp(&self.message.deliver_at)
             .then_with(|| other.sequence.cmp(&self.sequence))
     }
 }
@@ -133,7 +83,7 @@ impl PartialOrd for PendingInteraction {
 /// currently usable edge initiates, with probability `interaction_rate`, a
 /// *rendezvous request* that is delivered after a random latency (or dropped
 /// with probability `drop_rate`).  When a request comes due, the
-/// configured [`DeliveryRule`] decides whether the two endpoints execute
+/// configured [`DeliveryRule`](crate::DeliveryRule) decides whether the two endpoints execute
 /// one two-agent step of `R` on their *current* states — the historical
 /// default demands the edge be usable at the delivery tick, `ValidAtSend`
 /// honours the send-time agreement unconditionally, and `AnyOverlap`
@@ -151,27 +101,16 @@ pub struct AsyncSimulator {
 
 impl AsyncSimulator {
     /// Creates a simulator with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`AsyncConfig::validate`] message when the
-    /// configuration is invalid (zero `max_latency`, out-of-range rates).
-    /// Callers handling untrusted input (the CLI) validate first.
     pub fn new(config: AsyncConfig) -> Self {
-        if let Err(message) = config.validate() {
-            panic!("invalid AsyncConfig: {message}");
-        }
         AsyncSimulator { config }
     }
 
     /// Creates a simulator with default configuration and the given seed.
     pub fn with_seed(seed: u64) -> Self {
-        AsyncSimulator {
-            config: AsyncConfig {
-                seed,
-                ..AsyncConfig::default()
-            },
-        }
+        AsyncSimulator::new(AsyncConfig {
+            seed,
+            ..AsyncConfig::default()
+        })
     }
 
     /// The configuration in use.
@@ -221,6 +160,7 @@ impl AsyncSimulator {
         };
 
         let mut connectivity = Connectivity::default();
+        let knobs = self.config.knobs;
 
         for tick in 0..self.config.max_ticks {
             let delta = environment.step_delta(&mut rng);
@@ -237,80 +177,45 @@ impl AsyncSimulator {
             // New rendezvous requests from currently usable edges, in
             // ascending edge order.
             for edge in connectivity.usable_edges(topology) {
-                if !rng.gen_bool(self.config.interaction_rate) {
+                if !knobs.initiates(&mut rng) {
                     continue;
                 }
                 metrics.messages += 1;
-                if rng.gen_bool(self.config.drop_rate) {
+                let (from, to) = (edge.lo().index(), edge.hi().index());
+                let Some(message) = knobs.send(&mut rng, tick, from, to, &mut events) else {
                     metrics.messages_dropped += 1;
-                    events.emit(|| TraceEvent::MessageDropped {
-                        tick: tick as u64,
-                        from: edge.lo().index(),
-                        to: edge.hi().index(),
-                    });
                     continue; // lost in flight
-                }
-                let latency = rng.gen_range(1..=self.config.max_latency);
-                let deliver_at = tick + latency;
-                events.emit(|| TraceEvent::MessageSent {
-                    tick: tick as u64,
-                    from: edge.lo().index(),
-                    to: edge.hi().index(),
-                    deliver_at: deliver_at as u64,
-                });
-                pending.push(PendingInteraction {
-                    deliver_at,
-                    expires_at: self.config.delivery.expiry(deliver_at),
-                    initiator: edge.lo(),
-                    responder: edge.hi(),
-                    sequence,
-                });
+                };
+                pending.push(PendingInteraction { message, sequence });
                 sequence += 1;
             }
 
             // Deliveries due at this tick.  The edge was usable at send
             // time by construction, so `usable_at_send` is always true
             // here; the rule decides on the current state of the edge.
-            while pending.peek().is_some_and(|p| p.deliver_at <= tick) {
-                let p = pending.pop().expect("peeked");
-                let usable_now = connectivity.can_communicate(p.initiator, p.responder, topology);
-                match self
-                    .config
-                    .delivery
-                    .decide(usable_now, true, tick, p.expires_at)
-                {
-                    DeliveryDecision::Discard => {
-                        events.emit(|| TraceEvent::MessageDiscarded {
-                            tick: tick as u64,
-                            from: p.initiator.index(),
-                            to: p.responder.index(),
-                        });
-                        continue;
-                    }
+            while pending.peek().is_some_and(|p| p.message.deliver_at <= tick) {
+                let mut p = pending.pop().expect("peeked");
+                let (initiator, responder) = (AgentId(p.message.from), AgentId(p.message.to));
+                let usable_now = connectivity.can_communicate(initiator, responder, topology);
+                match knobs.settle(
+                    &mut p.message,
+                    tick,
+                    usable_now,
+                    true,
+                    &mut metrics,
+                    &mut events,
+                ) {
+                    DeliveryDecision::Discard => continue,
                     DeliveryDecision::Requeue => {
-                        metrics.messages_requeued += 1;
-                        events.emit(|| TraceEvent::MessageRequeued {
-                            tick: tick as u64,
-                            from: p.initiator.index(),
-                            to: p.responder.index(),
-                        });
                         // Same sequence number: the retry keeps its place
                         // in the deterministic tie-break order.
-                        pending.push(PendingInteraction {
-                            deliver_at: tick + 1,
-                            ..p
-                        });
+                        pending.push(p);
                         continue;
                     }
                     DeliveryDecision::Deliver => {}
                 }
                 metrics.group_steps += 1;
-                events.emit(|| TraceEvent::MessageDelivered {
-                    tick: tick as u64,
-                    from: p.initiator.index(),
-                    to: p.responder.index(),
-                });
-                let group = [p.initiator, p.responder];
+                let group = [initiator, responder];
                 let changed = system
                     .apply_group_step_with(
                         &mut state,
@@ -361,6 +266,7 @@ impl AsyncSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeliveryRule;
     use selfsim_algorithms::minimum;
     use selfsim_env::{RandomChurnEnv, StaticEnv, Topology};
 
@@ -381,8 +287,10 @@ mod tests {
         let sys = minimum::system(&[9, 2, 7, 5, 8, 4], topo.clone());
         let run = |drop_rate: f64| {
             let mut env = StaticEnv::new(Topology::ring(6));
+            let knobs =
+                AsyncKnobs::new(0.5, 3, drop_rate, DeliveryRule::default()).expect("valid knobs");
             AsyncSimulator::new(AsyncConfig {
-                drop_rate,
+                knobs,
                 seed: 2,
                 ..AsyncConfig::default()
             })
@@ -403,38 +311,6 @@ mod tests {
         );
         assert!(lossy.metrics.messages_dropped > 0);
         assert!(lossy.metrics.messages_dropped <= lossy.metrics.messages);
-    }
-
-    #[test]
-    fn invalid_configs_are_rejected_naming_the_field() {
-        let zero_latency = AsyncConfig {
-            max_latency: 0,
-            ..AsyncConfig::default()
-        };
-        assert!(zero_latency.validate().unwrap_err().contains("max_latency"));
-        let bad_rate = AsyncConfig {
-            interaction_rate: 1.5,
-            ..AsyncConfig::default()
-        };
-        assert!(bad_rate
-            .validate()
-            .unwrap_err()
-            .contains("interaction_rate"));
-        let bad_drop = AsyncConfig {
-            drop_rate: -0.1,
-            ..AsyncConfig::default()
-        };
-        assert!(bad_drop.validate().unwrap_err().contains("drop_rate"));
-        assert!(AsyncConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid AsyncConfig: max_latency")]
-    fn constructor_rejects_zero_latency_instead_of_clamping() {
-        let _ = AsyncSimulator::new(AsyncConfig {
-            max_latency: 0,
-            ..AsyncConfig::default()
-        });
     }
 
     #[test]

@@ -1,8 +1,23 @@
-//! Delivery semantics for the message-passing runtimes.
+//! The message layer every message-passing execution shares.
 //!
-//! The asynchronous model sends a rendezvous/gossip/probe message over an
-//! edge that is usable *at send time* and delivers it one or more ticks
-//! later.  What should happen when the edge is no longer usable at the
+//! The paper (§4.5) notes that the group relation `R` "can be easily
+//! implemented by asynchronous message passing".  Three protocols take
+//! it at its word: [`AsyncSimulator`] (pairwise rendezvous steps of `R`)
+//! and the async runs of the snapshot and flooding baselines.  They differ
+//! in what a message carries and in how they queue messages, and share
+//! everything else, which lives here:
+//!
+//! * [`AsyncKnobs`] — the interaction rate, maximum latency, drop rate and
+//!   delivery rule, valid by construction;
+//! * [`AsyncKnobs::send`] — the drop roll and latency draw of one message;
+//! * [`AsyncKnobs::settle`] — the [`DeliveryRule`]'s verdict on a message
+//!   that has come due.
+//!
+//! The two steps emit the whole message lifecycle as
+//! [`TraceEvent`]s; each caller counts messages in its own cost unit.
+//!
+//! The send side only ever sends over an edge that is usable *at send
+//! time*.  What should happen when the edge is no longer usable at the
 //! delivery tick is a modelling decision, not a fact — and it decides
 //! whether the fairness assumption `□◇Q` survives the translation from
 //! rounds to messages.  The historical rule (deliver only if the pair can
@@ -11,11 +26,176 @@
 //! with brief merge windows (e.g. the periodic partition's single-tick
 //! merges) stall cross-fragment progress even for algorithms the paper
 //! proves convergent under `□◇Q`.  [`DeliveryRule`] makes the choice
-//! explicit and sweepable, and is applied uniformly by [`AsyncSimulator`]
-//! and the message-passing baselines so cross-runtime comparisons stay
-//! apples-to-apples.
+//! explicit and sweepable, and [`AsyncKnobs::settle`] applies it to every
+//! protocol alike, so cross-runtime comparisons stay apples-to-apples.
 //!
 //! [`AsyncSimulator`]: crate::AsyncSimulator
+
+use rand::Rng;
+use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
+
+/// The knobs of a message-passing run, shared by [`AsyncSimulator`], the
+/// baselines' async runs and [`ExecutionMode::Async`].
+///
+/// The only constructors are [`AsyncKnobs::new`], which rejects invalid
+/// values, and the valid [`Default`], so every value of this type is
+/// valid and the runs that take one have no failure path on it.
+///
+/// [`AsyncSimulator`]: crate::AsyncSimulator
+/// [`ExecutionMode::Async`]: crate::ExecutionMode::Async
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AsyncKnobs {
+    /// Probability that a usable edge (or the snapshot coordinator)
+    /// initiates an interaction at a tick.
+    pub(crate) interaction_rate: f64,
+    /// Message latency is drawn uniformly from `1..=max_latency` ticks.
+    pub(crate) max_latency: usize,
+    /// Probability that a sent message is lost in flight.
+    pub(crate) drop_rate: f64,
+    /// What happens to a message whose connectivity condition fails when
+    /// it comes due.
+    pub(crate) delivery: DeliveryRule,
+}
+
+impl Default for AsyncKnobs {
+    /// Interaction rate 0.5, latency `1..=3`, no loss, the historical
+    /// delivery rule — the bare `async` mode.
+    fn default() -> Self {
+        AsyncKnobs {
+            interaction_rate: 0.5,
+            max_latency: 3,
+            drop_rate: 0.0,
+            delivery: DeliveryRule::default(),
+        }
+    }
+}
+
+impl AsyncKnobs {
+    /// Validates the knobs, naming the offending field in the error:
+    /// `max_latency` must be at least one tick (latency is drawn from
+    /// `1..=max_latency`) and the two rates must be probabilities.
+    pub fn new(
+        interaction_rate: f64,
+        max_latency: usize,
+        drop_rate: f64,
+        delivery: DeliveryRule,
+    ) -> Result<Self, String> {
+        if max_latency == 0 {
+            return Err(
+                "max_latency must be at least 1 (message latency is drawn from 1..=max_latency)"
+                    .into(),
+            );
+        }
+        for (name, value) in [
+            ("interaction_rate", interaction_rate),
+            ("drop_rate", drop_rate),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(format!(
+                    "{name} must be a probability in [0, 1], got {value}"
+                ));
+            }
+        }
+        Ok(AsyncKnobs {
+            interaction_rate,
+            max_latency,
+            drop_rate,
+            delivery,
+        })
+    }
+
+    /// The same knobs with another delivery rule.
+    pub fn with_delivery(self, delivery: DeliveryRule) -> Self {
+        AsyncKnobs { delivery, ..self }
+    }
+
+    /// Rolls whether an interaction is initiated this tick.
+    pub fn initiates<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+        rng.gen_bool(self.interaction_rate)
+    }
+
+    /// The send step of a message from agent `from` to agent `to` at
+    /// `tick`: a lost message emits `MessageDropped` and returns `None`;
+    /// otherwise the latency is drawn, `MessageSent` is emitted and the
+    /// message is returned with its due and expiry ticks.
+    pub fn send<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        tick: usize,
+        from: usize,
+        to: usize,
+        events: &mut EventLog,
+    ) -> Option<Message> {
+        if rng.gen_bool(self.drop_rate) {
+            events.emit(|| TraceEvent::MessageDropped {
+                tick: tick as u64,
+                from,
+                to,
+            });
+            return None;
+        }
+        let deliver_at = tick + rng.gen_range(1..=self.max_latency);
+        events.emit(|| TraceEvent::MessageSent {
+            tick: tick as u64,
+            from,
+            to,
+            deliver_at: deliver_at as u64,
+        });
+        Some(Message {
+            from,
+            to,
+            deliver_at,
+            expires_at: self.delivery.expiry(deliver_at),
+        })
+    }
+
+    /// The settle step of a message that is due at `tick`: the delivery
+    /// rule [decides](DeliveryRule::decide) its fate from whether its
+    /// connectivity condition holds now (`usable_now`) and held when it
+    /// was sent (`usable_at_send`), and the fate is emitted as
+    /// `MessageDiscarded`, `MessageRequeued` or `MessageDelivered`.  A
+    /// re-queued message is counted in `messages_requeued` and becomes due
+    /// at the next tick; the caller puts it back in its queue.
+    pub fn settle(
+        &self,
+        message: &mut Message,
+        tick: usize,
+        usable_now: bool,
+        usable_at_send: bool,
+        metrics: &mut RunMetrics,
+        events: &mut EventLog,
+    ) -> DeliveryDecision {
+        let decision = self
+            .delivery
+            .decide(usable_now, usable_at_send, tick, message.expires_at);
+        if decision == DeliveryDecision::Requeue {
+            metrics.messages_requeued += 1;
+            message.deliver_at = tick + 1;
+        }
+        let (tick, from, to) = (tick as u64, message.from, message.to);
+        events.emit(|| match decision {
+            DeliveryDecision::Discard => TraceEvent::MessageDiscarded { tick, from, to },
+            DeliveryDecision::Requeue => TraceEvent::MessageRequeued { tick, from, to },
+            DeliveryDecision::Deliver => TraceEvent::MessageDelivered { tick, from, to },
+        });
+        decision
+    }
+}
+
+/// A message in flight from one agent to another, as
+/// [`AsyncKnobs::send`] returns it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Message {
+    /// The sending agent.
+    pub from: usize,
+    /// The receiving agent.
+    pub to: usize,
+    /// The tick at which the message comes due.
+    pub deliver_at: usize,
+    /// The last tick at which delivery may still happen
+    /// ([`DeliveryRule::expiry`] of the original due tick).
+    pub expires_at: usize,
+}
 
 /// When a due message may trigger its interaction.
 ///
@@ -181,6 +361,7 @@ impl DeliveryRule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn labels_parse_back() {
@@ -211,6 +392,82 @@ mod tests {
         assert!(err.contains("unknown parameter q"), "{err}");
         let err = DeliveryRule::parse_label("valid-at-send(g=3)").unwrap_err();
         assert!(err.contains("unknown parameter g"), "{err}");
+    }
+
+    #[test]
+    fn invalid_knobs_are_rejected_naming_the_field() {
+        let knobs = |i, l, d| AsyncKnobs::new(i, l, d, DeliveryRule::default());
+        assert!(knobs(1.5, 3, 0.0).unwrap_err().contains("interaction_rate"));
+        assert!(knobs(0.5, 3, -0.1).unwrap_err().contains("drop_rate"));
+        assert!(knobs(f64::NAN, 3, 0.0)
+            .unwrap_err()
+            .contains("interaction_rate"));
+        assert_eq!(knobs(0.5, 3, 0.0), Ok(AsyncKnobs::default()));
+    }
+
+    #[test]
+    fn zero_latency_is_rejected_instead_of_clamped() {
+        let err = AsyncKnobs::new(0.5, 0, 0.0, DeliveryRule::default()).unwrap_err();
+        assert!(err.starts_with("max_latency must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn send_and_settle_emit_the_message_lifecycle() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut events = EventLog::enabled();
+        let mut metrics = RunMetrics::new("test", "static", 2);
+        let lossy = AsyncKnobs::new(0.5, 1, 1.0, DeliveryRule::default()).expect("valid");
+        assert_eq!(lossy.send(&mut rng, 4, 0, 1, &mut events), None);
+        let knobs = AsyncKnobs::default().with_delivery(DeliveryRule::AnyOverlap { grace: 1 });
+        let mut message = knobs
+            .send(&mut rng, 4, 1, 0, &mut events)
+            .expect("lossless send");
+        assert!((5..=7).contains(&message.deliver_at));
+        assert_eq!(message.expires_at, message.deliver_at + 1);
+        let due = message.deliver_at;
+        let settle = |message: &mut Message,
+                      tick,
+                      usable_now,
+                      metrics: &mut RunMetrics,
+                      events: &mut EventLog| {
+            knobs.settle(message, tick, usable_now, true, metrics, events)
+        };
+        assert_eq!(
+            settle(&mut message, due, false, &mut metrics, &mut events),
+            DeliveryDecision::Requeue
+        );
+        assert_eq!(message.deliver_at, due + 1);
+        assert_eq!(metrics.messages_requeued, 1);
+        assert_eq!(
+            settle(&mut message, due + 1, true, &mut metrics, &mut events),
+            DeliveryDecision::Deliver
+        );
+        assert_eq!(
+            events.into_events(),
+            vec![
+                TraceEvent::MessageDropped {
+                    tick: 4,
+                    from: 0,
+                    to: 1
+                },
+                TraceEvent::MessageSent {
+                    tick: 4,
+                    from: 1,
+                    to: 0,
+                    deliver_at: due as u64
+                },
+                TraceEvent::MessageRequeued {
+                    tick: due as u64,
+                    from: 1,
+                    to: 0
+                },
+                TraceEvent::MessageDelivered {
+                    tick: due as u64 + 1,
+                    from: 1,
+                    to: 0
+                },
+            ]
+        );
     }
 
     #[test]

@@ -30,15 +30,24 @@
 //!   windows shorter than the message latency decides convergence itself
 //!   (see the `delivery` module docs and experiment E14).
 //!
+//! Every message-passing execution — the [`AsyncSimulator`] and the async
+//! runs of the snapshot and flooding baselines — goes through one message
+//! layer: [`AsyncKnobs`] holds the interaction rate, latency, loss and
+//! delivery rule (valid by construction), [`AsyncKnobs::send`] rolls the
+//! drop and draws the latency of one message, and [`AsyncKnobs::settle`]
+//! applies the delivery rule to a message that has come due.  Both steps
+//! emit the message lifecycle as [`selfsim_trace::TraceEvent`]s.
+//!
 //! All simulators are deterministic given a seed, record
 //! [`selfsim_trace::RunMetrics`], optionally keep the full environment and
 //! agent-state traces for auditing (conservation law, `□◇Q`, LTL specs),
 //! and detect convergence (the state reaching — and then staying at — the
 //! target `f(S(0))`).
 //!
-//! The simulators share an object-safe face, [`Runtime`], and a
-//! declarative selector, [`ExecutionMode`], so that experiment drivers can
-//! sweep the *execution model* as just another scenario dimension.
+//! A declarative selector, [`ExecutionMode`], names a simulator and its
+//! knobs, and [`ExecutionMode::run`] runs a system on it, so that
+//! experiment drivers can sweep the *execution model* as just another
+//! scenario dimension.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,9 +60,9 @@ mod report;
 mod round;
 mod sync;
 
-pub use async_sim::{validate_async_knobs, AsyncConfig, AsyncSimulator};
-pub use delivery::{DeliveryDecision, DeliveryRule, DEFAULT_GRACE};
+pub use async_sim::{AsyncConfig, AsyncSimulator};
+pub use delivery::{AsyncKnobs, DeliveryDecision, DeliveryRule, Message, DEFAULT_GRACE};
 pub use event::{EventConfig, EventSimulator};
-pub use mode::{ExecutionMode, Runtime};
+pub use mode::ExecutionMode;
 pub use report::SimulationReport;
 pub use sync::{SyncConfig, SyncSimulator};

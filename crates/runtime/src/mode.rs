@@ -4,67 +4,21 @@
 //! execution models — synchronous rounds, asynchronous message passing, and
 //! event-driven scheduling.  [`ExecutionMode`] makes that a first-class,
 //! sweepable parameter: it names a runtime plus its mode-specific knobs, and
-//! [`ExecutionMode::runtime`] materialises the corresponding simulator
-//! behind the object-safe [`Runtime`] trait so drivers (the campaign engine,
-//! the experiment binaries) never match on the mode themselves.
+//! [`ExecutionMode::run`] runs a system on the corresponding simulator, so
+//! drivers (the campaign engine, the experiment binaries) never match on
+//! the mode themselves.
 
 use selfsim_core::SelfSimilarSystem;
 use selfsim_env::Environment;
 
 use crate::{
-    AsyncConfig, AsyncSimulator, DeliveryRule, EventSimulator, SimulationReport, SyncConfig,
-    SyncSimulator,
+    AsyncConfig, AsyncKnobs, AsyncSimulator, DeliveryRule, EventSimulator, SimulationReport,
+    SyncConfig, SyncSimulator,
 };
-
-/// A runtime that can execute a self-similar system under an environment —
-/// the common face of [`SyncSimulator`], [`EventSimulator`] and
-/// [`AsyncSimulator`].
-///
-/// Object-safe so that callers generic only in the *state* type can hold a
-/// `Box<dyn Runtime<S>>` chosen at run time from an [`ExecutionMode`].
-pub trait Runtime<S: Ord + Clone + std::fmt::Debug> {
-    /// Runs `system` under `environment` until convergence or the budget
-    /// (rounds or ticks, depending on the runtime) is exhausted.
-    fn execute(
-        &self,
-        system: &SelfSimilarSystem<S>,
-        environment: &mut dyn Environment,
-    ) -> SimulationReport<S>;
-}
-
-impl<S: Ord + Clone + std::fmt::Debug> Runtime<S> for SyncSimulator {
-    fn execute(
-        &self,
-        system: &SelfSimilarSystem<S>,
-        environment: &mut dyn Environment,
-    ) -> SimulationReport<S> {
-        self.run(system, environment)
-    }
-}
-
-impl<S: Ord + Clone + std::fmt::Debug> Runtime<S> for AsyncSimulator {
-    fn execute(
-        &self,
-        system: &SelfSimilarSystem<S>,
-        environment: &mut dyn Environment,
-    ) -> SimulationReport<S> {
-        self.run(system, environment)
-    }
-}
-
-impl<S: Ord + Clone + std::fmt::Debug> Runtime<S> for EventSimulator {
-    fn execute(
-        &self,
-        system: &SelfSimilarSystem<S>,
-        environment: &mut dyn Environment,
-    ) -> SimulationReport<S> {
-        self.run(system, environment)
-    }
-}
 
 /// Which runtime a scenario cell runs on, with the runtime-specific knobs
 /// that are part of the cell's identity (the budget and seed are per-trial
-/// and passed to [`ExecutionMode::runtime`] instead).
+/// and passed to [`ExecutionMode::run`] instead).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ExecutionMode {
     /// Round-based lockstep execution on [`SyncSimulator`].
@@ -86,16 +40,7 @@ pub enum ExecutionMode {
     },
     /// Discrete-event message passing on [`AsyncSimulator`]: pairwise
     /// rendezvous over currently-usable edges with latency and loss.
-    Async {
-        /// Probability that a usable edge initiates an interaction per tick.
-        interaction_rate: f64,
-        /// Message latency is drawn uniformly from `1..=max_latency` ticks.
-        max_latency: usize,
-        /// Probability that an in-flight message is lost.
-        drop_rate: f64,
-        /// What happens to a message whose edge is down when it comes due.
-        delivery: DeliveryRule,
-    },
+    Async(AsyncKnobs),
 }
 
 impl ExecutionMode {
@@ -109,27 +54,15 @@ impl ExecutionMode {
         ExecutionMode::Event { cooldown: 0 }
     }
 
-    /// The default asynchronous mode (the [`AsyncConfig`] defaults).
+    /// The default asynchronous mode (the [`AsyncKnobs`] defaults).
     pub fn asynchronous() -> Self {
-        let defaults = AsyncConfig::default();
-        ExecutionMode::Async {
-            interaction_rate: defaults.interaction_rate,
-            max_latency: defaults.max_latency,
-            drop_rate: defaults.drop_rate,
-            delivery: defaults.delivery,
-        }
+        ExecutionMode::Async(AsyncKnobs::default())
     }
 
     /// The default asynchronous mode with the given delivery rule — the
     /// standard way to build the cells of a delivery-semantics sweep.
     pub fn asynchronous_with(delivery: DeliveryRule) -> Self {
-        let defaults = AsyncConfig::default();
-        ExecutionMode::Async {
-            interaction_rate: defaults.interaction_rate,
-            max_latency: defaults.max_latency,
-            drop_rate: defaults.drop_rate,
-            delivery,
-        }
+        ExecutionMode::Async(AsyncKnobs::default().with_delivery(delivery))
     }
 
     /// The delivery rule of an async mode (`None` for sync — lockstep
@@ -137,7 +70,7 @@ impl ExecutionMode {
     pub fn delivery(&self) -> Option<DeliveryRule> {
         match *self {
             ExecutionMode::Sync { .. } | ExecutionMode::Event { .. } => None,
-            ExecutionMode::Async { delivery, .. } => Some(delivery),
+            ExecutionMode::Async(knobs) => Some(knobs.delivery),
         }
     }
 
@@ -155,7 +88,7 @@ impl ExecutionMode {
 
     /// `true` for the message-passing mode.
     pub fn is_async(&self) -> bool {
-        matches!(self, ExecutionMode::Async { .. })
+        matches!(self, ExecutionMode::Async(_))
     }
 
     /// Short stable label used in scenario names and reports.  Default
@@ -167,21 +100,14 @@ impl ExecutionMode {
             ExecutionMode::Sync { cooldown } => format!("sync(cd={cooldown})"),
             ExecutionMode::Event { cooldown: 0 } => "event".into(),
             ExecutionMode::Event { cooldown } => format!("event(cd={cooldown})"),
-            ExecutionMode::Async {
-                interaction_rate,
-                max_latency,
-                drop_rate,
-                delivery,
-            } => {
-                if *self == ExecutionMode::asynchronous() {
+            ExecutionMode::Async(knobs) => {
+                let (i, l, d) = (knobs.interaction_rate, knobs.max_latency, knobs.drop_rate);
+                if knobs == AsyncKnobs::default() {
                     "async".into()
-                } else if delivery == DeliveryRule::default() {
-                    format!("async(i={interaction_rate},l={max_latency},d={drop_rate})")
+                } else if knobs.delivery == DeliveryRule::default() {
+                    format!("async(i={i},l={l},d={d})")
                 } else {
-                    format!(
-                        "async(i={interaction_rate},l={max_latency},d={drop_rate},dv={})",
-                        delivery.label()
-                    )
+                    format!("async(i={i},l={l},d={d},dv={})", knobs.delivery.label())
                 }
             }
         }
@@ -212,7 +138,7 @@ impl ExecutionMode {
     /// Parses a mode label through the shared `name(k=v)` grammar, with
     /// named-field errors: `sync(cd=N)` and
     /// `async(i=RATE,l=LATENCY,d=DROP[,dv=RULE])` round-trip exactly, and
-    /// the async knobs are validated like [`AsyncConfig::validate`] so an
+    /// the async knobs are validated by [`AsyncKnobs::new`] so an
     /// out-of-range label is rejected at parse, not deep in a trial.
     pub fn parse_label(s: &str) -> Result<Self, String> {
         let (name, mut params) = selfsim_env::parse_label(s)?;
@@ -228,7 +154,7 @@ impl ExecutionMode {
                 Ok(ExecutionMode::Event { cooldown })
             }
             "async" => {
-                let defaults = AsyncConfig::default();
+                let defaults = AsyncKnobs::default();
                 let interaction_rate = params
                     .take::<f64>("i")?
                     .unwrap_or(defaults.interaction_rate);
@@ -239,13 +165,8 @@ impl ExecutionMode {
                     None => defaults.delivery,
                 };
                 params.finish(&["i", "l", "d", "dv"])?;
-                crate::validate_async_knobs(interaction_rate, max_latency, drop_rate)?;
-                Ok(ExecutionMode::Async {
-                    interaction_rate,
-                    max_latency,
-                    drop_rate,
-                    delivery,
-                })
+                AsyncKnobs::new(interaction_rate, max_latency, drop_rate, delivery)
+                    .map(ExecutionMode::Async)
             }
             other => Err(format!(
                 "unknown mode `{other}` (expected sync, sync(cd=N), event, event(cd=N), \
@@ -254,42 +175,44 @@ impl ExecutionMode {
         }
     }
 
-    /// Materialises the runtime for one trial: `budget` is rounds (sync) or
-    /// ticks (async), `seed` drives all simulator randomness, and
-    /// `record_events` opts the run into the structured
-    /// [`selfsim_trace::TraceEvent`] stream.
-    pub fn runtime<S: Ord + Clone + std::fmt::Debug>(
+    /// Runs `system` under `environment` on this mode's simulator:
+    /// `budget` is rounds (sync, event) or ticks (async), `seed` drives all
+    /// simulator randomness, and `record_events` opts the run into the
+    /// structured [`selfsim_trace::TraceEvent`] stream.
+    pub fn run<S, E>(
         &self,
+        system: &SelfSimilarSystem<S>,
+        environment: &mut E,
         seed: u64,
         budget: usize,
-        record_traces: bool,
         record_events: bool,
-    ) -> Box<dyn Runtime<S>> {
+    ) -> SimulationReport<S>
+    where
+        S: Ord + Clone + std::fmt::Debug,
+        E: Environment + ?Sized,
+    {
         let rounds = |cooldown_rounds| SyncConfig {
             max_rounds: budget,
             cooldown_rounds,
             seed,
-            record_traces,
+            record_traces: false,
             record_events,
         };
         match *self {
-            ExecutionMode::Sync { cooldown } => Box::new(SyncSimulator::new(rounds(cooldown))),
-            ExecutionMode::Event { cooldown } => Box::new(EventSimulator::new(rounds(cooldown))),
-            ExecutionMode::Async {
-                interaction_rate,
-                max_latency,
-                drop_rate,
-                delivery,
-            } => Box::new(AsyncSimulator::new(AsyncConfig {
+            ExecutionMode::Sync { cooldown } => {
+                SyncSimulator::new(rounds(cooldown)).run(system, environment)
+            }
+            ExecutionMode::Event { cooldown } => {
+                EventSimulator::new(rounds(cooldown)).run(system, environment)
+            }
+            ExecutionMode::Async(knobs) => AsyncSimulator::new(AsyncConfig {
                 max_ticks: budget,
-                interaction_rate,
-                max_latency,
-                drop_rate,
-                delivery,
+                knobs,
                 seed,
-                record_traces,
+                record_traces: false,
                 record_events,
-            })),
+            })
+            .run(system, environment),
         }
     }
 }
@@ -299,6 +222,17 @@ mod tests {
     use super::*;
     use selfsim_algorithms::minimum;
     use selfsim_env::{RandomChurnEnv, StaticEnv, Topology};
+
+    fn asynchronous(
+        interaction_rate: f64,
+        max_latency: usize,
+        drop_rate: f64,
+        delivery: DeliveryRule,
+    ) -> ExecutionMode {
+        AsyncKnobs::new(interaction_rate, max_latency, drop_rate, delivery)
+            .map(ExecutionMode::Async)
+            .expect("valid knobs")
+    }
 
     #[test]
     fn labels_parse_back_for_defaults() {
@@ -310,13 +244,7 @@ mod tests {
         assert_eq!(ExecutionMode::parse("event"), Some(ExecutionMode::event()));
         assert_eq!(ExecutionMode::Event { cooldown: 7 }.label(), "event(cd=7)");
         assert_eq!(
-            ExecutionMode::Async {
-                interaction_rate: 0.25,
-                max_latency: 5,
-                drop_rate: 0.1,
-                delivery: DeliveryRule::default(),
-            }
-            .label(),
+            asynchronous(0.25, 5, 0.1, DeliveryRule::default()).label(),
             "async(i=0.25,l=5,d=0.1)"
         );
         assert!(ExecutionMode::parse("nonsense").is_none());
@@ -329,12 +257,7 @@ mod tests {
         for mode in [
             ExecutionMode::Sync { cooldown: 7 },
             ExecutionMode::Event { cooldown: 7 },
-            ExecutionMode::Async {
-                interaction_rate: 0.25,
-                max_latency: 5,
-                drop_rate: 0.1,
-                delivery: DeliveryRule::default(),
-            },
+            asynchronous(0.25, 5, 0.1, DeliveryRule::default()),
             ExecutionMode::asynchronous_with(DeliveryRule::ValidAtSend),
             ExecutionMode::asynchronous_with(DeliveryRule::AnyOverlap { grace: 4 }),
         ] {
@@ -348,12 +271,7 @@ mod tests {
         // Partial parameterisations keep the defaults for omitted knobs.
         assert_eq!(
             ExecutionMode::parse_label("async(d=0.2)").unwrap(),
-            ExecutionMode::Async {
-                interaction_rate: 0.5,
-                max_latency: 3,
-                drop_rate: 0.2,
-                delivery: DeliveryRule::default(),
-            }
+            asynchronous(0.5, 3, 0.2, DeliveryRule::default())
         );
     }
 
@@ -408,13 +326,12 @@ mod tests {
     }
 
     #[test]
-    fn all_runtimes_converge_through_the_trait_object() {
+    fn all_runtimes_converge_through_the_mode() {
         let sys = minimum::system(&[9, 4, 7, 1, 5, 8], Topology::ring(6));
         let [sync, asynchronous] = ExecutionMode::both();
         for mode in [sync, asynchronous, ExecutionMode::event()] {
-            let runtime = mode.runtime::<i64>(3, 100_000, false, false);
             let mut env = StaticEnv::new(Topology::ring(6));
-            let report = runtime.execute(&sys, &mut env);
+            let report = mode.run(&sys, &mut env, 3, 100_000, false);
             assert!(report.converged(), "{}", mode.label());
             assert_eq!(report.final_state, vec![1; 6], "{}", mode.label());
         }
@@ -441,9 +358,7 @@ mod tests {
     fn event_mode_carries_its_cooldown_into_the_runtime() {
         let sys = minimum::system(&[9, 2, 7], Topology::complete(3));
         let mut env = StaticEnv::new(Topology::complete(3));
-        let report = ExecutionMode::Event { cooldown: 6 }
-            .runtime::<i64>(5, 50_000, false, false)
-            .execute(&sys, &mut env);
+        let report = ExecutionMode::Event { cooldown: 6 }.run(&sys, &mut env, 5, 50_000, false);
         assert!(report.converged());
         assert_eq!(report.metrics.environment, "event/static");
         assert_eq!(
@@ -466,9 +381,7 @@ mod tests {
         };
         let via_mode = {
             let mut env = RandomChurnEnv::new(Topology::ring(6), 0.5, 1.0);
-            ExecutionMode::sync()
-                .runtime::<i64>(11, 10_000, false, false)
-                .execute(&sys, &mut env)
+            ExecutionMode::sync().run(&sys, &mut env, 11, 10_000, false)
         };
         assert_eq!(direct.metrics, via_mode.metrics);
         assert_eq!(direct.final_state, via_mode.final_state);
@@ -477,16 +390,9 @@ mod tests {
     #[test]
     fn async_mode_carries_its_knobs_into_the_runtime() {
         let sys = minimum::system(&[9, 2, 7, 5, 8, 4], Topology::ring(6));
-        let mode = ExecutionMode::Async {
-            interaction_rate: 1.0,
-            max_latency: 1,
-            drop_rate: 0.0,
-            delivery: DeliveryRule::default(),
-        };
+        let mode = asynchronous(1.0, 1, 0.0, DeliveryRule::default());
         let mut env = StaticEnv::new(Topology::ring(6));
-        let report = mode
-            .runtime::<i64>(5, 50_000, false, false)
-            .execute(&sys, &mut env);
+        let report = mode.run(&sys, &mut env, 5, 50_000, false);
         assert!(report.converged());
         assert_eq!(report.metrics.environment, "async/static");
     }

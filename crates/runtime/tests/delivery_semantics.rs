@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use selfsim_algorithms::minimum;
 use selfsim_env::{PeriodicPartitionEnv, RandomChurnEnv, Topology};
-use selfsim_runtime::{AsyncConfig, AsyncSimulator, DeliveryRule, SimulationReport};
+use selfsim_runtime::{AsyncConfig, AsyncKnobs, AsyncSimulator, DeliveryRule, SimulationReport};
 
 /// Minimum over a complete graph of 8 split into two blocks that merge for
 /// a single tick every 8 ticks — the environment whose connectivity
@@ -17,7 +17,7 @@ fn partitioned_run(rule: DeliveryRule, seed: u64, max_ticks: usize) -> Simulatio
     let mut env = PeriodicPartitionEnv::new(topo, 2, 8);
     AsyncSimulator::new(AsyncConfig {
         max_ticks,
-        delivery: rule,
+        knobs: AsyncKnobs::default().with_delivery(rule),
         seed,
         ..AsyncConfig::default()
     })
@@ -77,8 +77,7 @@ fn every_rule_is_seed_deterministic() {
             let mut env = RandomChurnEnv::new(Topology::ring(6), 0.4, 0.9);
             AsyncSimulator::new(AsyncConfig {
                 max_ticks: 20_000,
-                drop_rate: 0.2,
-                delivery: rule,
+                knobs: AsyncKnobs::new(0.5, 3, 0.2, rule).expect("valid knobs"),
                 seed: 11,
                 ..AsyncConfig::default()
             })
@@ -106,7 +105,7 @@ proptest! {
             let mut env = RandomChurnEnv::new(Topology::ring(8), 0.3, 0.9);
             AsyncSimulator::new(AsyncConfig {
                 max_ticks: 50_000,
-                delivery: rule,
+                knobs: AsyncKnobs::default().with_delivery(rule),
                 seed,
                 ..AsyncConfig::default()
             })

@@ -21,7 +21,7 @@
 use self_similar::algorithms::{circumscribing, convex_hull};
 use self_similar::env::{RandomChurnEnv, Topology};
 use self_similar::geometry::{smallest_enclosing_circle, Point};
-use self_similar::runtime::{AsyncConfig, AsyncSimulator};
+use self_similar::runtime::{AsyncConfig, AsyncKnobs, AsyncSimulator, DeliveryRule};
 
 fn main() {
     // Figure 2: the naive circumscribing-circle function is not
@@ -44,11 +44,10 @@ fn main() {
     let system = convex_hull::system(&sites, Topology::ring(n));
 
     let mut env = RandomChurnEnv::new(Topology::ring(n), 0.5, 0.95);
+    let knobs = AsyncKnobs::new(0.6, 4, 0.3, DeliveryRule::default()).expect("valid knobs");
     let report = AsyncSimulator::new(AsyncConfig {
         max_ticks: 200_000,
-        interaction_rate: 0.6,
-        max_latency: 4,
-        drop_rate: 0.3,
+        knobs,
         seed: 9,
         ..AsyncConfig::default()
     })

@@ -12,7 +12,9 @@
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use selfsim_campaign::{parse_label, DeliveryRule, EnvRegistry, ExecutionMode, TopologyRegistry};
+use selfsim_campaign::{
+    parse_label, AsyncKnobs, DeliveryRule, EnvRegistry, ExecutionMode, TopologyRegistry,
+};
 
 /// `family(k=v,…)` over the drawn probabilities, then the drawn counts.
 fn format_label(family: &str, probabilities: &[(&str, f64)], counts: &[(&str, usize)]) -> String {
@@ -136,12 +138,9 @@ proptest! {
             1 => DeliveryRule::ValidAtSend,
             _ => DeliveryRule::AnyOverlap { grace },
         };
-        let mode = ExecutionMode::Async {
-            interaction_rate,
-            max_latency,
-            drop_rate,
-            delivery,
-        };
+        let knobs = AsyncKnobs::new(interaction_rate, max_latency, drop_rate, delivery)
+            .expect("in-range knobs");
+        let mode = ExecutionMode::Async(knobs);
         // Covers both the collapsed default label (`async`) and the fully
         // parameterised nested form (`async(i=…,l=…,d=…,dv=…)`).
         prop_assert_eq!(ExecutionMode::parse_label(&mode.label()), Ok(mode));
