@@ -425,23 +425,12 @@ mod tests {
         assert!((5..=7).contains(&message.deliver_at));
         assert_eq!(message.expires_at, message.deliver_at + 1);
         let due = message.deliver_at;
-        let settle = |message: &mut Message,
-                      tick,
-                      usable_now,
-                      metrics: &mut RunMetrics,
-                      events: &mut EventLog| {
-            knobs.settle(message, tick, usable_now, true, metrics, events)
-        };
-        assert_eq!(
-            settle(&mut message, due, false, &mut metrics, &mut events),
-            DeliveryDecision::Requeue
-        );
+        let blocked = knobs.settle(&mut message, due, false, true, &mut metrics, &mut events);
+        assert_eq!(blocked, DeliveryDecision::Requeue);
         assert_eq!(message.deliver_at, due + 1);
         assert_eq!(metrics.messages_requeued, 1);
-        assert_eq!(
-            settle(&mut message, due + 1, true, &mut metrics, &mut events),
-            DeliveryDecision::Deliver
-        );
+        let up = knobs.settle(&mut message, due + 1, true, true, &mut metrics, &mut events);
+        assert_eq!(up, DeliveryDecision::Deliver);
         assert_eq!(
             events.into_events(),
             vec![
