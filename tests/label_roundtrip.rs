@@ -157,6 +157,53 @@ proptest! {
     }
 }
 
+/// A non-default sample of `mode`'s variant.  The `match` is exhaustive
+/// with no `_` arm, so a new `ExecutionMode` variant stops this file from
+/// compiling until it has a sample here.
+fn mode_sample(mode: ExecutionMode) -> ExecutionMode {
+    match mode {
+        ExecutionMode::Sync { .. } => ExecutionMode::Sync { cooldown: 7 },
+        ExecutionMode::Event { .. } => ExecutionMode::Event { cooldown: 9 },
+        ExecutionMode::Async(_) => ExecutionMode::Async(
+            AsyncKnobs::new(0.25, 4, 0.125, delivery_sample(DeliveryRule::any_overlap()))
+                .expect("in-range knobs"),
+        ),
+    }
+}
+
+/// A sample of `rule`'s variant, non-default where the variant has a
+/// parameter; exhaustive like [`mode_sample`].
+fn delivery_sample(rule: DeliveryRule) -> DeliveryRule {
+    match rule {
+        DeliveryRule::ValidAtDelivery => DeliveryRule::ValidAtDelivery,
+        DeliveryRule::ValidAtSend => DeliveryRule::ValidAtSend,
+        DeliveryRule::AnyOverlap { .. } => DeliveryRule::AnyOverlap { grace: 5 },
+    }
+}
+
+/// Every variant of the two runtime-side label grammars round-trips, in
+/// its default form and in its sample form — the enum half of the
+/// round-trip law, checked per variant rather than per drawn value.
+#[test]
+fn every_mode_and_delivery_variant_round_trips() {
+    for rule in DeliveryRule::all() {
+        for rule in [rule, delivery_sample(rule)] {
+            assert_eq!(DeliveryRule::parse_label(&rule.label()), Ok(rule));
+            let mode = ExecutionMode::asynchronous_with(rule);
+            assert_eq!(ExecutionMode::parse_label(&mode.label()), Ok(mode));
+        }
+    }
+    for mode in [
+        ExecutionMode::sync(),
+        ExecutionMode::event(),
+        ExecutionMode::asynchronous(),
+    ] {
+        for mode in [mode, mode_sample(mode)] {
+            assert_eq!(ExecutionMode::parse_label(&mode.label()), Ok(mode));
+        }
+    }
+}
+
 /// Every *default* builtin instance round-trips too (the bare-label path).
 #[test]
 fn builtin_defaults_round_trip() {
