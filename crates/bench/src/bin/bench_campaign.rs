@@ -15,8 +15,8 @@
 //! records accumulating in memory again) or dropping below the throughput
 //! floor fails the process, and with it the CI job.
 
-// the bench harness exists to read the wall clock; detlint.toml exempts
-// the whole `bench` crate from `wall-clock` for the same reason
+// the bench harness exists to read the wall clock, so it opts out of
+// the clippy.toml clock ban for the whole binary
 #![allow(clippy::disallowed_methods)]
 
 use std::io::Write;

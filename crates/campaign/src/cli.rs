@@ -561,8 +561,10 @@ fn run_sweep(args: &Args) -> Result<(), String> {
         }
     };
 
-    // detlint::allow(wall-clock, reason = "elapsed-time line on stderr after the run; never serialized into records")
-    #[allow(clippy::disallowed_methods)] // sanctioned: see pragma above
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "elapsed-time line on stderr after the run; never serialized into records"
+    )]
     let started = std::time::Instant::now();
     // (`Stdout`, not `StdoutLock` — the sink crosses into the runner's
     // worker scope and must be `Send`.  With `--out -` the records own

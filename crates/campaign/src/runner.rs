@@ -380,8 +380,10 @@ impl Campaign {
                         let scenario = &self.scenarios[scenario_idx];
                         let seed = self.seed_for(hashes[scenario_idx], trial);
                         let sampled = obs.is_some() && local.is_multiple_of(OBS_SAMPLE);
-                        // detlint::allow(wall-clock, reason = "sampled PipelineObs trial-run timer; metrics read the run and never touch record bytes")
-                        #[allow(clippy::disallowed_methods)] // sanctioned: see pragma above
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "sampled PipelineObs trial-run timer; metrics read the run and never touch record bytes"
+                        )]
                         let t0 = sampled.then(Instant::now);
                         let (record, events) = if tracing {
                             let (record, events) = run_trial_traced(scenario, trial, seed);
@@ -402,8 +404,10 @@ impl Campaign {
                             // The spill buffer: the record leaves the worker
                             // as bytes (and/or the collected struct), never
                             // as shared mutable state.
-                            // detlint::allow(wall-clock, reason = "sampled PipelineObs serialize timer; off unless a registry is attached")
-                            #[allow(clippy::disallowed_methods)] // sanctioned: see pragma above
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "sampled PipelineObs serialize timer; off unless a registry is attached"
+                            )]
                             let t0 = sampled.then(Instant::now);
                             let bytes = if serialize {
                                 match record.to_jsonl_line() {
@@ -442,15 +446,20 @@ impl Campaign {
                             if local >= state.next + window as u64 && state.error.is_none() {
                                 // The window is full: the sink has fallen
                                 // behind this worker.
-                                // detlint::allow(wall-clock, reason = "reorder-wait stall timer; stalls are rare and only timed when a registry is attached")
-                                #[allow(clippy::disallowed_methods)] // sanctioned: see pragma above
+                                #[expect(
+                                    clippy::disallowed_methods,
+                                    reason = "reorder-wait stall timer; stalls are rare and only timed when a registry is attached"
+                                )]
                                 let t0 = obs.map(|_| Instant::now());
                                 if let Some(obs) = obs {
                                     obs.sink_stalls.incr();
                                 }
-                                while local >= state.next + window as u64 && state.error.is_none() {
-                                    state = space.wait(state).expect("reorder condvar");
-                                }
+                                state = space
+                                    .wait_while(state, |state| {
+                                        local >= state.next + window as u64
+                                            && state.error.is_none()
+                                    })
+                                    .expect("reorder condvar");
                                 if let (Some(obs), Some(t0)) = (obs, t0) {
                                     obs.reorder_wait.record(t0.elapsed());
                                 }
@@ -540,8 +549,10 @@ impl<'a> Reorder<'a> {
             let Some(slot) = self.pending.remove(&next) else {
                 return Ok(());
             };
-            // detlint::allow(wall-clock, reason = "sampled PipelineObs sink-write timer; release order is fixed by `next` before any clock read")
-            #[allow(clippy::disallowed_methods)] // sanctioned: see pragma above
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "sampled PipelineObs sink-write timer; release order is fixed by `next` before any clock read"
+            )]
             let t0 = (self.obs.is_some() && next.is_multiple_of(OBS_SAMPLE)).then(Instant::now);
             if let (Some(sink), Some(bytes)) =
                 (self.trace_sink.as_deref_mut(), slot.trace.as_deref())
@@ -605,10 +616,12 @@ pub struct ProgressThrottle {
 impl ProgressThrottle {
     /// A throttle that passes at most one update per `interval` (~10
     /// updates/sec at the CLI's 100 ms).
-    #[allow(clippy::disallowed_methods)] // sanctioned: see pragma below
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "progress pacing only; throttle decisions gate stderr lines, never record bytes"
+    )]
     pub fn every(interval: Duration) -> Self {
         ProgressThrottle {
-            // detlint::allow(wall-clock, reason = "progress pacing only; throttle decisions gate stderr lines, never record bytes")
             start: Instant::now(),
             interval_ms: (interval.as_millis() as u64).max(1),
             last: AtomicU64::new(u64::MAX),

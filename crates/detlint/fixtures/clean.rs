@@ -38,9 +38,9 @@ pub fn lifetime_traps<'a>(x: &'a str) -> &'a str {
     x
 }
 
-pub fn sanctioned_site() -> std::time::Instant {
-    // detlint::allow(wall-clock, reason = "fixture: sanctioned observability site")
-    std::time::Instant::now()
+pub fn sanctioned_site() -> u64 {
+    // detlint::allow(ambient-rng, reason = "fixture: sanctioned entropy site")
+    rand::random::<u64>()
 }
 
 // an allow with a same-line justification is not bare
@@ -58,58 +58,6 @@ pub fn derived_rng(seed: u64) -> rand::rngs::StdRng {
     // even mixed through a local.
     let stream_seed = seed ^ 0x9E37_79B9;
     rand::rngs::StdRng::seed_from_u64(stream_seed)
-}
-
-pub fn guarded_wait(lock: &std::sync::Mutex<bool>, cv: &std::sync::Condvar) {
-    let mut ready = lock.lock().expect("poisoned");
-    // condvar-wait-loop: the `while` re-check makes spurious wakeups
-    // harmless.
-    while !*ready {
-        ready = cv.wait(ready).expect("poisoned");
-    }
-    *ready = false;
-}
-
-// registry-label-drift: every variant appears in both halves, so the
-// grammar round-trips.
-pub enum Phase {
-    Warm,
-    Cold,
-}
-
-impl Phase {
-    pub fn label(&self) -> &'static str {
-        match *self {
-            Phase::Warm => "warm",
-            Phase::Cold => "cold",
-        }
-    }
-
-    pub fn parse_label(label: &str) -> Option<Phase> {
-        match label {
-            "warm" => Some(Phase::Warm),
-            "cold" => Some(Phase::Cold),
-            _ => None,
-        }
-    }
-}
-
-pub struct PairedLocks {
-    first: std::sync::Mutex<u64>,
-    second: std::sync::Mutex<u64>,
-}
-
-// lock-order: both fns agree on first → second, so no cycle exists.
-pub fn sum_locks(s: &PairedLocks) -> u64 {
-    let a = s.first.lock().expect("first");
-    let b = s.second.lock().expect("second");
-    *a + *b
-}
-
-pub fn diff_locks(s: &PairedLocks) -> u64 {
-    let a = s.first.lock().expect("first");
-    let b = s.second.lock().expect("second");
-    *a - *b
 }
 
 #[cfg(test)]

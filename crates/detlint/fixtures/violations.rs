@@ -1,38 +1,32 @@
 //! The committed *violation* fixture: one seeded instance of every
-//! file-scoped rule, the item-graph rules, plus the three ways a pragma
-//! can be malformed.
+//! file-scoped rule, plus the three ways a pragma can be malformed.
 //!
 //! This file is never compiled — it exists so the CI `static-analysis`
 //! job can prove the lint still *fails* (`selfsim-detlint
 //! crates/detlint/fixtures/violations.rs` must exit nonzero) and so
 //! `tests/detlint.rs` can pin the exact `--format json` report.
 //! After editing, re-bless with `selfsim-detlint --bless`.
-
-use std::collections::HashMap; // unordered-iter: the import alone is flagged
-use std::time::{Instant, SystemTime};
-
-pub fn wall_clock() -> u128 {
-    let t0 = Instant::now(); // wall-clock
-    let _wall = SystemTime::now(); // wall-clock (second source)
-    t0.elapsed().as_nanos()
-}
-
-pub fn sanctioned_wall_clock() -> std::time::Instant {
-    // detlint::allow(wall-clock, reason = "fixture: proves a well-formed pragma suppresses the finding")
-    Instant::now()
-}
+//!
+//! The wall-clock and `HashMap`/`HashSet` bans are clippy's
+//! (`clippy.toml`); `clippy_bans.rs` next to this file is their negative
+//! self-test.
 
 pub fn ambient_rng() -> u64 {
     let mut rng = rand::thread_rng(); // ambient-rng
     rand::random::<u64>() // ambient-rng (path form)
 }
 
+pub fn sanctioned_ambient_rng() -> u64 {
+    // detlint::allow(ambient-rng, reason = "fixture: proves a well-formed pragma suppresses the finding")
+    rand::random::<u64>()
+}
+
 pub fn addr_as_key(values: &[u64]) -> usize {
     values.as_ptr() as usize // addr-as-key
 }
 
-pub fn stray_print(map: HashMap<u32, u32>) {
-    println!("inserted {} entries", map.len()); // stray-print
+pub fn stray_print(values: &[u32]) {
+    println!("inserted {} entries", values.len()); // stray-print
     print!("no newline"); // stray-print (print!)
     eprint!("stderr fragment"); // stray-print (eprint!)
     eprintln!("stderr line"); // stray-print (eprintln!)
@@ -46,61 +40,6 @@ pub fn literal_seed() -> u64 {
     // seed-provenance: 42 does not trace to the per-trial seed chain.
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     rng.next_u64()
-}
-
-// registry-label-drift: `Turbo` emits a label but `parse_label` has no
-// arm for it — the label cannot round-trip.
-pub enum Speed {
-    Slow,
-    Fast,
-    Turbo,
-}
-
-impl Speed {
-    pub fn label(&self) -> &'static str {
-        match *self {
-            Speed::Slow => "slow",
-            Speed::Fast => "fast",
-            Speed::Turbo => "turbo",
-        }
-    }
-
-    pub fn parse_label(label: &str) -> Option<Speed> {
-        match label {
-            "slow" => Some(Speed::Slow),
-            "fast" => Some(Speed::Fast),
-            _ => None,
-        }
-    }
-}
-
-pub fn unguarded_wait(lock: &std::sync::Mutex<bool>, cv: &std::sync::Condvar) {
-    let mut ready = lock.lock().expect("poisoned");
-    if !*ready {
-        // condvar-wait-loop: an `if` re-check is one spurious wakeup
-        // away from proceeding on a stale condition.
-        ready = cv.wait(ready).expect("poisoned");
-    }
-    *ready = false;
-}
-
-pub struct TwoLocks {
-    alpha: std::sync::Mutex<u64>,
-    beta: std::sync::Mutex<u64>,
-}
-
-pub fn alpha_then_beta(s: &TwoLocks) -> u64 {
-    let a = s.alpha.lock().expect("alpha");
-    let b = s.beta.lock().expect("beta");
-    *a + *b
-}
-
-// lock-order: the opposite order of `alpha_then_beta` — a deadlock under
-// the right interleaving.
-pub fn beta_then_alpha(s: &TwoLocks) -> u64 {
-    let b = s.beta.lock().expect("beta");
-    let a = s.alpha.lock().expect("alpha");
-    *b - *a
 }
 
 pub fn panic_surface(v: &[u64], i: usize) -> u64 {
@@ -117,7 +56,7 @@ pub fn panic_surface(v: &[u64], i: usize) -> u64 {
 #[allow(dead_code)]
 pub fn bare_allow() {} // the attribute above has no justification comment
 
-// detlint::allow(wall-clock)
+// detlint::allow(ambient-rng)
 // detlint::allow(stray-print, reason = "")
 // detlint::allow(not-a-rule, reason = "unknown rules are rejected")
 pub fn invalid_pragmas() {}

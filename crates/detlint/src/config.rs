@@ -1,34 +1,24 @@
 //! `detlint.toml` — the committed lint configuration.
 //!
-//! A deliberately tiny TOML subset (sections, integer / string /
-//! single-line string-array values, `#` comments) parsed by hand: the
-//! lint must not depend on anything it lints, vendored stand-ins
-//! included.  Unknown sections or keys are *errors*, so a typo'd budget
-//! can't silently stop ratcheting.
+//! A deliberately tiny TOML subset (sections, integer values, `#`
+//! comments) parsed by hand: the lint must not depend on anything it
+//! lints, vendored stand-ins included.  Unknown sections or keys are
+//! *errors*, so a typo'd budget can't silently stop ratcheting.
 //!
 //! ```toml
-//! [wall_clock]
-//! exempt_crates = ["bench"]
-//!
-//! [unordered_iter]
-//! crates = ["campaign", "trace"]
-//!
 //! [unwrap_budget]
 //! campaign = 35   # may only go DOWN
+//!
+//! [panic_budget]
+//! campaign = 6
 //! ```
 
 use std::collections::BTreeMap;
 
-/// Parsed configuration; `Default` is the empty config (no exemptions,
-/// no scoped crates, no budgets).
+/// Parsed configuration; `Default` is the empty config (no budgets).
+/// Crates are named by directory name under `crates/`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Config {
-    /// Crates (by directory name under `crates/`) exempt from
-    /// `wall-clock` — the bench harness is the sanctioned example.
-    pub wall_clock_exempt_crates: Vec<String>,
-    /// Crates in which `unordered-iter` is enforced (the ones that feed
-    /// `TrialRecord` / JSONL serialization).
-    pub unordered_iter_crates: Vec<String>,
     /// Per-crate `.unwrap()` ceilings for `unwrap-ratchet`.
     pub unwrap_budget: BTreeMap<String, u64>,
     /// Per-crate `panic!`/`unreachable!`/`[idx]` ceilings for
@@ -42,14 +32,14 @@ impl Config {
         let mut config = Config::default();
         let mut section = String::new();
         for (n, raw) in text.lines().enumerate() {
-            let line = strip_comment(raw).trim();
+            let line = raw.split_once('#').map_or(raw, |(code, _)| code).trim();
             if line.is_empty() {
                 continue;
             }
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 section = name.trim().to_string();
                 match section.as_str() {
-                    "wall_clock" | "unordered_iter" | "unwrap_budget" | "panic_budget" => {}
+                    "unwrap_budget" | "panic_budget" => {}
                     other => {
                         return Err(format!("detlint.toml:{}: unknown section [{other}]", n + 1))
                     }
@@ -61,12 +51,6 @@ impl Config {
             };
             let (key, value) = (key.trim(), value.trim());
             match (section.as_str(), key) {
-                ("wall_clock", "exempt_crates") => {
-                    config.wall_clock_exempt_crates = parse_string_array(value, n + 1)?;
-                }
-                ("unordered_iter", "crates") => {
-                    config.unordered_iter_crates = parse_string_array(value, n + 1)?;
-                }
                 (section @ ("unwrap_budget" | "panic_budget"), crate_name) => {
                     let budget = value.parse::<u64>().map_err(|_| {
                         format!(
@@ -98,61 +82,19 @@ impl Config {
     }
 }
 
-/// Drops a `#` comment, respecting `"…"` strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_string_array(value: &str, line: usize) -> Result<Vec<String>, String> {
-    let inner = value
-        .strip_prefix('[')
-        .and_then(|v| v.strip_suffix(']'))
-        .ok_or_else(|| format!("detlint.toml:{line}: expected a `[\"…\", …]` array"))?;
-    let mut out = Vec::new();
-    for item in inner.split(',') {
-        let item = item.trim();
-        if item.is_empty() {
-            continue; // trailing comma
-        }
-        let name = item
-            .strip_prefix('"')
-            .and_then(|i| i.strip_suffix('"'))
-            .ok_or_else(|| format!("detlint.toml:{line}: array items must be quoted strings"))?;
-        out.push(name.to_string());
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parses_the_three_sections() {
+    fn panic_budget_parses_like_unwrap_budget() {
         let config = Config::parse(
-            "# header\n[wall_clock]\nexempt_crates = [\"bench\"]\n\n[unordered_iter]\ncrates = [\"campaign\", \"trace\",]\n\n[unwrap_budget]\ncampaign = 35 # ratchet\ntrace = 3\n",
+            "# header\n[panic_budget]\nruntime = 4 # ratchet\n\n[unwrap_budget]\nruntime = 7\ntrace = 3\n",
         )
         .expect("valid config");
-        assert_eq!(config.wall_clock_exempt_crates, ["bench"]);
-        assert_eq!(config.unordered_iter_crates, ["campaign", "trace"]);
-        assert_eq!(config.unwrap_budget.get("campaign"), Some(&35));
-        assert_eq!(config.unwrap_budget.get("trace"), Some(&3));
-    }
-
-    #[test]
-    fn panic_budget_parses_like_unwrap_budget() {
-        let config = Config::parse("[panic_budget]\nruntime = 4\n\n[unwrap_budget]\nruntime = 7\n")
-            .expect("valid config");
         assert_eq!(config.panic_budget.get("runtime"), Some(&4));
         assert_eq!(config.unwrap_budget.get("runtime"), Some(&7));
+        assert_eq!(config.unwrap_budget.get("trace"), Some(&3));
         assert!(Config::parse("[panic_budget]\na = 1\na = 2\n")
             .expect_err("dup")
             .contains("duplicate budget"));
@@ -160,11 +102,16 @@ mod tests {
 
     #[test]
     fn unknown_sections_and_keys_are_errors() {
-        assert!(Config::parse("[wall_clck]\n")
+        assert!(Config::parse("[unwrap_budgt]\n")
             .expect_err("typo")
             .contains("unknown section"));
-        assert!(Config::parse("[wall_clock]\nexempt = []\n")
-            .expect_err("typo")
+        // clippy.toml owns the clock and hash-collection bans, so a
+        // section for either is unknown here.
+        assert!(Config::parse("[wall_clock]\n")
+            .expect_err("clippy's ban")
+            .contains("unknown section"));
+        assert!(Config::parse("campaign = 3\n")
+            .expect_err("no section")
             .contains("unknown key"));
     }
 
@@ -176,11 +123,5 @@ mod tests {
         assert!(Config::parse("[unwrap_budget]\na = 1\na = 2\n")
             .expect_err("dup")
             .contains("duplicate budget"));
-    }
-
-    #[test]
-    fn hash_inside_strings_is_not_a_comment() {
-        let config = Config::parse("[unordered_iter]\ncrates = [\"has#hash\"]\n").expect("ok");
-        assert_eq!(config.unordered_iter_crates, ["has#hash"]);
     }
 }

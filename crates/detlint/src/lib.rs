@@ -8,39 +8,33 @@
 //! violation after it runs; this crate catches the *source patterns that
 //! cause them* before any trial executes:
 //!
-//! * [`rules`] — the catalogue: `wall-clock`, `ambient-rng`,
-//!   `unordered-iter`, `addr-as-key`, `stray-print`,
-//!   `forbid-unsafe-header`, `bare-allow`, `unwrap-ratchet`,
-//!   `invalid-pragma`, `seed-provenance`, `registry-label-drift`,
-//!   `condvar-wait-loop`, `lock-order`, `panic-ratchet` (see the table
-//!   in the module docs);
+//! * [`rules`] — the catalogue: `ambient-rng`, `addr-as-key`,
+//!   `stray-print`, `forbid-unsafe-header`, `bare-allow`,
+//!   `unwrap-ratchet`, `invalid-pragma`, `seed-provenance`,
+//!   `panic-ratchet` (see the table in the module docs);
 //! * [`lexer`] — the hand-rolled, comment/string/raw-string-aware token
 //!   scanner the rules match over (resolution-free: there is no `syn` in
 //!   `vendor/`, and none is needed);
 //! * [`parser`] — the item-tree layer over the lexer: fns with
-//!   parameters and body spans, enums with variants, impls, match arms,
-//!   `#[cfg(test)]` mod ranges — structure for the rules that need it;
-//! * [`graph`] — per-file symbol fragments merged into a per-scope
-//!   graph for the cross-file rules (`registry-label-drift`,
-//!   `lock-order`);
+//!   parameters and body spans, and `#[cfg(test)]` mod ranges —
+//!   structure for the rules that need it;
 //! * [`pragma`] — in-place exemptions:
 //!   `// detlint::allow(rule, reason = "…")` with a *required* non-empty
 //!   reason (`detlint::allow-file` for whole-file sanctions);
-//! * [`config`] — the committed `detlint.toml`: `wall-clock` crate
-//!   exemptions, `unordered-iter` scope, and per-crate `.unwrap()`
-//!   budgets that may only go down;
+//! * [`config`] — the committed `detlint.toml`: per-crate `.unwrap()`
+//!   and panic-surface budgets that may only go down;
 //! * [`workspace`] — the `--workspace` walker and explicit-file driver;
 //! * [`report`] — byte-stable human and `--format json` reports.
 //!
 //! The binary exits `0` on a clean tree, `1` on findings, `2` on usage
-//! or I/O errors — CI runs it as the `static-analysis` job next to a
-//! `clippy.toml` `disallowed-methods` layer for the rules clippy can
-//! resolve.
+//! or I/O errors — CI runs it as the `static-analysis` job.  Each
+//! determinism rule has one enforcer: the wall-clock and hash-collection
+//! bans belong to the workspace `clippy.toml`, which resolves names, and
+//! this lint keeps the checks clippy cannot make.
 
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod graph;
 pub mod lexer;
 pub mod parser;
 pub mod pragma;
@@ -49,7 +43,6 @@ pub mod rules;
 pub mod workspace;
 
 pub use config::Config;
-pub use graph::{FileSymbols, Graph};
 pub use parser::ItemTree;
 pub use report::{Finding, Report, UnwrapTally};
 pub use rules::{check_file, FileContext, Rule};

@@ -4,8 +4,8 @@
 //! reviewer can read:
 //!
 //! ```text
-//! // detlint::allow(wall-clock, reason = "sampled pipeline stage timer")
-//! let t0 = sampled.then(Instant::now);
+//! // detlint::allow(seed-provenance, reason = "fixed shuffle seed; any permutation yields the same circle")
+//! let mut rng = StdRng::seed_from_u64(0x5e1f_51a1);
 //! ```
 //!
 //! Grammar: `detlint::allow(<rule>, reason = "<non-empty>")` inside a
@@ -20,9 +20,9 @@
 //! over attribute-only lines in between — so the idiomatic stack
 //!
 //! ```text
-//! // detlint::allow(wall-clock, reason = "…")
-//! #[allow(clippy::disallowed_methods)] // same sanction as above
-//! let t0 = sampled.then(Instant::now);
+//! // detlint::allow(seed-provenance, reason = "…")
+//! #[allow(unused_mut)] // the shuffle below may be compiled out
+//! let mut rng = StdRng::seed_from_u64(0x5e1f_51a1);
 //! ```
 //!
 //! exempts the `let`, not the attribute.
@@ -149,13 +149,13 @@ mod tests {
     #[test]
     fn well_formed_pragma_parses() {
         let (pragmas, errors) = parse_pragmas(&comment(
-            "// detlint::allow(wall-clock, reason = \"CLI timer\")",
+            "// detlint::allow(seed-provenance, reason = \"seed-independent output\")",
         ));
         assert!(errors.is_empty());
         assert_eq!(
             pragmas,
             [Pragma {
-                rule: Rule::WallClock,
+                rule: Rule::SeedProvenance,
                 file_wide: false,
                 line: 3
             }]
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn missing_reason_is_rejected() {
-        let (pragmas, errors) = parse_pragmas(&comment("// detlint::allow(wall-clock)"));
+        let (pragmas, errors) = parse_pragmas(&comment("// detlint::allow(ambient-rng)"));
         assert!(pragmas.is_empty());
         assert_eq!(errors.len(), 1);
         assert!(errors[0].message.contains("missing the required"));
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn doc_comments_never_carry_pragmas() {
-        let mut comments = comment("/// detlint::allow(wall-clock)");
+        let mut comments = comment("/// detlint::allow(ambient-rng)");
         comments[0].doc = true;
         let (pragmas, errors) = parse_pragmas(&comments);
         assert!(pragmas.is_empty() && errors.is_empty());

@@ -192,7 +192,7 @@ mod tests {
             message: "m".to_string(),
         };
         report.findings = vec![
-            f("b.rs", 1, Rule::WallClock),
+            f("b.rs", 1, Rule::AddrAsKey),
             f("a.rs", 9, Rule::StrayPrint),
             f("a.rs", 2, Rule::AmbientRng),
         ];

@@ -1,14 +1,12 @@
 //! Workspace discovery and the two lint drivers.
 //!
 //! `--workspace` walks the root package's `src/` plus every
-//! `crates/*/src/` tree (sorted, so reports are byte-stable), applies the
-//! per-crate scoping from `detlint.toml`, folds `.unwrap()` and
-//! panic-surface counts into the two ratchets, and runs the graph rules
-//! (`registry-label-drift`, `lock-order`) over a per-crate symbol graph.
-//! Explicit-file mode lints the arguments with every line rule, a
-//! per-file graph scope and no crate attribution — that is what the CI
-//! negative self-test runs over the committed violation fixture, and
-//! what the CI `examples/`/`tests/` sweep uses.
+//! `crates/*/src/` tree (sorted, so reports are byte-stable) and folds
+//! `.unwrap()` and panic-surface counts per crate into the two ratchets,
+//! against the budgets in `detlint.toml`.  Explicit-file mode lints the
+//! arguments with every file rule and no crate attribution — that is
+//! what the CI negative self-test runs over the committed violation
+//! fixture, and what the CI `examples/`/`tests/` sweep uses.
 //!
 //! Scope notes: crate-local `tests/`, `examples/`, `benches/` and
 //! `vendor/` are not walked — the contract binds the *library and
@@ -22,7 +20,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::config::Config;
-use crate::graph::Graph;
 use crate::report::{Finding, Report, UnwrapTally};
 use crate::rules::{check_file, FileContext, Rule};
 
@@ -49,9 +46,6 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
         files.sort();
         let unwraps = unwrap_counts.entry(krate.clone()).or_insert(0);
         let panics = panic_counts.entry(krate.clone()).or_insert(0);
-        // The graph scope is the crate: lock names and label grammars
-        // are crate-local contracts.
-        let mut graph = Graph::default();
         for path in files {
             let src = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -59,18 +53,14 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
             let ctx = FileContext {
                 is_lib_rs: path == src_dir.join("lib.rs"),
                 is_binary_root: is_binary_root(&src_dir, &path),
-                wall_clock_exempt: config.wall_clock_exempt_crates.contains(&krate),
-                unordered_iter_scoped: config.unordered_iter_crates.contains(&krate),
                 is_test_code: false,
             };
             let file_report = check_file(&label, &src, &ctx);
             report.findings.extend(file_report.findings);
             *unwraps += file_report.unwrap_count;
             *panics += file_report.panic_count;
-            graph.add(file_report.symbols);
             report.files_scanned += 1;
         }
-        report.findings.extend(graph.findings());
     }
 
     ratchet(
@@ -102,16 +92,13 @@ pub fn lint_files(paths: &[PathBuf]) -> Result<Report, String> {
 
 /// The explicit-mode driver proper, shared by [`lint_files`], the
 /// `--bless` flag and the golden test: lints `(label, source)` pairs,
-/// each file its own graph scope, contexts derived from the label.
+/// contexts derived from the label.
 pub fn lint_named_sources(sources: &[(String, String)]) -> Report {
     let mut report = Report::default();
     for (name, src) in sources {
         let ctx = context_for_label(name);
         let file_report = check_file(name, src, &ctx);
         report.findings.extend(file_report.findings);
-        let mut graph = Graph::default();
-        graph.add(file_report.symbols);
-        report.findings.extend(graph.findings());
         // No crate attribution here, so the panic ratchet binds per
         // file: any library-code panic surface must be budgeted, and
         // explicit mode has no budgets to give.
@@ -150,8 +137,6 @@ fn context_for_label(name: &str) -> FileContext {
             || name.contains("/bin/")
             || name.starts_with("examples/")
             || name.contains("/examples/"),
-        wall_clock_exempt: false,
-        unordered_iter_scoped: true,
         is_test_code: name.starts_with("tests/") || name.contains("/tests/"),
     }
 }

@@ -13,7 +13,8 @@
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use selfsim_campaign::{
-    parse_label, AsyncKnobs, DeliveryRule, EnvRegistry, ExecutionMode, TopologyRegistry,
+    parse_label, split_top_level, AsyncKnobs, DeliveryRule, EnvRegistry, ExecutionMode, Registry,
+    TopologyRegistry,
 };
 
 /// `family(k=v,…)` over the drawn probabilities, then the drawn counts.
@@ -200,6 +201,115 @@ fn every_mode_and_delivery_variant_round_trips() {
     ] {
         for mode in [mode, mode_sample(mode)] {
             assert_eq!(ExecutionMode::parse_label(&mode.label()), Ok(mode));
+        }
+    }
+}
+
+/// The characters the label grammar is built from, plus space.
+const LABEL_ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789()=,.-+ ";
+
+/// Random strings over [`LABEL_ALPHABET`] with a length in `len`.
+fn label_soup(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..LABEL_ALPHABET.len(), len).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|i| char::from(LABEL_ALPHABET[i]))
+            .collect()
+    })
+}
+
+/// Well-formed labels from every grammar the soup is fed to; splicing
+/// soup into them reaches the `Ok` paths that pure soup rarely hits.
+fn valid_labels() -> Vec<String> {
+    let mut labels: Vec<String> = EnvRegistry::builtin_ref()
+        .iter()
+        .map(|entry| entry.label())
+        .chain(TopologyRegistry::builtin_ref().iter().map(|t| t.label()))
+        .chain(Registry::builtin_ref().labels())
+        .collect();
+    labels.extend(
+        [
+            "sync(cd=16)",
+            "event(cd=4)",
+            "async(i=0.6,l=2,d=0.1,dv=any-overlap(g=4))",
+            "valid-at-send",
+        ]
+        .map(String::from),
+    );
+    labels
+}
+
+/// `valid[pick % len]` with `cut` characters at `at` replaced by `insert`.
+fn splice(valid: &[String], (pick, at, cut, insert): (usize, usize, usize, String)) -> String {
+    let base = &valid[pick % valid.len()];
+    let at = at % (base.len() + 1);
+    let end = (at + cut).min(base.len());
+    format!("{}{insert}{}", &base[..at], &base[end..])
+}
+
+/// The label-grammar law over arbitrary input: no parser panics, and
+/// every label a resolver accepts re-labels to a label that resolves to
+/// the same label.
+fn labels_resolve_stably(s: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(split_top_level(s).join(","), s);
+    if let Ok((name, _)) = parse_label(s) {
+        prop_assert!(!name.is_empty() && !name.contains('('), "name `{}`", name);
+    }
+    let envs = EnvRegistry::builtin_ref();
+    if let Ok(cell) = envs.resolve(s) {
+        let label = cell.label();
+        prop_assert_eq!(envs.resolve(&label).map(|c| c.label()), Ok(label));
+    }
+    let topos = TopologyRegistry::builtin_ref();
+    if let Ok(cell) = topos.resolve(s) {
+        let label = cell.label();
+        prop_assert_eq!(topos.resolve(&label).map(|c| c.label()), Ok(label));
+    }
+    let algorithms = Registry::builtin_ref();
+    if let Ok(algorithm) = algorithms.resolve(s) {
+        let label = algorithm.label().to_string();
+        prop_assert_eq!(
+            algorithms.resolve(&label).map(|a| a.label().to_string()),
+            Ok(label)
+        );
+    }
+    if let Ok(mode) = ExecutionMode::parse_label(s) {
+        let label = mode.label();
+        prop_assert_eq!(
+            ExecutionMode::parse_label(&label).map(|m| m.label()),
+            Ok(label)
+        );
+    }
+    if let Ok(rule) = DeliveryRule::parse_label(s) {
+        let label = rule.label();
+        prop_assert_eq!(
+            DeliveryRule::parse_label(&label).map(|r| r.label()),
+            Ok(label)
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn label_soup_never_panics_and_resolves_stably(
+        soup in proptest::collection::vec(label_soup(0..24), 1..32),
+    ) {
+        for s in &soup {
+            labels_resolve_stably(s)?;
+        }
+    }
+
+    #[test]
+    fn spliced_labels_never_panic_and_resolve_stably(
+        edits in proptest::collection::vec(
+            (0usize..1024, 0usize..64, 0usize..4, label_soup(0..4)),
+            1..32,
+        ),
+    ) {
+        let valid = valid_labels();
+        for edit in edits {
+            labels_resolve_stably(&splice(&valid, edit))?;
         }
     }
 }
