@@ -87,14 +87,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn panic_budget_parses_like_unwrap_budget() {
+    fn parses_the_three_sections() {
+        // Comment header, trailing comments, blank lines, and a section
+        // reopened after another one: its budgets accumulate.
         let config = Config::parse(
-            "# header\n[panic_budget]\nruntime = 4 # ratchet\n\n[unwrap_budget]\nruntime = 7\ntrace = 3\n",
+            "# header\n[unwrap_budget]\ncampaign = 35 # ratchet\n\n[panic_budget]\ncampaign = 6\n\n[unwrap_budget]\ntrace = 3\n",
         )
         .expect("valid config");
+        assert_eq!(config.unwrap_budget.get("campaign"), Some(&35));
+        assert_eq!(config.unwrap_budget.get("trace"), Some(&3));
+        assert_eq!(config.panic_budget.get("campaign"), Some(&6));
+        assert_eq!(config.panic_budget.len(), 1);
+    }
+
+    #[test]
+    fn panic_budget_parses_like_unwrap_budget() {
+        let config = Config::parse("[panic_budget]\nruntime = 4\n\n[unwrap_budget]\nruntime = 7\n")
+            .expect("valid config");
         assert_eq!(config.panic_budget.get("runtime"), Some(&4));
         assert_eq!(config.unwrap_budget.get("runtime"), Some(&7));
-        assert_eq!(config.unwrap_budget.get("trace"), Some(&3));
         assert!(Config::parse("[panic_budget]\na = 1\na = 2\n")
             .expect_err("dup")
             .contains("duplicate budget"));
