@@ -688,7 +688,7 @@ fn run_merge(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("cannot write merged records: {e}"))?;
         let record =
             TrialRecord::from_jsonl_line(std::str::from_utf8(line).map_err(|e| e.to_string())?)?;
-        order.check(&record)?;
+        order.check(&record.scenario, record.trial)?;
         aggregator.observe(&record);
         Ok(())
     })
@@ -728,7 +728,14 @@ fn run_merge(args: &Args) -> Result<(), String> {
         let mut writer = std::io::BufWriter::new(
             std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
         );
+        // Each block's `trial-start` event feeds the same order checker
+        // the records do, so swapped trace shards fail like swapped record
+        // shards.
+        let mut order = MergeOrder::new();
         let blocks = merge_trace_shards(&mut trace_shards, |line| {
+            if line.starts_with(b"{\"event\":\"trial-start\"") {
+                order.check_trace_block(line)?;
+            }
             writer
                 .write_all(line)
                 .map_err(|e| format!("cannot write merged traces: {e}"))

@@ -12,6 +12,8 @@
 //! output for a given `(scenarios, seed)` — holds regardless of threads
 //! *or* shards.
 
+use selfsim_trace::TraceEvent;
+
 /// Which slice of the campaign's job list this process runs: shard
 /// `index` of `count`, selecting jobs by stable stride.
 ///
@@ -283,41 +285,59 @@ impl MergeOrder {
         MergeOrder::default()
     }
 
-    /// Checks the next record of the merged stream.
-    pub fn check(&mut self, record: &crate::trial::TrialRecord) -> Result<(), String> {
+    /// Checks that trial `trial` of `scenario` comes next in the merged
+    /// stream.
+    pub fn check(&mut self, scenario: &str, trial: u64) -> Result<(), String> {
         let misordered = |got: u64, want: u64| {
             format!(
-                "merged stream is out of order: scenario `{}` trial {got} where trial \
-                 {want} was expected; are the shard files in `--shard` index order?",
-                record.scenario
+                "merged stream is out of order: scenario `{scenario}` trial {got} where trial \
+                 {want} was expected; are the shard files in `--shard` index order?"
             )
         };
         match &self.current {
-            Some(current) if *current == record.scenario => {
-                if record.trial != self.next_trial {
-                    return Err(misordered(record.trial, self.next_trial));
+            Some(current) if current == scenario => {
+                if trial != self.next_trial {
+                    return Err(misordered(trial, self.next_trial));
                 }
             }
             _ => {
-                if self.finished.contains(&record.scenario) {
+                if self.finished.contains(scenario) {
                     return Err(format!(
-                        "merged stream is out of order: records for scenario `{}` are not \
-                         contiguous; are the shard files in `--shard` index order?",
-                        record.scenario
+                        "merged stream is out of order: records for scenario `{scenario}` are \
+                         not contiguous; are the shard files in `--shard` index order?"
                     ));
                 }
-                if record.trial != 0 {
-                    return Err(misordered(record.trial, 0));
+                if trial != 0 {
+                    return Err(misordered(trial, 0));
                 }
                 if let Some(finished) = self.current.take() {
                     self.finished.insert(finished);
                 }
-                self.current = Some(record.scenario.clone());
+                self.current = Some(scenario.to_string());
                 self.next_trial = 0;
             }
         }
         self.next_trial += 1;
         Ok(())
+    }
+
+    /// Checks the next trace block of the merged stream by its opening
+    /// `trial-start` event — the only line of the block that is parsed.
+    pub fn check_trace_block(&mut self, block: &[u8]) -> Result<(), String> {
+        let start = block.split(|&b| b == b'\n').next().unwrap_or_default();
+        let event = std::str::from_utf8(start)
+            .map_err(|e| e.to_string())
+            .and_then(|line| serde_json::from_str(line).map_err(|e| e.to_string()))
+            .map_err(|e| format!("malformed trace line: {e}"))?;
+        match event {
+            TraceEvent::TrialStart {
+                scenario, trial, ..
+            } => self.check(&scenario, trial),
+            other => Err(format!(
+                "trace block opens with a `{}` event, not `trial-start`",
+                other.tag()
+            )),
+        }
     }
 }
 
@@ -495,40 +515,11 @@ mod tests {
         assert_eq!(err, "sink full");
     }
 
-    fn record(scenario: &str, trial: u64) -> crate::trial::TrialRecord {
-        crate::trial::TrialRecord {
-            scenario: scenario.into(),
-            algorithm: "minimum".into(),
-            topology: "ring".into(),
-            environment: "static".into(),
-            mode: "sync".into(),
-            delivery: "-".into(),
-            agents: 8,
-            trial,
-            seed: trial,
-            converged: true,
-            expected: "converge".into(),
-            meets_expectation: true,
-            rounds_to_convergence: Some(3),
-            rounds_executed: 3,
-            group_steps: 3,
-            effective_group_steps: 3,
-            messages: 24,
-            messages_dropped: 0,
-            messages_requeued: 0,
-            events_processed: 0,
-            peak_queue_depth: 0,
-            initial_objective: 10.0,
-            final_objective: 0.0,
-            objective_monotone: true,
-        }
-    }
-
     #[test]
     fn merge_order_accepts_scenario_major_trial_minor_streams() {
         let mut order = MergeOrder::new();
         for (scenario, trial) in [("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 1)] {
-            order.check(&record(scenario, trial)).unwrap();
+            order.check(scenario, trial).expect("in order");
         }
     }
 
@@ -538,22 +529,67 @@ mod tests {
         // trials 1,3.  Merging them swapped yields 1,0,3,2 — the very
         // first record already has the wrong trial index.
         let mut order = MergeOrder::new();
-        let err = order.check(&record("a", 1)).unwrap_err();
+        let err = order.check("a", 1).unwrap_err();
         assert!(err.contains("trial 1 where trial 0 was expected"), "{err}");
 
         // And mid-scenario swaps are caught by the increment check.
         let mut order = MergeOrder::new();
-        order.check(&record("a", 0)).unwrap();
-        let err = order.check(&record("a", 2)).unwrap_err();
+        order.check("a", 0).expect("in order");
+        let err = order.check("a", 2).unwrap_err();
         assert!(err.contains("trial 2 where trial 1 was expected"), "{err}");
     }
 
     #[test]
     fn merge_order_rejects_non_contiguous_scenarios() {
         let mut order = MergeOrder::new();
-        order.check(&record("a", 0)).unwrap();
-        order.check(&record("b", 0)).unwrap();
-        let err = order.check(&record("a", 1)).unwrap_err();
+        order.check("a", 0).expect("in order");
+        order.check("b", 0).expect("in order");
+        let err = order.check("a", 1).unwrap_err();
         assert!(err.contains("not contiguous"), "{err}");
+    }
+
+    /// One trial's trace block: a real `trial-start` line, one event and
+    /// a `trial-end` line.
+    fn trace_block(scenario: &str, trial: u64) -> String {
+        let start = serde_json::to_string(&TraceEvent::TrialStart {
+            scenario: scenario.into(),
+            algorithm: "minimum".into(),
+            topology: "ring".into(),
+            environment: "static".into(),
+            mode: "sync".into(),
+            delivery: "-".into(),
+            agents: 8,
+            trial,
+            seed: trial,
+        })
+        .expect("serialize trial-start");
+        format!(
+            "{start}\n{{\"event\":\"group-step\",\"tick\":0}}\n\
+             {{\"event\":\"trial-end\",\"trial\":{trial}}}\n"
+        )
+    }
+
+    #[test]
+    fn trace_merge_order_rejects_swapped_shards() {
+        // Two cells of two trials, stride-split over two shards: both
+        // shards hold two blocks, so a swap passes every count check.
+        let shard0 = [trace_block("a", 0), trace_block("b", 0)].concat();
+        let shard1 = [trace_block("a", 1), trace_block("b", 1)].concat();
+        let merge = |first: &str, second: &str| {
+            let mut shards = vec![Cursor::new(first), Cursor::new(second)];
+            let mut order = MergeOrder::new();
+            merge_trace_shards(&mut shards, |line| {
+                if line.starts_with(b"{\"event\":\"trial-start\"") {
+                    order.check_trace_block(line)?;
+                }
+                Ok(())
+            })
+        };
+        assert_eq!(merge(&shard0, &shard1), Ok(4));
+        let err = merge(&shard1, &shard0).expect_err("swapped trace shards");
+        assert!(
+            err.contains("scenario `a` trial 1 where trial 0 was expected"),
+            "{err}"
+        );
     }
 }

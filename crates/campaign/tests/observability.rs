@@ -202,3 +202,95 @@ fn requeues_are_counted_under_any_overlap_and_zero_otherwise() {
         .expect("any-overlap cell summarised");
     assert!(overlap_summary.messages_requeued.mean > 0.0);
 }
+
+/// `campaign --merge` order-checks trace shards like record shards: with
+/// the record shards in `--shard` order but the trace shards swapped, the
+/// merge fails and leaves no trace file behind.  The in-order merge still
+/// reproduces the unsharded trace byte for byte.
+#[test]
+fn cli_merge_rejects_swapped_trace_shards() {
+    use selfsim_campaign::cli::{self, CliRegistries};
+    use std::process::ExitCode;
+
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("swapped-trace-shards");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf8 path").to_string();
+    let campaign = |extra: &[String]| {
+        let mut argv: Vec<String> = [
+            "--algorithms",
+            "minimum",
+            "--topologies",
+            "ring",
+            "--envs",
+            "static,churn",
+            "--sizes",
+            "8",
+            "--trials",
+            "12",
+            "--seed",
+            "5",
+            "--threads",
+            "1",
+            "--quiet",
+        ]
+        .map(String::from)
+        .to_vec();
+        argv.extend_from_slice(extra);
+        cli::run(&argv, &CliRegistries::default())
+    };
+    let merge = |traces: [&str; 2], out: &str, trace: &str| {
+        let argv: Vec<String> = [
+            "--merge",
+            &path("s0.jsonl"),
+            &path("s1.jsonl"),
+            "--merge-traces",
+            &path(traces[0]),
+            &path(traces[1]),
+            "--out",
+            &path(out),
+            "--trace",
+            &path(trace),
+            "--quiet",
+        ]
+        .map(String::from)
+        .to_vec();
+        cli::run(&argv, &CliRegistries::default())
+    };
+
+    let outputs = |out: &str, trace: &str| ["--out", out, "--trace", trace].map(String::from);
+    assert_eq!(
+        campaign(&outputs(&path("full.jsonl"), &path("full-trace.jsonl"))),
+        ExitCode::SUCCESS
+    );
+    for index in 0..2 {
+        let mut extra = outputs(
+            &path(&format!("s{index}.jsonl")),
+            &path(&format!("t{index}.jsonl")),
+        )
+        .to_vec();
+        extra.extend(["--shard".to_string(), format!("{index}/2")]);
+        assert_eq!(campaign(&extra), ExitCode::SUCCESS);
+    }
+
+    assert_eq!(
+        merge(
+            ["t0.jsonl", "t1.jsonl"],
+            "merged.jsonl",
+            "merged-trace.jsonl"
+        ),
+        ExitCode::SUCCESS
+    );
+    let read = |name: &str| std::fs::read(path(name)).expect("read output");
+    assert_eq!(read("merged.jsonl"), read("full.jsonl"));
+    assert_eq!(read("merged-trace.jsonl"), read("full-trace.jsonl"));
+
+    let _ = std::fs::remove_file(path("bad-trace.jsonl"));
+    assert_eq!(
+        merge(["t1.jsonl", "t0.jsonl"], "bad.jsonl", "bad-trace.jsonl"),
+        ExitCode::FAILURE
+    );
+    assert!(
+        !dir.join("bad-trace.jsonl").exists(),
+        "a rejected trace merge must leave no trace file"
+    );
+}
