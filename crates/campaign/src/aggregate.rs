@@ -167,14 +167,6 @@ impl Aggregator {
         cell.all_monotone &= record.objective_monotone;
     }
 
-    /// Parses one emitted JSONL line and folds it — how the shard-merge
-    /// path re-aggregates a campaign from its record streams without ever
-    /// holding more than one record in memory.
-    pub fn observe_line(&mut self, line: &str) -> Result<(), String> {
-        self.observe(&TrialRecord::from_jsonl_line(line)?);
-        Ok(())
-    }
-
     /// Absorbs another aggregator: cell counters add, histograms add,
     /// monotone flags AND.  Folding records through two aggregators and
     /// merging equals folding them all through one (aggregation is

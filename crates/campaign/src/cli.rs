@@ -43,9 +43,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::{
-    distribute_trials, emit, merge_shards, merge_trace_shards, Aggregator, AlgorithmRef, Campaign,
-    CampaignResult, EnvRef, EnvRegistry, ExecutionMode, MergeOrder, ProgressThrottle, Registry,
-    ScenarioGrid, ShardSpec, TopoRef, TopologyRegistry, TrialRecord,
+    distribute_trials, emit, merge_shards, Aggregator, AlgorithmRef, Campaign, CampaignResult,
+    EnvRef, EnvRegistry, ExecutionMode, MergeOrder, ProgressThrottle, Registry, ScenarioGrid,
+    ShardSpec, StreamKind, TopoRef, TopologyRegistry, TrialRecord,
 };
 use selfsim_trace::MetricsRegistry;
 
@@ -255,26 +255,18 @@ fn parse_args(argv: &[String], registries: &CliRegistries) -> Result<Args, Strin
                     .map_err(|e| format!("bad --threads: {e}"))?;
             }
             "--shard" => args.shard = ShardSpec::parse(&value("--shard")?)?,
-            "--merge" => {
-                while let Some(path) = it.peek() {
-                    if path.starts_with("--") {
-                        break;
-                    }
-                    args.merge.push(it.next().expect("peeked").clone());
-                }
-                if args.merge.is_empty() {
-                    return Err("--merge expects one or more shard JSONL files".into());
-                }
-            }
-            "--merge-traces" => {
-                while let Some(path) = it.peek() {
-                    if path.starts_with("--") {
-                        break;
-                    }
-                    args.merge_traces.push(it.next().expect("peeked").clone());
-                }
-                if args.merge_traces.is_empty() {
-                    return Err("--merge-traces expects one or more shard trace files".into());
+            "--merge" | "--merge-traces" => {
+                let paths = if flag == "--merge" {
+                    &mut args.merge
+                } else {
+                    &mut args.merge_traces
+                };
+                // Every argument up to the next flag is a shard file.
+                paths.extend(std::iter::from_fn(|| {
+                    it.next_if(|path| !path.starts_with("--")).cloned()
+                }));
+                if paths.is_empty() {
+                    return Err(format!("{flag} expects one or more shard files"));
                 }
             }
             "--out" => args.out = Some(value("--out")?),
@@ -566,73 +558,33 @@ fn run_sweep(args: &Args) -> Result<(), String> {
         reason = "elapsed-time line on stderr after the run; never serialized into records"
     )]
     let started = std::time::Instant::now();
-    // (`Stdout`, not `StdoutLock` — the sink crosses into the runner's
-    // worker scope and must be `Send`.  With `--out -` the records own
-    // stdout and everything human-readable goes to stderr below.)
-    let sink: Option<(Box<dyn Write + Send>, &str)> = match &args.out {
-        Some(path) if is_stdout(path) => Some((
-            Box::new(std::io::BufWriter::new(std::io::stdout())),
-            "stdout",
-        )),
-        Some(path) => Some((
-            Box::new(std::io::BufWriter::new(
-                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            )),
-            path.as_str(),
-        )),
-        None => None,
-    };
-    let trace: Option<(Box<dyn Write + Send>, &str)> = match &args.trace {
-        Some(path) => Some((
-            Box::new(std::io::BufWriter::new(
-                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-            )),
-            path.as_str(),
-        )),
-        None => None,
-    };
-    let result: CampaignResult = match (sink, trace) {
-        (Some((mut writer, label)), Some((mut trace, trace_label))) => campaign
-            .stream_with_trace(&mut writer, &mut trace, progress)
-            .and_then(|result| {
+    // One runner call writes whichever of `--out` and `--trace` were
+    // given; a `--trace`-only run serializes no records.
+    let mut records = args.out.as_deref().map(create).transpose()?;
+    let mut trace = args.trace.as_deref().map(create).transpose()?;
+    let result = campaign
+        .stream(records.as_deref_mut(), trace.as_deref_mut(), progress)
+        .and_then(|result| {
+            for writer in records.iter_mut().chain(&mut trace) {
                 writer.flush()?;
-                trace.flush()?;
-                Ok(result)
-            })
-            .map_err(|e| {
-                format!("cannot stream records to {label} / traces to {trace_label}: {e}")
-            })?,
-        (None, Some((mut trace, trace_label))) => {
-            // `--trace` without `--out`: the event stream is the product;
-            // records are aggregated and dropped.
-            let mut devnull = std::io::sink();
-            campaign
-                .stream_with_trace(&mut devnull, &mut trace, progress)
-                .and_then(|result| {
-                    trace.flush()?;
-                    Ok(result)
-                })
-                .map_err(|e| format!("cannot stream traces to {trace_label}: {e}"))?
-        }
-        (Some((mut writer, label)), None) => campaign
-            .stream_with_progress(&mut writer, progress)
-            .and_then(|result| {
-                writer.flush()?;
-                Ok(result)
-            })
-            .map_err(|e| format!("cannot stream records to {label}: {e}"))?,
-        (None, None) => campaign.run_with_progress(progress),
-    };
+            }
+            Ok(result)
+        })
+        .map_err(|e| {
+            let outputs = [("records", &args.out), ("traces", &args.trace)]
+                .into_iter()
+                .filter_map(|(what, path)| Some(format!("{what} to {}", path.as_deref()?)))
+                .collect::<Vec<_>>();
+            format!("cannot stream {}: {e}", outputs.join(" / "))
+        })?;
     let elapsed = started.elapsed();
 
     if let (Some(path), Some(registry)) = (&args.metrics_out, &registry) {
-        write_file(path, |w| w.write_all(registry.snapshot_json().as_bytes()))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(path, |w| w.write_all(registry.snapshot_json().as_bytes()))?;
     }
 
     if let Some(path) = &args.summary_out {
-        write_file(path, |w| emit::write_summary_jsonl(w, &result.summaries))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(path, |w| emit::write_summary_jsonl(w, &result.summaries))?;
     }
 
     let report = format!(
@@ -657,133 +609,106 @@ fn is_stdout(path: &str) -> bool {
     path == "-" || path == "/dev/stdout"
 }
 
-/// Merges finished shard record files back into the unsharded byte stream
-/// and re-aggregates the summary table from the merged records.
-fn run_merge(args: &Args) -> Result<(), String> {
-    let mut shards: Vec<BufReader<std::fs::File>> = Vec::with_capacity(args.merge.len());
-    for path in &args.merge {
-        let file =
-            std::fs::File::open(path).map_err(|e| format!("cannot open shard file {path}: {e}"))?;
-        shards.push(BufReader::new(file));
+/// Opens a buffered output: stdout for `-`, else a created file.
+/// (`Stdout`, not `StdoutLock`: the writer crosses into the runner's
+/// worker scope and must be `Send`.)
+fn create(path: &str) -> Result<Box<dyn Write + Send>, String> {
+    if is_stdout(path) {
+        return Ok(Box::new(std::io::BufWriter::new(std::io::stdout())));
     }
+    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    Ok(Box::new(std::io::BufWriter::new(file)))
+}
 
-    let stdout = std::io::stdout();
-    let mut writer: Box<dyn Write> = match &args.out {
-        Some(path) if !is_stdout(path) => Box::new(std::io::BufWriter::new(
-            std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-        )),
-        _ => Box::new(std::io::BufWriter::new(stdout.lock())),
-    };
-
-    // Every merged line is parsed once: the order checker proves the
+/// Merges finished shard record files — and, with `--merge-traces`, their
+/// trace files — back into the unsharded byte streams, and re-aggregates
+/// the summary table from the merged records.
+fn run_merge(args: &Args) -> Result<(), String> {
+    // Every merged record is parsed once: the order checker proves the
     // reconstructed stream is in exact unsharded job order (this is what
     // catches equal-length shard files passed out of `--shard` order,
-    // which no line-count check can see), and the same record feeds the
+    // which no count check can see), and the same record feeds the
     // re-aggregated summary table.
     let mut order = MergeOrder::new();
     let mut aggregator = Aggregator::new();
-    let merged = merge_shards(&mut shards, |line| {
-        writer
-            .write_all(line)
-            .map_err(|e| format!("cannot write merged records: {e}"))?;
+    let out = args.out.as_deref().unwrap_or("-");
+    let merged = merge_files(StreamKind::Records, &args.merge, out, |line| {
         let record =
             TrialRecord::from_jsonl_line(std::str::from_utf8(line).map_err(|e| e.to_string())?)?;
         order.check(&record.scenario, record.trial)?;
         aggregator.observe(&record);
         Ok(())
-    })
-    .and_then(|merged| {
-        writer
-            .flush()
-            .map_err(|e| format!("cannot flush merged records: {e}"))?;
-        Ok(merged)
-    });
-    drop(writer);
-    let merged = match merged {
-        Ok(merged) => merged,
-        Err(e) => {
-            // Don't leave a partial (possibly misordered) merged file
-            // behind: existence must imply a complete, validated stream.
-            if let Some(path) = args.out.as_deref().filter(|p| !is_stdout(p)) {
-                let _ = std::fs::remove_file(path);
-            }
-            return Err(e);
+    })?;
+    // Trace blocks move whole, and each block's `trial-start` event is
+    // order-checked like a record.
+    let trace_note = match &args.trace {
+        Some(path) => {
+            let mut order = MergeOrder::new();
+            let blocks = merge_files(StreamKind::Traces, &args.merge_traces, path, |block| {
+                order.check_trace_block(block)
+            })?;
+            format!(", plus {blocks} trace blocks")
         }
-    };
-
-    // Merge the trace shards (if given) block by block: each trial's
-    // `trial-start`..`trial-end` event block moves whole, in round-robin
-    // shard order, reconstructing the exact unsharded event stream.
-    let trace_blocks = if args.merge_traces.is_empty() {
-        None
-    } else {
-        let path = args.trace.as_deref().expect("validated by parse_args");
-        let mut trace_shards: Vec<BufReader<std::fs::File>> =
-            Vec::with_capacity(args.merge_traces.len());
-        for shard_path in &args.merge_traces {
-            let file = std::fs::File::open(shard_path)
-                .map_err(|e| format!("cannot open shard trace file {shard_path}: {e}"))?;
-            trace_shards.push(BufReader::new(file));
-        }
-        let mut writer = std::io::BufWriter::new(
-            std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
-        );
-        // Each block's `trial-start` event feeds the same order checker
-        // the records do, so swapped trace shards fail like swapped record
-        // shards.
-        let mut order = MergeOrder::new();
-        let blocks = merge_trace_shards(&mut trace_shards, |line| {
-            if line.starts_with(b"{\"event\":\"trial-start\"") {
-                order.check_trace_block(line)?;
-            }
-            writer
-                .write_all(line)
-                .map_err(|e| format!("cannot write merged traces: {e}"))
-        })
-        .and_then(|blocks| {
-            writer
-                .flush()
-                .map_err(|e| format!("cannot flush merged traces: {e}"))?;
-            Ok(blocks)
-        });
-        match blocks {
-            Ok(blocks) => Some(blocks),
-            Err(e) => {
-                // Same contract as the record merge: a merged trace file
-                // only exists if it is complete and validated.
-                let _ = std::fs::remove_file(path);
-                return Err(e);
-            }
-        }
+        None => String::new(),
     };
 
     let summaries = aggregator.summaries();
     if let Some(path) = &args.summary_out {
-        write_file(path, |w| emit::write_summary_jsonl(w, &summaries))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(path, |w| emit::write_summary_jsonl(w, &summaries))?;
     }
-    let trace_note = match trace_blocks {
-        Some(blocks) => format!(", plus {blocks} trace blocks"),
-        None => String::new(),
-    };
-    if args.out.as_deref().is_some_and(|p| !is_stdout(p)) {
+    let note = format!(
+        "merged {merged} records from {} shard files across {} scenario cells{trace_note}",
+        args.merge.len(),
+        summaries.len(),
+    );
+    if !is_stdout(out) {
         // With --out FILE the table goes to stdout; otherwise stdout
         // carries the merged records and the table would corrupt the
         // stream.
         print!("{}", emit::markdown_summary(&summaries));
-        println!(
-            "merged {merged} records from {} shard files across {} scenario cells{trace_note}",
-            args.merge.len(),
-            summaries.len(),
-        );
+        println!("{note}");
     } else if !args.quiet {
-        eprintln!(
-            "merged {merged} records from {} shard files across {} scenario cells{trace_note}",
-            args.merge.len(),
-            summaries.len(),
-        );
+        eprintln!("{note}");
     }
     Ok(())
+}
+
+/// Merges the shard files `inputs` of one stream into `out`, checking
+/// each block before it is written, then flushes.  On any error the
+/// partial output file is deleted: a merged file exists only if it is
+/// complete and validated.
+fn merge_files(
+    kind: StreamKind,
+    inputs: &[String],
+    out: &str,
+    mut check: impl FnMut(&[u8]) -> Result<(), String>,
+) -> Result<u64, String> {
+    let mut shards = inputs
+        .iter()
+        .map(|path| {
+            let file = std::fs::File::open(path)
+                .map_err(|e| format!("cannot open shard file {path}: {e}"))?;
+            Ok(BufReader::new(file))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut writer = create(out)?;
+    let merged = merge_shards(kind, &mut shards, |block| {
+        check(block)?;
+        writer
+            .write_all(block)
+            .map_err(|e| format!("cannot write {out}: {e}"))
+    })
+    .and_then(|merged| {
+        writer
+            .flush()
+            .map_err(|e| format!("cannot flush {out}: {e}"))?;
+        Ok(merged)
+    });
+    drop(writer);
+    if merged.is_err() && !is_stdout(out) {
+        let _ = std::fs::remove_file(out);
+    }
+    merged
 }
 
 fn totals_line(result: &CampaignResult, args: &Args) -> String {
@@ -802,14 +727,15 @@ fn totals_line(result: &CampaignResult, args: &Args) -> String {
     )
 }
 
+/// Writes one whole output file through [`create`].
 fn write_file(
     path: &str,
-    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
-) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut writer = std::io::BufWriter::new(file);
-    write(&mut writer)?;
-    writer.flush()
+    write: impl FnOnce(&mut Box<dyn Write + Send>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let mut writer = create(path)?;
+    write(&mut writer)
+        .and_then(|()| writer.flush())
+        .map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 #[cfg(test)]

@@ -21,12 +21,15 @@
 //!   `selfsim-runtime`;
 //! * [`Campaign`] — a *streaming* runner that executes trials on a worker
 //!   pool with *derived* per-trial seeds and spills each finished record
-//!   through an ordered reorder window, so emitted bytes are identical no
-//!   matter how many threads run them and memory stays `O(threads)`
+//!   (and, on request, its event trace) through an ordered reorder window
+//!   in one engine, [`Campaign::stream`], so emitted bytes are identical
+//!   no matter how many threads run them and memory stays `O(threads)`
 //!   (records are only retained by the opt-in [`Campaign::run_collect`]);
 //! * [`ShardSpec`] / [`merge_shards`] — stride sharding across processes:
-//!   shard `i/k` runs every `k`-th job, and the round-robin merge of the
-//!   shard streams is byte-identical to an unsharded run — the
+//!   shard `i/k` runs every `k`-th job, and one round-robin merge, block
+//!   by block, rebuilds either stream ([`StreamKind`]: record lines or
+//!   trace blocks) byte-identical to an unsharded run, while
+//!   [`MergeOrder`] checks the merged trial order of both — the
 //!   determinism contract (same bytes for a given `(scenarios, seed)`,
 //!   regardless of threads *or* shards) is the system's headline
 //!   invariant;
@@ -89,5 +92,5 @@ pub use runner::{Campaign, CampaignConfig, CampaignResult, CollectedResult, Prog
 pub use scenario::{distribute_trials, grid_dims, Scenario, ScenarioBuilder, ScenarioGrid};
 pub use selfsim_env::{parse_label, split_top_level, Params};
 pub use selfsim_runtime::{AsyncKnobs, DeliveryRule, ExecutionMode};
-pub use shard::{merge_shards, merge_trace_shards, MergeOrder, ShardSpec};
+pub use shard::{merge_shards, MergeOrder, ShardSpec, StreamKind};
 pub use trial::{run_trial, run_trial_traced, TrialRecord};

@@ -1,9 +1,12 @@
 //! The parallel, streaming campaign runner.
 //!
-//! Determinism is the design constraint: a campaign's emitted record
-//! stream must be byte-identical for a given `(scenarios, campaign seed)`
-//! pair no matter how many worker threads run it — or how many process
-//! shards it is split over.  Four mechanisms provide this:
+//! Determinism is the design constraint: a campaign's emitted record and
+//! trace streams must be byte-identical for a given `(scenarios, campaign
+//! seed)` pair no matter how many worker threads run it — or how many
+//! process shards it is split over.  One engine, [`Campaign::stream`],
+//! writes both streams; [`Campaign::run`], [`Campaign::stream_to`] and
+//! [`Campaign::run_collect`] are thin calls of it.  Four mechanisms
+//! provide this:
 //!
 //! 1. every trial's seed is *derived* (SplitMix64 over the campaign seed,
 //!    the scenario name and the trial index), never drawn from a shared
@@ -21,8 +24,9 @@
 //! into a spill buffer as the trial finishes, the reorder window holds at
 //! most `threads × window-factor` pending buffers (a worker that runs too
 //! far ahead parks until the stream catches up), and released bytes go
-//! straight to the sink.  Nothing per-trial survives the run unless the
-//! opt-in [`Campaign::run_collect`] is used.
+//! straight to the sinks.  Nothing per-trial survives the run unless the
+//! opt-in [`Campaign::run_collect`] is used, which parses the streamed
+//! record lines back.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -121,7 +125,7 @@ impl PipelineObs {
 
 /// What a finished campaign retains: the closed per-scenario aggregation
 /// and the executed-trial count.  Per-trial records are *streamed* (to the
-/// sink passed to [`Campaign::stream_to`], or dropped after aggregation by
+/// sinks passed to [`Campaign::stream`], or dropped after aggregation by
 /// [`Campaign::run`]), never accumulated here — use the opt-in
 /// [`Campaign::run_collect`] when a test or small run wants them in
 /// memory.
@@ -231,87 +235,52 @@ impl Campaign {
     /// only — records are folded and dropped, so memory stays
     /// `O(threads)` however many trials run.
     pub fn run(&self) -> CampaignResult {
-        self.run_with_progress(|_, _| {})
-    }
-
-    /// Like [`Campaign::run`], with a callback `(done, shard total)`
-    /// invoked after every finished trial (from worker threads; keep it
-    /// cheap — see [`ProgressThrottle`] for stderr-friendly pacing).
-    pub fn run_with_progress(&self, progress: impl Fn(u64, u64) + Sync) -> CampaignResult {
-        self.execute::<std::io::Sink, std::io::Sink>(None, None, None, &progress)
+        self.stream(None, None, |_, _| {})
             .expect("aggregate-only runs perform no I/O")
     }
 
     /// Streams this shard's records to `sink` as JSON lines in
-    /// deterministic global job order, returning the aggregation.  The
-    /// bytes written are exactly what [`crate::emit::write_jsonl`] would
-    /// produce from the collected records — the streaming/collected
-    /// equivalence — while retaining no record in memory.
+    /// deterministic global job order, returning the aggregation.
     pub fn stream_to<W: Write + Send>(&self, sink: &mut W) -> std::io::Result<CampaignResult> {
-        self.stream_with_progress(sink, |_, _| {})
+        self.stream(Some(sink), None, |_, _| {})
     }
 
-    /// Like [`Campaign::stream_to`] with a per-trial progress callback.
-    pub fn stream_with_progress<W: Write + Send>(
-        &self,
-        sink: &mut W,
-        progress: impl Fn(u64, u64) + Sync,
-    ) -> std::io::Result<CampaignResult> {
-        self.execute::<W, std::io::Sink>(Some(sink), None, None, &progress)
-    }
-
-    /// Like [`Campaign::stream_with_progress`], additionally streaming the
-    /// per-trial structured event traces (`trial-start` … `trial-end`
-    /// blocks, one JSON event per line) to `trace`.
-    ///
-    /// Trace blocks flow through the same ordered reorder window as the
-    /// records, so the trace bytes are identical no matter how many worker
-    /// threads run — and the round-robin block merge of sharded traces
-    /// ([`crate::merge_trace_shards`]) reconstructs the unsharded stream
-    /// exactly, extending the campaign's determinism contract to traces.
-    pub fn stream_with_trace<W: Write + Send, T: Write + Send>(
-        &self,
-        sink: &mut W,
-        trace: &mut T,
-        progress: impl Fn(u64, u64) + Sync,
-    ) -> std::io::Result<CampaignResult> {
-        self.execute(Some(sink), Some(trace), None, &progress)
-    }
-
-    /// Opt-in collection for tests and small runs: like [`Campaign::run`]
-    /// but additionally retains every record, in order, at `O(trials)`
-    /// memory.
+    /// Opt-in collection for tests and small runs: streams the records and
+    /// parses each line back, so a collected record is exactly what
+    /// [`Campaign::stream_to`] writes.  Memory is `O(trials)`.
     pub fn run_collect(&self) -> CollectedResult {
-        self.run_collect_with_progress(|_, _| {})
-    }
-
-    /// Like [`Campaign::run_collect`] with a per-trial progress callback.
-    pub fn run_collect_with_progress(&self, progress: impl Fn(u64, u64) + Sync) -> CollectedResult {
-        let mut records = Vec::new();
+        let mut lines = RecordLines::default();
         let result = self
-            .execute::<std::io::Sink, std::io::Sink>(None, None, Some(&mut records), &progress)
-            .expect("collect-only runs perform no I/O");
+            .stream(Some(&mut lines), None, |_, _| {})
+            .expect("every streamed record parses back");
         CollectedResult {
-            records,
+            records: lines.records,
             summaries: result.summaries,
         }
     }
 
-    /// The streaming engine behind every run mode.
+    /// The one streaming engine behind every run method: runs this shard's
+    /// trials, writes their JSONL records to `records` and their event
+    /// blocks (`trial-start` … `trial-end`, one JSON event per line) to
+    /// `trace`, and returns the aggregation.  `progress(done, shard
+    /// total)` is called after every finished trial, from worker threads;
+    /// keep it cheap (see [`ProgressThrottle`]).
     ///
     /// Workers claim shard-local job indices from an atomic counter, run
-    /// the trial, fold the record into the shared aggregator, serialize it
-    /// into a spill buffer (when a sink wants bytes) and hand it to the
-    /// reorder window, which releases buffers to the sink strictly in job
-    /// order.  A worker more than the window size ahead of the release
-    /// cursor parks on a condvar until the stream catches up, bounding
-    /// pending memory at `O(threads)`.
-    fn execute<W: Write + Send, T: Write + Send>(
+    /// the trial, fold the record into a local aggregator, serialize what
+    /// the sinks want into a spill buffer and hand it to the reorder
+    /// window, which releases buffers to the sinks strictly in job order.
+    /// So both byte streams are identical however many threads run, and
+    /// the round-robin merge of shard streams ([`crate::merge_shards`])
+    /// reconstructs the unsharded bytes.  A worker more than the window
+    /// size ahead of the release cursor parks on a condvar until the
+    /// stream catches up, bounding pending memory at `O(threads)`.  With
+    /// neither sink, nothing is serialized and the window is skipped.
+    pub fn stream(
         &self,
-        sink: Option<&mut W>,
-        trace_sink: Option<&mut T>,
-        collect: Option<&mut Vec<TrialRecord>>,
-        progress: &(dyn Fn(u64, u64) + Sync),
+        records: Option<&mut (dyn Write + Send + '_)>,
+        trace: Option<&mut (dyn Write + Send + '_)>,
+        progress: impl Fn(u64, u64) + Sync,
     ) -> std::io::Result<CampaignResult> {
         // Per-scenario prefix sums: the job list itself is never
         // materialised — global position -> (scenario, trial) is a binary
@@ -334,12 +303,11 @@ impl Campaign {
         }
         .min(shard_total.max(1) as usize);
 
-        let serialize = sink.is_some();
-        let tracing = trace_sink.is_some();
-        let collecting = collect.is_some();
+        let serialize = records.is_some();
+        let tracing = trace.is_some();
         // Aggregate-only runs have no ordered side effects, so they skip
         // the reorder window entirely.
-        let ordered = serialize || tracing || collecting;
+        let ordered = serialize || tracing;
         let window = threads * REORDER_WINDOW_PER_THREAD;
         let obs = self.observe.as_deref().map(PipelineObs::new);
         let obs = obs.as_ref();
@@ -347,9 +315,8 @@ impl Campaign {
         let reorder = Mutex::new(Reorder {
             next: 0,
             pending: BTreeMap::new(),
-            sink: sink.map(|w| w as &mut (dyn Write + Send)),
-            trace_sink: trace_sink.map(|w| w as &mut (dyn Write + Send)),
-            collect,
+            records: records.map(|w| w as &mut (dyn Write + Send)),
+            trace: trace.map(|w| w as &mut (dyn Write + Send)),
             obs,
             error: None,
         });
@@ -379,21 +346,15 @@ impl Campaign {
                         let trial = global - offsets[scenario_idx];
                         let scenario = &self.scenarios[scenario_idx];
                         let seed = self.seed_for(hashes[scenario_idx], trial);
-                        let sampled = obs.is_some() && local.is_multiple_of(OBS_SAMPLE);
-                        #[expect(
-                            clippy::disallowed_methods,
-                            reason = "sampled PipelineObs trial-run timer; metrics read the run and never touch record bytes"
-                        )]
-                        let t0 = sampled.then(Instant::now);
-                        let (record, events) = if tracing {
-                            let (record, events) = run_trial_traced(scenario, trial, seed);
-                            (record, Some(events))
-                        } else {
-                            (run_trial(scenario, trial, seed), None)
-                        };
-                        if let (Some(obs), Some(t0)) = (obs, t0) {
-                            obs.trial_run.record(t0.elapsed());
-                        }
+                        let sampled = obs.filter(|_| local.is_multiple_of(OBS_SAMPLE));
+                        let (record, events) = timed(sampled.map(|o| &*o.trial_run), || {
+                            if tracing {
+                                let (record, events) = run_trial_traced(scenario, trial, seed);
+                                (record, Some(events))
+                            } else {
+                                (run_trial(scenario, trial, seed), None)
+                            }
+                        });
                         if let Some(obs) = obs {
                             obs.observe_record(&record);
                         }
@@ -402,84 +363,44 @@ impl Campaign {
 
                         if ordered {
                             // The spill buffer: the record leaves the worker
-                            // as bytes (and/or the collected struct), never
-                            // as shared mutable state.
-                            #[expect(
-                                clippy::disallowed_methods,
-                                reason = "sampled PipelineObs serialize timer; off unless a registry is attached"
-                            )]
-                            let t0 = sampled.then(Instant::now);
-                            let bytes = if serialize {
-                                match record.to_jsonl_line() {
-                                    Ok(bytes) => Some(bytes),
-                                    Err(e) => {
-                                        let mut state = reorder.lock().expect("reorder lock");
-                                        state.error.get_or_insert(e);
-                                        abort.store(true, Ordering::Relaxed);
-                                        space.notify_all();
-                                        break;
-                                    }
-                                }
-                            } else {
-                                None
-                            };
-                            let trace = match events.as_deref().map(trace_block) {
-                                Some(Ok(bytes)) => Some(bytes),
-                                Some(Err(e)) => {
-                                    let mut state = reorder.lock().expect("reorder lock");
-                                    state.error.get_or_insert(e);
-                                    abort.store(true, Ordering::Relaxed);
-                                    space.notify_all();
-                                    break;
-                                }
-                                None => None,
-                            };
-                            if let (Some(obs), Some(t0)) = (obs, t0) {
-                                obs.serialize.record(t0.elapsed());
-                            }
-                            let slot = Slot {
-                                bytes,
-                                trace,
-                                record: collecting.then_some(record),
-                            };
+                            // as bytes, never as shared mutable state.  A
+                            // serialization error travels in the slot and
+                            // surfaces when the stream reaches it.
+                            let slot = timed(sampled.map(|o| &*o.serialize), || {
+                                Ok(Slot {
+                                    bytes: serialize.then(|| record.to_jsonl_line()).transpose()?,
+                                    trace: events.as_deref().map(trace_block).transpose()?,
+                                })
+                            });
                             let mut state = reorder.lock().expect("reorder lock");
                             if local >= state.next + window as u64 && state.error.is_none() {
                                 // The window is full: the sink has fallen
                                 // behind this worker.
-                                #[expect(
-                                    clippy::disallowed_methods,
-                                    reason = "reorder-wait stall timer; stalls are rare and only timed when a registry is attached"
-                                )]
-                                let t0 = obs.map(|_| Instant::now());
                                 if let Some(obs) = obs {
                                     obs.sink_stalls.incr();
                                 }
-                                state = space
-                                    .wait_while(state, |state| {
-                                        local >= state.next + window as u64
-                                            && state.error.is_none()
-                                    })
-                                    .expect("reorder condvar");
-                                if let (Some(obs), Some(t0)) = (obs, t0) {
-                                    obs.reorder_wait.record(t0.elapsed());
+                                state = timed(obs.map(|o| &*o.reorder_wait), || {
+                                    space
+                                        .wait_while(state, |state| {
+                                            local >= state.next + window as u64
+                                                && state.error.is_none()
+                                        })
+                                        .expect("reorder condvar")
+                                });
+                            }
+                            let failed = state.error.is_some() || {
+                                state.pending.insert(local, slot);
+                                if let Some(obs) = obs {
+                                    obs.reorder_depth.record(state.pending.len() as u64);
                                 }
-                            }
-                            if state.error.is_some() {
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            state.pending.insert(local, slot);
-                            if let Some(obs) = obs {
-                                obs.reorder_depth.record(state.pending.len() as u64);
-                            }
-                            if state.release().is_err() {
-                                abort.store(true, Ordering::Relaxed);
-                                drop(state);
-                                space.notify_all();
-                                break;
-                            }
+                                state.release().is_err()
+                            };
                             drop(state);
                             space.notify_all();
+                            if failed {
+                                abort.store(true, Ordering::Relaxed);
+                                break;
+                            }
                         }
 
                         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -517,12 +438,11 @@ fn trace_block(events: &[TraceEvent]) -> std::io::Result<Vec<u8>> {
 }
 
 /// One finished trial in flight between a worker and the ordered release:
-/// its serialized JSONL line (when streaming), its serialized event block
-/// (when tracing) and/or the record itself (when collecting).
+/// its serialized JSONL line (when streaming records) and its serialized
+/// event block (when tracing).
 struct Slot {
     bytes: Option<Vec<u8>>,
     trace: Option<Vec<u8>>,
-    record: Option<TrialRecord>,
 }
 
 /// The ordered reorder window: releases finished trials strictly in job
@@ -531,57 +451,93 @@ struct Reorder<'a> {
     /// The next shard-local job index to release.
     next: u64,
     /// Finished jobs ahead of `next`, bounded by the window size.
-    pending: BTreeMap<u64, Slot>,
-    sink: Option<&'a mut (dyn Write + Send)>,
-    trace_sink: Option<&'a mut (dyn Write + Send)>,
-    collect: Option<&'a mut Vec<TrialRecord>>,
+    pending: BTreeMap<u64, std::io::Result<Slot>>,
+    records: Option<&'a mut (dyn Write + Send)>,
+    trace: Option<&'a mut (dyn Write + Send)>,
     obs: Option<&'a PipelineObs>,
     error: Option<std::io::Error>,
 }
 
 impl<'a> Reorder<'a> {
     /// Releases every consecutive pending slot starting at `next`.  On a
-    /// sink error, records it (for the caller) and reports failure so
-    /// workers can abort.
+    /// serialization or sink error, records it (for the caller) and
+    /// reports failure so workers can abort.
     fn release(&mut self) -> Result<(), ()> {
-        loop {
-            let next = self.next;
-            let Some(slot) = self.pending.remove(&next) else {
-                return Ok(());
-            };
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "sampled PipelineObs sink-write timer; release order is fixed by `next` before any clock read"
-            )]
-            let t0 = (self.obs.is_some() && next.is_multiple_of(OBS_SAMPLE)).then(Instant::now);
-            if let (Some(sink), Some(bytes)) =
-                (self.trace_sink.as_deref_mut(), slot.trace.as_deref())
-            {
-                if let Err(e) = sink.write_all(bytes) {
-                    self.error = Some(e);
-                    return Err(());
-                }
-            }
-            if let (Some(sink), Some(bytes)) = (self.sink.as_deref_mut(), slot.bytes.as_deref()) {
-                if let Err(e) = sink.write_all(bytes) {
-                    self.error = Some(e);
-                    return Err(());
-                }
-            }
-            if let (Some(obs), Some(t0)) = (self.obs, t0) {
-                obs.sink_write.record(t0.elapsed());
-            }
-            if let (Some(collected), Some(record)) = (self.collect.as_deref_mut(), slot.record) {
-                collected.push(record);
+        while let Some(slot) = self.pending.remove(&self.next) {
+            let timer = self.obs.filter(|_| self.next.is_multiple_of(OBS_SAMPLE));
+            let written = slot.and_then(|slot| {
+                timed(timer.map(|o| &*o.sink_write), || {
+                    write_some(self.trace.as_deref_mut(), slot.trace)?;
+                    write_some(self.records.as_deref_mut(), slot.bytes)
+                })
+            });
+            if let Err(e) = written {
+                self.error = Some(e);
+                return Err(());
             }
             self.next += 1;
         }
+        Ok(())
+    }
+}
+
+/// Runs `f`, recording its wall time in `timer` when there is one.
+fn timed<T>(timer: Option<&StageTimer>, f: impl FnOnce() -> T) -> T {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "PipelineObs stage timers; off unless a registry is attached, and metrics never touch record bytes"
+    )]
+    let t0 = timer.map(|_| Instant::now());
+    let value = f();
+    if let (Some(timer), Some(t0)) = (timer, t0) {
+        timer.record(t0.elapsed());
+    }
+    value
+}
+
+/// Writes `bytes` to `sink` when there are both.
+fn write_some(
+    sink: Option<&mut (dyn Write + Send + '_)>,
+    bytes: Option<Vec<u8>>,
+) -> std::io::Result<()> {
+    match (sink, bytes) {
+        (Some(sink), Some(bytes)) => sink.write_all(&bytes),
+        _ => Ok(()),
+    }
+}
+
+/// The sink behind [`Campaign::run_collect`]: parses each streamed record
+/// line back into a [`TrialRecord`] as it arrives.
+#[derive(Default)]
+struct RecordLines {
+    line: Vec<u8>,
+    records: Vec<TrialRecord>,
+}
+
+impl Write for RecordLines {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        for chunk in buf.split_inclusive(|&b| b == b'\n') {
+            self.line.extend_from_slice(chunk);
+            if self.line.ends_with(b"\n") {
+                let record = std::str::from_utf8(&self.line)
+                    .map_err(|e| e.to_string())
+                    .and_then(TrialRecord::from_jsonl_line)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+                self.records.push(record);
+                self.line.clear();
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
 /// A lock-free rate limiter for progress reporting from worker threads.
 ///
-/// [`Campaign::run_with_progress`] fires its callback once per finished
+/// [`Campaign::stream`] fires its progress callback once per finished
 /// trial; printing every call would serialize a million-trial campaign on
 /// stderr.  [`ProgressThrottle::report`] returns `true` for at most one
 /// caller per interval — except for the final `done >= total` update,
@@ -842,10 +798,12 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         let campaign = small_campaign().threads(2);
         let max_done = AtomicU64::new(0);
-        let result = campaign.run_with_progress(|done, total| {
-            assert!(done <= total);
-            max_done.fetch_max(done, Ordering::Relaxed);
-        });
+        let result = campaign
+            .stream(None, None, |done, total| {
+                assert!(done <= total);
+                max_done.fetch_max(done, Ordering::Relaxed);
+            })
+            .expect("aggregate-only run");
         assert_eq!(max_done.load(Ordering::Relaxed), campaign.trial_count());
         assert_eq!(result.summaries.len(), campaign.scenarios().len());
         assert_eq!(result.trials, campaign.trial_count());
@@ -859,14 +817,14 @@ mod tests {
         campaign
             .clone()
             .threads(1)
-            .stream_with_trace(&mut records1, &mut trace1, |_, _| {})
+            .stream(Some(&mut records1), Some(&mut trace1), |_, _| {})
             .expect("traced stream");
         let mut records4 = Vec::new();
         let mut trace4 = Vec::new();
         campaign
             .clone()
             .threads(4)
-            .stream_with_trace(&mut records4, &mut trace4, |_, _| {})
+            .stream(Some(&mut records4), Some(&mut trace4), |_, _| {})
             .expect("traced stream");
         assert_eq!(trace1, trace4, "trace bytes must not depend on threads");
         assert_eq!(records1, records4);

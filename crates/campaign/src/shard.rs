@@ -4,13 +4,16 @@
 //! *stable stride*: shard `i` of `k` owns every job whose global position
 //! is congruent to `i` modulo `k`.  The stride split balances load (cells
 //! differ wildly in cost, so contiguous ranges would skew) and makes the
-//! merge trivial and byte-exact: the unsharded record stream is the
-//! round-robin interleave of the shard streams, so [`merge_shards`]
-//! reconstructs the *exact bytes* an unsharded run would have emitted.
-//! Per-trial seeds are derived from `(campaign seed, scenario, trial)` and
-//! never from the shard, so the determinism contract — byte-identical
-//! output for a given `(scenarios, seed)` — holds regardless of threads
-//! *or* shards.
+//! merge trivial and byte-exact: each unsharded stream is the round-robin
+//! interleave of its shard streams, one trial's block at a time — a record
+//! line, or a `trial-start`…`trial-end` trace block ([`StreamKind`]) — so
+//! the one [`merge_shards`] reconstructs the *exact bytes* an unsharded
+//! run would have emitted, for records and traces alike.  [`MergeOrder`]
+//! checks the merged blocks' `(scenario, trial)` sequence for both
+//! streams.  Per-trial seeds are derived from `(campaign seed, scenario,
+//! trial)` and never from the shard, so the determinism contract —
+//! byte-identical output for a given `(scenarios, seed)` — holds
+//! regardless of threads *or* shards.
 
 use selfsim_trace::TraceEvent;
 
@@ -106,58 +109,83 @@ impl ShardSpec {
     }
 }
 
-/// Round-robin merges stride-sharded JSONL streams back into the exact
+/// The two JSONL streams a campaign writes, as the shard merge reads them:
+/// one *block* per trial, in global job order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StreamKind {
+    /// `--out` records: a block is one line.
+    Records,
+    /// `--trace` events: a block runs from a trial's `trial-start` line
+    /// through its `trial-end` line.
+    Traces,
+}
+
+impl StreamKind {
+    /// What one block is called in error messages.
+    fn unit(self) -> &'static str {
+        match self {
+            StreamKind::Records => "record",
+            StreamKind::Traces => "trial block",
+        }
+    }
+
+    /// `true` when `line` closes its block.  Trace blocks are delimited by
+    /// the stable `{"event":"trial-end"` prefix every trace serializer
+    /// emits, so no line is parsed here.
+    fn ends_block(self, line: &[u8]) -> bool {
+        self == StreamKind::Records || line.starts_with(b"{\"event\":\"trial-end\"")
+    }
+}
+
+/// Round-robin merges stride-sharded streams of `kind` back into the exact
 /// byte stream an unsharded run would have emitted.
 ///
 /// `shards` must be given in `--shard` index order (`0/k`, `1/k`, …):
-/// round `r` of the merge emits line `r` of every shard in turn, which is
+/// round `r` of the merge emits block `r` of every shard in turn, which is
 /// exactly the global job order under stride sharding.  Every emitted line
 /// ends with `\n` (re-normalised if a shard file lacks a trailing
-/// newline), and `emit` is called once per line with the full line bytes.
+/// newline), and `emit` is called once per block with the block's bytes.
 ///
-/// Returns the number of merged lines.  Errors — without any partial-line
+/// Returns the number of merged blocks.  Errors — without any partial
 /// emission beyond what already succeeded — when a stream fails to read,
-/// `emit` fails, or the line counts are inconsistent with a stride
-/// partition (a later shard yielding a line after an earlier one ran dry,
-/// or counts spreading by more than one), which is what passing files out
-/// of order or dropping a shard usually looks like.
+/// ends mid-block (a truncated trace), `emit` fails, or the block counts
+/// are inconsistent with a stride partition (a later shard yielding a
+/// block after an earlier one ran dry, or counts spreading by more than
+/// one), which is what passing files out of order or dropping a shard
+/// usually looks like.
 ///
 /// These checks are *structural* (they never parse a line), so equal-count
 /// shard files passed out of index order merge without error here — feed
-/// each emitted line to a [`MergeOrder`] checker (as `campaign --merge`
+/// each emitted block to a [`MergeOrder`] checker (as `campaign --merge`
 /// does) to verify the reconstructed global order exactly.
 pub fn merge_shards<R: std::io::BufRead>(
+    kind: StreamKind,
     shards: &mut [R],
     mut emit: impl FnMut(&[u8]) -> Result<(), String>,
 ) -> Result<u64, String> {
-    let mut merged = 0u64;
+    let unit = kind.unit();
     let mut counts = vec![0u64; shards.len()];
-    let mut line = String::new();
+    let mut block = Vec::new();
     loop {
         let mut exhausted_this_round: Option<usize> = None;
         let mut progressed = false;
-        for (i, shard) in shards.iter_mut().enumerate() {
-            line.clear();
-            let read = shard
-                .read_line(&mut line)
-                .map_err(|e| format!("cannot read shard file {i}: {e}"))?;
-            if read == 0 {
+        for (i, (shard, count)) in shards.iter_mut().zip(&mut counts).enumerate() {
+            block.clear();
+            if !read_block(kind, shard, &mut block)
+                .map_err(|e| format!("cannot read shard file {i}: {e}"))?
+            {
                 exhausted_this_round.get_or_insert(i);
                 continue;
             }
             if let Some(j) = exhausted_this_round {
                 return Err(format!(
-                    "shard file {i} still has records after shard file {j} ran dry; \
+                    "shard file {i} still has {unit}s after shard file {j} ran dry; \
                      stride-sharded outputs must be passed in `--shard` index order \
                      (`0/k`, `1/k`, ...) with no shard missing"
                 ));
             }
-            if !line.ends_with('\n') {
-                line.push('\n');
-            }
-            emit(line.as_bytes())?;
-            counts[i] += 1;
-            merged += 1;
+            emit(&block)?;
+            *count += 1;
             progressed = true;
         }
         if !progressed {
@@ -168,98 +196,47 @@ pub fn merge_shards<R: std::io::BufRead>(
     let min = counts.iter().copied().min().unwrap_or(0);
     if max > min + 1 {
         return Err(format!(
-            "shard record counts {counts:?} are not a stride partition \
+            "shard {unit} counts {counts:?} are not a stride partition \
              (they may differ by at most one); was a shard file omitted?"
         ));
     }
-    Ok(merged)
+    Ok(counts.iter().sum())
 }
 
-/// Round-robin merges stride-sharded *trace* streams (`--trace` event
-/// JSONL) back into the exact byte stream an unsharded traced run would
-/// have emitted.
-///
-/// Where [`merge_shards`] interleaves per *line* (one record per trial),
-/// a trace stream carries one *block* of lines per trial — from its
-/// `trial-start` event through its `trial-end` event — so the merge
-/// interleaves per block: round `r` emits shard `0`'s `r`-th trial block,
-/// then shard `1`'s, and so on.  Blocks are delimited structurally by the
-/// stable `{"event":"trial-end"` line prefix every trace serializer
-/// emits, so no line is ever parsed.
-///
-/// Returns the number of merged trial blocks.  Errors mirror
-/// [`merge_shards`]: unreadable streams, a later shard yielding a block
-/// after an earlier one ran dry, block counts spreading by more than one,
-/// or a stream ending mid-block (a truncated shard file).
-pub fn merge_trace_shards<R: std::io::BufRead>(
-    shards: &mut [R],
-    mut emit: impl FnMut(&[u8]) -> Result<(), String>,
-) -> Result<u64, String> {
-    const END_PREFIX: &str = "{\"event\":\"trial-end\"";
-    let mut merged = 0u64;
-    let mut counts = vec![0u64; shards.len()];
-    let mut line = String::new();
+/// Appends the next block of `shard` to `block`, newline-terminating every
+/// line; `Ok(false)` at a clean end of stream.
+fn read_block(
+    kind: StreamKind,
+    shard: &mut impl std::io::BufRead,
+    block: &mut Vec<u8>,
+) -> std::io::Result<bool> {
     loop {
-        let mut exhausted_this_round: Option<usize> = None;
-        let mut progressed = false;
-        for (i, shard) in shards.iter_mut().enumerate() {
-            line.clear();
-            let read = shard
-                .read_line(&mut line)
-                .map_err(|e| format!("cannot read trace shard file {i}: {e}"))?;
-            if read == 0 {
-                exhausted_this_round.get_or_insert(i);
-                continue;
+        let start = block.len();
+        if shard.read_until(b'\n', block)? == 0 {
+            if start == 0 {
+                return Ok(false);
             }
-            if let Some(j) = exhausted_this_round {
-                return Err(format!(
-                    "trace shard file {i} still has trial blocks after trace shard file {j} \
-                     ran dry; stride-sharded traces must be passed in `--shard` index order \
-                     (`0/k`, `1/k`, ...) with no shard missing"
-                ));
-            }
-            loop {
-                if !line.ends_with('\n') {
-                    line.push('\n');
-                }
-                let block_done = line.starts_with(END_PREFIX);
-                emit(line.as_bytes())?;
-                if block_done {
-                    break;
-                }
-                line.clear();
-                let read = shard
-                    .read_line(&mut line)
-                    .map_err(|e| format!("cannot read trace shard file {i}: {e}"))?;
-                if read == 0 {
-                    return Err(format!(
-                        "trace shard file {i} ends mid-trial (no `trial-end` event closes \
-                         the final block); was the file truncated?"
-                    ));
-                }
-            }
-            counts[i] += 1;
-            merged += 1;
-            progressed = true;
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "the file ends mid-trial (no `trial-end` event closes the final block); \
+                 was it truncated?",
+            ));
         }
-        if !progressed {
-            break;
+        if !block.ends_with(b"\n") {
+            block.push(b'\n');
+        }
+        if kind.ends_block(&block[start..]) {
+            return Ok(true);
         }
     }
-    let max = counts.iter().copied().max().unwrap_or(0);
-    let min = counts.iter().copied().min().unwrap_or(0);
-    if max > min + 1 {
-        return Err(format!(
-            "trace shard trial-block counts {counts:?} are not a stride partition \
-             (they may differ by at most one); was a shard file omitted?"
-        ));
-    }
-    Ok(merged)
 }
 
-/// Verifies that a merged record stream is in unsharded job *shape* —
-/// scenario-major (each scenario's records contiguous), trial-minor
+/// Verifies that a merged stream is in unsharded job *shape* —
+/// scenario-major (each scenario's blocks contiguous), trial-minor
 /// (trials `0, 1, 2, …` within the scenario) — without knowing the grid.
+/// Records feed it their `(scenario, trial)` columns; trace blocks their
+/// `trial-start` event ([`MergeOrder::check_trace_block`]).  It keeps one
+/// name per finished scenario, so memory is `O(#scenarios)`.
 ///
 /// This tightens [`merge_shards`]' structural checks considerably: two
 /// equal-length shard files swapped on the command line interleave without
@@ -409,7 +386,7 @@ mod tests {
             lines(&["c\n", "f\n"]),
         ];
         let mut out = Vec::new();
-        let merged = merge_shards(&mut shards, |line| {
+        let merged = merge_shards(StreamKind::Records, &mut shards, |line| {
             out.extend_from_slice(line);
             Ok(())
         })
@@ -422,7 +399,7 @@ mod tests {
     fn merge_renormalises_missing_trailing_newline() {
         let mut shards = vec![lines(&["a\n", "c"]), lines(&["b\n"])];
         let mut out = Vec::new();
-        merge_shards(&mut shards, |line| {
+        merge_shards(StreamKind::Records, &mut shards, |line| {
             out.extend_from_slice(line);
             Ok(())
         })
@@ -435,14 +412,15 @@ mod tests {
         // Shard 1 (2 lines) passed before shard 0 (3 lines): the longer
         // file yields a line after the shorter ran dry.
         let mut shards = vec![lines(&["b\n", "e\n"]), lines(&["a\n", "d\n", "g\n"])];
-        let err = merge_shards(&mut shards, |_| Ok(())).unwrap_err();
+        let err = merge_shards(StreamKind::Records, &mut shards, |_| Ok(())).unwrap_err();
         assert!(err.contains("`--shard` index order"), "{err}");
+        assert!(err.contains("still has records"), "{err}");
     }
 
     #[test]
     fn merge_rejects_non_partition_counts() {
         let mut shards = vec![lines(&["a\n", "b\n", "c\n"]), lines(&["d\n"])];
-        let err = merge_shards(&mut shards, |_| Ok(())).unwrap_err();
+        let err = merge_shards(StreamKind::Records, &mut shards, |_| Ok(())).unwrap_err();
         assert!(err.contains("not a stride partition"), "{err}");
     }
 
@@ -465,7 +443,7 @@ mod tests {
             Cursor::new(shard1.clone().into_bytes()),
         ];
         let mut out = Vec::new();
-        let merged = merge_trace_shards(&mut shards, |line| {
+        let merged = merge_shards(StreamKind::Traces, &mut shards, |line| {
             out.extend_from_slice(line);
             Ok(())
         })
@@ -491,7 +469,7 @@ mod tests {
             Cursor::new(whole.as_bytes().to_vec()),
             Cursor::new(truncated.as_bytes().to_vec()),
         ];
-        let err = merge_trace_shards(&mut shards, |_| Ok(())).unwrap_err();
+        let err = merge_shards(StreamKind::Traces, &mut shards, |_| Ok(())).unwrap_err();
         assert!(err.contains("mid-trial"), "{err}");
     }
 
@@ -504,14 +482,20 @@ mod tests {
             Cursor::new(block(1).into_bytes()),
             Cursor::new([block(0), block(2)].concat().into_bytes()),
         ];
-        let err = merge_trace_shards(&mut shards, |_| Ok(())).unwrap_err();
+        let err = merge_shards(StreamKind::Traces, &mut shards, |_| Ok(())).unwrap_err();
         assert!(err.contains("`--shard` index order"), "{err}");
+        assert!(err.contains("still has trial blocks"), "{err}");
     }
 
     #[test]
     fn merge_propagates_emit_errors() {
         let mut shards = vec![lines(&["a\n"])];
-        let err = merge_shards(&mut shards, |_| Err("sink full".into())).unwrap_err();
+        let err = merge_shards(
+            StreamKind::Records,
+            &mut shards,
+            |_| Err("sink full".into()),
+        )
+        .unwrap_err();
         assert_eq!(err, "sink full");
     }
 
@@ -578,11 +562,8 @@ mod tests {
         let merge = |first: &str, second: &str| {
             let mut shards = vec![Cursor::new(first), Cursor::new(second)];
             let mut order = MergeOrder::new();
-            merge_trace_shards(&mut shards, |line| {
-                if line.starts_with(b"{\"event\":\"trial-start\"") {
-                    order.check_trace_block(line)?;
-                }
-                Ok(())
+            merge_shards(StreamKind::Traces, &mut shards, |block| {
+                order.check_trace_block(block)
             })
         };
         assert_eq!(merge(&shard0, &shard1), Ok(4));

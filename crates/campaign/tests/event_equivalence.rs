@@ -7,7 +7,7 @@
 
 use selfsim_campaign::{
     merge_shards, Campaign, EnvRef, EnvRegistry, ExecutionMode, Registry, ScenarioGrid, ShardSpec,
-    TopoRef, TopologyRegistry, TrialRecord,
+    StreamKind, TopoRef, TopologyRegistry, TrialRecord,
 };
 
 fn topology(label: &str) -> TopoRef {
@@ -104,7 +104,7 @@ fn event_mode_streams_are_thread_and_shard_invariant() {
     }
     let mut merged = Vec::new();
     let mut readers: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
-    merge_shards(&mut readers, |line| {
+    merge_shards(StreamKind::Records, &mut readers, |line| {
         merged.extend_from_slice(line);
         Ok(())
     })

@@ -61,7 +61,7 @@ fn stream() -> (Vec<u8>, Vec<u8>) {
     let mut records = Vec::new();
     let mut trace = Vec::new();
     message_campaign()
-        .stream_with_trace(&mut records, &mut trace, |_, _| {})
+        .stream(Some(&mut records), Some(&mut trace), |_, _| {})
         .expect("traced stream to memory");
     (records, trace)
 }

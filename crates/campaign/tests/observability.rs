@@ -13,8 +13,8 @@
 use std::io::BufReader;
 
 use selfsim_campaign::{
-    merge_shards, merge_trace_shards, AlgorithmRef, Campaign, DeliveryRule, EnvRef, EnvRegistry,
-    ExecutionMode, Registry, ScenarioGrid, ShardSpec, TopoRef, TopologyRegistry,
+    merge_shards, AlgorithmRef, Campaign, DeliveryRule, EnvRef, EnvRegistry, ExecutionMode,
+    Registry, ScenarioGrid, ShardSpec, StreamKind, TopoRef, TopologyRegistry,
 };
 use selfsim_trace::TraceEvent;
 use serde::Deserialize;
@@ -68,7 +68,7 @@ fn stream_traced(campaign: Campaign) -> (Vec<u8>, Vec<u8>) {
     let mut records = Vec::new();
     let mut trace = Vec::new();
     campaign
-        .stream_with_trace(&mut records, &mut trace, |_, _| {})
+        .stream(Some(&mut records), Some(&mut trace), |_, _| {})
         .expect("traced stream to memory");
     (records, trace)
 }
@@ -95,7 +95,7 @@ fn trace_stream_is_identical_across_threads_and_shard_merges() {
         .iter()
         .map(|bytes| BufReader::new(bytes.as_slice()))
         .collect();
-    merge_shards(&mut readers, |line| {
+    merge_shards(StreamKind::Records, &mut readers, |line| {
         merged_records.extend_from_slice(line);
         Ok(())
     })
@@ -107,7 +107,7 @@ fn trace_stream_is_identical_across_threads_and_shard_merges() {
         .iter()
         .map(|bytes| BufReader::new(bytes.as_slice()))
         .collect();
-    let blocks = merge_trace_shards(&mut readers, |line| {
+    let blocks = merge_shards(StreamKind::Traces, &mut readers, |line| {
         merged_trace.extend_from_slice(line);
         Ok(())
     })

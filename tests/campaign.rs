@@ -7,8 +7,8 @@
 
 use selfsim_campaign::{
     emit, merge_shards, AlgorithmRef, Campaign, CollectedResult, DeliveryRule, EnvFactory, EnvRef,
-    EnvRegistry, ExecutionMode, Params, Registry, ScenarioGrid, ShardSpec, TopoRef,
-    TopologyRegistry,
+    EnvRegistry, ExecutionMode, Params, Registry, ScenarioGrid, ShardSpec, StreamKind, TopoRef,
+    TopologyRegistry, TrialRecord,
 };
 
 fn algorithm(label: &str) -> AlgorithmRef {
@@ -107,12 +107,40 @@ fn different_campaign_seeds_give_different_trials() {
     assert_ne!(seeds_a, seeds_b);
 }
 
+/// Event, async and baseline cells plus the float-objective algorithms,
+/// over a fragmenting environment: every kind of record the builtins emit.
+fn mixed_sweep() -> Vec<selfsim_campaign::Scenario> {
+    ScenarioGrid::new()
+        .algorithms(
+            [
+                "minimum",
+                "flooding",
+                "snapshot",
+                "convex-hull",
+                "circumscribing-circle",
+            ]
+            .map(algorithm),
+        )
+        .topologies([topology("ring")])
+        .envs([env("static"), env("partition(b=2,t=8)")])
+        .modes(
+            ["event", "async(dv=any-overlap)"]
+                .map(|label| ExecutionMode::parse_label(label).expect("mode label")),
+        )
+        .sizes([6])
+        .trials(2)
+        .max_rounds(2_000)
+        .expand()
+}
+
 /// The tentpole contract, part 1: the streaming pipeline's bytes are
 /// exactly what collecting every record and emitting afterwards produces —
-/// in both execution modes — while the streaming run never retains records.
+/// in every execution mode and for every kind of record — while the
+/// streaming run never retains records.  Collection parses the streamed
+/// lines back, so this also proves every record re-parses to itself.
 #[test]
 fn streamed_bytes_equal_collected_then_emitted_bytes() {
-    for scenarios in [sweep(), async_sweep()] {
+    for scenarios in [sweep(), async_sweep(), mixed_sweep()] {
         let collected = Campaign::new(scenarios.clone())
             .seed(7)
             .threads(4)
@@ -159,7 +187,7 @@ fn every_shard_and_thread_combination_merges_to_identical_output() {
                 parts.push(std::io::Cursor::new(bytes));
             }
             let mut merged = Vec::new();
-            let lines = merge_shards(&mut parts, |line| {
+            let lines = merge_shards(StreamKind::Records, &mut parts, |line| {
                 merged.extend_from_slice(line);
                 Ok(())
             })
@@ -206,8 +234,11 @@ fn merged_shards_reaggregate_to_unsharded_summaries() {
         parts.push(std::io::Cursor::new(bytes));
     }
     let mut aggregator = selfsim_campaign::Aggregator::new();
-    merge_shards(&mut parts, |line| {
-        aggregator.observe_line(std::str::from_utf8(line).expect("utf8"))
+    merge_shards(StreamKind::Records, &mut parts, |line| {
+        aggregator.observe(&TrialRecord::from_jsonl_line(
+            std::str::from_utf8(line).expect("utf8"),
+        )?);
+        Ok(())
     })
     .expect("merge");
     assert_eq!(aggregator.summaries(), unsharded.summaries);
