@@ -885,6 +885,26 @@ mod tests {
         assert!(err.contains("`p`"), "{err}");
         let err = TopologyRegistry::builtin().resolve("torus").unwrap_err();
         assert!(err.contains("unknown topology `torus`"), "{err}");
+        // Algorithm labels go through the same grammar: a parameter list
+        // on a parameterless family names the parameter, an unknown name
+        // lists the registry, and surrounding blanks are trimmed.
+        let algorithms = crate::Registry::builtin_ref();
+        let err = algorithms.resolve("minimum(k=3)").unwrap_err();
+        assert!(err.contains("unknown parameter k"), "{err}");
+        assert!(err.contains("expected no parameters"), "{err}");
+        let err = algorithms.resolve("nonsense").unwrap_err();
+        assert!(
+            err.contains("unknown algorithm `nonsense`; registered algorithms:"),
+            "{err}"
+        );
+        assert_eq!(algorithms.iter().count(), 13);
+        for algorithm in algorithms.iter() {
+            assert!(
+                err.contains(algorithm.label()),
+                "error must list {algorithm:?}"
+            );
+        }
+        assert_eq!(algorithms.resolve(" minimum ").unwrap().label(), "minimum");
     }
 
     #[test]
