@@ -1,5 +1,5 @@
-//! The open algorithm API: an object-safe trait, a label registry, and the
-//! builtin adapters.
+//! The open algorithm API: an object-safe trait, its registry, and the
+//! builtin algorithms.
 //!
 //! A [`CampaignAlgorithm`] is everything a campaign needs to run one trial
 //! of one algorithm: a stable label, an optional forced topology, an
@@ -13,12 +13,15 @@
 //! claims: one self-similar design everywhere, versus centralised protocols
 //! that stall wherever the environment fragments.
 //!
-//! The [`Registry`] maps labels to shared algorithm factories.  It ships
-//! with every worked example of the paper plus the baselines
-//! ([`Registry::builtin`]), and accepts user-defined algorithms through
-//! [`Registry::register`].
+//! The [`Registry`] is the [`LabelRegistry`] every grid dimension uses,
+//! over [`AlgorithmRef`] entries: algorithm labels resolve through the
+//! same `name(k=v,…)` grammar as environment and topology labels, with no
+//! parameters.  It ships with every worked example of the paper plus the
+//! baselines ([`Registry::builtin`]), and accepts user-defined algorithms
+//! through [`LabelRegistry::register`].  The builtins are values of one
+//! private struct whose `run` field holds each algorithm's trial body.
 
-use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -27,12 +30,12 @@ use rand::Rng;
 use selfsim_algorithms::circumscribing;
 use selfsim_baselines::{FloodingAggregator, SnapshotAggregator};
 use selfsim_core::{FnGroupStep, SelfSimilarSystem, SummationObjective};
-use selfsim_env::{Environment, FairnessSpec, Topology};
+use selfsim_env::{Environment, FairnessSpec, Params, Topology};
 use selfsim_geometry::{enclosing_circle_of_circles, Circle, Point};
 use selfsim_runtime::ExecutionMode;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::dimension::{CompleteTopology, LineTopology, TopoRef};
+use crate::dimension::{Fixed, LabelRegistry, RegistryEntry, TopoRef, COMPLETE, LINE};
 
 /// The assertable outcome an algorithm claims for its trials.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,7 +136,7 @@ pub trait CampaignAlgorithm: Send + Sync {
 }
 
 /// Runs a [`SelfSimilarSystem`] on the setup's execution mode — the one-line
-/// body shared by every self-similar adapter, and the hook user-defined
+/// body shared by every self-similar builtin, and the hook user-defined
 /// algorithms reuse.
 pub fn run_system<S: Ord + Clone + std::fmt::Debug>(
     system: &SelfSimilarSystem<S>,
@@ -154,7 +157,7 @@ pub fn run_system<S: Ord + Clone + std::fmt::Debug>(
 }
 
 /// A shared, cloneable handle to a registered algorithm — what scenarios
-/// carry.
+/// carry.  It derefs to [`CampaignAlgorithm`]; equality is by label.
 #[derive(Clone)]
 pub struct AlgorithmRef(Arc<dyn CampaignAlgorithm>);
 
@@ -163,30 +166,13 @@ impl AlgorithmRef {
     pub fn new(algorithm: impl CampaignAlgorithm + 'static) -> Self {
         AlgorithmRef(Arc::new(algorithm))
     }
+}
 
-    /// The algorithm's stable label.
-    pub fn label(&self) -> &str {
-        self.0.label()
-    }
+impl Deref for AlgorithmRef {
+    type Target = dyn CampaignAlgorithm;
 
-    /// The algorithm's one-line description.
-    pub fn description(&self) -> &str {
-        self.0.description()
-    }
-
-    /// The forced topology family, if any.
-    pub fn forced_topology(&self) -> Option<TopoRef> {
-        self.0.forced_topology()
-    }
-
-    /// The assertable outcome of this algorithm's trials.
-    pub fn expectation(&self) -> Expectation {
-        self.0.expectation()
-    }
-
-    /// Runs one trial (see [`CampaignAlgorithm::run`]).
-    pub fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        self.0.run(setup, env)
+    fn deref(&self) -> &Self::Target {
+        &*self.0
     }
 }
 
@@ -202,20 +188,26 @@ impl PartialEq for AlgorithmRef {
     }
 }
 
-/// Maps labels to algorithm factories.  [`Registry::builtin`] covers every
-/// worked example of the paper plus the §5 baselines; [`Registry::register`]
-/// adds (or replaces) entries.
-#[derive(Clone, Default)]
-pub struct Registry {
-    entries: BTreeMap<String, AlgorithmRef>,
-}
+/// An algorithm's family is its label, and it takes no parameters.
+impl RegistryEntry for AlgorithmRef {
+    const NOUN: &'static str = "algorithm";
+    const NOUN_PLURAL: &'static str = "algorithms";
 
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
+    fn family_name(&self) -> &str {
+        self.label()
     }
 
+    fn instantiate_params(&self, params: Params) -> Result<Self, String> {
+        params.finish(&[])?;
+        Ok(self.clone())
+    }
+}
+
+/// The algorithm registry: [`LabelRegistry`] over [`AlgorithmRef`]
+/// entries.
+pub type Registry = LabelRegistry<AlgorithmRef>;
+
+impl LabelRegistry<AlgorithmRef> {
     /// The builtin registry: all ten algorithm modules (including the
     /// circumscribing-circle counterexample) and both baselines.
     ///
@@ -229,72 +221,7 @@ impl Registry {
     /// process — what label lookups on the hot path should use.
     pub fn builtin_ref() -> &'static Registry {
         static BUILTIN: std::sync::OnceLock<Registry> = std::sync::OnceLock::new();
-        BUILTIN.get_or_init(Registry::build_builtin)
-    }
-
-    fn build_builtin() -> Self {
-        let mut registry = Registry::new();
-        for algorithm in [
-            AlgorithmRef::new(MinimumAlgo),
-            AlgorithmRef::new(MaximumAlgo),
-            AlgorithmRef::new(SumAlgo),
-            AlgorithmRef::new(SortingAlgo),
-            AlgorithmRef::new(SecondSmallestAlgo),
-            AlgorithmRef::new(ConvexHullAlgo),
-            AlgorithmRef::new(BooleanOrAlgo),
-            AlgorithmRef::new(BooleanAndAlgo),
-            AlgorithmRef::new(KSmallestAlgo),
-            AlgorithmRef::new(SetUnionAlgo),
-            AlgorithmRef::new(CircumscribingAlgo),
-            AlgorithmRef::new(SnapshotBaseline),
-            AlgorithmRef::new(FloodingBaseline),
-        ] {
-            registry.register(algorithm);
-        }
-        registry
-    }
-
-    /// Registers an algorithm under its label, replacing any previous entry
-    /// with the same label.
-    pub fn register(&mut self, algorithm: AlgorithmRef) {
-        self.entries
-            .insert(algorithm.label().to_string(), algorithm);
-    }
-
-    /// Looks a label up.
-    pub fn get(&self, label: &str) -> Option<AlgorithmRef> {
-        self.entries.get(label).cloned()
-    }
-
-    /// Looks a label up, producing an error that names every registered
-    /// label on a miss (what the CLI surfaces for typos).
-    pub fn resolve(&self, label: &str) -> Result<AlgorithmRef, String> {
-        self.get(label).ok_or_else(|| {
-            format!(
-                "unknown algorithm `{label}`; registered algorithms: {}",
-                self.labels().join(", ")
-            )
-        })
-    }
-
-    /// All registered labels, sorted.
-    pub fn labels(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
-    }
-
-    /// Iterates over the registered algorithms in label order.
-    pub fn iter(&self) -> impl Iterator<Item = &AlgorithmRef> {
-        self.entries.values()
-    }
-
-    /// Number of registered algorithms.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        BUILTIN.get_or_init(|| BUILTINS.into_iter().map(AlgorithmRef::new).collect())
     }
 }
 
@@ -330,184 +257,11 @@ pub(crate) fn point_values(n: usize, rng: &mut impl Rng) -> Vec<Point> {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Builtin adapters: the self-similar worked examples.
-// ---------------------------------------------------------------------------
-
-struct MinimumAlgo;
-impl CampaignAlgorithm for MinimumAlgo {
-    fn label(&self) -> &str {
-        "minimum"
-    }
-    fn description(&self) -> &str {
-        "§4.1 — every agent adopts the minimum"
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let values = int_values(setup.n, setup.rng);
-        let sys = selfsim_algorithms::minimum::system(&values, setup.topology.clone());
-        run_system(&sys, setup, env)
-    }
-}
-
-struct MaximumAlgo;
-impl CampaignAlgorithm for MaximumAlgo {
-    fn label(&self) -> &str {
-        "maximum"
-    }
-    fn description(&self) -> &str {
-        "extension — every agent adopts the maximum"
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let values = int_values(setup.n, setup.rng);
-        let sys = selfsim_algorithms::maximum::system(&values, setup.topology.clone());
-        run_system(&sys, setup, env)
-    }
-}
-
-struct SumAlgo;
-impl CampaignAlgorithm for SumAlgo {
-    fn label(&self) -> &str {
-        "sum"
-    }
-    fn description(&self) -> &str {
-        "§4.2 — one agent concentrates the sum (complete fairness graph)"
-    }
-    fn forced_topology(&self) -> Option<TopoRef> {
-        Some(TopoRef::new(CompleteTopology))
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let values = int_values(setup.n, setup.rng);
-        let sys = selfsim_algorithms::sum::system(&values, setup.topology.clone());
-        run_system(&sys, setup, env)
-    }
-}
-
-struct SortingAlgo;
-impl CampaignAlgorithm for SortingAlgo {
-    fn label(&self) -> &str {
-        "sorting"
-    }
-    fn description(&self) -> &str {
-        "§4.4 — values sort themselves along a line"
-    }
-    fn forced_topology(&self) -> Option<TopoRef> {
-        Some(TopoRef::new(LineTopology))
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let values = int_values(setup.n, setup.rng);
-        let sys = selfsim_algorithms::sorting::system(&values);
-        run_system(&sys, setup, env)
-    }
-}
-
-struct SecondSmallestAlgo;
-impl CampaignAlgorithm for SecondSmallestAlgo {
-    fn label(&self) -> &str {
-        "second-smallest"
-    }
-    fn description(&self) -> &str {
-        "§4.3 — every agent learns the pair (smallest, second smallest)"
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let values = int_values(setup.n, setup.rng);
-        let sys = selfsim_algorithms::second_smallest::system(&values, setup.topology.clone());
-        run_system(&sys, setup, env)
-    }
-}
-
-struct ConvexHullAlgo;
-impl CampaignAlgorithm for ConvexHullAlgo {
-    fn label(&self) -> &str {
-        "convex-hull"
-    }
-    fn description(&self) -> &str {
-        "§4.5 — every agent learns the convex hull of all sites"
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let sites = point_values(setup.n, setup.rng);
-        let sys = selfsim_algorithms::convex_hull::system(&sites, setup.topology.clone());
-        run_system(&sys, setup, env)
-    }
-}
-
-struct BooleanOrAlgo;
-impl CampaignAlgorithm for BooleanOrAlgo {
-    fn label(&self) -> &str {
-        "boolean-or"
-    }
-    fn description(&self) -> &str {
-        "extension — event detection: one random agent holds true, all adopt the disjunction"
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let hot = setup.rng.gen_range(0..setup.n);
-        let initial: Vec<bool> = (0..setup.n).map(|i| i == hot).collect();
-        let sys = selfsim_algorithms::boolean::or_system(&initial, setup.topology.clone());
-        run_system(&sys, setup, env)
-    }
-}
-
-struct BooleanAndAlgo;
-impl CampaignAlgorithm for BooleanAndAlgo {
-    fn label(&self) -> &str {
-        "boolean-and"
-    }
-    fn description(&self) -> &str {
-        "extension — agreement: one random agent holds false, all adopt the conjunction"
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let cold = setup.rng.gen_range(0..setup.n);
-        let initial: Vec<bool> = (0..setup.n).map(|i| i != cold).collect();
-        let sys = selfsim_algorithms::boolean::and_system(&initial, setup.topology.clone());
-        run_system(&sys, setup, env)
-    }
-}
-
-/// How many smallest distinct values the `k-smallest` adapter tracks.
-const K_SMALLEST_K: usize = 3;
-
-struct KSmallestAlgo;
-impl CampaignAlgorithm for KSmallestAlgo {
-    fn label(&self) -> &str {
-        "k-smallest"
-    }
-    fn description(&self) -> &str {
-        "extension — every agent learns the 3 smallest distinct values"
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let values = int_values(setup.n, setup.rng);
-        let sys =
-            selfsim_algorithms::k_smallest::system(&values, K_SMALLEST_K, setup.topology.clone());
-        run_system(&sys, setup, env)
-    }
-}
-
-struct SetUnionAlgo;
-impl CampaignAlgorithm for SetUnionAlgo {
-    fn label(&self) -> &str {
-        "set-union"
-    }
-    fn description(&self) -> &str {
-        "extension — gossip dissemination: every agent learns the union of all knowledge"
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        // The canonical dissemination instance: agent i initially knows
-        // exactly item i, so the universe has one item per agent.
-        let initial: Vec<std::collections::BTreeSet<i64>> =
-            (0..setup.n).map(|i| [i as i64].into()).collect();
-        let sys = selfsim_algorithms::set_union::system(&initial, setup.topology.clone());
-        run_system(&sys, setup, env)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The circumscribing-circle counterexample (§4.5 first half, Figure 2).
-// ---------------------------------------------------------------------------
-
 /// Builds a runnable system around the **naive** circumscribing-circle
-/// function.  The function is idempotent but not super-idempotent, so
-/// group-wise application can overshoot the global circle irrecoverably —
-/// this system exists to make that failure measurable, not to compute
-/// anything.
+/// function (§4.5 first half, Figure 2).  The function is idempotent but
+/// not super-idempotent, so group-wise application can overshoot the
+/// global circle irrecoverably — this system exists to make that failure
+/// measurable, not to compute anything.
 fn circumscribing_system(
     sites: &[Point],
     topology: Topology,
@@ -538,37 +292,6 @@ fn circumscribing_system(
     )
 }
 
-struct CircumscribingAlgo;
-impl CampaignAlgorithm for CircumscribingAlgo {
-    fn label(&self) -> &str {
-        "circumscribing-circle"
-    }
-    fn description(&self) -> &str {
-        "§4.5 counterexample — naive (non-super-idempotent) f; diverges once groups fragment"
-    }
-    fn expectation(&self) -> Expectation {
-        Expectation::DivergeUnderFragmentation
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let sites = point_values(setup.n, setup.rng);
-        let sys = circumscribing_system(&sites, setup.topology.clone());
-        run_system(&sys, setup, env)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The §5 baselines.
-//
-// Both adapters hand the cell's mode to the baseline's one entry point:
-// `Sync` and `Event` cells run its round-based protocol, `Async` cells its
-// message-passing variant under the same delivery rule as the self-similar
-// runtime.  The `Sync` cooldown knob is a *stability* audit
-// (`stable (S = f(S))`) that only makes sense for self-similar systems; the
-// baselines terminate the moment their aggregate is known, so a non-zero
-// cooldown is ignored — compare baseline cells on
-// `rounds_to_convergence`/`messages`, not `rounds_executed`.
-// ---------------------------------------------------------------------------
-
 /// Runs a baseline with an [`EventLog`] matching the setup's event request
 /// and appends the recording to the setup's sink, so traced cells observe
 /// baselines through the same stream as the self-similar runtimes.
@@ -588,35 +311,210 @@ fn run_baseline(
     metrics
 }
 
-struct SnapshotBaseline;
-impl CampaignAlgorithm for SnapshotBaseline {
+/// How many smallest distinct values the `k-smallest` builtin tracks.
+const K_SMALLEST_K: usize = 3;
+
+/// A builtin algorithm: the data [`CampaignAlgorithm`] reports, and `run`,
+/// the body that builds one fresh instance and runs it.
+struct Builtin {
+    label: &'static str,
+    description: &'static str,
+    forced_topology: Option<Fixed>,
+    expectation: Expectation,
+    run: fn(&mut TrialSetup<'_>, &mut dyn Environment) -> RunMetrics,
+}
+
+impl CampaignAlgorithm for Builtin {
     fn label(&self) -> &str {
-        "snapshot"
+        self.label
     }
     fn description(&self) -> &str {
-        "§5 baseline — coordinator-driven global snapshots; stalls whenever the system fragments"
+        self.description
+    }
+    fn forced_topology(&self) -> Option<TopoRef> {
+        self.forced_topology.map(TopoRef::new)
+    }
+    fn expectation(&self) -> Expectation {
+        self.expectation
     }
     fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let baseline = SnapshotAggregator::new(int_values(setup.n, setup.rng), setup.max_rounds);
-        let (seed, mode) = (setup.seed, setup.mode);
-        run_baseline(setup, |log| baseline.run(env, seed, mode, i64::min, log))
+        (self.run)(setup, env)
     }
 }
 
-struct FloodingBaseline;
-impl CampaignAlgorithm for FloodingBaseline {
-    fn label(&self) -> &str {
-        "flooding"
-    }
-    fn description(&self) -> &str {
-        "§5 baseline — full-information flooding; robust to churn, pays in message volume"
-    }
-    fn run(&self, setup: &mut TrialSetup<'_>, env: &mut dyn Environment) -> RunMetrics {
-        let baseline = FloodingAggregator::new(int_values(setup.n, setup.rng), setup.max_rounds);
-        let (seed, mode) = (setup.seed, setup.mode);
-        run_baseline(setup, |log| baseline.run(env, seed, mode, i64::min, log))
-    }
-}
+/// The builtins: the self-similar worked examples, the
+/// circumscribing-circle counterexample, and the §5 baselines.
+///
+/// Both baselines hand the cell's mode to the baseline's one entry point:
+/// `Sync` and `Event` cells run its round-based protocol, `Async` cells its
+/// message-passing variant under the same delivery rule as the self-similar
+/// runtime.  The `Sync` cooldown knob is a *stability* audit
+/// (`stable (S = f(S))`) that only makes sense for self-similar systems; the
+/// baselines terminate the moment their aggregate is known, so a non-zero
+/// cooldown is ignored — compare baseline cells on
+/// `rounds_to_convergence`/`messages`, not `rounds_executed`.
+const BUILTINS: [Builtin; 13] = [
+    Builtin {
+        label: "minimum",
+        description: "§4.1 — every agent adopts the minimum",
+        forced_topology: None,
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            let values = int_values(setup.n, setup.rng);
+            let sys = selfsim_algorithms::minimum::system(&values, setup.topology.clone());
+            run_system(&sys, setup, env)
+        },
+    },
+    Builtin {
+        label: "maximum",
+        description: "extension — every agent adopts the maximum",
+        forced_topology: None,
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            let values = int_values(setup.n, setup.rng);
+            let sys = selfsim_algorithms::maximum::system(&values, setup.topology.clone());
+            run_system(&sys, setup, env)
+        },
+    },
+    Builtin {
+        label: "sum",
+        description: "§4.2 — one agent concentrates the sum (complete fairness graph)",
+        forced_topology: Some(COMPLETE),
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            let values = int_values(setup.n, setup.rng);
+            let sys = selfsim_algorithms::sum::system(&values, setup.topology.clone());
+            run_system(&sys, setup, env)
+        },
+    },
+    Builtin {
+        label: "sorting",
+        description: "§4.4 — values sort themselves along a line",
+        forced_topology: Some(LINE),
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            let values = int_values(setup.n, setup.rng);
+            let sys = selfsim_algorithms::sorting::system(&values);
+            run_system(&sys, setup, env)
+        },
+    },
+    Builtin {
+        label: "second-smallest",
+        description: "§4.3 — every agent learns the pair (smallest, second smallest)",
+        forced_topology: None,
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            let values = int_values(setup.n, setup.rng);
+            let sys = selfsim_algorithms::second_smallest::system(&values, setup.topology.clone());
+            run_system(&sys, setup, env)
+        },
+    },
+    Builtin {
+        label: "convex-hull",
+        description: "§4.5 — every agent learns the convex hull of all sites",
+        forced_topology: None,
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            let sites = point_values(setup.n, setup.rng);
+            let sys = selfsim_algorithms::convex_hull::system(&sites, setup.topology.clone());
+            run_system(&sys, setup, env)
+        },
+    },
+    Builtin {
+        label: "boolean-or",
+        description:
+            "extension — event detection: one random agent holds true, all adopt the disjunction",
+        forced_topology: None,
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            let hot = setup.rng.gen_range(0..setup.n);
+            let initial: Vec<bool> = (0..setup.n).map(|i| i == hot).collect();
+            let sys = selfsim_algorithms::boolean::or_system(&initial, setup.topology.clone());
+            run_system(&sys, setup, env)
+        },
+    },
+    Builtin {
+        label: "boolean-and",
+        description:
+            "extension — agreement: one random agent holds false, all adopt the conjunction",
+        forced_topology: None,
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            let cold = setup.rng.gen_range(0..setup.n);
+            let initial: Vec<bool> = (0..setup.n).map(|i| i != cold).collect();
+            let sys = selfsim_algorithms::boolean::and_system(&initial, setup.topology.clone());
+            run_system(&sys, setup, env)
+        },
+    },
+    Builtin {
+        label: "k-smallest",
+        description: "extension — every agent learns the 3 smallest distinct values",
+        forced_topology: None,
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            let values = int_values(setup.n, setup.rng);
+            let sys = selfsim_algorithms::k_smallest::system(
+                &values,
+                K_SMALLEST_K,
+                setup.topology.clone(),
+            );
+            run_system(&sys, setup, env)
+        },
+    },
+    Builtin {
+        label: "set-union",
+        description:
+            "extension — gossip dissemination: every agent learns the union of all knowledge",
+        forced_topology: None,
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            // The canonical dissemination instance: agent i initially knows
+            // exactly item i, so the universe has one item per agent.
+            let initial: Vec<std::collections::BTreeSet<i64>> =
+                (0..setup.n).map(|i| [i as i64].into()).collect();
+            let sys = selfsim_algorithms::set_union::system(&initial, setup.topology.clone());
+            run_system(&sys, setup, env)
+        },
+    },
+    Builtin {
+        label: "circumscribing-circle",
+        description:
+            "§4.5 counterexample — naive (non-super-idempotent) f; diverges once groups fragment",
+        forced_topology: None,
+        expectation: Expectation::DivergeUnderFragmentation,
+        run: |setup, env| {
+            let sites = point_values(setup.n, setup.rng);
+            let sys = circumscribing_system(&sites, setup.topology.clone());
+            run_system(&sys, setup, env)
+        },
+    },
+    Builtin {
+        label: "snapshot",
+        description:
+            "§5 baseline — coordinator-driven global snapshots; stalls whenever the system fragments",
+        forced_topology: None,
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            let baseline =
+                SnapshotAggregator::new(int_values(setup.n, setup.rng), setup.max_rounds);
+            let (seed, mode) = (setup.seed, setup.mode);
+            run_baseline(setup, |log| baseline.run(env, seed, mode, i64::min, log))
+        },
+    },
+    Builtin {
+        label: "flooding",
+        description:
+            "§5 baseline — full-information flooding; robust to churn, pays in message volume",
+        forced_topology: None,
+        expectation: Expectation::Converge,
+        run: |setup, env| {
+            let baseline =
+                FloodingAggregator::new(int_values(setup.n, setup.rng), setup.max_rounds);
+            let (seed, mode) = (setup.seed, setup.mode);
+            run_baseline(setup, |log| baseline.run(env, seed, mode, i64::min, log))
+        },
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -643,35 +541,6 @@ mod tests {
             },
             env,
         )
-    }
-
-    #[test]
-    fn builtin_registry_round_trips_every_label() {
-        let registry = Registry::builtin();
-        assert_eq!(registry.len(), 13);
-        for label in registry.labels() {
-            let algorithm = registry.resolve(&label).expect("registered");
-            assert_eq!(algorithm.label(), label);
-        }
-    }
-
-    #[test]
-    fn resolve_error_lists_the_registry_contents() {
-        let registry = Registry::builtin();
-        let err = registry.resolve("nonsense").unwrap_err();
-        assert!(err.contains("unknown algorithm `nonsense`"));
-        for label in registry.labels() {
-            assert!(err.contains(&label), "error must list {label}");
-        }
-    }
-
-    #[test]
-    fn register_replaces_by_label() {
-        let mut registry = Registry::new();
-        assert!(registry.is_empty());
-        registry.register(AlgorithmRef::new(MinimumAlgo));
-        registry.register(AlgorithmRef::new(MinimumAlgo));
-        assert_eq!(registry.len(), 1);
     }
 
     #[test]
@@ -727,7 +596,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(7);
             let topology = algorithm
                 .forced_topology()
-                .unwrap_or_else(|| TopoRef::new(crate::dimension::RingTopology))
+                .unwrap_or_else(|| TopoRef::new(crate::dimension::RING))
                 .build(6, &mut rng);
             let mut env: Box<dyn Environment> = Box::new(StaticEnv::new(topology.clone()));
             let mut setup = TrialSetup {

@@ -23,11 +23,14 @@
 //! what makes a *user-registered* environment sweepable by label from a
 //! CLI — `--envs "my-env(k=0.5)"` — without editing any enum.
 //!
-//! All three grid dimensions resolve by label: algorithms against
-//! [`Registry`], environments against [`EnvRegistry`], topologies against
-//! [`TopologyRegistry`].  Environment and topology labels parameterise —
-//! `--envs "churn(e=0.3,a=0.8)" --topologies "random(p=0.15)"` — and
-//! round-trip: the `environment`/`topology` columns of any emitted record
+//! All three grid dimensions resolve by label through one registry type,
+//! [`LabelRegistry`](crate::LabelRegistry), and one `name(k=v,…)` grammar:
+//! algorithms against [`Registry`], environments against [`EnvRegistry`],
+//! topologies against [`TopologyRegistry`].  Environment and topology
+//! labels parameterise — `--envs "churn(e=0.3,a=0.8)" --topologies
+//! "random(p=0.15)"` — while algorithms take no parameters, so
+//! `--algorithms "minimum(k=3)"` names `k` as unknown.  Labels round-trip:
+//! the `algorithm`/`environment`/`topology` columns of any emitted record
 //! feed back to these flags to re-run exactly that cell.
 //!
 //! `--trials` is the *total* trial budget: it is divided over the expanded
@@ -367,8 +370,7 @@ fn print_registry(registry: &Registry) {
 }
 
 /// The parameterised-label footer shared by the environment and topology
-/// listings (algorithm labels are plain registry keys, so their listing
-/// omits it).
+/// listings (algorithms take no parameters, so their listing omits it).
 const LABEL_FOOTER: &str =
     "\nlabels parameterise as family(k=v,..) and round-trip through records.";
 

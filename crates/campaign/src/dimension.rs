@@ -1,11 +1,11 @@
-//! The open environment & topology dimensions: object-safe factory traits,
-//! label registries, and the builtin families.
+//! The open grid dimensions: object-safe factory traits, the one label
+//! registry every named dimension shares, and the builtin environment and
+//! topology families.
 //!
 //! The paper defines a self-similar algorithm against an *arbitrary*
 //! environment process constrained only by the fairness assumption `□◇Q` —
-//! so the campaign grid's environment and topology dimensions must be as
-//! open as its algorithm dimension has been since the [`Registry`]
-//! redesign.  This module mirrors that design exactly:
+//! so the campaign grid's environment and topology dimensions are as open
+//! as its algorithm dimension:
 //!
 //! * [`EnvFactory`] / [`TopologyFactory`] — object-safe traits describing
 //!   one *parameterised instance* of an environment or topology family:
@@ -15,13 +15,16 @@
 //!   ([`EnvFactory::can_fragment`], which is what lets user-registered
 //!   environments participate in [`Expectation`] checking);
 //! * [`EnvRef`] / [`TopoRef`] — shared cloneable handles, what scenarios
-//!   carry across threads;
-//! * [`EnvRegistry`] / [`TopologyRegistry`] — label → family maps, both
-//!   aliases of the one generic [`LabelRegistry`].
+//!   carry across threads; like [`AlgorithmRef`] they deref to their
+//!   trait, so a handle answers every trait method;
+//! * [`LabelRegistry`] — the one label → family map behind all three
+//!   named dimensions: [`Registry`] (algorithms), [`EnvRegistry`] and
+//!   [`TopologyRegistry`] are its aliases.
 //!   Resolution goes through the shared `name(k=v,…)` grammar
 //!   ([`selfsim_env::params`]): `churn(e=0.3,a=0.8)` splits into the
 //!   family `churn` and its parameters, and the family's
-//!   [`EnvFactory::instantiate`] validates each field by name.  Because
+//!   [`EnvFactory::instantiate`] validates each field by name (algorithms
+//!   take none, so `minimum(k=3)` names `k` as unknown).  Because
 //!   instances *emit* labels through the same grammar, every label in a
 //!   JSONL record or markdown table parses back to the identical cell —
 //!   the round-trip law.
@@ -29,10 +32,12 @@
 //! A label is the only way to name a builtin family from outside this
 //! crate: `EnvRegistry::builtin_ref().resolve("churn(e=0.5,a=0.9)")`.
 //!
+//! [`AlgorithmRef`]: crate::AlgorithmRef
 //! [`Registry`]: crate::Registry
 //! [`Expectation`]: crate::Expectation
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use rand::RngCore;
@@ -90,7 +95,8 @@ pub trait EnvFactory: Send + Sync {
 }
 
 /// A shared, cloneable handle to an environment-family instance — what
-/// scenarios carry.  Equality is by label, which is exactly cell identity.
+/// scenarios carry.  It derefs to [`EnvFactory`]; equality is by label,
+/// which is exactly cell identity.
 #[derive(Clone)]
 pub struct EnvRef(Arc<dyn EnvFactory>);
 
@@ -99,37 +105,13 @@ impl EnvRef {
     pub fn new(factory: impl EnvFactory + 'static) -> Self {
         EnvRef(Arc::new(factory))
     }
+}
 
-    /// The instance's family name.
-    pub fn family(&self) -> &str {
-        self.0.family()
-    }
+impl Deref for EnvRef {
+    type Target = dyn EnvFactory;
 
-    /// The instance's one-line description.
-    pub fn description(&self) -> &str {
-        self.0.description()
-    }
-
-    /// The instance's exact, round-trippable label.
-    pub fn label(&self) -> String {
-        self.0.label()
-    }
-
-    /// Whether the instance's parameters can fragment the agents (see
-    /// [`EnvFactory::can_fragment`]).
-    pub fn can_fragment(&self) -> bool {
-        self.0.can_fragment()
-    }
-
-    /// Materialises the environment process over `topology`.
-    pub fn build(&self, topology: Topology) -> Box<dyn Environment> {
-        self.0.build(topology)
-    }
-
-    /// Constructs a sibling instance from parsed parameters (see
-    /// [`EnvFactory::instantiate`]).
-    pub fn instantiate(&self, params: Params) -> Result<EnvRef, String> {
-        self.0.instantiate(params)
+    fn deref(&self) -> &Self::Target {
+        &*self.0
     }
 }
 
@@ -145,9 +127,9 @@ impl PartialEq for EnvRef {
     }
 }
 
-/// A family entry a [`LabelRegistry`] can hold — implemented by
-/// [`EnvRef`] and [`TopoRef`] (both delegate to their factory traits).
-/// The `NOUN`s feed the registry's error messages.
+/// A family entry a [`LabelRegistry`] can hold — implemented by the three
+/// dimension handles ([`AlgorithmRef`](crate::AlgorithmRef), [`EnvRef`],
+/// [`TopoRef`]).  The `NOUN`s feed the registry's error messages.
 pub trait RegistryEntry: Clone {
     /// The dimension noun for error messages (`"environment"`).
     const NOUN: &'static str;
@@ -189,9 +171,10 @@ impl RegistryEntry for TopoRef {
 }
 
 /// Maps family names to parameterisable factories — the one registry
-/// mechanism behind both open grid dimensions ([`EnvRegistry`],
-/// [`TopologyRegistry`]).  Resolution parses labels through the shared
-/// grammar and hands the parameters to the family's factory.
+/// mechanism behind every named grid dimension ([`Registry`](crate::Registry),
+/// [`EnvRegistry`], [`TopologyRegistry`]).  Resolution parses labels
+/// through the shared grammar and hands the parameters to the family's
+/// factory.
 #[derive(Clone)]
 pub struct LabelRegistry<R: RegistryEntry> {
     entries: BTreeMap<String, R>,
@@ -211,6 +194,18 @@ impl<R: RegistryEntry> Default for LabelRegistry<R> {
     }
 }
 
+/// Collects entries into a registry, later entries replacing earlier ones
+/// of the same family (as [`LabelRegistry::register`] does).
+impl<R: RegistryEntry> FromIterator<R> for LabelRegistry<R> {
+    fn from_iter<I: IntoIterator<Item = R>>(entries: I) -> Self {
+        let mut registry = LabelRegistry::new();
+        for entry in entries {
+            registry.register(entry);
+        }
+        registry
+    }
+}
+
 impl<R: RegistryEntry> LabelRegistry<R> {
     /// An empty registry.
     pub fn new() -> Self {
@@ -226,10 +221,10 @@ impl<R: RegistryEntry> LabelRegistry<R> {
     }
 
     /// Resolves a (possibly parameterised) label into an instance:
-    /// `churn`, `churn(e=0.3,a=0.8)` and every label a record's
-    /// `environment`/`topology` column can contain.  Unknown families
-    /// list the registry contents; malformed or out-of-range parameters
-    /// name the offending field.
+    /// `minimum`, `churn`, `churn(e=0.3,a=0.8)` and every label a record's
+    /// `algorithm`/`environment`/`topology` column can contain.  Unknown
+    /// families list the registry contents; malformed, unknown or
+    /// out-of-range parameters name the offending field.
     pub fn resolve(&self, label: &str) -> Result<R, String> {
         let (family, params) = parse_label(label)?;
         let entry = self.entries.get(family).ok_or_else(|| {
@@ -276,23 +271,37 @@ impl LabelRegistry<EnvRef> {
     }
 
     /// Borrowed view of the shared builtin registry, built once per
-    /// process.
+    /// process.  Each family's struct literal here is its default.
     pub fn builtin_ref() -> &'static EnvRegistry {
         static BUILTIN: std::sync::OnceLock<EnvRegistry> = std::sync::OnceLock::new();
         BUILTIN.get_or_init(|| {
-            let mut registry = EnvRegistry::new();
-            for factory in [
+            [
                 EnvRef::new(StaticEnvFactory),
-                EnvRef::new(ChurnEnvFactory::default()),
-                EnvRef::new(MarkovEnvFactory::default()),
-                EnvRef::new(PartitionEnvFactory::default()),
-                EnvRef::new(CrashEnvFactory::default()),
-                EnvRef::new(AdversaryEnvFactory::default()),
-                EnvRef::new(ChurnPlusCrashEnvFactory::default()),
-            ] {
-                registry.register(factory);
-            }
-            registry
+                EnvRef::new(ChurnEnvFactory {
+                    p_edge: 0.5,
+                    p_agent: 0.9,
+                }),
+                EnvRef::new(MarkovEnvFactory {
+                    p_up: 0.3,
+                    p_down: 0.3,
+                }),
+                EnvRef::new(PartitionEnvFactory {
+                    blocks: 3,
+                    period: 8,
+                }),
+                EnvRef::new(CrashEnvFactory {
+                    p_crash: 0.05,
+                    p_restart: 0.5,
+                }),
+                EnvRef::new(AdversaryEnvFactory { silence: 1 }),
+                EnvRef::new(ChurnPlusCrashEnvFactory {
+                    p_edge: 0.6,
+                    p_crash: 0.05,
+                    p_restart: 0.5,
+                }),
+            ]
+            .into_iter()
+            .collect()
         })
     }
 }
@@ -325,8 +334,8 @@ pub trait TopologyFactory: Send + Sync {
     fn instantiate(&self, params: Params) -> Result<TopoRef, String>;
 }
 
-/// A shared, cloneable handle to a topology-family instance.  Equality is
-/// by label.
+/// A shared, cloneable handle to a topology-family instance.  It derefs
+/// to [`TopologyFactory`]; equality is by label.
 #[derive(Clone)]
 pub struct TopoRef(Arc<dyn TopologyFactory>);
 
@@ -335,30 +344,13 @@ impl TopoRef {
     pub fn new(factory: impl TopologyFactory + 'static) -> Self {
         TopoRef(Arc::new(factory))
     }
+}
 
-    /// The instance's family name.
-    pub fn family(&self) -> &str {
-        self.0.family()
-    }
+impl Deref for TopoRef {
+    type Target = dyn TopologyFactory;
 
-    /// The instance's one-line description.
-    pub fn description(&self) -> &str {
-        self.0.description()
-    }
-
-    /// The instance's exact, round-trippable label.
-    pub fn label(&self) -> String {
-        self.0.label()
-    }
-
-    /// Materialises the graph for `n` agents.
-    pub fn build(&self, n: usize, rng: &mut dyn RngCore) -> Topology {
-        self.0.build(n, rng)
-    }
-
-    /// Constructs a sibling instance from parsed parameters.
-    pub fn instantiate(&self, params: Params) -> Result<TopoRef, String> {
-        self.0.instantiate(params)
+    fn deref(&self) -> &Self::Target {
+        &*self.0
     }
 }
 
@@ -386,18 +378,28 @@ impl LabelRegistry<TopoRef> {
     pub fn builtin_ref() -> &'static TopologyRegistry {
         static BUILTIN: std::sync::OnceLock<TopologyRegistry> = std::sync::OnceLock::new();
         BUILTIN.get_or_init(|| {
-            let mut registry = TopologyRegistry::new();
-            for factory in [
-                TopoRef::new(RingTopology),
-                TopoRef::new(LineTopology),
-                TopoRef::new(GridTopology),
-                TopoRef::new(CompleteTopology),
-                TopoRef::new(StarTopology),
-                TopoRef::new(RandomTopology::default()),
-            ] {
-                registry.register(factory);
-            }
-            registry
+            [
+                TopoRef::new(RING),
+                TopoRef::new(LINE),
+                TopoRef::new(Fixed {
+                    family: "grid",
+                    description:
+                        "near-square grid (largest divisor split; primes degenerate to a line)",
+                    build: |n| {
+                        let (rows, cols) = grid_dims(n);
+                        Topology::grid(rows, cols)
+                    },
+                }),
+                TopoRef::new(COMPLETE),
+                TopoRef::new(Fixed {
+                    family: "star",
+                    description: "star with agent 0 at the centre",
+                    build: Topology::star,
+                }),
+                TopoRef::new(RandomTopology { p: 0.3 }),
+            ]
+            .into_iter()
+            .collect()
         })
     }
 }
@@ -407,7 +409,7 @@ impl LabelRegistry<TopoRef> {
 // ---------------------------------------------------------------------------
 
 /// Fully benign: every edge available, every agent enabled.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct StaticEnvFactory;
 
 impl EnvFactory for StaticEnvFactory {
@@ -434,18 +436,9 @@ impl EnvFactory for StaticEnvFactory {
 
 /// Independent per-round churn (`churn(e=…,a=…)`).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ChurnEnvFactory {
+struct ChurnEnvFactory {
     p_edge: f64,
     p_agent: f64,
-}
-
-impl Default for ChurnEnvFactory {
-    fn default() -> Self {
-        ChurnEnvFactory {
-            p_edge: 0.5,
-            p_agent: 0.9,
-        }
-    }
 }
 
 impl EnvFactory for ChurnEnvFactory {
@@ -474,18 +467,9 @@ impl EnvFactory for ChurnEnvFactory {
 
 /// Two-state Markov on/off links (`markov(up=…,down=…)`).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct MarkovEnvFactory {
+struct MarkovEnvFactory {
     p_up: f64,
     p_down: f64,
-}
-
-impl Default for MarkovEnvFactory {
-    fn default() -> Self {
-        MarkovEnvFactory {
-            p_up: 0.3,
-            p_down: 0.3,
-        }
-    }
 }
 
 impl EnvFactory for MarkovEnvFactory {
@@ -516,18 +500,9 @@ impl EnvFactory for MarkovEnvFactory {
 /// Periodic partition into blocks with periodic global merges
 /// (`partition(b=…,t=…)`).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct PartitionEnvFactory {
+struct PartitionEnvFactory {
     blocks: usize,
     period: usize,
-}
-
-impl Default for PartitionEnvFactory {
-    fn default() -> Self {
-        PartitionEnvFactory {
-            blocks: 3,
-            period: 8,
-        }
-    }
 }
 
 impl EnvFactory for PartitionEnvFactory {
@@ -561,18 +536,9 @@ impl EnvFactory for PartitionEnvFactory {
 
 /// Agent crash/restart faults (`crash(c=…,r=…)`).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct CrashEnvFactory {
+struct CrashEnvFactory {
     p_crash: f64,
     p_restart: f64,
-}
-
-impl Default for CrashEnvFactory {
-    fn default() -> Self {
-        CrashEnvFactory {
-            p_crash: 0.05,
-            p_restart: 0.5,
-        }
-    }
 }
 
 impl EnvFactory for CrashEnvFactory {
@@ -603,14 +569,8 @@ impl EnvFactory for CrashEnvFactory {
 /// Minimally fair adversary: one edge every `silence + 1` rounds
 /// (`adversary(s=…)`).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct AdversaryEnvFactory {
+struct AdversaryEnvFactory {
     silence: usize,
-}
-
-impl Default for AdversaryEnvFactory {
-    fn default() -> Self {
-        AdversaryEnvFactory { silence: 1 }
-    }
 }
 
 impl EnvFactory for AdversaryEnvFactory {
@@ -640,20 +600,10 @@ impl EnvFactory for AdversaryEnvFactory {
 /// Link churn composed with crash/restart faults
 /// (`churn+crash(e=…,c=…,r=…)`).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ChurnPlusCrashEnvFactory {
+struct ChurnPlusCrashEnvFactory {
     p_edge: f64,
     p_crash: f64,
     p_restart: f64,
-}
-
-impl Default for ChurnPlusCrashEnvFactory {
-    fn default() -> Self {
-        ChurnPlusCrashEnvFactory {
-            p_edge: 0.6,
-            p_crash: 0.05,
-            p_restart: 0.5,
-        }
-    }
 }
 
 impl EnvFactory for ChurnPlusCrashEnvFactory {
@@ -695,89 +645,60 @@ impl EnvFactory for ChurnPlusCrashEnvFactory {
 // Builtin topology families.
 // ---------------------------------------------------------------------------
 
-/// Generates the five parameterless graph families with one macro — each is
-/// a unit struct whose label is its family name.
-macro_rules! fixed_topology {
-    ($(#[$doc:meta])* $name:ident, $family:literal, $description:literal, $build:expr) => {
-        $(#[$doc])*
-        #[derive(Clone, Copy, Debug, Default)]
-        pub(crate) struct $name;
-
-        impl TopologyFactory for $name {
-            fn family(&self) -> &str {
-                $family
-            }
-            fn description(&self) -> &str {
-                $description
-            }
-            fn label(&self) -> String {
-                $family.into()
-            }
-            fn build(&self, n: usize, _rng: &mut dyn RngCore) -> Topology {
-                // `$build` may be any callable expression; invoking through
-                // the macro parameter keeps the expansion hygienic
-                #[allow(clippy::redundant_closure_call)]
-                ($build)(n)
-            }
-            fn instantiate(&self, params: Params) -> Result<TopoRef, String> {
-                params.finish(&[])?;
-                Ok(TopoRef::new($name))
-            }
-        }
-    };
+/// A parameterless graph family: its label is its family name and `build`
+/// makes the graph from the agent count alone.
+#[derive(Clone, Copy)]
+pub(crate) struct Fixed {
+    family: &'static str,
+    description: &'static str,
+    build: fn(usize) -> Topology,
 }
 
-fixed_topology!(
-    /// Cycle on `n` agents.
-    RingTopology,
-    "ring",
-    "cycle on n agents",
-    Topology::ring
-);
-fixed_topology!(
-    /// Path on `n` agents.
-    LineTopology,
-    "line",
-    "path on n agents",
-    Topology::line
-);
-fixed_topology!(
-    /// Near-square grid (largest divisor split of `n`; primes degenerate
-    /// to a line — see [`grid_dims`]).
-    GridTopology,
-    "grid",
-    "near-square grid (largest divisor split; primes degenerate to a line)",
-    |n| {
-        let (rows, cols) = grid_dims(n);
-        Topology::grid(rows, cols)
+impl TopologyFactory for Fixed {
+    fn family(&self) -> &str {
+        self.family
     }
-);
-fixed_topology!(
-    /// Complete graph on `n` agents.
-    CompleteTopology,
-    "complete",
-    "complete graph on n agents",
-    Topology::complete
-);
-fixed_topology!(
-    /// Star with agent 0 at the centre.
-    StarTopology,
-    "star",
-    "star with agent 0 at the centre",
-    Topology::star
-);
+    fn description(&self) -> &str {
+        self.description
+    }
+    fn label(&self) -> String {
+        self.family.into()
+    }
+    fn build(&self, n: usize, _rng: &mut dyn RngCore) -> Topology {
+        (self.build)(n)
+    }
+    fn instantiate(&self, params: Params) -> Result<TopoRef, String> {
+        params.finish(&[])?;
+        Ok(TopoRef::new(*self))
+    }
+}
+
+/// Cycle on `n` agents — the builder's default topology.
+pub(crate) const RING: Fixed = Fixed {
+    family: "ring",
+    description: "cycle on n agents",
+    build: Topology::ring,
+};
+
+/// Path on `n` agents — the topology sorting forces.
+pub(crate) const LINE: Fixed = Fixed {
+    family: "line",
+    description: "path on n agents",
+    build: Topology::line,
+};
+
+/// Complete graph on `n` agents — the topology sum forces.
+pub(crate) const COMPLETE: Fixed = Fixed {
+    family: "complete",
+    description: "complete graph on n agents",
+    build: Topology::complete,
+};
 
 /// Connected Erdős–Rényi graph with edge probability `p`, re-sampled per
 /// trial from the trial's seed (`random(p=…)`).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct RandomTopology {
+struct RandomTopology {
     p: f64,
-}
-
-impl Default for RandomTopology {
-    fn default() -> Self {
-        RandomTopology { p: 0.3 }
-    }
 }
 
 impl TopologyFactory for RandomTopology {
@@ -826,6 +747,33 @@ mod tests {
             TopologyRegistry::builtin().families(),
             vec!["complete", "grid", "line", "random", "ring", "star"]
         );
+        assert_eq!(
+            crate::Registry::builtin().families(),
+            vec![
+                "boolean-and",
+                "boolean-or",
+                "circumscribing-circle",
+                "convex-hull",
+                "flooding",
+                "k-smallest",
+                "maximum",
+                "minimum",
+                "second-smallest",
+                "set-union",
+                "snapshot",
+                "sorting",
+                "sum"
+            ]
+        );
+        // Registering a family again replaces its entry.
+        let mut algorithms = crate::Registry::new();
+        assert!(algorithms.is_empty());
+        let minimum = crate::Registry::builtin_ref()
+            .resolve("minimum")
+            .expect("builtin label");
+        algorithms.register(minimum.clone());
+        algorithms.register(minimum);
+        assert_eq!(algorithms.len(), 1);
     }
 
     #[test]
@@ -840,6 +788,16 @@ mod tests {
         for entry in topos.iter() {
             let reparsed = topos.resolve(&entry.label()).expect("own label resolves");
             assert_eq!(reparsed.label(), entry.label());
+        }
+        let algorithms = crate::Registry::builtin();
+        assert_eq!(algorithms.len(), 13);
+        for entry in algorithms.iter() {
+            let reparsed = algorithms
+                .resolve(entry.label())
+                .expect("own label resolves");
+            assert_eq!(reparsed.label(), entry.label());
+            assert_eq!(reparsed.expectation(), entry.expectation());
+            assert_eq!(reparsed.forced_topology(), entry.forced_topology());
         }
     }
 
@@ -904,7 +862,8 @@ mod tests {
                 "error must list {algorithm:?}"
             );
         }
-        assert_eq!(algorithms.resolve(" minimum ").unwrap().label(), "minimum");
+        let trimmed = algorithms.resolve(" minimum ").expect("blanks are trimmed");
+        assert_eq!(trimmed.label(), "minimum");
     }
 
     #[test]

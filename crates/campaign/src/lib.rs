@@ -12,6 +12,12 @@
 //!   the §5 baselines (snapshot, flooding) and the circumscribing-circle
 //!   counterexample (whose *non*-convergence under fragmentation is an
 //!   assertable [`Expectation`]).  User algorithms register by label.
+//! * [`EnvFactory`] / [`TopologyFactory`] — the open environment and
+//!   topology dimensions.  [`AlgorithmRef`], [`EnvRef`] and [`TopoRef`]
+//!   are the shared handles scenarios carry; each derefs to its trait;
+//! * [`LabelRegistry`] — the one registry type behind all three named
+//!   dimensions ([`Registry`], [`EnvRegistry`], [`TopologyRegistry`]),
+//!   resolving labels through one `name(k=v,…)` grammar;
 //! * [`Scenario`] / [`ScenarioGrid`] — a declarative spec of algorithm ×
 //!   topology family × environment model × execution mode × size × trials,
 //!   with builder and cartesian grid expansion;
@@ -64,8 +70,9 @@
 //! ```
 //!
 //! Every grid dimension is named by its label, exactly as it appears in
-//! records: algorithms, environments and topologies resolve through their
-//! registries, execution modes through [`ExecutionMode::parse_label`].
+//! records: algorithms, environments and topologies resolve through one
+//! registry type, [`LabelRegistry`], execution modes through
+//! [`ExecutionMode::parse_label`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

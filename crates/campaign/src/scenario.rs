@@ -10,15 +10,16 @@
 //! grids.
 //!
 //! Every grid dimension is named one way: algorithms, environments and
-//! topologies by label against their registries
-//! ([`Registry`](crate::Registry), [`EnvRegistry`](crate::EnvRegistry),
+//! topologies by label against one registry type,
+//! [`LabelRegistry`](crate::LabelRegistry) ([`Registry`](crate::Registry),
+//! [`EnvRegistry`](crate::EnvRegistry),
 //! [`TopologyRegistry`](crate::TopologyRegistry)), execution modes by
 //! [`ExecutionMode::parse_label`].
 
 use selfsim_runtime::ExecutionMode;
 
 use crate::algorithm::AlgorithmRef;
-use crate::dimension::{EnvRef, RingTopology, StaticEnvFactory, TopoRef};
+use crate::dimension::{EnvRef, StaticEnvFactory, TopoRef, RING};
 
 /// Distributes a total trial budget *exactly* over expanded scenarios:
 /// every cell gets `total / cells` trials and the first `total % cells`
@@ -120,7 +121,7 @@ impl Scenario {
             scenario: Scenario {
                 topology: algorithm
                     .forced_topology()
-                    .unwrap_or_else(|| TopoRef::new(RingTopology)),
+                    .unwrap_or_else(|| TopoRef::new(RING)),
                 algorithm,
                 env: EnvRef::new(StaticEnvFactory),
                 mode: ExecutionMode::sync(),
@@ -431,7 +432,7 @@ mod tests {
     fn registry_refs_build_scenarios_like_shim_variants() {
         // The builder's default dimensions are factory values built
         // directly; the registry labels must name the same cells.
-        assert_eq!(topology("ring"), TopoRef::new(RingTopology));
+        assert_eq!(topology("ring"), TopoRef::new(RING));
         assert_eq!(env("static"), EnvRef::new(StaticEnvFactory));
         let via_registry = Scenario::builder(algorithm("minimum"))
             .topology(topology("ring"))
@@ -439,7 +440,7 @@ mod tests {
             .agents(8)
             .build();
         let via_factory = Scenario::builder(algorithm("minimum"))
-            .topology(TopoRef::new(RingTopology))
+            .topology(TopoRef::new(RING))
             .env(EnvRef::new(StaticEnvFactory))
             .agents(8)
             .build();
@@ -490,7 +491,7 @@ mod tests {
     #[test]
     fn registry_labels_build_scenarios_like_shim_variants() {
         // Every algorithm label names a cell under the builder defaults.
-        for label in crate::Registry::builtin_ref().labels() {
+        for label in crate::Registry::builtin_ref().families() {
             let scenario = Scenario::builder(algorithm(&label)).build();
             assert_eq!(scenario.algorithm.label(), label);
             assert!(scenario.name().ends_with("/static/n=16/sync"), "{label}");
@@ -544,7 +545,7 @@ mod tests {
     fn grid_mixes_shim_variants_and_registry_refs() {
         let scenarios = ScenarioGrid::new()
             .algorithms([algorithm("minimum")])
-            .topologies([TopoRef::new(RingTopology), topology("random(p=0.15)")])
+            .topologies([TopoRef::new(RING), topology("random(p=0.15)")])
             .envs([EnvRef::new(StaticEnvFactory), env("churn(e=0.3,a=0.8)")])
             .sizes([8])
             .expand();
@@ -568,7 +569,7 @@ mod tests {
     #[test]
     fn labels_parse_back() {
         let algorithms = crate::Registry::builtin_ref();
-        for label in algorithms.labels() {
+        for label in algorithms.families() {
             let resolved = algorithms.resolve(&label).expect("builtin label");
             assert_eq!(resolved.label(), label);
         }

@@ -29,7 +29,7 @@ fn grid(mode: ExecutionMode) -> Campaign {
     let registry = Registry::builtin();
     let algorithms = ["minimum", "sum", "sorting"]
         .iter()
-        .map(|name| registry.get(name).expect("builtin algorithm"))
+        .map(|name| registry.resolve(name).expect("builtin algorithm"))
         .collect::<Vec<_>>();
     let scenarios = ScenarioGrid::new()
         .algorithms(algorithms)
@@ -116,7 +116,7 @@ fn event_mode_streams_are_thread_and_shard_invariant() {
 fn a_hundred_thousand_agent_complete_cell_is_sweepable() {
     let registry = Registry::builtin();
     let scenarios = ScenarioGrid::new()
-        .algorithms([registry.get("minimum").expect("builtin algorithm")])
+        .algorithms([registry.resolve("minimum").expect("builtin algorithm")])
         .topologies([topology("complete")])
         .envs([static_env()])
         .modes([ExecutionMode::event()])

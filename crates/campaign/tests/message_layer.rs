@@ -31,7 +31,7 @@ fn message_campaign() -> Campaign {
     let registry = Registry::builtin();
     let algorithms: Vec<AlgorithmRef> = ["minimum", "flooding", "snapshot"]
         .iter()
-        .map(|name| registry.get(name).expect("builtin algorithm"))
+        .map(|name| registry.resolve(name).expect("builtin algorithm"))
         .collect();
     let modes = [
         "async(dv=any-overlap)",

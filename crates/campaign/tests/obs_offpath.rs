@@ -30,7 +30,7 @@ fn guard_campaign() -> Campaign {
     let registry = Registry::builtin();
     let algorithms: Vec<AlgorithmRef> = ["minimum", "set-union", "snapshot", "flooding"]
         .iter()
-        .map(|name| registry.get(name).expect("builtin algorithm"))
+        .map(|name| registry.resolve(name).expect("builtin algorithm"))
         .collect();
     let scenarios = ScenarioGrid::new()
         .algorithms(algorithms)

@@ -38,7 +38,7 @@ fn traced_campaign() -> Campaign {
     let registry = Registry::builtin();
     let algorithms: Vec<AlgorithmRef> = ["minimum", "snapshot", "flooding"]
         .iter()
-        .map(|name| registry.get(name).expect("builtin algorithm"))
+        .map(|name| registry.resolve(name).expect("builtin algorithm"))
         .collect();
     let scenarios = ScenarioGrid::new()
         .algorithms(algorithms)
@@ -154,7 +154,7 @@ fn every_trace_line_round_trips_through_the_event_deserializer() {
 fn requeues_are_counted_under_any_overlap_and_zero_otherwise() {
     let registry = Registry::builtin();
     let scenarios = ScenarioGrid::new()
-        .algorithms([registry.get("minimum").expect("builtin")])
+        .algorithms([registry.resolve("minimum").expect("builtin")])
         .topologies([ring()])
         .envs([partition()])
         .modes([

@@ -214,25 +214,9 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
     }
 
     /// Applies one collaborative step of `R` to the members of `group`
-    /// (given as agent ids), writing the results back into `state`.
-    ///
-    /// Returns `true` if the group's multiset of states changed.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::apply_group_step_with`].
-    pub fn apply_group_step(
-        &self,
-        state: &mut SystemState<S>,
-        group: &[AgentId],
-        rng: &mut dyn rand::RngCore,
-    ) -> bool {
-        let mut scratch = StepScratch::new();
-        self.apply_group_step_with(state, group, rng, &mut scratch, None)
-            .multiset_changed
-    }
-
-    /// Allocation-reusing form of [`Self::apply_group_step`].
+    /// (given as agent ids), writing the results back into `state`.  The
+    /// returned [`StepOutcome`] says whether the group's multiset of states
+    /// changed and whether any member moved.
     ///
     /// `group` lists distinct agent ids; a group of three or more members
     /// must list them in ascending order, as every partition producer does
@@ -317,30 +301,6 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
             positionally_fixed: !moved,
         }
     }
-
-    /// Applies one full *agent transition* of the paper: every group of the
-    /// partition `groups` takes one collaborative step (disabled agents are
-    /// simply not members of any group and keep their state).
-    ///
-    /// Returns the number of groups whose state changed.
-    pub fn apply_partition_step(
-        &self,
-        state: &mut SystemState<S>,
-        groups: &[Vec<AgentId>],
-        rng: &mut dyn rand::RngCore,
-    ) -> usize {
-        let mut scratch = StepScratch::new();
-        let mut changed = 0;
-        for group in groups {
-            if self
-                .apply_group_step_with(state, group, rng, &mut scratch, None)
-                .multiset_changed
-            {
-                changed += 1;
-            }
-        }
-        changed
-    }
 }
 
 #[cfg(test)]
@@ -409,28 +369,45 @@ mod tests {
     fn apply_group_step_updates_only_group_members() {
         let sys = min_system(vec![9, 5, 3, 7]);
         let mut state = sys.initial_state().clone();
-        let changed = sys.apply_group_step(&mut state, &[AgentId(0), AgentId(1)], &mut rng());
+        let mut scratch = StepScratch::new();
+        let mut step = |state: &mut Vec<i64>, group: &[AgentId]| {
+            sys.apply_group_step_with(state, group, &mut rng(), &mut scratch, None)
+                .multiset_changed
+        };
+        let changed = step(&mut state, &[AgentId(0), AgentId(1)]);
         assert!(changed);
         assert_eq!(state, vec![5, 5, 3, 7]);
         // A singleton group can only idle under this R.
-        let changed = sys.apply_group_step(&mut state, &[AgentId(3)], &mut rng());
+        let changed = step(&mut state, &[AgentId(3)]);
         assert!(!changed);
         assert_eq!(state, vec![5, 5, 3, 7]);
         // Empty groups are no-ops.
-        assert!(!sys.apply_group_step(&mut state, &[], &mut rng()));
+        assert!(!step(&mut state, &[]));
     }
 
     #[test]
     fn apply_partition_step_steps_every_group() {
         let sys = min_system(vec![9, 5, 3, 7]);
         let mut state = sys.initial_state().clone();
+        let mut scratch = StepScratch::new();
+        // One agent transition of the paper: every group takes one step.
+        let mut transition = |state: &mut Vec<i64>, groups: &[Vec<AgentId>]| {
+            let mut rng = rng();
+            groups
+                .iter()
+                .filter(|group| {
+                    sys.apply_group_step_with(state, group, &mut rng, &mut scratch, None)
+                        .multiset_changed
+                })
+                .count()
+        };
         let groups = vec![vec![AgentId(0), AgentId(1)], vec![AgentId(2), AgentId(3)]];
-        let changed = sys.apply_partition_step(&mut state, &groups, &mut rng());
+        let changed = transition(&mut state, &groups);
         assert_eq!(changed, 2);
         assert_eq!(state, vec![5, 5, 3, 3]);
         // One more whole-system step converges.
         let all = vec![vec![AgentId(0), AgentId(1), AgentId(2), AgentId(3)]];
-        sys.apply_partition_step(&mut state, &all, &mut rng());
+        transition(&mut state, &all);
         assert!(sys.is_converged(&state));
     }
 
@@ -535,7 +512,13 @@ mod tests {
         let sys = min_system(vec![9, 5, 3, 7]);
         let mut state = sys.initial_state().clone();
         let group = [AgentId(0), AgentId(3), AgentId(2)];
-        sys.apply_group_step(&mut state, &group, &mut rng());
+        sys.apply_group_step_with(
+            &mut state,
+            &group,
+            &mut rng(),
+            &mut StepScratch::new(),
+            None,
+        );
     }
 
     #[test]
@@ -543,6 +526,12 @@ mod tests {
     fn out_of_range_group_member_panics() {
         let sys = min_system(vec![1, 2]);
         let mut state = sys.initial_state().clone();
-        sys.apply_group_step(&mut state, &[AgentId(7)], &mut rng());
+        sys.apply_group_step_with(
+            &mut state,
+            &[AgentId(7)],
+            &mut rng(),
+            &mut StepScratch::new(),
+            None,
+        );
     }
 }

@@ -225,7 +225,7 @@ fn valid_labels() -> Vec<String> {
         .iter()
         .map(|entry| entry.label())
         .chain(TopologyRegistry::builtin_ref().iter().map(|t| t.label()))
-        .chain(Registry::builtin_ref().labels())
+        .chain(Registry::builtin_ref().families())
         .collect();
     labels.extend(
         [
