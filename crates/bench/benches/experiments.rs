@@ -9,16 +9,13 @@ use std::hint::black_box;
 
 use selfsim_algorithms::{minimum, sorting};
 use selfsim_baselines::{FloodingAggregator, SnapshotAggregator};
+use selfsim_bench::hotpath::values_for;
 use selfsim_env::{
     AgentId, Edge, EnvChanges, EnvDelta, EnvState, Environment, GroupIndex, RandomChurnEnv,
     StaticEnv, Topology,
 };
 use selfsim_runtime::{ExecutionMode, SyncConfig, SyncSimulator};
 use selfsim_trace::EventLog;
-
-fn values_for(n: usize) -> Vec<i64> {
-    (0..n).map(|i| ((i as i64 * 37 + 11) % 199) + 1).collect()
-}
 
 /// E4 — full simulated run of min-consensus vs. number of agents.
 fn e4_scaling(c: &mut Criterion) {
@@ -106,17 +103,17 @@ fn hotpath(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath");
     for &n in &[64usize, 256] {
         group.bench_with_input(BenchmarkId::new("is-converged", n), &n, |b, &n| {
-            let kernel = kernels::IsConverged::new(n);
-            b.iter(|| black_box(kernel.run()))
+            let kernel = kernels::is_converged(n);
+            b.iter(|| black_box(kernel()))
         });
     }
     group.bench_function("static-ring-128-cooldown-512", |b| {
-        let kernel = kernels::StaticCooldown::new();
-        b.iter(|| black_box(kernel.run()))
+        let kernel = kernels::static_cooldown();
+        b.iter(|| black_box(kernel()))
     });
     group.bench_function("adversary-ring-32-full-run", |b| {
-        let kernel = kernels::AdversaryRun::new();
-        b.iter(|| black_box(kernel.run()))
+        let kernel = kernels::adversary_run();
+        b.iter(|| black_box(kernel()))
     });
     group.finish();
 }
@@ -124,17 +121,13 @@ fn hotpath(c: &mut Criterion) {
 /// E15 — event-runtime scaling kernels at criterion-friendly sizes.
 ///
 /// The kernels live in [`selfsim_bench::escale`] so the `escale` binary
-/// (which emits `BENCH_10.json` in CI, sweeping up to a million agents)
-/// times exactly this code.
+/// (which CI runs to write `BENCH_12.json`, sweeping up to a million
+/// agents) times exactly this code.
 fn escale(c: &mut Criterion) {
     use selfsim_bench::escale as kernels;
 
     let mut group = c.benchmark_group("escale");
-    for kind in [
-        kernels::EscaleTopology::CompleteStatic,
-        kernels::EscaleTopology::PartitionedRing,
-        kernels::EscaleTopology::RandomChurn,
-    ] {
+    for kind in kernels::EscaleTopology::ALL {
         for &n in &[1_000usize, 10_000] {
             group.bench_with_input(BenchmarkId::new(kind.label(), n), &n, |b, &n| {
                 let kernel = kernels::EscaleRun::new(kind, n);

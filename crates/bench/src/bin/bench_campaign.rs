@@ -15,25 +15,24 @@
 //! records accumulating in memory again) or dropping below the throughput
 //! floor fails the process, and with it the CI job.
 
-// the bench harness exists to read the wall clock, so it opts out of
-// the clippy.toml clock ban for the whole binary
-#![allow(clippy::disallowed_methods)]
-
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
+use selfsim_bench::harness::{
+    self, best_of_3, gate, kb_or_null, timed, unknown_flag, write_file, Bound, Flags, JsonWriter,
+};
 use selfsim_bench::{hotpath, peak_rss_kb};
 use selfsim_campaign::{
-    distribute_trials, Campaign, EnvRegistry, Registry, ScenarioGrid, TopologyRegistry,
+    distribute_trials, Campaign, CampaignResult, EnvRegistry, Registry, ScenarioGrid,
+    TopologyRegistry,
 };
 use selfsim_trace::MetricsRegistry;
 
 struct Args {
     trials: u64,
     threads: usize,
-    seed: u64,
     out: String,
     jsonl_out: Option<String>,
     assert_peak_rss_mb: Option<u64>,
@@ -47,7 +46,6 @@ bench_campaign — hotpath kernel timings + streaming-campaign throughput, as JS
 OPTIONS
     --trials N                  campaign trial budget (default 100000)
     --threads T                 worker threads, 0 = all CPUs (default 0)
-    --seed S                    campaign master seed (default 0)
     --out PATH                  where to write the bench JSON (default BENCH_3.json)
     --jsonl-out PATH            also stream the campaign records to this file
                                 (default: a byte-counting null sink)
@@ -59,65 +57,30 @@ OPTIONS
     --help                      this text
 ";
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
         trials: 100_000,
         threads: 0,
-        seed: 0,
         out: "BENCH_3.json".into(),
         jsonl_out: None,
         assert_peak_rss_mb: None,
         assert_min_trials_per_sec: None,
         assert_max_obs_overhead_pct: None,
     };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} expects a value"))
-        };
+    while let Some(flag) = flags.next_flag()? {
         match flag.as_str() {
-            "--trials" => {
-                args.trials = value("--trials")?
-                    .parse()
-                    .map_err(|e| format!("bad --trials: {e}"))?;
-            }
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => args.out = value("--out")?,
-            "--jsonl-out" => args.jsonl_out = Some(value("--jsonl-out")?),
-            "--assert-peak-rss-mb" => {
-                args.assert_peak_rss_mb = Some(
-                    value("--assert-peak-rss-mb")?
-                        .parse()
-                        .map_err(|e| format!("bad --assert-peak-rss-mb: {e}"))?,
-                );
-            }
+            "--trials" => args.trials = flags.value(&flag)?,
+            "--threads" => args.threads = flags.value(&flag)?,
+            "--out" => args.out = flags.value(&flag)?,
+            "--jsonl-out" => args.jsonl_out = Some(flags.value(&flag)?),
+            "--assert-peak-rss-mb" => args.assert_peak_rss_mb = Some(flags.value(&flag)?),
             "--assert-min-trials-per-sec" => {
-                args.assert_min_trials_per_sec = Some(
-                    value("--assert-min-trials-per-sec")?
-                        .parse()
-                        .map_err(|e| format!("bad --assert-min-trials-per-sec: {e}"))?,
-                );
+                args.assert_min_trials_per_sec = Some(flags.value(&flag)?);
             }
             "--assert-max-obs-overhead-pct" => {
-                args.assert_max_obs_overhead_pct = Some(
-                    value("--assert-max-obs-overhead-pct")?
-                        .parse()
-                        .map_err(|e| format!("bad --assert-max-obs-overhead-pct: {e}"))?,
-                );
+                args.assert_max_obs_overhead_pct = Some(flags.value(&flag)?);
             }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag `{other}`")),
+            other => return Err(unknown_flag(other)),
         }
     }
     if args.trials == 0 {
@@ -126,104 +89,160 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Times `run` (ns/iter): a few warmup iterations, then the best of three
-/// timed batches — cheap, stable enough for a regression trajectory.
-fn time_ns_per_iter(iters: u32, mut run: impl FnMut()) -> f64 {
-    for _ in 0..3.min(iters) {
-        run();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            run();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
+/// Times the hotpath kernel `name` in ns/iter: `min(3, iters)` warm-up
+/// calls, then the best of three timed batches.
+fn ns_per_iter(name: &'static str, iters: u32, run: impl Fn() -> bool) -> (&'static str, f64) {
+    let (_, best) = best_of_3(3.min(iters), iters, || std::hint::black_box(run()));
+    let ns = best.as_nanos() as f64 / iters as f64;
+    eprintln!("  hotpath/{name}: {ns:.0} ns/iter");
+    (name, ns)
 }
 
-/// A sink that counts (and discards) the bytes streamed through it.
-struct CountingSink {
+/// Counts the bytes streamed through it to `inner`.
+struct Counting {
+    inner: Box<dyn Write + Send>,
     bytes: u64,
 }
 
-impl Write for CountingSink {
+impl Write for Counting {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.bytes += buf.len() as u64;
-        Ok(buf.len())
+        let written = self.inner.write(buf)?;
+        self.bytes += written as u64;
+        Ok(written)
     }
     fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Streams `campaign` to the file at `path`, or to nowhere; returns the
+/// result and the bytes streamed.
+fn stream(campaign: &Campaign, path: Option<&str>) -> Result<(CampaignResult, u64), String> {
+    let inner: Box<dyn Write + Send> = match path {
+        Some(path) => Box::new(std::io::BufWriter::new(
+            std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
+        )),
+        None => Box::new(std::io::sink()),
+    };
+    let mut sink = Counting { inner, bytes: 0 };
+    let result = campaign
+        .stream_to(&mut sink)
+        .and_then(|r| sink.flush().map(|()| r));
+    let result = result.map_err(|e| format!("campaign stream failed: {e}"))?;
+    Ok((result, sink.bytes))
+}
+
+/// The pipeline stage timers `BENCH_3.json` breaks a trial into.
+const STAGES: [&str; 4] = [
+    "pipeline/trial-run",
+    "pipeline/serialize",
+    "pipeline/reorder-wait",
+    "pipeline/sink-write",
+];
+
+/// Everything `BENCH_3.json` reports.
+struct Report {
+    hotpath_ns_per_iter: Vec<(&'static str, f64)>,
+    trials: u64,
+    threads: usize,
+    wall_seconds: f64,
+    trials_per_sec: f64,
+    streamed_bytes: u64,
+    peak_rss_kb: Option<u64>,
+    observed_trials_per_sec: f64,
+    overhead_pct: f64,
+    sink_stalls: u64,
+    reorder_depth_max: u64,
+    // (stage timer, spans, total ns)
+    stage_ns: [(&'static str, u64, u64); 4],
+}
+
+impl Report {
+    fn document(&self) -> String {
+        let mut json = JsonWriter::new("BENCH_3");
+        json.open(Some("hotpath_ns_per_iter"), '{');
+        for (name, ns) in &self.hotpath_ns_per_iter {
+            json.field(name, format_args!("{ns:.1}"));
+        }
+        json.close('}')
+            .open(Some("campaign"), '{')
+            .field("trials", self.trials)
+            .field("threads", self.threads)
+            .field("wall_seconds", format_args!("{:.3}", self.wall_seconds))
+            .field("trials_per_sec", format_args!("{:.1}", self.trials_per_sec))
+            .field("streamed_bytes", self.streamed_bytes)
+            .field("peak_rss_kb", kb_or_null(self.peak_rss_kb))
+            .close('}')
+            .open(Some("campaign_observed"), '{')
+            .field(
+                "trials_per_sec",
+                format_args!("{:.1}", self.observed_trials_per_sec),
+            )
+            .field("overhead_pct", format_args!("{:.2}", self.overhead_pct))
+            .field("sink_stalls", self.sink_stalls)
+            .field("reorder_depth_max", self.reorder_depth_max)
+            .close('}')
+            .open(Some("stage_ns"), '{');
+        for (name, spans, total_ns) in &self.stage_ns {
+            let inline = format_args!("{{ \"spans\": {spans}, \"total_ns\": {total_ns} }}");
+            json.field(name, inline);
+        }
+        json.close('}');
+        json.finish()
+    }
+
+    fn gates(&self, args: &Args) -> Result<(), String> {
+        if let (Some(bound), Some(kb)) = (args.assert_peak_rss_mb, self.peak_rss_kb) {
+            gate(kb as f64, Bound::AtMost(bound as f64 * 1024.0), || {
+                format!(
+                    "peak RSS {kb} KiB exceeds the {bound} MiB bound — \
+                     streamed records are accumulating in memory again"
+                )
+            })?;
+        }
+        let tps = self.trials_per_sec;
+        if let Some(floor) = args.assert_min_trials_per_sec {
+            gate(tps, Bound::AtLeast(floor), || {
+                format!("{tps:.0} trials/s is below the {floor:.0} trials/s floor")
+            })?;
+        }
+        let overhead = self.overhead_pct;
+        if let Some(bound) = args.assert_max_obs_overhead_pct {
+            gate(overhead, Bound::AtMost(bound), || {
+                format!(
+                    "metrics observation costs {overhead:.2}% throughput, above \
+                     the {bound}% bound — the observability layer is no longer cheap enough \
+                     to leave compiled in"
+                )
+            })?;
+        }
         Ok(())
     }
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(message) => {
-            if message.is_empty() {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-
+fn run(args: Args) -> Result<(), String> {
     // --- hotpath kernels (same code as `cargo bench -- hotpath`) ---
     eprintln!("bench_campaign: timing hotpath kernels");
-    let is_converged_64 = hotpath::IsConverged::new(64);
-    let is_converged_256 = hotpath::IsConverged::new(256);
-    let static_cooldown = hotpath::StaticCooldown::new();
-    let adversary = hotpath::AdversaryRun::new();
-    let hotpath_results = [
-        (
-            "is-converged/64",
-            time_ns_per_iter(20_000, || {
-                std::hint::black_box(is_converged_64.run());
-            }),
-        ),
-        (
-            "is-converged/256",
-            time_ns_per_iter(5_000, || {
-                std::hint::black_box(is_converged_256.run());
-            }),
-        ),
-        (
+    let hotpath_ns_per_iter = vec![
+        ns_per_iter("is-converged/64", 20_000, hotpath::is_converged(64)),
+        ns_per_iter("is-converged/256", 5_000, hotpath::is_converged(256)),
+        ns_per_iter(
             "static-ring-128-cooldown-512",
-            time_ns_per_iter(20, || {
-                std::hint::black_box(static_cooldown.run());
-            }),
+            20,
+            hotpath::static_cooldown(),
         ),
-        (
-            "adversary-ring-32-full-run",
-            time_ns_per_iter(20, || {
-                std::hint::black_box(adversary.run());
-            }),
-        ),
+        ns_per_iter("adversary-ring-32-full-run", 20, hotpath::adversary_run()),
     ];
-    for (name, ns) in &hotpath_results {
-        eprintln!("  hotpath/{name}: {ns:.0} ns/iter");
-    }
 
     // --- streaming campaign throughput ---
     // Two cheap cells (static + churn on an 8-agent ring) so the measured
     // cost is runner + serialization + aggregation, not one algorithm's
     // convergence pathology.
-    let scenarios = ScenarioGrid::new()
-        .algorithms([Registry::builtin_ref()
-            .resolve("minimum")
-            .expect("builtin label")])
-        .topologies([TopologyRegistry::builtin_ref()
-            .resolve("ring")
-            .expect("builtin label")])
-        .envs(["static", "churn(e=0.5,a=0.9)"].map(|label| {
-            EnvRegistry::builtin_ref()
-                .resolve(label)
-                .expect("builtin label")
-        }))
+    let envs = EnvRegistry::builtin_ref();
+    let mut scenarios = ScenarioGrid::new()
+        .algorithms([Registry::builtin_ref().resolve("minimum")?])
+        .topologies([TopologyRegistry::builtin_ref().resolve("ring")?])
+        .envs([envs.resolve("static")?, envs.resolve("churn(e=0.5,a=0.9)")?])
         .sizes([8])
         .trials(1) // replaced below by the exact budget split
         .max_rounds(100_000)
@@ -231,53 +250,21 @@ fn main() -> ExitCode {
     // The exact split the campaign CLI uses (shared helper): the budget
     // is a measurement parameter, so overshooting it (the old div_ceil
     // bug) would skew trials/sec.
-    let mut scenarios = scenarios;
     distribute_trials(&mut scenarios, args.trials);
-    let campaign = Campaign::new(scenarios)
-        .seed(args.seed)
-        .threads(args.threads);
-    let total = campaign.trial_count();
+    // Master seed 0, the seed every recorded BENCH_3 run has used.
+    let campaign = Campaign::new(scenarios).seed(0).threads(args.threads);
     let threads = if args.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         args.threads
     };
+    let total = campaign.trial_count();
     eprintln!("bench_campaign: streaming {total} trials over {threads} threads");
 
-    let started = Instant::now();
-    let (result, streamed_bytes) = match &args.jsonl_out {
-        Some(path) => {
-            let file = match std::fs::File::create(path) {
-                Ok(file) => file,
-                Err(e) => {
-                    eprintln!("error: cannot create {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut writer = std::io::BufWriter::new(file);
-            let result = campaign.stream_to(&mut writer).and_then(|r| {
-                writer.flush()?;
-                Ok(r)
-            });
-            let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            (result, bytes)
-        }
-        None => {
-            let mut sink = CountingSink { bytes: 0 };
-            let result = campaign.stream_to(&mut sink);
-            let bytes = sink.bytes;
-            (result, bytes)
-        }
-    };
-    let result = match result {
-        Ok(result) => result,
-        Err(e) => {
-            eprintln!("error: campaign stream failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let wall = started.elapsed().as_secs_f64();
-    let trials_per_sec = result.trials as f64 / wall.max(f64::EPSILON);
+    let (streamed, wall) = timed(|| stream(&campaign, args.jsonl_out.as_deref()));
+    let (result, streamed_bytes) = streamed?;
+    let per_sec = |wall: Duration| result.trials as f64 / wall.as_secs_f64().max(f64::EPSILON);
+    let (trials_per_sec, wall) = (per_sec(wall), wall.as_secs_f64());
     let peak_rss = peak_rss_kb();
     eprintln!(
         "bench_campaign: {} trials in {wall:.2}s = {trials_per_sec:.0} trials/s, \
@@ -287,35 +274,24 @@ fn main() -> ExitCode {
     );
 
     // --- observed reruns: same campaign with a metrics registry attached ---
-    // The delta against a plain run is the cost of observability when it is
-    // *on*; the stage timers themselves become the per-stage breakdown in
-    // the bench JSON.  Throughput at this run length jitters by several
-    // percent between *identical* runs, so each round pairs a plain run
-    // with an observed run back to back and the gate takes the smallest
-    // per-round overhead: jitter inflates individual estimates far more
-    // often than it deflates them, and the true overhead lower-bounds the
-    // clean pairing.
+    // The delta against a plain run is the cost of observability when it
+    // is on; the stage timers become the per-stage breakdown.  Throughput
+    // jitters by several percent between identical runs, so each round
+    // pairs a plain and an observed run back to back and the gate takes
+    // the smallest per-round overhead, which jitter inflates far more
+    // often than it deflates.
     let mut obs_trials_per_sec = 0.0f64;
     let mut obs_overhead_pct = f64::INFINITY;
     let mut registry = Arc::new(MetricsRegistry::new());
     for _ in 0..3 {
-        let mut sink = CountingSink { bytes: 0 };
-        let t = Instant::now();
-        if let Err(e) = campaign.stream_to(&mut sink) {
-            eprintln!("error: campaign stream failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        let plain_tps = result.trials as f64 / t.elapsed().as_secs_f64().max(f64::EPSILON);
-
+        let (plain, t) = timed(|| stream(&campaign, None));
+        let plain_tps = plain.map(|_| per_sec(t))?;
         let round_registry = Arc::new(MetricsRegistry::new());
-        let observed_campaign = campaign.clone().observe(Arc::clone(&round_registry));
-        let mut sink = CountingSink { bytes: 0 };
-        let t = Instant::now();
-        if let Err(e) = observed_campaign.stream_to(&mut sink) {
-            eprintln!("error: observed campaign stream failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        let tps = result.trials as f64 / t.elapsed().as_secs_f64().max(f64::EPSILON);
+        let observed = campaign.clone().observe(Arc::clone(&round_registry));
+        let (observed, t) = timed(|| stream(&observed, None));
+        let tps = observed
+            .map(|_| per_sec(t))
+            .map_err(|e| format!("observed {e}"))?;
         let overhead = 100.0 * (1.0 - tps / plain_tps.max(f64::EPSILON));
         if overhead < obs_overhead_pct {
             obs_overhead_pct = overhead;
@@ -323,101 +299,123 @@ fn main() -> ExitCode {
             registry = round_registry;
         }
     }
-    let stage_timers: Vec<(&str, u64, u64)> = [
-        "pipeline/trial-run",
-        "pipeline/serialize",
-        "pipeline/reorder-wait",
-        "pipeline/sink-write",
-    ]
-    .iter()
-    .map(|name| {
-        let timer = registry.timer(name);
-        (*name, timer.count(), timer.total_nanos())
-    })
-    .collect();
-    let sink_stalls = registry.counter("pipeline/sink-stalls").get();
-    let reorder_depth_max = registry
-        .histogram("pipeline/reorder-depth")
-        .nonzero_buckets()
+    let report = Report {
+        hotpath_ns_per_iter,
+        trials: result.trials,
+        threads,
+        wall_seconds: wall,
+        trials_per_sec,
+        streamed_bytes,
+        peak_rss_kb: peak_rss,
+        observed_trials_per_sec: obs_trials_per_sec,
+        overhead_pct: obs_overhead_pct,
+        sink_stalls: registry.counter("pipeline/sink-stalls").get(),
+        reorder_depth_max: (registry
+            .histogram("pipeline/reorder-depth")
+            .nonzero_buckets())
         .last()
-        .map_or(0, |&(depth, _)| depth);
+        .map_or(0, |&(depth, _)| depth),
+        stage_ns: STAGES.map(|name| {
+            let timer = registry.timer(name);
+            (name, timer.count(), timer.total_nanos())
+        }),
+    };
     eprintln!(
         "bench_campaign: observed rerun {obs_trials_per_sec:.0} trials/s \
-         ({obs_overhead_pct:+.2}% overhead), {sink_stalls} sink stalls, \
-         reorder depth <= {reorder_depth_max}"
+         ({obs_overhead_pct:+.2}% overhead), {} sink stalls, reorder depth <= {}",
+        report.sink_stalls, report.reorder_depth_max
     );
-    for (name, count, total_ns) in &stage_timers {
+    for (name, count, total_ns) in &report.stage_ns {
         eprintln!("  {name}: {count} spans, {total_ns} ns total");
     }
-
-    // --- BENCH_3.json (stable key order, hand-formatted so the vendored
-    // serde_json subset stays out of the measurement path) ---
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"BENCH_3\",\n  \"hotpath_ns_per_iter\": {\n");
-    for (i, (name, ns)) in hotpath_results.iter().enumerate() {
-        let comma = if i + 1 < hotpath_results.len() {
-            ","
-        } else {
-            ""
-        };
-        json.push_str(&format!("    \"{name}\": {ns:.1}{comma}\n"));
-    }
-    json.push_str("  },\n  \"campaign\": {\n");
-    json.push_str(&format!("    \"trials\": {},\n", result.trials));
-    json.push_str(&format!("    \"threads\": {threads},\n"));
-    json.push_str(&format!("    \"wall_seconds\": {wall:.3},\n"));
-    json.push_str(&format!("    \"trials_per_sec\": {trials_per_sec:.1},\n"));
-    json.push_str(&format!("    \"streamed_bytes\": {streamed_bytes},\n"));
-    json.push_str(&format!(
-        "    \"peak_rss_kb\": {}\n",
-        peak_rss.map_or("null".into(), |kb| kb.to_string())
-    ));
-    json.push_str("  },\n  \"campaign_observed\": {\n");
-    json.push_str(&format!(
-        "    \"trials_per_sec\": {obs_trials_per_sec:.1},\n"
-    ));
-    json.push_str(&format!("    \"overhead_pct\": {obs_overhead_pct:.2},\n"));
-    json.push_str(&format!("    \"sink_stalls\": {sink_stalls},\n"));
-    json.push_str(&format!("    \"reorder_depth_max\": {reorder_depth_max}\n"));
-    json.push_str("  },\n  \"stage_ns\": {\n");
-    for (i, (name, count, total_ns)) in stage_timers.iter().enumerate() {
-        let comma = if i + 1 < stage_timers.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    \"{name}\": {{ \"spans\": {count}, \"total_ns\": {total_ns} }}{comma}\n"
-        ));
-    }
-    json.push_str("  }\n}\n");
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
+    write_file(&args.out, &report.document())?;
     eprintln!("bench_campaign: wrote {}", args.out);
+    report.gates(&args)
+}
 
-    // --- the regression gates ---
-    if let (Some(bound), Some(kb)) = (args.assert_peak_rss_mb, peak_rss) {
-        if kb > bound * 1024 {
-            eprintln!(
-                "error: peak RSS {kb} KiB exceeds the {bound} MiB bound — \
-                 streamed records are accumulating in memory again"
-            );
-            return ExitCode::FAILURE;
-        }
+fn main() -> ExitCode {
+    harness::main(USAGE, parse_args, run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn error(args: &[&str]) -> String {
+        parse_args(&mut Flags::new(
+            args.iter().map(|a| a.to_string()).collect(),
+        ))
+        .err()
+        .expect("the flags are rejected")
     }
-    if let Some(floor) = args.assert_min_trials_per_sec {
-        if trials_per_sec < floor {
-            eprintln!("error: {trials_per_sec:.0} trials/s is below the {floor:.0} trials/s floor");
-            return ExitCode::FAILURE;
-        }
+
+    #[test]
+    fn flag_errors_name_the_flag() {
+        assert_eq!(error(&["--seed", "1"]), "unknown flag `--seed`");
+        assert_eq!(error(&["--jsonl-out"]), "--jsonl-out expects a value");
+        assert!(error(&["--trials", "many"]).starts_with("bad --trials: "));
+        assert_eq!(error(&["--trials", "0"]), "--trials must be positive");
     }
-    if let Some(bound) = args.assert_max_obs_overhead_pct {
-        if obs_overhead_pct > bound {
-            eprintln!(
-                "error: metrics observation costs {obs_overhead_pct:.2}% throughput, above \
-                 the {bound}% bound — the observability layer is no longer cheap enough \
-                 to leave compiled in"
-            );
-            return ExitCode::FAILURE;
-        }
+
+    /// Fixed numbers render to fixed bytes: the committed file's key order,
+    /// indent and per-field precision.
+    #[test]
+    fn document_matches_the_golden() {
+        let report = Report {
+            hotpath_ns_per_iter: vec![
+                ("is-converged/64", 267.6),
+                ("is-converged/256", 991.04),
+                ("static-ring-128-cooldown-512", 34706.94),
+                ("adversary-ring-32-full-run", 77836.66),
+            ],
+            trials: 100_000,
+            threads: 1,
+            wall_seconds: 1.4412,
+            trials_per_sec: 69405.55,
+            streamed_bytes: 46_645_843,
+            peak_rss_kb: Some(3456),
+            observed_trials_per_sec: 78481.62,
+            overhead_pct: 1.774,
+            sink_stalls: 0,
+            reorder_depth_max: 1,
+            stage_ns: [
+                ("pipeline/trial-run", 12500, 102_419_578),
+                ("pipeline/serialize", 12500, 45_475_564),
+                ("pipeline/reorder-wait", 0, 0),
+                ("pipeline/sink-write", 12500, 480_007),
+            ],
+        };
+        assert_eq!(report.document(), GOLDEN);
     }
-    ExitCode::SUCCESS
+
+    const GOLDEN: &str = r#"{
+  "bench": "BENCH_3",
+  "hotpath_ns_per_iter": {
+    "is-converged/64": 267.6,
+    "is-converged/256": 991.0,
+    "static-ring-128-cooldown-512": 34706.9,
+    "adversary-ring-32-full-run": 77836.7
+  },
+  "campaign": {
+    "trials": 100000,
+    "threads": 1,
+    "wall_seconds": 1.441,
+    "trials_per_sec": 69405.6,
+    "streamed_bytes": 46645843,
+    "peak_rss_kb": 3456
+  },
+  "campaign_observed": {
+    "trials_per_sec": 78481.6,
+    "overhead_pct": 1.77,
+    "sink_stalls": 0,
+    "reorder_depth_max": 1
+  },
+  "stage_ns": {
+    "pipeline/trial-run": { "spans": 12500, "total_ns": 102419578 },
+    "pipeline/serialize": { "spans": 12500, "total_ns": 45475564 },
+    "pipeline/reorder-wait": { "spans": 0, "total_ns": 0 },
+    "pipeline/sink-write": { "spans": 12500, "total_ns": 480007 }
+  }
+}
+"#;
 }

@@ -3,7 +3,7 @@
 //! Sweeps the [`selfsim_bench::escale`] kernels (the same code
 //! `cargo bench -- escale` measures at reduced sizes) over
 //! n ∈ {10³, 10⁴, 10⁵, 10⁶} on the E-series topologies and writes the
-//! curve as `BENCH_10.json` — one point of the repo's bench trajectory.
+//! curve as JSON; CI passes `--out BENCH_12.json`.
 //!
 //! ```text
 //! cargo run --release -p selfsim-bench --bin escale -- \
@@ -11,31 +11,25 @@
 //! ```
 //!
 //! Each cell runs in a child process (`--cell TOPO N`, an internal flag)
-//! so its peak-RSS sample is per-cell: `VmHWM` is process-lifetime
-//! monotone, and sampling it in one process made every row after the
-//! first large cell repeat that cell's high-water mark.  If spawning the
-//! child fails the cell falls back to running in-process (correct
-//! timings, monotone RSS).
-//!
-//! The assertions are the gate: dropping below the events/sec floor on any
-//! cell (the event loop slowing down) or exceeding the peak-RSS bound (the
-//! million-agent cells materialising dense state again) fails the process,
-//! and with it the CI job.
-
-// the bench harness exists to read the wall clock, so it opts out of
-// the clippy.toml clock ban for the whole binary
-#![allow(clippy::disallowed_methods)]
+//! so that its peak RSS (`VmHWM`, monotone over a process's life) is its
+//! own.  A cell runs in-process only when no child can be spawned; a
+//! child that fails fails the sweep.  Dropping below an events/sec floor
+//! (the event loop slowing down) or exceeding the peak-RSS bound (the
+//! million-agent cells materialising dense state again) fails the
+//! process, and with it the CI job.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use selfsim_bench::escale::{EscaleRun, EscaleTopology};
+use selfsim_bench::escale::{cell_from_child, format_cell, CellResult, EscaleTopology};
+use selfsim_bench::harness::{
+    self, gate, kb_or_null, parse_value, unknown_flag, write_file, Bound, Flags, JsonWriter,
+};
 
 struct Args {
     sizes: Vec<usize>,
     out: String,
-    // (topology label, floor); `None` label applies to every cell.
-    assert_min_events_per_sec: Vec<(Option<String>, f64)>,
+    // (topology, floor); `None` applies to every cell.
+    assert_min_events_per_sec: Vec<(Option<EscaleTopology>, f64)>,
     assert_peak_rss_mb: Option<u64>,
     cell: Option<(EscaleTopology, usize)>,
 }
@@ -44,23 +38,20 @@ const USAGE: &str = "\
 escale — E-series event-runtime scaling curve (events/sec + peak RSS), as JSON
 
 OPTIONS
-    --sizes N,N,...             agent counts to sweep
+    --sizes N,N,...             agent counts to sweep, each at least 2
                                 (default 1000,10000,100000,1000000)
     --out PATH                  where to write the bench JSON (default BENCH_10.json)
     --assert-min-events-per-sec R  fail if any cell's throughput drops below R
-                                (the speed gate); also takes per-topology
-                                floors as TOPO=R,TOPO=R — the cells differ
-                                by orders of magnitude, so one global floor
-                                can only gate the slowest
-
+                                (the speed gate); TOPO=R,TOPO=R floors each
+                                topology's cells apart, as they differ by
+                                orders of magnitude
     --assert-peak-rss-mb M      fail if peak RSS exceeds M MiB (the memory gate)
-    --cell TOPO N               internal: run one cell and print its row
-                                (the parent spawns this per cell so VmHWM is
-                                per-cell, not process-monotone)
+    --cell TOPO N               internal: run one cell in this process and
+                                print its row (the sweep spawns one per cell)
     --help                      this text
 ";
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
         sizes: vec![1_000, 10_000, 100_000, 1_000_000],
         out: "BENCH_10.json".into(),
@@ -68,288 +59,278 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         assert_peak_rss_mb: None,
         cell: None,
     };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} expects a value"))
-        };
+    while let Some(flag) = flags.next_flag()? {
         match flag.as_str() {
             "--sizes" => {
-                args.sizes = value("--sizes")?
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|e| format!("bad --sizes: {e}")))
+                let sizes: String = flags.value(&flag)?;
+                args.sizes = (sizes.split(',').map(|s| parse_value(&flag, s.trim())))
                     .collect::<Result<_, _>>()?;
-                if args.sizes.is_empty() {
-                    return Err("--sizes must name at least one size".into());
+                if let Some(n) = args.sizes.iter().find(|&&n| n < 2) {
+                    return Err(format!("--sizes values must be at least 2, got {n}"));
                 }
             }
-            "--out" => args.out = value("--out")?,
+            "--out" => args.out = flags.value(&flag)?,
             "--assert-min-events-per-sec" => {
-                for part in value("--assert-min-events-per-sec")?.split(',') {
-                    let (label, floor) = match part.split_once('=') {
-                        Some((topo, floor)) => {
-                            if EscaleTopology::from_label(topo).is_none() {
-                                return Err(format!(
-                                    "bad --assert-min-events-per-sec: unknown topology `{topo}`"
-                                ));
-                            }
-                            (Some(topo.to_owned()), floor)
-                        }
+                for part in flags.value::<String>(&flag)?.split(',') {
+                    // `R` floors every cell, `TOPO=R` the cells of one topology.
+                    let (topology, floor) = match part.split_once('=') {
+                        Some((label, floor)) => match EscaleTopology::from_label(label) {
+                            Some(topology) => (Some(topology), floor),
+                            None => return Err(format!("bad {flag}: unknown topology `{label}`")),
+                        },
                         None => (None, part),
                     };
-                    let floor = floor
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("bad --assert-min-events-per-sec: {e}"))?;
-                    args.assert_min_events_per_sec.push((label, floor));
+                    let floor = parse_value(&flag, floor.trim())?;
+                    args.assert_min_events_per_sec.push((topology, floor));
                 }
             }
-            "--assert-peak-rss-mb" => {
-                args.assert_peak_rss_mb = Some(
-                    value("--assert-peak-rss-mb")?
-                        .parse()
-                        .map_err(|e| format!("bad --assert-peak-rss-mb: {e}"))?,
-                );
-            }
+            "--assert-peak-rss-mb" => args.assert_peak_rss_mb = Some(flags.value(&flag)?),
             "--cell" => {
-                let label = value("--cell")?;
+                let label: String = flags.value(&flag)?;
                 let topology = EscaleTopology::from_label(&label)
                     .ok_or_else(|| format!("unknown --cell topology `{label}`"))?;
-                let n = value("--cell")?
-                    .parse()
-                    .map_err(|e| format!("bad --cell size: {e}"))?;
+                let n = parse_value("--cell size", &flags.value::<String>(&flag)?)?;
                 args.cell = Some((topology, n));
             }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag `{other}`")),
+            other => return Err(unknown_flag(other)),
         }
     }
     Ok(args)
 }
 
-/// What one cell measured, before the topology/n labels are attached.
-#[derive(Clone, Copy)]
-struct CellResult {
-    events_processed: usize,
-    peak_queue_depth: usize,
-    rounds: usize,
-    converged: bool,
-    wall_seconds: f64,
-    peak_rss_kb: Option<u64>,
-}
-
 /// One emitted row of the scaling curve.
 struct Row {
-    topology: &'static str,
+    topology: EscaleTopology,
     n: usize,
     cell: CellResult,
 }
 
-/// Runs one cell in this process: best-of-3 wall time (the first rep
-/// doubles as warmup — every cell is sub-second since the flat
-/// connectivity core), RSS sampled after the reps.
-fn run_cell(topology: EscaleTopology, n: usize) -> CellResult {
-    let kernel = EscaleRun::new(topology, n);
-    let mut best_wall = f64::INFINITY;
-    let mut outcome = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let result = kernel.run();
-        best_wall = best_wall.min(start.elapsed().as_secs_f64());
-        outcome = Some(result);
-    }
-    let outcome = outcome.expect("at least one rep ran");
-    CellResult {
-        events_processed: outcome.events_processed,
-        peak_queue_depth: outcome.peak_queue_depth,
-        rounds: outcome.rounds_executed,
-        converged: outcome.converged,
-        wall_seconds: best_wall,
-        // Process-lifetime peak: meaningful per cell only because each
-        // cell runs in its own child process.
-        peak_rss_kb: selfsim_bench::peak_rss_kb(),
+/// Runs one cell in a child process so its `VmHWM` is per-cell, or in
+/// this process when no child can be spawned.
+fn run_cell_in_child(topology: EscaleTopology, n: usize) -> Result<CellResult, String> {
+    let spawned = std::env::current_exe().and_then(|exe| {
+        std::process::Command::new(exe)
+            .args(["--cell", topology.label(), &n.to_string()])
+            .output()
+    });
+    match spawned {
+        Ok(output) => cell_from_child(&output)
+            .map_err(|e| format!("cell {}/n={n} failed: {e}", topology.label())),
+        // No child: correct timings, but the process-lifetime RSS peak.
+        Err(_) => Ok(CellResult::measure(topology, n)),
     }
 }
 
-/// The `--cell` child's single stdout line.
-fn format_cell(cell: &CellResult) -> String {
-    format!(
-        "cell events={} peak_queue={} rounds={} converged={} wall={:.6} rss_kb={}",
-        cell.events_processed,
-        cell.peak_queue_depth,
-        cell.rounds,
-        cell.converged,
-        cell.wall_seconds,
-        cell.peak_rss_kb.map_or("none".into(), |kb| kb.to_string()),
-    )
-}
-
-/// Parses [`format_cell`]'s line back; `None` on any mismatch (the parent
-/// then falls back to running the cell in-process).
-fn parse_cell(line: &str) -> Option<CellResult> {
-    let mut fields = line.strip_prefix("cell ")?.split_whitespace();
-    let mut field = |name: &str| -> Option<String> {
-        fields
-            .next()?
-            .strip_prefix(name)?
-            .strip_prefix('=')
-            .map(str::to_owned)
-    };
-    Some(CellResult {
-        events_processed: field("events")?.parse().ok()?,
-        peak_queue_depth: field("peak_queue")?.parse().ok()?,
-        rounds: field("rounds")?.parse().ok()?,
-        converged: field("converged")?.parse().ok()?,
-        wall_seconds: field("wall")?.parse().ok()?,
-        peak_rss_kb: match field("rss_kb")? {
-            none if none == "none" => None,
-            kb => Some(kb.parse().ok()?),
-        },
-    })
-}
-
-/// Runs one cell in a child process so its `VmHWM` is per-cell.
-fn run_cell_in_child(topology: EscaleTopology, n: usize) -> Option<CellResult> {
-    let exe = std::env::current_exe().ok()?;
-    let output = std::process::Command::new(exe)
-        .args(["--cell", topology.label(), &n.to_string()])
-        .output()
-        .ok()?;
-    if !output.status.success() {
-        return None;
+/// The bench JSON, labelled `bench`.
+fn document(bench: &str, rows: &[Row]) -> String {
+    let mut json = JsonWriter::new(bench);
+    json.open(Some("escale"), '[');
+    for row in rows {
+        let (o, cell) = (&row.cell.outcome, &row.cell);
+        json.open(None, '{')
+            .field("topology", format_args!("\"{}\"", row.topology.label()))
+            .field("n", row.n)
+            .field("events_processed", o.events_processed)
+            .field("peak_queue_depth", o.peak_queue_depth)
+            .field("rounds", o.rounds_executed)
+            .field("converged", o.converged)
+            .field("wall_seconds", format_args!("{:.6}", cell.wall_seconds))
+            .field(
+                "events_per_sec",
+                format_args!("{:.1}", cell.events_per_sec()),
+            )
+            .field("peak_rss_kb", kb_or_null(cell.peak_rss_kb))
+            .close('}');
     }
-    parse_cell(std::str::from_utf8(&output.stdout).ok()?.trim())
+    json.close(']');
+    json.finish()
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(message) => {
-            if message.is_empty() {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if let Some((topology, n)) = args.cell {
-        println!("{}", format_cell(&run_cell(topology, n)));
-        return ExitCode::SUCCESS;
-    }
-
-    let mut rows = Vec::new();
-    for topology in [
-        EscaleTopology::CompleteStatic,
-        EscaleTopology::PartitionedRing,
-        EscaleTopology::RandomChurn,
-    ] {
-        for &n in &args.sizes {
-            if n > topology.max_n() {
+fn gates(args: &Args, rows: &[Row]) -> Result<(), String> {
+    for &(topology, floor) in &args.assert_min_events_per_sec {
+        for row in rows {
+            if topology.is_some_and(|t| t != row.topology) {
                 continue;
             }
-            let cell = run_cell_in_child(topology, n).unwrap_or_else(|| run_cell(topology, n));
-            let events_per_sec = cell.events_processed as f64 / cell.wall_seconds.max(f64::EPSILON);
+            let events_per_sec = row.cell.events_per_sec();
+            gate(events_per_sec, Bound::AtLeast(floor), || {
+                format!(
+                    "{}/n={} ran at {events_per_sec:.0} events/s, below the \
+                     {floor:.0} events/s floor — the event loop has slowed down",
+                    row.topology.label(),
+                    row.n
+                )
+            })?;
+        }
+    }
+    if let Some(bound) = args.assert_peak_rss_mb {
+        for row in rows {
+            if let Some(kb) = row.cell.peak_rss_kb {
+                gate(kb as f64, Bound::AtMost(bound as f64 * 1024.0), || {
+                    format!(
+                        "{}/n={} peaked at {kb} KiB, over the {bound} MiB bound — \
+                         the large cells are materialising dense per-agent or edge state again",
+                        row.topology.label(),
+                        row.n
+                    )
+                })?;
+            }
+        }
+    }
+    Ok(())
+}
+
+fn run(args: Args) -> Result<(), String> {
+    if let Some((topology, n)) = args.cell {
+        println!("{}", format_cell(&CellResult::measure(topology, n)));
+        return Ok(());
+    }
+    let mut rows = Vec::new();
+    for topology in EscaleTopology::ALL {
+        for &n in args.sizes.iter().filter(|&&n| n <= topology.max_n()) {
+            let cell = run_cell_in_child(topology, n)?;
             eprintln!(
-                "escale: {}/n={n}: {} events in {:.4}s = {events_per_sec:.0} events/s, \
+                "escale: {}/n={n}: {} events in {:.4}s = {:.0} events/s, \
                  {} rounds, converged={}, peak RSS {}",
                 topology.label(),
-                cell.events_processed,
+                cell.outcome.events_processed,
                 cell.wall_seconds,
-                cell.rounds,
-                cell.converged,
+                cell.events_per_sec(),
+                cell.outcome.rounds_executed,
+                cell.outcome.converged,
                 cell.peak_rss_kb
                     .map_or("unavailable".into(), |kb| format!("{kb} KiB")),
             );
-            rows.push(Row {
-                topology: topology.label(),
-                n,
-                cell,
-            });
+            rows.push(Row { topology, n, cell });
         }
     }
-
-    // --- the bench JSON (stable key order, hand-formatted so the vendored
-    // serde_json subset stays out of the measurement path) ---
-    let mut json = String::new();
     // The file's own name labels it, so a curve regenerated under a new
     // name does not claim to be an older one.
     let label = std::path::Path::new(&args.out)
         .file_stem()
         .map_or("BENCH".into(), |stem| stem.to_string_lossy());
-    json.push_str(&format!("{{\n  \"bench\": \"{label}\",\n  \"escale\": [\n"));
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let events_per_sec =
-            row.cell.events_processed as f64 / row.cell.wall_seconds.max(f64::EPSILON);
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"topology\": \"{}\",\n", row.topology));
-        json.push_str(&format!("      \"n\": {},\n", row.n));
-        json.push_str(&format!(
-            "      \"events_processed\": {},\n",
-            row.cell.events_processed
-        ));
-        json.push_str(&format!(
-            "      \"peak_queue_depth\": {},\n",
-            row.cell.peak_queue_depth
-        ));
-        json.push_str(&format!("      \"rounds\": {},\n", row.cell.rounds));
-        json.push_str(&format!("      \"converged\": {},\n", row.cell.converged));
-        json.push_str(&format!(
-            "      \"wall_seconds\": {:.6},\n",
-            row.cell.wall_seconds
-        ));
-        json.push_str(&format!("      \"events_per_sec\": {events_per_sec:.1},\n"));
-        json.push_str(&format!(
-            "      \"peak_rss_kb\": {}\n",
-            row.cell
-                .peak_rss_kb
-                .map_or("null".into(), |kb| kb.to_string())
-        ));
-        json.push_str(&format!("    }}{comma}\n"));
-    }
-    json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
+    write_file(&args.out, &document(&label, &rows))?;
     eprintln!("escale: wrote {}", args.out);
+    gates(&args, &rows)
+}
 
-    // --- the regression gates ---
-    for (label, floor) in &args.assert_min_events_per_sec {
-        for row in &rows {
-            if label.as_deref().is_some_and(|l| l != row.topology) {
-                continue;
-            }
-            let events_per_sec =
-                row.cell.events_processed as f64 / row.cell.wall_seconds.max(f64::EPSILON);
-            if events_per_sec < *floor {
-                eprintln!(
-                    "error: {}/n={} ran at {events_per_sec:.0} events/s, below the \
-                     {floor:.0} events/s floor — the event loop has slowed down",
-                    row.topology, row.n
-                );
-                return ExitCode::FAILURE;
-            }
-        }
+fn main() -> ExitCode {
+    harness::main(USAGE, parse_args, run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use selfsim_bench::escale::EscaleOutcome;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&mut Flags::new(
+            args.iter().map(|a| a.to_string()).collect(),
+        ))
     }
-    if let Some(bound) = args.assert_peak_rss_mb {
-        for row in &rows {
-            if let Some(kb) = row.cell.peak_rss_kb {
-                if kb > bound * 1024 {
-                    eprintln!(
-                        "error: {}/n={} peaked at {kb} KiB, over the {bound} MiB bound — \
-                         the large cells are materialising dense per-agent or edge state again",
-                        row.topology, row.n
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+
+    fn error(args: &[&str]) -> String {
+        parse(args).err().expect("the flags are rejected")
     }
-    ExitCode::SUCCESS
+
+    #[test]
+    fn flag_errors_name_the_flag() {
+        assert_eq!(error(&["--seed", "1"]), "unknown flag `--seed`");
+        assert_eq!(error(&["--out"]), "--out expects a value");
+        assert!(error(&["--assert-peak-rss-mb", "lots"]).starts_with("bad --assert-peak-rss-mb: "));
+        assert!(error(&["--sizes", "10,x"]).starts_with("bad --sizes: "));
+        assert_eq!(
+            error(&["--assert-min-events-per-sec", "25,ring=3"]),
+            "bad --assert-min-events-per-sec: unknown topology `ring`"
+        );
+        for small in ["0", "1", "1000,1"] {
+            let message = error(&["--sizes", small]);
+            assert!(
+                message.starts_with("--sizes values must be at least 2"),
+                "{message}"
+            );
+        }
+        let args = parse(&["--assert-min-events-per-sec", "25,partitioned-ring=277"])
+            .expect("valid floors");
+        assert_eq!(
+            args.assert_min_events_per_sec,
+            [(None, 25.0), (Some(EscaleTopology::PartitionedRing), 277.0)]
+        );
+    }
+
+    fn row(topology: EscaleTopology, n: usize, outcome: [usize; 3], wall: f64) -> Row {
+        let [events_processed, peak_queue_depth, rounds_executed] = outcome;
+        let converged = topology == EscaleTopology::CompleteStatic;
+        let outcome = EscaleOutcome {
+            events_processed,
+            peak_queue_depth,
+            rounds_executed,
+            converged,
+        };
+        let peak_rss_kb = converged.then_some(2700);
+        let cell = CellResult {
+            outcome,
+            wall_seconds: wall,
+            peak_rss_kb,
+        };
+        Row { topology, n, cell }
+    }
+
+    /// Fixed numbers render to fixed bytes: the committed file's key order,
+    /// indent and per-field precision.
+    #[test]
+    fn document_matches_the_golden() {
+        let rows = [
+            row(
+                EscaleTopology::CompleteStatic,
+                1000,
+                [516, 2, 257],
+                0.000078,
+            ),
+            row(
+                EscaleTopology::PartitionedRing,
+                1_000_000,
+                [3265, 33, 64],
+                10.015625,
+            ),
+        ];
+        assert_eq!(document("BENCH_12", &rows), GOLDEN);
+        assert_eq!(document("BENCH_X", &[]), GOLDEN_EMPTY);
+    }
+
+    const GOLDEN: &str = r#"{
+  "bench": "BENCH_12",
+  "escale": [
+    {
+      "topology": "complete-static",
+      "n": 1000,
+      "events_processed": 516,
+      "peak_queue_depth": 2,
+      "rounds": 257,
+      "converged": true,
+      "wall_seconds": 0.000078,
+      "events_per_sec": 6615384.6,
+      "peak_rss_kb": 2700
+    },
+    {
+      "topology": "partitioned-ring",
+      "n": 1000000,
+      "events_processed": 3265,
+      "peak_queue_depth": 33,
+      "rounds": 64,
+      "converged": false,
+      "wall_seconds": 10.015625,
+      "events_per_sec": 326.0,
+      "peak_rss_kb": null
+    }
+  ]
+}
+"#;
+
+    const GOLDEN_EMPTY: &str = r#"{
+  "bench": "BENCH_X",
+  "escale": [
+  ]
+}
+"#;
 }

@@ -19,6 +19,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfsim_algorithms::{convex_hull, second_smallest, sum};
+use selfsim_bench::hotpath::values_for;
 use selfsim_campaign::{
     emit, AlgorithmRef, Campaign, DeliveryRule, EnvRef, EnvRegistry, ExecutionMode, Registry,
     Scenario, ScenarioGrid, ScenarioSummary, TopoRef, TopologyRegistry,
@@ -52,10 +53,6 @@ fn env(label: &str) -> EnvRef {
     EnvRegistry::builtin_ref()
         .resolve(label)
         .expect("builtin label")
-}
-
-fn values_for(n: usize) -> Vec<i64> {
-    (0..n).map(|i| ((i as i64 * 37 + 11) % 199) + 1).collect()
 }
 
 /// Runs a scenario set through the campaign engine, asserts every cell

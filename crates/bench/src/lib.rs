@@ -1,19 +1,20 @@
 //! Benchmark harness support (see benches/ and src/bin/).
 //!
-//! The [`hotpath`] kernels are shared between the criterion benches
-//! (`benches/experiments.rs`) and the `bench_campaign` binary that CI runs
-//! to emit `BENCH_3.json`, so both measure exactly the same code.
+//! The [`hotpath`] and [`escale`] kernels are shared between the criterion
+//! benches (`benches/experiments.rs`) and the `bench_campaign` and `escale`
+//! binaries that CI gates on, so both measure exactly the same code.  The
+//! two binaries read flags, time, write JSON and check gates through
+//! [`harness`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The hot-path benchmark kernels: convergence checking (target multiset
 /// cached per instance) and full simulator runs that exercise fixpoint
-/// elision on unchanging connectivity.  Construction (`new`) is setup and excluded from
-/// timing; `run` is one measured iteration.
+/// elision on unchanging connectivity.  Each function is setup, excluded
+/// from timing; a call of the closure it returns is one measured iteration.
 pub mod hotpath {
     use selfsim_algorithms::minimum;
-    use selfsim_core::SelfSimilarSystem;
     use selfsim_env::{AdversarialEnv, StaticEnv, Topology};
     use selfsim_runtime::{SyncConfig, SyncSimulator};
 
@@ -24,103 +25,50 @@ pub mod hotpath {
 
     /// The convergence check on a min-consensus system of `n` agents
     /// (every check hits the cached target multiset).
-    pub struct IsConverged {
-        system: SelfSimilarSystem<i64>,
-        target: Vec<i64>,
+    pub fn is_converged(n: usize) -> impl Fn() -> bool {
+        let values = values_for(n);
+        let target = vec![values.iter().copied().min().expect("non-empty"); n];
+        let system = minimum::system(&values, Topology::ring(n));
+        move || system.is_converged(&target)
     }
 
-    impl IsConverged {
-        /// Builds the system and its converged target state.
-        pub fn new(n: usize) -> Self {
-            let values = values_for(n);
-            let target = vec![values.iter().copied().min().expect("non-empty"); n];
-            IsConverged {
-                system: minimum::system(&values, Topology::ring(n)),
-                target,
-            }
-        }
-
-        /// One measured iteration: is the target state converged?
-        pub fn run(&self) -> bool {
-            self.system.is_converged(&self.target)
-        }
-    }
-
-    /// 512 cooldown rounds on an unchanging environment: every round keeps
-    /// the connectivity and elides the one converged (fixpoint) group.
-    pub struct StaticCooldown {
-        system: SelfSimilarSystem<i64>,
-        n: usize,
-    }
-
-    impl StaticCooldown {
-        /// A 128-agent ring with a 512-round cooldown.
-        pub fn new() -> Self {
-            let n = 128;
-            StaticCooldown {
-                system: minimum::system(&values_for(n), Topology::ring(n)),
-                n,
-            }
-        }
-
-        /// One measured iteration: a full run to convergence plus cooldown.
-        pub fn run(&self) -> bool {
-            let mut env = StaticEnv::new(Topology::ring(self.n));
+    /// A 128-agent ring run to convergence, then 512 cooldown rounds on an
+    /// unchanging environment: every round keeps the connectivity and
+    /// elides the one converged (fixpoint) group.
+    pub fn static_cooldown() -> impl Fn() -> bool {
+        let system = minimum::system(&values_for(128), Topology::ring(128));
+        move || {
+            let mut env = StaticEnv::new(Topology::ring(128));
             let config = SyncConfig {
                 cooldown_rounds: 512,
                 seed: 1,
                 ..SyncConfig::default()
             };
             SyncSimulator::new(config)
-                .run(&self.system, &mut env)
+                .run(&system, &mut env)
                 .converged()
         }
     }
 
-    impl Default for StaticCooldown {
-        fn default() -> Self {
-            StaticCooldown::new()
-        }
-    }
-
+    /// A 32-agent ring run to convergence against the silence-3 adversary.
     /// The single-edge adversary repeats its silent (fully-disabled) state
     /// between activations, so in every 4-round cycle the two silent rounds
     /// after the first keep the partition unchanged.
-    pub struct AdversaryRun {
-        system: SelfSimilarSystem<i64>,
-        n: usize,
-    }
-
-    impl AdversaryRun {
-        /// A 32-agent ring against the silence-3 adversary.
-        pub fn new() -> Self {
-            let n = 32;
-            AdversaryRun {
-                system: minimum::system(&values_for(n), Topology::ring(n)),
-                n,
-            }
-        }
-
-        /// One measured iteration: a full adversarial run to convergence.
-        pub fn run(&self) -> bool {
-            let mut env = AdversarialEnv::new(Topology::ring(self.n), 3);
+    pub fn adversary_run() -> impl Fn() -> bool {
+        let system = minimum::system(&values_for(32), Topology::ring(32));
+        move || {
+            let mut env = AdversarialEnv::new(Topology::ring(32), 3);
             SyncSimulator::with_seed(2)
-                .run(&self.system, &mut env)
+                .run(&system, &mut env)
                 .converged()
-        }
-    }
-
-    impl Default for AdversaryRun {
-        fn default() -> Self {
-            AdversaryRun::new()
         }
     }
 }
 
 /// The E-series event-runtime scaling kernels: full [`EventSimulator`]
 /// runs at large `n`, shared between the criterion benches
-/// (`benches/experiments.rs`, reduced sizes) and the `escale` binary that
-/// emits `BENCH_10.json` in CI (up to a million agents).  Construction
+/// (`benches/experiments.rs`, reduced sizes) and the `escale` binary, which
+/// CI runs to write `BENCH_12.json` (up to a million agents).  Construction
 /// (`new`) is setup and excluded from timing; `run` is one measured
 /// iteration.
 ///
@@ -158,7 +106,14 @@ pub mod escale {
     }
 
     impl EscaleTopology {
-        /// The label used in `BENCH_10.json` and the criterion group.
+        /// Every cell, in sweep order.
+        pub const ALL: [EscaleTopology; 3] = [
+            EscaleTopology::CompleteStatic,
+            EscaleTopology::PartitionedRing,
+            EscaleTopology::RandomChurn,
+        ];
+
+        /// The label used in `BENCH_12.json` and the criterion group.
         pub fn label(self) -> &'static str {
             match self {
                 EscaleTopology::CompleteStatic => "complete-static",
@@ -170,12 +125,7 @@ pub mod escale {
         /// The inverse of [`Self::label`], for the `escale --cell` child
         /// process protocol.
         pub fn from_label(label: &str) -> Option<Self> {
-            match label {
-                "complete-static" => Some(EscaleTopology::CompleteStatic),
-                "partitioned-ring" => Some(EscaleTopology::PartitionedRing),
-                "random-churn" => Some(EscaleTopology::RandomChurn),
-                _ => None,
-            }
+            Self::ALL.into_iter().find(|t| t.label() == label)
         }
 
         /// Largest size this cell is swept at.  The churn cell stops at
@@ -191,7 +141,7 @@ pub mod escale {
 
     /// What one measured run produced, for the events/sec computation and
     /// the emitted scaling row.
-    #[derive(Clone, Copy, Debug)]
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct EscaleOutcome {
         /// The run's event count (`RunMetrics::events_processed`).
         pub events_processed: usize,
@@ -305,7 +255,87 @@ pub mod escale {
             }
         }
     }
+
+    /// What one cell of the sweep measured.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct CellResult {
+        /// The last run's outcome.
+        pub outcome: EscaleOutcome,
+        /// The best of three runs' wall time.
+        pub wall_seconds: f64,
+        /// Peak RSS after the runs (per cell in an `escale --cell` child).
+        pub peak_rss_kb: Option<u64>,
+    }
+
+    impl CellResult {
+        /// Runs a cell in this process: the best of three single runs, the
+        /// first doubling as warm-up, then an RSS sample.
+        pub fn measure(topology: EscaleTopology, n: usize) -> Self {
+            let kernel = EscaleRun::new(topology, n);
+            let (outcome, best) = crate::harness::best_of_3(0, 1, || kernel.run());
+            CellResult {
+                outcome,
+                wall_seconds: best.as_secs_f64(),
+                peak_rss_kb: crate::peak_rss_kb(),
+            }
+        }
+
+        /// The throughput the events/sec floors gate.
+        pub fn events_per_sec(&self) -> f64 {
+            self.outcome.events_processed as f64 / self.wall_seconds.max(f64::EPSILON)
+        }
+    }
+
+    /// The `escale --cell` child's single stdout line.
+    pub fn format_cell(cell: &CellResult) -> String {
+        let o = &cell.outcome;
+        format!(
+            "cell events={} peak_queue={} rounds={} converged={} wall={:.6} rss_kb={}",
+            o.events_processed,
+            o.peak_queue_depth,
+            o.rounds_executed,
+            o.converged,
+            cell.wall_seconds,
+            cell.peak_rss_kb.map_or("none".into(), |kb| kb.to_string()),
+        )
+    }
+
+    /// Parses [`format_cell`]'s line back; `None` on any mismatch.
+    pub fn parse_cell(line: &str) -> Option<CellResult> {
+        let mut fields = line.strip_prefix("cell ")?.split_whitespace();
+        let mut field = |name: &str| fields.next()?.strip_prefix(name)?.strip_prefix('=');
+        Some(CellResult {
+            outcome: EscaleOutcome {
+                events_processed: field("events")?.parse().ok()?,
+                peak_queue_depth: field("peak_queue")?.parse().ok()?,
+                rounds_executed: field("rounds")?.parse().ok()?,
+                converged: field("converged")?.parse().ok()?,
+            },
+            wall_seconds: field("wall")?.parse().ok()?,
+            peak_rss_kb: match field("rss_kb")? {
+                "none" => None,
+                kb => Some(kb.parse().ok()?),
+            },
+        })
+    }
+
+    /// The cell an `escale --cell` child measured; an error that carries
+    /// the child's stderr when it failed or printed no row.
+    pub fn cell_from_child(output: &std::process::Output) -> Result<CellResult, String> {
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        match parse_cell(stdout.trim()) {
+            Some(cell) if output.status.success() => Ok(cell),
+            _ => Err(format!(
+                "the child ended with {} and stdout {:?}; its stderr:\n{}",
+                output.status,
+                stdout.trim(),
+                String::from_utf8_lossy(&output.stderr).trim_end()
+            )),
+        }
+    }
 }
+
+pub mod harness;
 
 /// Peak resident set size of this process in KiB, from
 /// `/proc/self/status` (`VmHWM`); `None` off Linux.  Monotone over the
@@ -319,12 +349,13 @@ pub fn peak_rss_kb() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::{escale, hotpath};
+    use escale::{cell_from_child, format_cell, parse_cell, CellResult, EscaleOutcome};
 
     #[test]
     fn kernels_converge() {
-        assert!(hotpath::IsConverged::new(64).run());
-        assert!(hotpath::StaticCooldown::new().run());
-        assert!(hotpath::AdversaryRun::new().run());
+        assert!(hotpath::is_converged(64)());
+        assert!(hotpath::static_cooldown()());
+        assert!(hotpath::adversary_run()());
     }
 
     #[test]
@@ -343,5 +374,57 @@ mod tests {
         // Adopt-min converges and then holds through the 64-round cooldown.
         assert!(churn.converged);
         assert!(churn.rounds_executed >= 64, "{}", churn.rounds_executed);
+    }
+
+    fn cell() -> CellResult {
+        CellResult {
+            outcome: EscaleOutcome {
+                events_processed: 3265,
+                peak_queue_depth: 33,
+                rounds_executed: 64,
+                converged: false,
+            },
+            wall_seconds: 10.015625,
+            peak_rss_kb: None,
+        }
+    }
+
+    #[test]
+    fn cell_rows_round_trip() {
+        let with_rss = CellResult {
+            wall_seconds: 0.000078,
+            peak_rss_kb: Some(2700),
+            ..cell()
+        };
+        for cell in [cell(), with_rss] {
+            assert_eq!(parse_cell(&format_cell(&cell)), Some(cell));
+        }
+        let row = format_cell(&cell());
+        let truncated = &row[..row.find(" wall=").expect("the row has a wall field")];
+        assert_eq!(parse_cell(truncated), None);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn failed_children_are_errors() {
+        use std::os::unix::process::ExitStatusExt;
+        use std::process::{ExitStatus, Output};
+
+        let output = |code: i32, stdout: &str| Output {
+            status: ExitStatus::from_raw(code << 8),
+            stdout: stdout.as_bytes().to_vec(),
+            stderr: b"need at least one agent\n".to_vec(),
+        };
+        let row = format_cell(&cell());
+        assert_eq!(cell_from_child(&output(0, &format!("{row}\n"))), Ok(cell()));
+        let crashed = cell_from_child(&output(101, "")).expect_err("non-zero status");
+        assert!(crashed.contains("101"), "{crashed}");
+        assert!(
+            crashed.ends_with("its stderr:\nneed at least one agent"),
+            "{crashed}"
+        );
+        let garbled = cell_from_child(&output(0, "cell events=1")).expect_err("no row");
+        assert!(garbled.contains("stdout \"cell events=1\""), "{garbled}");
+        assert!(garbled.ends_with("need at least one agent"), "{garbled}");
     }
 }

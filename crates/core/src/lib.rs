@@ -15,7 +15,7 @@
 //!    improvements;
 //! 3. let every group of currently-communicating agents take **constrained
 //!    optimisation steps**: conserve `f` of the group, strictly decrease `h`
-//!    of the group ([`RelationD`], [`GroupStep`], [`CheckedGroupStep`]);
+//!    of the group ([`RelationD`], [`GroupStep`]);
 //! 4. discharge the three **proof obligations** — `R` refines `D`,
 //!    non-optimal states are escapable under the fairness assumption, and
 //!    the local-to-global composition property — for which this crate
@@ -64,7 +64,7 @@ pub use objective::{
 };
 pub use partition::{all_partitions, bell_number, random_partition, split_in_two};
 pub use relation::RelationD;
-pub use step::{CheckedGroupStep, FnGroupStep, GroupStates, GroupStep, IdentityStep};
+pub use step::{FnGroupStep, GroupStates, GroupStep, IdentityStep};
 pub use system::{SelfSimilarSystem, StepOutcome, StepScratch, SystemState};
 
 /// Super-idempotence checks (definition, single-element criterion, and the

@@ -1,9 +1,7 @@
 //! Group transition relations `R` — the concrete algorithms executed by
 //! groups of communicating agents.
 
-use selfsim_multiset::{Multiset, SignedCounts};
-
-use crate::{DistributedFunction, ObjectiveFunction, RelationD};
+use selfsim_multiset::SignedCounts;
 
 /// The states of one group's members, borrowed for one in-place step of `R`.
 ///
@@ -191,87 +189,14 @@ impl<S: Ord + Clone> GroupStep<S> for IdentityStep {
     }
 }
 
-/// A [`GroupStep`] wrapper that checks, at every invocation, that the inner
-/// step refines the relation `D` induced by `f` and `h` — the first proof
-/// obligation of §3.7 enforced at run time.
-///
-/// On a violation the wrapper panics with a description of the offending
-/// transition (in debug-style runs) — the simulators use this mode in the
-/// test-suite so that any algorithm bug that breaks the conservation law or
-/// the variant descent is caught at its source rather than as a missed
-/// convergence much later.
-pub struct CheckedGroupStep<R, F, H> {
-    inner: R,
-    relation: RelationD<F, H>,
-}
-
-impl<R, F, H> CheckedGroupStep<R, F, H> {
-    /// Wraps `inner` so that every step is checked against `D = (f, h)`.
-    pub fn new(inner: R, f: F, h: H) -> Self {
-        CheckedGroupStep {
-            inner,
-            relation: RelationD::new(f, h),
-        }
-    }
-
-    /// The wrapped step.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-}
-
-impl<S, R, F, H> GroupStep<S> for CheckedGroupStep<R, F, H>
-where
-    S: Ord + Clone + std::fmt::Debug,
-    R: GroupStep<S>,
-    F: DistributedFunction<S>,
-    H: ObjectiveFunction<S>,
-{
-    fn step(&self, states: &[S], rng: &mut dyn rand::RngCore) -> Vec<S> {
-        let after = self.inner.step(states, rng);
-        assert_eq!(
-            states.len(),
-            after.len(),
-            "group step `{}` changed the number of agents in the group ({} -> {})",
-            self.inner.name(),
-            states.len(),
-            after.len()
-        );
-        let before_ms: Multiset<S> = states.iter().cloned().collect();
-        let after_ms: Multiset<S> = after.iter().cloned().collect();
-        if let Some(reason) = self.relation.explain_violation(&before_ms, &after_ms) {
-            panic!(
-                "group step `{}` does not refine D: {reason}\n  before: {before_ms:?}\n  after:  {after_ms:?}",
-                self.inner.name()
-            );
-        }
-        after
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConsensusFunction, SummationObjective};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(9)
-    }
-
-    fn min_f() -> ConsensusFunction<i64, impl Fn(&Multiset<i64>) -> i64> {
-        ConsensusFunction::new("min", |s: &Multiset<i64>| {
-            s.min_value().copied().unwrap_or(0)
-        })
-    }
-
-    fn sum_h() -> SummationObjective<i64, impl Fn(&i64) -> f64> {
-        SummationObjective::new("sum", |v: &i64| *v as f64)
     }
 
     /// All agents adopt the group minimum in one step.
@@ -298,60 +223,6 @@ mod tests {
         let step = min_step();
         assert_eq!(step.step(&[5, 3, 9], &mut rng()), vec![3, 3, 3]);
         assert_eq!(step.name(), "adopt-min");
-    }
-
-    #[test]
-    fn checked_step_accepts_valid_algorithm() {
-        let checked = CheckedGroupStep::new(min_step(), min_f(), sum_h());
-        assert_eq!(checked.step(&[5, 3, 9], &mut rng()), vec![3, 3, 3]);
-        // Idling on an already-converged group is fine too.
-        assert_eq!(checked.step(&[3, 3], &mut rng()), vec![3, 3]);
-        assert_eq!(checked.name(), "adopt-min");
-        assert_eq!(checked.inner().name(), "adopt-min");
-    }
-
-    #[test]
-    #[should_panic(expected = "does not refine D")]
-    fn checked_step_rejects_non_conserving_algorithm() {
-        // A buggy algorithm that adopts the *maximum* — it fails to conserve
-        // the minimum.
-        let buggy = FnGroupStep::new(
-            "adopt-max",
-            |states: &[i64], _rng: &mut dyn rand::RngCore| {
-                let m = states.iter().copied().max().unwrap_or(0);
-                vec![m; states.len()]
-            },
-        );
-        let checked = CheckedGroupStep::new(buggy, min_f(), sum_h());
-        let _ = checked.step(&[5, 3, 9], &mut rng());
-    }
-
-    #[test]
-    #[should_panic(expected = "does not refine D")]
-    fn checked_step_rejects_non_improving_change() {
-        // Swapping values keeps the multiset identical only if the result is
-        // the same multiset; here we *increase* one value while keeping the
-        // minimum, which conserves f but increases h.
-        let buggy = FnGroupStep::new("inflate", |states: &[i64], _rng: &mut dyn rand::RngCore| {
-            let mut out = states.to_vec();
-            if let Some(v) = out.iter_mut().max() {
-                *v += 1;
-            }
-            out
-        });
-        let checked = CheckedGroupStep::new(buggy, min_f(), sum_h());
-        let _ = checked.step(&[5, 3], &mut rng());
-    }
-
-    #[test]
-    #[should_panic(expected = "changed the number of agents")]
-    fn checked_step_rejects_cardinality_changes() {
-        let buggy = FnGroupStep::new(
-            "drop-one",
-            |states: &[i64], _rng: &mut dyn rand::RngCore| states[1..].to_vec(),
-        );
-        let checked = CheckedGroupStep::new(buggy, min_f(), sum_h());
-        let _ = checked.step(&[5, 3], &mut rng());
     }
 
     #[test]

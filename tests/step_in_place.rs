@@ -1,6 +1,6 @@
 //! The engine steps groups through `GroupStep::step_in_place`; the proof
-//! obligations and `CheckedGroupStep` go through `GroupStep::step`.  These
-//! tests pin the two to each other for every builtin group step, and pin
+//! obligations go through `GroupStep::step`.  These tests pin the two to
+//! each other for every builtin group step, and pin
 //! `SelfSimilarSystem::apply_group_step_with`'s run detection to the
 //! positional meaning of a group.
 
