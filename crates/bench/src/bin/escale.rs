@@ -40,7 +40,7 @@ escale — E-series event-runtime scaling curve (events/sec + peak RSS), as JSON
 OPTIONS
     --sizes N,N,...             agent counts to sweep, each at least 2
                                 (default 1000,10000,100000,1000000)
-    --out PATH                  where to write the bench JSON (default BENCH_10.json)
+    --out PATH                  where to write the bench JSON (default BENCH_12.json)
     --assert-min-events-per-sec R  fail if any cell's throughput drops below R
                                 (the speed gate); TOPO=R,TOPO=R floors each
                                 topology's cells apart, as they differ by
@@ -54,7 +54,7 @@ OPTIONS
 fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
         sizes: vec![1_000, 10_000, 100_000, 1_000_000],
-        out: "BENCH_10.json".into(),
+        out: "BENCH_12.json".into(),
         assert_min_events_per_sec: Vec::new(),
         assert_peak_rss_mb: None,
         cell: None,
@@ -256,6 +256,13 @@ mod tests {
             args.assert_min_events_per_sec,
             [(None, 25.0), (Some(EscaleTopology::PartitionedRing), 277.0)]
         );
+    }
+
+    /// A bare run writes the current scaling curve, the file CI commits.
+    #[test]
+    fn default_out_is_the_current_curve() {
+        assert_eq!(parse(&[]).expect("no flags").out, "BENCH_12.json");
+        assert!(USAGE.contains("(default BENCH_12.json)"));
     }
 
     fn row(topology: EscaleTopology, n: usize, outcome: [usize; 3], wall: f64) -> Row {

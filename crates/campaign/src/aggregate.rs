@@ -123,10 +123,11 @@ impl Aggregator {
 
     /// Folds one record into its scenario's cell.
     pub fn observe(&mut self, record: &TrialRecord) {
-        let cell = self
-            .cells
-            .entry(record.scenario.clone())
-            .or_insert_with(|| Cell {
+        // Look the cell up before inserting, so the key is cloned only on
+        // the cell's first record.
+        let cell = match self.cells.get_mut(&record.scenario) {
+            Some(cell) => cell,
+            None => self.cells.entry(record.scenario.clone()).or_insert(Cell {
                 algorithm: record.algorithm.clone(),
                 topology: record.topology.clone(),
                 environment: record.environment.clone(),
@@ -135,7 +136,8 @@ impl Aggregator {
                 agents: record.agents,
                 all_monotone: true,
                 ..Cell::default()
-            });
+            }),
+        };
         cell.trials += 1;
         if record.meets_expectation {
             cell.expectation_met += 1;

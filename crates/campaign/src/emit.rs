@@ -11,13 +11,16 @@ use crate::trial::TrialRecord;
 
 /// Writes one JSON object per trial record, one per line.
 ///
-/// Delegates to [`TrialRecord::to_jsonl_line`] — the same serializer the
+/// Delegates to [`TrialRecord::write_jsonl`] — the same serializer the
 /// streaming runner spills through — so collecting records and emitting
 /// them afterwards produces byte-for-byte what
 /// [`Campaign::stream_to`](crate::Campaign::stream_to) streams.
 pub fn write_jsonl<W: Write>(mut out: W, records: &[TrialRecord]) -> std::io::Result<()> {
+    let mut line = Vec::new();
     for record in records {
-        out.write_all(&record.to_jsonl_line()?)?;
+        line.clear();
+        record.write_jsonl(&mut line);
+        out.write_all(&line)?;
     }
     Ok(())
 }

@@ -39,7 +39,7 @@ use selfsim_trace::{Counter, Histogram, MetricsRegistry, StageTimer, TraceEvent}
 use crate::aggregate::{Aggregator, ScenarioSummary};
 use crate::scenario::Scenario;
 use crate::shard::ShardSpec;
-use crate::trial::{run_trial, run_trial_traced, TrialRecord};
+use crate::trial::{run_cell_trial, run_cell_trial_traced, Columns, TrialRecord};
 
 /// How many finished-but-unreleased records the reorder window may hold
 /// per worker thread before fast workers park.  Bounds peak memory at
@@ -285,12 +285,17 @@ impl Campaign {
         // Per-scenario prefix sums: the job list itself is never
         // materialised — global position -> (scenario, trial) is a binary
         // search, so job bookkeeping is O(#scenarios), not O(#trials).
+        // Each cell's seed-name hash and record columns are rendered once
+        // here, not once per trial.
         let mut offsets: Vec<u64> = Vec::with_capacity(self.scenarios.len());
-        let mut hashes: Vec<u64> = Vec::with_capacity(self.scenarios.len());
+        let mut cells: Vec<(u64, Columns)> = Vec::with_capacity(self.scenarios.len());
         let mut total = 0u64;
         for scenario in &self.scenarios {
             offsets.push(total);
-            hashes.push(fnv1a(scenario.seed_name().as_bytes()));
+            cells.push((
+                fnv1a(scenario.seed_name().as_bytes()),
+                Columns::of(scenario),
+            ));
             total += scenario.trials;
         }
         let shard = self.config.shard;
@@ -345,14 +350,16 @@ impl Campaign {
                         let scenario_idx = offsets.partition_point(|&o| o <= global) - 1;
                         let trial = global - offsets[scenario_idx];
                         let scenario = &self.scenarios[scenario_idx];
-                        let seed = self.seed_for(hashes[scenario_idx], trial);
+                        let (hash, columns) = &cells[scenario_idx];
+                        let seed = self.seed_for(*hash, trial);
                         let sampled = obs.filter(|_| local.is_multiple_of(OBS_SAMPLE));
                         let (record, events) = timed(sampled.map(|o| &*o.trial_run), || {
                             if tracing {
-                                let (record, events) = run_trial_traced(scenario, trial, seed);
+                                let (record, events) =
+                                    run_cell_trial_traced(scenario, columns, trial, seed);
                                 (record, Some(events))
                             } else {
-                                (run_trial(scenario, trial, seed), None)
+                                (run_cell_trial(scenario, columns, trial, seed, None), None)
                             }
                         });
                         if let Some(obs) = obs {

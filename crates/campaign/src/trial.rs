@@ -1,12 +1,14 @@
 //! Per-trial execution and the flat record it produces.
 
+use std::io::Write as _;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 
 use selfsim_trace::{RunMetrics, TraceEvent};
 
-use crate::algorithm::TrialSetup;
+use crate::algorithm::{Expectation, TrialSetup};
 use crate::scenario::Scenario;
 
 /// The flat, trajectory-free result of one trial — what the campaign emits
@@ -83,67 +85,11 @@ pub struct TrialRecord {
     pub objective_monotone: bool,
 }
 
-// Manual (rather than derived) impls so `messages_requeued`,
-// `events_processed` and `peak_queue_depth` can be skipped when zero: the
-// derive emits every field unconditionally and errors on missing fields,
-// either of which would break the byte-identity contract against records
-// produced before the columns existed.
-impl Serialize for TrialRecord {
-    fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = vec![
-            ("scenario".into(), self.scenario.to_value()),
-            ("algorithm".into(), self.algorithm.to_value()),
-            ("topology".into(), self.topology.to_value()),
-            ("environment".into(), self.environment.to_value()),
-            ("mode".into(), self.mode.to_value()),
-            ("delivery".into(), self.delivery.to_value()),
-            ("agents".into(), self.agents.to_value()),
-            ("trial".into(), self.trial.to_value()),
-            ("seed".into(), self.seed.to_value()),
-            ("converged".into(), self.converged.to_value()),
-            ("expected".into(), self.expected.to_value()),
-            (
-                "meets_expectation".into(),
-                self.meets_expectation.to_value(),
-            ),
-            (
-                "rounds_to_convergence".into(),
-                self.rounds_to_convergence.to_value(),
-            ),
-            ("rounds_executed".into(), self.rounds_executed.to_value()),
-            ("group_steps".into(), self.group_steps.to_value()),
-            (
-                "effective_group_steps".into(),
-                self.effective_group_steps.to_value(),
-            ),
-            ("messages".into(), self.messages.to_value()),
-            ("messages_dropped".into(), self.messages_dropped.to_value()),
-        ];
-        if self.messages_requeued != 0 {
-            fields.push((
-                "messages_requeued".into(),
-                self.messages_requeued.to_value(),
-            ));
-        }
-        if self.events_processed != 0 {
-            fields.push(("events_processed".into(), self.events_processed.to_value()));
-        }
-        if self.peak_queue_depth != 0 {
-            fields.push(("peak_queue_depth".into(), self.peak_queue_depth.to_value()));
-        }
-        fields.push((
-            "initial_objective".into(),
-            self.initial_objective.to_value(),
-        ));
-        fields.push(("final_objective".into(), self.final_objective.to_value()));
-        fields.push((
-            "objective_monotone".into(),
-            self.objective_monotone.to_value(),
-        ));
-        Value::Object(fields)
-    }
-}
-
+// Manual (rather than derived) so the skip-when-zero columns
+// (`messages_requeued`, `events_processed`, `peak_queue_depth`; see
+// [`TrialRecord::write_jsonl`]) parse back as zero when absent: the derive
+// errors on missing fields, which would reject records produced before the
+// columns existed.
 fn required<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::Error> {
     T::from_value(
         v.get_field(name)
@@ -192,17 +138,66 @@ impl Deserialize for TrialRecord {
 }
 
 impl TrialRecord {
-    /// The record's canonical JSONL form: one JSON object plus the line
-    /// terminator.  Every emission path (the streaming runner's spill
-    /// buffers, [`crate::emit::write_jsonl`], shard outputs) goes through
-    /// this one serializer, which is what makes "streamed bytes ==
-    /// collected-then-emitted bytes" and the shard-merge byte identity
-    /// hold by construction.
+    /// Appends the record's canonical JSONL form to `out`: one JSON object
+    /// plus the line terminator.
+    ///
+    /// The fields appear in declaration order, except that
+    /// `messages_requeued`, `events_processed` and `peak_queue_depth` are
+    /// omitted when zero, so campaigns without requeues or event cells stay
+    /// byte-identical to records produced before those columns existed.  A
+    /// missing `rounds_to_convergence` and a non-finite objective are
+    /// `null`; floats render as `Display` does, plus `.0` when that has no
+    /// `.`, `e` or `E` (so they parse back as floats).  Strings escape `"`,
+    /// `\`, `\n`, `\r`, `\t`, `\b`, `\f` and other control characters as
+    /// `\u00XX`.  These are the `serde_json` writer's rules, written
+    /// straight to bytes rather than through a `Value` tree.
+    pub fn write_jsonl(&self, out: &mut Vec<u8>) {
+        let mut line = JsonLine { out, sep: b'{' };
+        line.str("scenario", &self.scenario);
+        line.str("algorithm", &self.algorithm);
+        line.str("topology", &self.topology);
+        line.str("environment", &self.environment);
+        line.str("mode", &self.mode);
+        line.str("delivery", &self.delivery);
+        line.uint("agents", self.agents as u64);
+        line.uint("trial", self.trial);
+        line.uint("seed", self.seed);
+        line.bool("converged", self.converged);
+        line.str("expected", &self.expected);
+        line.bool("meets_expectation", self.meets_expectation);
+        match self.rounds_to_convergence {
+            Some(rounds) => line.uint("rounds_to_convergence", rounds as u64),
+            None => line.key("rounds_to_convergence").extend_from_slice(b"null"),
+        }
+        line.uint("rounds_executed", self.rounds_executed as u64);
+        line.uint("group_steps", self.group_steps as u64);
+        line.uint("effective_group_steps", self.effective_group_steps as u64);
+        line.uint("messages", self.messages as u64);
+        line.uint("messages_dropped", self.messages_dropped as u64);
+        for (key, count) in [
+            ("messages_requeued", self.messages_requeued),
+            ("events_processed", self.events_processed),
+            ("peak_queue_depth", self.peak_queue_depth),
+        ] {
+            if count != 0 {
+                line.uint(key, count as u64);
+            }
+        }
+        line.float("initial_objective", self.initial_objective);
+        line.float("final_objective", self.final_objective);
+        line.bool("objective_monotone", self.objective_monotone);
+        line.out.extend_from_slice(b"}\n");
+    }
+
+    /// The record's canonical JSONL line, from [`TrialRecord::write_jsonl`]
+    /// — the one record serializer.  Every emission path (the streaming
+    /// runner's spill buffers, [`crate::emit::write_jsonl`], shard outputs)
+    /// goes through it, which is what makes "streamed bytes ==
+    /// collected-then-emitted bytes" and the shard-merge byte identity hold
+    /// by construction.  Never fails; the `Result` is kept for callers.
     pub fn to_jsonl_line(&self) -> std::io::Result<Vec<u8>> {
-        let mut line = serde_json::to_string(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
-            .into_bytes();
-        line.push(b'\n');
+        let mut line = Vec::with_capacity(LINE_CAPACITY);
+        self.write_jsonl(&mut line);
         Ok(line)
     }
 
@@ -216,8 +211,123 @@ impl TrialRecord {
 
     /// Flattens a run's metrics into a record for `scenario`'s cell.
     pub fn from_metrics(scenario: &Scenario, trial: u64, seed: u64, m: &RunMetrics) -> Self {
-        let expectation = scenario.algorithm.expectation();
-        TrialRecord {
+        Columns::of(scenario).record(trial, seed, m)
+    }
+}
+
+/// Room for a typical record line (about 470 bytes), so writing one
+/// rarely reallocates.
+const LINE_CAPACITY: usize = 512;
+
+/// A JSON object being written into a line buffer, one field at a time.
+struct JsonLine<'a> {
+    out: &'a mut Vec<u8>,
+    /// What precedes the next key: `{` before the first, `,` after.
+    sep: u8,
+}
+
+impl JsonLine<'_> {
+    /// Writes the separator and `"key":`, returning the buffer for the
+    /// value.  Keys are plain identifiers, so they need no escaping.
+    fn key(&mut self, key: &str) -> &mut Vec<u8> {
+        self.out.push(self.sep);
+        self.sep = b',';
+        self.out.push(b'"');
+        self.out.extend_from_slice(key.as_bytes());
+        self.out.extend_from_slice(b"\":");
+        self.out
+    }
+
+    /// A string value.  Only ASCII bytes are ever escaped, so multi-byte
+    /// UTF-8 sequences (whose bytes are all `>= 0x80`) copy through
+    /// unchanged, in runs between escapes.
+    fn str(&mut self, key: &str, value: &str) {
+        fn escaped(b: u8) -> bool {
+            b < 0x20 || b == b'"' || b == b'\\'
+        }
+        let out = self.key(key);
+        out.push(b'"');
+        for run in value.as_bytes().split_inclusive(|&b| escaped(b)) {
+            match run.split_last() {
+                Some((&b, plain)) if escaped(b) => {
+                    out.extend_from_slice(plain);
+                    match b {
+                        b'"' => out.extend_from_slice(b"\\\""),
+                        b'\\' => out.extend_from_slice(b"\\\\"),
+                        b'\n' => out.extend_from_slice(b"\\n"),
+                        b'\r' => out.extend_from_slice(b"\\r"),
+                        b'\t' => out.extend_from_slice(b"\\t"),
+                        0x08 => out.extend_from_slice(b"\\b"),
+                        0x0C => out.extend_from_slice(b"\\f"),
+                        _ => write!(out, "\\u{b:04x}").expect("writing to a Vec never fails"),
+                    }
+                }
+                _ => out.extend_from_slice(run),
+            }
+        }
+        out.push(b'"');
+    }
+
+    fn bool(&mut self, key: &str, value: bool) {
+        let text: &[u8] = if value { b"true" } else { b"false" };
+        self.key(key).extend_from_slice(text);
+    }
+
+    /// An integer in decimal.
+    fn uint(&mut self, key: &str, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut len = 0;
+        for slot in digits.iter_mut().rev() {
+            *slot = b'0' + (n % 10) as u8;
+            len += 1;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.key(key).extend(digits.iter().skip(digits.len() - len));
+    }
+
+    /// A float: `null` unless finite, and a `.0` suffix when `Display`
+    /// gives no `.`, `e` or `E`.
+    fn float(&mut self, key: &str, x: f64) {
+        let out = self.key(key);
+        if !x.is_finite() {
+            out.extend_from_slice(b"null");
+            return;
+        }
+        let start = out.len();
+        write!(out, "{x}").expect("writing to a Vec never fails");
+        if !out
+            .iter()
+            .skip(start)
+            .any(|b| matches!(b, b'.' | b'e' | b'E'))
+        {
+            out.extend_from_slice(b".0");
+        }
+    }
+}
+
+/// The record columns that are the same for every trial of one cell:
+/// its labels, size, expectation and fragmentation.  Rendering them takes
+/// a dozen label calls, so the runner builds one `Columns` per cell when a
+/// stream starts and stamps each trial's record from it.
+pub(crate) struct Columns {
+    scenario: String,
+    algorithm: String,
+    topology: String,
+    environment: String,
+    mode: String,
+    delivery: String,
+    agents: usize,
+    expectation: Expectation,
+    fragmenting: bool,
+}
+
+impl Columns {
+    /// Renders `scenario`'s columns.
+    pub(crate) fn of(scenario: &Scenario) -> Self {
+        Columns {
             scenario: scenario.name(),
             algorithm: scenario.algorithm.label().to_string(),
             topology: scenario.topology.label(),
@@ -225,11 +335,26 @@ impl TrialRecord {
             mode: scenario.mode.label(),
             delivery: scenario.mode.delivery_label(),
             agents: scenario.n,
+            expectation: scenario.algorithm.expectation(),
+            fragmenting: scenario.fragmenting(),
+        }
+    }
+
+    /// The record of one trial of this cell.
+    fn record(&self, trial: u64, seed: u64, m: &RunMetrics) -> TrialRecord {
+        TrialRecord {
+            scenario: self.scenario.clone(),
+            algorithm: self.algorithm.clone(),
+            topology: self.topology.clone(),
+            environment: self.environment.clone(),
+            mode: self.mode.clone(),
+            delivery: self.delivery.clone(),
+            agents: self.agents,
             trial,
             seed,
             converged: m.converged(),
-            expected: expectation.label().to_string(),
-            meets_expectation: expectation.met(m.converged(), scenario.fragmenting()),
+            expected: self.expectation.label().to_string(),
+            meets_expectation: self.expectation.met(m.converged(), self.fragmenting),
             rounds_to_convergence: m.rounds_to_convergence,
             rounds_executed: m.rounds_executed,
             group_steps: m.group_steps,
@@ -253,7 +378,7 @@ impl TrialRecord {
 /// group steps — is derived from `seed` alone, so a trial is reproducible
 /// in isolation regardless of which thread runs it or what ran before.
 pub fn run_trial(scenario: &Scenario, trial: u64, seed: u64) -> TrialRecord {
-    run_trial_impl(scenario, trial, seed, None)
+    run_cell_trial(scenario, &Columns::of(scenario), trial, seed, None)
 }
 
 /// Runs one trial like [`run_trial`] while recording its structured event
@@ -268,18 +393,28 @@ pub fn run_trial_traced(
     trial: u64,
     seed: u64,
 ) -> (TrialRecord, Vec<TraceEvent>) {
+    run_cell_trial_traced(scenario, &Columns::of(scenario), trial, seed)
+}
+
+/// [`run_trial_traced`] with `scenario`'s columns already rendered.
+pub(crate) fn run_cell_trial_traced(
+    scenario: &Scenario,
+    columns: &Columns,
+    trial: u64,
+    seed: u64,
+) -> (TrialRecord, Vec<TraceEvent>) {
     let mut events = vec![TraceEvent::TrialStart {
-        scenario: scenario.name(),
-        algorithm: scenario.algorithm.label().to_string(),
-        topology: scenario.topology.label(),
-        environment: scenario.env.label(),
-        mode: scenario.mode.label(),
-        delivery: scenario.mode.delivery_label(),
-        agents: scenario.n,
+        scenario: columns.scenario.clone(),
+        algorithm: columns.algorithm.clone(),
+        topology: columns.topology.clone(),
+        environment: columns.environment.clone(),
+        mode: columns.mode.clone(),
+        delivery: columns.delivery.clone(),
+        agents: columns.agents,
         trial,
         seed,
     }];
-    let record = run_trial_impl(scenario, trial, seed, Some(&mut events));
+    let record = run_cell_trial(scenario, columns, trial, seed, Some(&mut events));
     events.push(TraceEvent::TrialEnd {
         trial,
         converged: record.converged,
@@ -288,8 +423,11 @@ pub fn run_trial_traced(
     (record, events)
 }
 
-fn run_trial_impl(
+/// [`run_trial`] with `scenario`'s columns already rendered, appending the
+/// trial's events to `events` when there is a buffer.
+pub(crate) fn run_cell_trial(
     scenario: &Scenario,
+    columns: &Columns,
     trial: u64,
     seed: u64,
     events: Option<&mut Vec<TraceEvent>>,
@@ -310,7 +448,7 @@ fn run_trial_impl(
         events,
     };
     let metrics = scenario.algorithm.run(&mut setup, env.as_mut());
-    TrialRecord::from_metrics(scenario, trial, seed, &metrics)
+    columns.record(trial, seed, &metrics)
 }
 
 #[cfg(test)]
@@ -319,6 +457,7 @@ mod tests {
     use crate::scenario::test_labels::{algorithm, env, topology};
     use crate::scenario::Scenario;
     use crate::{ExecutionMode, Registry};
+    use rand::Rng;
 
     fn tiny(algorithm_label: &str, env_label: &str) -> Scenario {
         Scenario::builder(algorithm(algorithm_label))
@@ -478,6 +617,179 @@ mod tests {
         assert!(TrialRecord::from_jsonl_line("{not json")
             .unwrap_err()
             .contains("malformed trial record line"));
+    }
+
+    /// The record encoder [`TrialRecord::write_jsonl`] replaced: a `Value`
+    /// tree rendered by `serde_json`.  Kept as the writer's oracle.
+    fn oracle(r: &TrialRecord) -> Value {
+        use serde::Serialize;
+        let mut fields: Vec<(String, Value)> = vec![
+            ("scenario".into(), r.scenario.to_value()),
+            ("algorithm".into(), r.algorithm.to_value()),
+            ("topology".into(), r.topology.to_value()),
+            ("environment".into(), r.environment.to_value()),
+            ("mode".into(), r.mode.to_value()),
+            ("delivery".into(), r.delivery.to_value()),
+            ("agents".into(), r.agents.to_value()),
+            ("trial".into(), r.trial.to_value()),
+            ("seed".into(), r.seed.to_value()),
+            ("converged".into(), r.converged.to_value()),
+            ("expected".into(), r.expected.to_value()),
+            ("meets_expectation".into(), r.meets_expectation.to_value()),
+            (
+                "rounds_to_convergence".into(),
+                r.rounds_to_convergence.to_value(),
+            ),
+            ("rounds_executed".into(), r.rounds_executed.to_value()),
+            ("group_steps".into(), r.group_steps.to_value()),
+            (
+                "effective_group_steps".into(),
+                r.effective_group_steps.to_value(),
+            ),
+            ("messages".into(), r.messages.to_value()),
+            ("messages_dropped".into(), r.messages_dropped.to_value()),
+        ];
+        if r.messages_requeued != 0 {
+            fields.push(("messages_requeued".into(), r.messages_requeued.to_value()));
+        }
+        if r.events_processed != 0 {
+            fields.push(("events_processed".into(), r.events_processed.to_value()));
+        }
+        if r.peak_queue_depth != 0 {
+            fields.push(("peak_queue_depth".into(), r.peak_queue_depth.to_value()));
+        }
+        fields.push(("initial_objective".into(), r.initial_objective.to_value()));
+        fields.push(("final_objective".into(), r.final_objective.to_value()));
+        fields.push(("objective_monotone".into(), r.objective_monotone.to_value()));
+        Value::Object(fields)
+    }
+
+    /// A string mixing plain ASCII, every escaped byte class and
+    /// multi-byte UTF-8.
+    fn random_text(rng: &mut StdRng) -> String {
+        const POOL: [char; 18] = [
+            'a', 'Z', '7', '/', '(', '=', '"', '\\', '\n', '\r', '\t', '\u{08}', '\u{0C}',
+            '\u{00}', '\u{1F}', '\u{7F}', 'é', '😀',
+        ];
+        let len = rng.gen_range(0..12);
+        (0..len)
+            .map(|_| POOL[rng.gen_range(0..POOL.len())])
+            .collect()
+    }
+
+    /// A float from the edges (non-finite, signed zero, extreme
+    /// magnitudes), an integral value, or random bits.
+    fn random_float(rng: &mut StdRng) -> f64 {
+        const EDGES: [f64; 9] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1e300,
+            5e-324,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        match rng.gen_range(0..4) {
+            0 => EDGES[rng.gen_range(0..EDGES.len())],
+            1 => rng.gen_range(-1_000_000i64..1_000_000) as f64,
+            2 => rng.gen_range(-1e6..1e6),
+            _ => f64::from_bits(rng.gen()),
+        }
+    }
+
+    /// A count: the vendored `serde` encodes `usize` through `as i64`, so
+    /// the oracle only agrees up to `i64::MAX` (no real count gets near).
+    fn random_count(rng: &mut StdRng) -> usize {
+        match rng.gen_range(0..3) {
+            0 => 0,
+            1 => rng.gen_range(1..1_000),
+            _ => rng.gen_range(0..=i64::MAX as usize),
+        }
+    }
+
+    fn random_record(rng: &mut StdRng) -> TrialRecord {
+        TrialRecord {
+            scenario: random_text(rng),
+            algorithm: random_text(rng),
+            topology: random_text(rng),
+            environment: random_text(rng),
+            mode: random_text(rng),
+            delivery: random_text(rng),
+            agents: random_count(rng),
+            trial: rng.gen(),
+            // Half the seeds lie above `i64::MAX`.
+            seed: rng.gen(),
+            converged: rng.gen(),
+            expected: random_text(rng),
+            meets_expectation: rng.gen(),
+            rounds_to_convergence: rng.gen::<bool>().then(|| random_count(rng)),
+            rounds_executed: random_count(rng),
+            group_steps: random_count(rng),
+            effective_group_steps: random_count(rng),
+            messages: random_count(rng),
+            messages_dropped: random_count(rng),
+            messages_requeued: random_count(rng),
+            events_processed: random_count(rng),
+            peak_queue_depth: random_count(rng),
+            initial_objective: random_float(rng),
+            final_objective: random_float(rng),
+            objective_monotone: rng.gen(),
+        }
+    }
+
+    #[test]
+    fn direct_writer_matches_the_value_encoder() {
+        let mut rng = StdRng::seed_from_u64(0x5E1F);
+        let mut line = Vec::new();
+        for case in 0..4_000 {
+            let record = random_record(&mut rng);
+            line.clear();
+            record.write_jsonl(&mut line);
+            let expected = serde_json::to_string(&oracle(&record)).expect("oracle renders") + "\n";
+            let text = std::str::from_utf8(&line).expect("JSONL is UTF-8");
+            assert_eq!(text, expected, "case {case}: {record:?}");
+            assert_eq!(
+                record.to_jsonl_line().expect("record serializes"),
+                line,
+                "case {case}"
+            );
+            if record.initial_objective.is_finite() && record.final_objective.is_finite() {
+                assert_eq!(
+                    TrialRecord::from_jsonl_line(text).expect("line parses back"),
+                    record,
+                    "case {case}"
+                );
+            }
+        }
+    }
+
+    /// The edge values render as the `Value` encoder renders them.
+    #[test]
+    fn direct_writer_renders_edge_values_like_the_encoder() {
+        let mut record = run_trial(&tiny("minimum", "static"), 0, 1);
+        record.scenario = "q\"b\\s\n\r\t\u{08}\u{0C}\u{01}\u{1F}é".into();
+        record.seed = u64::MAX;
+        record.rounds_to_convergence = None;
+        for x in [f64::NAN, f64::INFINITY, -0.0, 1e300, 5e-324, 3.0, 2.5] {
+            record.initial_objective = x;
+            record.final_objective = -x;
+            let line = record.to_jsonl_line().expect("record serializes");
+            let expected = serde_json::to_string(&oracle(&record)).expect("oracle renders") + "\n";
+            assert_eq!(String::from_utf8(line).expect("UTF-8"), expected, "{x}");
+        }
+        let line = String::from_utf8(record.to_jsonl_line().expect("serializes")).expect("UTF-8");
+        assert!(
+            line.contains(r#""scenario":"q\"b\\s\n\r\t\b\f\u0001\u001fé""#),
+            "{line}"
+        );
+        assert!(line.contains(r#""seed":18446744073709551615,"#), "{line}");
+        assert!(line.contains(r#""rounds_to_convergence":null,"#), "{line}");
+        assert!(
+            line.contains(r#""initial_objective":2.5,"final_objective":-2.5,"#),
+            "{line}"
+        );
     }
 
     #[test]
