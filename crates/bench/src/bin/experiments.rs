@@ -392,7 +392,6 @@ fn e11_async_hull() {
                 max_ticks: 500_000,
                 knobs: AsyncKnobs::new(0.5, 3, 0.2, DeliveryRule::default()).expect("valid knobs"),
                 seed,
-                ..AsyncConfig::default()
             })
             .run(&sys, &mut env);
             ticks.push(report.rounds_to_convergence().expect("hull converges"));

@@ -188,7 +188,6 @@ pub mod escale {
                         max_rounds: 300,
                         cooldown_rounds: 256,
                         seed: 9,
-                        ..EventConfig::default()
                     },
                     // Symbolic: the static env never expands the clique.
                     PrototypeEnv::Static(StaticEnv::new(Topology::complete(n))),
@@ -207,7 +206,6 @@ pub mod escale {
                             max_rounds: 64,
                             cooldown_rounds: 0,
                             seed: 9,
-                            ..EventConfig::default()
                         },
                         PrototypeEnv::Periodic(PeriodicPartitionEnv::new(ring, 2, 8)),
                     )
@@ -224,7 +222,6 @@ pub mod escale {
                             max_rounds: 128,
                             cooldown_rounds: 64,
                             seed: 9,
-                            ..EventConfig::default()
                         },
                         // 0.1% of ~8n edges flip per round: scattered
                         // incremental deltas, all agents stay up.

@@ -33,7 +33,7 @@ use selfsim_core::{FnGroupStep, SelfSimilarSystem, SummationObjective};
 use selfsim_env::{Environment, FairnessSpec, Params, Topology};
 use selfsim_geometry::{enclosing_circle_of_circles, Circle, Point};
 use selfsim_runtime::ExecutionMode;
-use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
+use selfsim_trace::{EventLog, RunMetrics};
 
 use crate::dimension::{Fixed, LabelRegistry, RegistryEntry, TopoRef, COMPLETE, LINE};
 
@@ -94,11 +94,11 @@ pub struct TrialSetup<'a> {
     /// Setup randomness (initial values); already past the topology draws,
     /// so algorithms see the same stream regardless of topology family.
     pub rng: &'a mut StdRng,
-    /// When present, the trial's structured [`TraceEvent`] stream is
-    /// appended here (the campaign's `--trace` path).  `None` — the
-    /// default — keeps event recording disabled and costs one branch per
-    /// would-be event.
-    pub events: Option<&'a mut Vec<TraceEvent>>,
+    /// Where the trial's structured [`selfsim_trace::TraceEvent`] stream
+    /// goes: runtimes and baselines alike emit into it.  The campaign's
+    /// `--trace` path passes an enabled log; untraced trials pass
+    /// [`EventLog::disabled`], which costs one branch per would-be event.
+    pub events: &'a mut EventLog,
 }
 
 /// An algorithm the campaign engine can run — object-safe so registries can
@@ -143,17 +143,10 @@ pub fn run_system<S: Ord + Clone + std::fmt::Debug>(
     setup: &mut TrialSetup<'_>,
     env: &mut dyn Environment,
 ) -> RunMetrics {
-    let report = setup.mode.run(
-        system,
-        env,
-        setup.seed,
-        setup.max_rounds,
-        setup.events.is_some(),
-    );
-    if let Some(events) = setup.events.as_deref_mut() {
-        events.extend(report.events);
-    }
-    report.metrics
+    setup
+        .mode
+        .run(system, env, setup.seed, setup.max_rounds, setup.events)
+        .metrics
 }
 
 /// A shared, cloneable handle to a registered algorithm — what scenarios
@@ -290,25 +283,6 @@ fn circumscribing_system(
         initial,
         FairnessSpec::for_graph(&topology),
     )
-}
-
-/// Runs a baseline with an [`EventLog`] matching the setup's event request
-/// and appends the recording to the setup's sink, so traced cells observe
-/// baselines through the same stream as the self-similar runtimes.
-fn run_baseline(
-    setup: &mut TrialSetup<'_>,
-    run: impl FnOnce(&mut EventLog) -> (RunMetrics, Option<i64>),
-) -> RunMetrics {
-    let mut log = if setup.events.is_some() {
-        EventLog::enabled()
-    } else {
-        EventLog::disabled()
-    };
-    let (metrics, _) = run(&mut log);
-    if let Some(events) = setup.events.as_deref_mut() {
-        events.extend(log.into_events());
-    }
-    metrics
 }
 
 /// How many smallest distinct values the `k-smallest` builtin tracks.
@@ -497,8 +471,7 @@ const BUILTINS: [Builtin; 13] = [
         run: |setup, env| {
             let baseline =
                 SnapshotAggregator::new(int_values(setup.n, setup.rng), setup.max_rounds);
-            let (seed, mode) = (setup.seed, setup.mode);
-            run_baseline(setup, |log| baseline.run(env, seed, mode, i64::min, log))
+            baseline.run(env, setup.seed, setup.mode, i64::min, setup.events).0
         },
     },
     Builtin {
@@ -510,8 +483,7 @@ const BUILTINS: [Builtin; 13] = [
         run: |setup, env| {
             let baseline =
                 FloodingAggregator::new(int_values(setup.n, setup.rng), setup.max_rounds);
-            let (seed, mode) = (setup.seed, setup.mode);
-            run_baseline(setup, |log| baseline.run(env, seed, mode, i64::min, log))
+            baseline.run(env, setup.seed, setup.mode, i64::min, setup.events).0
         },
     },
 ];
@@ -526,6 +498,7 @@ mod tests {
         n: usize,
         mode: ExecutionMode,
         rng: &'a mut StdRng,
+        events: &'a mut EventLog,
     ) -> (TrialSetup<'a>, Box<dyn Environment>) {
         let topology = Topology::ring(n);
         let env = Box::new(StaticEnv::new(topology.clone()));
@@ -537,7 +510,7 @@ mod tests {
                 max_rounds: 100_000,
                 seed: 42,
                 rng,
-                events: None,
+                events,
             },
             env,
         )
@@ -581,7 +554,7 @@ mod tests {
             max_rounds: 10_000,
             seed: 8,
             rng: &mut rng,
-            events: None,
+            events: &mut EventLog::disabled(),
         };
         let metrics = algorithm.run(&mut setup, env.as_mut());
         assert!(metrics.converged());
@@ -606,7 +579,7 @@ mod tests {
                 max_rounds: 100_000,
                 seed: 42,
                 rng: &mut rng,
-                events: None,
+                events: &mut EventLog::disabled(),
             };
             let metrics = algorithm.run(&mut setup, env.as_mut());
             assert!(
@@ -630,14 +603,17 @@ mod tests {
         // Global synchronous rounds: one whole-system step computes the
         // exact circle — converges.
         let mut rng = StdRng::seed_from_u64(3);
-        let (mut setup, mut env) = setup_for(6, ExecutionMode::sync(), &mut rng);
+        let mut events = EventLog::disabled();
+        let (mut setup, mut env) = setup_for(6, ExecutionMode::sync(), &mut rng, &mut events);
         let metrics = algorithm.run(&mut setup, env.as_mut());
         assert!(metrics.converged());
 
         // Pairwise asynchronous interactions fragment every step: the
         // estimates overshoot and the target is never reached.
         let mut rng = StdRng::seed_from_u64(3);
-        let (mut setup, mut env) = setup_for(6, ExecutionMode::asynchronous(), &mut rng);
+        let mut events = EventLog::disabled();
+        let (mut setup, mut env) =
+            setup_for(6, ExecutionMode::asynchronous(), &mut rng, &mut events);
         setup.max_rounds = 2_000;
         let metrics = algorithm.run(&mut setup, env.as_mut());
         assert!(!metrics.converged(), "fragmented steps must overshoot");
@@ -669,7 +645,7 @@ mod tests {
                     max_rounds: 10_000,
                     seed: 4,
                     rng: &mut rng,
-                    events: None,
+                    events: &mut EventLog::disabled(),
                 };
                 let metrics = algorithm.run(&mut setup, env.as_mut());
                 assert!(

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use selfsim_trace::{Counter, Histogram, MetricsRegistry, StageTimer, TraceEvent};
+use selfsim_trace::{Counter, EventLog, Histogram, MetricsRegistry, StageTimer, TraceEvent};
 
 use crate::aggregate::{Aggregator, ScenarioSummary};
 use crate::scenario::Scenario;
@@ -359,7 +359,8 @@ impl Campaign {
                                     run_cell_trial_traced(scenario, columns, trial, seed);
                                 (record, Some(events))
                             } else {
-                                (run_cell_trial(scenario, columns, trial, seed, None), None)
+                                let off = &mut EventLog::disabled();
+                                (run_cell_trial(scenario, columns, trial, seed, off), None)
                             }
                         });
                         if let Some(obs) = obs {

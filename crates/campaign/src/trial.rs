@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Value};
 
-use selfsim_trace::{RunMetrics, TraceEvent};
+use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
 use crate::algorithm::{Expectation, TrialSetup};
 use crate::scenario::Scenario;
@@ -378,7 +378,8 @@ impl Columns {
 /// group steps — is derived from `seed` alone, so a trial is reproducible
 /// in isolation regardless of which thread runs it or what ran before.
 pub fn run_trial(scenario: &Scenario, trial: u64, seed: u64) -> TrialRecord {
-    run_cell_trial(scenario, &Columns::of(scenario), trial, seed, None)
+    let off = &mut EventLog::disabled();
+    run_cell_trial(scenario, &Columns::of(scenario), trial, seed, off)
 }
 
 /// Runs one trial like [`run_trial`] while recording its structured event
@@ -403,7 +404,8 @@ pub(crate) fn run_cell_trial_traced(
     trial: u64,
     seed: u64,
 ) -> (TrialRecord, Vec<TraceEvent>) {
-    let mut events = vec![TraceEvent::TrialStart {
+    let mut events = EventLog::enabled();
+    events.emit(|| TraceEvent::TrialStart {
         scenario: columns.scenario.clone(),
         algorithm: columns.algorithm.clone(),
         topology: columns.topology.clone(),
@@ -413,24 +415,24 @@ pub(crate) fn run_cell_trial_traced(
         agents: columns.agents,
         trial,
         seed,
-    }];
-    let record = run_cell_trial(scenario, columns, trial, seed, Some(&mut events));
-    events.push(TraceEvent::TrialEnd {
+    });
+    let record = run_cell_trial(scenario, columns, trial, seed, &mut events);
+    events.emit(|| TraceEvent::TrialEnd {
         trial,
         converged: record.converged,
         ticks: record.rounds_executed as u64,
     });
-    (record, events)
+    (record, events.into_events())
 }
 
-/// [`run_trial`] with `scenario`'s columns already rendered, appending the
-/// trial's events to `events` when there is a buffer.
+/// [`run_trial`] with `scenario`'s columns already rendered, emitting the
+/// trial's events into `events`.
 pub(crate) fn run_cell_trial(
     scenario: &Scenario,
     columns: &Columns,
     trial: u64,
     seed: u64,
-    events: Option<&mut Vec<TraceEvent>>,
+    events: &mut EventLog,
 ) -> TrialRecord {
     // Setup (random topologies, then initial values) draws from its own
     // stream so that the simulation stream matches a direct simulator run

@@ -5,8 +5,8 @@
 //! [`Connectivity`] — the same fold the round loop uses.  New rendezvous
 //! requests are drawn over its usable edges in ascending edge order, and a
 //! request that comes due asks it whether its two endpoints can still
-//! communicate; no full environment state is built unless traces are
-//! recorded.
+//! communicate; no full environment state is built unless an observer asks
+//! a tick for one ([`Round::env_state`]).
 
 use std::collections::BinaryHeap;
 
@@ -15,10 +15,9 @@ use rand::SeedableRng;
 
 use selfsim_core::{SelfSimilarSystem, StepScratch};
 use selfsim_env::{AgentId, Connectivity, Environment};
-use selfsim_temporal::Trace;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{AsyncKnobs, DeliveryDecision, Message, SimulationReport};
+use crate::{AsyncKnobs, DeliveryDecision, Message, Round, SimulationReport};
 
 /// Configuration of an [`AsyncSimulator`] run.
 #[derive(Clone, Copy, Debug)]
@@ -29,13 +28,6 @@ pub struct AsyncConfig {
     pub knobs: AsyncKnobs,
     /// RNG seed.
     pub seed: u64,
-    /// Record the full state trace in the report.
-    pub record_traces: bool,
-    /// When `true`, the run records a structured [`TraceEvent`] stream
-    /// (env transitions, the full message lifecycle, convergence) in the
-    /// report.  When `false` (the default) event recording is a single
-    /// branch per would-be event and allocates nothing.
-    pub record_events: bool,
 }
 
 impl Default for AsyncConfig {
@@ -44,8 +36,6 @@ impl Default for AsyncConfig {
             max_ticks: 50_000,
             knobs: AsyncKnobs::default(),
             seed: 0,
-            record_traces: false,
-            record_events: false,
         }
     }
 }
@@ -113,17 +103,29 @@ impl AsyncSimulator {
         })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AsyncConfig {
-        &self.config
-    }
-
     /// Runs `system` under `environment` until convergence or the tick
     /// budget is exhausted.
     pub fn run<S, E>(
         &self,
         system: &SelfSimilarSystem<S>,
         environment: &mut E,
+    ) -> SimulationReport<S>
+    where
+        S: Ord + Clone + std::fmt::Debug,
+        E: Environment + ?Sized,
+    {
+        self.run_with(system, environment, &mut EventLog::disabled(), |_| {})
+    }
+
+    /// [`AsyncSimulator::run`], emitting the run's structured events (the
+    /// full message lifecycle included) into `events` and handing every
+    /// executed tick to `observe`.  Neither changes the run.
+    pub fn run_with<S, E>(
+        &self,
+        system: &SelfSimilarSystem<S>,
+        environment: &mut E,
+        events: &mut EventLog,
+        mut observe: impl FnMut(&Round<'_, S>),
     ) -> SimulationReport<S>
     where
         S: Ord + Clone + std::fmt::Debug,
@@ -136,8 +138,6 @@ impl AsyncSimulator {
             format!("async/{}", environment.name()),
             system.agent_count(),
         );
-        let mut env_trace = Trace::new();
-        let mut state_trace = Vec::new();
         // Incremental multiset view of `state`; see `SyncSimulator::run`.
         // `state` is still `S(0)` here, so the cached initial multiset is
         // exactly the view to start from.
@@ -146,18 +146,10 @@ impl AsyncSimulator {
         metrics
             .objective_trajectory
             .push(system.objective_of(&global));
-        if self.config.record_traces {
-            state_trace.push(global.clone());
-        }
 
         let mut pending: BinaryHeap<PendingInteraction> = BinaryHeap::new();
         let mut sequence = 0usize;
         let mut converged_at = None;
-        let mut events = if self.config.record_events {
-            EventLog::enabled()
-        } else {
-            EventLog::disabled()
-        };
 
         let mut connectivity = Connectivity::default();
         let knobs = self.config.knobs;
@@ -166,9 +158,6 @@ impl AsyncSimulator {
             let delta = environment.step_delta(&mut rng);
             let topology = environment.topology();
             connectivity.advance(delta, topology);
-            if self.config.record_traces {
-                env_trace.push(connectivity.to_env_state(topology));
-            }
             events.emit(|| TraceEvent::EnvTransition {
                 tick: (tick + 1) as u64,
                 edges: connectivity.usable_edge_count(topology),
@@ -182,7 +171,7 @@ impl AsyncSimulator {
                 }
                 metrics.messages += 1;
                 let (from, to) = (edge.lo().index(), edge.hi().index());
-                let Some(message) = knobs.send(&mut rng, tick, from, to, &mut events) else {
+                let Some(message) = knobs.send(&mut rng, tick, from, to, events) else {
                     metrics.messages_dropped += 1;
                     continue; // lost in flight
                 };
@@ -197,14 +186,7 @@ impl AsyncSimulator {
                 let mut p = pending.pop().expect("peeked");
                 let (initiator, responder) = (AgentId(p.message.from), AgentId(p.message.to));
                 let usable_now = connectivity.can_communicate(initiator, responder, topology);
-                match knobs.settle(
-                    &mut p.message,
-                    tick,
-                    usable_now,
-                    true,
-                    &mut metrics,
-                    &mut events,
-                ) {
+                match knobs.settle(&mut p.message, tick, usable_now, true, &mut metrics, events) {
                     DeliveryDecision::Discard => continue,
                     DeliveryDecision::Requeue => {
                         // Same sequence number: the retry keeps its place
@@ -236,12 +218,15 @@ impl AsyncSimulator {
             }
 
             metrics.rounds_executed = tick + 1;
+            observe(&Round {
+                tick: tick + 1,
+                states: &global,
+                connectivity: &connectivity,
+                topology,
+            });
             metrics
                 .objective_trajectory
                 .push(system.objective_of(&global));
-            if self.config.record_traces {
-                state_trace.push(global.clone());
-            }
 
             if system.is_converged_multiset(&global) {
                 converged_at = Some(tick + 1);
@@ -256,9 +241,6 @@ impl AsyncSimulator {
         SimulationReport {
             metrics,
             final_state: state,
-            env_trace,
-            state_trace,
-            events: events.into_events(),
         }
     }
 }
@@ -318,16 +300,19 @@ mod tests {
         let topo = Topology::complete(5);
         let sys = minimum::system(&[5, 4, 3, 2, 11], topo.clone());
         let mut env = RandomChurnEnv::new(topo, 0.3, 0.8);
-        let config = AsyncConfig {
-            seed: 9,
-            record_traces: true,
-            ..AsyncConfig::default()
-        };
-        let report = AsyncSimulator::new(config).run(&sys, &mut env);
+        let mut ticks = 0;
+        let report = AsyncSimulator::with_seed(9).run_with(
+            &sys,
+            &mut env,
+            &mut EventLog::disabled(),
+            |tick| {
+                ticks += 1;
+                // Conservation law holds after every tick.
+                assert_eq!(sys.function().apply(tick.states), sys.target());
+            },
+        );
         assert!(report.converged());
-        for ms in &report.state_trace {
-            assert_eq!(sys.function().apply(ms), sys.target());
-        }
+        assert_eq!(ticks, report.metrics.rounds_executed);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 
 use selfsim_core::SelfSimilarSystem;
 use selfsim_env::Environment;
+use selfsim_trace::EventLog;
 
 use crate::round::run_rounds;
-use crate::{SimulationReport, SyncConfig};
+use crate::{Round, SimulationReport, SyncConfig};
 
 /// Configuration of an [`EventSimulator`] run: the same knobs as a
 /// [`SyncSimulator`](crate::SyncSimulator) run.
@@ -54,7 +55,24 @@ impl EventSimulator {
         S: Ord + Clone + std::fmt::Debug,
         E: Environment + ?Sized,
     {
-        let (mut report, stepped) = run_rounds(&self.config, system, environment);
+        self.run_with(system, environment, &mut EventLog::disabled(), |_| {})
+    }
+
+    /// [`EventSimulator::run`], emitting the run's structured events into
+    /// `events` and handing every executed round to `observe`.  Neither
+    /// changes the run.
+    pub fn run_with<S, E>(
+        &self,
+        system: &SelfSimilarSystem<S>,
+        environment: &mut E,
+        events: &mut EventLog,
+        observe: impl FnMut(&Round<'_, S>),
+    ) -> SimulationReport<S>
+    where
+        S: Ord + Clone + std::fmt::Debug,
+        E: Environment + ?Sized,
+    {
+        let (mut report, stepped) = run_rounds(&self.config, system, environment, events, observe);
         let metrics = &mut report.metrics;
         metrics.environment = format!("event/{}", metrics.environment);
         let rounds = metrics.rounds_executed;
@@ -77,18 +95,21 @@ mod tests {
         let topo = || Topology::ring(6);
         let sys = minimum::system(&[6, 5, 4, 3, 2, 1], topo());
         let run = || {
-            EventSimulator::new(EventConfig {
-                seed: 11,
-                record_events: true,
-                ..EventConfig::default()
-            })
-            .run(&sys, &mut RandomChurnEnv::new(topo(), 0.5, 1.0))
+            let mut events = EventLog::enabled();
+            let report = EventSimulator::with_seed(11).run_with(
+                &sys,
+                &mut RandomChurnEnv::new(topo(), 0.5, 1.0),
+                &mut events,
+                |_| {},
+            );
+            (report, events.into_events())
         };
-        let a = run();
-        let b = run();
+        let (a, a_events) = run();
+        let (b, b_events) = run();
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.final_state, b.final_state);
-        assert_eq!(a.events, b.events);
+        assert!(!a_events.is_empty());
+        assert_eq!(a_events, b_events);
         assert!(a.metrics.events_processed > 0);
         assert!(a.metrics.peak_queue_depth > 0);
     }

@@ -39,10 +39,14 @@
 //! emit the message lifecycle as [`selfsim_trace::TraceEvent`]s.
 //!
 //! All simulators are deterministic given a seed, record
-//! [`selfsim_trace::RunMetrics`], optionally keep the full environment and
-//! agent-state traces for auditing (conservation law, `□◇Q`, LTL specs),
-//! and detect convergence (the state reaching — and then staying at — the
-//! target `f(S(0))`).
+//! [`selfsim_trace::RunMetrics`], and detect convergence (the state
+//! reaching — and then staying at — the target `f(S(0))`).  They keep no
+//! history: each one's `run_with` emits the structured event stream into
+//! a caller's [`selfsim_trace::EventLog`] and hands every executed round
+//! or tick to a caller's observer as a [`Round`] (its state multiset and,
+//! on request, its environment state).  That is where audits of an
+//! execution — the conservation law, `□◇Q`, LTL specs — attach, recording
+//! only what they check.
 //!
 //! A declarative selector, [`ExecutionMode`], names a simulator and its
 //! knobs, and [`ExecutionMode::run`] runs a system on it, so that
@@ -65,4 +69,5 @@ pub use delivery::{AsyncKnobs, DeliveryDecision, DeliveryRule, Message, DEFAULT_
 pub use event::{EventConfig, EventSimulator};
 pub use mode::ExecutionMode;
 pub use report::SimulationReport;
+pub use round::Round;
 pub use sync::{SyncConfig, SyncSimulator};

@@ -10,6 +10,7 @@
 
 use selfsim_core::SelfSimilarSystem;
 use selfsim_env::Environment;
+use selfsim_trace::EventLog;
 
 use crate::{
     AsyncConfig, AsyncKnobs, AsyncSimulator, DeliveryRule, EventSimulator, SimulationReport,
@@ -177,15 +178,16 @@ impl ExecutionMode {
 
     /// Runs `system` under `environment` on this mode's simulator:
     /// `budget` is rounds (sync, event) or ticks (async), `seed` drives all
-    /// simulator randomness, and `record_events` opts the run into the
-    /// structured [`selfsim_trace::TraceEvent`] stream.
+    /// simulator randomness, and the run's structured
+    /// [`selfsim_trace::TraceEvent`] stream goes to `events` (pass
+    /// [`EventLog::disabled`] to record nothing).
     pub fn run<S, E>(
         &self,
         system: &SelfSimilarSystem<S>,
         environment: &mut E,
         seed: u64,
         budget: usize,
-        record_events: bool,
+        events: &mut EventLog,
     ) -> SimulationReport<S>
     where
         S: Ord + Clone + std::fmt::Debug,
@@ -195,24 +197,20 @@ impl ExecutionMode {
             max_rounds: budget,
             cooldown_rounds,
             seed,
-            record_traces: false,
-            record_events,
         };
         match *self {
             ExecutionMode::Sync { cooldown } => {
-                SyncSimulator::new(rounds(cooldown)).run(system, environment)
+                SyncSimulator::new(rounds(cooldown)).run_with(system, environment, events, |_| {})
             }
             ExecutionMode::Event { cooldown } => {
-                EventSimulator::new(rounds(cooldown)).run(system, environment)
+                EventSimulator::new(rounds(cooldown)).run_with(system, environment, events, |_| {})
             }
             ExecutionMode::Async(knobs) => AsyncSimulator::new(AsyncConfig {
                 max_ticks: budget,
                 knobs,
                 seed,
-                record_traces: false,
-                record_events,
             })
-            .run(system, environment),
+            .run_with(system, environment, events, |_| {}),
         }
     }
 }
@@ -331,7 +329,7 @@ mod tests {
         let [sync, asynchronous] = ExecutionMode::both();
         for mode in [sync, asynchronous, ExecutionMode::event()] {
             let mut env = StaticEnv::new(Topology::ring(6));
-            let report = mode.run(&sys, &mut env, 3, 100_000, false);
+            let report = mode.run(&sys, &mut env, 3, 100_000, &mut EventLog::disabled());
             assert!(report.converged(), "{}", mode.label());
             assert_eq!(report.final_state, vec![1; 6], "{}", mode.label());
         }
@@ -358,7 +356,13 @@ mod tests {
     fn event_mode_carries_its_cooldown_into_the_runtime() {
         let sys = minimum::system(&[9, 2, 7], Topology::complete(3));
         let mut env = StaticEnv::new(Topology::complete(3));
-        let report = ExecutionMode::Event { cooldown: 6 }.run(&sys, &mut env, 5, 50_000, false);
+        let report = ExecutionMode::Event { cooldown: 6 }.run(
+            &sys,
+            &mut env,
+            5,
+            50_000,
+            &mut EventLog::disabled(),
+        );
         assert!(report.converged());
         assert_eq!(report.metrics.environment, "event/static");
         assert_eq!(
@@ -381,7 +385,7 @@ mod tests {
         };
         let via_mode = {
             let mut env = RandomChurnEnv::new(Topology::ring(6), 0.5, 1.0);
-            ExecutionMode::sync().run(&sys, &mut env, 11, 10_000, false)
+            ExecutionMode::sync().run(&sys, &mut env, 11, 10_000, &mut EventLog::disabled())
         };
         assert_eq!(direct.metrics, via_mode.metrics);
         assert_eq!(direct.final_state, via_mode.final_state);
@@ -392,7 +396,7 @@ mod tests {
         let sys = minimum::system(&[9, 2, 7, 5, 8, 4], Topology::ring(6));
         let mode = asynchronous(1.0, 1, 0.0, DeliveryRule::default());
         let mut env = StaticEnv::new(Topology::ring(6));
-        let report = mode.run(&sys, &mut env, 5, 50_000, false);
+        let report = mode.run(&sys, &mut env, 5, 50_000, &mut EventLog::disabled());
         assert!(report.converged());
         assert_eq!(report.metrics.environment, "async/static");
     }

@@ -1,31 +1,20 @@
 //! The result of one simulated run.
 
-use selfsim_env::EnvState;
-use selfsim_multiset::Multiset;
-use selfsim_temporal::Trace;
-use selfsim_trace::{RunMetrics, TraceEvent};
+use selfsim_trace::RunMetrics;
 
-/// Everything a simulator records about one run: the measurements, the final
-/// positional state, and (when tracing is enabled) the full environment and
-/// agent-state histories used by the auditing tests.
+/// What a simulator returns about one run: the measurements and the final
+/// positional state.  Histories (per-round states, environment states,
+/// the event stream) are the caller's to keep, through the observer and
+/// the [`selfsim_trace::EventLog`] a `run_with` call takes.
 #[derive(Clone, Debug)]
-pub struct SimulationReport<S: Ord + Clone> {
+pub struct SimulationReport<S> {
     /// Quantitative measurements of the run.
     pub metrics: RunMetrics,
     /// The positional agent state at the end of the run.
     pub final_state: Vec<S>,
-    /// The sequence of environment states, one per round (empty unless
-    /// tracing was requested).
-    pub env_trace: Trace<EnvState>,
-    /// The multiset of agent states after every round, starting with the
-    /// initial state (empty unless tracing was requested).
-    pub state_trace: Vec<Multiset<S>>,
-    /// The structured event stream of the run (empty unless event
-    /// recording was requested via the simulator config).
-    pub events: Vec<TraceEvent>,
 }
 
-impl<S: Ord + Clone> SimulationReport<S> {
+impl<S> SimulationReport<S> {
     /// `true` when the run reached the target state within its budget.
     pub fn converged(&self) -> bool {
         self.metrics.converged()

@@ -25,16 +25,40 @@
 //! * **Cached round bookkeeping.**  The objective and the convergence check
 //!   read the state multiset, so they are recomputed only after some group
 //!   moved.
+//!
+//! The loop keeps no history.  A caller that wants one passes an observer,
+//! which sees each executed round as a [`Round`], and an enabled
+//! [`EventLog`] for the structured event stream.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use selfsim_core::{SelfSimilarSystem, StepScratch};
-use selfsim_env::{Connectivity, Environment};
-use selfsim_temporal::Trace;
+use selfsim_env::{Connectivity, EnvState, Environment, Topology};
+use selfsim_multiset::Multiset;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
 use crate::{SimulationReport, SyncConfig};
+
+/// One executed round (sync, event) or tick (async), as the observer of a
+/// `run_with` call sees it, after the round's group steps.
+pub struct Round<'a, S: Ord> {
+    /// The simulator clock: the round or tick just executed, from 1.
+    pub tick: usize,
+    /// The multiset of agent states after the round's group steps.
+    pub states: &'a Multiset<S>,
+    pub(crate) connectivity: &'a Connectivity,
+    pub(crate) topology: &'a Topology,
+}
+
+impl<S: Ord> Round<'_, S> {
+    /// The environment state the round ran under, materialised from the
+    /// runtime's connectivity (this allocates, so a symbolic fully-enabled
+    /// state becomes an explicit one).
+    pub fn env_state(&self) -> EnvState {
+        self.connectivity.to_env_state(self.topology)
+    }
+}
 
 /// An RNG adapter that counts how many core draws pass through it, so a
 /// group step can be proven randomness-free before it is elided.
@@ -65,11 +89,14 @@ pub(crate) struct Stepped {
 }
 
 /// Runs `system` under `environment` until it converges (plus the
-/// configured cooldown) or the round budget is exhausted.
+/// configured cooldown) or the round budget is exhausted, emitting into
+/// `events` and handing every executed round to `observe`.
 pub(crate) fn run_rounds<S, E>(
     config: &SyncConfig,
     system: &SelfSimilarSystem<S>,
     environment: &mut E,
+    events: &mut EventLog,
+    mut observe: impl FnMut(&Round<'_, S>),
 ) -> (SimulationReport<S>, Stepped)
 where
     S: Ord + Clone + std::fmt::Debug,
@@ -78,13 +105,6 @@ where
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut state = system.initial_state().clone();
     let mut metrics = RunMetrics::new(system.name(), environment.name(), system.agent_count());
-    let mut env_trace = Trace::new();
-    let mut state_trace = Vec::new();
-    let mut events = if config.record_events {
-        EventLog::enabled()
-    } else {
-        EventLog::disabled()
-    };
 
     // The whole-system multiset is maintained incrementally by the group
     // steps; `h` folds it in ascending value order either way, so the
@@ -97,9 +117,6 @@ where
     let mut converged = false;
     let mut dirty = true;
     metrics.objective_trajectory.push(objective);
-    if config.record_traces {
-        state_trace.push(global.clone());
-    }
 
     let mut connectivity = Connectivity::default();
     let mut at_fixpoint: Vec<bool> = Vec::new();
@@ -114,9 +131,6 @@ where
         if connectivity.advance(delta, topology) {
             at_fixpoint.clear();
             at_fixpoint.resize(connectivity.group_count(), false);
-        }
-        if config.record_traces {
-            env_trace.push(connectivity.to_env_state(topology));
         }
         events.emit(|| TraceEvent::EnvTransition {
             tick,
@@ -159,6 +173,12 @@ where
         metrics.rounds_executed = round;
         stepped.total += round_stepped;
         stepped.peak = stepped.peak.max(round_stepped);
+        observe(&Round {
+            tick: round,
+            states: &global,
+            connectivity: &connectivity,
+            topology,
+        });
 
         if dirty {
             objective = system.objective_of(&global);
@@ -166,9 +186,6 @@ where
             dirty = false;
         }
         metrics.objective_trajectory.push(objective);
-        if config.record_traces {
-            state_trace.push(global.clone());
-        }
 
         if converged {
             if converged_at.is_none() {
@@ -194,9 +211,6 @@ where
     let report = SimulationReport {
         metrics,
         final_state: state,
-        env_trace,
-        state_trace,
-        events: events.into_events(),
     };
     (report, stepped)
 }

@@ -3,9 +3,10 @@
 
 use selfsim_core::SelfSimilarSystem;
 use selfsim_env::Environment;
+use selfsim_trace::EventLog;
 
 use crate::round::run_rounds;
-use crate::SimulationReport;
+use crate::{Round, SimulationReport};
 
 /// Configuration of a [`SyncSimulator`] or
 /// [`EventSimulator`](crate::EventSimulator) run.
@@ -20,15 +21,6 @@ pub struct SyncConfig {
     /// RNG seed; every run with the same seed, system and environment is
     /// identical.
     pub seed: u64,
-    /// When `true`, the full environment and agent-state traces are kept in
-    /// the report (needed by the auditing tests; costs memory on long runs,
-    /// and forces symbolic fully-enabled states to be materialised).
-    pub record_traces: bool,
-    /// When `true`, the run records a structured [`selfsim_trace::TraceEvent`]
-    /// stream (env transitions, group steps, convergence changes) in the
-    /// report.  When `false` (the default) event recording is a single
-    /// branch per would-be event and allocates nothing.
-    pub record_events: bool,
 }
 
 impl Default for SyncConfig {
@@ -37,20 +29,6 @@ impl Default for SyncConfig {
             max_rounds: 10_000,
             cooldown_rounds: 0,
             seed: 0,
-            record_traces: false,
-            record_events: false,
-        }
-    }
-}
-
-impl SyncConfig {
-    /// A config with tracing enabled — what the correctness tests use.
-    pub fn traced(seed: u64, max_rounds: usize) -> Self {
-        SyncConfig {
-            max_rounds,
-            seed,
-            record_traces: true,
-            ..SyncConfig::default()
         }
     }
 }
@@ -95,7 +73,24 @@ impl SyncSimulator {
         S: Ord + Clone + std::fmt::Debug,
         E: Environment + ?Sized,
     {
-        run_rounds(&self.config, system, environment).0
+        self.run_with(system, environment, &mut EventLog::disabled(), |_| {})
+    }
+
+    /// [`SyncSimulator::run`], emitting the run's structured events into
+    /// `events` and handing every executed round to `observe`.  Neither
+    /// changes the run.
+    pub fn run_with<S, E>(
+        &self,
+        system: &SelfSimilarSystem<S>,
+        environment: &mut E,
+        events: &mut EventLog,
+        observe: impl FnMut(&Round<'_, S>),
+    ) -> SimulationReport<S>
+    where
+        S: Ord + Clone + std::fmt::Debug,
+        E: Environment + ?Sized,
+    {
+        run_rounds(&self.config, system, environment, events, observe).0
     }
 }
 
@@ -123,14 +118,25 @@ mod tests {
         let topo = Topology::ring(8);
         let sys = minimum::system(&[9, 4, 7, 1, 5, 14, 3, 8], topo.clone());
         let mut env = RandomChurnEnv::new(topo, 0.4, 0.9);
-        let config = SyncConfig::traced(7, 5_000);
-        let report = SyncSimulator::new(config).run(&sys, &mut env);
+        let config = SyncConfig {
+            max_rounds: 5_000,
+            seed: 7,
+            ..SyncConfig::default()
+        };
+        let mut rounds = 0;
+        let report = SyncSimulator::new(config).run_with(
+            &sys,
+            &mut env,
+            &mut EventLog::disabled(),
+            |round| {
+                rounds += 1;
+                // Conservation law holds after every round.
+                assert_eq!(sys.function().apply(round.states), sys.target());
+            },
+        );
         assert!(report.converged());
+        assert_eq!(rounds, report.metrics.rounds_executed);
         assert!(report.metrics.objective_is_monotone(1e-9));
-        // Conservation law holds at every recorded point.
-        for ms in &report.state_trace {
-            assert_eq!(sys.function().apply(ms), sys.target());
-        }
     }
 
     #[test]
@@ -168,20 +174,21 @@ mod tests {
         let mut env = StaticEnv::new(topo);
         let config = SyncConfig {
             cooldown_rounds: 10,
-            record_traces: true,
             ..SyncConfig::default()
         };
-        let report = SyncSimulator::new(config).run(&sys, &mut env);
+        let target = sys.target();
+        let mut at_target = Vec::new();
+        let report = SyncSimulator::new(config).run_with(
+            &sys,
+            &mut env,
+            &mut EventLog::disabled(),
+            |round| at_target.push(*round.states == target),
+        );
         assert!(report.converged());
         assert!(report.metrics.rounds_executed > report.rounds_to_convergence().unwrap());
-        // Stability: once the target is reached the trace never leaves it.
-        let target = sys.target();
-        let first = report
-            .state_trace
-            .iter()
-            .position(|ms| *ms == target)
-            .unwrap();
-        assert!(report.state_trace[first..].iter().all(|ms| *ms == target));
+        // Stability: once the target is reached the run never leaves it.
+        let first = at_target.iter().position(|&at| at).unwrap();
+        assert!(at_target[first..].iter().all(|&at| at));
     }
 
     #[test]

@@ -19,7 +19,6 @@ fn partitioned_run(rule: DeliveryRule, seed: u64, max_ticks: usize) -> Simulatio
         max_ticks,
         knobs: AsyncKnobs::default().with_delivery(rule),
         seed,
-        ..AsyncConfig::default()
     })
     .run(&sys, &mut env)
 }
@@ -79,7 +78,6 @@ fn every_rule_is_seed_deterministic() {
                 max_ticks: 20_000,
                 knobs: AsyncKnobs::new(0.5, 3, 0.2, rule).expect("valid knobs"),
                 seed: 11,
-                ..AsyncConfig::default()
             })
             .run(&sys, &mut env)
         };
@@ -107,7 +105,6 @@ proptest! {
                 max_ticks: 50_000,
                 knobs: AsyncKnobs::default().with_delivery(rule),
                 seed,
-                ..AsyncConfig::default()
             })
             .run(&sys, &mut env)
         };

@@ -7,9 +7,11 @@
 //! [`Environment::step`], recomputes the partition with
 //! [`EnvState::groups`], steps every group and re-evaluates the objective
 //! and the convergence check.  Both simulators must produce exactly the
-//! oracle's report — metrics, final state, environment and state traces,
-//! and the structured event stream — and the event simulator must differ
-//! only in its `event/` prefix and its two event columns.
+//! oracle's report — metrics and final state — and, when a run is
+//! recorded through `run_with`, exactly the oracle's per-round
+//! environment states and state multisets and its structured event
+//! stream.  The event simulator must differ only in its `event/` prefix
+//! and its two event columns.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,38 +23,68 @@ use selfsim_env::{
     AdversarialEnv, ComposedEnv, CrashRestartEnv, EnvState, Environment, MarkovLinkEnv,
     PeriodicPartitionEnv, RandomChurnEnv, StaticEnv, Topology,
 };
-use selfsim_runtime::{EventSimulator, SimulationReport, SyncConfig, SyncSimulator};
+use selfsim_multiset::Multiset;
+use selfsim_runtime::{EventSimulator, Round, SimulationReport, SyncConfig, SyncSimulator};
 use selfsim_temporal::Trace;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
+/// What a recorded run leaves behind: the environment state and the state
+/// multiset after every round, and the structured event stream.
+#[derive(Debug, PartialEq)]
+struct Recording<S: Ord> {
+    env_states: Trace<EnvState>,
+    states: Vec<Multiset<S>>,
+    events: Vec<TraceEvent>,
+}
+
+/// Runs a simulator through `run`, or, when `recorded`, through `run_with`
+/// with an enabled event log and an observer that keeps every round's
+/// environment state and multiset.
+fn run_maybe_recorded<S: Ord + Clone>(
+    recorded: bool,
+    run: impl FnOnce() -> SimulationReport<S>,
+    run_with: impl FnOnce(&mut EventLog, &mut dyn FnMut(&Round<'_, S>)) -> SimulationReport<S>,
+) -> (SimulationReport<S>, Option<Recording<S>>) {
+    if !recorded {
+        return (run(), None);
+    }
+    let mut env_states = Trace::new();
+    let mut states = Vec::new();
+    let mut events = EventLog::enabled();
+    let report = run_with(&mut events, &mut |round| {
+        env_states.push(round.env_state());
+        states.push(round.states.clone());
+    });
+    let recording = Recording {
+        env_states,
+        states,
+        events: events.into_events(),
+    };
+    (report, Some(recording))
+}
+
 /// The dense reference loop: full environment states, a fresh partition and
 /// every group stepped every round, the objective evaluated every round.
+/// It always records.
 fn oracle<S>(
     config: &SyncConfig,
     system: &SelfSimilarSystem<S>,
     environment: &mut dyn Environment,
-) -> SimulationReport<S>
+) -> (SimulationReport<S>, Recording<S>)
 where
     S: Ord + Clone + std::fmt::Debug,
 {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut state = system.initial_state().clone();
     let mut metrics = RunMetrics::new(system.name(), environment.name(), system.agent_count());
-    let mut env_trace = Trace::new();
-    let mut state_trace = Vec::new();
-    let mut events = if config.record_events {
-        EventLog::enabled()
-    } else {
-        EventLog::disabled()
-    };
+    let mut env_states = Trace::new();
+    let mut states = Vec::new();
+    let mut events = EventLog::enabled();
     let mut global = system.initial_multiset().clone();
     let mut scratch = StepScratch::new();
     metrics
         .objective_trajectory
         .push(system.objective_of(&global));
-    if config.record_traces {
-        state_trace.push(global.clone());
-    }
     let mut converged_at: Option<usize> = None;
     let mut cooldown_left = config.cooldown_rounds;
 
@@ -87,10 +119,8 @@ where
                 changed,
             });
         }
-        if config.record_traces {
-            env_trace.push(env_state);
-            state_trace.push(global.clone());
-        }
+        env_states.push(env_state);
+        states.push(global.clone());
         metrics.rounds_executed = round;
         metrics
             .objective_trajectory
@@ -115,13 +145,16 @@ where
     }
 
     metrics.rounds_to_convergence = converged_at;
-    SimulationReport {
+    let report = SimulationReport {
         metrics,
         final_state: state,
-        env_trace,
-        state_trace,
+    };
+    let recording = Recording {
+        env_states,
+        states,
         events: events.into_events(),
-    }
+    };
+    (report, recording)
 }
 
 /// An environment that implements only [`Environment::step`], so the
@@ -167,25 +200,44 @@ fn environment(which: usize, topo: &Topology, p: f64, q: f64, k: usize) -> Box<d
 }
 
 /// Runs the oracle and both simulators, each on a fresh environment from
-/// `make_env`, and asserts that all three reports agree.
+/// `make_env`, and asserts that all three reports agree — and, when
+/// `recorded`, that the simulators' recordings equal the oracle's.
 fn assert_matches_oracle<S>(
     system: &SelfSimilarSystem<S>,
     config: &SyncConfig,
+    recorded: bool,
     make_env: impl Fn() -> Box<dyn Environment>,
 ) where
     S: Ord + Clone + std::fmt::Debug,
 {
-    let expected = oracle(config, system, make_env().as_mut());
+    let (expected, expected_recording) = oracle(config, system, make_env().as_mut());
     let context = format!(
-        "{} under {}, {config:?}",
+        "{} under {}, {config:?}, recorded: {recorded}",
         system.name(),
         expected.metrics.environment
     );
+    let check_recording = |recording: Option<Recording<S>>, context: &str| {
+        if let Some(recording) = recording {
+            assert_same_recording(&recording, &expected_recording, context);
+        }
+    };
 
-    let sync = SyncSimulator::new(config.clone()).run(system, make_env().as_mut());
-    assert_same_report(&sync, &expected, &format!("sync: {context}"));
+    let simulator = SyncSimulator::new(config.clone());
+    let (sync, recording) = run_maybe_recorded(
+        recorded,
+        || simulator.run(system, make_env().as_mut()),
+        |events, observe| simulator.run_with(system, make_env().as_mut(), events, observe),
+    );
+    let sync_context = format!("sync: {context}");
+    assert_same_report(&sync, &expected, &sync_context);
+    check_recording(recording, &sync_context);
 
-    let mut event = EventSimulator::new(config.clone()).run(system, make_env().as_mut());
+    let simulator = EventSimulator::new(config.clone());
+    let (mut event, recording) = run_maybe_recorded(
+        recorded,
+        || simulator.run(system, make_env().as_mut()),
+        |events, observe| simulator.run_with(system, make_env().as_mut(), events, observe),
+    );
     let metrics = &mut event.metrics;
     assert_eq!(
         metrics.environment,
@@ -207,7 +259,9 @@ fn assert_matches_oracle<S>(
     assert_eq!(metrics.peak_queue_depth == 0, rounds == 0, "{context}");
     metrics.events_processed = 0;
     metrics.peak_queue_depth = 0;
-    assert_same_report(&event, &expected, &format!("event: {context}"));
+    let event_context = format!("event: {context}");
+    assert_same_report(&event, &expected, &event_context);
+    check_recording(recording, &event_context);
 }
 
 fn assert_same_report<S>(
@@ -222,14 +276,17 @@ fn assert_same_report<S>(
         actual.final_state, expected.final_state,
         "final state, {context}"
     );
+}
+
+fn assert_same_recording<S>(actual: &Recording<S>, expected: &Recording<S>, context: &str)
+where
+    S: Ord + Clone + std::fmt::Debug,
+{
     assert!(
-        actual.env_trace == expected.env_trace,
-        "env trace, {context}"
+        actual.env_states == expected.env_states,
+        "env states, {context}"
     );
-    assert_eq!(
-        actual.state_trace, expected.state_trace,
-        "state trace, {context}"
-    );
+    assert_eq!(actual.states, expected.states, "state multisets, {context}");
     assert_eq!(actual.events, expected.events, "events, {context}");
 }
 
@@ -272,6 +329,7 @@ fn check_algorithm(
     topo: &Topology,
     salt: u64,
     config: &SyncConfig,
+    recorded: bool,
     env: &dyn Fn() -> Box<dyn Environment>,
 ) {
     let n = topo.agent_count();
@@ -279,14 +337,16 @@ fn check_algorithm(
         0 => assert_matches_oracle(
             &minimum::system(&values(n, salt), topo.clone()),
             config,
+            recorded,
             env,
         ),
         1 => assert_matches_oracle(
             &sum::system(&values(n, salt), Topology::complete(n)),
             config,
+            recorded,
             env,
         ),
-        2 => assert_matches_oracle(&sorting::system(&values(n, salt)), config, env),
+        2 => assert_matches_oracle(&sorting::system(&values(n, salt)), config, recorded, env),
         3 => assert_matches_oracle(
             &minimum::system_with_step(
                 &values(n, salt),
@@ -294,11 +354,13 @@ fn check_algorithm(
                 minimum::partial_descent_step(),
             ),
             config,
+            recorded,
             env,
         ),
         _ => assert_matches_oracle(
             &minimum::system_with_step(&values(n, salt), topo.clone(), drawing_min_step()),
             config,
+            recorded,
             env,
         ),
     }
@@ -306,8 +368,9 @@ fn check_algorithm(
 
 proptest! {
     /// The core property: for every environment, every algorithm, with and
-    /// without cooldown, traces and events, and over budgets from zero up,
-    /// both simulators reproduce the dense oracle's report exactly.
+    /// without cooldown, recorded or not, and over budgets from zero up,
+    /// both simulators reproduce the dense oracle's report (and recording)
+    /// exactly.
     #[test]
     fn every_environment_matches_the_dense_oracle(
         seed in 0u64..1_000,
@@ -319,28 +382,32 @@ proptest! {
         algorithm in 0u8..5,
         cooldown in 0usize..2,
         max_rounds in 0usize..300,
-        record_traces in 0u8..2,
-        record_events in 0u8..2,
+        recorded in 0u8..2,
     ) {
         let topo = if algorithm == 2 { Topology::line(n) } else { topology(choice, n) };
         let config = SyncConfig {
             max_rounds,
             cooldown_rounds: cooldown * 16,
             seed,
-            record_traces: record_traces == 1,
-            record_events: record_events == 1,
         };
         for which in 0..ENVIRONMENTS {
-            check_algorithm(algorithm, &topo, seed, &config, &|| environment(which, &topo, p, q, k));
+            check_algorithm(
+                algorithm,
+                &topo,
+                seed,
+                &config,
+                recorded == 1,
+                &|| environment(which, &topo, p, q, k),
+            );
         }
     }
 }
 
-fn traced(seed: u64, cooldown_rounds: usize) -> SyncConfig {
+fn rounds(seed: u64, cooldown_rounds: usize) -> SyncConfig {
     SyncConfig {
+        max_rounds: 10_000,
         cooldown_rounds,
-        record_events: true,
-        ..SyncConfig::traced(seed, 10_000)
+        seed,
     }
 }
 
@@ -348,7 +415,7 @@ fn traced(seed: u64, cooldown_rounds: usize) -> SyncConfig {
 fn static_environments_match_the_oracle() {
     for topo in [Topology::line(5), Topology::ring(9), Topology::complete(6)] {
         let system = minimum::system(&values(topo.agent_count(), 3), topo.clone());
-        assert_matches_oracle(&system, &traced(1, 0), || {
+        assert_matches_oracle(&system, &rounds(1, 0), true, || {
             Box::new(StaticEnv::new(topo.clone()))
         });
     }
@@ -361,12 +428,12 @@ fn positional_movement_with_unchanged_multisets_matches_the_oracle() {
     // positions, not multisets, or it would freeze a still-sorting group.
     let system = sorting::system(&[5, 3, 1, 4, 2, 6]);
     let line = Topology::line(6);
-    let report = SyncSimulator::new(traced(2, 0)).run(&system, &mut StaticEnv::new(line.clone()));
+    let report = SyncSimulator::new(rounds(2, 0)).run(&system, &mut StaticEnv::new(line.clone()));
     assert!(report.converged(), "sorting converges on the static line");
-    assert_matches_oracle(&system, &traced(2, 0), || {
+    assert_matches_oracle(&system, &rounds(2, 0), true, || {
         Box::new(StaticEnv::new(line.clone()))
     });
-    assert_matches_oracle(&system, &traced(9, 0), || {
+    assert_matches_oracle(&system, &rounds(9, 0), true, || {
         Box::new(MarkovLinkEnv::new(line.clone(), 0.5, 0.3))
     });
 }
@@ -376,10 +443,10 @@ fn cooldown_rounds_match_the_oracle() {
     let complete = Topology::complete(3);
     let system = minimum::system(&[5, 2, 9], complete.clone());
     let report =
-        SyncSimulator::new(traced(4, 16)).run(&system, &mut StaticEnv::new(complete.clone()));
+        SyncSimulator::new(rounds(4, 16)).run(&system, &mut StaticEnv::new(complete.clone()));
     assert!(report.metrics.rounds_executed > report.rounds_to_convergence().expect("converges"));
     for cooldown in [0, 10, 16] {
-        assert_matches_oracle(&system, &traced(4, cooldown), || {
+        assert_matches_oracle(&system, &rounds(4, cooldown), true, || {
             Box::new(StaticEnv::new(complete.clone()))
         });
     }
@@ -388,7 +455,7 @@ fn cooldown_rounds_match_the_oracle() {
     // to agree with the oracle round for round.
     let ring = Topology::ring(8);
     let system = minimum::system(&values(8, 5), ring.clone());
-    assert_matches_oracle(&system, &traced(7, 16), || {
+    assert_matches_oracle(&system, &rounds(7, 16), true, || {
         Box::new(RandomChurnEnv::new(ring.clone(), 0.4, 0.9))
     });
 }
@@ -398,7 +465,7 @@ fn traces_and_events_match_the_oracle() {
     let ring = Topology::ring(6);
     let system = minimum::system(&[6, 5, 4, 3, 2, 1], ring.clone());
     for which in 0..ENVIRONMENTS {
-        assert_matches_oracle(&system, &traced(7, 0), || {
+        assert_matches_oracle(&system, &rounds(7, 0), true, || {
             environment(which, &ring, 0.4, 0.9, 3)
         });
     }
@@ -410,7 +477,9 @@ fn zero_round_budget_matches_the_oracle() {
     let system = minimum::system(&[4, 3, 2, 1], line.clone());
     let config = SyncConfig {
         max_rounds: 0,
-        ..traced(1, 16)
+        ..rounds(1, 16)
     };
-    assert_matches_oracle(&system, &config, || Box::new(StaticEnv::new(line.clone())));
+    assert_matches_oracle(&system, &config, true, || {
+        Box::new(StaticEnv::new(line.clone()))
+    });
 }

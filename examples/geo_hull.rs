@@ -49,7 +49,6 @@ fn main() {
         max_ticks: 200_000,
         knobs,
         seed: 9,
-        ..AsyncConfig::default()
     })
     .run(&system, &mut env);
 

@@ -7,8 +7,9 @@
 //! crash and restart at random, and compute the minimum reading (e.g. the
 //! lowest temperature) with the §4.1 algorithm.
 //!
-//! The example also validates, on the recorded environment trace, that the
-//! fairness assumption `□◇Q_e` actually held during the run — the check the
+//! The example also records the run through the simulator's round observer
+//! and validates, on the recorded environment trace, that the fairness
+//! assumption `□◇Q_e` actually held during the run — the check the
 //! correctness theorem conditions on — and that the conservation law held at
 //! every recorded state.
 //!
@@ -22,6 +23,8 @@ use self_similar::algorithms::minimum;
 use self_similar::core::proof;
 use self_similar::env::{CrashRestartEnv, Topology};
 use self_similar::runtime::{SyncConfig, SyncSimulator};
+use self_similar::temporal::Trace;
+use self_similar::trace::EventLog;
 
 fn main() {
     // A 4×5 grid of sensors with pseudo-random readings in [50, 150).
@@ -45,10 +48,20 @@ fn main() {
         max_rounds: 200_000,
         cooldown_rounds: 25,
         seed: 7,
-        record_traces: true,
-        record_events: false,
     };
-    let report = SyncSimulator::new(config).run(&system, &mut environment);
+    // Keep the state multiset (from S(0) on) and the environment state of
+    // every round; the simulator itself keeps no history.
+    let mut state_trace = vec![system.initial_multiset().clone()];
+    let mut env_trace = Trace::new();
+    let report = SyncSimulator::new(config).run_with(
+        &system,
+        &mut environment,
+        &mut EventLog::disabled(),
+        |round| {
+            state_trace.push(round.states.clone());
+            env_trace.push(round.env_state());
+        },
+    );
 
     match report.rounds_to_convergence() {
         Some(rounds) => println!("converged in {rounds} rounds despite battery churn"),
@@ -63,7 +76,7 @@ fn main() {
     // Audit the run: the conservation law f(S) = f(S(0)) and the descent of
     // h must hold along the whole recorded trace.
     let relation = system.relation();
-    let audit = proof::check_trace_invariants(&relation, &report.state_trace);
+    let audit = proof::check_trace_invariants(&relation, &state_trace);
     println!(
         "trace audit: {} checks, {} violations",
         audit.checks_run,
@@ -75,7 +88,7 @@ fn main() {
     // every grid link must have been usable (both endpoints up) recurrently.
     let violations = system
         .fairness()
-        .check_trace(&report.env_trace, report.env_trace.len() / 4);
+        .check_trace(&env_trace, env_trace.len() / 4);
     println!(
         "fairness check: {} of {} edges violated the recurrence assumption",
         violations.len(),
