@@ -38,6 +38,11 @@ pub fn lifetime_traps<'a>(x: &'a str) -> &'a str {
     x
 }
 
+// A lifetime before a slice type is not an indexing site.
+pub fn lifetime_slice_trap<'a>(flags: &'a [bool]) -> &'a [bool] {
+    flags
+}
+
 pub fn sanctioned_site() -> u64 {
     // detlint::allow(ambient-rng, reason = "fixture: sanctioned entropy site")
     rand::random::<u64>()

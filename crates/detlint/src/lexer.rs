@@ -29,6 +29,8 @@ pub enum TokKind {
     Punct(char),
     /// Any literal: string, raw string, byte string, char, number.
     Lit,
+    /// A lifetime or label (`'a`, `'static`, `'_`): not a value.
+    Lifetime,
 }
 
 impl Tok {
@@ -243,7 +245,7 @@ fn char_or_lifetime(s: &mut Scanner, out: &mut Lexed, line: u32, col: u32) {
             s.bump();
         }
         out.toks.push(Tok {
-            kind: TokKind::Lit,
+            kind: TokKind::Lifetime,
             line,
             col,
         });

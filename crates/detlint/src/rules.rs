@@ -446,8 +446,8 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
 
 /// Counts the panic surface of library code: `panic!`/`unreachable!`
 /// sites plus `[idx]` indexing expressions (a `[` whose previous token
-/// is a value — an ident, `)`, `]` or a literal), outside `#[cfg(test)]`
-/// mods.  Binary roots and test files are a binary's/test's own
+/// is a value — an ident, `)`, `]` or a literal, but not a lifetime),
+/// outside `#[cfg(test)]` mods.  Binary roots and test files are a binary's/test's own
 /// business.
 fn count_panic_surface(toks: &[Tok], tree: &ItemTree, ctx: &FileContext) -> u64 {
     if ctx.is_binary_root || ctx.is_test_code {
@@ -737,6 +737,16 @@ mod tests {
             ..FileContext::default()
         };
         assert_eq!(check_file("t.rs", src, &binary).panic_count, 0);
+    }
+
+    #[test]
+    fn a_lifetime_before_a_slice_type_is_not_an_index() {
+        let src = "fn f<'a>(v: &'a [u8], w: &'static [u8]) -> &'a [u8] { &v[w[0] as usize..] }\n";
+        // v[..] and w[0] only; the three `&'x [u8]` types do not count.
+        assert_eq!(
+            check_file("t.rs", src, &FileContext::default()).panic_count,
+            2
+        );
     }
 
     #[test]

@@ -90,6 +90,7 @@ fn lexer_edge_cases_in_the_clean_fixture_are_the_hard_ones() {
         "Instant::now() and HashMap::new() in a cooked string",
         "/// Doc comments are not code: `Instant::now()`",
         "seed_from_u64(stream_seed)",
+        "flags: &'a [bool]",
     ] {
         assert!(CLEAN.contains(trap), "fixture lost its `{trap}` trap");
     }

@@ -7,8 +7,6 @@
 //! deterministic given the caller-supplied RNG, so simulations are
 //! reproducible.
 
-use std::collections::BTreeSet;
-
 use rand::Rng;
 
 use crate::{AgentId, Edge, EnvState, Topology};
@@ -85,10 +83,11 @@ pub trait Environment {
     /// place of `step`'s states, and the `delta_equivalence` proptests pin
     /// it for every builtin.
     ///
-    /// The default implementation falls back to a full rescan, so existing
-    /// `Environment` impls are delta-capable for free; environments whose
-    /// transitions are naturally sparse (Markov links, periodic
-    /// partitions) override it with genuinely incremental updates.
+    /// The builtins meet the contract by construction: churn and Markov
+    /// links compute one transition for both methods, and the partition's
+    /// `step_delta` takes its state from `step`.  A custom environment
+    /// implements `step`, and the default here wraps it as a full rescan,
+    /// so it is delta-capable for free.
     fn step_delta(&mut self, rng: &mut dyn rand::RngCore) -> EnvDelta {
         EnvDelta::Full(self.step(rng))
     }
@@ -137,6 +136,119 @@ impl Environment for StaticEnv {
     }
 }
 
+/// The next-state rule of one kind of two-state chain.
+#[derive(Clone, Copy, Debug)]
+enum Rule {
+    /// Memoryless: on with probability `p`, whatever the current state.
+    Fresh(f64),
+    /// A two-state Markov chain: `off → on` with probability `p_on`,
+    /// `on → off` with probability `p_off`.
+    Markov { p_on: f64, p_off: f64 },
+    /// Never changes, and draws nothing.
+    Fixed,
+}
+
+impl Rule {
+    fn next(self, rng: &mut dyn rand::RngCore, on: bool) -> bool {
+        match self {
+            Rule::Fresh(p) => rng.gen_bool(p),
+            Rule::Markov { p_off, .. } if on => !rng.gen_bool(p_off),
+            Rule::Markov { p_on, .. } => rng.gen_bool(p_on),
+            Rule::Fixed => on,
+        }
+    }
+}
+
+/// Per-element two-state chains, the kernel that churn, Markov links and
+/// crash/restart share, each with its own rules: one enabled flag per
+/// topology edge (sorted order) and per agent (ascending order), the
+/// orders the draws are made in.
+#[derive(Clone, Debug)]
+struct Chains {
+    edges: Vec<bool>,
+    edge_rule: Rule,
+    agents: Vec<bool>,
+    agent_rule: Rule,
+    // True once a transition has been emitted, so deltas have a base.
+    based: bool,
+}
+
+impl Chains {
+    /// One transition: each edge chain, then each agent chain, draws once
+    /// through its rule.  Returns the flips.
+    fn transition(&mut self, topology: &Topology, rng: &mut dyn rand::RngCore) -> EnvChanges {
+        let mut changes = EnvChanges::default();
+        let (edge_rule, agent_rule) = (self.edge_rule, self.agent_rule);
+        flip(
+            &mut self.edges,
+            topology.edges().iter().copied(),
+            |on| edge_rule.next(rng, on),
+            (&mut changes.edges_up, &mut changes.edges_down),
+        );
+        flip(
+            &mut self.agents,
+            topology.agents(),
+            |on| agent_rule.next(rng, on),
+            (&mut changes.agents_up, &mut changes.agents_down),
+        );
+        changes
+    }
+
+    fn step(&mut self, topology: &Topology, rng: &mut dyn rand::RngCore) -> EnvState {
+        self.transition(topology, rng);
+        EnvState::new(
+            topology.agent_count(),
+            enabled(&self.edges, topology.edges().iter().copied()),
+            enabled(&self.agents, topology.agents()),
+        )
+    }
+
+    /// The same transition as [`Chains::step`], as a delta: the flips,
+    /// except that the first transition is absolute (deltas need a base).
+    fn step_delta(&mut self, topology: &Topology, rng: &mut dyn rand::RngCore) -> EnvDelta {
+        if !std::mem::replace(&mut self.based, true) {
+            return EnvDelta::Full(self.step(topology, rng));
+        }
+        let changes = self.transition(topology, rng);
+        if changes.is_empty() {
+            EnvDelta::Unchanged
+        } else {
+            EnvDelta::Changes(changes)
+        }
+    }
+}
+
+/// The one flip loop: draws each flag once through `next(on)` and pushes
+/// the element of every flag that flips onto `up` or `down`.
+fn flip<T>(
+    flags: &mut [bool],
+    elements: impl Iterator<Item = T>,
+    mut next: impl FnMut(bool) -> bool,
+    (up, down): (&mut Vec<T>, &mut Vec<T>),
+) {
+    for (on, element) in flags.iter_mut().zip(elements) {
+        let now = next(*on);
+        if now != *on {
+            *on = now;
+            if now {
+                up.push(element);
+            } else {
+                down.push(element);
+            }
+        }
+    }
+}
+
+/// The elements whose flag is on.
+fn enabled<'a, T: 'a>(
+    flags: &'a [bool],
+    elements: impl Iterator<Item = T> + 'a,
+) -> impl Iterator<Item = T> + 'a {
+    elements
+        .zip(flags)
+        .filter_map(|(element, &on)| on.then_some(element))
+}
+
 /// Independent random churn: at each step every topology edge is available
 /// with probability `p_edge` and every agent is enabled with probability
 /// `p_agent`, independently of everything else.
@@ -147,15 +259,7 @@ impl Environment for StaticEnv {
 #[derive(Clone, Debug)]
 pub struct RandomChurnEnv {
     topology: Topology,
-    p_edge: f64,
-    p_agent: f64,
-    // Incremental tracking for `step_delta`: enabled flags aligned with the
-    // sorted edge / ascending agent orders (the orders both `step` and
-    // `step_delta` draw in).  Filled when the first delta primes the base
-    // state.
-    cur_edges: Vec<bool>,
-    cur_agents: Vec<bool>,
-    delta_primed: bool,
+    chains: Chains,
 }
 
 impl RandomChurnEnv {
@@ -176,24 +280,14 @@ impl RandomChurnEnv {
     /// Creates a churn environment, naming the offending field when a
     /// probability is out of range.
     pub fn validated(topology: Topology, p_edge: f64, p_agent: f64) -> Result<Self, String> {
-        Ok(RandomChurnEnv {
-            topology,
-            p_edge: crate::validate_probability("p_edge", p_edge)?,
-            p_agent: crate::validate_probability("p_agent", p_agent)?,
-            cur_edges: Vec::new(),
-            cur_agents: Vec::new(),
-            delta_primed: false,
-        })
-    }
-
-    /// The per-step probability that an edge is available.
-    pub fn edge_probability(&self) -> f64 {
-        self.p_edge
-    }
-
-    /// The per-step probability that an agent is enabled.
-    pub fn agent_probability(&self) -> f64 {
-        self.p_agent
+        let chains = Chains {
+            edges: vec![false; topology.edge_count()],
+            edge_rule: Rule::Fresh(crate::validate_probability("p_edge", p_edge)?),
+            agents: vec![false; topology.agent_count()],
+            agent_rule: Rule::Fresh(crate::validate_probability("p_agent", p_agent)?),
+            based: false,
+        };
+        Ok(RandomChurnEnv { topology, chains })
     }
 }
 
@@ -203,70 +297,11 @@ impl Environment for RandomChurnEnv {
     }
 
     fn step(&mut self, rng: &mut dyn rand::RngCore) -> EnvState {
-        let edges: Vec<Edge> = self
-            .topology
-            .edges()
-            .iter()
-            .copied()
-            .filter(|_| rng.gen_bool(self.p_edge))
-            .collect();
-        let agents: Vec<AgentId> = self
-            .topology
-            .agents()
-            .filter(|_| rng.gen_bool(self.p_agent))
-            .collect();
-        EnvState::new(self.topology.agent_count(), edges, agents)
+        self.chains.step(&self.topology, rng)
     }
 
     fn step_delta(&mut self, rng: &mut dyn rand::RngCore) -> EnvDelta {
-        if !self.delta_primed {
-            self.delta_primed = true;
-            let state = self.step(rng);
-            self.cur_edges = self
-                .topology
-                .edges()
-                .iter()
-                .map(|e| state.enabled_edges().contains(e))
-                .collect();
-            self.cur_agents = self
-                .topology
-                .agents()
-                .map(|a| state.enabled_agents().contains(&a))
-                .collect();
-            return EnvDelta::Full(state);
-        }
-        // Exactly one Bernoulli per edge (sorted order) then one per agent
-        // (ascending order) — the same stream `step` consumes — recording
-        // only the flips.  Churn is memoryless, so each draw *is* the next
-        // enabled flag; the trackers exist purely to diff against.
-        let mut changes = EnvChanges::default();
-        for (cur, e) in self.cur_edges.iter_mut().zip(self.topology.edges().iter()) {
-            let up = rng.gen_bool(self.p_edge);
-            if up != *cur {
-                *cur = up;
-                if up {
-                    changes.edges_up.push(*e);
-                } else {
-                    changes.edges_down.push(*e);
-                }
-            }
-        }
-        for (i, cur) in self.cur_agents.iter_mut().enumerate() {
-            let up = rng.gen_bool(self.p_agent);
-            if up != *cur {
-                *cur = up;
-                if up {
-                    changes.agents_up.push(AgentId(i));
-                } else {
-                    changes.agents_down.push(AgentId(i));
-                }
-            }
-        }
-        if changes.is_empty() {
-            EnvDelta::Unchanged
-        } else {
-            EnvDelta::Changes(changes)
-        }
+        self.chains.step_delta(&self.topology, rng)
     }
 
     fn name(&self) -> &'static str {
@@ -281,12 +316,7 @@ impl Environment for RandomChurnEnv {
 #[derive(Clone, Debug)]
 pub struct MarkovLinkEnv {
     topology: Topology,
-    p_up: f64,
-    p_down: f64,
-    up: BTreeSet<Edge>,
-    // `step_delta` emits its first transition absolutely (deltas need a
-    // base state); true once that base has been produced.
-    delta_primed: bool,
+    chains: Chains,
 }
 
 impl MarkovLinkEnv {
@@ -304,22 +334,24 @@ impl MarkovLinkEnv {
     /// Creates a Markov link environment, naming the offending field when
     /// a probability is out of range.
     pub fn validated(topology: Topology, p_up: f64, p_down: f64) -> Result<Self, String> {
-        let up = topology.edges().clone();
-        Ok(MarkovLinkEnv {
-            topology,
-            p_up: crate::validate_probability("p_up", p_up)?,
-            p_down: crate::validate_probability("p_down", p_down)?,
-            up,
-            delta_primed: false,
-        })
+        let chains = Chains {
+            edges: vec![true; topology.edge_count()],
+            edge_rule: Rule::Markov {
+                p_on: crate::validate_probability("p_up", p_up)?,
+                p_off: crate::validate_probability("p_down", p_down)?,
+            },
+            agents: vec![true; topology.agent_count()],
+            agent_rule: Rule::Fixed,
+            based: false,
+        };
+        Ok(MarkovLinkEnv { topology, chains })
     }
 
     /// Creates a Markov link environment with all links initially down.
     pub fn new_all_down(topology: Topology, p_up: f64, p_down: f64) -> Self {
-        MarkovLinkEnv {
-            up: BTreeSet::new(),
-            ..Self::new(topology, p_up, p_down)
-        }
+        let mut env = Self::new(topology, p_up, p_down);
+        env.chains.edges.fill(false);
+        env
     }
 }
 
@@ -329,65 +361,11 @@ impl Environment for MarkovLinkEnv {
     }
 
     fn step(&mut self, rng: &mut dyn rand::RngCore) -> EnvState {
-        let mut next_up = BTreeSet::new();
-        for e in self.topology.edges() {
-            let currently_up = self.up.contains(e);
-            let up_next = if currently_up {
-                !rng.gen_bool(self.p_down)
-            } else {
-                rng.gen_bool(self.p_up)
-            };
-            if up_next {
-                next_up.insert(*e);
-            }
-        }
-        self.up = next_up;
-        EnvState::new(
-            self.topology.agent_count(),
-            self.up.iter().copied(),
-            self.topology.agents(),
-        )
+        self.chains.step(&self.topology, rng)
     }
 
     fn step_delta(&mut self, rng: &mut dyn rand::RngCore) -> EnvDelta {
-        if !self.delta_primed {
-            self.delta_primed = true;
-            return EnvDelta::Full(self.step(rng));
-        }
-        // Exactly one Bernoulli draw per topology edge, in edge order —
-        // the same stream `step` consumes — recording only the flips.
-        let mut went_up = Vec::new();
-        let mut went_down = Vec::new();
-        for e in self.topology.edges() {
-            let currently_up = self.up.contains(e);
-            let up_next = if currently_up {
-                !rng.gen_bool(self.p_down)
-            } else {
-                rng.gen_bool(self.p_up)
-            };
-            if up_next != currently_up {
-                if up_next {
-                    went_up.push(*e);
-                } else {
-                    went_down.push(*e);
-                }
-            }
-        }
-        for e in &went_up {
-            self.up.insert(*e);
-        }
-        for e in &went_down {
-            self.up.remove(e);
-        }
-        if went_up.is_empty() && went_down.is_empty() {
-            EnvDelta::Unchanged
-        } else {
-            EnvDelta::Changes(EnvChanges {
-                edges_up: went_up,
-                edges_down: went_down,
-                ..EnvChanges::default()
-            })
-        }
+        self.chains.step_delta(&self.topology, rng)
     }
 
     fn name(&self) -> &'static str {
@@ -453,6 +431,11 @@ impl PeriodicPartitionEnv {
             merged,
         }
     }
+
+    /// The phase rule: whether step number `tick` (from 0) is a merge step.
+    fn merges(&self, tick: usize) -> bool {
+        tick % self.period == self.period - 1
+    }
 }
 
 impl Environment for PeriodicPartitionEnv {
@@ -461,7 +444,7 @@ impl Environment for PeriodicPartitionEnv {
     }
 
     fn step(&mut self, _rng: &mut dyn rand::RngCore) -> EnvState {
-        let merge_step = self.tick % self.period == self.period - 1;
+        let merge_step = self.merges(self.tick);
         self.tick += 1;
         if merge_step {
             self.merged.clone()
@@ -471,27 +454,19 @@ impl Environment for PeriodicPartitionEnv {
     }
 
     fn step_delta(&mut self, rng: &mut dyn rand::RngCore) -> EnvDelta {
-        // The state is a pure function of the phase (partitioned vs
-        // merged); within a phase nothing changes, and a phase boundary
-        // flips exactly the cross-block edges.  Neither `step` nor this
-        // method consumes RNG, so the streams stay equal.
-        let prev_merge = self.tick > 0 && (self.tick - 1) % self.period == self.period - 1;
-        let next_merge = self.tick % self.period == self.period - 1;
-        if self.tick == 0 {
-            // Deltas need an absolute base.
-            return EnvDelta::Full(self.step(rng));
+        // The state is a pure function of the phase; within a phase nothing
+        // changes, and a phase boundary flips exactly the cross-block edges
+        // (none when there is one block).  The first state is absolute.
+        let state = self.step(rng);
+        if self.tick == 1 {
+            return EnvDelta::Full(state);
         }
-        if prev_merge == next_merge {
-            self.tick += 1;
-            return EnvDelta::Unchanged;
-        }
-        self.tick += 1;
-        if self.cross.is_empty() {
-            // One block: "partitioned" and "merged" are the same state.
+        let merging = self.merges(self.tick - 1);
+        if merging == self.merges(self.tick - 2) || self.cross.is_empty() {
             return EnvDelta::Unchanged;
         }
         let mut changes = EnvChanges::default();
-        if next_merge {
+        if merging {
             changes.edges_up = self.cross.clone();
         } else {
             changes.edges_down = self.cross.clone();
@@ -514,9 +489,8 @@ impl Environment for PeriodicPartitionEnv {
 #[derive(Clone, Debug)]
 pub struct CrashRestartEnv {
     topology: Topology,
-    p_crash: f64,
-    p_restart: f64,
-    up: BTreeSet<AgentId>,
+    // Edges follow their endpoints, so only the agents are chains.
+    chains: Chains,
 }
 
 impl CrashRestartEnv {
@@ -534,18 +508,16 @@ impl CrashRestartEnv {
     /// Creates a crash/restart environment, naming the offending field
     /// when a probability is out of range.
     pub fn validated(topology: Topology, p_crash: f64, p_restart: f64) -> Result<Self, String> {
-        let up = topology.agents().collect();
-        Ok(CrashRestartEnv {
-            topology,
-            p_crash: crate::validate_probability("p_crash", p_crash)?,
-            p_restart: crate::validate_probability("p_restart", p_restart)?,
-            up,
-        })
-    }
-
-    /// The set of currently running agents.
-    pub fn up_agents(&self) -> &BTreeSet<AgentId> {
-        &self.up
+        let p_off = crate::validate_probability("p_crash", p_crash)?;
+        let p_on = crate::validate_probability("p_restart", p_restart)?;
+        let chains = Chains {
+            edges: Vec::new(),
+            edge_rule: Rule::Fixed,
+            agents: vec![true; topology.agent_count()],
+            agent_rule: Rule::Markov { p_on, p_off },
+            based: false,
+        };
+        Ok(CrashRestartEnv { topology, chains })
     }
 }
 
@@ -554,28 +526,21 @@ impl Environment for CrashRestartEnv {
         &self.topology
     }
 
+    // No `step_delta` override: an agent flip also flips the agent's
+    // edges, so deltas stay the default full rescan.
     fn step(&mut self, rng: &mut dyn rand::RngCore) -> EnvState {
-        let mut next_up = BTreeSet::new();
-        for a in self.topology.agents() {
-            let currently_up = self.up.contains(&a);
-            let up_next = if currently_up {
-                !rng.gen_bool(self.p_crash)
-            } else {
-                rng.gen_bool(self.p_restart)
-            };
-            if up_next {
-                next_up.insert(a);
-            }
-        }
-        self.up = next_up;
-        let edges: Vec<Edge> = self
-            .topology
-            .edges()
-            .iter()
-            .copied()
-            .filter(|e| self.up.contains(&e.lo()) && self.up.contains(&e.hi()))
-            .collect();
-        EnvState::new(self.topology.agent_count(), edges, self.up.iter().copied())
+        self.chains.transition(&self.topology, rng);
+        let up = &self.chains.agents;
+        let is_up = |a: AgentId| up.get(a.index()) == Some(&true);
+        EnvState::new(
+            self.topology.agent_count(),
+            self.topology
+                .edges()
+                .iter()
+                .copied()
+                .filter(|e| is_up(e.lo()) && is_up(e.hi())),
+            enabled(up, self.topology.agents()),
+        )
     }
 
     fn name(&self) -> &'static str {
@@ -685,6 +650,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
@@ -806,7 +772,6 @@ mod tests {
         let s = env.step(&mut r);
         // Everyone crashes immediately and never restarts.
         assert!(s.enabled_agents().is_empty());
-        assert!(env.up_agents().is_empty());
         let s2 = env.step(&mut r);
         assert!(s2.enabled_agents().is_empty());
     }

@@ -23,14 +23,16 @@ fn topology(choice: u8, n: usize) -> Topology {
     }
 }
 
-/// Every builtin environment over `topo`, parameterised from the three
-/// probability-ish knobs so the proptest cases sweep their behaviours
-/// (always-changing, mostly-quiet, phase-switching, fallback-only).
+/// Every builtin environment over `topo`, one per constructor path,
+/// parameterised from the three probability-ish knobs so the proptest
+/// cases sweep their behaviours (always-changing, mostly-quiet,
+/// phase-switching, fallback-only).
 fn builtin_envs(topo: &Topology, p: f64, q: f64, k: usize) -> Vec<Box<dyn Environment>> {
     vec![
         Box::new(StaticEnv::new(topo.clone())),
         Box::new(RandomChurnEnv::new(topo.clone(), p, q)),
         Box::new(MarkovLinkEnv::new(topo.clone(), p, q)),
+        Box::new(MarkovLinkEnv::new_all_down(topo.clone(), p, q)),
         Box::new(PeriodicPartitionEnv::new(
             topo.clone(),
             1 + k % 3,
@@ -40,6 +42,11 @@ fn builtin_envs(topo: &Topology, p: f64, q: f64, k: usize) -> Vec<Box<dyn Enviro
         Box::new(AdversarialEnv::new(topo.clone(), k % 4)),
         Box::new(ComposedEnv::new(
             MarkovLinkEnv::new(topo.clone(), p, q),
+            CrashRestartEnv::new(topo.clone(), q, p),
+        )),
+        // The environment registry's `churn+crash` shape.
+        Box::new(ComposedEnv::new(
+            RandomChurnEnv::new(topo.clone(), p, 1.0),
             CrashRestartEnv::new(topo.clone(), q, p),
         )),
     ]

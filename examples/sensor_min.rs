@@ -7,11 +7,15 @@
 //! crash and restart at random, and compute the minimum reading (e.g. the
 //! lowest temperature) with the §4.1 algorithm.
 //!
-//! The example also records the run through the simulator's round observer
-//! and validates, on the recorded environment trace, that the fairness
-//! assumption `□◇Q_e` actually held during the run — the check the
-//! correctness theorem conditions on — and that the conservation law held at
-//! every recorded state.
+//! The example also records the run through the simulator's round observer.
+//! It asserts that the conservation law and the descent of `h` held at every
+//! recorded state.  It also runs a finite-trace recurrence test standing in
+//! for the fairness assumption `□◇Q_e` that the correctness theorem
+//! conditions on: from every recorded state except the last `len/4`, each
+//! grid link must be usable (both endpoints up) at that state or a later
+//! one.  A finite trace can neither prove nor refute `□◇`, and a short run
+//! under crash/restart churn can leave a link unusable through its end, so
+//! this test prints the links it flags and asserts nothing.
 //!
 //! Run with:
 //!
@@ -23,7 +27,7 @@ use self_similar::algorithms::minimum;
 use self_similar::core::proof;
 use self_similar::env::{CrashRestartEnv, Topology};
 use self_similar::runtime::{SyncConfig, SyncSimulator};
-use self_similar::temporal::Trace;
+use self_similar::temporal::{Trace, Verdict};
 use self_similar::trace::EventLog;
 
 fn main() {
@@ -84,16 +88,23 @@ fn main() {
     );
     assert!(audit.passed());
 
-    // Validate the fairness assumption on the recorded environment trace:
-    // every grid link must have been usable (both endpoints up) recurrently.
-    let violations = system
-        .fairness()
-        .check_trace(&env_trace, env_trace.len() / 4);
+    // The finite-trace recurrence test for `□◇Q_e` (reported, not
+    // asserted): every grid link usable at or after each recorded state
+    // except the last `len/4`.
+    let tolerance = env_trace.len() / 4;
+    let violations = system.fairness().check_trace(&env_trace, tolerance);
     println!(
-        "fairness check: {} of {} edges violated the recurrence assumption",
+        "finite-trace recurrence test (tolerance {tolerance} of {} states, not asserted): \
+         {} of {} links unusable from some state on",
+        env_trace.len(),
         violations.len(),
         system.fairness().edges().len()
     );
+    for (edge, verdict) in &violations {
+        if let Verdict::Violated { position, .. } = verdict {
+            println!("  link {edge}: unusable from state {position} to the end");
+        }
+    }
     println!();
     println!("every sensor now reports the minimum reading {expected}.");
 }
