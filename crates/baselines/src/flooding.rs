@@ -3,10 +3,10 @@
 use std::collections::BTreeSet;
 
 use selfsim_env::{AgentId, Environment};
-use selfsim_runtime::{DeliveryDecision, ExecutionMode, Message};
+use selfsim_runtime::{DeliveryDecision, Driver, ExecutionMode, Message, Tick};
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{aggregate, drive, Tick};
+use crate::aggregate;
 
 /// A flooding aggregator: every agent keeps the set of `(agent, value)`
 /// pairs it has heard of (initially just its own) and, every round,
@@ -69,6 +69,7 @@ impl FloodingAggregator {
                         topology,
                         metrics,
                         events,
+                        ..
                     }: Tick<'_>| {
             match mode {
                 ExecutionMode::Sync { .. } | ExecutionMode::Event { .. } => {
@@ -87,7 +88,7 @@ impl FloodingAggregator {
                             metrics.effective_group_steps += 1;
                         }
                         events.emit(|| TraceEvent::GroupStep {
-                            tick: (tick + 1) as u64,
+                            tick: tick as u64,
                             size: 2,
                             changed,
                         });
@@ -96,6 +97,8 @@ impl FloodingAggregator {
                     }
                 }
                 ExecutionMode::Async(knobs) => {
+                    // Messages are stamped with zero-based time.
+                    let now = tick - 1;
                     for edge in connectivity.usable_edges(topology) {
                         if !knobs.initiates(rng) {
                             continue;
@@ -108,7 +111,7 @@ impl FloodingAggregator {
                             // drops are tracked in the same unit so the two
                             // stay comparable.
                             metrics.messages += knowledge[from].len();
-                            match knobs.send(rng, tick, from, to, events) {
+                            match knobs.send(rng, now, from, to, events) {
                                 Some(message) => pending.push(Gossip {
                                     message,
                                     payload: knowledge[from].clone(),
@@ -123,7 +126,7 @@ impl FloodingAggregator {
                     // gossip moves to the back of the queue, which is still
                     // seed-deterministic.
                     let due: Vec<Gossip> = pending
-                        .extract_if(.., |g| g.message.deliver_at <= tick)
+                        .extract_if(.., |g| g.message.deliver_at <= now)
                         .collect();
                     for mut gossip in due {
                         let Message { from, to, .. } = gossip.message;
@@ -132,7 +135,7 @@ impl FloodingAggregator {
                         // The edge was usable at send time by construction.
                         match knobs.settle(
                             &mut gossip.message,
-                            tick,
+                            now,
                             usable_now,
                             true,
                             metrics,
@@ -153,7 +156,7 @@ impl FloodingAggregator {
                             metrics.effective_group_steps += 1;
                         }
                         events.emit(|| TraceEvent::GroupStep {
-                            tick: (tick + 1) as u64,
+                            tick: tick as u64,
                             size: 2,
                             changed,
                         });
@@ -162,15 +165,14 @@ impl FloodingAggregator {
             }
             knowledge.iter().all(|k| k.len() == n)
         };
-        let converged = drive(
-            environment,
+        let driver = Driver {
             seed,
-            self.max_rounds,
-            &mut metrics,
-            events,
-            body,
-        );
-        (metrics, converged.then(|| aggregate(&self.values, fold)))
+            budget: self.max_rounds,
+            cooldown: 0,
+        };
+        driver.run(environment, &mut metrics, events, body);
+        let result = metrics.converged().then(|| aggregate(&self.values, fold));
+        (metrics, result)
     }
 }
 

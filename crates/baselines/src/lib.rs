@@ -21,12 +21,12 @@
 //! one entry point, `run`, that takes an
 //! [`ExecutionMode`](selfsim_runtime::ExecutionMode): `Sync` and
 //! `Event` run the round-based protocol, `Async` its message-passing
-//! variant.  Every tick of either advances the environment by one
-//! [`Environment::step_delta`] and folds it into a [`Connectivity`] — the
-//! same fold the self-similar runtimes use — from which the baselines read
-//! groups, usable edges and pairwise reachability.  The message-passing
-//! variants send and settle their messages through the same message layer
-//! as the self-similar async runtime
+//! variant.  Either is a body of the runtime's one tick loop,
+//! [`Driver`](selfsim_runtime::Driver), like the self-similar runtimes:
+//! it reads the driver's connectivity, and the driver records convergence
+//! at the first tick that has learned the aggregate, with no cooldown.
+//! The message-passing variants send and settle their messages through the
+//! same message layer as the self-similar async runtime
 //! ([`AsyncKnobs`](selfsim_runtime::AsyncKnobs)); each keeps its own queue
 //! and counts message cost in its own unit.
 
@@ -38,66 +38,6 @@ mod snapshot;
 
 pub use flooding::FloodingAggregator;
 pub use snapshot::SnapshotAggregator;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use selfsim_env::{Connectivity, Environment, Topology};
-use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
-
-/// What one tick of a baseline loop sees.
-struct Tick<'a> {
-    /// Zero-based tick (round) number.
-    tick: usize,
-    rng: &'a mut StdRng,
-    connectivity: &'a Connectivity,
-    topology: &'a Topology,
-    metrics: &'a mut RunMetrics,
-    events: &'a mut EventLog,
-}
-
-/// The loop both baselines share: each of at most `max_rounds` ticks
-/// advances `environment` by one delta, folds it into one
-/// [`Connectivity`], emits the `env-transition` event and runs `body`.
-/// The first tick whose body returns `true` has learned the aggregate: the
-/// loop records convergence and stops, returning `true`.
-fn drive<E: Environment + ?Sized>(
-    environment: &mut E,
-    seed: u64,
-    max_rounds: usize,
-    metrics: &mut RunMetrics,
-    events: &mut EventLog,
-    mut body: impl FnMut(Tick<'_>) -> bool,
-) -> bool {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut connectivity = Connectivity::default();
-    for tick in 0..max_rounds {
-        let delta = environment.step_delta(&mut rng);
-        let topology = environment.topology();
-        connectivity.advance(delta, topology);
-        metrics.rounds_executed = tick + 1;
-        events.emit(|| TraceEvent::EnvTransition {
-            tick: (tick + 1) as u64,
-            edges: connectivity.usable_edge_count(topology),
-        });
-        let done = body(Tick {
-            tick,
-            rng: &mut rng,
-            connectivity: &connectivity,
-            topology,
-            metrics,
-            events,
-        });
-        if done {
-            metrics.rounds_to_convergence = Some(tick + 1);
-            events.emit(|| TraceEvent::ConvergenceEntered {
-                tick: (tick + 1) as u64,
-            });
-            return true;
-        }
-    }
-    false
-}
 
 /// The aggregate of a converged run.
 fn aggregate(values: &[i64], fold: impl FnMut(i64, i64) -> i64) -> i64 {

@@ -1,10 +1,10 @@
 //! The repeated-global-snapshot baseline.
 
 use selfsim_env::Environment;
-use selfsim_runtime::{DeliveryDecision, ExecutionMode, Message};
+use selfsim_runtime::{DeliveryDecision, Driver, ExecutionMode, Message, Tick};
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{aggregate, drive, Tick};
+use crate::aggregate;
 
 /// A coordinator-based aggregator: agent 0 repeatedly attempts to take a
 /// global snapshot of all values.  A snapshot attempt in a given round
@@ -86,12 +86,14 @@ impl SnapshotAggregator {
                 metrics.group_steps += 1;
                 metrics.effective_group_steps += usize::from(reached);
                 events.emit(|| TraceEvent::GroupStep {
-                    tick: (tick + 1) as u64,
+                    tick: tick as u64,
                     size: n,
                     changed: reached,
                 });
                 return reached;
             };
+            // Messages are stamped with zero-based time.
+            let now = tick - 1;
 
             if knobs.initiates(rng) && n > 0 {
                 metrics.group_steps += 1;
@@ -110,7 +112,7 @@ impl SnapshotAggregator {
                     if attempts[attempt].1 {
                         break;
                     }
-                    match knobs.send(rng, tick, 0, target, events) {
+                    match knobs.send(rng, now, 0, target, events) {
                         Some(message) => pending.push(Probe {
                             message,
                             reachable_at_send: reached,
@@ -127,7 +129,7 @@ impl SnapshotAggregator {
             // In-place drain (order-preserving): no per-tick reallocation
             // of the undelivered queue.
             let due: Vec<Probe> = pending
-                .extract_if(.., |p| p.message.deliver_at <= tick)
+                .extract_if(.., |p| p.message.deliver_at <= now)
                 .collect();
             for mut probe in due {
                 let (outstanding, failed) = &mut attempts[probe.attempt];
@@ -136,7 +138,7 @@ impl SnapshotAggregator {
                 }
                 match knobs.settle(
                     &mut probe.message,
-                    tick,
+                    now,
                     reached,
                     probe.reachable_at_send,
                     metrics,
@@ -160,15 +162,14 @@ impl SnapshotAggregator {
             }
             false
         };
-        let converged = drive(
-            environment,
+        let driver = Driver {
             seed,
-            self.max_rounds,
-            &mut metrics,
-            events,
-            body,
-        );
-        (metrics, converged.then(|| aggregate(&self.values, fold)))
+            budget: self.max_rounds,
+            cooldown: 0,
+        };
+        driver.run(environment, &mut metrics, events, body);
+        let result = metrics.converged().then(|| aggregate(&self.values, fold));
+        (metrics, result)
     }
 }
 

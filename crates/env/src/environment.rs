@@ -585,14 +585,18 @@ impl Environment for AdversarialEnv {
 
     fn step(&mut self, _rng: &mut dyn rand::RngCore) -> EnvState {
         let n = self.topology.agent_count();
-        let cycle = self.silence + 1;
         let tick = self.tick;
         self.tick += 1;
-        if self.edge_order.is_empty() || !tick.is_multiple_of(cycle) {
+        // Tick `tick` opens cycle `tick / (silence + 1)`.  At the largest
+        // silence the cycle is longer than any run, so only tick 0 opens one.
+        let opened = match self.silence.checked_add(1) {
+            Some(cycle) => tick.is_multiple_of(cycle).then(|| tick / cycle),
+            None => (tick == 0).then_some(0),
+        };
+        let Some(cycle) = opened.filter(|_| !self.edge_order.is_empty()) else {
             return EnvState::fully_disabled(n);
-        }
-        let which = (tick / cycle) % self.edge_order.len();
-        let edge = self.edge_order[which];
+        };
+        let edge = self.edge_order[cycle % self.edge_order.len()];
         EnvState::new(n, [edge], [edge.lo(), edge.hi()])
     }
 
@@ -806,6 +810,22 @@ mod tests {
         assert_eq!(active_edges.len(), 3);
         let expected: Vec<Edge> = topo.edges().iter().copied().collect();
         assert_eq!(active_edges, expected);
+    }
+
+    #[test]
+    fn adversary_with_the_largest_silence_activates_only_at_tick_zero() {
+        let topo = Topology::line(3);
+        let mut env = AdversarialEnv::new(topo.clone(), usize::MAX);
+        let mut r = rng();
+        let first = env.step(&mut r);
+        let expected: Vec<Edge> = topo.edges().iter().take(1).copied().collect();
+        assert_eq!(
+            first.enabled_edges().iter().copied().collect::<Vec<_>>(),
+            expected
+        );
+        for _ in 0..5 {
+            assert!(env.step(&mut r).enabled_edges().is_empty());
+        }
     }
 
     #[test]

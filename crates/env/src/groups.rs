@@ -647,9 +647,10 @@ enum Expand {
 /// The current connectivity of a run, folded from its [`EnvDelta`] stream
 /// and kept symbolic while the environment allows it.
 ///
-/// This is the one fold of environment deltas: the round loop, the
-/// message-passing runtime and the baselines all advance one of these with
-/// [`Environment::step_delta`](crate::Environment::step_delta) and read
+/// This is the one fold of environment deltas: the runtime's tick loop
+/// (`selfsim_runtime::Driver`) advances one of these with every
+/// [`Environment::step_delta`](crate::Environment::step_delta), and every
+/// execution it drives — rounds, message passing, the baselines — reads
 /// groups, usable edges and pairwise reachability from it.  Every query
 /// takes the topology the deltas were folded against.  A new fold is
 /// empty: nothing enabled until the first (absolute) delta.

@@ -1,23 +1,19 @@
 //! The discrete-event, message-passing simulator.
 //!
-//! Every tick advances the environment through
-//! [`Environment::step_delta`] and folds the delta into a
-//! [`Connectivity`] — the same fold the round loop uses.  New rendezvous
-//! requests are drawn over its usable edges in ascending edge order, and a
-//! request that comes due asks it whether its two endpoints can still
-//! communicate; no full environment state is built unless an observer asks
-//! a tick for one ([`Round::env_state`]).
+//! It is a body of the [`Driver`], which advances the environment every
+//! tick.  New rendezvous requests are drawn over the usable edges of the
+//! driver's connectivity in ascending edge order, and a request that comes
+//! due asks it whether its two endpoints can still communicate; no full
+//! environment state is built unless an observer asks a tick for one
+//! ([`Round::env_state`]).
 
-use std::collections::BinaryHeap;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 use selfsim_core::{SelfSimilarSystem, StepScratch};
-use selfsim_env::{AgentId, Connectivity, Environment};
+use selfsim_env::{AgentId, Environment};
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{AsyncKnobs, DeliveryDecision, Message, Round, SimulationReport};
+use crate::{AsyncKnobs, DeliveryDecision, Driver, Message, Round, SimulationReport, Tick};
 
 /// Configuration of an [`AsyncSimulator`] run.
 #[derive(Clone, Copy, Debug)]
@@ -37,33 +33,6 @@ impl Default for AsyncConfig {
             knobs: AsyncKnobs::default(),
             seed: 0,
         }
-    }
-}
-
-/// A pending rendezvous request: when delivered (subject to the
-/// [`DeliveryRule`](crate::DeliveryRule)), its two endpoint agents execute
-/// one pairwise step of `R`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct PendingInteraction {
-    message: Message,
-    sequence: usize,
-}
-
-impl Ord for PendingInteraction {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest delivery pops first,
-        // breaking ties by sequence number for determinism.
-        other
-            .message
-            .deliver_at
-            .cmp(&self.message.deliver_at)
-            .then_with(|| other.sequence.cmp(&self.sequence))
-    }
-}
-
-impl PartialOrd for PendingInteraction {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -131,7 +100,6 @@ impl AsyncSimulator {
         S: Ord + Clone + std::fmt::Debug,
         E: Environment + ?Sized,
     {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut state = system.initial_state().clone();
         let mut metrics = RunMetrics::new(
             system.name(),
@@ -147,51 +115,60 @@ impl AsyncSimulator {
             .objective_trajectory
             .push(system.objective_of(&global));
 
-        let mut pending: BinaryHeap<PendingInteraction> = BinaryHeap::new();
+        // Pending rendezvous requests by due tick, then send order: the
+        // earliest due pops first, ties broken deterministically.
+        let mut pending: BTreeMap<(usize, usize), Message> = BTreeMap::new();
         let mut sequence = 0usize;
-        let mut converged_at = None;
-
-        let mut connectivity = Connectivity::default();
         let knobs = self.config.knobs;
 
-        for tick in 0..self.config.max_ticks {
-            let delta = environment.step_delta(&mut rng);
-            let topology = environment.topology();
-            connectivity.advance(delta, topology);
-            events.emit(|| TraceEvent::EnvTransition {
-                tick: (tick + 1) as u64,
-                edges: connectivity.usable_edge_count(topology),
-            });
-
+        let driver = Driver {
+            seed: self.config.seed,
+            budget: self.config.max_ticks,
+            cooldown: 0,
+        };
+        let body = |Tick {
+                        tick,
+                        rng,
+                        connectivity,
+                        topology,
+                        metrics,
+                        events,
+                        ..
+                    }: Tick<'_>| {
+            // Messages are stamped with zero-based time.
+            let now = tick - 1;
             // New rendezvous requests from currently usable edges, in
             // ascending edge order.
             for edge in connectivity.usable_edges(topology) {
-                if !knobs.initiates(&mut rng) {
+                if !knobs.initiates(rng) {
                     continue;
                 }
                 metrics.messages += 1;
                 let (from, to) = (edge.lo().index(), edge.hi().index());
-                let Some(message) = knobs.send(&mut rng, tick, from, to, events) else {
+                let Some(message) = knobs.send(rng, now, from, to, events) else {
                     metrics.messages_dropped += 1;
                     continue; // lost in flight
                 };
-                pending.push(PendingInteraction { message, sequence });
+                pending.insert((message.deliver_at, sequence), message);
                 sequence += 1;
             }
 
             // Deliveries due at this tick.  The edge was usable at send
             // time by construction, so `usable_at_send` is always true
             // here; the rule decides on the current state of the edge.
-            while pending.peek().is_some_and(|p| p.message.deliver_at <= tick) {
-                let mut p = pending.pop().expect("peeked");
-                let (initiator, responder) = (AgentId(p.message.from), AgentId(p.message.to));
+            while pending
+                .first_key_value()
+                .is_some_and(|(&(due, _), _)| due <= now)
+            {
+                let ((_, sent), mut message) = pending.pop_first().expect("peeked");
+                let (initiator, responder) = (AgentId(message.from), AgentId(message.to));
                 let usable_now = connectivity.can_communicate(initiator, responder, topology);
-                match knobs.settle(&mut p.message, tick, usable_now, true, &mut metrics, events) {
+                match knobs.settle(&mut message, now, usable_now, true, metrics, events) {
                     DeliveryDecision::Discard => continue,
                     DeliveryDecision::Requeue => {
-                        // Same sequence number: the retry keeps its place
-                        // in the deterministic tie-break order.
-                        pending.push(p);
+                        // Same send order: the retry keeps its place in
+                        // the deterministic tie-break order.
+                        pending.insert((message.deliver_at, sent), message);
                         continue;
                     }
                     DeliveryDecision::Deliver => {}
@@ -202,7 +179,7 @@ impl AsyncSimulator {
                     .apply_group_step_with(
                         &mut state,
                         &group,
-                        &mut rng,
+                        &mut *rng,
                         &mut scratch,
                         Some(&mut global),
                     )
@@ -211,33 +188,24 @@ impl AsyncSimulator {
                     metrics.effective_group_steps += 1;
                 }
                 events.emit(|| TraceEvent::GroupStep {
-                    tick: (tick + 1) as u64,
+                    tick: tick as u64,
                     size: group.len(),
                     changed,
                 });
             }
 
-            metrics.rounds_executed = tick + 1;
             observe(&Round {
-                tick: tick + 1,
+                tick,
                 states: &global,
-                connectivity: &connectivity,
+                connectivity,
                 topology,
             });
             metrics
                 .objective_trajectory
                 .push(system.objective_of(&global));
-
-            if system.is_converged_multiset(&global) {
-                converged_at = Some(tick + 1);
-                events.emit(|| TraceEvent::ConvergenceEntered {
-                    tick: (tick + 1) as u64,
-                });
-                break;
-            }
-        }
-
-        metrics.rounds_to_convergence = converged_at;
+            system.is_converged_multiset(&global)
+        };
+        driver.run(environment, &mut metrics, events, body);
         SimulationReport {
             metrics,
             final_state: state,
@@ -283,7 +251,8 @@ mod tests {
         assert!(clean.converged());
         assert!(lossy.converged());
         assert!(
-            lossy.rounds_to_convergence().unwrap() >= clean.rounds_to_convergence().unwrap(),
+            lossy.rounds_to_convergence().expect("lossy run converged")
+                >= clean.rounds_to_convergence().expect("clean run converged"),
             "losing 80% of messages should not speed things up"
         );
         // Losses are visible in the metrics, not conflated with sends.

@@ -273,17 +273,12 @@ impl DeliveryRule {
         }
     }
 
-    /// Parses a label: the bare rule names (`any-overlap` takes the
+    /// Parses a label — the bare rule names (`any-overlap` takes the
     /// default grace) and the parameterised `any-overlap(g=N)` form
-    /// produced by [`DeliveryRule::label`].
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::parse_label(s).ok()
-    }
-
-    /// Parses a label through the shared `name(k=v)` grammar
-    /// ([`selfsim_env::params`]), with named-field errors for malformed
-    /// or out-of-place parameters — what the CLI and the mode parser
-    /// surface.
+    /// produced by [`DeliveryRule::label`] — through the shared
+    /// `name(k=v)` grammar ([`selfsim_env::params`]), with named-field
+    /// errors for malformed or out-of-place parameters, which the CLI and
+    /// the mode parser surface.
     pub fn parse_label(s: &str) -> Result<Self, String> {
         let (name, mut params) = selfsim_env::parse_label(s)?;
         let rule = match name {
@@ -366,20 +361,18 @@ mod tests {
     #[test]
     fn labels_parse_back() {
         for rule in DeliveryRule::all() {
-            assert_eq!(DeliveryRule::parse(&rule.label()), Some(rule));
+            assert_eq!(DeliveryRule::parse_label(&rule.label()), Ok(rule));
         }
         assert_eq!(
-            DeliveryRule::parse("any-overlap"),
-            Some(DeliveryRule::AnyOverlap {
+            DeliveryRule::parse_label("any-overlap"),
+            Ok(DeliveryRule::AnyOverlap {
                 grace: DEFAULT_GRACE
             })
         );
         assert_eq!(
-            DeliveryRule::parse("any-overlap(g=3)"),
-            Some(DeliveryRule::AnyOverlap { grace: 3 })
+            DeliveryRule::parse_label("any-overlap(g=3)"),
+            Ok(DeliveryRule::AnyOverlap { grace: 3 })
         );
-        assert_eq!(DeliveryRule::parse("nonsense"), None);
-        assert_eq!(DeliveryRule::parse("any-overlap(g=x)"), None);
     }
 
     #[test]

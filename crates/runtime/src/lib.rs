@@ -2,22 +2,22 @@
 //!
 //! The transition system of Chandy & Charpentier (ICDCS 2007) alternates
 //! environment transitions (arbitrary) with agent transitions (every group
-//! of a partition takes one collaborative step).  Both ways this crate
-//! executes that system read connectivity from one place: every round or
-//! tick folds the environment transition, as a delta
-//! ([`selfsim_env::Environment::step_delta`]), into a
-//! [`selfsim_env::Connectivity`], and the groups, usable edges and pairwise
-//! reachability all come from it.
+//! of a partition takes one collaborative step).  Every execution of it
+//! runs on one tick loop, [`Driver`]: each tick it folds the environment
+//! transition ([`selfsim_env::Environment::step_delta`]) into one
+//! [`selfsim_env::Connectivity`] and hands the tick to the execution's
+//! body as a [`Tick`].  The driver owns the seeded RNG and judges
+//! convergence, cooldown included, the same way for every body:
 //!
 //! * **Rounds** — [`SyncSimulator`] and [`EventSimulator`] run one shared
-//!   round loop: every group of the induced partition (connected components
+//!   round body: every group of the induced partition (connected components
 //!   of the enabled subgraph) executes one step of the algorithm's group
 //!   relation `R`, in partition order.  Groups proven to be randomness-free
 //!   fixpoints are not stepped again until connectivity changes, so idle
 //!   agents cost nothing and million-agent systems stay tractable.  This is
 //!   the semantics used for all correctness claims and most experiments.
 //!   The two names differ only in the record columns they fill: event runs
-//!   prefix the environment with `event/` and report the loop's work as
+//!   prefix the environment with `event/` and report the round's work as
 //!   events processed and peak queue depth.
 //! * **Messages** — [`AsyncSimulator`] is a discrete-event, message-passing
 //!   realisation in the spirit of the remark at the end of §4.5: agents
@@ -29,6 +29,8 @@
 //!   is down when it comes due, which over environments with connectivity
 //!   windows shorter than the message latency decides convergence itself
 //!   (see the `delivery` module docs and experiment E14).
+//! * **Baselines** — the snapshot and flooding baselines
+//!   (`selfsim-baselines`), which stop at their target (cooldown 0).
 //!
 //! Every message-passing execution — the [`AsyncSimulator`] and the async
 //! runs of the snapshot and flooding baselines — goes through one message
@@ -58,6 +60,7 @@
 
 mod async_sim;
 mod delivery;
+mod drive;
 mod event;
 mod mode;
 mod report;
@@ -66,6 +69,7 @@ mod sync;
 
 pub use async_sim::{AsyncConfig, AsyncSimulator};
 pub use delivery::{AsyncKnobs, DeliveryDecision, DeliveryRule, Message, DEFAULT_GRACE};
+pub use drive::{Driver, Tick};
 pub use event::{EventConfig, EventSimulator};
 pub use mode::ExecutionMode;
 pub use report::SimulationReport;

@@ -129,15 +129,10 @@ impl ExecutionMode {
         }
     }
 
-    /// Parses a mode label: the bare names (`sync` / `async` / `event`,
+    /// Parses a mode label — the bare names (`sync` / `async` / `event`,
     /// their default parameterisations) and every label
-    /// [`ExecutionMode::label`] emits.
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::parse_label(s).ok()
-    }
-
-    /// Parses a mode label through the shared `name(k=v)` grammar, with
-    /// named-field errors: `sync(cd=N)` and
+    /// [`ExecutionMode::label`] emits — through the shared `name(k=v)`
+    /// grammar, with named-field errors: `sync(cd=N)` and
     /// `async(i=RATE,l=LATENCY,d=DROP[,dv=RULE])` round-trip exactly, and
     /// the async knobs are validated by [`AsyncKnobs::new`] so an
     /// out-of-range label is rejected at parse, not deep in a trial.
@@ -235,17 +230,21 @@ mod tests {
     #[test]
     fn labels_parse_back_for_defaults() {
         for mode in ExecutionMode::both() {
-            assert_eq!(ExecutionMode::parse(&mode.label()), Some(mode));
+            assert_eq!(ExecutionMode::parse_label(&mode.label()), Ok(mode));
         }
         assert_eq!(ExecutionMode::Sync { cooldown: 7 }.label(), "sync(cd=7)");
         assert_eq!(ExecutionMode::event().label(), "event");
-        assert_eq!(ExecutionMode::parse("event"), Some(ExecutionMode::event()));
+        assert_eq!(
+            ExecutionMode::parse_label("event"),
+            Ok(ExecutionMode::event())
+        );
         assert_eq!(ExecutionMode::Event { cooldown: 7 }.label(), "event(cd=7)");
         assert_eq!(
             asynchronous(0.25, 5, 0.1, DeliveryRule::default()).label(),
             "async(i=0.25,l=5,d=0.1)"
         );
-        assert!(ExecutionMode::parse("nonsense").is_none());
+        let err = ExecutionMode::parse_label("nonsense").unwrap_err();
+        assert!(err.contains("unknown mode `nonsense`"), "{err}");
     }
 
     #[test]
@@ -268,7 +267,7 @@ mod tests {
         }
         // Partial parameterisations keep the defaults for omitted knobs.
         assert_eq!(
-            ExecutionMode::parse_label("async(d=0.2)").unwrap(),
+            ExecutionMode::parse_label("async(d=0.2)").expect("valid label"),
             asynchronous(0.5, 3, 0.2, DeliveryRule::default())
         );
     }

@@ -1,20 +1,12 @@
-//! The round loop behind [`SyncSimulator`](crate::SyncSimulator) and
+//! The round body behind [`SyncSimulator`](crate::SyncSimulator) and
 //! [`EventSimulator`](crate::EventSimulator).
 //!
-//! Every round is one environment transition followed by one step of `R`
-//! per group of the induced partition, groups taken in partition order
-//! (ascending smallest member).  Three things keep a round cheap without
-//! changing what it measures:
+//! The [`Driver`] runs the environment transition of every round; the body
+//! then takes one step of `R` per group of the induced partition, groups
+//! taken in partition order (ascending smallest member).  Besides the
+//! driver's delta-based connectivity, two things keep a round cheap
+//! without changing what it measures:
 //!
-//! * **Delta-based connectivity.**  The environment is advanced through
-//!   [`Environment::step_delta`] and the delta is folded into the shared
-//!   [`Connectivity`] — the same fold the message-passing runtime and the
-//!   baselines read — which merges on edge-up and re-splits only the
-//!   affected component on edge-down, without allocating.
-//!   [`EnvDelta::Unchanged`](selfsim_env::EnvDelta::Unchanged) costs
-//!   nothing, and [`EnvDelta::AllEnabled`](selfsim_env::EnvDelta::AllEnabled)
-//!   never materialises the edge set: a static complete graph on 10⁵ agents
-//!   never allocates its ~5·10⁹ edges.
 //! * **Fixpoint elision.**  A group observed to map its state to itself
 //!   *bit for bit while drawing no randomness* is a fixpoint group:
 //!   stepping it again is the identity on both the state and the RNG
@@ -31,14 +23,14 @@
 //! [`EventLog`] for the structured event stream.
 
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 
 use selfsim_core::{SelfSimilarSystem, StepScratch};
 use selfsim_env::{Connectivity, EnvState, Environment, Topology};
 use selfsim_multiset::Multiset;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{SimulationReport, SyncConfig};
+use crate::{Driver, SimulationReport, SyncConfig, Tick};
 
 /// One executed round (sync, event) or tick (async), as the observer of a
 /// `run_with` call sees it, after the round's group steps.
@@ -88,9 +80,9 @@ pub(crate) struct Stepped {
     pub(crate) peak: usize,
 }
 
-/// Runs `system` under `environment` until it converges (plus the
-/// configured cooldown) or the round budget is exhausted, emitting into
-/// `events` and handing every executed round to `observe`.
+/// Runs `system` under `environment` on the [`Driver`] until it converges
+/// (plus the configured cooldown) or the round budget is exhausted,
+/// emitting into `events` and handing every executed round to `observe`.
 pub(crate) fn run_rounds<S, E>(
     config: &SyncConfig,
     system: &SelfSimilarSystem<S>,
@@ -102,7 +94,6 @@ where
     S: Ord + Clone + std::fmt::Debug,
     E: Environment + ?Sized,
 {
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let mut state = system.initial_state().clone();
     let mut metrics = RunMetrics::new(system.name(), environment.name(), system.agent_count());
 
@@ -118,25 +109,27 @@ where
     let mut dirty = true;
     metrics.objective_trajectory.push(objective);
 
-    let mut connectivity = Connectivity::default();
     let mut at_fixpoint: Vec<bool> = Vec::new();
     let mut stepped = Stepped::default();
-    let mut converged_at: Option<usize> = None;
-    let mut cooldown_left = config.cooldown_rounds;
 
-    for round in 1..=config.max_rounds {
-        let tick = round as u64;
-        let delta = environment.step_delta(&mut rng);
-        let topology = environment.topology();
-        if connectivity.advance(delta, topology) {
+    let driver = Driver {
+        seed: config.seed,
+        budget: config.max_rounds,
+        cooldown: config.cooldown_rounds,
+    };
+    let body = |Tick {
+                    tick,
+                    rng,
+                    connectivity,
+                    topology,
+                    regrouped,
+                    metrics,
+                    events,
+                }: Tick<'_>| {
+        if regrouped {
             at_fixpoint.clear();
             at_fixpoint.resize(connectivity.group_count(), false);
         }
-        events.emit(|| TraceEvent::EnvTransition {
-            tick,
-            edges: connectivity.usable_edge_count(topology),
-        });
-
         let mut round_stepped = 0usize;
         for (i, fixed) in at_fixpoint.iter_mut().enumerate() {
             let group = connectivity.group(i);
@@ -149,7 +142,7 @@ where
             } else {
                 round_stepped += 1;
                 let mut counting = CountingRng {
-                    inner: &mut rng,
+                    inner: &mut *rng,
                     draws: 0,
                 };
                 let outcome = system.apply_group_step_with(
@@ -165,18 +158,17 @@ where
             };
             metrics.effective_group_steps += usize::from(changed);
             events.emit(|| TraceEvent::GroupStep {
-                tick,
+                tick: tick as u64,
                 size: group.len(),
                 changed,
             });
         }
-        metrics.rounds_executed = round;
         stepped.total += round_stepped;
         stepped.peak = stepped.peak.max(round_stepped);
         observe(&Round {
-            tick: round,
+            tick,
             states: &global,
-            connectivity: &connectivity,
+            connectivity,
             topology,
         });
 
@@ -186,28 +178,10 @@ where
             dirty = false;
         }
         metrics.objective_trajectory.push(objective);
+        converged
+    };
+    driver.run(environment, &mut metrics, events, body);
 
-        if converged {
-            if converged_at.is_none() {
-                converged_at = Some(round);
-                events.emit(|| TraceEvent::ConvergenceEntered { tick });
-            }
-            if cooldown_left == 0 {
-                break;
-            }
-            cooldown_left -= 1;
-        } else {
-            if converged_at.is_some() {
-                events.emit(|| TraceEvent::ConvergenceLeft { tick });
-            }
-            // If a later round leaves the target state the algorithm is
-            // broken; reset so the reported number is honest.
-            converged_at = None;
-            cooldown_left = config.cooldown_rounds;
-        }
-    }
-
-    metrics.rounds_to_convergence = converged_at;
     let report = SimulationReport {
         metrics,
         final_state: state,

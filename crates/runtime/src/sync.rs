@@ -109,7 +109,7 @@ mod tests {
         assert_eq!(report.final_state, vec![1, 1, 1, 1, 1]);
         // On a line of 5 agents, the minimum needs a handful of rounds to
         // sweep across; it must be at least 1 and at most the diameter.
-        let rounds = report.rounds_to_convergence().unwrap();
+        let rounds = report.rounds_to_convergence().expect("converged");
         assert!((1..=5).contains(&rounds), "rounds = {rounds}");
     }
 
@@ -148,7 +148,7 @@ mod tests {
         assert!(report.converged());
         // The adversary activates one edge every 4 rounds, so convergence is
         // necessarily much slower than under the static environment.
-        assert!(report.rounds_to_convergence().unwrap() > 4);
+        assert!(report.rounds_to_convergence().expect("converged") > 4);
     }
 
     #[test]
@@ -185,9 +185,14 @@ mod tests {
             |round| at_target.push(*round.states == target),
         );
         assert!(report.converged());
-        assert!(report.metrics.rounds_executed > report.rounds_to_convergence().unwrap());
+        assert!(
+            report.metrics.rounds_executed > report.rounds_to_convergence().expect("converged")
+        );
         // Stability: once the target is reached the run never leaves it.
-        let first = at_target.iter().position(|&at| at).unwrap();
+        let first = at_target
+            .iter()
+            .position(|&at| at)
+            .expect("some round reaches the target");
         assert!(at_target[first..].iter().all(|&at| at));
     }
 

@@ -523,3 +523,27 @@ fn self_similar_and_baselines_sweep_both_runtimes_in_one_grid() {
         assert_eq!(summary.converged, summary.trials, "{}", summary.scenario);
     }
 }
+
+/// The largest adversary silence parses, so it must also run: a cycle of
+/// `silence + 1` ticks that overflows `usize` is one that never ends, and
+/// the adversary enables one edge at tick 0 and nothing after.
+#[test]
+fn the_largest_adversary_silence_runs_without_a_panic() {
+    let scenarios = ScenarioGrid::new()
+        .algorithms([algorithm("minimum")])
+        .topologies([topology("ring")])
+        .envs([env("adversary(s=18446744073709551615)")])
+        .sizes([4])
+        .trials(1)
+        .max_rounds(10)
+        .expand();
+    let result = Campaign::new(scenarios).seed(0).run_collect();
+    let [record] = result.records.as_slice() else {
+        panic!("one trial, one record");
+    };
+    assert_eq!(record.environment, format!("adversary(s={})", usize::MAX));
+    assert!(!record.converged);
+    assert_eq!(record.rounds_executed, 10);
+    // Only the first round's edge ever lets a group step.
+    assert_eq!(record.group_steps, 1);
+}
