@@ -100,4 +100,4 @@ pub use scenario::{distribute_trials, grid_dims, Scenario, ScenarioBuilder, Scen
 pub use selfsim_env::{parse_label, split_top_level, Params};
 pub use selfsim_runtime::{AsyncKnobs, DeliveryRule, ExecutionMode};
 pub use shard::{merge_shards, MergeOrder, ShardSpec, StreamKind};
-pub use trial::{run_trial, run_trial_traced, TrialRecord};
+pub use trial::{run_trial, TrialRecord};

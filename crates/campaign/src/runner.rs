@@ -377,7 +377,7 @@ impl Campaign {
                             let slot = timed(sampled.map(|o| &*o.serialize), || {
                                 Ok(Slot {
                                     bytes: serialize.then(|| record.to_jsonl_line()).transpose()?,
-                                    trace: events.as_deref().map(trace_block).transpose()?,
+                                    trace: events.as_deref().map(trace_block),
                                 })
                             });
                             let mut state = reorder.lock().expect("reorder lock");
@@ -434,15 +434,12 @@ impl Campaign {
 
 /// Serializes one trial's event block as JSONL bytes, one event per line,
 /// ending with the `trial-end` line the shard merge delimits blocks by.
-fn trace_block(events: &[TraceEvent]) -> std::io::Result<Vec<u8>> {
+fn trace_block(events: &[TraceEvent]) -> Vec<u8> {
     let mut block = Vec::new();
     for event in events {
-        let line = serde_json::to_string(event)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        block.extend_from_slice(line.as_bytes());
-        block.push(b'\n');
+        event.write_jsonl(&mut block);
     }
-    Ok(block)
+    block
 }
 
 /// One finished trial in flight between a worker and the ordered release:

@@ -535,7 +535,8 @@ mod tests {
     /// One trial's trace block: a real `trial-start` line, one event and
     /// a `trial-end` line.
     fn trace_block(scenario: &str, trial: u64) -> String {
-        let start = serde_json::to_string(&TraceEvent::TrialStart {
+        let mut block = Vec::new();
+        TraceEvent::TrialStart {
             scenario: scenario.into(),
             algorithm: "minimum".into(),
             topology: "ring".into(),
@@ -545,10 +546,11 @@ mod tests {
             agents: 8,
             trial,
             seed: trial,
-        })
-        .expect("serialize trial-start");
+        }
+        .write_jsonl(&mut block);
+        let start = String::from_utf8(block).expect("JSONL is UTF-8");
         format!(
-            "{start}\n{{\"event\":\"group-step\",\"tick\":0}}\n\
+            "{start}{{\"event\":\"group-step\",\"tick\":0}}\n\
              {{\"event\":\"trial-end\",\"trial\":{trial}}}\n"
         )
     }

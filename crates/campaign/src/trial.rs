@@ -1,11 +1,10 @@
 //! Per-trial execution and the flat record it produces.
 
-use std::io::Write as _;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Value};
 
+use selfsim_trace::json::JsonLine;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
 use crate::algorithm::{Expectation, TrialSetup};
@@ -146,13 +145,10 @@ impl TrialRecord {
     /// omitted when zero, so campaigns without requeues or event cells stay
     /// byte-identical to records produced before those columns existed.  A
     /// missing `rounds_to_convergence` and a non-finite objective are
-    /// `null`; floats render as `Display` does, plus `.0` when that has no
-    /// `.`, `e` or `E` (so they parse back as floats).  Strings escape `"`,
-    /// `\`, `\n`, `\r`, `\t`, `\b`, `\f` and other control characters as
-    /// `\u00XX`.  These are the `serde_json` writer's rules, written
-    /// straight to bytes rather than through a `Value` tree.
+    /// `null`.  The bytes come from [`selfsim_trace::json`], the one JSONL
+    /// writer, which also writes trace events.
     pub fn write_jsonl(&self, out: &mut Vec<u8>) {
-        let mut line = JsonLine { out, sep: b'{' };
+        let mut line = JsonLine::new(out);
         line.str("scenario", &self.scenario);
         line.str("algorithm", &self.algorithm);
         line.str("topology", &self.topology);
@@ -167,7 +163,7 @@ impl TrialRecord {
         line.bool("meets_expectation", self.meets_expectation);
         match self.rounds_to_convergence {
             Some(rounds) => line.uint("rounds_to_convergence", rounds as u64),
-            None => line.key("rounds_to_convergence").extend_from_slice(b"null"),
+            None => line.null("rounds_to_convergence"),
         }
         line.uint("rounds_executed", self.rounds_executed as u64);
         line.uint("group_steps", self.group_steps as u64);
@@ -186,7 +182,7 @@ impl TrialRecord {
         line.float("initial_objective", self.initial_objective);
         line.float("final_objective", self.final_objective);
         line.bool("objective_monotone", self.objective_monotone);
-        line.out.extend_from_slice(b"}\n");
+        line.end();
     }
 
     /// The record's canonical JSONL line, from [`TrialRecord::write_jsonl`]
@@ -218,95 +214,6 @@ impl TrialRecord {
 /// Room for a typical record line (about 470 bytes), so writing one
 /// rarely reallocates.
 const LINE_CAPACITY: usize = 512;
-
-/// A JSON object being written into a line buffer, one field at a time.
-struct JsonLine<'a> {
-    out: &'a mut Vec<u8>,
-    /// What precedes the next key: `{` before the first, `,` after.
-    sep: u8,
-}
-
-impl JsonLine<'_> {
-    /// Writes the separator and `"key":`, returning the buffer for the
-    /// value.  Keys are plain identifiers, so they need no escaping.
-    fn key(&mut self, key: &str) -> &mut Vec<u8> {
-        self.out.push(self.sep);
-        self.sep = b',';
-        self.out.push(b'"');
-        self.out.extend_from_slice(key.as_bytes());
-        self.out.extend_from_slice(b"\":");
-        self.out
-    }
-
-    /// A string value.  Only ASCII bytes are ever escaped, so multi-byte
-    /// UTF-8 sequences (whose bytes are all `>= 0x80`) copy through
-    /// unchanged, in runs between escapes.
-    fn str(&mut self, key: &str, value: &str) {
-        fn escaped(b: u8) -> bool {
-            b < 0x20 || b == b'"' || b == b'\\'
-        }
-        let out = self.key(key);
-        out.push(b'"');
-        for run in value.as_bytes().split_inclusive(|&b| escaped(b)) {
-            match run.split_last() {
-                Some((&b, plain)) if escaped(b) => {
-                    out.extend_from_slice(plain);
-                    match b {
-                        b'"' => out.extend_from_slice(b"\\\""),
-                        b'\\' => out.extend_from_slice(b"\\\\"),
-                        b'\n' => out.extend_from_slice(b"\\n"),
-                        b'\r' => out.extend_from_slice(b"\\r"),
-                        b'\t' => out.extend_from_slice(b"\\t"),
-                        0x08 => out.extend_from_slice(b"\\b"),
-                        0x0C => out.extend_from_slice(b"\\f"),
-                        _ => write!(out, "\\u{b:04x}").expect("writing to a Vec never fails"),
-                    }
-                }
-                _ => out.extend_from_slice(run),
-            }
-        }
-        out.push(b'"');
-    }
-
-    fn bool(&mut self, key: &str, value: bool) {
-        let text: &[u8] = if value { b"true" } else { b"false" };
-        self.key(key).extend_from_slice(text);
-    }
-
-    /// An integer in decimal.
-    fn uint(&mut self, key: &str, mut n: u64) {
-        let mut digits = [0u8; 20];
-        let mut len = 0;
-        for slot in digits.iter_mut().rev() {
-            *slot = b'0' + (n % 10) as u8;
-            len += 1;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
-        }
-        self.key(key).extend(digits.iter().skip(digits.len() - len));
-    }
-
-    /// A float: `null` unless finite, and a `.0` suffix when `Display`
-    /// gives no `.`, `e` or `E`.
-    fn float(&mut self, key: &str, x: f64) {
-        let out = self.key(key);
-        if !x.is_finite() {
-            out.extend_from_slice(b"null");
-            return;
-        }
-        let start = out.len();
-        write!(out, "{x}").expect("writing to a Vec never fails");
-        if !out
-            .iter()
-            .skip(start)
-            .any(|b| matches!(b, b'.' | b'e' | b'E'))
-        {
-            out.extend_from_slice(b".0");
-        }
-    }
-}
 
 /// The record columns that are the same for every trial of one cell:
 /// its labels, size, expectation and fragmentation.  Rendering them takes
@@ -382,22 +289,14 @@ pub fn run_trial(scenario: &Scenario, trial: u64, seed: u64) -> TrialRecord {
     run_cell_trial(scenario, &Columns::of(scenario), trial, seed, off)
 }
 
-/// Runs one trial like [`run_trial`] while recording its structured event
-/// stream, framed by `trial-start` (carrying the full replay coordinates:
-/// round-trippable scenario labels plus the derived seed) and `trial-end`
-/// events so each trial's block is self-contained.
+/// Runs one trial like [`run_trial`], with `scenario`'s columns already
+/// rendered, while recording its structured event stream, framed by
+/// `trial-start` (carrying the full replay coordinates: round-trippable
+/// scenario labels plus the derived seed) and `trial-end` events so each
+/// trial's block is self-contained.
 ///
 /// The record is identical to the untraced run's — recording reads the
 /// simulation, it never perturbs it.
-pub fn run_trial_traced(
-    scenario: &Scenario,
-    trial: u64,
-    seed: u64,
-) -> (TrialRecord, Vec<TraceEvent>) {
-    run_cell_trial_traced(scenario, &Columns::of(scenario), trial, seed)
-}
-
-/// [`run_trial_traced`] with `scenario`'s columns already rendered.
 pub(crate) fn run_cell_trial_traced(
     scenario: &Scenario,
     columns: &Columns,

@@ -5,15 +5,18 @@
 //! convergence change, framed by trial start/end markers that carry the
 //! full replay coordinates (round-trippable labels plus the derived
 //! seed).  The events are plain data — ordering, framing and shard
-//! merging are the campaign runner's job — and serialize to stable JSON
-//! objects whose first field is the `event` tag.
+//! merging are the campaign runner's job — and [`TraceEvent::write_jsonl`]
+//! writes each as one JSON line, whose first field is the `event` tag,
+//! through [`crate::json`], the one JSONL writer.
 //!
 //! Recording goes through [`EventLog`], whose disabled form is a single
 //! branch per would-be event: the closure handed to [`EventLog::emit`] is
 //! never run and nothing allocates, which is what keeps the trace layer
 //! zero-cost when off.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Value};
+
+use crate::json::JsonLine;
 
 /// One observable step of a traced trial.
 ///
@@ -149,20 +152,14 @@ impl TraceEvent {
             TraceEvent::TrialEnd { .. } => "trial-end",
         }
     }
-}
 
-fn obj(tag: &str, fields: Vec<(&str, Value)>) -> Value {
-    let mut entries = Vec::with_capacity(fields.len() + 1);
-    entries.push(("event".to_string(), Value::Str(tag.to_string())));
-    entries.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Value::Object(entries)
-}
-
-// The vendored serde derive only handles structs, so the enum gets a
-// hand-written tagged-object encoding: `{"event": TAG, ...fields}` with
-// fields in declaration order.
-impl Serialize for TraceEvent {
-    fn to_value(&self) -> Value {
+    /// Appends the event's JSONL form to `out`: one object whose first
+    /// field is the `event` tag, then the variant's fields in declaration
+    /// order, plus the line terminator.  Written by the one JSONL writer,
+    /// [`crate::json::JsonLine`].
+    pub fn write_jsonl(&self, out: &mut Vec<u8>) {
+        let mut line = JsonLine::new(out);
+        line.str("event", self.tag());
         match self {
             TraceEvent::TrialStart {
                 scenario,
@@ -174,77 +171,63 @@ impl Serialize for TraceEvent {
                 agents,
                 trial,
                 seed,
-            } => obj(
-                self.tag(),
-                vec![
-                    ("scenario", scenario.to_value()),
-                    ("algorithm", algorithm.to_value()),
-                    ("topology", topology.to_value()),
-                    ("environment", environment.to_value()),
-                    ("mode", mode.to_value()),
-                    ("delivery", delivery.to_value()),
-                    ("agents", agents.to_value()),
-                    ("trial", trial.to_value()),
-                    ("seed", seed.to_value()),
-                ],
-            ),
-            TraceEvent::EnvTransition { tick, edges } => obj(
-                self.tag(),
-                vec![("tick", tick.to_value()), ("edges", edges.to_value())],
-            ),
+            } => {
+                line.str("scenario", scenario);
+                line.str("algorithm", algorithm);
+                line.str("topology", topology);
+                line.str("environment", environment);
+                line.str("mode", mode);
+                line.str("delivery", delivery);
+                line.uint("agents", *agents as u64);
+                line.uint("trial", *trial);
+                line.uint("seed", *seed);
+            }
+            TraceEvent::EnvTransition { tick, edges } => {
+                line.uint("tick", *tick);
+                line.uint("edges", *edges as u64);
+            }
             TraceEvent::GroupStep {
                 tick,
                 size,
                 changed,
-            } => obj(
-                self.tag(),
-                vec![
-                    ("tick", tick.to_value()),
-                    ("size", size.to_value()),
-                    ("changed", changed.to_value()),
-                ],
-            ),
+            } => {
+                line.uint("tick", *tick);
+                line.uint("size", *size as u64);
+                line.bool("changed", *changed);
+            }
             TraceEvent::MessageSent {
                 tick,
                 from,
                 to,
                 deliver_at,
-            } => obj(
-                self.tag(),
-                vec![
-                    ("tick", tick.to_value()),
-                    ("from", from.to_value()),
-                    ("to", to.to_value()),
-                    ("deliver_at", deliver_at.to_value()),
-                ],
-            ),
+            } => {
+                line.uint("tick", *tick);
+                line.uint("from", *from as u64);
+                line.uint("to", *to as u64);
+                line.uint("deliver_at", *deliver_at);
+            }
             TraceEvent::MessageDropped { tick, from, to }
             | TraceEvent::MessageDelivered { tick, from, to }
             | TraceEvent::MessageDiscarded { tick, from, to }
-            | TraceEvent::MessageRequeued { tick, from, to } => obj(
-                self.tag(),
-                vec![
-                    ("tick", tick.to_value()),
-                    ("from", from.to_value()),
-                    ("to", to.to_value()),
-                ],
-            ),
+            | TraceEvent::MessageRequeued { tick, from, to } => {
+                line.uint("tick", *tick);
+                line.uint("from", *from as u64);
+                line.uint("to", *to as u64);
+            }
             TraceEvent::ConvergenceEntered { tick } | TraceEvent::ConvergenceLeft { tick } => {
-                obj(self.tag(), vec![("tick", tick.to_value())])
+                line.uint("tick", *tick);
             }
             TraceEvent::TrialEnd {
                 trial,
                 converged,
                 ticks,
-            } => obj(
-                self.tag(),
-                vec![
-                    ("trial", trial.to_value()),
-                    ("converged", converged.to_value()),
-                    ("ticks", ticks.to_value()),
-                ],
-            ),
+            } => {
+                line.uint("trial", *trial);
+                line.bool("converged", *converged);
+                line.uint("ticks", *ticks);
+            }
         }
+        line.end();
     }
 }
 
@@ -368,6 +351,8 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn samples() -> Vec<TraceEvent> {
         vec![
@@ -424,25 +409,207 @@ mod tests {
         ]
     }
 
+    /// Parses one JSONL line back through `Deserialize`.
+    fn parse(line: &[u8]) -> TraceEvent {
+        let text = std::str::from_utf8(line).expect("JSONL is UTF-8");
+        serde_json::from_str(text.trim_end_matches('\n')).expect("line parses back")
+    }
+
+    fn line(event: &TraceEvent) -> Vec<u8> {
+        let mut out = Vec::new();
+        event.write_jsonl(&mut out);
+        out
+    }
+
     #[test]
     fn every_variant_round_trips() {
         for event in samples() {
-            let back = TraceEvent::from_value(&event.to_value()).expect("round trip");
-            assert_eq!(back, event);
+            assert_eq!(parse(&line(&event)), event);
         }
     }
 
     #[test]
     fn serialized_objects_lead_with_the_event_tag() {
         for event in samples() {
-            match event.to_value() {
-                Value::Object(fields) => {
-                    assert_eq!(fields[0].0, "event");
-                    assert_eq!(fields[0].1, Value::Str(event.tag().to_string()));
-                }
-                other => panic!("expected object, got {other:?}"),
-            }
+            let line = line(&event);
+            let prefix = format!("{{\"event\":\"{}\",", event.tag());
+            assert!(line.starts_with(prefix.as_bytes()), "{event:?}");
+            assert!(line.ends_with(b"}\n"), "{event:?}");
         }
+    }
+
+    /// The event encoder [`TraceEvent::write_jsonl`] replaced: a tagged
+    /// `Value` object, `{"event": TAG, ...fields}` with fields in
+    /// declaration order, rendered by `serde_json`.  Kept as the writer's
+    /// oracle.
+    fn oracle(event: &TraceEvent) -> Value {
+        use serde::Serialize;
+        let fields: Vec<(&str, Value)> = match event {
+            TraceEvent::TrialStart {
+                scenario,
+                algorithm,
+                topology,
+                environment,
+                mode,
+                delivery,
+                agents,
+                trial,
+                seed,
+            } => vec![
+                ("scenario", scenario.to_value()),
+                ("algorithm", algorithm.to_value()),
+                ("topology", topology.to_value()),
+                ("environment", environment.to_value()),
+                ("mode", mode.to_value()),
+                ("delivery", delivery.to_value()),
+                ("agents", agents.to_value()),
+                ("trial", trial.to_value()),
+                ("seed", seed.to_value()),
+            ],
+            TraceEvent::EnvTransition { tick, edges } => {
+                vec![("tick", tick.to_value()), ("edges", edges.to_value())]
+            }
+            TraceEvent::GroupStep {
+                tick,
+                size,
+                changed,
+            } => vec![
+                ("tick", tick.to_value()),
+                ("size", size.to_value()),
+                ("changed", changed.to_value()),
+            ],
+            TraceEvent::MessageSent {
+                tick,
+                from,
+                to,
+                deliver_at,
+            } => vec![
+                ("tick", tick.to_value()),
+                ("from", from.to_value()),
+                ("to", to.to_value()),
+                ("deliver_at", deliver_at.to_value()),
+            ],
+            TraceEvent::MessageDropped { tick, from, to }
+            | TraceEvent::MessageDelivered { tick, from, to }
+            | TraceEvent::MessageDiscarded { tick, from, to }
+            | TraceEvent::MessageRequeued { tick, from, to } => vec![
+                ("tick", tick.to_value()),
+                ("from", from.to_value()),
+                ("to", to.to_value()),
+            ],
+            TraceEvent::ConvergenceEntered { tick } | TraceEvent::ConvergenceLeft { tick } => {
+                vec![("tick", tick.to_value())]
+            }
+            TraceEvent::TrialEnd {
+                trial,
+                converged,
+                ticks,
+            } => vec![
+                ("trial", trial.to_value()),
+                ("converged", converged.to_value()),
+                ("ticks", ticks.to_value()),
+            ],
+        };
+        let mut entries = vec![("event".to_string(), Value::Str(event.tag().to_string()))];
+        entries.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+        Value::Object(entries)
+    }
+
+    /// A label mixing plain ASCII, every escaped byte class and
+    /// multi-byte UTF-8.
+    fn random_text(rng: &mut StdRng) -> String {
+        const POOL: [char; 18] = [
+            'a', 'Z', '7', '/', '(', '=', '"', '\\', '\n', '\r', '\t', '\u{08}', '\u{0C}',
+            '\u{00}', '\u{1F}', '\u{7F}', 'é', '😀',
+        ];
+        let len = rng.gen_range(0..12);
+        (0..len)
+            .map(|_| POOL[rng.gen_range(0..POOL.len())])
+            .collect()
+    }
+
+    /// A tick or seed: small, `u64::MAX`, or anywhere in `u64`.
+    fn random_u64(rng: &mut StdRng) -> u64 {
+        match rng.gen_range(0..3) {
+            0 => rng.gen_range(0..100),
+            1 => u64::MAX,
+            _ => rng.gen(),
+        }
+    }
+
+    /// An agent index or count: the vendored `serde` encodes `usize`
+    /// through `as i64`, so the oracle only agrees up to `i64::MAX`.
+    fn random_usize(rng: &mut StdRng) -> usize {
+        match rng.gen_range(0..3) {
+            0 => rng.gen_range(0..100),
+            1 => i64::MAX as usize,
+            _ => rng.gen_range(0..=i64::MAX as usize),
+        }
+    }
+
+    /// A random event whose variant is picked by `tag_index` (0..11).
+    fn random_event(rng: &mut StdRng, tag_index: usize) -> TraceEvent {
+        let (tick, from, to) = (random_u64(rng), random_usize(rng), random_usize(rng));
+        match tag_index {
+            0 => TraceEvent::TrialStart {
+                scenario: random_text(rng),
+                algorithm: random_text(rng),
+                topology: random_text(rng),
+                environment: random_text(rng),
+                mode: random_text(rng),
+                delivery: random_text(rng),
+                agents: random_usize(rng),
+                trial: random_u64(rng),
+                seed: random_u64(rng),
+            },
+            1 => TraceEvent::EnvTransition {
+                tick,
+                edges: random_usize(rng),
+            },
+            2 => TraceEvent::GroupStep {
+                tick,
+                size: random_usize(rng),
+                changed: rng.gen(),
+            },
+            3 => TraceEvent::MessageSent {
+                tick,
+                from,
+                to,
+                deliver_at: random_u64(rng),
+            },
+            4 => TraceEvent::MessageDropped { tick, from, to },
+            5 => TraceEvent::MessageDelivered { tick, from, to },
+            6 => TraceEvent::MessageDiscarded { tick, from, to },
+            7 => TraceEvent::MessageRequeued { tick, from, to },
+            8 => TraceEvent::ConvergenceEntered { tick },
+            9 => TraceEvent::ConvergenceLeft { tick },
+            _ => TraceEvent::TrialEnd {
+                trial: random_u64(rng),
+                converged: rng.gen(),
+                ticks: random_u64(rng),
+            },
+        }
+    }
+
+    #[test]
+    fn direct_writer_matches_the_value_encoder() {
+        let mut rng = StdRng::seed_from_u64(0xE7E17);
+        let mut tags = std::collections::BTreeSet::new();
+        let mut line = Vec::new();
+        for case in 0..4_400 {
+            let event = random_event(&mut rng, case % 11);
+            tags.insert(event.tag());
+            line.clear();
+            event.write_jsonl(&mut line);
+            let expected = serde_json::to_string(&oracle(&event)).expect("oracle renders") + "\n";
+            assert_eq!(
+                std::str::from_utf8(&line).expect("JSONL is UTF-8"),
+                expected,
+                "case {case}: {event:?}"
+            );
+            assert_eq!(parse(&line), event, "case {case}");
+        }
+        assert_eq!(tags.len(), 11, "every tag is covered");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 #![warn(missing_docs)]
 
 mod event;
+pub mod json;
 mod metrics;
 mod obs;
 mod stats;

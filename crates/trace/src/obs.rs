@@ -13,6 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::json::write_str;
+
 /// Histogram bucket count: bucket `i` counts values of bit-length `i`
 /// (bucket 0 is exactly zero), with everything of bit-length ≥ 16 folded
 /// into the last bucket.
@@ -194,66 +196,58 @@ impl MetricsRegistry {
     }
 
     /// A deterministic JSON snapshot of every registered metric: names
-    /// sorted within each section, stable field order, no floats.
+    /// sorted within each section (and escaped like every JSON string,
+    /// through [`crate::json::write_str`]), stable field order, no floats.
     pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let counters = self.counters.lock().expect("counter registry lock");
-        for (i, (name, counter)) in counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{name}\": {}", counter.get()));
+        /// Each metric's name and rendered value, in name order.
+        fn render<T>(
+            metrics: &Mutex<BTreeMap<String, Arc<T>>>,
+            value: impl Fn(&T) -> String,
+        ) -> Vec<(String, String)> {
+            let metrics = metrics.lock().expect("metric registry lock");
+            metrics
+                .iter()
+                .map(|(name, m)| (name.clone(), value(m)))
+                .collect()
         }
-        out.push_str(if counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        drop(counters);
-
-        out.push_str("  \"histograms\": {");
-        let histograms = self.histograms.lock().expect("histogram registry lock");
-        for (i, (name, h)) in histograms.iter().enumerate() {
+        let sections = [
+            ("counters", render(&self.counters, |c| c.get().to_string())),
+            (
+                "histograms",
+                render(&self.histograms, |h| {
+                    let buckets: Vec<String> = (h.nonzero_buckets().into_iter())
+                        .map(|(bound, n)| format!("[{bound}, {n}]"))
+                        .collect();
+                    let (count, sum, buckets) = (h.count(), h.sum(), buckets.join(", "));
+                    format!("{{\"count\": {count}, \"sum\": {sum}, \"buckets\": [{buckets}]}}")
+                }),
+            ),
+            (
+                "timers",
+                render(&self.timers, |t| {
+                    let (count, total, mean) = (t.count(), t.total_nanos(), t.mean_nanos());
+                    format!("{{\"count\": {count}, \"total_ns\": {total}, \"mean_ns\": {mean}}}")
+                }),
+            ),
+        ];
+        let mut out = b"{".to_vec();
+        for (i, (section, entries)) in sections.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            out.push_str(&format!(
-                "\n    \"{name}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                h.count(),
-                h.sum()
-            ));
-            for (j, (bound, n)) in h.nonzero_buckets().into_iter().enumerate() {
+            out.extend_from_slice(format!("\n  \"{section}\": {{").as_bytes());
+            for (j, (name, value)) in entries.iter().enumerate() {
                 if j > 0 {
-                    out.push_str(", ");
+                    out.push(b',');
                 }
-                out.push_str(&format!("[{bound}, {n}]"));
+                out.extend_from_slice(b"\n    ");
+                write_str(&mut out, name);
+                out.extend_from_slice(format!(": {value}").as_bytes());
             }
-            out.push_str("]}");
+            out.extend_from_slice(if entries.is_empty() { "}" } else { "\n  }" }.as_bytes());
         }
-        out.push_str(if histograms.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        drop(histograms);
-
-        out.push_str("  \"timers\": {");
-        let timers = self.timers.lock().expect("timer registry lock");
-        for (i, (name, t)) in timers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{name}\": {{\"count\": {}, \"total_ns\": {}, \"mean_ns\": {}}}",
-                t.count(),
-                t.total_nanos(),
-                t.mean_nanos()
-            ));
-        }
-        out.push_str(if timers.is_empty() { "}\n" } else { "\n  }\n" });
-        out.push('}');
-        out.push('\n');
-        out
+        out.extend_from_slice(b"\n}\n");
+        String::from_utf8(out).expect("escaping keeps the snapshot UTF-8")
     }
 }
 
@@ -315,6 +309,46 @@ mod tests {
         assert!(a < b, "counter names sorted");
         assert!(snapshot.contains("\"depth\": {\"count\": 1, \"sum\": 5, \"buckets\": [[7, 1]]}"));
         assert!(snapshot.contains("\"stage\": {\"count\": 1, \"total_ns\": 40, \"mean_ns\": 40}"));
+    }
+
+    #[test]
+    fn snapshot_layout_is_pinned() {
+        let registry = MetricsRegistry::new();
+        registry.counter("b").add(2);
+        registry.counter("a").incr();
+        registry.histogram("depth").record(5);
+        registry.timer("stage").record(Duration::from_nanos(40));
+        assert_eq!(
+            registry.snapshot_json(),
+            "{\n  \"counters\": {\n    \"a\": 1,\n    \"b\": 2\n  },\n  \
+             \"histograms\": {\n    \"depth\": {\"count\": 1, \"sum\": 5, \"buckets\": [[7, 1]]}\n  },\n  \
+             \"timers\": {\n    \"stage\": {\"count\": 1, \"total_ns\": 40, \"mean_ns\": 40}\n  }\n}\n"
+        );
+    }
+
+    #[test]
+    fn snapshot_escapes_metric_names() {
+        let names = ["q\"uote", "back\\slash", "new\nline", "caf\u{e9}"];
+        let registry = MetricsRegistry::new();
+        for name in names {
+            registry.counter(name).incr();
+            registry.histogram(name).record(3);
+            registry.timer(name).record(Duration::from_nanos(7));
+        }
+        let snapshot: serde::Value =
+            serde_json::from_str(&registry.snapshot_json()).expect("snapshot parses");
+        for section in ["counters", "histograms", "timers"] {
+            let serde::Value::Object(entries) =
+                snapshot.get_field(section).expect("section present")
+            else {
+                panic!("section `{section}` is not an object");
+            };
+            let mut parsed: Vec<&str> = entries.iter().map(|(name, _)| name.as_str()).collect();
+            let mut expected = names.to_vec();
+            parsed.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(parsed, expected, "{section}");
+        }
     }
 
     #[test]
