@@ -39,7 +39,7 @@ use selfsim_trace::{Counter, EventLog, Histogram, MetricsRegistry, StageTimer, T
 use crate::aggregate::{Aggregator, ScenarioSummary};
 use crate::scenario::Scenario;
 use crate::shard::ShardSpec;
-use crate::trial::{run_cell_trial, run_cell_trial_traced, Columns, TrialRecord};
+use crate::trial::{run_cell_trial, run_cell_trial_traced, Columns, TrialRecord, LINE_CAPACITY};
 
 /// How many finished-but-unreleased records the reorder window may hold
 /// per worker thread before fast workers park.  Bounds peak memory at
@@ -371,14 +371,14 @@ impl Campaign {
 
                         if ordered {
                             // The spill buffer: the record leaves the worker
-                            // as bytes, never as shared mutable state.  A
-                            // serialization error travels in the slot and
-                            // surfaces when the stream reaches it.
-                            let slot = timed(sampled.map(|o| &*o.serialize), || {
-                                Ok(Slot {
-                                    bytes: serialize.then(|| record.to_jsonl_line()).transpose()?,
-                                    trace: events.as_deref().map(trace_block),
-                                })
+                            // as bytes, never as shared mutable state.
+                            let slot = timed(sampled.map(|o| &*o.serialize), || Slot {
+                                bytes: serialize.then(|| {
+                                    let mut line = Vec::with_capacity(LINE_CAPACITY);
+                                    record.write_jsonl(&mut line);
+                                    line
+                                }),
+                                trace: events.as_deref().map(trace_block),
                             });
                             let mut state = reorder.lock().expect("reorder lock");
                             if local >= state.next + window as u64 && state.error.is_none() {
@@ -456,7 +456,7 @@ struct Reorder<'a> {
     /// The next shard-local job index to release.
     next: u64,
     /// Finished jobs ahead of `next`, bounded by the window size.
-    pending: BTreeMap<u64, std::io::Result<Slot>>,
+    pending: BTreeMap<u64, Slot>,
     records: Option<&'a mut (dyn Write + Send)>,
     trace: Option<&'a mut (dyn Write + Send)>,
     obs: Option<&'a PipelineObs>,
@@ -465,16 +465,14 @@ struct Reorder<'a> {
 
 impl<'a> Reorder<'a> {
     /// Releases every consecutive pending slot starting at `next`.  On a
-    /// serialization or sink error, records it (for the caller) and
-    /// reports failure so workers can abort.
+    /// sink error, records it (for the caller) and reports failure so
+    /// workers can abort.
     fn release(&mut self) -> Result<(), ()> {
         while let Some(slot) = self.pending.remove(&self.next) {
             let timer = self.obs.filter(|_| self.next.is_multiple_of(OBS_SAMPLE));
-            let written = slot.and_then(|slot| {
-                timed(timer.map(|o| &*o.sink_write), || {
-                    write_some(self.trace.as_deref_mut(), slot.trace)?;
-                    write_some(self.records.as_deref_mut(), slot.bytes)
-                })
+            let written = timed(timer.map(|o| &*o.sink_write), || {
+                write_some(self.trace.as_deref_mut(), slot.trace)?;
+                write_some(self.records.as_deref_mut(), slot.bytes)
             });
             if let Err(e) = written {
                 self.error = Some(e);

@@ -188,9 +188,10 @@ impl TrialRecord {
     /// The record's canonical JSONL line, from [`TrialRecord::write_jsonl`]
     /// — the one record serializer.  Every emission path (the streaming
     /// runner's spill buffers, [`crate::emit::write_jsonl`], shard outputs)
-    /// goes through it, which is what makes "streamed bytes ==
+    /// goes through that writer, which is what makes "streamed bytes ==
     /// collected-then-emitted bytes" and the shard-merge byte identity hold
-    /// by construction.  Never fails; the `Result` is kept for callers.
+    /// by construction.  Never fails; the `io::Result` stays because the
+    /// repository benchmark (`perfbench`) calls this signature.
     pub fn to_jsonl_line(&self) -> std::io::Result<Vec<u8>> {
         let mut line = Vec::with_capacity(LINE_CAPACITY);
         self.write_jsonl(&mut line);
@@ -213,7 +214,7 @@ impl TrialRecord {
 
 /// Room for a typical record line (about 470 bytes), so writing one
 /// rarely reallocates.
-const LINE_CAPACITY: usize = 512;
+pub(crate) const LINE_CAPACITY: usize = 512;
 
 /// The record columns that are the same for every trial of one cell:
 /// its labels, size, expectation and fragmentation.  Rendering them takes

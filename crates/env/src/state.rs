@@ -3,8 +3,6 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize, Value};
-
 use crate::topology::connected_components;
 use crate::{AgentId, Edge, EnvChanges, Topology};
 
@@ -19,7 +17,7 @@ use crate::{AgentId, Edge, EnvChanges, Topology};
 /// for them.
 ///
 /// The enabled sets are held behind `Arc` and mutated copy-on-write, so
-/// cloning a state — which environments and traces do per round — is O(1)
+/// cloning a state — which environments do per round — is O(1)
 /// and never forces a million-entry set copy.  Equality still compares the
 /// set *contents* (with a pointer-identity fast path).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -27,33 +25,6 @@ pub struct EnvState {
     agent_count: usize,
     enabled_edges: Arc<BTreeSet<Edge>>,
     enabled_agents: Arc<BTreeSet<AgentId>>,
-}
-
-// Hand-written serde keeping the exact wire shape the old by-value derive
-// produced, so records and golden traces are unchanged by the `Arc`-backed
-// representation.
-impl Serialize for EnvState {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("agent_count".into(), self.agent_count.to_value()),
-            ("enabled_edges".into(), self.enabled_edges.to_value()),
-            ("enabled_agents".into(), self.enabled_agents.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for EnvState {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get_field(name)
-                .ok_or_else(|| serde::Error(format!("EnvState missing field `{name}`")))
-        };
-        Ok(EnvState {
-            agent_count: usize::from_value(field("agent_count")?)?,
-            enabled_edges: Arc::new(BTreeSet::from_value(field("enabled_edges")?)?),
-            enabled_agents: Arc::new(BTreeSet::from_value(field("enabled_agents")?)?),
-        })
-    }
 }
 
 impl EnvState {

@@ -5,14 +5,13 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize, Value};
 
 /// Identifier of an agent (process) in the fixed agent set `A`.
 ///
 /// The paper keeps agent identities out of the *algorithms* (self-similar
 /// computations are identity-agnostic) but the *infrastructure* — topology,
 /// environment, simulators — still needs to address individual agents.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct AgentId(pub usize);
 
 impl AgentId {
@@ -32,7 +31,7 @@ impl fmt::Display for AgentId {
 ///
 /// Edges are stored in normalised form (smaller endpoint first) so that
 /// `Edge::new(a, b) == Edge::new(b, a)`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Edge {
     lo: AgentId,
     hi: AgentId,
@@ -101,7 +100,7 @@ impl fmt::Display for Edge {
 /// All queries (`len`, `contains`, neighbours, components) have closed
 /// forms for the complete case; [`EdgeSet::materialized`] lazily expands
 /// the set once for the few callers that genuinely need every edge
-/// (serialization, per-edge environment churn), and caches the expansion.
+/// (per-edge environment churn), and caches the expansion.
 ///
 /// Equality is *semantic* — a symbolic complete graph equals the explicit
 /// set of the same edges — so representation changes never change cell
@@ -115,7 +114,7 @@ pub(crate) enum EdgeSet {
     Complete {
         /// Number of agents the clique spans.
         n: usize,
-        /// Lazily materialised edge set (for `edges()`/serialization).
+        /// Lazily materialised edge set (for `edges()`).
         cache: OnceLock<BTreeSet<Edge>>,
     },
 }
@@ -258,32 +257,6 @@ impl fmt::Debug for Topology {
             .field("n", &self.n)
             .field("edges", &self.edges)
             .finish()
-    }
-}
-
-// Hand-written serde keeping the exact `{ "n": …, "edges": [...] }` wire
-// shape the old derive produced, so records and golden files are unchanged;
-// serializing a symbolic clique materialises it.
-impl Serialize for Topology {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("n".into(), self.n.to_value()),
-            ("edges".into(), self.edges.materialized().to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Topology {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get_field(name)
-                .ok_or_else(|| serde::Error(format!("Topology missing field `{name}`")))
-        };
-        Ok(Topology {
-            n: usize::from_value(field("n")?)?,
-            edges: EdgeSet::Explicit(Arc::new(BTreeSet::from_value(field("edges")?)?)),
-            csr: OnceLock::new(),
-        })
     }
 }
 
@@ -580,20 +553,10 @@ impl Topology {
     pub fn components(&self) -> Vec<Vec<AgentId>> {
         match &self.edges {
             EdgeSet::Explicit(edges) => connected_components(self.n, edges, |_| true),
-            EdgeSet::Complete { n, .. } => {
-                // Agents inside the clique form one component; agents
-                // beyond it (possible only via deserialized data) would be
-                // isolated, but `complete(n)` always has `n == self.n`.
-                let clique: Vec<AgentId> = (0..*n.min(&self.n)).map(AgentId).collect();
-                let mut components = Vec::new();
-                if !clique.is_empty() {
-                    components.push(clique);
-                }
-                for i in *n..self.n {
-                    components.push(vec![AgentId(i)]);
-                }
-                components
-            }
+            // `complete(n)` is the only constructor of a symbolic clique,
+            // and its clique spans all `n` agents: one component.
+            EdgeSet::Complete { n: 0, .. } => Vec::new(),
+            EdgeSet::Complete { n, .. } => vec![(0..*n).map(AgentId).collect()],
         }
     }
 }
@@ -882,15 +845,5 @@ mod tests {
         t.add_edge(AgentId(0), AgentId(1)); // already present
         assert_eq!(t.edge_count(), 3);
         assert_eq!(t, Topology::complete(3));
-    }
-
-    #[test]
-    fn topology_wire_shape_is_representation_independent() {
-        let symbolic = Topology::complete(3);
-        let explicit = Topology::from_edges(3, [(0, 1), (0, 2), (1, 2)]);
-        assert_eq!(symbolic.to_value(), explicit.to_value());
-        let back = Topology::from_value(&symbolic.to_value()).expect("round-trips");
-        assert_eq!(back, symbolic);
-        assert!(Topology::from_value(&Value::Null).is_err());
     }
 }

@@ -2,12 +2,11 @@
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::Point;
 
 /// A circle given by its centre and radius.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Circle {
     /// Centre of the circle.
     pub center: Point,

@@ -4,8 +4,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the plane.
 ///
 /// Coordinates are `f64` but the type provides `Eq`/`Ord`/`Hash` (via
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// collections used by the self-similar framework (multisets of agent
 /// states, `BTreeSet`s of hull vertices).  NaN coordinates are not rejected
 /// but compare consistently under the total order.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,

@@ -4,8 +4,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::iter::FromIterator;
 
-use serde::{Deserialize, Serialize};
-
 /// An ordered multiset (bag) of values.
 ///
 /// Elements must implement [`Ord`]; the container stores each distinct value
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// structurally identical.  This determinism matters for the reproduction:
 /// the distributed functions `f` of the paper are functions *of multisets*,
 /// and the test-suite compares their outputs for equality.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Multiset<T: Ord> {
     counts: BTreeMap<T, usize>,
     len: usize,
@@ -562,13 +560,5 @@ mod tests {
         m.extend([2, 2, 3]);
         assert_eq!(m.len(), 4);
         assert_eq!(m.count(&2), 2);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let x: Multiset<i32> = [3, 5, 3, 7].into();
-        let json = serde_json::to_string(&x).unwrap();
-        let back: Multiset<i32> = serde_json::from_str(&json).unwrap();
-        assert_eq!(x, back);
     }
 }

@@ -4,7 +4,7 @@
 //! this reproduction (EXPERIMENTS.md, E4–E12) need a small measurement
 //! layer: every simulated run produces a [`RunMetrics`] record, repeated
 //! runs are condensed with [`Summary`] statistics, and the experiment
-//! binaries render results as aligned text tables or CSV via [`Table`].
+//! binaries render results as aligned text tables via [`Table`].
 //!
 //! Nothing here is specific to self-similar algorithms — the baselines use
 //! the same records so comparisons are apples-to-apples.

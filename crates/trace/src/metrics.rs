@@ -1,13 +1,11 @@
 //! Per-run measurement records.
 
-use serde::{Deserialize, Serialize};
-
 /// Measurements of one simulated run of an algorithm under an environment.
 ///
 /// `rounds_to_convergence` is `None` when the run hit its round budget
 /// before reaching (and staying in) the target state; the other counters
 /// still describe the truncated run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunMetrics {
     /// Algorithm name (e.g. `"minimum"`, `"snapshot-baseline"`).
     pub algorithm: String,
@@ -158,13 +156,5 @@ mod tests {
         m.objective_trajectory.push(9.0); // objective went back up
         assert!(!m.objective_is_monotone(0.0));
         assert!(m.objective_is_monotone(1.5)); // within tolerance
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = sample();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: RunMetrics = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
     }
 }

@@ -1,7 +1,7 @@
-//! Plain-text and CSV table output for the experiment binaries.
+//! Plain-text table output for the experiment binaries.
 
-/// A simple table builder: a header row plus data rows, rendered either as
-/// an aligned text table (for terminal output and EXPERIMENTS.md) or as CSV.
+/// A simple table builder: a header row plus data rows, rendered as an
+/// aligned text table (for terminal output and EXPERIMENTS.md).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Table {
     title: String,
@@ -40,11 +40,6 @@ impl Table {
         &self.title
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as aligned plain text (with the title on top).
     pub fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -71,33 +66,6 @@ impl Table {
         out.push('\n');
         for row in &self.rows {
             out.push_str(&render_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the table as CSV (header first, comma-separated, quoting
-    /// cells that contain commas or quotes).
-    pub fn to_csv(&self) -> String {
-        let quote = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|c| quote(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out
@@ -134,18 +102,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_rendering_quotes_when_needed() {
-        let mut t = Table::new("t", &["a", "b"]);
-        t.add_row(vec!["1,5".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().next().unwrap(), "a,b");
-        assert!(csv.contains("\"1,5\",\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
     fn row_count_and_title() {
         let t = sample();
-        assert_eq!(t.row_count(), 2);
+        // Title, header, rule, then one line per data row.
+        assert_eq!(t.to_text().lines().count(), 3 + 2);
         assert_eq!(t.title(), "convergence");
         assert_eq!(t.to_string(), t.to_text());
     }
@@ -160,8 +120,6 @@ mod tests {
     #[test]
     fn empty_table_renders_header_only() {
         let t = Table::new("empty", &["x"]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "x\n");
-        assert!(t.to_text().contains('x'));
+        assert_eq!(t.to_text(), "== empty ==\nx\n-\n");
     }
 }
