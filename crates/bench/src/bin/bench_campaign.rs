@@ -1,8 +1,8 @@
 //! `bench_campaign` — the bench-regression gate CI runs on every push.
 //!
-//! Times the `hotpath` kernels (the same code `cargo bench -- hotpath`
-//! measures) plus a large streaming-campaign throughput run, samples peak
-//! RSS from `/proc/self/status` (`VmHWM`), and writes everything as
+//! Times the [`selfsim_bench::hotpath`] kernels (the only harness that
+//! times them) plus a large streaming-campaign throughput run, samples
+//! peak RSS from `/proc/self/status` (`VmHWM`), and writes everything as
 //! `BENCH_3.json` — one point of the repo's bench trajectory.
 //!
 //! ```text
@@ -221,7 +221,7 @@ impl Report {
 }
 
 fn run(args: Args) -> Result<(), String> {
-    // --- hotpath kernels (same code as `cargo bench -- hotpath`) ---
+    // --- hotpath kernels ---
     eprintln!("bench_campaign: timing hotpath kernels");
     let hotpath_ns_per_iter = vec![
         ns_per_iter("is-converged/64", 20_000, hotpath::is_converged(64)),

@@ -1,7 +1,6 @@
 //! `escale` — the E-series event-runtime scaling gate CI runs on every push.
 //!
-//! Sweeps the [`selfsim_bench::escale`] kernels (the same code
-//! `cargo bench -- escale` measures at reduced sizes) over
+//! Sweeps the [`selfsim_bench::escale`] kernels over
 //! n ∈ {10³, 10⁴, 10⁵, 10⁶} on the E-series topologies and writes the
 //! curve as JSON; CI passes `--out BENCH_12.json`.
 //!

@@ -3,6 +3,12 @@
 //! ```text
 //! cargo run -p selfsim-bench --bin figures
 //! ```
+//!
+//! Each figure checks the claim it illustrates and prints its conclusion
+//! only when the claim holds; otherwise the process names the figure and
+//! exits 1.
+
+use std::process::ExitCode;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,7 +19,7 @@ use selfsim_geometry::Point;
 use selfsim_multiset::Multiset;
 use selfsim_trace::Table;
 
-fn figure1() {
+fn figure1() -> Result<(), String> {
     println!("────────────────────────────────────────────────────────────────");
     println!("Figure 1 — \"number of out-of-order pairs\" and the local-to-global property");
     println!();
@@ -60,31 +66,41 @@ fn figure1() {
     let c_ms: Multiset<sorting::State> = [(3, 9), (9, 3)].into();
     let union_before = b_before_ms.union(&c_ms);
     let union_after = b_after_ms.union(&c_ms);
-    println!(
-        "witness (max-displacement objective): group B improves ({} -> {}), C idles,",
-        sorting::max_displacement_objective().eval(&b_before_ms),
-        sorting::max_displacement_objective().eval(&b_after_ms),
-    );
-    println!(
-        "but the union does not strictly improve ({} -> {}): D relates the group steps ({}, {}) yet not the union ({}).",
-        sorting::max_displacement_objective().eval(&union_before),
-        sorting::max_displacement_objective().eval(&union_after),
+    let witness = (
         d.relates(&b_before_ms, &b_after_ms),
         d.relates(&c_ms, &c_ms),
         d.relates(&union_before, &union_after),
     );
+    if witness != (true, true, false) {
+        return Err(format!(
+            "D relates (group B, group C, union) as {witness:?}, not (true, true, false)"
+        ));
+    }
+    let summation_accepts = RelationD::new(
+        sorting::function(),
+        sorting::displacement_objective(&[(1, 2), (2, 1), (3, 9), (9, 3)]),
+    )
+    .relates(&union_before, &union_after);
+    if !summation_accepts {
+        return Err("the summation objective rejects the union step".into());
+    }
+    let h = sorting::max_displacement_objective();
     println!(
-        "the paper's squared-displacement objective (summation form) accepts the union step: {}",
-        RelationD::new(
-            sorting::function(),
-            sorting::displacement_objective(&[(1, 2), (2, 1), (3, 9), (9, 3)])
-        )
-        .relates(&union_before, &union_after)
+        "witness (max-displacement objective): group B improves ({} -> {}), C idles,",
+        h.eval(&b_before_ms),
+        h.eval(&b_after_ms),
     );
+    println!(
+        "but the union does not strictly improve ({} -> {}): D relates the group steps yet not the union.",
+        h.eval(&union_before),
+        h.eval(&union_after),
+    );
+    println!("the paper's squared-displacement objective (summation form) accepts the union step.");
     println!();
+    Ok(())
 }
 
-fn figure2() {
+fn figure2() -> Result<(), String> {
     println!("────────────────────────────────────────────────────────────────");
     println!("Figure 2 — the circumscribing-circle function is NOT super-idempotent");
     println!();
@@ -101,15 +117,19 @@ fn figure2() {
         "f(f(S_B) ∪ S_C) (via f)".into(),
         format!("{via_f:.6}"),
     ]);
-    table.add_row(vec![
-        "difference".into(),
-        format!("{:.6}", (via_f - direct).abs()),
-    ]);
+    let difference = (via_f - direct).abs();
+    table.add_row(vec!["difference".into(), format!("{difference:.6}")]);
     println!("{table}");
+    if difference <= 1e-9 * direct.abs().max(1.0) {
+        return Err(format!(
+            "the two radii agree up to float noise ({direct} vs {via_f})"
+        ));
+    }
     println!("the two circles differ, so f(X ⊎ Y) ≠ f(f(X) ⊎ Y): not super-idempotent.\n");
+    Ok(())
 }
 
-fn figure3() {
+fn figure3() -> Result<(), String> {
     println!("────────────────────────────────────────────────────────────────");
     println!("Figure 3 — the convex-hull function IS super-idempotent");
     println!();
@@ -147,6 +167,11 @@ fn figure3() {
     );
     table.add_row(vec![trials.to_string(), failures.to_string()]);
     println!("{table}");
+    if failures != 0 {
+        return Err(format!(
+            "criterion (6) fails on {failures} of {trials} trials"
+        ));
+    }
     println!("hull(hull(X) ∪ {{v}}) = hull(X ∪ {{v}}) on every trial: super-idempotent.\n");
 
     // And show the concrete picture of Figure 3: a hull plus one new point.
@@ -166,20 +191,36 @@ fn figure3() {
     let mut b = hull_of_hull.clone();
     a.sort();
     b.sort();
+    if a != b {
+        return Err("hull(sites ∪ {p}) differs from hull(hull(sites) ∪ {p})".into());
+    }
     println!(
-        "concrete instance: hull(sites ∪ {{p}}) has {} vertices and equals hull(hull(sites) ∪ {{p}}): {}",
+        "concrete instance: hull(sites ∪ {{p}}) has {} vertices and equals hull(hull(sites) ∪ {{p}}).",
         hull_all.len(),
-        a == b
     );
     println!();
+    Ok(())
 }
 
-fn main() {
+fn main() -> ExitCode {
     println!("Reproduction of the figures of Chandy & Charpentier, ICDCS 2007.");
     println!();
-    figure1();
-    figure2();
-    figure3();
+    let results = [
+        ("Figure 1", figure1()),
+        ("Figure 2", figure2()),
+        ("Figure 3", figure3()),
+    ];
+    let mut failed = false;
+    for (name, result) in results {
+        if let Err(why) = result {
+            eprintln!("{name} does not hold: {why}");
+            failed = true;
+        }
+    }
     println!("────────────────────────────────────────────────────────────────");
+    if failed {
+        return ExitCode::FAILURE;
+    }
     println!("done.");
+    ExitCode::SUCCESS
 }

@@ -1,10 +1,10 @@
-//! Benchmark harness support (see benches/ and src/bin/).
+//! Benchmark kernels and harness for the binaries in `src/bin/`.
 //!
-//! The [`hotpath`] and [`escale`] kernels are shared between the criterion
-//! benches (`benches/experiments.rs`) and the `bench_campaign` and `escale`
-//! binaries that CI gates on, so both measure exactly the same code.  The
-//! two binaries read flags, time, write JSON and check gates through
-//! [`harness`].
+//! The `bench_campaign` binary times the [`hotpath`] kernels into
+//! `BENCH_3.json`, and the `escale` binary sweeps the [`escale`] kernels
+//! into `BENCH_12.json`; CI gates on both.  The two binaries read flags,
+//! time, write JSON and check gates through [`harness`].  The repository
+//! benchmark (`perfbench/`) builds its engine cells on [`escale`] too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,9 +66,8 @@ pub mod hotpath {
 }
 
 /// The E-series event-runtime scaling kernels: full [`EventSimulator`]
-/// runs at large `n`, shared between the criterion benches
-/// (`benches/experiments.rs`, reduced sizes) and the `escale` binary, which
-/// CI runs to write `BENCH_12.json` (up to a million agents).  Construction
+/// runs at large `n`, swept by the `escale` binary, which CI runs to write
+/// `BENCH_12.json` (up to a million agents).  Construction
 /// (`new`) is setup and excluded from timing; `run` is one measured
 /// iteration.
 ///
@@ -113,7 +112,7 @@ pub mod escale {
             EscaleTopology::RandomChurn,
         ];
 
-        /// The label used in `BENCH_12.json` and the criterion group.
+        /// The label used in `BENCH_12.json` and by `escale --cell`.
         pub fn label(self) -> &'static str {
             match self {
                 EscaleTopology::CompleteStatic => "complete-static",

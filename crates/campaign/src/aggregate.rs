@@ -2,8 +2,8 @@
 
 use std::collections::BTreeMap;
 
+use selfsim_trace::json::JsonLine;
 use selfsim_trace::Summary;
-use serde::{Deserialize, Serialize};
 
 use crate::trial::TrialRecord;
 
@@ -53,7 +53,7 @@ struct Cell {
 }
 
 /// The aggregated statistics of one scenario cell.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioSummary {
     /// Scenario name (the grouping key).
     pub scenario: String,
@@ -97,6 +97,32 @@ pub struct ScenarioSummary {
 }
 
 impl ScenarioSummary {
+    /// Appends the summary as one JSON line, fields in declaration order
+    /// and each [`Summary`] a nested object.
+    pub fn write_jsonl(&self, out: &mut Vec<u8>) {
+        let mut line = JsonLine::new(out);
+        line.str("scenario", &self.scenario);
+        line.str("algorithm", &self.algorithm);
+        line.str("topology", &self.topology);
+        line.str("environment", &self.environment);
+        line.str("mode", &self.mode);
+        line.str("delivery", &self.delivery);
+        line.uint("agents", self.agents as u64);
+        line.uint("trials", self.trials);
+        line.uint("converged", self.converged);
+        line.uint("expectation_met", self.expectation_met);
+        line.float("convergence_rate", self.convergence_rate);
+        self.rounds.write_json(&mut line, "rounds");
+        self.messages.write_json(&mut line, "messages");
+        self.messages_dropped
+            .write_json(&mut line, "messages_dropped");
+        self.messages_requeued
+            .write_json(&mut line, "messages_requeued");
+        self.effectiveness.write_json(&mut line, "effectiveness");
+        line.bool("all_monotone", self.all_monotone);
+        line.end();
+    }
+
     /// `true` when `other` is the same grid cell on the *other runtime*
     /// (sync vs. async, regardless of knob parameterisation) — the
     /// cross-runtime sibling relation.  Matched on the structured

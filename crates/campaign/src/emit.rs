@@ -25,16 +25,17 @@ pub fn write_jsonl<W: Write>(mut out: W, records: &[TrialRecord]) -> std::io::Re
     Ok(())
 }
 
-/// Renders the per-scenario summaries as one JSON object per line.
+/// Renders the per-scenario summaries as one JSON object per line,
+/// through [`ScenarioSummary::write_jsonl`].
 pub fn write_summary_jsonl<W: Write>(
     mut out: W,
     summaries: &[ScenarioSummary],
 ) -> std::io::Result<()> {
+    let mut line = Vec::new();
     for summary in summaries {
-        let line = serde_json::to_string(summary)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
+        line.clear();
+        summary.write_jsonl(&mut line);
+        out.write_all(&line)?;
     }
     Ok(())
 }
@@ -156,13 +157,59 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn summary_jsonl_round_trips() {
+    fn summary_line(summary: ScenarioSummary) -> String {
         let mut buffer = Vec::new();
-        write_summary_jsonl(&mut buffer, &[sample_summary("a", 5)]).expect("in-memory write");
-        let text = String::from_utf8(buffer).expect("JSONL is UTF-8");
-        let back: ScenarioSummary = serde_json::from_str(text.trim()).unwrap();
-        assert_eq!(back, sample_summary("a", 5));
+        write_summary_jsonl(&mut buffer, &[summary]).expect("in-memory write");
+        String::from_utf8(buffer).expect("JSONL is UTF-8")
+    }
+
+    /// Pins the summary line's bytes: fields in declaration order, each
+    /// statistic a nested object.
+    #[test]
+    fn summary_jsonl_keeps_its_bytes() {
+        assert_eq!(
+            summary_line(sample_summary("a", 5)),
+            concat!(
+                r#"{"scenario":"a","algorithm":"minimum","topology":"ring","environment":"static","#,
+                r#""mode":"sync","delivery":"-","agents":8,"trials":5,"converged":5,"#,
+                r#""expectation_met":5,"convergence_rate":1.0,"#,
+                r#""rounds":{"count":3,"mean":4.0,"stddev":0.816496580927726,"min":3.0,"max":5.0,"median":4.0,"p95":5.0},"#,
+                r#""messages":{"count":2,"mean":110.0,"stddev":10.0,"min":100.0,"max":120.0,"median":120.0,"p95":120.0},"#,
+                r#""messages_dropped":{"count":2,"mean":0.0,"stddev":0.0,"min":0.0,"max":0.0,"median":0.0,"p95":0.0},"#,
+                r#""messages_requeued":{"count":2,"mean":0.0,"stddev":0.0,"min":0.0,"max":0.0,"median":0.0,"p95":0.0},"#,
+                r#""effectiveness":{"count":2,"mean":0.55,"stddev":0.04999999999999999,"min":0.5,"max":0.6,"median":0.6,"p95":0.6},"#,
+                r#""all_monotone":true}"#,
+                "\n"
+            )
+        );
+    }
+
+    /// Labels are escaped like every other string the program writes:
+    /// quote, backslash and newline get short escapes, non-ASCII copies
+    /// through.
+    #[test]
+    fn summary_jsonl_escapes_labels() {
+        let summary = ScenarioSummary {
+            environment: "caf\u{e9}(e=0.3)".into(),
+            rounds: Summary::of(&[]),
+            all_monotone: false,
+            ..sample_summary("say \"hi\"\\n=8\nnext", 0)
+        };
+        assert_eq!(
+            summary_line(summary),
+            concat!(
+                r#"{"scenario":"say \"hi\"\\n=8\nnext","algorithm":"minimum","topology":"ring","#,
+                r#""environment":"café(e=0.3)","mode":"sync","delivery":"-","agents":8,"trials":5,"#,
+                r#""converged":0,"expectation_met":0,"convergence_rate":0.0,"#,
+                r#""rounds":{"count":0,"mean":0.0,"stddev":0.0,"min":0.0,"max":0.0,"median":0.0,"p95":0.0},"#,
+                r#""messages":{"count":2,"mean":110.0,"stddev":10.0,"min":100.0,"max":120.0,"median":120.0,"p95":120.0},"#,
+                r#""messages_dropped":{"count":2,"mean":0.0,"stddev":0.0,"min":0.0,"max":0.0,"median":0.0,"p95":0.0},"#,
+                r#""messages_requeued":{"count":2,"mean":0.0,"stddev":0.0,"min":0.0,"max":0.0,"median":0.0,"p95":0.0},"#,
+                r#""effectiveness":{"count":2,"mean":0.55,"stddev":0.04999999999999999,"min":0.5,"max":0.6,"median":0.6,"p95":0.6},"#,
+                r#""all_monotone":false}"#,
+                "\n"
+            )
+        );
     }
 
     #[test]

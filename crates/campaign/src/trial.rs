@@ -84,11 +84,10 @@ pub struct TrialRecord {
     pub objective_monotone: bool,
 }
 
-// Manual (rather than derived) so the skip-when-zero columns
-// (`messages_requeued`, `events_processed`, `peak_queue_depth`; see
-// [`TrialRecord::write_jsonl`]) parse back as zero when absent: the derive
-// errors on missing fields, which would reject records produced before the
-// columns existed.
+// The skip-when-zero columns (`messages_requeued`, `events_processed`,
+// `peak_queue_depth`; see [`TrialRecord::write_jsonl`]) parse back as zero
+// when absent, so records produced before the columns existed still load;
+// every other field is required.
 fn required<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::Error> {
     T::from_value(
         v.get_field(name)

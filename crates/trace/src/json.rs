@@ -1,6 +1,8 @@
 //! The one JSON Lines writer.
 //!
-//! Campaign records (`selfsim_campaign::TrialRecord`) and trace events
+//! Campaign records (`selfsim_campaign::TrialRecord`), summary lines
+//! (`selfsim_campaign::ScenarioSummary`, whose statistics are nested
+//! [`crate::Summary::write_json`] objects) and trace events
 //! ([`crate::TraceEvent::write_jsonl`]) are written straight to bytes
 //! through [`JsonLine`], never through a `serde` `Value` tree.  The rules
 //! are the `serde_json` writer's: keys in the order written, no
@@ -10,7 +12,8 @@
 use std::io::Write as _;
 
 /// A JSON object being written into a line buffer, one field at a time;
-/// [`JsonLine::end`] closes it and terminates the line.
+/// [`JsonLine::end`] closes it and terminates the line, and
+/// [`JsonLine::close`] closes an object nested by [`JsonLine::object`].
 pub struct JsonLine<'a> {
     out: &'a mut Vec<u8>,
     /// Whether no field has been written yet (so no `,` precedes the key).
@@ -87,6 +90,17 @@ impl<'a> JsonLine<'a> {
         self.key(key).extend_from_slice(b"null");
     }
 
+    /// Opens an object as the value of `key`; its fields are written
+    /// through the returned writer, and [`JsonLine::close`] closes it.
+    pub fn object(&mut self, key: &str) -> JsonLine<'_> {
+        JsonLine::new(self.key(key))
+    }
+
+    /// Closes an object opened by [`JsonLine::object`].
+    pub fn close(self) {
+        self.out.push(b'}');
+    }
+
     /// Closes the object and terminates the line.
     pub fn end(self) {
         self.out.extend_from_slice(b"}\n");
@@ -122,4 +136,27 @@ pub fn write_str(out: &mut Vec<u8>, value: &str) {
         }
     }
     out.push(b'"');
+}
+
+#[cfg(test)]
+mod tests {
+    use super::JsonLine;
+
+    #[test]
+    fn nested_objects_close_inside_their_parent() {
+        let mut out = Vec::new();
+        let mut line = JsonLine::new(&mut out);
+        line.uint("a", 1);
+        let mut inner = line.object("b");
+        inner.str("c", "x");
+        inner.object("empty").close();
+        inner.float("d", 2.0);
+        inner.close();
+        line.bool("e", true);
+        line.end();
+        assert_eq!(
+            String::from_utf8(out).expect("UTF-8"),
+            "{\"a\":1,\"b\":{\"c\":\"x\",\"empty\":{},\"d\":2.0},\"e\":true}\n"
+        );
+    }
 }

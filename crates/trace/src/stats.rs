@@ -1,10 +1,10 @@
 //! Summary statistics over repeated runs.
 
-use serde::{Deserialize, Serialize};
+use crate::json::JsonLine;
 
 /// Summary statistics of a sample of real values (e.g. rounds-to-convergence
 /// over repeated seeds).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -114,6 +114,20 @@ impl Summary {
             median: value_at(rank(0.50)),
             p95: value_at(rank(0.95)),
         }
+    }
+
+    /// Writes the statistics as the object value of `key`, fields in
+    /// declaration order.
+    pub fn write_json(&self, line: &mut JsonLine<'_>, key: &str) {
+        let mut object = line.object(key);
+        object.uint("count", self.count as u64);
+        object.float("mean", self.mean);
+        object.float("stddev", self.stddev);
+        object.float("min", self.min);
+        object.float("max", self.max);
+        object.float("median", self.median);
+        object.float("p95", self.p95);
+        object.close();
     }
 }
 
