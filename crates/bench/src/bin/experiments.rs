@@ -21,14 +21,13 @@ use rand::SeedableRng;
 use selfsim_algorithms::{convex_hull, second_smallest, sum};
 use selfsim_bench::hotpath::values_for;
 use selfsim_campaign::{
-    emit, AlgorithmRef, Campaign, DeliveryRule, EnvRef, EnvRegistry, ExecutionMode, Registry,
-    Scenario, ScenarioGrid, ScenarioSummary, TopoRef, TopologyRegistry,
+    emit, AlgorithmRef, AsyncKnobs, Campaign, DeliveryRule, EnvRef, EnvRegistry, ExecutionMode,
+    Registry, Scenario, ScenarioGrid, ScenarioSummary, TopoRef, TopologyRegistry,
 };
 use selfsim_core::DistributedFunction;
 use selfsim_env::{AdversarialEnv, Connectivity, Environment, RandomChurnEnv, Topology};
 use selfsim_geometry::Point;
 use selfsim_multiset::Multiset;
-use selfsim_runtime::{AsyncConfig, AsyncKnobs, AsyncSimulator, SyncConfig, SyncSimulator};
 use selfsim_trace::{Summary, Table};
 
 const SEEDS: std::ops::Range<u64> = 0..10;
@@ -301,12 +300,7 @@ fn e8_sum_fairness() {
         let mut converged = 0usize;
         for seed in SEEDS {
             let mut env = make_env();
-            let report = SyncSimulator::new(SyncConfig {
-                max_rounds: 20_000,
-                seed,
-                ..SyncConfig::default()
-            })
-            .run(&sys, env.as_mut());
+            let report = ExecutionMode::sync().run(&sys, env.as_mut(), seed, 20_000);
             // The conservation law must hold regardless of convergence.
             assert_eq!(report.final_state.iter().sum::<i64>(), total);
             if report.converged() {
@@ -351,12 +345,7 @@ fn e10_second_smallest() {
     // answer for the same values.
     let sys = second_smallest::system(&[1, 3, 2], Topology::line(3));
     let mut env = RandomChurnEnv::new(Topology::line(3), 0.5, 1.0);
-    let report = SyncSimulator::new(SyncConfig {
-        max_rounds: 10_000,
-        seed: 4,
-        ..SyncConfig::default()
-    })
-    .run(&sys, &mut env);
+    let report = ExecutionMode::sync().run(&sys, &mut env, 4, 10_000);
     table.add_row(vec![
         "{1,3,2} full run under churn".into(),
         "wrong when applied group-wise".into(),
@@ -388,12 +377,8 @@ fn e11_async_hull() {
         let mut all_match = true;
         for seed in SEEDS {
             let mut env = RandomChurnEnv::new(Topology::ring(n), 0.5, 1.0);
-            let report = AsyncSimulator::new(AsyncConfig {
-                max_ticks: 500_000,
-                knobs: AsyncKnobs::new(0.5, 3, 0.2, DeliveryRule::default()).expect("valid knobs"),
-                seed,
-            })
-            .run(&sys, &mut env);
+            let knobs = AsyncKnobs::new(0.5, 3, 0.2, DeliveryRule::default()).expect("valid knobs");
+            let report = ExecutionMode::Async(knobs).run(&sys, &mut env, seed, 500_000);
             ticks.push(report.rounds_to_convergence().expect("hull converges"));
             msgs.push(report.metrics.messages as f64);
             let circle = convex_hull::circumscribing_circle(&report.final_state[0]);

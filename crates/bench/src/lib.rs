@@ -16,7 +16,7 @@
 pub mod hotpath {
     use selfsim_algorithms::minimum;
     use selfsim_env::{AdversarialEnv, StaticEnv, Topology};
-    use selfsim_runtime::{SyncConfig, SyncSimulator};
+    use selfsim_runtime::ExecutionMode;
 
     /// Deterministic pseudo-values for `n` agents.
     pub fn values_for(n: usize) -> Vec<i64> {
@@ -39,13 +39,8 @@ pub mod hotpath {
         let system = minimum::system(&values_for(128), Topology::ring(128));
         move || {
             let mut env = StaticEnv::new(Topology::ring(128));
-            let config = SyncConfig {
-                cooldown_rounds: 512,
-                seed: 1,
-                ..SyncConfig::default()
-            };
-            SyncSimulator::new(config)
-                .run(&system, &mut env)
+            ExecutionMode::Sync { cooldown: 512 }
+                .run(&system, &mut env, 1, 10_000)
                 .converged()
         }
     }
@@ -58,26 +53,26 @@ pub mod hotpath {
         let system = minimum::system(&values_for(32), Topology::ring(32));
         move || {
             let mut env = AdversarialEnv::new(Topology::ring(32), 3);
-            SyncSimulator::with_seed(2)
-                .run(&system, &mut env)
+            ExecutionMode::sync()
+                .run(&system, &mut env, 2, 10_000)
                 .converged()
         }
     }
 }
 
-/// The E-series event-runtime scaling kernels: full [`EventSimulator`]
-/// runs at large `n`, swept by the `escale` binary, which CI runs to write
-/// `BENCH_12.json` (up to a million agents).  Construction
-/// (`new`) is setup and excluded from timing; `run` is one measured
-/// iteration.
+/// The E-series event-runtime scaling kernels: full
+/// [`ExecutionMode::Event`] runs at large `n`, swept by the `escale`
+/// binary, which CI runs to write `BENCH_12.json` (up to a million agents).
+/// Construction (`new`) is setup and excluded from timing; `run` is one
+/// measured iteration.
 ///
-/// [`EventSimulator`]: selfsim_runtime::EventSimulator
+/// [`ExecutionMode::Event`]: selfsim_runtime::ExecutionMode::Event
 pub mod escale {
     use rand::SeedableRng;
     use selfsim_algorithms::minimum;
     use selfsim_core::SelfSimilarSystem;
     use selfsim_env::{Environment, PeriodicPartitionEnv, RandomChurnEnv, StaticEnv, Topology};
-    use selfsim_runtime::{EventConfig, EventSimulator};
+    use selfsim_runtime::ExecutionMode;
 
     use super::hotpath::values_for;
 
@@ -161,11 +156,15 @@ pub mod escale {
         Churn(RandomChurnEnv),
     }
 
+    /// The run seed of every cell.
+    const SEED: u64 = 9;
+
     /// One cell of the E-series sweep: an event-driven run of
     /// min-consensus at size `n` on the chosen topology/environment pair.
     pub struct EscaleRun {
         system: SelfSimilarSystem<i64>,
-        config: EventConfig,
+        mode: ExecutionMode,
+        max_rounds: usize,
         env: PrototypeEnv,
     }
 
@@ -180,14 +179,10 @@ pub mod escale {
             // is exactly the sparse-cooldown story the complete cell
             // measures; the ring cell wants sustained per-round work, so
             // it descends by random partial steps instead.
-            let (system, config, env) = match topology {
+            let (system, (cooldown, max_rounds), env) = match topology {
                 EscaleTopology::CompleteStatic => (
                     minimum::system(&values_for(n), Topology::complete(n)),
-                    EventConfig {
-                        max_rounds: 300,
-                        cooldown_rounds: 256,
-                        seed: 9,
-                    },
+                    (256, 300),
                     // Symbolic: the static env never expands the clique.
                     PrototypeEnv::Static(StaticEnv::new(Topology::complete(n))),
                 ),
@@ -201,27 +196,19 @@ pub mod escale {
                             ring.clone(),
                             minimum::partial_descent_step(),
                         ),
-                        EventConfig {
-                            max_rounds: 64,
-                            cooldown_rounds: 0,
-                            seed: 9,
-                        },
+                        (0, 64),
                         PrototypeEnv::Periodic(PeriodicPartitionEnv::new(ring, 2, 8)),
                     )
                 }
                 EscaleTopology::RandomChurn => {
                     // The graph is part of the cell definition, so its seed
-                    // is fixed per size; the run seed stays 9 like the rest.
+                    // is fixed per size; the run seed stays `SEED`.
                     let mut graph_rng = rand::rngs::StdRng::seed_from_u64(100 + n as u64);
                     let graph = Topology::random_connected_sparse(n, 16.0, &mut graph_rng);
                     let _ = graph.csr();
                     (
                         minimum::system(&values_for(n), graph.clone()),
-                        EventConfig {
-                            max_rounds: 128,
-                            cooldown_rounds: 64,
-                            seed: 9,
-                        },
+                        (64, 128),
                         // 0.1% of ~8n edges flip per round: scattered
                         // incremental deltas, all agents stay up.
                         PrototypeEnv::Churn(RandomChurnEnv::new(graph, 0.999, 1.0)),
@@ -230,7 +217,8 @@ pub mod escale {
             };
             EscaleRun {
                 system,
-                config,
+                mode: ExecutionMode::Event { cooldown },
+                max_rounds,
                 env,
             }
         }
@@ -242,7 +230,9 @@ pub mod escale {
                 PrototypeEnv::Periodic(e) => Box::new(e.clone()),
                 PrototypeEnv::Churn(e) => Box::new(e.clone()),
             };
-            let report = EventSimulator::new(self.config.clone()).run(&self.system, env.as_mut());
+            let report = self
+                .mode
+                .run(&self.system, env.as_mut(), SEED, self.max_rounds);
             EscaleOutcome {
                 events_processed: report.metrics.events_processed,
                 peak_queue_depth: report.metrics.peak_queue_depth,

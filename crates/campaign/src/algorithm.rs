@@ -145,7 +145,14 @@ pub fn run_system<S: Ord + Clone + std::fmt::Debug>(
 ) -> RunMetrics {
     setup
         .mode
-        .run(system, env, setup.seed, setup.max_rounds, setup.events)
+        .run_with(
+            system,
+            env,
+            setup.seed,
+            setup.max_rounds,
+            setup.events,
+            |_| {},
+        )
         .metrics
 }
 

@@ -21,9 +21,9 @@
 //! * [`Scenario`] / [`ScenarioGrid`] — a declarative spec of algorithm ×
 //!   topology family × environment model × execution mode × size × trials,
 //!   with builder and cartesian grid expansion;
-//! * [`ExecutionMode`] — the runtime dimension: the same cell runs on the
-//!   synchronous round-based simulator or the asynchronous message-passing
-//!   one (latency, drops), through [`ExecutionMode::run`] from
+//! * [`ExecutionMode`] — the runtime dimension: the same cell runs in
+//!   synchronous rounds, event-driven rounds or asynchronous message
+//!   passing (latency, drops), through [`ExecutionMode::run_with`] from
 //!   `selfsim-runtime`;
 //! * [`Campaign`] — a *streaming* runner that executes trials on a worker
 //!   pool with *derived* per-trial seeds and spills each finished record

@@ -452,7 +452,7 @@ mod tests {
         // Methods and default trait-method bodies are real code: an
         // `impl`/`trait` head is skipped and its body's fns are recorded.
         let t = tree(
-            "impl<S: Ord + Clone> Runtime<S> for SyncSimulator {\n\
+            "impl<S: Ord + Clone> Runtime<S> for RoundRunner {\n\
                fn mode_name(&self) -> &'static str { \"sync\" }\n\
              }\n\
              trait Labelled { fn label(&self) -> String { x() } }\n",

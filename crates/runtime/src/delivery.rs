@@ -2,7 +2,7 @@
 //!
 //! The paper (§4.5) notes that the group relation `R` "can be easily
 //! implemented by asynchronous message passing".  Three protocols take
-//! it at its word: [`AsyncSimulator`] (pairwise rendezvous steps of `R`)
+//! it at its word: [`ExecutionMode::Async`] (pairwise rendezvous steps of `R`)
 //! and the async runs of the snapshot and flooding baselines.  They differ
 //! in what a message carries and in how they queue messages, and share
 //! everything else, which lives here:
@@ -29,19 +29,18 @@
 //! explicit and sweepable, and [`AsyncKnobs::settle`] applies it to every
 //! protocol alike, so cross-runtime comparisons stay apples-to-apples.
 //!
-//! [`AsyncSimulator`]: crate::AsyncSimulator
+//! [`ExecutionMode::Async`]: crate::ExecutionMode::Async
 
 use rand::Rng;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-/// The knobs of a message-passing run, shared by [`AsyncSimulator`], the
-/// baselines' async runs and [`ExecutionMode::Async`].
+/// The knobs of a message-passing run, shared by [`ExecutionMode::Async`]
+/// and the baselines' async runs.
 ///
 /// The only constructors are [`AsyncKnobs::new`], which rejects invalid
 /// values, and the valid [`Default`], so every value of this type is
 /// valid and the runs that take one have no failure path on it.
 ///
-/// [`AsyncSimulator`]: crate::AsyncSimulator
 /// [`ExecutionMode::Async`]: crate::ExecutionMode::Async
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AsyncKnobs {

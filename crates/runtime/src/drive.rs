@@ -2,11 +2,10 @@
 //!
 //! Each tick of the paper's transition system is one environment
 //! transition followed by agent transitions over the partition it
-//! induces.  [`Driver::run`] is that loop; the round body behind
-//! [`SyncSimulator`](crate::SyncSimulator) and
-//! [`EventSimulator`](crate::EventSimulator), the message passing of
-//! [`AsyncSimulator`](crate::AsyncSimulator) and both baselines are bodies
-//! it calls once per tick with a [`Tick`].  It folds every
+//! induces.  [`Driver::run`] is that loop; the round body of the sync and
+//! event [`ExecutionMode`](crate::ExecutionMode)s, the message passing of
+//! the async one and both baselines are bodies it calls once per tick
+//! with a [`Tick`].  It folds every
 //! [`Environment::step_delta`] into one [`Connectivity`], which merges on
 //! edge-up and re-splits only the affected component on edge-down; an
 //! unchanged environment costs nothing, and a fully enabled one never

@@ -1,31 +1,19 @@
-//! The event-driven face of the round loop.
-//!
-//! [`EventSimulator`] runs exactly the loop [`SyncSimulator`] runs (see the
-//! `round` module) and so measures exactly what it measures.  It differs
-//! only in the record columns it fills: the environment name carries an
-//! `event/` prefix, and the two event columns report the work of the round
-//! loop as events.  Per round there is one environment event, one event per
-//! group actually stepped (groups elided as fixpoints cost none) and one
-//! round-boundary event, so after convergence an idle system costs two
-//! events per cooldown round, independent of `n`.
+//! [`EventSimulator`] and its [`EventConfig`]: a shim over
+//! [`ExecutionMode::Event`], kept for the repository benchmark like the
+//! [`SyncSimulator`](crate::SyncSimulator) shim (see the `sync` module).
+//! The tests below are the event mode's.
 
 use selfsim_core::SelfSimilarSystem;
 use selfsim_env::Environment;
-use selfsim_trace::EventLog;
 
-use crate::round::run_rounds;
-use crate::{Round, SimulationReport, SyncConfig};
+use crate::{ExecutionMode, SimulationReport, SyncConfig};
 
-/// Configuration of an [`EventSimulator`] run: the same knobs as a
-/// [`SyncSimulator`](crate::SyncSimulator) run.
+/// The budget, cooldown and seed of an [`EventSimulator`] run: the same
+/// knobs as a [`SyncSimulator`](crate::SyncSimulator) run.
 pub type EventConfig = SyncConfig;
 
-/// The event-driven realisation of the paper's transition system.
-///
-/// It runs the [`SyncSimulator`](crate::SyncSimulator) round loop and
-/// differs only in its records: the environment name carries an `event/`
-/// prefix, and the event columns count one environment event, one event
-/// per stepped group and one round-boundary event per round.
+/// Runs a system in [`ExecutionMode::Event`] with the budget, cooldown and
+/// seed of an [`EventConfig`].
 pub struct EventSimulator {
     config: EventConfig,
 }
@@ -36,16 +24,8 @@ impl EventSimulator {
         EventSimulator { config }
     }
 
-    /// Creates a simulator with default configuration and the given seed.
-    pub fn with_seed(seed: u64) -> Self {
-        EventSimulator::new(EventConfig {
-            seed,
-            ..EventConfig::default()
-        })
-    }
-
-    /// Runs `system` under `environment` until it converges (plus the
-    /// configured cooldown) or the round budget is exhausted.
+    /// [`ExecutionMode::run`] in [`ExecutionMode::Event`] with the
+    /// configured cooldown, seed and round budget.
     pub fn run<S, E>(
         &self,
         system: &SelfSimilarSystem<S>,
@@ -55,40 +35,23 @@ impl EventSimulator {
         S: Ord + Clone + std::fmt::Debug,
         E: Environment + ?Sized,
     {
-        self.run_with(system, environment, &mut EventLog::disabled(), |_| {})
-    }
-
-    /// [`EventSimulator::run`], emitting the run's structured events into
-    /// `events` and handing every executed round to `observe`.  Neither
-    /// changes the run.
-    pub fn run_with<S, E>(
-        &self,
-        system: &SelfSimilarSystem<S>,
-        environment: &mut E,
-        events: &mut EventLog,
-        observe: impl FnMut(&Round<'_, S>),
-    ) -> SimulationReport<S>
-    where
-        S: Ord + Clone + std::fmt::Debug,
-        E: Environment + ?Sized,
-    {
-        let (mut report, stepped) = run_rounds(&self.config, system, environment, events, observe);
-        let metrics = &mut report.metrics;
-        metrics.environment = format!("event/{}", metrics.environment);
-        let rounds = metrics.rounds_executed;
-        metrics.events_processed = 2 * rounds + stepped.total;
-        // At most the stepped groups of one round plus its boundary wait
-        // at once; an empty run never has a pending event.
-        metrics.peak_queue_depth = if rounds == 0 { 0 } else { stepped.peak + 1 };
-        report
+        let config = &self.config;
+        let mode = ExecutionMode::Event {
+            cooldown: config.cooldown_rounds,
+        };
+        mode.run(system, environment, config.seed, config.max_rounds)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::ExecutionMode;
     use selfsim_algorithms::minimum;
     use selfsim_env::{RandomChurnEnv, StaticEnv, Topology};
+    use selfsim_trace::EventLog;
+
+    /// A round budget every converging run below stays well within.
+    const ROUNDS: usize = 10_000;
 
     #[test]
     fn runs_are_seed_deterministic_including_the_event_stream() {
@@ -96,9 +59,11 @@ mod tests {
         let sys = minimum::system(&[6, 5, 4, 3, 2, 1], topo());
         let run = || {
             let mut events = EventLog::enabled();
-            let report = EventSimulator::with_seed(11).run_with(
+            let report = ExecutionMode::event().run_with(
                 &sys,
                 &mut RandomChurnEnv::new(topo(), 0.5, 1.0),
+                11,
+                ROUNDS,
                 &mut events,
                 |_| {},
             );
@@ -121,12 +86,8 @@ mod tests {
         // round is exactly two events (env + round boundary).
         let topo = || Topology::complete(3);
         let sys = minimum::system(&[5, 2, 9], topo());
-        let report = EventSimulator::new(EventConfig {
-            cooldown_rounds: 10,
-            seed: 4,
-            ..EventConfig::default()
-        })
-        .run(&sys, &mut StaticEnv::new(topo()));
+        let report =
+            ExecutionMode::Event { cooldown: 10 }.run(&sys, &mut StaticEnv::new(topo()), 4, ROUNDS);
         assert_eq!(report.rounds_to_convergence(), Some(1));
         assert_eq!(report.metrics.rounds_executed, 11);
         // Rounds 1–2: env + group + boundary; rounds 3–11: env + boundary.
@@ -143,7 +104,7 @@ mod tests {
         let values: Vec<i64> = (0..n as i64).map(|k| (k * 7919) % 1_000_003 + 1).collect();
         let topo = Topology::complete(n);
         let sys = minimum::system(&values, topo.clone());
-        let report = EventSimulator::with_seed(1).run(&sys, &mut StaticEnv::new(topo));
+        let report = ExecutionMode::event().run(&sys, &mut StaticEnv::new(topo), 1, ROUNDS);
         assert_eq!(report.rounds_to_convergence(), Some(1));
         assert_eq!(report.metrics.messages, n);
         let min = values.iter().min().copied().expect("non-empty values");
@@ -153,11 +114,7 @@ mod tests {
     #[test]
     fn zero_round_budget_executes_nothing() {
         let sys = minimum::system(&[2, 1], Topology::line(2));
-        let report = EventSimulator::new(EventConfig {
-            max_rounds: 0,
-            ..EventConfig::default()
-        })
-        .run(&sys, &mut StaticEnv::new(Topology::line(2)));
+        let report = ExecutionMode::event().run(&sys, &mut StaticEnv::new(Topology::line(2)), 0, 0);
         assert_eq!(report.metrics.rounds_executed, 0);
         assert_eq!(report.metrics.events_processed, 0);
         assert!(!report.converged());

@@ -4,25 +4,30 @@
 //! execution models — synchronous rounds, asynchronous message passing, and
 //! event-driven scheduling.  [`ExecutionMode`] makes that a first-class,
 //! sweepable parameter: it names a runtime plus its mode-specific knobs, and
-//! [`ExecutionMode::run`] runs a system on the corresponding simulator, so
-//! drivers (the campaign engine, the experiment binaries) never match on
-//! the mode themselves.
+//! [`ExecutionMode::run`] and [`ExecutionMode::run_with`] are the one way to
+//! run a system, so drivers (the campaign engine, the experiment binaries)
+//! never match on the mode themselves.
 
 use selfsim_core::SelfSimilarSystem;
 use selfsim_env::Environment;
 use selfsim_trace::EventLog;
 
-use crate::{
-    AsyncConfig, AsyncKnobs, AsyncSimulator, DeliveryRule, EventSimulator, SimulationReport,
-    SyncConfig, SyncSimulator,
-};
+use crate::async_sim::run_messages;
+use crate::round::run_rounds;
+use crate::{AsyncKnobs, DeliveryRule, Driver, Round, SimulationReport};
 
 /// Which runtime a scenario cell runs on, with the runtime-specific knobs
 /// that are part of the cell's identity (the budget and seed are per-trial
 /// and passed to [`ExecutionMode::run`] instead).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ExecutionMode {
-    /// Round-based lockstep execution on [`SyncSimulator`].
+    /// Round-based lockstep execution: each round is one environment
+    /// transition, then one step of `R` by every group of the induced
+    /// partition (connected components of the enabled subgraph), in
+    /// partition order.  Disabled agents belong to no group and keep their
+    /// state.  Groups proven to be randomness-free fixpoints are not
+    /// stepped again until connectivity changes; that changes no
+    /// measurement.
     Sync {
         /// Extra rounds to run *after* convergence is first detected (the
         /// stability audit of `stable (S = f(S))`).  Only meaningful for
@@ -30,17 +35,23 @@ pub enum ExecutionMode {
         /// campaign's baseline adapters) ignore it.
         cooldown: usize,
     },
-    /// Event-driven execution on [`EventSimulator`]: the same round loop as
+    /// Event-driven execution: the same round loop as
     /// [`ExecutionMode::Sync`], with the same records except that the
     /// environment is prefixed `event/` and the loop's work is reported as
-    /// events processed and peak queue depth.
+    /// events.  Per round there is one environment event, one event per
+    /// group actually stepped (groups elided as fixpoints cost none) and
+    /// one round-boundary event, so after convergence an idle system costs
+    /// two events per cooldown round, independent of `n`.
     Event {
         /// Extra rounds to run *after* convergence is first detected; the
         /// same knob (and the same semantics) as the sync cooldown.
         cooldown: usize,
     },
-    /// Discrete-event message passing on [`AsyncSimulator`]: pairwise
-    /// rendezvous over currently-usable edges with latency and loss.
+    /// Discrete-event message passing: each tick, every usable edge starts
+    /// a pairwise rendezvous with the knobs' interaction rate; a message
+    /// that is not dropped comes due after its latency and, if its
+    /// [`DeliveryRule`] lets it through, its two endpoints take one step
+    /// of `R`.
     Async(AsyncKnobs),
 }
 
@@ -171,41 +182,72 @@ impl ExecutionMode {
         }
     }
 
-    /// Runs `system` under `environment` on this mode's simulator:
-    /// `budget` is rounds (sync, event) or ticks (async), `seed` drives all
-    /// simulator randomness, and the run's structured
-    /// [`selfsim_trace::TraceEvent`] stream goes to `events` (pass
-    /// [`EventLog::disabled`] to record nothing).
+    /// Runs `system` under `environment` in this mode: `budget` is rounds
+    /// (sync, event) or ticks (async), and `seed` drives all the run's
+    /// randomness.  Runs with the same seed, system and environment are
+    /// identical.
     pub fn run<S, E>(
         &self,
         system: &SelfSimilarSystem<S>,
         environment: &mut E,
         seed: u64,
         budget: usize,
-        events: &mut EventLog,
     ) -> SimulationReport<S>
     where
         S: Ord + Clone + std::fmt::Debug,
         E: Environment + ?Sized,
     {
-        let rounds = |cooldown_rounds| SyncConfig {
-            max_rounds: budget,
-            cooldown_rounds,
+        self.run_with(
+            system,
+            environment,
             seed,
+            budget,
+            &mut EventLog::disabled(),
+            |_| {},
+        )
+    }
+
+    /// [`ExecutionMode::run`], emitting the run's structured
+    /// [`selfsim_trace::TraceEvent`] stream into `events` (pass
+    /// [`EventLog::disabled`] to record nothing) and handing every executed
+    /// round or tick to `observe`.  Neither changes the run.
+    pub fn run_with<S, E>(
+        &self,
+        system: &SelfSimilarSystem<S>,
+        environment: &mut E,
+        seed: u64,
+        budget: usize,
+        events: &mut EventLog,
+        observe: impl FnMut(&Round<'_, S>),
+    ) -> SimulationReport<S>
+    where
+        S: Ord + Clone + std::fmt::Debug,
+        E: Environment + ?Sized,
+    {
+        let driver = |cooldown| Driver {
+            seed,
+            budget,
+            cooldown,
         };
         match *self {
-            ExecutionMode::Sync { cooldown } => {
-                SyncSimulator::new(rounds(cooldown)).run_with(system, environment, events, |_| {})
+            ExecutionMode::Async(knobs) => {
+                run_messages(knobs, driver(0), system, environment, events, observe)
             }
-            ExecutionMode::Event { cooldown } => {
-                EventSimulator::new(rounds(cooldown)).run_with(system, environment, events, |_| {})
+            ExecutionMode::Sync { cooldown } | ExecutionMode::Event { cooldown } => {
+                let (mut report, stepped) =
+                    run_rounds(driver(cooldown), system, environment, events, observe);
+                if let ExecutionMode::Event { .. } = self {
+                    let metrics = &mut report.metrics;
+                    metrics.environment = format!("event/{}", metrics.environment);
+                    let rounds = metrics.rounds_executed;
+                    metrics.events_processed = 2 * rounds + stepped.total;
+                    // At most the stepped groups of one round plus its
+                    // boundary wait at once; an empty run never has a
+                    // pending event.
+                    metrics.peak_queue_depth = if rounds == 0 { 0 } else { stepped.peak + 1 };
+                }
+                report
             }
-            ExecutionMode::Async(knobs) => AsyncSimulator::new(AsyncConfig {
-                max_ticks: budget,
-                knobs,
-                seed,
-            })
-            .run_with(system, environment, events, |_| {}),
         }
     }
 }
@@ -280,7 +322,7 @@ mod tests {
         assert!(err.contains("`cd`"), "{err}");
         let err = ExecutionMode::parse_label("sync(i=0.5)").unwrap_err();
         assert!(err.contains("unknown parameter i"), "{err}");
-        // Out-of-range knobs fail the AsyncConfig validation at parse.
+        // Out-of-range knobs fail the `AsyncKnobs` validation at parse.
         let err = ExecutionMode::parse_label("async(l=0)").unwrap_err();
         assert!(err.contains("max_latency"), "{err}");
         let err = ExecutionMode::parse_label("async(d=1.5)").unwrap_err();
@@ -328,7 +370,7 @@ mod tests {
         let [sync, asynchronous] = ExecutionMode::both();
         for mode in [sync, asynchronous, ExecutionMode::event()] {
             let mut env = StaticEnv::new(Topology::ring(6));
-            let report = mode.run(&sys, &mut env, 3, 100_000, &mut EventLog::disabled());
+            let report = mode.run(&sys, &mut env, 3, 100_000);
             assert!(report.converged(), "{}", mode.label());
             assert_eq!(report.final_state, vec![1; 6], "{}", mode.label());
         }
@@ -355,13 +397,7 @@ mod tests {
     fn event_mode_carries_its_cooldown_into_the_runtime() {
         let sys = minimum::system(&[9, 2, 7], Topology::complete(3));
         let mut env = StaticEnv::new(Topology::complete(3));
-        let report = ExecutionMode::Event { cooldown: 6 }.run(
-            &sys,
-            &mut env,
-            5,
-            50_000,
-            &mut EventLog::disabled(),
-        );
+        let report = ExecutionMode::Event { cooldown: 6 }.run(&sys, &mut env, 5, 50_000);
         assert!(report.converged());
         assert_eq!(report.metrics.environment, "event/static");
         assert_eq!(
@@ -372,22 +408,44 @@ mod tests {
 
     #[test]
     fn mode_runtime_matches_direct_simulator_run() {
-        let sys = minimum::system(&[6, 5, 4, 3, 2, 1], Topology::ring(6));
-        let direct = {
-            let mut env = RandomChurnEnv::new(Topology::ring(6), 0.5, 1.0);
-            SyncSimulator::new(SyncConfig {
-                max_rounds: 10_000,
-                seed: 11,
-                ..SyncConfig::default()
-            })
-            .run(&sys, &mut env)
-        };
-        let via_mode = {
-            let mut env = RandomChurnEnv::new(Topology::ring(6), 0.5, 1.0);
-            ExecutionMode::sync().run(&sys, &mut env, 11, 10_000, &mut EventLog::disabled())
-        };
-        assert_eq!(direct.metrics, via_mode.metrics);
-        assert_eq!(direct.final_state, via_mode.final_state);
+        // perfbench measures the engine through the `SyncSimulator` and
+        // `EventSimulator` shims, so they must report exactly what the
+        // mode does at the same seed and budget.
+        use crate::{EventConfig, EventSimulator, SyncConfig, SyncSimulator};
+        use selfsim_env::{Environment, PeriodicPartitionEnv};
+        let ring = || Topology::ring(8);
+        let values = [6, 5, 4, 3, 2, 1, 8, 7];
+        let sys = minimum::system_with_step(&values, ring(), minimum::partial_descent_step());
+        let envs: [fn(Topology) -> Box<dyn Environment>; 3] = [
+            |topo| Box::new(StaticEnv::new(topo)),
+            |topo| Box::new(RandomChurnEnv::new(topo, 0.5, 1.0)),
+            |topo| Box::new(PeriodicPartitionEnv::new(topo, 2, 8)),
+        ];
+        for env in envs {
+            for cooldown in [0, 16] {
+                let (budget, seed) = (500, 11);
+                let sync = SyncSimulator::new(SyncConfig {
+                    max_rounds: budget,
+                    cooldown_rounds: cooldown,
+                    seed,
+                });
+                let event = EventSimulator::new(EventConfig {
+                    max_rounds: budget,
+                    cooldown_rounds: cooldown,
+                    seed,
+                });
+                let sync = sync.run(&sys, env(ring()).as_mut());
+                let event = event.run(&sys, env(ring()).as_mut());
+                for (shim, mode) in [
+                    (sync, ExecutionMode::Sync { cooldown }),
+                    (event, ExecutionMode::Event { cooldown }),
+                ] {
+                    let direct = mode.run(&sys, env(ring()).as_mut(), seed, budget);
+                    assert_eq!(shim.metrics, direct.metrics, "{}", mode.label());
+                    assert_eq!(shim.final_state, direct.final_state, "{}", mode.label());
+                }
+            }
+        }
     }
 
     #[test]
@@ -395,7 +453,7 @@ mod tests {
         let sys = minimum::system(&[9, 2, 7, 5, 8, 4], Topology::ring(6));
         let mode = asynchronous(1.0, 1, 0.0, DeliveryRule::default());
         let mut env = StaticEnv::new(Topology::ring(6));
-        let report = mode.run(&sys, &mut env, 5, 50_000, &mut EventLog::disabled());
+        let report = mode.run(&sys, &mut env, 5, 50_000);
         assert!(report.converged());
         assert_eq!(report.metrics.environment, "async/static");
     }

@@ -2,10 +2,11 @@
 
 use selfsim_trace::RunMetrics;
 
-/// What a simulator returns about one run: the measurements and the final
-/// positional state.  Histories (per-round states, environment states,
-/// the event stream) are the caller's to keep, through the observer and
-/// the [`selfsim_trace::EventLog`] a `run_with` call takes.
+/// What a run returns: the measurements and the final positional state.
+/// Histories (per-round states, environment states, the event stream) are
+/// the caller's to keep, through the observer and the
+/// [`selfsim_trace::EventLog`] an
+/// [`ExecutionMode::run_with`](crate::ExecutionMode::run_with) call takes.
 #[derive(Clone, Debug)]
 pub struct SimulationReport<S> {
     /// Quantitative measurements of the run.

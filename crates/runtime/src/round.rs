@@ -1,5 +1,5 @@
-//! The round body behind [`SyncSimulator`](crate::SyncSimulator) and
-//! [`EventSimulator`](crate::EventSimulator).
+//! The round body behind [`ExecutionMode::Sync`](crate::ExecutionMode::Sync)
+//! and [`ExecutionMode::Event`](crate::ExecutionMode::Event).
 //!
 //! The [`Driver`] runs the environment transition of every round; the body
 //! then takes one step of `R` per group of the induced partition, groups
@@ -30,10 +30,11 @@ use selfsim_env::{Connectivity, EnvState, Environment, Topology};
 use selfsim_multiset::Multiset;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{Driver, SimulationReport, SyncConfig, Tick};
+use crate::{Driver, SimulationReport, Tick};
 
-/// One executed round (sync, event) or tick (async), as the observer of a
-/// `run_with` call sees it, after the round's group steps.
+/// One executed round (sync, event) or tick (async), as the observer of an
+/// [`ExecutionMode::run_with`](crate::ExecutionMode::run_with) call sees
+/// it, after the round's group steps.
 pub struct Round<'a, S: Ord> {
     /// The simulator clock: the round or tick just executed, from 1.
     pub tick: usize,
@@ -80,11 +81,11 @@ pub(crate) struct Stepped {
     pub(crate) peak: usize,
 }
 
-/// Runs `system` under `environment` on the [`Driver`] until it converges
-/// (plus the configured cooldown) or the round budget is exhausted,
-/// emitting into `events` and handing every executed round to `observe`.
+/// Runs `system` under `environment` on `driver` until it converges (plus
+/// the driver's cooldown) or the round budget is exhausted, emitting into
+/// `events` and handing every executed round to `observe`.
 pub(crate) fn run_rounds<S, E>(
-    config: &SyncConfig,
+    driver: Driver,
     system: &SelfSimilarSystem<S>,
     environment: &mut E,
     events: &mut EventLog,
@@ -112,11 +113,6 @@ where
     let mut at_fixpoint: Vec<bool> = Vec::new();
     let mut stepped = Stepped::default();
 
-    let driver = Driver {
-        seed: config.seed,
-        budget: config.max_rounds,
-        cooldown: config.cooldown_rounds,
-    };
     let body = |Tick {
                     tick,
                     rng,

@@ -1,22 +1,26 @@
-//! The round-based (synchronous) simulator and the configuration both
-//! round runtimes share.
+//! [`SyncSimulator`] and its [`SyncConfig`]: a shim over
+//! [`ExecutionMode::Sync`].
+//!
+//! Programs run a system through [`ExecutionMode::run`] or
+//! [`ExecutionMode::run_with`].  The repository benchmark (`perfbench/`,
+//! its own Cargo workspace) still calls
+//! `SyncSimulator::new(SyncConfig { .. }).run(..)`, so this shim, and the
+//! [`EventSimulator`](crate::EventSimulator) one beside it, stay until the
+//! benchmark is ported to the mode.  The tests below are the sync mode's.
 
 use selfsim_core::SelfSimilarSystem;
 use selfsim_env::Environment;
-use selfsim_trace::EventLog;
 
-use crate::round::run_rounds;
-use crate::{Round, SimulationReport};
+use crate::{ExecutionMode, SimulationReport};
 
-/// Configuration of a [`SyncSimulator`] or
+/// The budget, cooldown and seed of a [`SyncSimulator`] or
 /// [`EventSimulator`](crate::EventSimulator) run.
 #[derive(Clone, Debug)]
 pub struct SyncConfig {
     /// Maximum number of rounds before giving up.
     pub max_rounds: usize,
     /// Number of extra rounds to execute *after* convergence is first
-    /// detected, to exercise (and let the tests audit) the stability claim
-    /// `stable (S = f(S))`.
+    /// detected (the `cooldown` of [`ExecutionMode::Sync`]).
     pub cooldown_rounds: usize,
     /// RNG seed; every run with the same seed, system and environment is
     /// identical.
@@ -33,17 +37,8 @@ impl Default for SyncConfig {
     }
 }
 
-/// The synchronous, round-based realisation of the paper's transition
-/// system.
-///
-/// Each round performs one environment transition followed by one agent
-/// transition: the environment produces the next [`selfsim_env::EnvState`],
-/// the partition of agents into communicating groups is read off the
-/// connected components, and every group executes one step of `R`.
-/// Disabled agents belong to no group and keep their state, which is the
-/// paper's "a disabled process executes no actions and does not change
-/// state".  Groups proven to be randomness-free fixpoints are not stepped
-/// again until connectivity changes; that changes no measurement.
+/// Runs a system in [`ExecutionMode::Sync`] with the budget, cooldown and
+/// seed of a [`SyncConfig`].
 pub struct SyncSimulator {
     config: SyncConfig,
 }
@@ -54,16 +49,8 @@ impl SyncSimulator {
         SyncSimulator { config }
     }
 
-    /// Creates a simulator with default configuration and the given seed.
-    pub fn with_seed(seed: u64) -> Self {
-        SyncSimulator::new(SyncConfig {
-            seed,
-            ..SyncConfig::default()
-        })
-    }
-
-    /// Runs `system` under `environment` until it converges (plus the
-    /// configured cooldown) or the round budget is exhausted.
+    /// [`ExecutionMode::run`] in [`ExecutionMode::Sync`] with the
+    /// configured cooldown, seed and round budget.
     pub fn run<S, E>(
         &self,
         system: &SelfSimilarSystem<S>,
@@ -73,38 +60,29 @@ impl SyncSimulator {
         S: Ord + Clone + std::fmt::Debug,
         E: Environment + ?Sized,
     {
-        self.run_with(system, environment, &mut EventLog::disabled(), |_| {})
-    }
-
-    /// [`SyncSimulator::run`], emitting the run's structured events into
-    /// `events` and handing every executed round to `observe`.  Neither
-    /// changes the run.
-    pub fn run_with<S, E>(
-        &self,
-        system: &SelfSimilarSystem<S>,
-        environment: &mut E,
-        events: &mut EventLog,
-        observe: impl FnMut(&Round<'_, S>),
-    ) -> SimulationReport<S>
-    where
-        S: Ord + Clone + std::fmt::Debug,
-        E: Environment + ?Sized,
-    {
-        run_rounds(&self.config, system, environment, events, observe).0
+        let config = &self.config;
+        let mode = ExecutionMode::Sync {
+            cooldown: config.cooldown_rounds,
+        };
+        mode.run(system, environment, config.seed, config.max_rounds)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::ExecutionMode;
     use selfsim_algorithms::minimum;
     use selfsim_env::{AdversarialEnv, RandomChurnEnv, StaticEnv, Topology};
+    use selfsim_trace::EventLog;
+
+    /// A round budget every converging run below stays well within.
+    const ROUNDS: usize = 10_000;
 
     #[test]
     fn minimum_converges_under_static_environment() {
         let sys = minimum::system(&[9, 4, 7, 1, 5], Topology::line(5));
         let mut env = StaticEnv::new(Topology::line(5));
-        let report = SyncSimulator::with_seed(1).run(&sys, &mut env);
+        let report = ExecutionMode::sync().run(&sys, &mut env, 1, ROUNDS);
         assert!(report.converged());
         assert_eq!(report.final_state, vec![1, 1, 1, 1, 1]);
         // On a line of 5 agents, the minimum needs a handful of rounds to
@@ -118,15 +96,12 @@ mod tests {
         let topo = Topology::ring(8);
         let sys = minimum::system(&[9, 4, 7, 1, 5, 14, 3, 8], topo.clone());
         let mut env = RandomChurnEnv::new(topo, 0.4, 0.9);
-        let config = SyncConfig {
-            max_rounds: 5_000,
-            seed: 7,
-            ..SyncConfig::default()
-        };
         let mut rounds = 0;
-        let report = SyncSimulator::new(config).run_with(
+        let report = ExecutionMode::sync().run_with(
             &sys,
             &mut env,
+            7,
+            5_000,
             &mut EventLog::disabled(),
             |round| {
                 rounds += 1;
@@ -144,7 +119,7 @@ mod tests {
         let topo = Topology::line(4);
         let sys = minimum::system(&[4, 3, 2, 1], topo.clone());
         let mut env = AdversarialEnv::new(topo, 3);
-        let report = SyncSimulator::with_seed(3).run(&sys, &mut env);
+        let report = ExecutionMode::sync().run(&sys, &mut env, 3, ROUNDS);
         assert!(report.converged());
         // The adversary activates one edge every 4 rounds, so convergence is
         // necessarily much slower than under the static environment.
@@ -157,11 +132,7 @@ mod tests {
         let sys = minimum::system(&[4, 3, 2, 1], topo.clone());
         // An environment that never enables anything.
         let mut env = RandomChurnEnv::new(topo, 0.0, 0.0);
-        let config = SyncConfig {
-            max_rounds: 50,
-            ..SyncConfig::default()
-        };
-        let report = SyncSimulator::new(config).run(&sys, &mut env);
+        let report = ExecutionMode::sync().run(&sys, &mut env, 0, 50);
         assert!(!report.converged());
         assert_eq!(report.metrics.rounds_executed, 50);
         assert_eq!(report.final_state, vec![4, 3, 2, 1]);
@@ -172,15 +143,13 @@ mod tests {
         let topo = Topology::complete(3);
         let sys = minimum::system(&[5, 2, 9], topo.clone());
         let mut env = StaticEnv::new(topo);
-        let config = SyncConfig {
-            cooldown_rounds: 10,
-            ..SyncConfig::default()
-        };
         let target = sys.target();
         let mut at_target = Vec::new();
-        let report = SyncSimulator::new(config).run_with(
+        let report = ExecutionMode::Sync { cooldown: 10 }.run_with(
             &sys,
             &mut env,
+            0,
+            ROUNDS,
             &mut EventLog::disabled(),
             |round| at_target.push(*round.states == target),
         );
@@ -202,7 +171,7 @@ mod tests {
         let sys = minimum::system(&[6, 5, 4, 3, 2, 1], topo.clone());
         let run = |seed| {
             let mut env = RandomChurnEnv::new(Topology::ring(6), 0.5, 1.0);
-            SyncSimulator::with_seed(seed).run(&sys, &mut env)
+            ExecutionMode::sync().run(&sys, &mut env, seed, ROUNDS)
         };
         let a = run(11);
         let b = run(11);

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use selfsim_algorithms::minimum;
 use selfsim_env::{PeriodicPartitionEnv, RandomChurnEnv, Topology};
-use selfsim_runtime::{AsyncConfig, AsyncKnobs, AsyncSimulator, DeliveryRule, SimulationReport};
+use selfsim_runtime::{AsyncKnobs, DeliveryRule, ExecutionMode, SimulationReport};
 
 /// Minimum over a complete graph of 8 split into two blocks that merge for
 /// a single tick every 8 ticks — the environment whose connectivity
@@ -15,12 +15,7 @@ fn partitioned_run(rule: DeliveryRule, seed: u64, max_ticks: usize) -> Simulatio
     let topo = Topology::complete(8);
     let sys = minimum::system(&[80, 70, 60, 50, 40, 30, 20, 1], topo.clone());
     let mut env = PeriodicPartitionEnv::new(topo, 2, 8);
-    AsyncSimulator::new(AsyncConfig {
-        max_ticks,
-        knobs: AsyncKnobs::default().with_delivery(rule),
-        seed,
-    })
-    .run(&sys, &mut env)
+    ExecutionMode::asynchronous_with(rule).run(&sys, &mut env, seed, max_ticks)
 }
 
 /// The regression the DeliveryRule subsystem exists to fix: with
@@ -74,12 +69,8 @@ fn every_rule_is_seed_deterministic() {
             let topo = Topology::ring(6);
             let sys = minimum::system(&[9, 2, 7, 5, 8, 4], topo.clone());
             let mut env = RandomChurnEnv::new(Topology::ring(6), 0.4, 0.9);
-            AsyncSimulator::new(AsyncConfig {
-                max_ticks: 20_000,
-                knobs: AsyncKnobs::new(0.5, 3, 0.2, rule).expect("valid knobs"),
-                seed: 11,
-            })
-            .run(&sys, &mut env)
+            let knobs = AsyncKnobs::new(0.5, 3, 0.2, rule).expect("valid knobs");
+            ExecutionMode::Async(knobs).run(&sys, &mut env, 11, 20_000)
         };
         let a = run();
         let b = run();
@@ -101,12 +92,7 @@ proptest! {
             let topo = Topology::ring(8);
             let sys = minimum::system(&[43, 17, 91, 5, 66, 28, 74, 52], topo.clone());
             let mut env = RandomChurnEnv::new(Topology::ring(8), 0.3, 0.9);
-            AsyncSimulator::new(AsyncConfig {
-                max_ticks: 50_000,
-                knobs: AsyncKnobs::default().with_delivery(rule),
-                seed,
-            })
-            .run(&sys, &mut env)
+            ExecutionMode::asynchronous_with(rule).run(&sys, &mut env, seed, 50_000)
         };
         let strict = run(DeliveryRule::ValidAtDelivery);
         let windowed = run(DeliveryRule::any_overlap());

@@ -1,17 +1,17 @@
 //! The round loop against a dense reference.
 //!
-//! [`SyncSimulator`] and [`EventSimulator`] share one round loop that folds
+//! The sync and event [`ExecutionMode`]s share one round loop that folds
 //! environment deltas into a group index, elides randomness-free fixpoint
 //! groups and caches the objective.  The oracle below is the paper's
 //! transition system written out with none of that: every round it calls
 //! [`Environment::step`], recomputes the partition with
 //! [`EnvState::groups`], steps every group and re-evaluates the objective
-//! and the convergence check.  Both simulators must produce exactly the
-//! oracle's report — metrics and final state — and, when a run is
-//! recorded through `run_with`, exactly the oracle's per-round
-//! environment states and state multisets and its structured event
-//! stream.  The event simulator must differ only in its `event/` prefix
-//! and its two event columns.
+//! and the convergence check.  Both modes must produce exactly the oracle's
+//! report — metrics and final state — and, when a run is recorded through
+//! `run_with`, exactly the oracle's per-round environment states and state
+//! multisets and its structured event stream.  The event mode must differ
+//! only in its `event/` prefix and its two event columns.  A run's seed,
+//! round budget and cooldown are given as a [`Driver`].
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,7 +24,7 @@ use selfsim_env::{
     PeriodicPartitionEnv, RandomChurnEnv, StaticEnv, Topology,
 };
 use selfsim_multiset::Multiset;
-use selfsim_runtime::{EventSimulator, Round, SimulationReport, SyncConfig, SyncSimulator};
+use selfsim_runtime::{Driver, ExecutionMode, SimulationReport};
 use selfsim_temporal::Trace;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
@@ -37,21 +37,27 @@ struct Recording<S: Ord> {
     events: Vec<TraceEvent>,
 }
 
-/// Runs a simulator through `run`, or, when `recorded`, through `run_with`
-/// with an enabled event log and an observer that keeps every round's
-/// environment state and multiset.
-fn run_maybe_recorded<S: Ord + Clone>(
+/// Runs `system` in `mode` with `config`'s seed and budget through `run`,
+/// or, when `recorded`, through `run_with` with an enabled event log and an
+/// observer that keeps every round's environment state and multiset.
+fn run_maybe_recorded<S>(
+    mode: ExecutionMode,
+    config: &Driver,
+    system: &SelfSimilarSystem<S>,
+    environment: &mut dyn Environment,
     recorded: bool,
-    run: impl FnOnce() -> SimulationReport<S>,
-    run_with: impl FnOnce(&mut EventLog, &mut dyn FnMut(&Round<'_, S>)) -> SimulationReport<S>,
-) -> (SimulationReport<S>, Option<Recording<S>>) {
+) -> (SimulationReport<S>, Option<Recording<S>>)
+where
+    S: Ord + Clone + std::fmt::Debug,
+{
+    let Driver { seed, budget, .. } = *config;
     if !recorded {
-        return (run(), None);
+        return (mode.run(system, environment, seed, budget), None);
     }
     let mut env_states = Trace::new();
     let mut states = Vec::new();
     let mut events = EventLog::enabled();
-    let report = run_with(&mut events, &mut |round| {
+    let report = mode.run_with(system, environment, seed, budget, &mut events, |round| {
         env_states.push(round.env_state());
         states.push(round.states.clone());
     });
@@ -67,7 +73,7 @@ fn run_maybe_recorded<S: Ord + Clone>(
 /// every group stepped every round, the objective evaluated every round.
 /// It always records.
 fn oracle<S>(
-    config: &SyncConfig,
+    config: &Driver,
     system: &SelfSimilarSystem<S>,
     environment: &mut dyn Environment,
 ) -> (SimulationReport<S>, Recording<S>)
@@ -86,9 +92,9 @@ where
         .objective_trajectory
         .push(system.objective_of(&global));
     let mut converged_at: Option<usize> = None;
-    let mut cooldown_left = config.cooldown_rounds;
+    let mut cooldown_left = config.cooldown;
 
-    for round in 1..=config.max_rounds {
+    for round in 1..=config.budget {
         let tick = round as u64;
         let env_state = environment.step(&mut rng);
         let usable = env_state
@@ -140,7 +146,7 @@ where
                 events.emit(|| TraceEvent::ConvergenceLeft { tick });
             }
             converged_at = None;
-            cooldown_left = config.cooldown_rounds;
+            cooldown_left = config.cooldown;
         }
     }
 
@@ -199,12 +205,12 @@ fn environment(which: usize, topo: &Topology, p: f64, q: f64, k: usize) -> Box<d
     }
 }
 
-/// Runs the oracle and both simulators, each on a fresh environment from
+/// Runs the oracle and both round modes, each on a fresh environment from
 /// `make_env`, and asserts that all three reports agree — and, when
-/// `recorded`, that the simulators' recordings equal the oracle's.
+/// `recorded`, that the modes' recordings equal the oracle's.
 fn assert_matches_oracle<S>(
     system: &SelfSimilarSystem<S>,
-    config: &SyncConfig,
+    config: &Driver,
     recorded: bool,
     make_env: impl Fn() -> Box<dyn Environment>,
 ) where
@@ -222,21 +228,24 @@ fn assert_matches_oracle<S>(
         }
     };
 
-    let simulator = SyncSimulator::new(config.clone());
+    let cooldown = config.cooldown;
     let (sync, recording) = run_maybe_recorded(
+        ExecutionMode::Sync { cooldown },
+        config,
+        system,
+        make_env().as_mut(),
         recorded,
-        || simulator.run(system, make_env().as_mut()),
-        |events, observe| simulator.run_with(system, make_env().as_mut(), events, observe),
     );
     let sync_context = format!("sync: {context}");
     assert_same_report(&sync, &expected, &sync_context);
     check_recording(recording, &sync_context);
 
-    let simulator = EventSimulator::new(config.clone());
     let (mut event, recording) = run_maybe_recorded(
+        ExecutionMode::Event { cooldown },
+        config,
+        system,
+        make_env().as_mut(),
         recorded,
-        || simulator.run(system, make_env().as_mut()),
-        |events, observe| simulator.run_with(system, make_env().as_mut(), events, observe),
     );
     let metrics = &mut event.metrics;
     assert_eq!(
@@ -328,7 +337,7 @@ fn check_algorithm(
     algorithm: u8,
     topo: &Topology,
     salt: u64,
-    config: &SyncConfig,
+    config: &Driver,
     recorded: bool,
     env: &dyn Fn() -> Box<dyn Environment>,
 ) {
@@ -369,7 +378,7 @@ fn check_algorithm(
 proptest! {
     /// The core property: for every environment, every algorithm, with and
     /// without cooldown, recorded or not, and over budgets from zero up,
-    /// both simulators reproduce the dense oracle's report (and recording)
+    /// both round modes reproduce the dense oracle's report (and recording)
     /// exactly.
     #[test]
     fn every_environment_matches_the_dense_oracle(
@@ -385,10 +394,10 @@ proptest! {
         recorded in 0u8..2,
     ) {
         let topo = if algorithm == 2 { Topology::line(n) } else { topology(choice, n) };
-        let config = SyncConfig {
-            max_rounds,
-            cooldown_rounds: cooldown * 16,
+        let config = Driver {
             seed,
+            budget: max_rounds,
+            cooldown: cooldown * 16,
         };
         for which in 0..ENVIRONMENTS {
             check_algorithm(
@@ -403,11 +412,11 @@ proptest! {
     }
 }
 
-fn rounds(seed: u64, cooldown_rounds: usize) -> SyncConfig {
-    SyncConfig {
-        max_rounds: 10_000,
-        cooldown_rounds,
+fn rounds(seed: u64, cooldown: usize) -> Driver {
+    Driver {
         seed,
+        budget: 10_000,
+        cooldown,
     }
 }
 
@@ -428,7 +437,7 @@ fn positional_movement_with_unchanged_multisets_matches_the_oracle() {
     // positions, not multisets, or it would freeze a still-sorting group.
     let system = sorting::system(&[5, 3, 1, 4, 2, 6]);
     let line = Topology::line(6);
-    let report = SyncSimulator::new(rounds(2, 0)).run(&system, &mut StaticEnv::new(line.clone()));
+    let report = ExecutionMode::sync().run(&system, &mut StaticEnv::new(line.clone()), 2, 10_000);
     assert!(report.converged(), "sorting converges on the static line");
     assert_matches_oracle(&system, &rounds(2, 0), true, || {
         Box::new(StaticEnv::new(line.clone()))
@@ -442,8 +451,12 @@ fn positional_movement_with_unchanged_multisets_matches_the_oracle() {
 fn cooldown_rounds_match_the_oracle() {
     let complete = Topology::complete(3);
     let system = minimum::system(&[5, 2, 9], complete.clone());
-    let report =
-        SyncSimulator::new(rounds(4, 16)).run(&system, &mut StaticEnv::new(complete.clone()));
+    let report = ExecutionMode::Sync { cooldown: 16 }.run(
+        &system,
+        &mut StaticEnv::new(complete.clone()),
+        4,
+        10_000,
+    );
     assert!(report.metrics.rounds_executed > report.rounds_to_convergence().expect("converges"));
     for cooldown in [0, 10, 16] {
         assert_matches_oracle(&system, &rounds(4, cooldown), true, || {
@@ -475,8 +488,8 @@ fn traces_and_events_match_the_oracle() {
 fn zero_round_budget_matches_the_oracle() {
     let line = Topology::line(4);
     let system = minimum::system(&[4, 3, 2, 1], line.clone());
-    let config = SyncConfig {
-        max_rounds: 0,
+    let config = Driver {
+        budget: 0,
         ..rounds(1, 16)
     };
     assert_matches_oracle(&system, &config, true, || {

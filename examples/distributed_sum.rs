@@ -20,7 +20,7 @@
 
 use self_similar::algorithms::sum;
 use self_similar::env::{RandomChurnEnv, StaticEnv, Topology};
-use self_similar::runtime::{SyncConfig, SyncSimulator};
+use self_similar::runtime::ExecutionMode;
 
 fn main() {
     let values = [3i64, 5, 3, 7, 11, 2, 8, 1];
@@ -33,12 +33,7 @@ fn main() {
 
     // 1. Complete-graph fairness with heavy churn: converges.
     let mut churny = RandomChurnEnv::new(Topology::complete(n), 0.25, 0.85);
-    let report = SyncSimulator::new(SyncConfig {
-        max_rounds: 100_000,
-        seed: 11,
-        ..SyncConfig::default()
-    })
-    .run(&system, &mut churny);
+    let report = ExecutionMode::sync().run(&system, &mut churny, 11, 100_000);
     println!(
         "complete graph + churn: converged in {:?} rounds; final state {:?}",
         report.rounds_to_convergence(),
@@ -59,12 +54,7 @@ fn main() {
     //    requires the complete graph.
     let star_only = Topology::star(n);
     let mut star_env = StaticEnv::new(star_only);
-    let stalled = SyncSimulator::new(SyncConfig {
-        max_rounds: 2_000,
-        seed: 12,
-        ..SyncConfig::default()
-    })
-    .run(&system, &mut star_env);
+    let stalled = ExecutionMode::sync().run(&system, &mut star_env, 12, 2_000);
     println!(
         "star-only environment: converged? {} (final state {:?})",
         stalled.converged(),

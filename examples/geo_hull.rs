@@ -1,5 +1,5 @@
 //! Convex hull and circumscribing circle of mobile agents (§4.5), run on the
-//! asynchronous message-passing simulator.
+//! asynchronous message-passing runtime.
 //!
 //! Each agent sits at a point in the plane and wants the circumscribing
 //! circle of all agents.  The naive formulation (everyone maintains a circle
@@ -21,7 +21,7 @@
 use self_similar::algorithms::{circumscribing, convex_hull};
 use self_similar::env::{RandomChurnEnv, Topology};
 use self_similar::geometry::{smallest_enclosing_circle, Point};
-use self_similar::runtime::{AsyncConfig, AsyncKnobs, AsyncSimulator, DeliveryRule};
+use self_similar::runtime::{AsyncKnobs, DeliveryRule, ExecutionMode};
 
 fn main() {
     // Figure 2: the naive circumscribing-circle function is not
@@ -45,12 +45,7 @@ fn main() {
 
     let mut env = RandomChurnEnv::new(Topology::ring(n), 0.5, 0.95);
     let knobs = AsyncKnobs::new(0.6, 4, 0.3, DeliveryRule::default()).expect("valid knobs");
-    let report = AsyncSimulator::new(AsyncConfig {
-        max_ticks: 200_000,
-        knobs,
-        seed: 9,
-    })
-    .run(&system, &mut env);
+    let report = ExecutionMode::Async(knobs).run(&system, &mut env, 9, 200_000);
 
     println!(
         "asynchronous hull gossip over a churning ring: converged in {:?} ticks, {} messages sent",

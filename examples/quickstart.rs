@@ -14,7 +14,7 @@
 
 use self_similar::algorithms::minimum;
 use self_similar::env::{AdversarialEnv, Environment, RandomChurnEnv, StaticEnv, Topology};
-use self_similar::runtime::{SyncConfig, SyncSimulator};
+use self_similar::runtime::ExecutionMode;
 
 fn main() {
     let values = [9i64, 4, 7, 1, 5, 14, 3, 8];
@@ -26,11 +26,7 @@ fn main() {
     println!("target: every agent holds {}", values.iter().min().unwrap());
     println!();
 
-    let simulator = SyncSimulator::new(SyncConfig {
-        max_rounds: 100_000,
-        seed: 42,
-        ..SyncConfig::default()
-    });
+    let mode = ExecutionMode::sync();
 
     let mut environments: Vec<Box<dyn Environment>> = vec![
         Box::new(StaticEnv::new(topology.clone())),
@@ -43,7 +39,7 @@ fn main() {
         "environment", "rounds", "group steps", "messages"
     );
     for env in environments.iter_mut() {
-        let report = simulator.run(&system, env.as_mut());
+        let report = mode.run(&system, env.as_mut(), 42, 100_000);
         let rounds = report
             .rounds_to_convergence()
             .map(|r| r.to_string())

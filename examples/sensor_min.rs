@@ -7,7 +7,7 @@
 //! crash and restart at random, and compute the minimum reading (e.g. the
 //! lowest temperature) with the §4.1 algorithm.
 //!
-//! The example also records the run through the simulator's round observer.
+//! The example also records the run through its round observer.
 //! It asserts that the conservation law and the descent of `h` held at every
 //! recorded state.  It also runs a finite-trace recurrence test standing in
 //! for the fairness assumption `□◇Q_e` that the correctness theorem
@@ -26,7 +26,7 @@
 use self_similar::algorithms::minimum;
 use self_similar::core::proof;
 use self_similar::env::{CrashRestartEnv, Topology};
-use self_similar::runtime::{SyncConfig, SyncSimulator};
+use self_similar::runtime::ExecutionMode;
 use self_similar::temporal::{Trace, Verdict};
 use self_similar::trace::EventLog;
 
@@ -48,18 +48,15 @@ fn main() {
     // Sensors crash with probability 0.15 per round and restart with
     // probability 0.30 per round.
     let mut environment = CrashRestartEnv::new(topology, 0.15, 0.30);
-    let config = SyncConfig {
-        max_rounds: 200_000,
-        cooldown_rounds: 25,
-        seed: 7,
-    };
     // Keep the state multiset (from S(0) on) and the environment state of
-    // every round; the simulator itself keeps no history.
+    // every round; the run itself keeps no history.
     let mut state_trace = vec![system.initial_multiset().clone()];
     let mut env_trace = Trace::new();
-    let report = SyncSimulator::new(config).run_with(
+    let report = ExecutionMode::Sync { cooldown: 25 }.run_with(
         &system,
         &mut environment,
+        7,
+        200_000,
         &mut EventLog::disabled(),
         |round| {
             state_trace.push(round.states.clone());

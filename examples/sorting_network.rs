@@ -18,7 +18,7 @@
 
 use self_similar::algorithms::sorting;
 use self_similar::env::{RandomChurnEnv, Topology};
-use self_similar::runtime::{SyncConfig, SyncSimulator};
+use self_similar::runtime::ExecutionMode;
 
 fn main() {
     // A reversed array of 16 distinct values.
@@ -29,12 +29,7 @@ fn main() {
 
     let run = |name: &str, system: &self_similar::core::SelfSimilarSystem<(i64, i64)>| {
         let mut env = RandomChurnEnv::new(Topology::line(n), 0.5, 1.0);
-        let report = SyncSimulator::new(SyncConfig {
-            max_rounds: 200_000,
-            seed: 3,
-            ..SyncConfig::default()
-        })
-        .run(system, &mut env);
+        let report = ExecutionMode::sync().run(system, &mut env, 3, 200_000);
         println!(
             "{name:<12} rounds to convergence: {:?}, effective group steps: {}",
             report.rounds_to_convergence(),

@@ -9,7 +9,7 @@
 //!   variant functions, the relation `D`, proof obligations;
 //! * [`algorithms`] — the paper's worked examples (§4) and extensions;
 //! * [`env`](mod@env) — environments: topologies, churn, partitions, fairness `Q`;
-//! * [`runtime`] — synchronous and asynchronous simulators;
+//! * [`runtime`] — `ExecutionMode`: synchronous, event-driven and asynchronous runs;
 //! * [`baselines`] — snapshot and flooding baselines (§5 comparison);
 //! * [`multiset`], [`geometry`], [`temporal`], [`trace`] — substrates.
 //!
@@ -18,12 +18,13 @@
 //! ```
 //! use self_similar::algorithms::minimum;
 //! use self_similar::env::{RandomChurnEnv, Topology};
-//! use self_similar::runtime::SyncSimulator;
+//! use self_similar::runtime::ExecutionMode;
 //!
 //! let topology = Topology::ring(8);
 //! let system = minimum::system(&[9, 4, 7, 1, 5, 14, 3, 8], topology.clone());
 //! let mut environment = RandomChurnEnv::new(topology, 0.5, 0.9);
-//! let report = SyncSimulator::with_seed(42).run(&system, &mut environment);
+//! // Seed 42, at most 10 000 rounds.
+//! let report = ExecutionMode::sync().run(&system, &mut environment, 42, 10_000);
 //! assert!(report.converged());
 //! assert_eq!(report.final_state, vec![1; 8]);
 //! ```

@@ -7,7 +7,7 @@
 use self_similar::algorithms::minimum;
 use self_similar::baselines::{FloodingAggregator, SnapshotAggregator};
 use self_similar::env::{AdversarialEnv, PeriodicPartitionEnv, StaticEnv, Topology};
-use self_similar::runtime::{ExecutionMode, SyncConfig, SyncSimulator};
+use self_similar::runtime::ExecutionMode;
 use self_similar::trace::EventLog;
 
 const VALUES: [i64; 6] = [6, 5, 4, 3, 2, 1];
@@ -18,12 +18,7 @@ fn self_similar_rounds(
     let topology = Topology::complete(VALUES.len());
     let system = minimum::system(&VALUES, topology);
     let mut env = env_builder();
-    let report = SyncSimulator::new(SyncConfig {
-        max_rounds: 5_000,
-        seed: 1,
-        ..SyncConfig::default()
-    })
-    .run(&system, env.as_mut());
+    let report = ExecutionMode::sync().run(&system, env.as_mut(), 1, 5_000);
     report.rounds_to_convergence()
 }
 
@@ -88,12 +83,7 @@ fn self_similar_beats_snapshot_under_periodic_partitions() {
     let topology = Topology::complete(VALUES.len());
     let system = minimum::system(&VALUES, topology.clone());
     let mut env = PeriodicPartitionEnv::new(topology.clone(), blocks, period);
-    let ss_report = SyncSimulator::new(SyncConfig {
-        max_rounds: 5_000,
-        seed: 1,
-        ..SyncConfig::default()
-    })
-    .run(&system, &mut env);
+    let ss_report = ExecutionMode::sync().run(&system, &mut env, 1, 5_000);
     let ss = ss_report
         .rounds_to_convergence()
         .expect("self-similar converges");
@@ -128,12 +118,7 @@ fn flooding_converges_under_partitions_but_costs_more_messages() {
     let topology = Topology::complete(VALUES.len());
     let system = minimum::system(&VALUES, topology.clone());
     let mut env = PeriodicPartitionEnv::new(topology.clone(), 2, 6);
-    let ss_report = SyncSimulator::new(SyncConfig {
-        max_rounds: 5_000,
-        seed: 2,
-        ..SyncConfig::default()
-    })
-    .run(&system, &mut env);
+    let ss_report = ExecutionMode::sync().run(&system, &mut env, 2, 5_000);
     assert!(ss_report.converged());
 
     let mut env = PeriodicPartitionEnv::new(topology, 2, 6);

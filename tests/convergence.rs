@@ -11,19 +11,14 @@ use self_similar::env::{
     RandomChurnEnv, StaticEnv, Topology,
 };
 use self_similar::geometry::Point;
-use self_similar::runtime::{SyncConfig, SyncSimulator};
+use self_similar::runtime::ExecutionMode;
 
 fn run<S: Ord + Clone + std::fmt::Debug>(
     system: &SelfSimilarSystem<S>,
     env: &mut dyn Environment,
     seed: u64,
 ) -> self_similar::runtime::SimulationReport<S> {
-    SyncSimulator::new(SyncConfig {
-        max_rounds: 500_000,
-        seed,
-        ..SyncConfig::default()
-    })
-    .run(system, env)
+    ExecutionMode::sync().run(system, env, seed, 500_000)
 }
 
 fn environments(topology: &Topology) -> Vec<Box<dyn Environment>> {

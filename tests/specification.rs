@@ -5,16 +5,14 @@
 //! Conservation law: `□ (f(S) = f(S(0)))`.
 //! Environment assumption (2): `□◇ Q_e` for every fairness edge.
 //!
-//! The simulators keep no history; each run here records its own through
-//! the observer `run_with` takes.
+//! A run keeps no history; each run here records its own through the
+//! observer `ExecutionMode::run_with` takes.
 
 use self_similar::algorithms::{minimum, sorting};
 use self_similar::core::{proof, SelfSimilarSystem};
 use self_similar::env::{EnvState, Environment, PeriodicPartitionEnv, RandomChurnEnv, Topology};
 use self_similar::multiset::Multiset;
-use self_similar::runtime::{
-    AsyncConfig, AsyncSimulator, EventSimulator, Round, SimulationReport, SyncConfig, SyncSimulator,
-};
+use self_similar::runtime::{ExecutionMode, SimulationReport};
 use self_similar::temporal::{Formula, Trace};
 use self_similar::trace::EventLog;
 
@@ -28,61 +26,43 @@ struct Recorded<S: Ord> {
     env_states: Trace<EnvState>,
 }
 
-/// Runs `run` under a fresh environment from `make_env`, recording the
-/// run's history through the observer.
-fn record<S: Ord + Clone + std::fmt::Debug>(
-    runtime: &'static str,
-    system: &SelfSimilarSystem<S>,
-    make_env: &dyn Fn() -> Box<dyn Environment>,
-    run: impl FnOnce(&mut dyn Environment, &mut dyn FnMut(&Round<'_, S>)) -> SimulationReport<S>,
-) -> Recorded<S> {
-    let mut states = Trace::new();
-    let mut env_states = Trace::new();
-    states.push(system.initial_multiset().clone());
-    let report = run(make_env().as_mut(), &mut |round| {
-        states.push(round.states.clone());
-        env_states.push(round.env_state());
-    });
-    Recorded {
-        runtime,
-        report,
-        states,
-        env_states,
-    }
-}
-
 /// Runs `system` on the sync, event and async runtimes, each under a fresh
-/// environment from `make_env`, recording every run's history.  The round
-/// runtimes run `cooldown_rounds` past convergence; the async runtime stops
-/// at convergence.
+/// environment from `make_env`, recording every run's history through the
+/// observer.  The round runtimes run `cooldown` rounds past convergence;
+/// the async runtime stops at convergence.
 fn recorded_runs<S: Ord + Clone + std::fmt::Debug>(
     system: &SelfSimilarSystem<S>,
     make_env: impl Fn() -> Box<dyn Environment>,
     seed: u64,
-    cooldown_rounds: usize,
+    cooldown: usize,
 ) -> [Recorded<S>; 3] {
-    let rounds = SyncConfig {
-        max_rounds: 100_000,
-        cooldown_rounds,
-        seed,
-    };
-    let ticks = AsyncConfig {
-        max_ticks: 100_000,
-        seed,
-        ..AsyncConfig::default()
-    };
-    let off = &mut EventLog::disabled();
     [
-        record("sync", system, &make_env, |env, observe| {
-            SyncSimulator::new(rounds.clone()).run_with(system, env, off, observe)
-        }),
-        record("event", system, &make_env, |env, observe| {
-            EventSimulator::new(rounds.clone()).run_with(system, env, off, observe)
-        }),
-        record("async", system, &make_env, |env, observe| {
-            AsyncSimulator::new(ticks).run_with(system, env, off, observe)
-        }),
+        ("sync", ExecutionMode::Sync { cooldown }),
+        ("event", ExecutionMode::Event { cooldown }),
+        ("async", ExecutionMode::asynchronous()),
     ]
+    .map(|(runtime, mode)| {
+        let mut states = Trace::new();
+        let mut env_states = Trace::new();
+        states.push(system.initial_multiset().clone());
+        let report = mode.run_with(
+            system,
+            make_env().as_mut(),
+            seed,
+            100_000,
+            &mut EventLog::disabled(),
+            |round| {
+                states.push(round.states.clone());
+                env_states.push(round.env_state());
+            },
+        );
+        Recorded {
+            runtime,
+            report,
+            states,
+            env_states,
+        }
+    })
 }
 
 #[test]
