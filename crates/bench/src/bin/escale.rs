@@ -134,6 +134,7 @@ fn document(bench: &str, rows: &[Row]) -> String {
             .field("rounds", o.rounds_executed)
             .field("converged", o.converged)
             .field("wall_seconds", format_args!("{:.6}", cell.wall_seconds))
+            .field("setup_seconds", format_args!("{:.6}", cell.setup_seconds))
             .field(
                 "events_per_sec",
                 format_args!("{:.1}", cell.events_per_sec()),
@@ -190,11 +191,12 @@ fn run(args: Args) -> Result<(), String> {
             let cell = run_cell_in_child(topology, n)?;
             eprintln!(
                 "escale: {}/n={n}: {} events in {:.4}s = {:.0} events/s, \
-                 {} rounds, converged={}, peak RSS {}",
+                 set-up {:.4}s, {} rounds, converged={}, peak RSS {}",
                 topology.label(),
                 cell.outcome.events_processed,
                 cell.wall_seconds,
                 cell.events_per_sec(),
+                cell.setup_seconds,
                 cell.outcome.rounds_executed,
                 cell.outcome.converged,
                 cell.peak_rss_kb
@@ -264,7 +266,12 @@ mod tests {
         assert!(USAGE.contains("(default BENCH_12.json)"));
     }
 
-    fn row(topology: EscaleTopology, n: usize, outcome: [usize; 3], wall: f64) -> Row {
+    fn row(
+        topology: EscaleTopology,
+        n: usize,
+        outcome: [usize; 3],
+        [wall, setup]: [f64; 2],
+    ) -> Row {
         let [events_processed, peak_queue_depth, rounds_executed] = outcome;
         let converged = topology == EscaleTopology::CompleteStatic;
         let outcome = EscaleOutcome {
@@ -277,6 +284,7 @@ mod tests {
         let cell = CellResult {
             outcome,
             wall_seconds: wall,
+            setup_seconds: setup,
             peak_rss_kb,
         };
         Row { topology, n, cell }
@@ -291,13 +299,13 @@ mod tests {
                 EscaleTopology::CompleteStatic,
                 1000,
                 [516, 2, 257],
-                0.000078,
+                [0.000078, 0.000113],
             ),
             row(
                 EscaleTopology::PartitionedRing,
                 1_000_000,
                 [3265, 33, 64],
-                10.015625,
+                [10.015625, 0.072],
             ),
         ];
         assert_eq!(document("BENCH_12", &rows), GOLDEN);
@@ -315,6 +323,7 @@ mod tests {
       "rounds": 257,
       "converged": true,
       "wall_seconds": 0.000078,
+      "setup_seconds": 0.000113,
       "events_per_sec": 6615384.6,
       "peak_rss_kb": 2700
     },
@@ -326,6 +335,7 @@ mod tests {
       "rounds": 64,
       "converged": false,
       "wall_seconds": 10.015625,
+      "setup_seconds": 0.072000,
       "events_per_sec": 326.0,
       "peak_rss_kb": null
     }

@@ -63,8 +63,8 @@ pub mod hotpath {
 /// The E-series event-runtime scaling kernels: full
 /// [`ExecutionMode::Event`] runs at large `n`, swept by the `escale`
 /// binary, which CI runs to write `BENCH_12.json` (up to a million agents).
-/// Construction (`new`) is setup and excluded from timing; `run` is one
-/// measured iteration.
+/// Construction (`new`) is setup, timed apart from the runs
+/// (`setup_seconds`); `run` is one measured iteration.
 ///
 /// [`ExecutionMode::Event`]: selfsim_runtime::ExecutionMode::Event
 pub mod escale {
@@ -170,7 +170,7 @@ pub mod escale {
 
     impl EscaleRun {
         /// Builds the system (values, topology, cached target) and the
-        /// prototype environment for size `n`; nothing here is timed.
+        /// prototype environment for size `n`, timed as the cell's set-up.
         /// Following the kernel protocol (construction is setup), the ring
         /// topology's CSR adjacency and the partition env's phase states
         /// are built here once — `run` clones them in O(1).
@@ -249,19 +249,22 @@ pub mod escale {
         pub outcome: EscaleOutcome,
         /// The best of three runs' wall time.
         pub wall_seconds: f64,
+        /// The wall time of building the cell ([`EscaleRun::new`]).
+        pub setup_seconds: f64,
         /// Peak RSS after the runs (per cell in an `escale --cell` child).
         pub peak_rss_kb: Option<u64>,
     }
 
     impl CellResult {
-        /// Runs a cell in this process: the best of three single runs, the
-        /// first doubling as warm-up, then an RSS sample.
+        /// Runs a cell in this process: a timed build, the best of three
+        /// single runs, the first doubling as warm-up, then an RSS sample.
         pub fn measure(topology: EscaleTopology, n: usize) -> Self {
-            let kernel = EscaleRun::new(topology, n);
+            let (kernel, setup) = crate::harness::timed(|| EscaleRun::new(topology, n));
             let (outcome, best) = crate::harness::best_of_3(0, 1, || kernel.run());
             CellResult {
                 outcome,
                 wall_seconds: best.as_secs_f64(),
+                setup_seconds: setup.as_secs_f64(),
                 peak_rss_kb: crate::peak_rss_kb(),
             }
         }
@@ -276,12 +279,13 @@ pub mod escale {
     pub fn format_cell(cell: &CellResult) -> String {
         let o = &cell.outcome;
         format!(
-            "cell events={} peak_queue={} rounds={} converged={} wall={:.6} rss_kb={}",
+            "cell events={} peak_queue={} rounds={} converged={} wall={:.6} setup={:.6} rss_kb={}",
             o.events_processed,
             o.peak_queue_depth,
             o.rounds_executed,
             o.converged,
             cell.wall_seconds,
+            cell.setup_seconds,
             cell.peak_rss_kb.map_or("none".into(), |kb| kb.to_string()),
         )
     }
@@ -298,6 +302,7 @@ pub mod escale {
                 converged: field("converged")?.parse().ok()?,
             },
             wall_seconds: field("wall")?.parse().ok()?,
+            setup_seconds: field("setup")?.parse().ok()?,
             peak_rss_kb: match field("rss_kb")? {
                 "none" => None,
                 kb => Some(kb.parse().ok()?),
@@ -371,6 +376,7 @@ mod tests {
                 converged: false,
             },
             wall_seconds: 10.015625,
+            setup_seconds: 0.071,
             peak_rss_kb: None,
         }
     }

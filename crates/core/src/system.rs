@@ -170,10 +170,11 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
     }
 
     /// Borrowed view of the target multiset; computed once per instance
-    /// (`f(S(0))` is constant) and shared by every convergence check.
+    /// (`f(S(0))` is constant) from the cached [`Self::initial_multiset`]
+    /// and shared by every convergence check.
     pub fn target_ref(&self) -> &Multiset<S> {
         self.target
-            .get_or_init(|| self.f.apply(&self.multiset(&self.initial)))
+            .get_or_init(|| self.f.apply(self.initial_multiset()))
     }
 
     /// Returns `true` if `state` is optimal: its multiset equals the target

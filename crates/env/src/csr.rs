@@ -3,10 +3,10 @@
 //! The connectivity hot path (incremental group maintenance, see
 //! [`GroupIndex`](crate::GroupIndex)) addresses edges by a dense integer id
 //! and walks neighbourhoods through two flat arrays instead of chasing
-//! `BTreeMap`/`BTreeSet` nodes.  A [`Csr`] is built once per topology (cached
-//! behind the topology's `OnceLock` and shared via `Arc`), so repeated
-//! delta applications pay only for the *change*, never for rebuilding the
-//! adjacency.
+//! `BTreeMap`/`BTreeSet` nodes.  A [`Csr`] is built once per edge set
+//! (cached in a `OnceLock` that a topology's clones share, and handed out
+//! via `Arc`), so repeated delta applications pay only for the *change*,
+//! never for rebuilding the adjacency.
 //!
 //! Symbolic complete topologies keep their closed forms everywhere else in
 //! this crate; a CSR is only ever built when a caller genuinely needs
@@ -100,6 +100,11 @@ impl Csr {
     /// Degree of agent `a` in the topology.
     pub fn degree(&self, a: usize) -> usize {
         (at(&self.xadj, a + 1) - at(&self.xadj, a)) as usize
+    }
+
+    /// The row pointers and neighbour array, for whole-graph walks.
+    pub(crate) fn rows(&self) -> (&[u32], &[u32]) {
+        (&self.xadj, &self.adj)
     }
 
     /// Iterates the neighbours of agent `a` as `(neighbour index, edge id)`

@@ -406,22 +406,13 @@ impl PeriodicPartitionEnv {
         let n = topology.agent_count();
         let block_size = n.div_ceil(blocks).max(1);
         let block_of = |agent: AgentId| agent.index() / block_size;
-        let cross: Vec<Edge> = topology
+        // One pass splits the edges; both states share one agent set.
+        let (intra, cross): (Vec<Edge>, Vec<Edge>) = topology
             .edges()
             .iter()
-            .copied()
-            .filter(|e| block_of(e.lo()) != block_of(e.hi()))
-            .collect();
-        let partitioned = EnvState::new(
-            n,
-            topology
-                .edges()
-                .iter()
-                .copied()
-                .filter(|e| block_of(e.lo()) == block_of(e.hi())),
-            topology.agents(),
-        );
+            .partition(|e| block_of(e.lo()) == block_of(e.hi()));
         let merged = EnvState::fully_enabled(&topology);
+        let partitioned = merged.with_enabled_edges(intra.into_iter().collect());
         PeriodicPartitionEnv {
             topology,
             period,
@@ -761,6 +752,37 @@ mod tests {
             }
         }
         assert_eq!(merged_steps, vec![3, 7]);
+    }
+
+    #[test]
+    fn periodic_partition_states_match_hand_built_ones() {
+        // n = 10 is not a multiple of 3 blocks; ring, grid and clique
+        // cross the block boundaries in different patterns.
+        for topo in [
+            Topology::ring(10),
+            Topology::grid(2, 5),
+            Topology::complete(10),
+        ] {
+            for blocks in [1, 2, 3] {
+                let env = PeriodicPartitionEnv::new(topo.clone(), blocks, 4);
+                let block_of = |a: AgentId| a.index() / 10usize.div_ceil(blocks);
+                let (intra, cross): (Vec<Edge>, Vec<Edge>) = topo
+                    .edges()
+                    .iter()
+                    .partition(|e| block_of(e.lo()) == block_of(e.hi()));
+                let agents = || topo.agents();
+                assert_eq!(env.partitioned, EnvState::new(10, intra, agents()));
+                assert_eq!(
+                    env.merged,
+                    EnvState::new(10, topo.edges().iter().copied(), agents())
+                );
+                assert_eq!(env.cross, cross, "{topo:?}, {blocks} blocks");
+                assert_eq!(
+                    env.merged.enabled_agents(),
+                    env.partitioned.enabled_agents()
+                );
+            }
+        }
     }
 
     #[test]

@@ -163,11 +163,8 @@ impl FairnessSpec {
             // isolated vertex.
             return *n == self.agent_count || self.agent_count <= 1;
         }
-        let mut topo = Topology::empty(self.agent_count);
-        for e in self.edges.materialized() {
-            topo.add_edge(e.lo(), e.hi());
-        }
-        topo.is_connected()
+        let edges = self.edges.materialized().iter();
+        Topology::from_edges(self.agent_count, edges.map(|e| (e.lo().0, e.hi().0))).is_connected()
     }
 
     /// Returns `true` if the fairness graph is the complete graph on all

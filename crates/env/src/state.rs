@@ -70,6 +70,18 @@ impl EnvState {
         }
     }
 
+    /// This state with `edges` as its enabled edges, sharing (not copying)
+    /// its enabled-agent set.  `edges` must lie within the agent range,
+    /// as a topology's edges do; only debug builds check it.
+    pub(crate) fn with_enabled_edges(&self, edges: BTreeSet<Edge>) -> Self {
+        debug_assert!(edges.iter().all(|e| e.hi().index() < self.agent_count));
+        EnvState {
+            agent_count: self.agent_count,
+            enabled_edges: Arc::new(edges),
+            enabled_agents: Arc::clone(&self.enabled_agents),
+        }
+    }
+
     /// A fully adversarial state: no edges, no enabled agents — nothing can
     /// happen.  (The paper: without assumptions, "the environment can
     /// permanently disable all agents".)

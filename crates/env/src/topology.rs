@@ -6,6 +6,8 @@ use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 
+use crate::csr::Csr;
+
 /// Identifier of an agent (process) in the fixed agent set `A`.
 ///
 /// The paper keeps agent identities out of the *algorithms* (self-similar
@@ -215,32 +217,18 @@ impl Eq for EdgeSet {}
 /// set; only [`Topology::edges`] does, lazily.
 ///
 /// The flat CSR adjacency ([`Csr`](crate::Csr)) is likewise built lazily —
-/// at most once per topology — and shared via `Arc` with every consumer
-/// (see [`Topology::csr`]).
+/// at most once per edge set — and shared via `Arc` with every consumer
+/// and every clone (see [`Topology::csr`]).
+#[derive(Clone)]
 pub struct Topology {
     n: usize,
     edges: EdgeSet,
-    /// Lazily built flat adjacency; per-instance scratch like the clique
-    /// cache, so it participates in neither equality nor cloning.
-    csr: OnceLock<std::sync::Arc<crate::csr::Csr>>,
-}
-
-impl Clone for Topology {
-    fn clone(&self) -> Self {
-        // A clone has the identical agent and edge sets, so an already
-        // built CSR stays valid — share it instead of rebuilding (any
-        // later mutation invalidates it on both sides independently,
-        // because `add_edge` replaces rather than edits the Arc).
-        let csr = OnceLock::new();
-        if let Some(built) = self.csr.get() {
-            let _ = csr.set(Arc::clone(built));
-        }
-        Topology {
-            n: self.n,
-            edges: self.edges.clone(),
-            csr,
-        }
-    }
+    /// Lazily built flat adjacency.  Clones have the same agent and edge
+    /// sets, so they share the cell as well as its contents: whichever
+    /// clone builds the CSR first builds it for all.  `add_edge` gives the
+    /// grown topology a fresh cell and leaves the clones theirs.  Scratch
+    /// like the clique cache, so it takes no part in equality.
+    csr: Arc<OnceLock<Arc<Csr>>>,
 }
 
 impl PartialEq for Topology {
@@ -261,26 +249,36 @@ impl fmt::Debug for Topology {
 }
 
 impl Topology {
-    /// Creates a topology with `n` agents and no edges.
-    pub fn empty(n: usize) -> Self {
+    /// The topology of `n` agents over `edges`, built in one bulk pass:
+    /// `BTreeSet`'s `FromIterator` sorts the edges and loads the tree once,
+    /// where growing it by [`Topology::add_edge`] pays a tree insert (and a
+    /// copy-on-write check) per edge.
+    fn with_edges(n: usize, edges: impl IntoIterator<Item = Edge>) -> Self {
         Topology {
             n,
-            edges: EdgeSet::Explicit(Arc::new(BTreeSet::new())),
-            csr: OnceLock::new(),
+            edges: EdgeSet::Explicit(Arc::new(edges.into_iter().collect())),
+            csr: Arc::default(),
         }
+    }
+
+    /// Creates a topology with `n` agents and no edges.
+    pub fn empty(n: usize) -> Self {
+        Topology::with_edges(n, [])
     }
 
     /// Creates a topology from an explicit edge list.
     ///
     /// # Panics
     ///
-    /// Panics if any edge endpoint is out of range.
+    /// Panics if any edge endpoint is out of range, or if an edge is a
+    /// self-loop (`(a, a)`), the same checks as [`Topology::add_edge`].
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let mut topo = Topology::empty(n);
-        for (a, b) in edges {
-            topo.add_edge(AgentId(a), AgentId(b));
-        }
-        topo
+        Topology::with_edges(
+            n,
+            edges
+                .into_iter()
+                .map(|(a, b)| checked_edge(n, AgentId(a), AgentId(b))),
+        )
     }
 
     /// The complete graph on `n` agents (every pair may communicate).
@@ -296,7 +294,7 @@ impl Topology {
                 n,
                 cache: OnceLock::new(),
             },
-            csr: OnceLock::new(),
+            csr: Arc::default(),
         }
     }
 
@@ -305,47 +303,28 @@ impl Topology {
     /// This is the fairness graph used by the *sorting* example (§4.4):
     /// each agent need only communicate with its index neighbours.
     pub fn line(n: usize) -> Self {
-        let mut topo = Topology::empty(n);
-        for i in 1..n {
-            topo.add_edge(AgentId(i - 1), AgentId(i));
-        }
-        topo
+        Topology::with_edges(n, path_edges(n))
     }
 
     /// The ring (cycle) graph on `n` agents.
     pub fn ring(n: usize) -> Self {
-        let mut topo = Topology::line(n);
-        if n > 2 {
-            topo.add_edge(AgentId(n - 1), AgentId(0));
-        }
-        topo
+        let closing = (n > 2).then(|| Edge::new(AgentId(n - 1), AgentId(0)));
+        Topology::with_edges(n, path_edges(n).chain(closing))
     }
 
     /// The star graph with agent 0 at the centre.
     pub fn star(n: usize) -> Self {
-        let mut topo = Topology::empty(n);
-        for i in 1..n {
-            topo.add_edge(AgentId(0), AgentId(i));
-        }
-        topo
+        Topology::with_edges(n, (1..n).map(|i| Edge::new(AgentId(0), AgentId(i))))
     }
 
     /// A `rows × cols` grid graph.
     pub fn grid(rows: usize, cols: usize) -> Self {
-        let n = rows * cols;
-        let mut topo = Topology::empty(n);
         let id = |r: usize, c: usize| AgentId(r * cols + c);
-        for r in 0..rows {
-            for c in 0..cols {
-                if c + 1 < cols {
-                    topo.add_edge(id(r, c), id(r, c + 1));
-                }
-                if r + 1 < rows {
-                    topo.add_edge(id(r, c), id(r + 1, c));
-                }
-            }
-        }
-        topo
+        let right =
+            (0..rows).flat_map(|r| (1..cols).map(move |c| Edge::new(id(r, c - 1), id(r, c))));
+        let down =
+            (1..rows).flat_map(|r| (0..cols).map(move |c| Edge::new(id(r - 1, c), id(r, c))));
+        Topology::with_edges(rows * cols, right.chain(down))
     }
 
     /// An Erdős–Rényi `G(n, p)` random graph, re-sampled until connected
@@ -353,14 +332,15 @@ impl Topology {
     pub fn random_connected(n: usize, p: f64, rng: &mut impl Rng) -> Self {
         assert!(n > 0, "need at least one agent");
         loop {
-            let mut topo = Topology::empty(n);
+            let mut edges = Vec::new();
             for i in 0..n {
                 for j in (i + 1)..n {
                     if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                        topo.add_edge(AgentId(i), AgentId(j));
+                        edges.push(Edge::new(AgentId(i), AgentId(j)));
                     }
                 }
             }
+            let topo = Topology::with_edges(n, edges.iter().copied());
             if topo.is_connected() {
                 return topo;
             }
@@ -370,9 +350,9 @@ impl Topology {
             if p < 2.0 * (n as f64).ln() / (n as f64) {
                 for i in 1..n {
                     let j = rng.gen_range(0..i);
-                    topo.add_edge(AgentId(i), AgentId(j));
+                    edges.push(Edge::new(AgentId(i), AgentId(j)));
                 }
-                return topo;
+                return Topology::with_edges(n, edges);
             }
         }
     }
@@ -398,7 +378,6 @@ impl Topology {
             expected_degree.is_finite() && expected_degree >= 0.0,
             "expected_degree must be finite and non-negative"
         );
-        let mut topo = Topology::empty(n);
         let p = if n > 1 {
             (expected_degree / (n as f64 - 1.0)).clamp(0.0, 1.0)
         } else {
@@ -406,13 +385,12 @@ impl Topology {
         };
         if p >= 1.0 {
             // Degenerate dense request: every pair is present.
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    topo.add_edge(AgentId(i), AgentId(j));
-                }
-            }
-            return topo;
+            return Topology::with_edges(
+                n,
+                (0..n).flat_map(|i| ((i + 1)..n).map(move |j| Edge::new(AgentId(i), AgentId(j)))),
+            );
         }
+        let mut edges = Vec::new();
         if p > 0.0 {
             let ln_q = (1.0 - p).ln();
             for i in 0..n.saturating_sub(1) {
@@ -434,20 +412,24 @@ impl Topology {
                     if j >= n {
                         break;
                     }
-                    topo.add_edge(AgentId(i), AgentId(j));
+                    edges.push(Edge::new(AgentId(i), AgentId(j)));
                 }
             }
         }
+        let topo = Topology::with_edges(n, edges);
         // Deterministic connectivity patch: chain each component's smallest
-        // member to the previous component's smallest member.
+        // member to the previous component's smallest member.  A connected
+        // draw keeps its topology, and with it the CSR `components` built.
         let comps = topo.components();
-        let mins: Vec<AgentId> = comps.iter().filter_map(|c| c.first().copied()).collect();
-        for pair in mins.windows(2) {
-            if let [a, b] = pair {
-                topo.add_edge(*a, *b);
-            }
+        if comps.len() <= 1 {
+            return topo;
         }
-        topo
+        let mins: Vec<AgentId> = comps.iter().filter_map(|c| c.first().copied()).collect();
+        let patch = mins.windows(2).filter_map(|pair| match pair {
+            [a, b] => Some(Edge::new(*a, *b)),
+            _ => None,
+        });
+        Topology::with_edges(n, topo.edges().iter().copied().chain(patch))
     }
 
     /// Number of agents.
@@ -492,10 +474,8 @@ impl Topology {
     /// A symbolic clique is materialised by the build — callers that can
     /// stay symbolic (e.g. the event runtime's fully-enabled fast path)
     /// should not ask for a CSR.
-    pub fn csr(&self) -> std::sync::Arc<crate::csr::Csr> {
-        self.csr
-            .get_or_init(|| std::sync::Arc::new(crate::csr::Csr::new(self)))
-            .clone()
+    pub fn csr(&self) -> Arc<Csr> {
+        Arc::clone(self.csr.get_or_init(|| Arc::new(Csr::new(self))))
     }
 
     /// Adds an (undirected) edge.  A symbolic clique is expanded first —
@@ -505,20 +485,17 @@ impl Topology {
     ///
     /// Panics if an endpoint is out of range or the edge is a self-loop.
     pub fn add_edge(&mut self, a: AgentId, b: AgentId) {
-        assert!(
-            a.0 < self.n && b.0 < self.n,
-            "edge endpoint out of range: {a}, {b} with n = {}",
-            self.n
-        );
-        // Mutation invalidates the cached flat adjacency.
-        self.csr.take();
+        let edge = checked_edge(self.n, a, b);
+        // The grown graph needs its own flat adjacency; clones keep the
+        // cell they share, which still matches their edges.
+        self.csr = Arc::default();
         if let EdgeSet::Complete { .. } = self.edges {
             self.edges = EdgeSet::Explicit(self.edges.shared());
         }
         match &mut self.edges {
             EdgeSet::Explicit(edges) => {
                 // Copy-on-write: clones sharing this set are unaffected.
-                Arc::make_mut(edges).insert(Edge::new(a, b));
+                Arc::make_mut(edges).insert(edge);
             }
             EdgeSet::Complete { .. } => unreachable!("clique expanded above"),
         }
@@ -545,14 +522,22 @@ impl Topology {
     }
 
     /// Returns `true` if the graph is connected (or has at most one agent).
+    ///
+    /// An explicit graph is walked over its cached [`Topology::csr`], the
+    /// adjacency the connectivity index reuses later.
     pub fn is_connected(&self) -> bool {
-        self.components().len() <= 1
+        match &self.edges {
+            EdgeSet::Explicit(_) => Labels::new(self.csr().rows(), |_| true).count() <= 1,
+            // The clique spans all `n` agents (see `components`).
+            EdgeSet::Complete { .. } => true,
+        }
     }
 
-    /// The connected components of the topology.
+    /// The connected components of the topology, each sorted, ordered by
+    /// their smallest member.
     pub fn components(&self) -> Vec<Vec<AgentId>> {
         match &self.edges {
-            EdgeSet::Explicit(edges) => connected_components(self.n, edges, |_| true),
+            EdgeSet::Explicit(_) => Labels::new(self.csr().rows(), |_| true).members(),
             // `complete(n)` is the only constructor of a symbolic clique,
             // and its clique spans all `n` agents: one component.
             EdgeSet::Complete { n: 0, .. } => Vec::new(),
@@ -561,24 +546,37 @@ impl Topology {
     }
 }
 
+/// The edge `{a, b}` of an `n`-agent topology.
+///
+/// # Panics
+///
+/// Panics if an endpoint is out of range or the edge is a self-loop.
+fn checked_edge(n: usize, a: AgentId, b: AgentId) -> Edge {
+    assert!(
+        a.0 < n && b.0 < n,
+        "edge endpoint out of range: {a}, {b} with n = {n}"
+    );
+    Edge::new(a, b)
+}
+
+/// The path `0 — 1 — … — n-1`, in ascending edge order.
+fn path_edges(n: usize) -> impl Iterator<Item = Edge> {
+    (1..n).map(|i| Edge::new(AgentId(i - 1), AgentId(i)))
+}
+
 /// Computes the connected components of the subgraph of the `n`-agent graph
 /// with edge set `edges`, restricted to the agents accepted by `include`.
 ///
 /// Agents excluded by `include` do not appear in any component.
 ///
-/// This is the flat-core formulation: a `Vec`-backed CSR adjacency built in
-/// two passes, then an ascending component-labelling sweep.  Because labels
-/// are assigned in ascending order of each component's smallest member, and
-/// members are emitted by one final ascending pass over all agents, every
-/// component comes out sorted and components are ordered by their minimum —
-/// byte-identical to the old `BTreeMap`-adjacency BFS, at a fraction of the
-/// cost.
+/// This builds a private `Vec`-backed CSR adjacency of the live edges in
+/// two passes, then labels it (see [`Labels`]).  [`Topology::components`]
+/// labels the topology's cached CSR instead; this is for enabled subsets.
 pub(crate) fn connected_components(
     n: usize,
     edges: &BTreeSet<Edge>,
     include: impl Fn(AgentId) -> bool,
 ) -> Vec<Vec<AgentId>> {
-    const NONE: u32 = u32::MAX;
     // Pass 1: collect the live (both-endpoints-included) edges once, so the
     // `include` closure runs a single time per endpoint.
     let live: Vec<(u32, u32)> = edges
@@ -606,44 +604,75 @@ pub(crate) fn connected_components(
         *at_mut(&mut adj, *cb as usize) = a;
         *cb += 1;
     }
-    // Pass 3: label components, scanning start agents in ascending order so
-    // label k's component has the k-th smallest minimum member.
-    let mut comp = vec![NONE; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut sizes: Vec<u32> = Vec::new();
-    for i in 0..n {
-        if at(&comp, i) != NONE || !include(AgentId(i)) {
-            continue;
-        }
-        let label = sizes.len() as u32;
-        let mut size = 0u32;
-        *at_mut(&mut comp, i) = label;
-        stack.push(i as u32);
-        while let Some(a) = stack.pop() {
-            size += 1;
-            let lo = at(&xadj, a as usize) as usize;
-            let hi = at(&xadj, a as usize + 1) as usize;
-            for t in lo..hi {
-                let b = at(&adj, t) as usize;
-                if at(&comp, b) == NONE {
-                    *at_mut(&mut comp, b) = label;
-                    stack.push(b as u32);
+    Labels::new((&xadj, &adj), include).members()
+}
+
+/// Component labels of a flat adjacency (`xadj` row pointers over `adj`
+/// neighbour indices), restricted to the agents `include` accepts.
+///
+/// Start agents are scanned in ascending order, so label `k`'s component
+/// has the `k`-th smallest minimum member; [`Labels::members`] then emits
+/// members by one ascending pass over all agents, so every component comes
+/// out sorted and components are ordered by their minimum.
+struct Labels {
+    /// Each agent's component label, `NONE` if excluded.
+    comp: Vec<u32>,
+    /// Each label's member count.
+    sizes: Vec<u32>,
+}
+
+impl Labels {
+    const NONE: u32 = u32::MAX;
+
+    fn new((xadj, adj): (&[u32], &[u32]), include: impl Fn(AgentId) -> bool) -> Self {
+        let n = xadj.len().saturating_sub(1);
+        let mut comp = vec![Labels::NONE; n];
+        let mut stack: Vec<u32> = Vec::new();
+        let mut sizes: Vec<u32> = Vec::new();
+        for i in 0..n {
+            if at(&comp, i) != Labels::NONE || !include(AgentId(i)) {
+                continue;
+            }
+            let label = sizes.len() as u32;
+            let mut size = 0u32;
+            *at_mut(&mut comp, i) = label;
+            stack.push(i as u32);
+            while let Some(a) = stack.pop() {
+                size += 1;
+                let lo = at(xadj, a as usize) as usize;
+                let hi = at(xadj, a as usize + 1) as usize;
+                for t in lo..hi {
+                    let b = at(adj, t) as usize;
+                    if at(&comp, b) == Labels::NONE {
+                        *at_mut(&mut comp, b) = label;
+                        stack.push(b as u32);
+                    }
                 }
             }
+            sizes.push(size);
         }
-        sizes.push(size);
+        Labels { comp, sizes }
     }
-    // Pass 4: emit members ascending — components arrive pre-sorted.
-    let mut components: Vec<Vec<AgentId>> = sizes
-        .iter()
-        .map(|&s| Vec::with_capacity(s as usize))
-        .collect();
-    for (i, &label) in comp.iter().enumerate() {
-        if label != NONE {
-            at_mut(&mut components, label as usize).push(AgentId(i));
+
+    /// Number of components.
+    fn count(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// The components' members, each ascending, ordered by minimum.
+    fn members(self) -> Vec<Vec<AgentId>> {
+        let mut components: Vec<Vec<AgentId>> = self
+            .sizes
+            .iter()
+            .map(|&s| Vec::with_capacity(s as usize))
+            .collect();
+        for (i, &label) in self.comp.iter().enumerate() {
+            if label != Labels::NONE {
+                at_mut(&mut components, label as usize).push(AgentId(i));
+            }
         }
+        components
     }
-    components
 }
 
 /// Checked slice read used throughout the flat connectivity core: identical
@@ -780,6 +809,242 @@ mod tests {
         let dense =
             Topology::random_connected_sparse(6, 10.0, &mut rand::rngs::StdRng::seed_from_u64(1));
         assert_eq!(dense, Topology::complete(6));
+    }
+
+    /// `t` grown from `Topology::empty` by one `add_edge` per listed edge.
+    fn grown(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Topology {
+        let mut t = Topology::empty(n);
+        for (a, b) in edges {
+            t.add_edge(AgentId(a), AgentId(b));
+        }
+        t
+    }
+
+    /// `Topology::random_connected`, edge by edge, in its draw order.
+    fn random_connected_grown(n: usize, p: f64, rng: &mut impl Rng) -> Topology {
+        loop {
+            let mut t = Topology::empty(n);
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if rng.gen_bool(p.clamp(0.0, 1.0)) {
+                        t.add_edge(AgentId(i), AgentId(j));
+                    }
+                }
+            }
+            if connected_components(n, t.edges(), |_| true).len() <= 1 {
+                return t;
+            }
+            if p < 2.0 * (n as f64).ln() / (n as f64) {
+                for i in 1..n {
+                    let j = rng.gen_range(0..i);
+                    t.add_edge(AgentId(i), AgentId(j));
+                }
+                return t;
+            }
+        }
+    }
+
+    /// `Topology::random_connected_sparse`, edge by edge, in its draw order.
+    fn random_connected_sparse_grown(n: usize, degree: f64, rng: &mut impl Rng) -> Topology {
+        let mut t = Topology::empty(n);
+        let p = if n > 1 {
+            (degree / (n as f64 - 1.0)).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        if p >= 1.0 {
+            return grown(n, (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j))));
+        }
+        if p > 0.0 {
+            let ln_q = (1.0 - p).ln();
+            for i in 0..n.saturating_sub(1) {
+                let mut j = i;
+                loop {
+                    let u: f64 = rng.gen_range(0.0..1.0);
+                    let skip = if u > 0.0 {
+                        (u.ln() / ln_q).floor()
+                    } else {
+                        f64::INFINITY
+                    };
+                    if !skip.is_finite() || skip >= (n - j) as f64 {
+                        break;
+                    }
+                    j += 1 + skip as usize;
+                    if j >= n {
+                        break;
+                    }
+                    t.add_edge(AgentId(i), AgentId(j));
+                }
+            }
+        }
+        let mins: Vec<usize> = connected_components(n, t.edges(), |_| true)
+            .iter()
+            .filter_map(|c| c.first().map(|a| a.0))
+            .collect();
+        for pair in mins.windows(2) {
+            t.add_edge(AgentId(pair[0]), AgentId(pair[1]));
+        }
+        t
+    }
+
+    const SIZES: [usize; 6] = [0, 1, 2, 3, 8, 1_000];
+
+    #[test]
+    fn bulk_constructors_match_edge_by_edge_growth() {
+        for n in SIZES {
+            let path = || (1..n).map(|i| (i - 1, i));
+            assert_eq!(Topology::line(n), grown(n, path()), "line({n})");
+            let closing = (n > 2).then(|| (n - 1, 0));
+            assert_eq!(
+                Topology::ring(n),
+                grown(n, path().chain(closing)),
+                "ring({n})"
+            );
+            assert_eq!(
+                Topology::star(n),
+                grown(n, (1..n).map(|i| (0, i))),
+                "star({n})"
+            );
+            // Duplicates, both orientations, unsorted input.
+            let listed: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| {
+                    [
+                        (i, (7 * i + 3) % n),
+                        ((5 * i + 1) % n, i),
+                        (i, (7 * i + 3) % n),
+                    ]
+                })
+                .filter(|(a, b)| a != b)
+                .collect();
+            assert_eq!(
+                Topology::from_edges(n, listed.iter().copied()),
+                grown(n, listed),
+                "from_edges({n})"
+            );
+        }
+        for (rows, cols) in [(0, 3), (1, 1), (1, 2), (1, 3), (2, 4), (25, 40)] {
+            let id = |r: usize, c: usize| r * cols + c;
+            let mut edges = Vec::new();
+            for r in 0..rows {
+                for c in 0..cols {
+                    if c + 1 < cols {
+                        edges.push((id(r, c), id(r, c + 1)));
+                    }
+                    if r + 1 < rows {
+                        edges.push((id(r, c), id(r + 1, c)));
+                    }
+                }
+            }
+            assert_eq!(
+                Topology::grid(rows, cols),
+                grown(rows * cols, edges),
+                "grid({rows}×{cols})"
+            );
+        }
+    }
+
+    #[test]
+    fn random_constructors_match_growth_and_draw_order() {
+        use rand::rngs::StdRng;
+        for n in SIZES.into_iter().filter(|&n| n > 0) {
+            // Low p takes the spanning fall-back; high p a re-sample loop.
+            for (seed, p) in [(1, 0.05), (2, 0.4), (3, 0.9)] {
+                if n == 1_000 && p > 0.05 {
+                    continue;
+                }
+                let (mut bulk, mut edge_by_edge) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                assert_eq!(
+                    Topology::random_connected(n, p, &mut bulk),
+                    random_connected_grown(n, p, &mut edge_by_edge),
+                    "random_connected({n}, {p})"
+                );
+                assert_eq!(bulk.gen::<u64>(), edge_by_edge.gen::<u64>());
+            }
+            // Degree 0 and 0.5 leave components to patch; n - 1 is dense.
+            for (seed, degree) in [(4, 0.0), (5, 0.5), (6, 16.0), (7, (n - 1) as f64)] {
+                let (mut bulk, mut edge_by_edge) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                assert_eq!(
+                    Topology::random_connected_sparse(n, degree, &mut bulk),
+                    random_connected_sparse_grown(n, degree, &mut edge_by_edge),
+                    "random_connected_sparse({n}, {degree})"
+                );
+                assert_eq!(bulk.gen::<u64>(), edge_by_edge.gen::<u64>());
+            }
+        }
+    }
+
+    /// Connectivity by a BFS over `edges()` alone, the CSR-free oracle.
+    fn bfs_connected(t: &Topology) -> bool {
+        let mut adjacency = vec![Vec::new(); t.agent_count()];
+        for e in t.edges() {
+            adjacency[e.lo().0].push(e.hi().0);
+            adjacency[e.hi().0].push(e.lo().0);
+        }
+        let mut seen = vec![false; t.agent_count()];
+        let mut stack: Vec<usize> = (t.agent_count() > 0).then_some(0).into_iter().collect();
+        while let Some(a) = stack.pop() {
+            if !std::mem::replace(&mut seen[a], true) {
+                stack.extend(&adjacency[a]);
+            }
+        }
+        seen.iter().all(|&s| s)
+    }
+
+    #[test]
+    fn csr_connectivity_agrees_with_edge_walks() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut graphs = vec![
+            Topology::ring(8),
+            Topology::line(1_000),
+            Topology::from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+            Topology::from_edges(6, [(4, 5), (0, 5), (2, 3)]),
+            Topology::star(6),
+        ];
+        for n in SIZES {
+            graphs.push(Topology::empty(n));
+            graphs.push(Topology::complete(n));
+            // Sparse random edge lists: mostly disconnected.
+            let edges: Vec<(usize, usize)> = (0..n / 2)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .filter(|(a, b)| a != b)
+                .collect();
+            graphs.push(Topology::from_edges(n, edges));
+        }
+        for t in &graphs {
+            assert_eq!(t.is_connected(), bfs_connected(t), "{t:?}");
+            assert_eq!(
+                t.components(),
+                connected_components(t.agent_count(), t.edges(), |_| true),
+                "{t:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn clones_share_one_csr_until_grown() {
+        let t = Topology::ring(6);
+        let early = t.clone();
+        assert!(
+            Arc::ptr_eq(&early.csr(), &t.csr()),
+            "a clone taken before the build shares it"
+        );
+        let mut grown = t.clone();
+        grown.add_edge(AgentId(0), AgentId(3));
+        let fresh = grown.csr();
+        assert!(!Arc::ptr_eq(&fresh, &t.csr()));
+        assert_eq!((fresh.edge_count(), t.csr().edge_count()), (7, 6));
+        assert!(
+            Arc::ptr_eq(&early.csr(), &t.csr()),
+            "the others keep theirs"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop edges are not allowed")]
+    fn from_edges_rejects_self_loops() {
+        let _ = Topology::from_edges(3, [(1, 1)]);
     }
 
     #[test]
