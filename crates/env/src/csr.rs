@@ -1,27 +1,29 @@
-//! Flat CSR (compressed sparse row) adjacency for a [`Topology`].
+//! Flat CSR (compressed sparse row) adjacency over a sorted edge array.
 //!
-//! The connectivity hot path (incremental group maintenance, see
-//! [`GroupIndex`](crate::GroupIndex)) addresses edges by a dense integer id
-//! and walks neighbourhoods through two flat arrays instead of chasing
-//! `BTreeMap`/`BTreeSet` nodes.  A [`Csr`] is built once per edge set
-//! (cached in a `OnceLock` that a topology's clones share, and handed out
-//! via `Arc`), so repeated delta applications pay only for the *change*,
-//! never for rebuilding the adjacency.
+//! A [`Csr`] owns the one sorted, deduplicated edge array of an edge set:
+//! an explicit [`Topology`] builds its CSR in its constructor and answers
+//! [`Topology::edges`] from it, and a fully enabled
+//! [`EnvState`](crate::EnvState) aliases the same array.  The connectivity
+//! hot path (incremental group maintenance, see
+//! [`GroupIndex`](crate::GroupIndex)) addresses edges by their index in
+//! that array and walks neighbourhoods through two flat arrays, so repeated
+//! delta applications pay only for the *change*, never for rebuilding the
+//! adjacency.
 //!
 //! Symbolic complete topologies keep their closed forms everywhere else in
-//! this crate; a CSR is only ever built when a caller genuinely needs
-//! per-edge addressing (the same boundary at which the old code materialised
-//! the clique into an `EnvState`).
+//! this crate; their CSR is only built when a caller genuinely needs
+//! per-edge addressing.
 
-use crate::topology::{at, at_mut};
-use crate::{Edge, Topology};
+use std::sync::Arc;
 
-/// Flat adjacency of a topology: `xadj`/`adj` row pointers plus a parallel
+use crate::topology::{at, at_mut, sorted};
+use crate::Edge;
+
+/// Flat adjacency of an edge set: `xadj`/`adj` row pointers plus a parallel
 /// array mapping each adjacency entry to its dense edge id.
 ///
-/// Edge ids are assigned in ascending [`Edge`] order (the iteration order of
-/// the topology's sorted edge set), so `edges[id]` recovers the edge and a
-/// binary search recovers the id.
+/// Edge ids are positions in the ascending [`Edge`] array, so `edges[id]`
+/// recovers the edge and a binary search recovers the id.
 #[derive(Debug)]
 pub struct Csr {
     n: usize,
@@ -31,17 +33,17 @@ pub struct Csr {
     adj: Vec<u32>,
     /// Dense edge id of each adjacency entry, parallel to `adj`.
     adj_eid: Vec<u32>,
-    /// Edge id → edge, sorted ascending.
-    edges: Vec<Edge>,
+    /// Edge id → edge, sorted ascending and deduplicated; shared with the
+    /// environment states that enable every edge.
+    edges: Arc<Vec<Edge>>,
 }
 
 impl Csr {
-    /// Builds the CSR adjacency of `topology`.  A symbolic complete topology
-    /// is materialised first — callers that can stay symbolic should not
-    /// build a CSR at all.
-    pub fn new(topology: &Topology) -> Self {
-        let n = topology.agent_count();
-        let edges: Vec<Edge> = topology.edges().iter().copied().collect();
+    /// The adjacency of `n` agents over `edges`, which are sorted and
+    /// deduplicated here.  Every endpoint must be below `n`.
+    pub(crate) fn new(n: usize, edges: Vec<Edge>) -> Self {
+        let mut edges = sorted(edges);
+        edges.shrink_to_fit();
         let mut xadj = vec![0u32; n + 1];
         for e in &edges {
             *at_mut(&mut xadj, e.lo().index() + 1) += 1;
@@ -51,24 +53,27 @@ impl Csr {
             *at_mut(&mut xadj, i) += at(&xadj, i - 1);
         }
         let total = at(&xadj, n) as usize;
-        let mut cursor: Vec<u32> = xadj.iter().copied().take(n).collect();
         let mut adj = vec![0u32; total];
         let mut adj_eid = vec![0u32; total];
+        // Each row pointer serves as its row's fill cursor, so it ends at
+        // the next row's start; one shift restores the row starts.
         for (eid, e) in edges.iter().enumerate() {
             let (lo, hi) = (e.lo().index(), e.hi().index());
             for (src, dst) in [(lo, hi), (hi, lo)] {
-                let c = at_mut(&mut cursor, src);
+                let c = at_mut(&mut xadj, src);
                 *at_mut(&mut adj, *c as usize) = dst as u32;
                 *at_mut(&mut adj_eid, *c as usize) = eid as u32;
                 *c += 1;
             }
         }
+        xadj.copy_within(0..n, 1);
+        *at_mut(&mut xadj, 0) = 0;
         Csr {
             n,
             xadj,
             adj,
             adj_eid,
-            edges,
+            edges: Arc::new(edges),
         }
     }
 
@@ -92,12 +97,17 @@ impl Csr {
         &self.edges
     }
 
-    /// The dense id of `edge`, or `None` if it is not in the topology.
+    /// The edge array itself, for states that alias it.
+    pub(crate) fn shared_edges(&self) -> Arc<Vec<Edge>> {
+        Arc::clone(&self.edges)
+    }
+
+    /// The dense id of `edge`, or `None` if it is not in the edge set.
     pub fn edge_id(&self, edge: &Edge) -> Option<u32> {
         self.edges.binary_search(edge).ok().map(|i| i as u32)
     }
 
-    /// Degree of agent `a` in the topology.
+    /// Degree of agent `a`.
     pub fn degree(&self, a: usize) -> usize {
         (at(&self.xadj, a + 1) - at(&self.xadj, a)) as usize
     }
@@ -121,12 +131,12 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AgentId;
+    use crate::{AgentId, Topology};
 
     #[test]
     fn csr_matches_topology_adjacency() {
         let topo = Topology::from_edges(5, [(0, 1), (1, 2), (3, 4), (0, 4)]);
-        let csr = Csr::new(&topo);
+        let csr = topo.csr();
         assert_eq!(csr.agent_count(), 5);
         assert_eq!(csr.edge_count(), 4);
         for a in 0..5 {
@@ -156,7 +166,7 @@ mod tests {
 
     #[test]
     fn csr_of_complete_topology_materialises() {
-        let csr = Csr::new(&Topology::complete(4));
+        let csr = Topology::complete(4).csr();
         assert_eq!(csr.edge_count(), 6);
         assert_eq!(csr.degree(0), 3);
     }

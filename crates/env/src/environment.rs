@@ -406,13 +406,15 @@ impl PeriodicPartitionEnv {
         let n = topology.agent_count();
         let block_size = n.div_ceil(blocks).max(1);
         let block_of = |agent: AgentId| agent.index() / block_size;
-        // One pass splits the edges; both states share one agent set.
+        // One pass splits the sorted edges into two sorted lists; both
+        // states share one agent array, and the merged state aliases the
+        // topology's edge array.
         let (intra, cross): (Vec<Edge>, Vec<Edge>) = topology
             .edges()
             .iter()
             .partition(|e| block_of(e.lo()) == block_of(e.hi()));
         let merged = EnvState::fully_enabled(&topology);
-        let partitioned = merged.with_enabled_edges(intra.into_iter().collect());
+        let partitioned = merged.with_enabled_edges(intra);
         PeriodicPartitionEnv {
             topology,
             period,
@@ -559,7 +561,7 @@ impl AdversarialEnv {
     /// Creates an adversary over `topology` that stays silent for `silence`
     /// steps between consecutive single-edge activations.
     pub fn new(topology: Topology, silence: usize) -> Self {
-        let edge_order: Vec<Edge> = topology.edges().iter().copied().collect();
+        let edge_order: Vec<Edge> = topology.edges().to_vec();
         AdversarialEnv {
             topology,
             edge_order,
@@ -713,7 +715,7 @@ mod tests {
             let s = env.step(&mut r);
             seen.extend(s.enabled_edges().iter().copied());
         }
-        assert_eq!(&seen, topo.edges());
+        assert!(seen.iter().eq(topo.edges()));
     }
 
     #[test]
@@ -830,7 +832,7 @@ mod tests {
         // Over 9 steps with silence 2 (cycle length 3) we see 3 activations,
         // one per topology edge, in order.
         assert_eq!(active_edges.len(), 3);
-        let expected: Vec<Edge> = topo.edges().iter().copied().collect();
+        let expected: Vec<Edge> = topo.edges().to_vec();
         assert_eq!(active_edges, expected);
     }
 
@@ -841,10 +843,7 @@ mod tests {
         let mut r = rng();
         let first = env.step(&mut r);
         let expected: Vec<Edge> = topo.edges().iter().take(1).copied().collect();
-        assert_eq!(
-            first.enabled_edges().iter().copied().collect::<Vec<_>>(),
-            expected
-        );
+        assert_eq!(first.enabled_edges().to_vec(), expected);
         for _ in 0..5 {
             assert!(env.step(&mut r).enabled_edges().is_empty());
         }

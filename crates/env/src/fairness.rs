@@ -10,15 +10,16 @@
 //! finite-trace `□◇` semantics of `selfsim-temporal`, whether a recorded
 //! sequence of environment states satisfied every `Q_e`.
 
-use std::collections::BTreeSet;
-
 use selfsim_temporal::{Formula, Trace, Verdict};
 
-use crate::topology::EdgeSet;
-use crate::{AgentId, Edge, EnvState, Topology};
+use crate::{Edge, EnvState, Topology};
 
 /// A fairness specification `Q_E`: one recurrence predicate per edge of a
 /// graph `E`, plus (optionally) per-agent enabledness predicates.
+///
+/// The graph is held as a [`Topology`], so a spec shares its graph's sorted
+/// edge array and a clique spec stays symbolic:
+/// `FairnessSpec::complete(100000)` is O(1) like the topology it mirrors.
 ///
 /// An edge predicate `Q_e` is *satisfied* by an environment state when the
 /// edge is available **and** both its endpoints are enabled — that is the
@@ -26,33 +27,29 @@ use crate::{AgentId, Edge, EnvState, Topology};
 /// which is what the paper's escape arguments need.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FairnessSpec {
-    agent_count: usize,
-    // Shared representation with `Topology`: a clique spec stays symbolic,
-    // so `FairnessSpec::complete(100000)` is O(1) like the topology it
-    // mirrors.
-    edges: EdgeSet,
+    graph: Topology,
     require_agents_enabled: bool,
 }
 
 impl FairnessSpec {
-    /// The fairness set `Q_E` for every edge of `graph`.  The edge set is
-    /// shared structurally, so this is cheap even for symbolic cliques.
+    /// The fairness set `Q_E` for every edge of `graph`.  The graph is
+    /// shared, not copied, so this is cheap even for symbolic cliques.
     pub fn for_graph(graph: &Topology) -> Self {
         FairnessSpec {
-            agent_count: graph.agent_count(),
-            edges: graph.edge_set().clone(),
+            graph: graph.clone(),
             require_agents_enabled: true,
         }
     }
 
     /// The fairness set for an explicit collection of edges over
-    /// `agent_count` agents.
+    /// `agent_count` agents, in any order; repeats count once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge endpoint is out of range.
     pub fn for_edges(agent_count: usize, edges: impl IntoIterator<Item = Edge>) -> Self {
-        FairnessSpec {
-            agent_count,
-            edges: EdgeSet::Explicit(std::sync::Arc::new(edges.into_iter().collect())),
-            require_agents_enabled: true,
-        }
+        let pairs = edges.into_iter().map(|e| (e.lo().index(), e.hi().index()));
+        Self::for_graph(&Topology::from_edges(agent_count, pairs))
     }
 
     /// The fairness set of the *sum* example (§4.2): every pair of agents
@@ -77,15 +74,15 @@ impl FairnessSpec {
 
     /// The number of agents this spec refers to.
     pub fn agent_count(&self) -> usize {
-        self.agent_count
+        self.graph.agent_count()
     }
 
-    /// The edges whose availability must recur.  A symbolic clique is
-    /// materialised (once) on first access; the structural helpers below
-    /// ([`FairnessSpec::is_complete`], [`FairnessSpec::is_connected`],
-    /// [`FairnessSpec::covered_agents`]) never expand it.
-    pub fn edges(&self) -> &BTreeSet<Edge> {
-        self.edges.materialized()
+    /// The edges whose availability must recur, sorted ascending.  A
+    /// symbolic clique is materialised (once) on first access; the
+    /// structural helpers below ([`FairnessSpec::is_complete`],
+    /// [`FairnessSpec::is_connected`]) never expand it.
+    pub fn edges(&self) -> &[Edge] {
+        self.graph.edges()
     }
 
     /// Returns `true` if the single predicate `Q_e` holds in `state`.
@@ -93,17 +90,8 @@ impl FairnessSpec {
         if self.require_agents_enabled {
             state.can_communicate(edge.lo(), edge.hi())
         } else {
-            state.enabled_edges().contains(&edge)
+            state.is_edge_enabled(&edge)
         }
-    }
-
-    /// Returns `true` if *every* predicate of the spec holds simultaneously
-    /// in `state` (a "merge" state in which the whole fairness graph is up).
-    pub fn all_satisfied(&self, state: &EnvState) -> bool {
-        self.edges
-            .materialized()
-            .iter()
-            .all(|e| self.edge_satisfied(*e, state))
     }
 
     /// Checks `□◇Q_e` for every edge `e` of the spec over a recorded
@@ -115,7 +103,7 @@ impl FairnessSpec {
     /// fairness assumption (2).
     pub fn check_trace(&self, trace: &Trace<EnvState>, tolerance: usize) -> Vec<(Edge, Verdict)> {
         let mut violations = Vec::new();
-        for &edge in self.edges.materialized() {
+        for &edge in self.edges() {
             let spec = self.clone();
             let formula = Formula::always_eventually(
                 Formula::atom(format!("Q_{edge}"), move |s: &EnvState| {
@@ -141,8 +129,7 @@ impl FairnessSpec {
     /// predicate held — a quantitative view of how generous the environment
     /// was (used by the adaptivity experiments).
     pub fn satisfaction_counts(&self, trace: &Trace<EnvState>) -> Vec<(Edge, usize)> {
-        self.edges
-            .materialized()
+        self.edges()
             .iter()
             .map(|&e| {
                 let count = trace.iter().filter(|s| self.edge_satisfied(e, s)).count();
@@ -151,52 +138,28 @@ impl FairnessSpec {
             .collect()
     }
 
-    /// Returns `true` if the fairness graph is connected over the agents it
-    /// mentions plus all remaining agents as isolated vertices.
+    /// Returns `true` if the fairness graph is connected over all the
+    /// agents (an agent no edge mentions is an isolated vertex).
     ///
     /// The minimum/hull examples require a *connected* fairness graph; the
     /// sum example requires the complete graph.  This helper lets algorithm
     /// constructors validate the spec they are given.
     pub fn is_connected(&self) -> bool {
-        if let EdgeSet::Complete { n, .. } = &self.edges {
-            // The clique connects its members; any agent beyond it is an
-            // isolated vertex.
-            return *n == self.agent_count || self.agent_count <= 1;
-        }
-        let edges = self.edges.materialized().iter();
-        Topology::from_edges(self.agent_count, edges.map(|e| (e.lo().0, e.hi().0))).is_connected()
+        self.graph.is_connected()
     }
 
     /// Returns `true` if the fairness graph is the complete graph on all
     /// agents.
     pub fn is_complete(&self) -> bool {
-        let n = self.agent_count;
-        self.edges.len() == n * n.saturating_sub(1) / 2
-    }
-
-    /// The set of agents mentioned by at least one fairness edge.
-    pub fn covered_agents(&self) -> BTreeSet<AgentId> {
-        match &self.edges {
-            EdgeSet::Explicit(edges) => {
-                let mut agents = BTreeSet::new();
-                for e in edges.iter() {
-                    agents.insert(e.lo());
-                    agents.insert(e.hi());
-                }
-                agents
-            }
-            // A clique on fewer than two agents has no edges, hence covers
-            // nobody.
-            EdgeSet::Complete { n: 0 | 1, .. } => BTreeSet::new(),
-            EdgeSet::Complete { n, .. } => (0..*n).map(AgentId).collect(),
-        }
+        let n = self.agent_count();
+        self.graph.edge_count() == n * n.saturating_sub(1) / 2
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Environment, RandomChurnEnv, StaticEnv};
+    use crate::{AgentId, Environment, RandomChurnEnv, StaticEnv};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -253,14 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn all_satisfied_detects_merge_states() {
-        let topo = Topology::complete(3);
-        let spec = FairnessSpec::for_graph(&topo);
-        assert!(spec.all_satisfied(&EnvState::fully_enabled(&topo)));
-        assert!(!spec.all_satisfied(&EnvState::fully_disabled(3)));
-    }
-
-    #[test]
     fn connectivity_and_completeness_helpers() {
         assert!(FairnessSpec::complete(5).is_complete());
         assert!(FairnessSpec::complete(5).is_connected());
@@ -268,10 +223,24 @@ mod tests {
         assert!(!FairnessSpec::line(5).is_complete());
         let sparse = FairnessSpec::for_edges(4, [Edge::new(AgentId(0), AgentId(1))]);
         assert!(!sparse.is_connected());
-        assert_eq!(
-            sparse.covered_agents().into_iter().collect::<Vec<_>>(),
-            vec![AgentId(0), AgentId(1)]
-        );
+    }
+
+    #[test]
+    fn for_edges_sorts_and_deduplicates() {
+        let e = |a: usize, b: usize| Edge::new(AgentId(a), AgentId(b));
+        let expected = [e(0, 1), e(0, 3), e(1, 2), e(2, 3)];
+        let sorted = FairnessSpec::for_edges(4, expected);
+        assert_eq!(sorted.edges(), expected);
+        for listed in [
+            vec![e(2, 3), e(1, 2), e(0, 3), e(0, 1)],
+            vec![e(3, 2), e(2, 1), e(3, 0), e(1, 0)],
+            vec![e(1, 2), e(0, 1), e(1, 2), e(3, 2), e(0, 3), e(0, 1)],
+        ] {
+            let spec = FairnessSpec::for_edges(4, listed);
+            assert_eq!(spec, sorted);
+            assert_eq!(spec.edges(), expected);
+            assert!(spec.is_connected());
+        }
     }
 
     #[test]
@@ -295,7 +264,6 @@ mod tests {
         let spec = FairnessSpec::complete(100_000);
         assert!(spec.is_complete());
         assert!(spec.is_connected());
-        assert_eq!(spec.covered_agents().len(), 100_000);
         // Semantic equality across representations at a checkable size.
         let small = FairnessSpec::complete(5);
         let explicit = FairnessSpec::for_edges(

@@ -40,6 +40,7 @@
 use std::sync::Arc;
 
 use crate::csr::Csr;
+use crate::state::same;
 use crate::topology::{at, at_mut};
 use crate::{AgentId, Edge, EnvChanges, EnvDelta, EnvState, Topology};
 
@@ -696,10 +697,14 @@ impl Connectivity {
                     }
                     // Cheap count rejection first: the closed form avoids
                     // materialising a symbolic clique unless the counts match.
+                    // Sorted, distinct, in-range agents are all `n` agents
+                    // when there are `n` of them.  A state that aliases the
+                    // topology's edge array compares by pointer.
                     Repr::Full(_) => {
-                        next.enabled_agents().len() == topology.agent_count()
+                        next.agent_count() == topology.agent_count()
+                            && next.enabled_agents().len() == topology.agent_count()
                             && next.enabled_edges().len() == topology.edge_count()
-                            && EnvState::fully_enabled(topology).same_connectivity(&next)
+                            && same(next.enabled_edges(), topology.edges())
                     }
                     Repr::Tracked(index) => index.same_connectivity(&next),
                 };

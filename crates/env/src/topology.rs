@@ -1,6 +1,5 @@
 //! Agents, communication edges and the underlying topology graph.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -94,146 +93,79 @@ impl fmt::Display for Edge {
     }
 }
 
-/// Edge storage shared by [`Topology`] and
-/// [`FairnessSpec`](crate::FairnessSpec): either an explicit sorted set, or
+/// Edge storage of a [`Topology`]: either an explicit edge set, held as
+/// its flat adjacency (the [`Csr`]'s sorted edge array *is* the set), or
 /// the complete graph on `n` agents held *symbolically* so that
 /// `complete(100000)` costs O(1) instead of materialising ~5·10⁹ edges.
 ///
-/// All queries (`len`, `contains`, neighbours, components) have closed
-/// forms for the complete case; [`EdgeSet::materialized`] lazily expands
-/// the set once for the few callers that genuinely need every edge
-/// (per-edge environment churn), and caches the expansion.
-///
-/// Equality is *semantic* — a symbolic complete graph equals the explicit
-/// set of the same edges — so representation changes never change cell
-/// identity.
-#[derive(Debug)]
-pub(crate) enum EdgeSet {
-    /// An explicit edge set, shared copy-on-write so that cloning a
-    /// topology (and deriving environment states from it) is O(1).
-    Explicit(Arc<BTreeSet<Edge>>),
-    /// The complete graph on agents `0..n`, expanded on demand.
+/// Both variants are shared by clones: an explicit set is immutable, and a
+/// clique's adjacency, built on first demand, is built once for all clones.
+#[derive(Clone)]
+enum EdgeSet {
+    /// An explicit edge set: the adjacency's edge array.
+    Explicit(Arc<Csr>),
     Complete {
         /// Number of agents the clique spans.
         n: usize,
-        /// Lazily materialised edge set (for `edges()`).
-        cache: OnceLock<BTreeSet<Edge>>,
+        /// The expanded clique, for the few callers that need every edge
+        /// (per-edge environment churn, the connectivity index).
+        csr: Arc<OnceLock<Arc<Csr>>>,
     },
 }
 
-impl EdgeSet {
-    fn complete_len(n: usize) -> usize {
-        n * n.saturating_sub(1) / 2
-    }
-
-    pub(crate) fn len(&self) -> usize {
+impl fmt::Debug for EdgeSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EdgeSet::Explicit(edges) => edges.len(),
-            EdgeSet::Complete { n, .. } => EdgeSet::complete_len(*n),
-        }
-    }
-
-    pub(crate) fn contains(&self, edge: &Edge) -> bool {
-        match self {
-            EdgeSet::Explicit(edges) => edges.contains(edge),
-            // Edges are normalised (lo < hi), so `hi < n` implies both
-            // endpoints are in the clique.
-            EdgeSet::Complete { n, .. } => edge.hi().index() < *n,
-        }
-    }
-
-    /// The explicit edge set, expanding (and caching) a symbolic clique.
-    pub(crate) fn materialized(&self) -> &BTreeSet<Edge> {
-        match self {
-            EdgeSet::Explicit(edges) => edges.as_ref(),
-            EdgeSet::Complete { n, cache } => cache.get_or_init(|| {
-                let mut edges = BTreeSet::new();
-                for i in 0..*n {
-                    for j in (i + 1)..*n {
-                        edges.insert(Edge::new(AgentId(i), AgentId(j)));
-                    }
-                }
-                edges
-            }),
-        }
-    }
-
-    /// The edge set as a shareable `Arc` (materialising a clique), for
-    /// consumers that want to alias rather than copy the set.
-    pub(crate) fn shared(&self) -> Arc<BTreeSet<Edge>> {
-        match self {
-            EdgeSet::Explicit(edges) => Arc::clone(edges),
-            complete @ EdgeSet::Complete { .. } => Arc::new(complete.materialized().clone()),
+            EdgeSet::Explicit(csr) => f.debug_set().entries(csr.edges()).finish(),
+            EdgeSet::Complete { n, .. } => write!(f, "Complete({n})"),
         }
     }
 }
 
-impl Clone for EdgeSet {
-    fn clone(&self) -> Self {
-        match self {
-            // O(1): the set is copy-on-write (see `Topology::add_edge`).
-            EdgeSet::Explicit(edges) => EdgeSet::Explicit(Arc::clone(edges)),
-            // The cache is per-instance scratch; clones start cold.
-            EdgeSet::Complete { n, .. } => EdgeSet::Complete {
-                n: *n,
-                cache: OnceLock::new(),
-            },
-        }
-    }
+/// The number of edges of the clique on `n` agents.
+fn complete_len(n: usize) -> usize {
+    n * n.saturating_sub(1) / 2
 }
-
-impl PartialEq for EdgeSet {
-    fn eq(&self, other: &Self) -> bool {
-        // A set of C(n,2) distinct normalised edges with every endpoint
-        // below n *is* the clique on n, so count + range check is exact.
-        let matches_complete = |edges: &BTreeSet<Edge>, n: usize| {
-            edges.len() == EdgeSet::complete_len(n) && edges.iter().all(|e| e.hi().index() < n)
-        };
-        match (self, other) {
-            (EdgeSet::Explicit(a), EdgeSet::Explicit(b)) => a == b,
-            (EdgeSet::Complete { n: a, .. }, EdgeSet::Complete { n: b, .. }) => {
-                EdgeSet::complete_len(*a) == EdgeSet::complete_len(*b)
-            }
-            (EdgeSet::Explicit(edges), EdgeSet::Complete { n, .. })
-            | (EdgeSet::Complete { n, .. }, EdgeSet::Explicit(edges)) => {
-                matches_complete(edges, *n)
-            }
-        }
-    }
-}
-
-impl Eq for EdgeSet {}
 
 /// The communication graph `(A, E)`: a fixed set of `n` agents
-/// (`AgentId(0) .. AgentId(n-1)`) and a set of undirected edges.
+/// (`AgentId(0) .. AgentId(n-1)`) and an immutable set of undirected edges.
 ///
 /// The topology is the *potential* connectivity; at any instant the
 /// environment enables some subset of its edges (see
 /// [`EnvState`](crate::EnvState)).  The fairness sets `Q_E` of the paper's
 /// examples are defined over topology edges.
 ///
-/// Complete graphs are held symbolically (see `EdgeSet`), so
-/// [`Topology::complete`] is O(1) and clique queries never expand the edge
-/// set; only [`Topology::edges`] does, lazily.
+/// An explicit topology builds its flat CSR adjacency ([`Csr`](crate::Csr))
+/// once, in its constructor; that adjacency's sorted edge array is the
+/// topology's only copy of its edges, and clones share it via `Arc`.
+/// Complete graphs are held symbolically, so [`Topology::complete`] is O(1)
+/// and clique queries never expand the edge set; only
+/// [`Topology::edges`] and [`Topology::csr`] do, once.
 ///
-/// The flat CSR adjacency ([`Csr`](crate::Csr)) is likewise built lazily —
-/// at most once per edge set — and shared via `Arc` with every consumer
-/// and every clone (see [`Topology::csr`]).
+/// Equality is *semantic*: a symbolic complete graph equals the explicit
+/// graph of the same edges, so representation never changes cell identity.
 #[derive(Clone)]
 pub struct Topology {
     n: usize,
     edges: EdgeSet,
-    /// Lazily built flat adjacency.  Clones have the same agent and edge
-    /// sets, so they share the cell as well as its contents: whichever
-    /// clone builds the CSR first builds it for all.  `add_edge` gives the
-    /// grown topology a fresh cell and leaves the clones theirs.  Scratch
-    /// like the clique cache, so it takes no part in equality.
-    csr: Arc<OnceLock<Arc<Csr>>>,
 }
 
 impl PartialEq for Topology {
     fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.edges == other.edges
+        // A set of C(n,2) distinct normalised edges with every endpoint
+        // below n *is* the clique on n, so count + range check is exact.
+        let is_clique = |csr: &Csr, n: usize| {
+            csr.edge_count() == complete_len(n) && csr.edges().iter().all(|e| e.hi().index() < n)
+        };
+        self.n == other.n
+            && match (&self.edges, &other.edges) {
+                (EdgeSet::Explicit(a), EdgeSet::Explicit(b)) => a.edges() == b.edges(),
+                (EdgeSet::Complete { n: a, .. }, EdgeSet::Complete { n: b, .. }) => {
+                    complete_len(*a) == complete_len(*b)
+                }
+                (EdgeSet::Explicit(csr), EdgeSet::Complete { n, .. })
+                | (EdgeSet::Complete { n, .. }, EdgeSet::Explicit(csr)) => is_clique(csr, *n),
+            }
     }
 }
 
@@ -249,15 +181,12 @@ impl fmt::Debug for Topology {
 }
 
 impl Topology {
-    /// The topology of `n` agents over `edges`, built in one bulk pass:
-    /// `BTreeSet`'s `FromIterator` sorts the edges and loads the tree once,
-    /// where growing it by [`Topology::add_edge`] pays a tree insert (and a
-    /// copy-on-write check) per edge.
+    /// The topology of `n` agents over `edges`, which need not be sorted
+    /// or distinct: its CSR is built here, in one bulk pass.
     fn with_edges(n: usize, edges: impl IntoIterator<Item = Edge>) -> Self {
         Topology {
             n,
-            edges: EdgeSet::Explicit(Arc::new(edges.into_iter().collect())),
-            csr: Arc::default(),
+            edges: EdgeSet::Explicit(Arc::new(Csr::new(n, edges.into_iter().collect()))),
         }
     }
 
@@ -266,12 +195,13 @@ impl Topology {
         Topology::with_edges(n, [])
     }
 
-    /// Creates a topology from an explicit edge list.
+    /// Creates a topology from an explicit edge list, in any order and
+    /// orientation; repeated pairs count once.
     ///
     /// # Panics
     ///
     /// Panics if any edge endpoint is out of range, or if an edge is a
-    /// self-loop (`(a, a)`), the same checks as [`Topology::add_edge`].
+    /// self-loop (`(a, a)`).
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
         Topology::with_edges(
             n,
@@ -292,9 +222,8 @@ impl Topology {
             n,
             edges: EdgeSet::Complete {
                 n,
-                cache: OnceLock::new(),
+                csr: Arc::default(),
             },
-            csr: Arc::default(),
         }
     }
 
@@ -308,8 +237,11 @@ impl Topology {
 
     /// The ring (cycle) graph on `n` agents.
     pub fn ring(n: usize) -> Self {
-        let closing = (n > 2).then(|| Edge::new(AgentId(n - 1), AgentId(0)));
-        Topology::with_edges(n, path_edges(n).chain(closing))
+        // Listed in ascending order, so the build need not sort: the
+        // closing edge {0, n-1} comes second.
+        let closing = (n > 2).then(|| Edge::new(AgentId(0), AgentId(n - 1)));
+        let mut path = path_edges(n);
+        Topology::with_edges(n, path.next().into_iter().chain(closing).chain(path))
     }
 
     /// The star graph with agent 0 at the centre.
@@ -319,12 +251,13 @@ impl Topology {
 
     /// A `rows × cols` grid graph.
     pub fn grid(rows: usize, cols: usize) -> Self {
-        let id = |r: usize, c: usize| AgentId(r * cols + c);
-        let right =
-            (0..rows).flat_map(|r| (1..cols).map(move |c| Edge::new(id(r, c - 1), id(r, c))));
-        let down =
-            (1..rows).flat_map(|r| (0..cols).map(move |c| Edge::new(id(r - 1, c), id(r, c))));
-        Topology::with_edges(rows * cols, right.chain(down))
+        // Agent by agent, right edge before down edge: ascending order.
+        let edges = (0..rows * cols).flat_map(move |i| {
+            let right = ((i + 1) % cols != 0).then(|| Edge::new(AgentId(i), AgentId(i + 1)));
+            let down = (i + cols < rows * cols).then(|| Edge::new(AgentId(i), AgentId(i + cols)));
+            right.into_iter().chain(down)
+        });
+        Topology::with_edges(rows * cols, edges)
     }
 
     /// An Erdős–Rényi `G(n, p)` random graph, re-sampled until connected
@@ -344,9 +277,10 @@ impl Topology {
             if topo.is_connected() {
                 return topo;
             }
-            // Guarantee termination for tiny p by falling back to a ring
-            // after an unlucky streak is unlikely but possible; add one
-            // random spanning structure instead of looping forever.
+            // Below the connectivity threshold a connected draw may take
+            // many re-samples, so guarantee termination: add a random
+            // spanning tree (each agent joined to a random smaller one) to
+            // this draw.  A tree edge already drawn counts once.
             if p < 2.0 * (n as f64).ln() / (n as f64) {
                 for i in 1..n {
                     let j = rng.gen_range(0..i);
@@ -385,10 +319,7 @@ impl Topology {
         };
         if p >= 1.0 {
             // Degenerate dense request: every pair is present.
-            return Topology::with_edges(
-                n,
-                (0..n).flat_map(|i| ((i + 1)..n).map(move |j| Edge::new(AgentId(i), AgentId(j)))),
-            );
+            return Topology::with_edges(n, clique_edges(n));
         }
         let mut edges = Vec::new();
         if p > 0.0 {
@@ -419,7 +350,7 @@ impl Topology {
         let topo = Topology::with_edges(n, edges);
         // Deterministic connectivity patch: chain each component's smallest
         // member to the previous component's smallest member.  A connected
-        // draw keeps its topology, and with it the CSR `components` built.
+        // draw is returned as built.
         let comps = topo.components();
         if comps.len() <= 1 {
             return topo;
@@ -442,92 +373,75 @@ impl Topology {
         (0..self.n).map(AgentId)
     }
 
-    /// The edge set.  A symbolic complete graph is materialised (once) on
-    /// first access; prefer the closed-form queries ([`Topology::has_edge`],
-    /// [`Topology::edge_count`], [`Topology::components`]) on huge cliques.
-    pub fn edges(&self) -> &BTreeSet<Edge> {
-        self.edges.materialized()
-    }
-
-    /// The internal edge representation, shared with
-    /// [`FairnessSpec`](crate::FairnessSpec) so clique specs stay symbolic.
-    pub(crate) fn edge_set(&self) -> &EdgeSet {
-        &self.edges
-    }
-
-    /// The edge set as a shareable `Arc` (materialising a clique), so
-    /// derived structures ([`EnvState::fully_enabled`](crate::EnvState))
-    /// can alias it instead of copying a million edges.
-    pub(crate) fn shared_edges(&self) -> Arc<BTreeSet<Edge>> {
-        self.edges.shared()
+    /// The edges, sorted ascending: the CSR's edge array.  A symbolic
+    /// complete graph is materialised (once) on first access; prefer the
+    /// closed-form queries ([`Topology::has_edge`], [`Topology::edge_count`],
+    /// [`Topology::components`]) on huge cliques.
+    pub fn edges(&self) -> &[Edge] {
+        self.adjacency().edges()
     }
 
     /// Number of edges (closed form for symbolic cliques).
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        match &self.edges {
+            EdgeSet::Explicit(csr) => csr.edge_count(),
+            EdgeSet::Complete { n, .. } => complete_len(*n),
+        }
     }
 
-    /// The flat CSR adjacency of this topology, built at most once and
-    /// shared via `Arc` (so consumers can hold it across mutable borrows of
-    /// the environment that owns the topology).
+    /// The flat CSR adjacency of this topology, shared via `Arc` (so
+    /// consumers can hold it across mutable borrows of the environment
+    /// that owns the topology).
     ///
-    /// A symbolic clique is materialised by the build — callers that can
-    /// stay symbolic (e.g. the event runtime's fully-enabled fast path)
+    /// A symbolic clique is materialised by the first call — callers that
+    /// can stay symbolic (e.g. the event runtime's fully-enabled fast path)
     /// should not ask for a CSR.
     pub fn csr(&self) -> Arc<Csr> {
-        Arc::clone(self.csr.get_or_init(|| Arc::new(Csr::new(self))))
+        Arc::clone(self.adjacency())
     }
 
-    /// Adds an (undirected) edge.  A symbolic clique is expanded first —
-    /// mutation forfeits the compact representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range or the edge is a self-loop.
-    pub fn add_edge(&mut self, a: AgentId, b: AgentId) {
-        let edge = checked_edge(self.n, a, b);
-        // The grown graph needs its own flat adjacency; clones keep the
-        // cell they share, which still matches their edges.
-        self.csr = Arc::default();
-        if let EdgeSet::Complete { .. } = self.edges {
-            self.edges = EdgeSet::Explicit(self.edges.shared());
-        }
-        match &mut self.edges {
-            EdgeSet::Explicit(edges) => {
-                // Copy-on-write: clones sharing this set are unaffected.
-                Arc::make_mut(edges).insert(edge);
+    /// The adjacency, building a clique's on first use.
+    fn adjacency(&self) -> &Arc<Csr> {
+        match &self.edges {
+            EdgeSet::Explicit(csr) => csr,
+            EdgeSet::Complete { n, csr } => {
+                csr.get_or_init(|| Arc::new(Csr::new(*n, clique_edges(*n).collect())))
             }
-            EdgeSet::Complete { .. } => unreachable!("clique expanded above"),
         }
     }
 
     /// Returns `true` if the edge `{a, b}` is in the topology.
     pub fn has_edge(&self, a: AgentId, b: AgentId) -> bool {
-        // The clique's closed form needs the explicit range check the
-        // set-containment path got for free.
-        a != b && a.0 < self.n && b.0 < self.n && self.edges.contains(&Edge::new(a, b))
+        if a == b || a.0 >= self.n || b.0 >= self.n {
+            return false;
+        }
+        match &self.edges {
+            EdgeSet::Explicit(csr) => csr.edge_id(&Edge::new(a, b)).is_some(),
+            // Both endpoints are in range, and the clique spans all `n`.
+            EdgeSet::Complete { .. } => true,
+        }
     }
 
     /// The neighbours of `agent` in the topology, in ascending id order.
     pub fn neighbors(&self, agent: AgentId) -> Vec<AgentId> {
+        if agent.0 >= self.n {
+            return Vec::new();
+        }
         match &self.edges {
-            EdgeSet::Explicit(edges) => edges.iter().filter_map(|e| e.other(agent)).collect(),
-            EdgeSet::Complete { n, .. } => {
-                if agent.0 >= *n {
-                    return Vec::new();
-                }
-                (0..*n).map(AgentId).filter(|&a| a != agent).collect()
-            }
+            // A CSR row lists the edges `{x, agent}` with `x < agent`, then
+            // the edges `{agent, y}`, each in ascending edge order.
+            EdgeSet::Explicit(csr) => csr
+                .neighbors(agent.0)
+                .map(|(b, _)| AgentId(b as usize))
+                .collect(),
+            EdgeSet::Complete { n, .. } => (0..*n).map(AgentId).filter(|&a| a != agent).collect(),
         }
     }
 
     /// Returns `true` if the graph is connected (or has at most one agent).
-    ///
-    /// An explicit graph is walked over its cached [`Topology::csr`], the
-    /// adjacency the connectivity index reuses later.
     pub fn is_connected(&self) -> bool {
         match &self.edges {
-            EdgeSet::Explicit(_) => Labels::new(self.csr().rows(), |_| true).count() <= 1,
+            EdgeSet::Explicit(csr) => Labels::new(csr.rows(), |_| true).count() <= 1,
             // The clique spans all `n` agents (see `components`).
             EdgeSet::Complete { .. } => true,
         }
@@ -537,7 +451,7 @@ impl Topology {
     /// their smallest member.
     pub fn components(&self) -> Vec<Vec<AgentId>> {
         match &self.edges {
-            EdgeSet::Explicit(_) => Labels::new(self.csr().rows(), |_| true).members(),
+            EdgeSet::Explicit(csr) => Labels::new(csr.rows(), |_| true).members(),
             // `complete(n)` is the only constructor of a symbolic clique,
             // and its clique spans all `n` agents: one component.
             EdgeSet::Complete { n: 0, .. } => Vec::new(),
@@ -564,47 +478,31 @@ fn path_edges(n: usize) -> impl Iterator<Item = Edge> {
     (1..n).map(|i| Edge::new(AgentId(i - 1), AgentId(i)))
 }
 
+/// Every pair of `n` agents, in ascending edge order.
+fn clique_edges(n: usize) -> impl Iterator<Item = Edge> {
+    (0..n).flat_map(move |i| ((i + 1)..n).map(move |j| Edge::new(AgentId(i), AgentId(j))))
+}
+
 /// Computes the connected components of the subgraph of the `n`-agent graph
-/// with edge set `edges`, restricted to the agents accepted by `include`.
+/// with the sorted edges `edges`, restricted to the agents accepted by
+/// `include`.
 ///
 /// Agents excluded by `include` do not appear in any component.
 ///
-/// This builds a private `Vec`-backed CSR adjacency of the live edges in
-/// two passes, then labels it (see [`Labels`]).  [`Topology::components`]
-/// labels the topology's cached CSR instead; this is for enabled subsets.
+/// This builds the CSR of the live (both endpoints included) edges and
+/// labels it (see [`Labels`]); [`Topology::components`] labels the
+/// topology's own CSR instead.  This is for enabled subsets.
 pub(crate) fn connected_components(
     n: usize,
-    edges: &BTreeSet<Edge>,
+    edges: &[Edge],
     include: impl Fn(AgentId) -> bool,
 ) -> Vec<Vec<AgentId>> {
-    // Pass 1: collect the live (both-endpoints-included) edges once, so the
-    // `include` closure runs a single time per endpoint.
-    let live: Vec<(u32, u32)> = edges
+    let live: Vec<Edge> = edges
         .iter()
-        .map(|e| e.endpoints())
-        .filter(|&(a, b)| include(a) && include(b))
-        .map(|(a, b)| (a.index() as u32, b.index() as u32))
+        .filter(|e| include(e.lo()) && include(e.hi()))
+        .copied()
         .collect();
-    // Pass 2: CSR adjacency — degree count, prefix sum, fill.
-    let mut xadj = vec![0u32; n + 1];
-    for &(a, b) in &live {
-        *at_mut(&mut xadj, a as usize + 1) += 1;
-        *at_mut(&mut xadj, b as usize + 1) += 1;
-    }
-    for i in 1..=n {
-        *at_mut(&mut xadj, i) += at(&xadj, i - 1);
-    }
-    let mut cursor: Vec<u32> = xadj.iter().copied().take(n).collect();
-    let mut adj = vec![0u32; at(&xadj, n) as usize];
-    for &(a, b) in &live {
-        let ca = at_mut(&mut cursor, a as usize);
-        *at_mut(&mut adj, *ca as usize) = b;
-        *ca += 1;
-        let cb = at_mut(&mut cursor, b as usize);
-        *at_mut(&mut adj, *cb as usize) = a;
-        *cb += 1;
-    }
-    Labels::new((&xadj, &adj), include).members()
+    Labels::new(Csr::new(n, live).rows(), include).members()
 }
 
 /// Component labels of a flat adjacency (`xadj` row pointers over `adj`
@@ -675,6 +573,17 @@ impl Labels {
     }
 }
 
+/// `items` sorted ascending and deduplicated: one check pass when they
+/// already are.
+pub(crate) fn sorted<T: Ord>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut items: Vec<T> = items.into_iter().collect();
+    if !items.is_sorted_by(|a, b| a < b) {
+        items.sort_unstable();
+        items.dedup();
+    }
+    items
+}
+
 /// Checked slice read used throughout the flat connectivity core: identical
 /// codegen to `v[i]` but without raw indexing (detlint's panic budget counts
 /// `[idx]` in library code).
@@ -693,6 +602,7 @@ pub(crate) fn at_mut<T>(v: &mut [T], i: usize) -> &mut T {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     #[test]
     fn edge_is_normalised_and_symmetric() {
@@ -811,50 +721,68 @@ mod tests {
         assert_eq!(dense, Topology::complete(6));
     }
 
-    /// `t` grown from `Topology::empty` by one `add_edge` per listed edge.
-    fn grown(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Topology {
-        let mut t = Topology::empty(n);
-        for (a, b) in edges {
-            t.add_edge(AgentId(a), AgentId(b));
-        }
-        t
+    /// The edge set of `pairs`, grown one insert at a time into a
+    /// `BTreeSet`: the sorted, deduplicated reference a bulk build must
+    /// match.
+    fn grown(pairs: impl IntoIterator<Item = (usize, usize)>) -> Vec<Edge> {
+        let set: BTreeSet<Edge> = pairs
+            .into_iter()
+            .map(|(a, b)| Edge::new(AgentId(a), AgentId(b)))
+            .collect();
+        set.into_iter().collect()
     }
 
-    /// `Topology::random_connected`, edge by edge, in its draw order.
-    fn random_connected_grown(n: usize, p: f64, rng: &mut impl Rng) -> Topology {
+    /// Asserts that `t` has `n` agents and exactly the edges `expected`.
+    fn assert_built(t: &Topology, n: usize, expected: &[Edge], what: &str) {
+        assert_eq!(t.agent_count(), n, "{what}");
+        assert_eq!(t.edges(), expected, "{what}");
+        assert_eq!(t.edge_count(), expected.len(), "{what}");
+    }
+
+    fn connected(n: usize, edges: &BTreeSet<Edge>) -> bool {
+        let edges: Vec<Edge> = edges.iter().copied().collect();
+        connected_components(n, &edges, |_| true).len() <= 1
+    }
+
+    /// `Topology::random_connected`, edge by edge into a `BTreeSet`, in its
+    /// draw order; also returns how many spanning-tree edges repeated an
+    /// edge already drawn.
+    fn random_connected_grown(n: usize, p: f64, rng: &mut impl Rng) -> (Vec<Edge>, usize) {
         loop {
-            let mut t = Topology::empty(n);
+            let mut set = BTreeSet::new();
             for i in 0..n {
                 for j in (i + 1)..n {
                     if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                        t.add_edge(AgentId(i), AgentId(j));
+                        set.insert(Edge::new(AgentId(i), AgentId(j)));
                     }
                 }
             }
-            if connected_components(n, t.edges(), |_| true).len() <= 1 {
-                return t;
+            if connected(n, &set) {
+                return (set.into_iter().collect(), 0);
             }
             if p < 2.0 * (n as f64).ln() / (n as f64) {
+                let mut repeats = 0;
                 for i in 1..n {
                     let j = rng.gen_range(0..i);
-                    t.add_edge(AgentId(i), AgentId(j));
+                    repeats += usize::from(!set.insert(Edge::new(AgentId(i), AgentId(j))));
                 }
-                return t;
+                return (set.into_iter().collect(), repeats);
             }
         }
     }
 
-    /// `Topology::random_connected_sparse`, edge by edge, in its draw order.
-    fn random_connected_sparse_grown(n: usize, degree: f64, rng: &mut impl Rng) -> Topology {
-        let mut t = Topology::empty(n);
+    /// `Topology::random_connected_sparse`, edge by edge into a `BTreeSet`,
+    /// in its draw order.
+    fn random_connected_sparse_grown(n: usize, degree: f64, rng: &mut impl Rng) -> Vec<Edge> {
         let p = if n > 1 {
             (degree / (n as f64 - 1.0)).clamp(0.0, 1.0)
         } else {
             0.0
         };
         if p >= 1.0 {
-            return grown(n, (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j))));
+            return grown((0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j))));
         }
+        let mut set = BTreeSet::new();
         if p > 0.0 {
             let ln_q = (1.0 - p).ln();
             for i in 0..n.saturating_sub(1) {
@@ -873,18 +801,19 @@ mod tests {
                     if j >= n {
                         break;
                     }
-                    t.add_edge(AgentId(i), AgentId(j));
+                    set.insert(Edge::new(AgentId(i), AgentId(j)));
                 }
             }
         }
-        let mins: Vec<usize> = connected_components(n, t.edges(), |_| true)
+        let edges: Vec<Edge> = set.iter().copied().collect();
+        let mins: Vec<usize> = connected_components(n, &edges, |_| true)
             .iter()
             .filter_map(|c| c.first().map(|a| a.0))
             .collect();
         for pair in mins.windows(2) {
-            t.add_edge(AgentId(pair[0]), AgentId(pair[1]));
+            set.insert(Edge::new(AgentId(pair[0]), AgentId(pair[1])));
         }
-        t
+        set.into_iter().collect()
     }
 
     const SIZES: [usize; 6] = [0, 1, 2, 3, 8, 1_000];
@@ -893,17 +822,14 @@ mod tests {
     fn bulk_constructors_match_edge_by_edge_growth() {
         for n in SIZES {
             let path = || (1..n).map(|i| (i - 1, i));
-            assert_eq!(Topology::line(n), grown(n, path()), "line({n})");
+            assert_built(&Topology::line(n), n, &grown(path()), "line");
             let closing = (n > 2).then(|| (n - 1, 0));
-            assert_eq!(
-                Topology::ring(n),
-                grown(n, path().chain(closing)),
-                "ring({n})"
-            );
-            assert_eq!(
-                Topology::star(n),
-                grown(n, (1..n).map(|i| (0, i))),
-                "star({n})"
+            assert_built(&Topology::ring(n), n, &grown(path().chain(closing)), "ring");
+            assert_built(
+                &Topology::star(n),
+                n,
+                &grown((1..n).map(|i| (0, i))),
+                "star",
             );
             // Duplicates, both orientations, unsorted input.
             let listed: Vec<(usize, usize)> = (0..n)
@@ -916,11 +842,23 @@ mod tests {
                 })
                 .filter(|(a, b)| a != b)
                 .collect();
-            assert_eq!(
-                Topology::from_edges(n, listed.iter().copied()),
-                grown(n, listed),
-                "from_edges({n})"
+            let expected = grown(listed.iter().copied());
+            assert_built(
+                &Topology::from_edges(n, listed.iter().copied()),
+                n,
+                &expected,
+                "from_edges",
             );
+            // The same pairs reversed, each pair flipped, and every pair
+            // repeated build the same topology as the sorted, distinct list.
+            let sorted = Topology::from_edges(n, expected.iter().map(|e| (e.lo().0, e.hi().0)));
+            for variant in [
+                listed.iter().rev().copied().collect::<Vec<_>>(),
+                listed.iter().map(|&(a, b)| (b, a)).collect(),
+                listed.iter().flat_map(|&pair| [pair, pair]).collect(),
+            ] {
+                assert_eq!(Topology::from_edges(n, variant), sorted, "n = {n}");
+            }
         }
         for (rows, cols) in [(0, 3), (1, 1), (1, 2), (1, 3), (2, 4), (25, 40)] {
             let id = |r: usize, c: usize| r * cols + c;
@@ -935,10 +873,11 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(
-                Topology::grid(rows, cols),
-                grown(rows * cols, edges),
-                "grid({rows}×{cols})"
+            assert_built(
+                &Topology::grid(rows, cols),
+                rows * cols,
+                &grown(edges),
+                &format!("grid({rows}×{cols})"),
             );
         }
     }
@@ -954,10 +893,11 @@ mod tests {
                 }
                 let (mut bulk, mut edge_by_edge) =
                     (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                assert_eq!(
-                    Topology::random_connected(n, p, &mut bulk),
-                    random_connected_grown(n, p, &mut edge_by_edge),
-                    "random_connected({n}, {p})"
+                assert_built(
+                    &Topology::random_connected(n, p, &mut bulk),
+                    n,
+                    &random_connected_grown(n, p, &mut edge_by_edge).0,
+                    &format!("random_connected({n}, {p})"),
                 );
                 assert_eq!(bulk.gen::<u64>(), edge_by_edge.gen::<u64>());
             }
@@ -965,14 +905,34 @@ mod tests {
             for (seed, degree) in [(4, 0.0), (5, 0.5), (6, 16.0), (7, (n - 1) as f64)] {
                 let (mut bulk, mut edge_by_edge) =
                     (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                assert_eq!(
-                    Topology::random_connected_sparse(n, degree, &mut bulk),
-                    random_connected_sparse_grown(n, degree, &mut edge_by_edge),
-                    "random_connected_sparse({n}, {degree})"
+                assert_built(
+                    &Topology::random_connected_sparse(n, degree, &mut bulk),
+                    n,
+                    &random_connected_sparse_grown(n, degree, &mut edge_by_edge),
+                    &format!("random_connected_sparse({n}, {degree})"),
                 );
                 assert_eq!(bulk.gen::<u64>(), edge_by_edge.gen::<u64>());
             }
         }
+    }
+
+    #[test]
+    fn random_spanning_fallback_counts_a_repeated_edge_once() {
+        use rand::rngs::StdRng;
+        // p = 0.3 on 8 agents is below the fall-back threshold 2 ln n / n
+        // and dense enough that spanning-tree edges often repeat a drawn one.
+        let (n, p) = (8, 0.3);
+        let mut repeats = 0;
+        for seed in 0..40 {
+            let t = Topology::random_connected(n, p, &mut StdRng::seed_from_u64(seed));
+            let (expected, repeated) =
+                random_connected_grown(n, p, &mut StdRng::seed_from_u64(seed));
+            assert!(t.edges().is_sorted_by(|a, b| a < b), "seed {seed}");
+            assert_built(&t, n, &expected, &format!("seed {seed}"));
+            assert!(t.is_connected());
+            repeats += repeated;
+        }
+        assert!(repeats > 0, "no seed repeated an edge");
     }
 
     /// Connectivity by a BFS over `edges()` alone, the CSR-free oracle.
@@ -1023,22 +983,16 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_one_csr_until_grown() {
+    fn clones_share_one_csr() {
         let t = Topology::ring(6);
-        let early = t.clone();
-        assert!(
-            Arc::ptr_eq(&early.csr(), &t.csr()),
-            "a clone taken before the build shares it"
-        );
-        let mut grown = t.clone();
-        grown.add_edge(AgentId(0), AgentId(3));
-        let fresh = grown.csr();
-        assert!(!Arc::ptr_eq(&fresh, &t.csr()));
-        assert_eq!((fresh.edge_count(), t.csr().edge_count()), (7, 6));
-        assert!(
-            Arc::ptr_eq(&early.csr(), &t.csr()),
-            "the others keep theirs"
-        );
+        assert!(Arc::ptr_eq(&t.clone().csr(), &t.csr()));
+        // A clique builds its adjacency on first use, once for all clones,
+        // whether they were taken before or after the build.
+        let clique = Topology::complete(5);
+        let early = clique.clone();
+        assert!(Arc::ptr_eq(&early.csr(), &clique.csr()));
+        assert!(Arc::ptr_eq(&clique.clone().csr(), &early.csr()));
+        assert_eq!(clique.csr().edge_count(), 10);
     }
 
     #[test]
@@ -1050,8 +1004,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
-        let mut t = Topology::empty(2);
-        t.add_edge(AgentId(0), AgentId(5));
+        let _ = Topology::from_edges(2, [(0, 5)]);
     }
 
     #[test]
@@ -1070,12 +1023,8 @@ mod tests {
     #[test]
     fn symbolic_complete_matches_explicit_clique() {
         let symbolic = Topology::complete(6);
-        let mut explicit = Topology::empty(6);
-        for i in 0..6 {
-            for j in (i + 1)..6 {
-                explicit.add_edge(AgentId(i), AgentId(j));
-            }
-        }
+        let explicit =
+            Topology::from_edges(6, (0..6).flat_map(|i| ((i + 1)..6).map(move |j| (i, j))));
         assert_eq!(symbolic, explicit);
         assert_eq!(explicit, symbolic);
         assert_eq!(symbolic.edges(), explicit.edges());
@@ -1102,13 +1051,5 @@ mod tests {
         assert_eq!(t.neighbors(AgentId(5)).len(), 99_999);
         assert!(t.neighbors(AgentId(100_000)).is_empty());
         let _ = t.clone(); // clones stay symbolic (and cheap)
-    }
-
-    #[test]
-    fn complete_graph_mutation_expands_the_clique() {
-        let mut t = Topology::complete(3);
-        t.add_edge(AgentId(0), AgentId(1)); // already present
-        assert_eq!(t.edge_count(), 3);
-        assert_eq!(t, Topology::complete(3));
     }
 }

@@ -52,7 +52,7 @@ fn pick<T: Copy>(items: &[T], rng: &mut StdRng) -> Option<T> {
 /// One delta of the stream, drawn against the oracle's current state so
 /// the targeted paths are actually exercised.
 fn draw_changes(topo: &Topology, state: &EnvState, rng: &mut StdRng) -> EnvChanges {
-    let edges: Vec<Edge> = topo.edges().iter().copied().collect();
+    let edges: Vec<Edge> = topo.edges().to_vec();
     let n = topo.agent_count();
     let mut changes = EnvChanges::default();
     let agent = |rng: &mut StdRng| AgentId(rng.gen_range(0..n));
@@ -83,10 +83,7 @@ fn draw_changes(topo: &Topology, state: &EnvState, rng: &mut StdRng) -> EnvChang
                 .collect();
             changes.edges_down.extend(pick(&down, rng));
             changes.edges_down.extend(pick(&down, rng));
-            changes.agents_up.extend(pick(
-                &state.enabled_agents().iter().copied().collect::<Vec<_>>(),
-                rng,
-            ));
+            changes.agents_up.extend(pick(state.enabled_agents(), rng));
         }
         // Agent churn alone (shatters and re-joins groups).
         4 => {
