@@ -112,11 +112,6 @@ impl Csr {
         (at(&self.xadj, a + 1) - at(&self.xadj, a)) as usize
     }
 
-    /// The row pointers and neighbour array, for whole-graph walks.
-    pub(crate) fn rows(&self) -> (&[u32], &[u32]) {
-        (&self.xadj, &self.adj)
-    }
-
     /// Iterates the neighbours of agent `a` as `(neighbour index, edge id)`
     /// pairs.
     pub fn neighbors(&self, a: usize) -> impl Iterator<Item = (u32, u32)> + '_ {

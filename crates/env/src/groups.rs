@@ -7,8 +7,8 @@
 //! holds every enabled agent grouped (groups in ascending-min order, each
 //! group ascending), and group `i` is `members[starts[i]..starts[i + 1]]`.
 //!
-//! A delta first moves *labels* in `comp_of`, at cost proportional to the
-//! change:
+//! A small delta first moves *labels* in `comp_of`, at cost proportional
+//! to the change:
 //!
 //! - **edge up / agent up** merges two groups by re-labelling the smaller
 //!   one (a scan of its `members` run if no earlier change in the delta
@@ -25,9 +25,22 @@
 //! ascending order then renumbers labels to positions and rebuilds
 //! `members` and `starts`; ascending-min order falls out of the scan.  A
 //! delta that moves no label (a probe that met, flips of unusable edges)
-//! rebuilds nothing.  [`EnvDelta::Full`](crate::EnvDelta::Full) falls back
-//! to a full BFS labelling followed by the same pass
-//! ([`GroupIndex::reset_from_state`]).
+//! rebuilds nothing.
+//!
+//! The **full pass** relabels from the masks alone: one union-find pass
+//! over the usable edges in CSR edge order, with the parents in `comp_of`
+//! (a root is always linked under the smaller root, so every root is its
+//! component's minimum), then one ascending pass that flattens the labels
+//! and counts the sizes, then the same rebuild.  It serves
+//! [`EnvDelta::Full`](crate::EnvDelta::Full)
+//! ([`GroupIndex::reset_from_state`]), the fully enabled state, and every
+//! *large* delta: one that lists at least an eighth as many flips as the
+//! graph has agents plus edges (see [`LARGE_DELTA_FACTOR`]) sets the masks
+//! and takes the pass instead of the per-flip path.  A churning 8-agent
+//! ring (about 5 flips per round out of 16) takes the pass in every round
+//! that flips at least two of its agents and edges, which is most rounds;
+//! a split-and-heal on a million-agent ring or a churn round at n = 10⁵
+//! never does.
 //!
 //! Every buffer is sized to the agent count in [`GroupIndex::new`], so no
 //! update allocates.  Groups come out exactly as [`EnvState::groups`]
@@ -41,10 +54,32 @@ use std::sync::Arc;
 
 use crate::csr::Csr;
 use crate::state::same;
-use crate::topology::{at, at_mut};
+use crate::topology::{at, at_mut, flatten, link_edges, NONE};
 use crate::{AgentId, Edge, EnvChanges, EnvDelta, EnvState, Topology};
 
-const NONE: u32 = u32::MAX;
+/// A delta is *large*, and takes the full pass instead of the per-flip
+/// path, when `LARGE_DELTA_FACTOR × flips ≥ agents + edges`, counting every
+/// entry of its four lists as a flip.
+///
+/// The factor is the measured crossover on rings, where per-flip updates
+/// are cheapest.  Each cell below gives, for a stream of churn deltas, the
+/// ratio of flips to agents plus edges between which the pass became the
+/// cheaper path (release build, 2-core shared x86-64 host; every edge and
+/// agent of a random state flips with a fixed probability per delta):
+///
+/// | graph           | n = 8       | n = 64      | n = 1 024    | n = 10⁵      |
+/// |-----------------|-------------|-------------|--------------|--------------|
+/// | ring            | 0.085–0.17  | ≈ 0.17      | 0.086–0.17   | 0.085–0.17   |
+/// | grid            | 0.090–0.18  | 0.012–0.024 | 0.0065–0.012 | ≈ 0.003      |
+/// | sparse, degree 3| 0.046–0.094 | 0.011–0.023 | < 0.003      | < 0.003      |
+///
+/// At 1/8 a ring's two paths cost about the same, so no measured graph
+/// pays more for the pass than for the flips.  Graphs with more cycles
+/// cross earlier; a lower threshold would serve them, but cheaper per-flip
+/// updates serve them better.  A million-agent ring's two-edge deltas and
+/// a churn round at n = 10⁵ (about 1.6 × 10³ flips out of 9 × 10⁵) stay
+/// far below it.
+const LARGE_DELTA_FACTOR: usize = 8;
 
 /// Incrementally maintained agent partition (see module docs).
 #[derive(Debug)]
@@ -57,7 +92,8 @@ pub struct GroupIndex {
     enabled_edge_count: usize,
     enabled_agent_count: usize,
     /// Enabled edges whose endpoints are both enabled (the edges a group
-    /// step can actually use).
+    /// step can actually use): kept by every per-flip update, counted
+    /// afresh by the full pass.
     usable_edge_count: usize,
     /// Agent index → its group's position (`NONE` for disabled agents).
     /// During an update it holds labels, which [`Self::rebuild`] renumbers.
@@ -82,6 +118,10 @@ pub struct GroupIndex {
     epoch: u32,
     queue_a: Vec<u32>,
     queue_b: Vec<u32>,
+    /// Forces the full pass (`Some(true)`) or the per-flip path
+    /// (`Some(false)`) for every delta, so tests can compare the two.
+    #[cfg(test)]
+    forced_pass: Option<bool>,
 }
 
 impl GroupIndex {
@@ -114,6 +154,8 @@ impl GroupIndex {
             epoch: 0,
             queue_a: Vec::with_capacity(n),
             queue_b: Vec::with_capacity(n),
+            #[cfg(test)]
+            forced_pass: None,
             csr,
         }
     }
@@ -195,25 +237,21 @@ impl GroupIndex {
         EnvState::new(self.agent_count(), edges, agents)
     }
 
-    /// Enables every edge and agent, then rescans.
+    /// Enables every edge and agent, then takes the full pass.
     pub fn reset_all_enabled(&mut self) {
         self.edge_enabled.fill(true);
         self.agent_enabled.fill(true);
-        self.enabled_edge_count = self.edge_enabled.len();
-        self.enabled_agent_count = self.agent_enabled.len();
-        self.usable_edge_count = self.enabled_edge_count;
         self.relabel_all();
     }
 
-    /// Full-rescan fallback: adopts `state`'s enabled sets wholesale.
+    /// Full-rescan fallback: adopts `state`'s enabled sets wholesale, then
+    /// takes the full pass.
     ///
     /// Edges outside the topology are ignored — the
     /// [`Environment`](crate::Environment) contract says they never occur.
     pub fn reset_from_state(&mut self, state: &EnvState) {
         self.edge_enabled.fill(false);
         self.agent_enabled.fill(false);
-        self.enabled_edge_count = 0;
-        self.enabled_agent_count = 0;
         // Two-pointer walk: both the state's edge set and the CSR edge list
         // iterate in ascending edge order.
         let mut ids = self.csr.edges().iter().enumerate();
@@ -229,18 +267,15 @@ impl GroupIndex {
             if let Some((eid, ce)) = cursor {
                 if ce == e {
                     *at_mut(&mut self.edge_enabled, eid) = true;
-                    self.enabled_edge_count += 1;
                     cursor = ids.next();
                 }
             }
         }
         for a in state.enabled_agents() {
-            if a.index() < self.agent_enabled.len() {
-                *at_mut(&mut self.agent_enabled, a.index()) = true;
-                self.enabled_agent_count += 1;
+            if let Some(on) = self.agent_enabled.get_mut(a.index()) {
+                *on = true;
             }
         }
-        self.recount_usable();
         self.relabel_all();
     }
 
@@ -281,12 +316,50 @@ impl GroupIndex {
         true
     }
 
-    /// Applies one incremental connectivity update, maintaining the group
-    /// partition at cost proportional to the change.  Mirrors
+    /// Applies one incremental connectivity update.  Mirrors
     /// [`EnvState::apply_changes`]: downed edges/agents are removed, upped
     /// ones inserted, and redundant entries (downing a down edge, upping an
-    /// up agent) are no-ops.
+    /// up agent) are no-ops.  A small delta maintains the partition at cost
+    /// proportional to the change; a large one sets the masks and takes the
+    /// full pass (see the module docs).
     pub fn apply_changes(&mut self, changes: &EnvChanges) {
+        let flips = changes.edges_down.len()
+            + changes.edges_up.len()
+            + changes.agents_down.len()
+            + changes.agents_up.len();
+        let large = LARGE_DELTA_FACTOR * flips >= self.agent_count() + self.csr.edge_count();
+        #[cfg(test)]
+        let large = self.forced_pass.unwrap_or(large);
+        if large {
+            self.set_masks(changes);
+            self.relabel_all();
+        } else {
+            self.apply_flips(changes);
+        }
+    }
+
+    /// Applies `changes` to the masks only, in the per-flip path's order
+    /// (edges down, edges up, agents down, agents up), so both paths end on
+    /// the same masks; the full pass recounts.
+    fn set_masks(&mut self, changes: &EnvChanges) {
+        for (edges, on) in [(&changes.edges_down, false), (&changes.edges_up, true)] {
+            for e in edges {
+                if let Some(eid) = self.csr.edge_id(e) {
+                    *at_mut(&mut self.edge_enabled, eid as usize) = on;
+                }
+            }
+        }
+        for (agents, on) in [(&changes.agents_down, false), (&changes.agents_up, true)] {
+            for a in agents {
+                if let Some(slot) = self.agent_enabled.get_mut(a.index()) {
+                    *slot = on;
+                }
+            }
+        }
+    }
+
+    /// The per-flip path of [`Self::apply_changes`].
+    fn apply_flips(&mut self, changes: &EnvChanges) {
         // A lone downed edge gets the bounded bidirectional probe; a batch
         // is resolved against the final masks with one re-label per affected
         // group, so k edges leaving one group cost one sweep, not k.
@@ -447,8 +520,8 @@ impl GroupIndex {
     }
 
     /// Re-labels `from` → `to` on every agent reachable from `seed` over
-    /// usable edges through agents labelled `from` (`NONE` labels a full
-    /// rescan), and returns how many it re-labelled.
+    /// usable edges through agents labelled `from`, and returns how many it
+    /// re-labelled.
     fn flood(&mut self, seed: u32, from: u32, to: u32) -> u32 {
         *at_mut(&mut self.comp_of, seed as usize) = to;
         self.queue_a.clear();
@@ -539,18 +612,31 @@ impl GroupIndex {
         Expand::Progress
     }
 
-    /// Full rescan: labels every group by BFS from the current masks, then
-    /// rebuilds.
+    /// The full pass (see the module docs): links the usable edges in CSR
+    /// edge order with the parents in `comp_of`, flattens every agent's
+    /// label to its group's minimum while counting `size`, then rebuilds.
+    /// The enabled and usable counts are recounted on the way.
     fn relabel_all(&mut self) {
-        self.comp_of.fill(NONE);
-        self.next_label = 0;
-        for i in 0..self.agent_count() {
-            if at(&self.agent_enabled, i) && at(&self.comp_of, i) == NONE {
-                let label = self.fresh_label();
-                let size = self.flood(i as u32, NONE, label);
-                *at_mut(&mut self.size, label as usize) = size;
-            }
+        let mut agents = 0;
+        for (i, (parent, &on)) in self.comp_of.iter_mut().zip(&self.agent_enabled).enumerate() {
+            *parent = if on { i as u32 } else { NONE };
+            agents += usize::from(on);
         }
+        let mut edges = 0;
+        let enabled = (self.csr.edges().iter())
+            .zip(&self.edge_enabled)
+            .filter_map(|(e, &on)| {
+                edges += usize::from(on);
+                on.then_some(e)
+            });
+        self.usable_edge_count = link_edges(&mut self.comp_of, enabled);
+        self.enabled_agent_count = agents;
+        self.enabled_edge_count = edges;
+        let n = self.agent_count();
+        let size = self.size.get_mut(..n).expect("labels in range");
+        size.fill(0);
+        flatten(&mut self.comp_of, |root| *at_mut(size, root as usize) += 1);
+        self.next_label = n as u32;
         self.rebuild();
     }
 
@@ -629,10 +715,6 @@ impl GroupIndex {
         }
         self.epoch += 2;
         (self.epoch - 1, self.epoch)
-    }
-
-    fn recount_usable(&mut self) {
-        self.usable_edge_count = self.usable_edges().count();
     }
 }
 
@@ -805,6 +887,9 @@ impl Connectivity {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     fn changes(
@@ -825,15 +910,21 @@ mod tests {
         Edge::new(AgentId(a), AgentId(b))
     }
 
+    /// Two fully enabled indexes over `topo`, the first held to the
+    /// per-flip path and the second to the full pass: on graphs this small
+    /// most deltas would take the pass, so each targeted test runs on both.
+    fn both_paths(topo: &Topology) -> [GroupIndex; 2] {
+        [false, true].map(|pass| {
+            let mut gi = GroupIndex::new(topo);
+            gi.forced_pass = Some(pass);
+            gi.reset_all_enabled();
+            gi
+        })
+    }
+
     #[test]
     fn tracks_groups_under_edge_and_agent_flips() {
         let topo = Topology::ring(6);
-        let mut gi = GroupIndex::new(&topo);
-        gi.reset_all_enabled();
-        let mut state = EnvState::fully_enabled(&topo);
-        assert_eq!(gi.groups(), state.groups());
-        assert_eq!(gi.usable_edge_count(), 6);
-
         let steps = [
             changes(vec![edge(0, 1), edge(3, 4)], vec![], vec![], vec![]),
             changes(vec![], vec![], vec![AgentId(2)], vec![]),
@@ -848,17 +939,23 @@ mod tests {
                 vec![AgentId(0)],
             ),
         ];
-        for (i, c) in steps.iter().enumerate() {
-            state.apply_changes(c);
-            gi.apply_changes(c);
-            assert_eq!(gi.groups(), state.groups(), "step {i}");
-            assert_eq!(gi.to_env_state(), state, "step {i}");
-            let usable = state
-                .enabled_edges()
-                .iter()
-                .filter(|e| state.can_communicate(e.lo(), e.hi()))
-                .count();
-            assert_eq!(gi.usable_edge_count(), usable, "step {i}");
+        for mut gi in both_paths(&topo) {
+            let mut state = EnvState::fully_enabled(&topo);
+            assert_eq!(gi.groups(), state.groups());
+            assert_eq!(gi.usable_edge_count(), 6);
+            for (i, c) in steps.iter().enumerate() {
+                let what = format!("step {i}, pass forced: {:?}", gi.forced_pass);
+                state.apply_changes(c);
+                gi.apply_changes(c);
+                assert_eq!(gi.groups(), state.groups(), "{what}");
+                assert_eq!(gi.to_env_state(), state, "{what}");
+                let usable = state
+                    .enabled_edges()
+                    .iter()
+                    .filter(|e| state.can_communicate(e.lo(), e.hi()))
+                    .count();
+                assert_eq!(gi.usable_edge_count(), usable, "{what}");
+            }
         }
     }
 
@@ -883,46 +980,199 @@ mod tests {
     fn split_keeps_ascending_min_order() {
         // Ring 0-1-2-3-0: dropping 1-2 and 3-0 splits {0,1} / {2,3}; the
         // slot with min 0 must stay first.
-        let topo = Topology::ring(4);
-        let mut gi = GroupIndex::new(&topo);
-        gi.reset_all_enabled();
-        gi.apply_changes(&changes(vec![edge(1, 2)], vec![], vec![], vec![]));
-        assert_eq!(gi.group_count(), 1, "still a path");
-        gi.apply_changes(&changes(vec![edge(3, 0)], vec![], vec![], vec![]));
-        assert_eq!(gi.group_count(), 2);
-        assert_eq!(gi.group(0), [AgentId(0), AgentId(1)]);
-        assert_eq!(gi.group(1), [AgentId(2), AgentId(3)]);
+        for mut gi in both_paths(&Topology::ring(4)) {
+            gi.apply_changes(&changes(vec![edge(1, 2)], vec![], vec![], vec![]));
+            assert_eq!(gi.group_count(), 1, "still a path");
+            gi.apply_changes(&changes(vec![edge(3, 0)], vec![], vec![], vec![]));
+            assert_eq!(gi.group_count(), 2);
+            assert_eq!(gi.group(0), [AgentId(0), AgentId(1)]);
+            assert_eq!(gi.group(1), [AgentId(2), AgentId(3)]);
+        }
     }
 
     #[test]
     fn one_delta_can_spend_more_than_n_labels() {
         // Shatter a star, re-join it, shatter it again at the center and
         // bring the center back, all in one delta: more than `n` fresh
-        // labels, so the label space is compacted mid-delta.
+        // labels, so the label space is compacted mid-delta (on the
+        // per-flip path; the pass spends no labels).
         let topo = Topology::star(5);
         let spokes: Vec<Edge> = (1..5).map(|i| edge(0, i)).collect();
         let c = changes(spokes.clone(), spokes, vec![AgentId(0)], vec![AgentId(0)]);
-        let mut gi = GroupIndex::new(&topo);
-        gi.reset_all_enabled();
         let mut state = EnvState::fully_enabled(&topo);
-        gi.apply_changes(&c);
         state.apply_changes(&c);
-        assert_eq!(gi.groups(), state.groups());
-        assert_eq!(gi.group_count(), 1);
+        for mut gi in both_paths(&topo) {
+            gi.apply_changes(&c);
+            assert_eq!(gi.groups(), state.groups());
+            assert_eq!(gi.group_count(), 1);
+        }
     }
 
     #[test]
     fn agent_down_can_shatter_a_group() {
         let topo = Topology::star(5);
-        let mut gi = GroupIndex::new(&topo);
-        gi.reset_all_enabled();
-        assert_eq!(gi.group_count(), 1);
-        gi.apply_changes(&changes(vec![], vec![], vec![AgentId(0)], vec![]));
-        assert_eq!(gi.group_count(), 4, "leaves become singletons");
         let mut state = EnvState::fully_enabled(&topo);
         state.apply_changes(&changes(vec![], vec![], vec![AgentId(0)], vec![]));
-        assert_eq!(gi.groups(), state.groups());
-        gi.apply_changes(&changes(vec![], vec![], vec![], vec![AgentId(0)]));
-        assert_eq!(gi.group_count(), 1, "center restores the star");
+        for mut gi in both_paths(&topo) {
+            assert_eq!(gi.group_count(), 1);
+            gi.apply_changes(&changes(vec![], vec![], vec![AgentId(0)], vec![]));
+            assert_eq!(gi.group_count(), 4, "leaves become singletons");
+            assert_eq!(gi.groups(), state.groups());
+            gi.apply_changes(&changes(vec![], vec![], vec![], vec![AgentId(0)]));
+            assert_eq!(gi.group_count(), 1, "center restores the star");
+        }
+    }
+
+    /// One delta over `topo`: random lists of topology edges, edges
+    /// outside it and agents out of range, or (one time in eight) nothing.
+    /// Nothing is drawn against the current state, so redundant flips and
+    /// repeats are common.
+    fn arbitrary_changes(topo: &Topology, rng: &mut StdRng) -> EnvChanges {
+        let n = topo.agent_count();
+        let mut c = EnvChanges::default();
+        if rng.gen_range(0..8) == 0 {
+            return c;
+        }
+        let budget = n + topo.edge_count() + 1;
+        let any_edge = |rng: &mut StdRng| match rng.gen_range(0..6) {
+            0 => edge(n + 1, rng.gen_range(0..n + 1)),
+            1 if n > 2 => edge(0, n - 1 - rng.gen_range(0..2)),
+            _ if topo.edge_count() > 0 => topo.edges()[rng.gen_range(0..topo.edge_count())],
+            _ => edge(n, n + 2),
+        };
+        let agent = |rng: &mut StdRng| AgentId(rng.gen_range(0..n + 2));
+        for _ in 0..rng.gen_range(0..budget) {
+            match rng.gen_range(0..4) {
+                0 => c.edges_down.push(any_edge(rng)),
+                1 => c.edges_up.push(any_edge(rng)),
+                2 => c.agents_down.push(agent(rng)),
+                _ => c.agents_up.push(agent(rng)),
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn full_pass_and_per_flip_path_agree() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let topologies = [
+            Topology::empty(0),
+            Topology::empty(1),
+            Topology::empty(2),
+            Topology::line(2),
+            Topology::line(5),
+            Topology::ring(8),
+            Topology::star(7),
+            Topology::grid(3, 4),
+            Topology::complete(6),
+            Topology::random_connected_sparse(16, 3.0, &mut rng),
+        ];
+        for topo in &topologies {
+            let mut by_pass = GroupIndex::new(topo);
+            let mut by_flips = GroupIndex::new(topo);
+            by_pass.forced_pass = Some(true);
+            by_flips.forced_pass = Some(false);
+            for gi in [&mut by_pass, &mut by_flips] {
+                gi.reset_all_enabled();
+            }
+            for step in 0..400 {
+                let c = arbitrary_changes(topo, &mut rng);
+                by_pass.apply_changes(&c);
+                by_flips.apply_changes(&c);
+                let what = format!("{topo:?} step {step} after {c:?}");
+                let state = by_flips.to_env_state();
+                assert_eq!(by_pass.to_env_state(), state, "{what}");
+                assert!(by_pass.same_connectivity(&state), "{what}");
+                assert_eq!(by_pass.groups(), by_flips.groups(), "{what}");
+                assert_eq!(by_pass.groups(), state.groups(), "{what}");
+                assert_eq!(
+                    by_pass.usable_edge_count(),
+                    by_flips.usable_edge_count(),
+                    "{what}"
+                );
+                assert_eq!(
+                    by_pass.usable_edge_count(),
+                    by_pass.usable_edges().count(),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    /// Both paths over the delta streams of every builtin environment on
+    /// small rings, lines, cliques and stars, against the folded state.  On
+    /// graphs this small most churn deltas would take the pass, so this
+    /// holds the per-flip path (merges, bounded re-splits, agent churn) to
+    /// the streams that `tests/delta_equivalence.rs` feeds the default
+    /// choice.
+    #[test]
+    fn both_paths_follow_builtin_delta_streams() {
+        use crate::{
+            AdversarialEnv, ComposedEnv, CrashRestartEnv, Environment, MarkovLinkEnv,
+            PeriodicPartitionEnv, RandomChurnEnv, StaticEnv,
+        };
+        let mut seed = 0;
+        for n in 3..10 {
+            let topologies = [
+                Topology::ring(n),
+                Topology::line(n),
+                Topology::complete(n),
+                Topology::star(n),
+            ];
+            for topo in &topologies {
+                for (p, q, k) in [(0.05, 0.9, 0), (0.3, 0.5, 4), (0.7, 0.2, 7), (1.0, 1.0, 9)] {
+                    let envs: Vec<Box<dyn Environment>> = vec![
+                        Box::new(StaticEnv::new(topo.clone())),
+                        Box::new(RandomChurnEnv::new(topo.clone(), p, q)),
+                        Box::new(MarkovLinkEnv::new(topo.clone(), p, q)),
+                        Box::new(MarkovLinkEnv::new_all_down(topo.clone(), p, q)),
+                        Box::new(PeriodicPartitionEnv::new(
+                            topo.clone(),
+                            1 + k % 3,
+                            1 + k % 5,
+                        )),
+                        Box::new(CrashRestartEnv::new(topo.clone(), p, q)),
+                        Box::new(AdversarialEnv::new(topo.clone(), k % 4)),
+                        Box::new(ComposedEnv::new(
+                            RandomChurnEnv::new(topo.clone(), p, 1.0),
+                            CrashRestartEnv::new(topo.clone(), q, p),
+                        )),
+                    ];
+                    for mut env in envs {
+                        seed += 1;
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let mut indexes = both_paths(topo);
+                        let mut state = EnvState::fully_enabled(topo);
+                        for round in 0..30 {
+                            let delta = env.step_delta(&mut rng);
+                            for gi in &mut indexes {
+                                match &delta {
+                                    EnvDelta::Unchanged => {}
+                                    EnvDelta::AllEnabled => gi.reset_all_enabled(),
+                                    EnvDelta::Full(s) => gi.reset_from_state(s),
+                                    EnvDelta::Changes(c) => gi.apply_changes(c),
+                                }
+                            }
+                            match delta {
+                                EnvDelta::Unchanged => {}
+                                EnvDelta::AllEnabled => state = EnvState::fully_enabled(topo),
+                                EnvDelta::Full(s) => state = s,
+                                EnvDelta::Changes(c) => state.apply_changes(&c),
+                            }
+                            for gi in &indexes {
+                                let what = format!(
+                                    "{} on {topo:?} (seed {seed}) round {round}, pass forced: {:?}",
+                                    env.name(),
+                                    gi.forced_pass
+                                );
+                                assert_eq!(gi.groups(), state.groups(), "{what}");
+                                assert!(gi.same_connectivity(&state), "{what}");
+                                assert_eq!(gi.to_env_state(), state, "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -167,7 +167,7 @@ impl EnvState {
     /// agents form singleton groups); disabled agents appear in no group.
     /// Groups are returned sorted by their smallest member.
     ///
-    /// This full BFS is the oracle: runs read their groups from the
+    /// This full labelling is the oracle: runs read their groups from the
     /// delta-fed [`Connectivity`](crate::Connectivity), and the tests check
     /// that fold against this method.
     pub fn groups(&self) -> Vec<Vec<AgentId>> {

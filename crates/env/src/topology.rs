@@ -441,7 +441,14 @@ impl Topology {
     /// Returns `true` if the graph is connected (or has at most one agent).
     pub fn is_connected(&self) -> bool {
         match &self.edges {
-            EdgeSet::Explicit(csr) => Labels::new(csr.rows(), |_| true).count() <= 1,
+            EdgeSet::Explicit(csr) => {
+                // One component per root: an agent that is its own parent.
+                let parent = linked(self.n, csr.edges(), |_| true);
+                (parent.iter().enumerate())
+                    .filter(|&(i, &p)| p == i as u32)
+                    .count()
+                    <= 1
+            }
             // The clique spans all `n` agents (see `components`).
             EdgeSet::Complete { .. } => true,
         }
@@ -451,7 +458,7 @@ impl Topology {
     /// their smallest member.
     pub fn components(&self) -> Vec<Vec<AgentId>> {
         match &self.edges {
-            EdgeSet::Explicit(csr) => Labels::new(csr.rows(), |_| true).members(),
+            EdgeSet::Explicit(csr) => connected_components(self.n, csr.edges(), |_| true),
             // `complete(n)` is the only constructor of a symbolic clique,
             // and its clique spans all `n` agents: one component.
             EdgeSet::Complete { n: 0, .. } => Vec::new(),
@@ -484,93 +491,43 @@ fn clique_edges(n: usize) -> impl Iterator<Item = Edge> {
 }
 
 /// Computes the connected components of the subgraph of the `n`-agent graph
-/// with the sorted edges `edges`, restricted to the agents accepted by
-/// `include`.
+/// with the edges `edges`, restricted to the agents accepted by `include`.
 ///
-/// Agents excluded by `include` do not appear in any component.
-///
-/// This builds the CSR of the live (both endpoints included) edges and
-/// labels it (see [`Labels`]); [`Topology::components`] labels the
-/// topology's own CSR instead.  This is for enabled subsets.
+/// Agents excluded by `include` do not appear in any component.  Every
+/// component comes out ascending, and components are ordered by their
+/// minimum: after [`link_edges`] and [`flatten`] each agent's label is its
+/// component's minimum, which the ascending scan meets first, so it opens
+/// the component.
 pub(crate) fn connected_components(
     n: usize,
     edges: &[Edge],
     include: impl Fn(AgentId) -> bool,
 ) -> Vec<Vec<AgentId>> {
-    let live: Vec<Edge> = edges
-        .iter()
-        .filter(|e| include(e.lo()) && include(e.hi()))
-        .copied()
+    let mut comp = linked(n, edges, include);
+    // Each minimum's component size, then its component's position.
+    let mut slot = vec![0u32; n];
+    flatten(&mut comp, |root| *at_mut(&mut slot, root as usize) += 1);
+    let mut components: Vec<Vec<AgentId>> = Vec::new();
+    for (i, &label) in comp.iter().enumerate() {
+        if label == i as u32 {
+            let size = std::mem::replace(at_mut(&mut slot, i), components.len() as u32);
+            components.push(Vec::with_capacity(size as usize));
+        }
+        if label != NONE {
+            at_mut(&mut components, at(&slot, label as usize) as usize).push(AgentId(i));
+        }
+    }
+    components
+}
+
+/// The union-find parents of `n` agents linked along `edges` (see
+/// [`link_edges`]), with the agents `include` rejects excluded.
+fn linked(n: usize, edges: &[Edge], include: impl Fn(AgentId) -> bool) -> Vec<u32> {
+    let mut parent: Vec<u32> = (0..n)
+        .map(|i| if include(AgentId(i)) { i as u32 } else { NONE })
         .collect();
-    Labels::new(Csr::new(n, live).rows(), include).members()
-}
-
-/// Component labels of a flat adjacency (`xadj` row pointers over `adj`
-/// neighbour indices), restricted to the agents `include` accepts.
-///
-/// Start agents are scanned in ascending order, so label `k`'s component
-/// has the `k`-th smallest minimum member; [`Labels::members`] then emits
-/// members by one ascending pass over all agents, so every component comes
-/// out sorted and components are ordered by their minimum.
-struct Labels {
-    /// Each agent's component label, `NONE` if excluded.
-    comp: Vec<u32>,
-    /// Each label's member count.
-    sizes: Vec<u32>,
-}
-
-impl Labels {
-    const NONE: u32 = u32::MAX;
-
-    fn new((xadj, adj): (&[u32], &[u32]), include: impl Fn(AgentId) -> bool) -> Self {
-        let n = xadj.len().saturating_sub(1);
-        let mut comp = vec![Labels::NONE; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut sizes: Vec<u32> = Vec::new();
-        for i in 0..n {
-            if at(&comp, i) != Labels::NONE || !include(AgentId(i)) {
-                continue;
-            }
-            let label = sizes.len() as u32;
-            let mut size = 0u32;
-            *at_mut(&mut comp, i) = label;
-            stack.push(i as u32);
-            while let Some(a) = stack.pop() {
-                size += 1;
-                let lo = at(xadj, a as usize) as usize;
-                let hi = at(xadj, a as usize + 1) as usize;
-                for t in lo..hi {
-                    let b = at(adj, t) as usize;
-                    if at(&comp, b) == Labels::NONE {
-                        *at_mut(&mut comp, b) = label;
-                        stack.push(b as u32);
-                    }
-                }
-            }
-            sizes.push(size);
-        }
-        Labels { comp, sizes }
-    }
-
-    /// Number of components.
-    fn count(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// The components' members, each ascending, ordered by minimum.
-    fn members(self) -> Vec<Vec<AgentId>> {
-        let mut components: Vec<Vec<AgentId>> = self
-            .sizes
-            .iter()
-            .map(|&s| Vec::with_capacity(s as usize))
-            .collect();
-        for (i, &label) in self.comp.iter().enumerate() {
-            if label != Labels::NONE {
-                at_mut(&mut components, label as usize).push(AgentId(i));
-            }
-        }
-        components
-    }
+    link_edges(&mut parent, edges);
+    parent
 }
 
 /// `items` sorted ascending and deduplicated: one check pass when they
@@ -596,6 +553,66 @@ pub(crate) fn at<T: Copy>(v: &[T], i: usize) -> T {
 #[inline]
 pub(crate) fn at_mut<T>(v: &mut [T], i: usize) -> &mut T {
     v.get_mut(i).expect("flat-core index in range")
+}
+
+/// The parent of an agent excluded from a union-find pass (see
+/// [`link_edges`]), and the flat connectivity core's "no label".
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Links the components of `parent` along `edges` (union-find).
+///
+/// `parent` holds one entry per agent: `NONE` for an excluded agent, else
+/// its parent, which is never larger than the agent (seed included agents
+/// with their own index: every agent its own root).  An edge with an
+/// excluded endpoint is skipped; of two roots, the larger goes under the
+/// smaller, so every root stays its component's minimum.  Returns how many
+/// edges had both endpoints included.
+pub(crate) fn link_edges<'a>(
+    parent: &mut [u32],
+    edges: impl IntoIterator<Item = &'a Edge>,
+) -> usize {
+    let mut linked = 0;
+    for e in edges {
+        let (a, b) = (e.lo().index(), e.hi().index());
+        if at(parent, a) == NONE || at(parent, b) == NONE {
+            continue;
+        }
+        linked += 1;
+        let (ra, rb) = (root(parent, a as u32), root(parent, b as u32));
+        if ra != rb {
+            *at_mut(parent, ra.max(rb) as usize) = ra.min(rb);
+        }
+    }
+    linked
+}
+
+/// The root of `x`'s tree.  Path halving moves each visited agent up to
+/// its grandparent, which keeps every parent no larger than its child.
+fn root(parent: &mut [u32], mut x: u32) -> u32 {
+    loop {
+        let p = at(parent, x as usize);
+        let g = at(parent, p as usize);
+        if p == g {
+            return p;
+        }
+        *at_mut(parent, x as usize) = g;
+        x = g;
+    }
+}
+
+/// Points every included agent of a linked `parent` (see [`link_edges`])
+/// straight at its root, its component's minimum, and calls `each` with
+/// that root.  One ascending pass suffices: a parent is never larger than
+/// its child, so it is flattened first.
+pub(crate) fn flatten(parent: &mut [u32], mut each: impl FnMut(u32)) {
+    for i in 0..parent.len() {
+        let p = at(parent, i);
+        if p != NONE {
+            let r = at(parent, p as usize);
+            *at_mut(parent, i) = r;
+            each(r);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -114,11 +114,14 @@ proptest! {
         }
     }
 
-    /// Incremental group maintenance equals a from-scratch BFS: a
+    /// Incremental group maintenance equals a from-scratch labelling: a
     /// [`GroupIndex`] fed the delta stream of every builtin environment
     /// (merges on edge-up, bounded re-splits on edge-down, agent churn)
     /// reports exactly the groups — in exactly the ascending-min order —
-    /// that a full rescan of the folded [`EnvState`] reports.
+    /// that a full rescan of the folded [`EnvState`] reports.  On graphs
+    /// this small most churn deltas take the full pass; the unit test
+    /// `groups::tests::both_paths_follow_builtin_delta_streams` holds each
+    /// path in turn to the same kind of streams.
     #[test]
     fn group_index_equals_bfs_recompute_over_delta_streams(
         seed in 0u64..500,
@@ -148,7 +151,7 @@ proptest! {
                 let folded = folded.as_ref().expect("absolute after first delta");
                 prop_assert!(
                     index.groups() == folded.groups(),
-                    "{} group index diverged from BFS at round {} (seed {}): {:?} vs {:?}",
+                    "{} group index diverged from the full labelling at round {} (seed {}): {:?} vs {:?}",
                     name,
                     round,
                     seed,

@@ -3,8 +3,9 @@
 //! A counting global allocator (per-thread counter, so the harness's other
 //! threads cannot interfere) wraps the system allocator.  Every
 //! `apply_changes`, `reset_from_state` and `reset_all_enabled` call below
-//! must leave the counter where it found it: the index sizes all of its
-//! buffers in `GroupIndex::new`.
+//! must leave the counter where it found it, whether a delta takes the
+//! per-flip path or the full pass: the index sizes all of its buffers in
+//! `GroupIndex::new`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -139,6 +140,11 @@ fn ring_10k_split_heal_never_allocates() {
             ..EnvChanges::default()
         }));
     }
+    // Every third edge down, then up again: each delta flips a third of
+    // the edges, enough to take the full pass instead of the per-flip path.
+    let thirds: Vec<Edge> = (0..n).step_by(3).map(edge).collect();
+    deltas.push(batch(true, thirds.clone()));
+    deltas.push(batch(false, thirds));
     let mut index = GroupIndex::new(&topo);
     assert_eq!(replay(&mut index, &deltas), 0);
     assert_eq!(index.group_count(), 1);

@@ -15,7 +15,13 @@
 //! After every delta the index must report exactly the oracle's groups (in
 //! order), usable-edge count, enabled sets and connectivity.
 //!
-//! The second property drives [`Connectivity`] — the fold every runtime and
+//! The second property puts small topologies (ring, line, star, grid,
+//! clique, sparse random; 1 to 16 agents) under heavy churn: every edge and
+//! agent flips with a probability up to 1, so most deltas list at least an
+//! eighth as many flips as the graph has agents plus edges and take the
+//! index's full union-find pass instead of its per-flip path.
+//!
+//! The third property drives [`Connectivity`] — the fold every runtime and
 //! baseline reads — with streams of all four [`EnvDelta`] variants and
 //! checks each of its queries against an `EnvState` fold of the same
 //! stream.
@@ -127,6 +133,50 @@ fn random_state(topo: &Topology, keep: f64, rng: &mut StdRng) -> EnvState {
     EnvState::new(topo.agent_count(), edges, agents)
 }
 
+fn small_topology(choice: u8, n: usize, rng: &mut StdRng) -> Topology {
+    match choice % 6 {
+        0 => Topology::ring(n),
+        1 => Topology::line(n),
+        2 => Topology::star(n),
+        3 => {
+            let rows = rng.gen_range(1..=n.min(4));
+            Topology::grid(rows, n / rows)
+        }
+        4 => Topology::complete(n),
+        _ => Topology::random_connected_sparse(n, 2.5, rng),
+    }
+}
+
+/// A churn delta against `state`: each topology edge and each agent
+/// flips with probability `rate`, so the diff is well formed; one time in
+/// four the first downed edge is listed twice.
+fn churn_changes(topo: &Topology, state: &EnvState, rate: f64, rng: &mut StdRng) -> EnvChanges {
+    let mut changes = EnvChanges::default();
+    for e in topo.edges() {
+        if rng.gen_bool(rate) {
+            if state.enabled_edges().contains(e) {
+                changes.edges_down.push(*e);
+            } else {
+                changes.edges_up.push(*e);
+            }
+        }
+    }
+    for a in topo.agents() {
+        if rng.gen_bool(rate) {
+            if state.is_agent_enabled(a) {
+                changes.agents_down.push(a);
+            } else {
+                changes.agents_up.push(a);
+            }
+        }
+    }
+    if rng.gen_bool(0.25) {
+        let repeat = changes.edges_down.first().copied();
+        changes.edges_down.extend(repeat);
+    }
+    changes
+}
+
 /// One delta of any variant, drawn against the oracle's current state: the
 /// absolute ones sometimes restate the current state, so the "nothing
 /// changed" paths run too.
@@ -200,6 +250,38 @@ proptest! {
                 "same_connectivity disagreed at step {}",
                 step
             );
+        }
+    }
+
+    #[test]
+    fn group_index_matches_oracle_under_heavy_churn(
+        seed in 0u64..1_000_000,
+        choice in 0u8..6,
+        n in 1usize..=16,
+        keep in 0.0f64..=1.0,
+        rate in 0.0f64..=1.0,
+        deltas in 1usize..40,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = small_topology(choice, n, &mut rng);
+        let mut state = random_state(&topo, keep, &mut rng);
+        let mut index = GroupIndex::new(&topo);
+        index.reset_from_state(&state);
+        for step in 0..deltas {
+            let changes = churn_changes(&topo, &state, rate, &mut rng);
+            state.apply_changes(&changes);
+            index.apply_changes(&changes);
+            prop_assert!(
+                index.groups() == state.groups(),
+                "groups diverged at step {} (seed {}) after {:?}: {:?} vs {:?}",
+                step,
+                seed,
+                changes,
+                index.groups(),
+                state.groups()
+            );
+            prop_assert_eq!(index.usable_edge_count(), usable_edges(&state).len());
+            prop_assert!(index.to_env_state() == state, "to_env_state diverged at step {}", step);
         }
     }
 
