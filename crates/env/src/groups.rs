@@ -7,40 +7,38 @@
 //! holds every enabled agent grouped (groups in ascending-min order, each
 //! group ascending), and group `i` is `members[starts[i]..starts[i + 1]]`.
 //!
-//! A small delta first moves *labels* in `comp_of`, at cost proportional
-//! to the change:
+//! [`GroupIndex::apply_changes`] picks its path by what a delta does.  A
+//! delta that flips no agent and downs at most one edge takes the
+//! per-flip path, whose two operations each cost at most the smaller side
+//! of the change; they move *labels* in `comp_of`:
 //!
-//! - **edge up / agent up** merges two groups by re-labelling the smaller
-//!   one (a scan of its `members` run if no earlier change in the delta
-//!   touched it, else a BFS confined to its old label), never the merged
-//!   group;
 //! - a **lone edge down** runs a bidirectional BFS probe confined to the
 //!   affected group and, if the endpoints really separated, re-labels only
 //!   the side that exhausted first;
-//! - an **edge-down batch** or an **agent down** re-labels each affected
-//!   group over the final masks, one BFS per piece, seeded at the touched
-//!   endpoints.
+//! - each **edge up** merges two groups by re-labelling the smaller one (a
+//!   scan of its `members` run if no earlier change in the delta touched
+//!   it, else a BFS confined to its old label), never the merged group.
 //!
-//! If any label or member changed, one counting pass over the agents in
-//! ascending order then renumbers labels to positions and rebuilds
-//! `members` and `starts`; ascending-min order falls out of the scan.  A
-//! delta that moves no label (a probe that met, flips of unusable edges)
-//! rebuilds nothing.
+//! If any label changed, one counting pass over the agents in ascending
+//! order then renumbers labels to positions and rebuilds `members` and
+//! `starts`; ascending-min order falls out of the scan.  A delta that
+//! moves no label (a probe that met, flips of unusable edges) rebuilds
+//! nothing.
 //!
-//! The **full pass** relabels from the masks alone: one union-find pass
-//! over the usable edges in CSR edge order, with the parents in `comp_of`
-//! (a root is always linked under the smaller root, so every root is its
-//! component's minimum), then one ascending pass that flattens the labels
-//! and counts the sizes, then the same rebuild.  It serves
-//! [`EnvDelta::Full`](crate::EnvDelta::Full)
-//! ([`GroupIndex::reset_from_state`]), the fully enabled state, and every
-//! *large* delta: one that lists at least an eighth as many flips as the
-//! graph has agents plus edges (see [`LARGE_DELTA_FACTOR`]) sets the masks
-//! and takes the pass instead of the per-flip path.  A churning 8-agent
-//! ring (about 5 flips per round out of 16) takes the pass in every round
-//! that flips at least two of its agents and edges, which is most rounds;
-//! a split-and-heal on a million-agent ring or a churn round at n = 10⁵
-//! never does.
+//! Every other delta (two or more edge downs, or any agent flip) sets the
+//! masks and takes the **full pass**, which relabels from the masks alone:
+//! one union-find pass over the usable edges in CSR edge order, with the
+//! parents in `comp_of` (a root is always linked under the smaller root,
+//! so every root is its component's minimum), then one ascending pass that
+//! flattens the labels and counts the sizes, then the same rebuild.  Such
+//! a delta may split groups at several places, and re-labelling the pieces
+//! one flood at a time costs a whole group per piece, which on a sparse
+//! graph with a giant component is several times the pass.  The pass also
+//! serves [`EnvDelta::Full`](crate::EnvDelta::Full)
+//! ([`GroupIndex::reset_from_state`]) and the fully enabled state.  About
+//! 92% of an 8-agent ring's churn rounds and every churn round on a
+//! 10⁵-agent random graph take the pass; a million-agent ring's two-edge
+//! split takes it and its heal merges.
 //!
 //! Every buffer is sized to the agent count in [`GroupIndex::new`], so no
 //! update allocates.  Groups come out exactly as [`EnvState::groups`]
@@ -56,30 +54,6 @@ use crate::csr::Csr;
 use crate::state::same;
 use crate::topology::{at, at_mut, flatten, link_edges, NONE};
 use crate::{AgentId, Edge, EnvChanges, EnvDelta, EnvState, Topology};
-
-/// A delta is *large*, and takes the full pass instead of the per-flip
-/// path, when `LARGE_DELTA_FACTOR × flips ≥ agents + edges`, counting every
-/// entry of its four lists as a flip.
-///
-/// The factor is the measured crossover on rings, where per-flip updates
-/// are cheapest.  Each cell below gives, for a stream of churn deltas, the
-/// ratio of flips to agents plus edges between which the pass became the
-/// cheaper path (release build, 2-core shared x86-64 host; every edge and
-/// agent of a random state flips with a fixed probability per delta):
-///
-/// | graph           | n = 8       | n = 64      | n = 1 024    | n = 10⁵      |
-/// |-----------------|-------------|-------------|--------------|--------------|
-/// | ring            | 0.085–0.17  | ≈ 0.17      | 0.086–0.17   | 0.085–0.17   |
-/// | grid            | 0.090–0.18  | 0.012–0.024 | 0.0065–0.012 | ≈ 0.003      |
-/// | sparse, degree 3| 0.046–0.094 | 0.011–0.023 | < 0.003      | < 0.003      |
-///
-/// At 1/8 a ring's two paths cost about the same, so no measured graph
-/// pays more for the pass than for the flips.  Graphs with more cycles
-/// cross earlier; a lower threshold would serve them, but cheaper per-flip
-/// updates serve them better.  A million-agent ring's two-edge deltas and
-/// a churn round at n = 10⁵ (about 1.6 × 10³ flips out of 9 × 10⁵) stay
-/// far below it.
-const LARGE_DELTA_FACTOR: usize = 8;
 
 /// Incrementally maintained agent partition (see module docs).
 #[derive(Debug)]
@@ -102,8 +76,8 @@ pub struct GroupIndex {
     members: Vec<AgentId>,
     /// Group `i` is `members[starts[i]..starts[i + 1]]`.
     starts: Vec<u32>,
-    /// Label → group size.  Labels live in `0..2n`: an update starts with
-    /// at most `n` in use and creates at most `n` more before a rebuild.
+    /// Label → group size.  Labels live in `0..=n`: a delta starts with at
+    /// most `n` in use and the per-flip path creates at most one more.
     size: Vec<u32>,
     /// Label → whether the group is still exactly its `members` run (only
     /// labels untouched since the last rebuild).
@@ -111,17 +85,20 @@ pub struct GroupIndex {
     /// Label → position, used by the rebuild.
     pos_of: Vec<u32>,
     next_label: u32,
-    /// A label or a membership changed since the last rebuild.
+    /// A label changed since the last rebuild.
     stale: bool,
     /// Epoch-stamped BFS scratch.
     visited: Vec<u32>,
     epoch: u32,
     queue_a: Vec<u32>,
     queue_b: Vec<u32>,
-    /// Forces the full pass (`Some(true)`) or the per-flip path
-    /// (`Some(false)`) for every delta, so tests can compare the two.
+    /// Sends every delta to the full pass, so tests can compare the rule
+    /// against it.
     #[cfg(test)]
-    forced_pass: Option<bool>,
+    forced_pass: bool,
+    /// Full passes taken so far, so tests can pin the rule.
+    #[cfg(test)]
+    passes: usize,
 }
 
 impl GroupIndex {
@@ -145,6 +122,7 @@ impl GroupIndex {
             comp_of: vec![NONE; n],
             members: Vec::with_capacity(n),
             starts,
+            // The label arrays stay `2n`: see ROADMAP, Maintenance › Benchmark.
             size: vec![0; 2 * n],
             intact: vec![false; 2 * n],
             pos_of: vec![0; 2 * n],
@@ -155,7 +133,9 @@ impl GroupIndex {
             queue_a: Vec::with_capacity(n),
             queue_b: Vec::with_capacity(n),
             #[cfg(test)]
-            forced_pass: None,
+            forced_pass: false,
+            #[cfg(test)]
+            passes: 0,
             csr,
         }
     }
@@ -319,28 +299,25 @@ impl GroupIndex {
     /// Applies one incremental connectivity update.  Mirrors
     /// [`EnvState::apply_changes`]: downed edges/agents are removed, upped
     /// ones inserted, and redundant entries (downing a down edge, upping an
-    /// up agent) are no-ops.  A small delta maintains the partition at cost
-    /// proportional to the change; a large one sets the masks and takes the
-    /// full pass (see the module docs).
+    /// up agent) are no-ops.  A delta that flips no agent and downs at most
+    /// one edge takes the per-flip path; every other delta sets the masks
+    /// and takes the full pass (see the module docs).
     pub fn apply_changes(&mut self, changes: &EnvChanges) {
-        let flips = changes.edges_down.len()
-            + changes.edges_up.len()
-            + changes.agents_down.len()
-            + changes.agents_up.len();
-        let large = LARGE_DELTA_FACTOR * flips >= self.agent_count() + self.csr.edge_count();
+        let per_flip = changes.agents_down.is_empty()
+            && changes.agents_up.is_empty()
+            && changes.edges_down.len() <= 1;
         #[cfg(test)]
-        let large = self.forced_pass.unwrap_or(large);
-        if large {
+        let per_flip = per_flip && !self.forced_pass;
+        if per_flip {
+            self.apply_flips(changes);
+        } else {
             self.set_masks(changes);
             self.relabel_all();
-        } else {
-            self.apply_flips(changes);
         }
     }
 
-    /// Applies `changes` to the masks only, in the per-flip path's order
-    /// (edges down, edges up, agents down, agents up), so both paths end on
-    /// the same masks; the full pass recounts.
+    /// Applies `changes` to the masks only, downs before ups as
+    /// [`EnvState::apply_changes`] does; the full pass recounts.
     fn set_masks(&mut self, changes: &EnvChanges) {
         for (edges, on) in [(&changes.edges_down, false), (&changes.edges_up, true)] {
             for e in edges {
@@ -358,30 +335,18 @@ impl GroupIndex {
         }
     }
 
-    /// The per-flip path of [`Self::apply_changes`].
+    /// The per-flip path of [`Self::apply_changes`]: the probe for a lone
+    /// downed edge, then a merge per upped edge.
     fn apply_flips(&mut self, changes: &EnvChanges) {
-        // A lone downed edge gets the bounded bidirectional probe; a batch
-        // is resolved against the final masks with one re-label per affected
-        // group, so k edges leaving one group cost one sweep, not k.
-        match changes.edges_down.as_slice() {
-            [] => {}
-            [e] => {
-                if let Some((a, b)) = self.flip_edge(e, false) {
-                    self.probe_split(a, b);
-                }
+        if let [e] = changes.edges_down.as_slice() {
+            if let Some((a, b)) = self.flip_edge(e, false) {
+                self.probe_split(a, b);
             }
-            batch => self.edges_down_batch(batch),
         }
         for e in &changes.edges_up {
             if let Some((a, b)) = self.flip_edge(e, true) {
                 self.merge(a, b);
             }
-        }
-        for a in &changes.agents_down {
-            self.agent_down(*a);
-        }
-        for a in &changes.agents_up {
-            self.agent_up(*a);
         }
         if self.stale {
             self.rebuild();
@@ -407,79 +372,6 @@ impl GroupIndex {
             self.usable_edge_count -= usize::from(usable);
         }
         usable.then_some((a as u32, b as u32))
-    }
-
-    /// Batched edge-downs: flips every mask first, then re-labels each
-    /// piece of every affected group once against the final masks.  Every
-    /// piece touches a downed usable edge, so seeding one BFS at each
-    /// not-yet-relabelled endpoint covers them all without paying one
-    /// bidirectional probe per edge.
-    fn edges_down_batch(&mut self, edges: &[Edge]) {
-        let (seed, _) = self.fresh_epochs();
-        for e in edges {
-            if let Some((a, b)) = self.flip_edge(e, false) {
-                *at_mut(&mut self.visited, a as usize) = seed;
-                *at_mut(&mut self.visited, b as usize) = seed;
-            }
-        }
-        self.make_label_room();
-        // Labels below `first` are pre-batch; a seed still holding one has
-        // not been swept into an earlier piece.
-        let first = self.next_label;
-        for x in edges.iter().flat_map(|e| [e.lo().index(), e.hi().index()]) {
-            if self.visited.get(x) == Some(&seed) && at(&self.comp_of, x) < first {
-                self.split_off(x as u32);
-            }
-        }
-    }
-
-    fn agent_up(&mut self, a: AgentId) {
-        let i = a.index();
-        if i >= self.agent_enabled.len() || at(&self.agent_enabled, i) {
-            return;
-        }
-        self.make_label_room();
-        *at_mut(&mut self.agent_enabled, i) = true;
-        self.enabled_agent_count += 1;
-        // New singleton group for `a`, then a merge across every usable
-        // incident edge.
-        let label = self.fresh_label();
-        *at_mut(&mut self.comp_of, i) = label;
-        *at_mut(&mut self.size, label as usize) = 1;
-        self.stale = true;
-        let csr = Arc::clone(&self.csr);
-        for (nbr, eid) in csr.neighbors(i) {
-            if at(&self.edge_enabled, eid as usize) && at(&self.agent_enabled, nbr as usize) {
-                self.usable_edge_count += 1;
-                self.merge(i as u32, nbr);
-            }
-        }
-    }
-
-    fn agent_down(&mut self, a: AgentId) {
-        let i = a.index();
-        if i >= self.agent_enabled.len() || !at(&self.agent_enabled, i) {
-            return;
-        }
-        *at_mut(&mut self.agent_enabled, i) = false;
-        self.enabled_agent_count -= 1;
-        let label = at(&self.comp_of, i);
-        *at_mut(&mut self.comp_of, i) = NONE;
-        *at_mut(&mut self.size, label as usize) -= 1;
-        self.stale = true;
-        // Every piece of the rest of the group holds a usable neighbour of
-        // `a`; each gets a fresh label, so `label` dies.
-        self.make_label_room();
-        let first = self.next_label;
-        let csr = Arc::clone(&self.csr);
-        for (nbr, eid) in csr.neighbors(i) {
-            if at(&self.edge_enabled, eid as usize) && at(&self.agent_enabled, nbr as usize) {
-                self.usable_edge_count -= 1;
-                if at(&self.comp_of, nbr as usize) < first {
-                    self.split_off(nbr);
-                }
-            }
-        }
     }
 
     /// Merges the groups of agents `a` and `b` (no-op if already one) by
@@ -508,21 +400,9 @@ impl GroupIndex {
         self.stale = true;
     }
 
-    /// Gives the piece of `seed`'s group reachable over the current masks a
-    /// fresh label.
-    fn split_off(&mut self, seed: u32) {
-        let from = at(&self.comp_of, seed as usize);
-        let to = self.fresh_label();
-        let moved = self.flood(seed, from, to);
-        *at_mut(&mut self.size, to as usize) = moved;
-        *at_mut(&mut self.intact, from as usize) = false;
-        self.stale = true;
-    }
-
     /// Re-labels `from` → `to` on every agent reachable from `seed` over
-    /// usable edges through agents labelled `from`, and returns how many it
-    /// re-labelled.
-    fn flood(&mut self, seed: u32, from: u32, to: u32) -> u32 {
+    /// usable edges through agents labelled `from`.
+    fn flood(&mut self, seed: u32, from: u32, to: u32) {
         *at_mut(&mut self.comp_of, seed as usize) = to;
         self.queue_a.clear();
         self.queue_a.push(seed);
@@ -540,7 +420,6 @@ impl GroupIndex {
                 }
             }
         }
-        self.queue_a.len() as u32
     }
 
     /// After disabling the usable edge `(a, b)`: decides connectivity with a
@@ -573,9 +452,10 @@ impl GroupIndex {
             }
         };
         if let Some(side) = exhausted {
-            self.make_label_room();
             let from = at(&self.comp_of, a as usize);
-            let to = self.fresh_label();
+            let to = self.next_label;
+            self.next_label += 1;
+            *at_mut(&mut self.intact, to as usize) = false;
             for &x in side {
                 *at_mut(&mut self.comp_of, x as usize) = to;
             }
@@ -617,6 +497,10 @@ impl GroupIndex {
     /// label to its group's minimum while counting `size`, then rebuilds.
     /// The enabled and usable counts are recounted on the way.
     fn relabel_all(&mut self) {
+        #[cfg(test)]
+        {
+            self.passes += 1;
+        }
         let mut agents = 0;
         for (i, (parent, &on)) in self.comp_of.iter_mut().zip(&self.agent_enabled).enumerate() {
             *parent = if on { i as u32 } else { NONE };
@@ -690,21 +574,6 @@ impl GroupIndex {
         }
         self.next_label = groups as u32;
         self.stale = false;
-    }
-
-    /// Rebuilds early if fewer than `n` labels are left, so the next
-    /// operation (which creates at most `n`) stays inside `0..2n`.
-    fn make_label_room(&mut self) {
-        if self.next_label as usize > self.agent_count() {
-            self.rebuild();
-        }
-    }
-
-    fn fresh_label(&mut self) -> u32 {
-        let label = self.next_label;
-        *at_mut(&mut self.intact, label as usize) = false;
-        self.next_label += 1;
-        label
     }
 
     /// Two epochs no `visited` entry holds yet.
@@ -910,13 +779,13 @@ mod tests {
         Edge::new(AgentId(a), AgentId(b))
     }
 
-    /// Two fully enabled indexes over `topo`, the first held to the
-    /// per-flip path and the second to the full pass: on graphs this small
-    /// most deltas would take the pass, so each targeted test runs on both.
+    /// Two fully enabled indexes over `topo`, the first following the rule
+    /// of `apply_changes` and the second sending every delta to the full
+    /// pass, so each targeted test holds the rule to the pass.
     fn both_paths(topo: &Topology) -> [GroupIndex; 2] {
         [false, true].map(|pass| {
             let mut gi = GroupIndex::new(topo);
-            gi.forced_pass = Some(pass);
+            gi.forced_pass = pass;
             gi.reset_all_enabled();
             gi
         })
@@ -944,7 +813,7 @@ mod tests {
             assert_eq!(gi.groups(), state.groups());
             assert_eq!(gi.usable_edge_count(), 6);
             for (i, c) in steps.iter().enumerate() {
-                let what = format!("step {i}, pass forced: {:?}", gi.forced_pass);
+                let what = format!("step {i}, pass forced: {}", gi.forced_pass);
                 state.apply_changes(c);
                 gi.apply_changes(c);
                 assert_eq!(gi.groups(), state.groups(), "{what}");
@@ -991,21 +860,56 @@ mod tests {
     }
 
     #[test]
-    fn one_delta_can_spend_more_than_n_labels() {
+    fn splits_and_agent_flips_take_the_pass() {
+        // Each delta on a ring of 6, from fully enabled, and whether it
+        // takes the full pass.
+        let ring = Topology::ring(6);
+        let steps = [
+            // Two edges down: {1, 2, 3} and {4, 5, 0}.
+            (
+                changes(vec![edge(0, 1), edge(3, 4)], vec![], vec![], vec![]),
+                true,
+            ),
+            // A lone edge down plus an edge up: the probe cuts 1 off, the
+            // merge joins it to {4, 5, 0}.
+            (
+                changes(vec![edge(1, 2)], vec![edge(0, 1)], vec![], vec![]),
+                false,
+            ),
+            (changes(vec![], vec![], vec![AgentId(2)], vec![]), true),
+            // Edges up only: 3 joins the rest.
+            (changes(vec![], vec![edge(3, 4)], vec![], vec![]), false),
+            (changes(vec![], vec![], vec![], vec![AgentId(2)]), true),
+            // An agent flip among edge flips.
+            (
+                changes(vec![edge(5, 0)], vec![edge(1, 2)], vec![AgentId(4)], vec![]),
+                true,
+            ),
+        ];
+        let mut gi = GroupIndex::new(&ring);
+        gi.reset_all_enabled();
+        let mut state = EnvState::fully_enabled(&ring);
+        for (i, (c, pass)) in steps.iter().enumerate() {
+            let before = gi.passes;
+            state.apply_changes(c);
+            gi.apply_changes(c);
+            assert_eq!(gi.passes - before, usize::from(*pass), "step {i}");
+            assert_eq!(gi.groups(), state.groups(), "step {i}");
+        }
         // Shatter a star, re-join it, shatter it again at the center and
-        // bring the center back, all in one delta: more than `n` fresh
-        // labels, so the label space is compacted mid-delta (on the
-        // per-flip path; the pass spends no labels).
-        let topo = Topology::star(5);
+        // bring the center back, all in one delta.
+        let star = Topology::star(5);
         let spokes: Vec<Edge> = (1..5).map(|i| edge(0, i)).collect();
         let c = changes(spokes.clone(), spokes, vec![AgentId(0)], vec![AgentId(0)]);
-        let mut state = EnvState::fully_enabled(&topo);
+        let mut state = EnvState::fully_enabled(&star);
         state.apply_changes(&c);
-        for mut gi in both_paths(&topo) {
-            gi.apply_changes(&c);
-            assert_eq!(gi.groups(), state.groups());
-            assert_eq!(gi.group_count(), 1);
-        }
+        let mut gi = GroupIndex::new(&star);
+        gi.reset_all_enabled();
+        let before = gi.passes;
+        gi.apply_changes(&c);
+        assert_eq!(gi.passes - before, 1);
+        assert_eq!(gi.groups(), state.groups());
+        assert_eq!(gi.group_count(), 1);
     }
 
     #[test]
@@ -1052,6 +956,8 @@ mod tests {
         c
     }
 
+    /// The rule of `apply_changes` against the full pass alone, over
+    /// arbitrary deltas.
     #[test]
     fn full_pass_and_per_flip_path_agree() {
         let mut rng = StdRng::seed_from_u64(33);
@@ -1068,26 +974,20 @@ mod tests {
             Topology::random_connected_sparse(16, 3.0, &mut rng),
         ];
         for topo in &topologies {
-            let mut by_pass = GroupIndex::new(topo);
-            let mut by_flips = GroupIndex::new(topo);
-            by_pass.forced_pass = Some(true);
-            by_flips.forced_pass = Some(false);
-            for gi in [&mut by_pass, &mut by_flips] {
-                gi.reset_all_enabled();
-            }
+            let [mut by_rule, mut by_pass] = both_paths(topo);
             for step in 0..400 {
                 let c = arbitrary_changes(topo, &mut rng);
                 by_pass.apply_changes(&c);
-                by_flips.apply_changes(&c);
+                by_rule.apply_changes(&c);
                 let what = format!("{topo:?} step {step} after {c:?}");
-                let state = by_flips.to_env_state();
+                let state = by_rule.to_env_state();
                 assert_eq!(by_pass.to_env_state(), state, "{what}");
                 assert!(by_pass.same_connectivity(&state), "{what}");
-                assert_eq!(by_pass.groups(), by_flips.groups(), "{what}");
+                assert_eq!(by_pass.groups(), by_rule.groups(), "{what}");
                 assert_eq!(by_pass.groups(), state.groups(), "{what}");
                 assert_eq!(
                     by_pass.usable_edge_count(),
-                    by_flips.usable_edge_count(),
+                    by_rule.usable_edge_count(),
                     "{what}"
                 );
                 assert_eq!(
@@ -1099,12 +999,10 @@ mod tests {
         }
     }
 
-    /// Both paths over the delta streams of every builtin environment on
-    /// small rings, lines, cliques and stars, against the folded state.  On
-    /// graphs this small most churn deltas would take the pass, so this
-    /// holds the per-flip path (merges, bounded re-splits, agent churn) to
-    /// the streams that `tests/delta_equivalence.rs` feeds the default
-    /// choice.
+    /// The rule and the full pass over the delta streams of every builtin
+    /// environment on small rings, lines, cliques and stars, against the
+    /// folded state: the streams that `tests/delta_equivalence.rs` feeds
+    /// the default index, with the pass alone as a second opinion.
     #[test]
     fn both_paths_follow_builtin_delta_streams() {
         use crate::{
@@ -1161,7 +1059,7 @@ mod tests {
                             }
                             for gi in &indexes {
                                 let what = format!(
-                                    "{} on {topo:?} (seed {seed}) round {round}, pass forced: {:?}",
+                                    "{} on {topo:?} (seed {seed}) round {round}, pass forced: {}",
                                     env.name(),
                                     gi.forced_pass
                                 );

@@ -3,9 +3,11 @@
 //! A counting global allocator (per-thread counter, so the harness's other
 //! threads cannot interfere) wraps the system allocator.  Every
 //! `apply_changes`, `reset_from_state` and `reset_all_enabled` call below
-//! must leave the counter where it found it, whether a delta takes the
-//! per-flip path or the full pass: the index sizes all of its buffers in
-//! `GroupIndex::new`.
+//! must leave the counter where it found it, on either path of
+//! `apply_changes`: a delta that flips no agent and downs at most one edge
+//! takes the per-flip path (the probe for a lone edge down, a merge per
+//! edge up), and every other delta takes the full union-find pass.  The
+//! index sizes all of its buffers in `GroupIndex::new`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,20 +69,18 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Replays `deltas` into `index`, returning the allocations made inside
-/// the index.
-fn replay(index: &mut GroupIndex, deltas: &[EnvDelta]) -> u64 {
-    deltas
-        .iter()
-        .map(|delta| {
-            allocations_in(|| match delta {
-                EnvDelta::Unchanged => {}
-                EnvDelta::AllEnabled => index.reset_all_enabled(),
-                EnvDelta::Full(state) => index.reset_from_state(state),
-                EnvDelta::Changes(changes) => index.apply_changes(changes),
-            })
-        })
-        .sum()
+/// Replays `deltas` into `index`, asserting that no delta allocates
+/// inside the index.
+fn replay(index: &mut GroupIndex, deltas: &[EnvDelta]) {
+    for (i, delta) in deltas.iter().enumerate() {
+        let allocations = allocations_in(|| match delta {
+            EnvDelta::Unchanged => {}
+            EnvDelta::AllEnabled => index.reset_all_enabled(),
+            EnvDelta::Full(state) => index.reset_from_state(state),
+            EnvDelta::Changes(changes) => index.apply_changes(changes),
+        });
+        assert_eq!(allocations, 0, "delta {i}: {delta:?}");
+    }
 }
 
 #[test]
@@ -100,7 +100,7 @@ fn churn_ring_8_stream_never_allocates() {
         "the stream must be mostly incremental: {changes}"
     );
     let mut index = GroupIndex::new(&topo);
-    assert_eq!(replay(&mut index, &deltas), 0);
+    replay(&mut index, &deltas);
 }
 
 #[test]
@@ -124,13 +124,22 @@ fn ring_10k_split_heal_never_allocates() {
     };
     let mut deltas = vec![EnvDelta::AllEnabled];
     for k in 0..200 {
-        // Batched split and heal of the two halves, then a lone cut (the
-        // probe path) and its repair, then an agent leaving and rejoining.
-        let a = AgentId((k * 7) % n);
+        // A two-edge split of the two halves (the pass) and its heal (two
+        // merges).
         deltas.push(batch(true, cross.clone()));
         deltas.push(batch(false, cross.clone()));
-        deltas.push(batch(true, vec![edge(k % n)]));
-        deltas.push(batch(false, vec![edge(k % n)]));
+        // A lone cut (the probe); a second cut that splits off one agent
+        // plus the first cut's repair, which merges it back; ups only.
+        let (cut, next) = (edge(k % n), edge((k + 1) % n));
+        deltas.push(batch(true, vec![cut]));
+        deltas.push(EnvDelta::Changes(EnvChanges {
+            edges_down: vec![next],
+            edges_up: vec![cut],
+            ..EnvChanges::default()
+        }));
+        deltas.push(batch(false, vec![next]));
+        // An agent leaving and rejoining (the pass, both times).
+        let a = AgentId((k * 7) % n);
         deltas.push(EnvDelta::Changes(EnvChanges {
             agents_down: vec![a],
             ..EnvChanges::default()
@@ -140,12 +149,11 @@ fn ring_10k_split_heal_never_allocates() {
             ..EnvChanges::default()
         }));
     }
-    // Every third edge down, then up again: each delta flips a third of
-    // the edges, enough to take the full pass instead of the per-flip path.
+    // Every third edge down (the pass), then up again (merges).
     let thirds: Vec<Edge> = (0..n).step_by(3).map(edge).collect();
     deltas.push(batch(true, thirds.clone()));
     deltas.push(batch(false, thirds));
     let mut index = GroupIndex::new(&topo);
-    assert_eq!(replay(&mut index, &deltas), 0);
+    replay(&mut index, &deltas);
     assert_eq!(index.group_count(), 1);
 }

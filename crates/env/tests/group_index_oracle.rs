@@ -17,9 +17,9 @@
 //!
 //! The second property puts small topologies (ring, line, star, grid,
 //! clique, sparse random; 1 to 16 agents) under heavy churn: every edge and
-//! agent flips with a probability up to 1, so most deltas list at least an
-//! eighth as many flips as the graph has agents plus edges and take the
-//! index's full union-find pass instead of its per-flip path.
+//! agent flips with a probability up to 1, so most deltas down several
+//! edges or flip an agent and take the index's full union-find pass; the
+//! rest (at most one edge down, no agent flipped) take its per-flip path.
 //!
 //! The third property drives [`Connectivity`] — the fold every runtime and
 //! baseline reads — with streams of all four [`EnvDelta`] variants and
