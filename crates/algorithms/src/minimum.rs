@@ -14,7 +14,12 @@
 //!   current value (the paper's "any value between their current value and
 //!   the minimum of the group").  Both rules are written once, in place
 //!   ([`GroupStep::step_in_place`]), so the engine steps a contiguous group
-//!   without copying it.
+//!   without copying it.  Both write only inside the group's value range
+//!   `min..=max`, found in the same pass as the minimum: when that range
+//!   holds no more values than the group has members, the step opens a
+//!   value window over it ([`GroupStates::open_window`]) and each move is
+//!   counted into the window's slot for its value in O(1), not by a search
+//!   of the step's multiset delta.
 //! * `Q`: `Q_E` for any connected graph `E`.
 
 use rand::Rng;
@@ -50,9 +55,9 @@ impl GroupStep<State> for AdoptMinStep {
     }
 
     fn step_in_place(&self, group: &mut GroupStates<'_, State>, _rng: &mut dyn rand::RngCore) {
-        let m = group_min(group);
+        let m = group_min_with_window(group);
         for k in 0..group.len() {
-            group.set(k, m);
+            group.set_windowed(k, m);
         }
     }
 
@@ -76,13 +81,13 @@ impl GroupStep<State> for PartialDescentStep {
     }
 
     fn step_in_place(&self, group: &mut GroupStates<'_, State>, rng: &mut dyn rand::RngCore) {
-        let m = group_min(group);
+        let m = group_min_with_window(group);
         let mut first_above = None;
         for k in 0..group.len() {
             match group.as_slice().get(k) {
                 Some(&x) if x > m => {
                     first_above.get_or_insert((k, x));
-                    group.set(k, rng.gen_range(m..=x));
+                    group.set_windowed(k, rng.gen_range(m..=x));
                 }
                 _ => {}
             }
@@ -91,7 +96,7 @@ impl GroupStep<State> for PartialDescentStep {
         // random draws all stayed put but some member is above the
         // minimum, pull the first of them down by one.
         if let (false, Some((k, x))) = (group.moved(), first_above) {
-            group.set(k, x - 1);
+            group.set_windowed(k, x - 1);
         }
     }
 
@@ -100,9 +105,19 @@ impl GroupStep<State> for PartialDescentStep {
     }
 }
 
-/// The minimum of a group's states (0 for an empty group).
-fn group_min(group: &GroupStates<'_, State>) -> State {
-    group.as_slice().iter().copied().min().unwrap_or(0)
+/// The minimum of a group's states (0 for an empty group), after opening
+/// a value window over the group's range `min..=max`, which holds every
+/// value a minimum step writes or overwrites.
+fn group_min_with_window(group: &mut GroupStates<'_, State>) -> State {
+    let Some(&first) = group.as_slice().first() else {
+        return 0;
+    };
+    let (min, max) = group
+        .as_slice()
+        .iter()
+        .fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+    group.open_window(min, max);
+    min
 }
 
 /// `step` for a step whose rule lives in `step_in_place`: runs it on a

@@ -11,6 +11,14 @@ use selfsim_multiset::SignedCounts;
 /// without the change being accounted for: after the step,
 /// [`delta`](Self::delta) is `multiset(after) − multiset(before)` and
 /// [`moved`](Self::moved) says whether any member's state changed.
+///
+/// An integer step whose writes all lie in a range it knows can ask for a
+/// value window over that range first
+/// ([`open_window`](Self::open_window)) and write through
+/// [`set_windowed`](Self::set_windowed), which counts a value
+/// inside the window into its slot of the delta directly instead of
+/// searching the delta for it.  The delta, and so every caller's view of
+/// the step, is the same either way.
 pub struct GroupStates<'a, S: Ord> {
     states: &'a mut [S],
     delta: &'a mut SignedCounts<S>,
@@ -72,6 +80,35 @@ impl<'a, S: Ord + Clone> GroupStates<'a, S> {
     /// `+1` per value written, `-1` per value overwritten.
     pub fn delta(&self) -> &SignedCounts<S> {
         self.delta
+    }
+}
+
+impl GroupStates<'_, i64> {
+    /// Opens a value window over `lo..=hi` in the delta if no member has
+    /// moved yet and the range holds at most as many values as the
+    /// group has members, so that filling and folding the window cost no
+    /// more than one pass over the members.  Returns whether it opened.
+    pub fn open_window(&mut self, lo: i64, hi: i64) -> bool {
+        self.delta.open_window(lo, hi, self.states.len())
+    }
+
+    /// [`set`](Self::set), counting a value inside the open window into
+    /// its slot of the delta directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not a member index (`k >= self.len()`).
+    #[inline]
+    pub fn set_windowed(&mut self, k: usize, value: i64) {
+        let slot = self
+            .states
+            .get_mut(k)
+            .expect("GroupStates::set_windowed: member index out of range");
+        if *slot != value {
+            self.delta.add_windowed(std::mem::replace(slot, value), -1);
+            self.delta.add_windowed(value, 1);
+            self.moved = true;
+        }
     }
 }
 

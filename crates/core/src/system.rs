@@ -14,7 +14,9 @@ use crate::{DistributedFunction, GroupStates, GroupStep, ObjectiveFunction, Rela
 /// A simulator allocates one of these per run and threads it through every
 /// group step; the buffers grow to the largest group seen and are then
 /// reused, so the steady-state step loop performs no allocation for the
-/// change-detection bookkeeping.
+/// change-detection bookkeeping.  A value window that a step opens over
+/// the delta ([`GroupStates::open_window`]) holds at most one entry per
+/// member, so the delta's buffer still grows only with the largest group.
 #[derive(Default)]
 pub struct StepScratch<S: Ord> {
     before: Vec<S>,
@@ -239,7 +241,8 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
     /// Panics if the group step returns a different number of states than
     /// the group has members, or if a group member index is out of range.
     /// Debug builds also panic on a group of three or more members that is
-    /// not in ascending order.
+    /// not in ascending order, and on a `global` that holds fewer copies of
+    /// a value than the step overwrote.
     pub fn apply_group_step_with(
         &self,
         state: &mut SystemState<S>,
@@ -293,7 +296,12 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
                 if c > 0 {
                     ms.insert_n(v.clone(), c as usize);
                 } else {
-                    ms.remove_n(v, c.unsigned_abs());
+                    let removed = ms.remove_n(v, c.unsigned_abs());
+                    debug_assert_eq!(
+                        removed,
+                        c.unsigned_abs(),
+                        "`global` held fewer {v:?} than the group it was stepped from"
+                    );
                 }
             }
         }
@@ -519,6 +527,24 @@ mod tests {
             &mut rng(),
             &mut StepScratch::new(),
             None,
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "held fewer")]
+    fn global_that_drifted_from_state_is_rejected() {
+        // `global` says {3, 5, 7, 9} but agent 1 holds 6: stepping the
+        // pair {6, 3} overwrites a 6 that `global` does not have.
+        let sys = min_system(vec![9, 6, 3, 7]);
+        let mut state = sys.initial_state().clone();
+        let mut global: Multiset<i64> = [9, 5, 3, 7].into();
+        sys.apply_group_step_with(
+            &mut state,
+            &[AgentId(1), AgentId(2)],
+            &mut rng(),
+            &mut StepScratch::new(),
+            Some(&mut global),
         );
     }
 

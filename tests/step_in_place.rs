@@ -94,9 +94,14 @@ fn points(coords: &[(i64, i64)]) -> Vec<Point> {
 }
 
 proptest! {
+    /// Groups of up to 24 members over up to 24 consecutive values, so
+    /// both groups whose range holds no more values than members (the
+    /// `minimum` steps open a value window) and groups whose range holds
+    /// more (they do not) occur, with negative and positive values.
     #[test]
     fn integer_steps_in_place_match_step(
-        values in vec(0i64..6, 1..9),
+        values in (-1_000i64..1_000, 1i64..25, vec(0i64..24, 1..25))
+            .prop_map(|(lo, width, raw)| raw.iter().map(|r| lo + r % width).collect::<Vec<_>>()),
         seed in 0u64..1_000_000,
     ) {
         let steps: Vec<Box<dyn GroupStep<i64>>> = vec![
