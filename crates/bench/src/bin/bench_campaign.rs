@@ -15,6 +15,11 @@
 //! records accumulating in memory again) or dropping below the throughput
 //! floor fails the process, and with it the CI job.
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "a bench binary: its summary and gate verdicts on stdio are its contract"
+)]
+
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;

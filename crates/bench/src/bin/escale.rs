@@ -17,6 +17,11 @@
 //! million-agent cells materialising dense state again) fails the
 //! process, and with it the CI job.
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "a bench binary: its summary and gate verdicts on stdio are its contract"
+)]
+
 use std::process::ExitCode;
 
 use selfsim_bench::escale::{cell_from_child, format_cell, CellResult, EscaleTopology};

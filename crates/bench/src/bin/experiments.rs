@@ -16,6 +16,11 @@
 //! cargo run --release -p selfsim-bench --bin experiments
 //! ```
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "the experiments binary prints its result tables; it writes no records"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfsim_algorithms::{convex_hull, second_smallest, sum};

@@ -1,7 +1,11 @@
 //! What the `escale` and `bench_campaign` binaries share: flag reading,
 //! best-of-3 timing, an ordered JSON writer and the regression-gate check.
 
-// detlint::allow-file(stray-print, reason = "the bench binaries' usage text and error lines are printed here, once for both; no record bytes pass through this module")
+#![expect(
+    clippy::disallowed_macros,
+    reason = "the bench binaries' usage text and error lines are printed here, once for both; \
+              no record bytes pass through this module"
+)]
 
 use std::fmt::{Display, Write as _};
 use std::process::ExitCode;

@@ -550,7 +550,7 @@ mod tests {
             }));
         }
         assert_eq!(registry.len(), 15);
-        let algorithm = registry.resolve("4-smallest").unwrap();
+        let algorithm = registry.resolve("4-smallest").expect("registered above");
         let mut rng = StdRng::seed_from_u64(21);
         let topology = Topology::ring(6);
         let mut env: Box<dyn Environment> = Box::new(StaticEnv::new(topology.clone()));
@@ -601,7 +601,7 @@ mod tests {
     fn counterexample_converges_without_fragmentation_and_diverges_with_it() {
         let algorithm = Registry::builtin()
             .resolve("circumscribing-circle")
-            .unwrap();
+            .expect("a builtin algorithm");
         assert_eq!(
             algorithm.expectation(),
             Expectation::DivergeUnderFragmentation
@@ -640,7 +640,7 @@ mod tests {
     #[test]
     fn baselines_run_in_both_modes() {
         for label in ["snapshot", "flooding"] {
-            let algorithm = Registry::builtin().resolve(label).unwrap();
+            let algorithm = Registry::builtin().resolve(label).expect("a builtin label");
             for mode in ExecutionMode::both() {
                 let mut rng = StdRng::seed_from_u64(9);
                 let topology = Topology::complete(5);

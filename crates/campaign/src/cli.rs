@@ -39,7 +39,12 @@
 //! exact.  Records stream to `--out` as trials finish (memory stays
 //! `O(threads)`); per-scenario summaries aggregate incrementally.
 
-// detlint::allow-file(stray-print, reason = "this module IS the CLI surface: usage, progress, summaries and errors on stdio are its contract; record bytes still flow only through the sink")
+#![expect(
+    clippy::disallowed_macros,
+    reason = "this module is the CLI surface: usage, progress, summaries and errors on stdio \
+              are its contract; record bytes still flow only through the sink"
+)]
+
 use std::io::{BufReader, Write};
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -520,11 +520,10 @@ impl EnvFactory for PartitionEnvFactory {
         self.blocks > 1
     }
     fn build(&self, topology: Topology) -> Box<dyn Environment> {
-        Box::new(PeriodicPartitionEnv::new(
-            topology,
-            self.blocks,
-            self.period,
-        ))
+        Box::new(
+            PeriodicPartitionEnv::validated(topology, self.blocks, self.period)
+                .expect("`instantiate` takes only positive `b` and `t`"),
+        )
     }
     fn instantiate(&self, mut params: Params) -> Result<EnvRef, String> {
         let blocks = params.take_positive("b")?.unwrap_or(self.blocks);
@@ -804,18 +803,20 @@ mod tests {
     #[test]
     fn parameterised_labels_resolve_to_the_named_cell() {
         let envs = EnvRegistry::builtin();
-        let cell = envs.resolve("churn(e=0.3,a=0.8)").unwrap();
+        let cell = envs
+            .resolve("churn(e=0.3,a=0.8)")
+            .expect("valid churn label");
         assert_eq!(cell.label(), "churn(e=0.3,a=0.8)");
         assert!(cell.can_fragment());
         // Parameters can switch fragmentation off entirely.
-        let benign = envs.resolve("churn(e=1,a=1)").unwrap();
+        let benign = envs.resolve("churn(e=1,a=1)").expect("valid churn label");
         assert!(!benign.can_fragment());
         // Omitted parameters keep the registered defaults.
-        let partial = envs.resolve("churn(e=0.3)").unwrap();
+        let partial = envs.resolve("churn(e=0.3)").expect("valid churn label");
         assert_eq!(partial.label(), "churn(e=0.3,a=0.9)");
         let topo = TopologyRegistry::builtin()
             .resolve("random(p=0.15)")
-            .unwrap();
+            .expect("valid random-topology label");
         assert_eq!(topo.label(), "random(p=0.15)");
     }
 
@@ -928,7 +929,7 @@ mod tests {
         let mut registry = EnvRegistry::builtin();
         registry.register(EnvRef::new(Blinker { period: 2 }));
         assert_eq!(registry.len(), 8);
-        let cell = registry.resolve("blinker(t=5)").unwrap();
+        let cell = registry.resolve("blinker(t=5)").expect("registered above");
         assert_eq!(cell.label(), "blinker(t=5)");
         let mut env = cell.build(Topology::ring(4));
         let mut rng = StdRng::seed_from_u64(3);

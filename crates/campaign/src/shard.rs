@@ -336,7 +336,9 @@ mod tests {
 
     #[test]
     fn stride_ownership_partitions_positions() {
-        let shards: Vec<ShardSpec> = (0..3).map(|i| ShardSpec::new(i, 3).unwrap()).collect();
+        let shards: Vec<ShardSpec> = (0..3)
+            .map(|i| ShardSpec::new(i, 3).expect("index below count"))
+            .collect();
         for position in 0..20u64 {
             let owners = shards.iter().filter(|s| s.owns(position)).count();
             assert_eq!(owners, 1, "position {position}");
@@ -352,9 +354,12 @@ mod tests {
 
     #[test]
     fn parse_round_trips_and_rejects_malformed_specs() {
-        let spec = ShardSpec::parse("2/5").unwrap();
+        let spec = ShardSpec::parse("2/5").expect("valid shard label");
         assert_eq!((spec.index(), spec.count()), (2, 5));
-        assert_eq!(ShardSpec::parse(&spec.label()).unwrap(), spec);
+        assert_eq!(
+            ShardSpec::parse(&spec.label()).expect("a label round-trips"),
+            spec
+        );
 
         for bad in ["3/3", "0/0", "a/b", "", "1", "1/", "/4", "-1/4", "1/2/3"] {
             let err = ShardSpec::parse(bad).unwrap_err();
@@ -390,7 +395,7 @@ mod tests {
             out.extend_from_slice(line);
             Ok(())
         })
-        .unwrap();
+        .expect("in-order shards merge");
         assert_eq!(merged, 7);
         assert_eq!(out, b"a\nb\nc\nd\ne\nf\ng\n");
     }
@@ -403,7 +408,7 @@ mod tests {
             out.extend_from_slice(line);
             Ok(())
         })
-        .unwrap();
+        .expect("in-order shards merge");
         assert_eq!(out, b"a\nb\nc\n");
     }
 
@@ -447,7 +452,7 @@ mod tests {
             out.extend_from_slice(line);
             Ok(())
         })
-        .unwrap();
+        .expect("in-order shards merge");
         assert_eq!(merged, 5);
         let expected = [
             block(0, 3),
@@ -457,7 +462,10 @@ mod tests {
             block(4, 1),
         ]
         .concat();
-        assert_eq!(String::from_utf8(out).unwrap(), expected);
+        assert_eq!(
+            String::from_utf8(out).expect("merged traces are UTF-8"),
+            expected
+        );
     }
 
     #[test]

@@ -208,9 +208,12 @@ where
 
 /// Checks idempotence `f(f(X)) = f(X)` on every sample multiset; returns the
 /// first counterexample if one exists.
-// the Err tuple IS the counterexample the proof-obligation callers pattern-
-// match on; boxing or naming it would bury the diagnostic payload
-#[allow(clippy::type_complexity, clippy::result_large_err)]
+#[allow(
+    clippy::type_complexity,
+    clippy::result_large_err,
+    reason = "the Err tuple is the counterexample the proof-obligation callers pattern-match \
+              on; boxing or naming it would bury the diagnostic payload"
+)]
 pub fn check_idempotent<S: Ord + Clone>(
     f: &impl DistributedFunction<S>,
     samples: &[Multiset<S>],
@@ -275,9 +278,12 @@ pub fn check_super_idempotent_single_element<S: Ord + Clone>(
 /// The theorem of §3.4 says this holds exactly for super-idempotent `f`, and
 /// the test-suite uses this function to confirm both directions on the
 /// paper's examples.
-// the Err tuple IS the counterexample the proof-obligation callers pattern-
-// match on; boxing or naming it would bury the diagnostic payload
-#[allow(clippy::type_complexity, clippy::result_large_err)]
+#[allow(
+    clippy::type_complexity,
+    clippy::result_large_err,
+    reason = "the Err tuple is the counterexample the proof-obligation callers pattern-match \
+              on; boxing or naming it would bury the diagnostic payload"
+)]
 pub fn check_local_conservation_implies_global<S: Ord + Clone>(
     f: &impl DistributedFunction<S>,
     samples: &[Multiset<S>],

@@ -50,7 +50,6 @@
 
 mod function;
 mod objective;
-mod partition;
 pub mod proof;
 mod relation;
 mod step;
@@ -62,7 +61,6 @@ pub use function::{
 pub use objective::{
     check_local_to_global_improvement, FnObjective, ObjectiveFunction, SummationObjective, EPSILON,
 };
-pub use partition::{all_partitions, bell_number, random_partition, split_in_two};
 pub use relation::RelationD;
 pub use step::{FnGroupStep, GroupStates, GroupStep, IdentityStep};
 pub use system::{SelfSimilarSystem, StepOutcome, StepScratch, SystemState};

@@ -151,9 +151,12 @@ where
 ///
 /// Returns the first violating quadruple, if any.  Figure 1 of the paper is
 /// exactly such a violation for the "out-of-order pairs" objective.
-// the Err tuple IS the counterexample the proof-obligation callers pattern-
-// match on; boxing or naming it would bury the diagnostic payload
-#[allow(clippy::type_complexity, clippy::result_large_err)]
+#[allow(
+    clippy::type_complexity,
+    clippy::result_large_err,
+    reason = "the Err tuple is the counterexample the proof-obligation callers pattern-match \
+              on; boxing or naming it would bury the diagnostic payload"
+)]
 pub fn check_local_to_global_improvement<S: Ord + Clone>(
     f: &impl DistributedFunction<S>,
     h: &impl ObjectiveFunction<S>,

@@ -95,8 +95,10 @@ mod tests {
     use super::*;
     use crate::{ConsensusFunction, SummationObjective};
 
-    // spelling the full generic relation type out is the point of this helper
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "spelling the full generic relation type out is the point of this helper"
+    )]
     fn min_relation() -> RelationD<
         ConsensusFunction<i64, impl Fn(&Multiset<i64>) -> i64>,
         SummationObjective<i64, impl Fn(&i64) -> f64>,
@@ -133,7 +135,9 @@ mod tests {
         let before: Multiset<i64> = [3, 5].into();
         let after: Multiset<i64> = [4, 4].into(); // min changed from 3 to 4
         assert!(!d.relates(&before, &after));
-        let why = d.explain_violation(&before, &after).unwrap();
+        let why = d
+            .explain_violation(&before, &after)
+            .expect("the step is rejected");
         assert!(why.contains("conserve"));
     }
 
@@ -143,7 +147,9 @@ mod tests {
         let before: Multiset<i64> = [3, 5].into();
         let after: Multiset<i64> = [3, 6].into(); // conserves min, increases sum
         assert!(!d.relates(&before, &after));
-        let why = d.explain_violation(&before, &after).unwrap();
+        let why = d
+            .explain_violation(&before, &after)
+            .expect("the step is rejected");
         assert!(why.contains("strictly decrease"));
     }
 

@@ -9,6 +9,11 @@
 //! window open (the group's values span fewer values than it has members)
 //! and closed (they span more, so every write searches the delta).
 
+#![allow(
+    unsafe_code,
+    reason = "a counting `GlobalAlloc` must implement the unsafe trait; each method forwards to `System`"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;

@@ -48,16 +48,6 @@ pub fn sanctioned_site() -> u64 {
     rand::random::<u64>()
 }
 
-// an allow with a same-line justification is not bare
-#[allow(dead_code)] // fixture: exercised only by the lint's test suite
-pub fn justified_allow() {}
-
-pub fn expect_not_unwrap(v: Option<u32>) -> u32 {
-    // `.expect` is sanctioned; `.unwrap` only counts against the budget
-    // in workspace mode (this fixture is linted in file mode).
-    v.expect("fixture value is always Some")
-}
-
 pub fn derived_rng(seed: u64) -> rand::rngs::StdRng {
     // seed-provenance: a seed-bearing parameter is the sanctioned chain,
     // even mixed through a local.
@@ -67,13 +57,8 @@ pub fn derived_rng(seed: u64) -> rand::rngs::StdRng {
 
 #[cfg(test)]
 mod tests {
-    // println! in a #[cfg(test)] mod is not a stray print, a fixed seed
-    // is exactly what a test wants, and test-mod indexing is not
-    // panic surface.
-    pub fn print_in_tests() {
-        println!("test-scoped output is sanctioned");
-    }
-
+    // A fixed seed is exactly what a test wants, and test-mod indexing
+    // is not panic surface.
     pub fn seeded_in_tests() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(7)
     }

@@ -7,9 +7,10 @@
 //! `tests/detlint.rs` can pin the exact `--format json` report.
 //! After editing, re-bless with `selfsim-detlint --bless`.
 //!
-//! The wall-clock and `HashMap`/`HashSet` bans are clippy's
-//! (`clippy.toml`); `clippy_bans.rs` next to this file is their negative
-//! self-test.
+//! The wall-clock, `HashMap`/`HashSet`, print-family and `.unwrap()`
+//! bans are clippy's (`clippy.toml`), as are reasonless `#[allow]`s and
+//! `unsafe` code (CI's clippy flags); `clippy_bans.rs` next to this file
+//! is their negative self-test.
 
 pub fn ambient_rng() -> u64 {
     let mut rng = rand::thread_rng(); // ambient-rng
@@ -23,17 +24,6 @@ pub fn sanctioned_ambient_rng() -> u64 {
 
 pub fn addr_as_key(values: &[u64]) -> usize {
     values.as_ptr() as usize // addr-as-key
-}
-
-pub fn stray_print(values: &[u32]) {
-    println!("inserted {} entries", values.len()); // stray-print
-    print!("no newline"); // stray-print (print!)
-    eprint!("stderr fragment"); // stray-print (eprint!)
-    eprintln!("stderr line"); // stray-print (eprintln!)
-}
-
-pub fn unfinished() {
-    todo!() // stray-print: unfinished code panics at runtime
 }
 
 pub fn literal_seed() -> u64 {
@@ -53,10 +43,7 @@ pub fn panic_surface(v: &[u64], i: usize) -> u64 {
     }
 }
 
-#[allow(dead_code)]
-pub fn bare_allow() {} // the attribute above has no justification comment
-
 // detlint::allow(ambient-rng)
-// detlint::allow(stray-print, reason = "")
+// detlint::allow(addr-as-key, reason = "")
 // detlint::allow(not-a-rule, reason = "unknown rules are rejected")
 pub fn invalid_pragmas() {}

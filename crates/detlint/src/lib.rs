@@ -9,9 +9,8 @@
 //! cause them* before any trial executes:
 //!
 //! * [`rules`] — the catalogue: `ambient-rng`, `addr-as-key`,
-//!   `stray-print`, `forbid-unsafe-header`, `bare-allow`,
-//!   `unwrap-ratchet`, `invalid-pragma`, `seed-provenance`,
-//!   `panic-ratchet` (see the table in the module docs);
+//!   `invalid-pragma`, `seed-provenance`, `panic-ratchet` (see the table
+//!   in the module docs);
 //! * [`lexer`] — the hand-rolled, comment/string/raw-string-aware token
 //!   scanner the rules match over (resolution-free: there is no `syn` in
 //!   `vendor/`, and none is needed);
@@ -21,16 +20,18 @@
 //! * [`pragma`] — in-place exemptions:
 //!   `// detlint::allow(rule, reason = "…")` with a *required* non-empty
 //!   reason (`detlint::allow-file` for whole-file sanctions);
-//! * [`config`] — the committed `detlint.toml`: per-crate `.unwrap()`
-//!   and panic-surface budgets that may only go down;
+//! * [`config`] — the committed `detlint.toml`: per-crate panic-surface
+//!   budgets that may only go down;
 //! * [`workspace`] — the `--workspace` walker and explicit-file driver;
 //! * [`report`] — byte-stable human and `--format json` reports.
 //!
 //! The binary exits `0` on a clean tree, `1` on findings, `2` on usage
 //! or I/O errors — CI runs it as the `static-analysis` job.  Each
-//! determinism rule has one enforcer: the wall-clock and hash-collection
-//! bans belong to the workspace `clippy.toml`, which resolves names, and
-//! this lint keeps the checks clippy cannot make.
+//! determinism rule has one enforcer: the bans that need name resolution
+//! (the wall clock, hash collections, stray prints and `todo!`,
+//! `.unwrap()`) belong to the workspace `clippy.toml`, CI's clippy run
+//! denies reasonless `#[allow]`s and `unsafe` code, and this lint keeps
+//! the checks clippy cannot make.
 
 #![forbid(unsafe_code)]
 
@@ -44,6 +45,6 @@ pub mod workspace;
 
 pub use config::Config;
 pub use parser::ItemTree;
-pub use report::{Finding, Report, UnwrapTally};
+pub use report::{Finding, Report, Tally};
 pub use rules::{check_file, FileContext, Rule};
 pub use workspace::{lint_files, lint_named_sources, lint_workspace};

@@ -8,6 +8,11 @@
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage/configuration error.
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "a CLI: its report, usage and errors on stdio are its contract"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -24,7 +29,7 @@ USAGE:
 
 OPTIONS:
     --workspace        lint the workspace (root src/ + every crates/*/src/),
-                       applying detlint.toml scoping and the unwrap/panic budgets
+                       applying detlint.toml's panic budgets
     --root DIR         workspace root (default: current directory)
     --format FMT       `human` (default) or `json`
     --bless            re-lint fixtures/violations.rs and rewrite the golden

@@ -21,7 +21,7 @@
 //!
 //! ```text
 //! // detlint::allow(seed-provenance, reason = "…")
-//! #[allow(unused_mut)] // the shuffle below may be compiled out
+//! #[allow(unused_mut, reason = "the shuffle below may be compiled out")]
 //! let mut rng = StdRng::seed_from_u64(0x5e1f_51a1);
 //! ```
 //!
@@ -165,11 +165,11 @@ mod tests {
     #[test]
     fn file_wide_variant_parses() {
         let (pragmas, errors) = parse_pragmas(&comment(
-            "// detlint::allow-file(stray-print, reason = \"this is the CLI surface\")",
+            "// detlint::allow-file(seed-provenance, reason = \"every seed here is a fixed demo seed\")",
         ));
         assert!(errors.is_empty());
         assert!(pragmas[0].file_wide);
-        assert_eq!(pragmas[0].rule, Rule::StrayPrint);
+        assert_eq!(pragmas[0].rule, Rule::SeedProvenance);
     }
 
     #[test]

@@ -15,16 +15,16 @@ use crate::rules::Rule;
 pub struct Finding {
     pub rule: Rule,
     pub file: String,
-    /// 1-based; 0 for crate-level findings (e.g. `unwrap-ratchet`).
+    /// 1-based; 0 for crate-level findings (e.g. `panic-ratchet`).
     pub line: u32,
     pub col: u32,
     pub message: String,
 }
 
-/// A crate's tally against a committed budget (`.unwrap()` sites for
-/// `unwrap-ratchet`, panic-surface sites for `panic-ratchet`).
+/// A crate's panic-surface sites against its committed `panic-ratchet`
+/// budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnwrapTally {
+pub struct Tally {
     pub count: u64,
     /// `None`: no budget entry for this crate.
     pub budget: Option<u64>,
@@ -35,12 +35,10 @@ pub struct UnwrapTally {
 pub struct Report {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
-    /// Per-crate tallies — empty in explicit-file mode, where crate
-    /// attribution (and thus the ratchet) doesn't apply.
-    pub unwrap_tallies: BTreeMap<String, UnwrapTally>,
     /// Per-crate `panic!`/`unreachable!`/`[idx]` tallies against
-    /// `[panic_budget]` — empty in explicit-file mode.
-    pub panic_tallies: BTreeMap<String, UnwrapTally>,
+    /// `[panic_budget]` — empty in explicit-file mode, where crate
+    /// attribution (and thus the budget) doesn't apply.
+    pub panic_tallies: BTreeMap<String, Tally>,
     /// Non-failing observations (e.g. ratchet headroom).
     pub notes: Vec<String>,
 }
@@ -76,22 +74,16 @@ impl Report {
                 );
             }
         }
-        for (title, tallies) in [
-            ("unwrap budgets:", &self.unwrap_tallies),
-            ("panic budgets:", &self.panic_tallies),
-        ] {
-            if tallies.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "{title}");
-            for (krate, tally) in tallies {
-                match tally.budget {
-                    Some(budget) => {
-                        let _ = writeln!(out, "  {krate}: {}/{budget}", tally.count);
-                    }
-                    None => {
-                        let _ = writeln!(out, "  {krate}: {} (no budget)", tally.count);
-                    }
+        if !self.panic_tallies.is_empty() {
+            let _ = writeln!(out, "panic budgets:");
+        }
+        for (krate, tally) in &self.panic_tallies {
+            match tally.budget {
+                Some(budget) => {
+                    let _ = writeln!(out, "  {krate}: {}/{budget}", tally.count);
+                }
+                None => {
+                    let _ = writeln!(out, "  {krate}: {} (no budget)", tally.count);
                 }
             }
         }
@@ -127,23 +119,18 @@ impl Report {
             );
         }
         let _ = write!(out, "],\"files_scanned\":{}", self.files_scanned);
-        for (key, tallies) in [
-            ("unwrap_budgets", &self.unwrap_tallies),
-            ("panic_budgets", &self.panic_tallies),
-        ] {
-            let _ = write!(out, ",\"{key}\":{{");
-            for (i, (krate, tally)) in tallies.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:{{\"count\":{}", json_string(krate), tally.count);
-                if let Some(budget) = tally.budget {
-                    let _ = write!(out, ",\"budget\":{budget}");
-                }
-                out.push('}');
+        out.push_str(",\"panic_budgets\":{");
+        for (i, (krate, tally)) in self.panic_tallies.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{}:{{\"count\":{}", json_string(krate), tally.count);
+            if let Some(budget) = tally.budget {
+                let _ = write!(out, ",\"budget\":{budget}");
             }
             out.push('}');
         }
+        out.push('}');
         out.push_str(",\"notes\":[");
         for (i, note) in self.notes.iter().enumerate() {
             if i > 0 {
@@ -193,7 +180,7 @@ mod tests {
         };
         report.findings = vec![
             f("b.rs", 1, Rule::AddrAsKey),
-            f("a.rs", 9, Rule::StrayPrint),
+            f("a.rs", 9, Rule::SeedProvenance),
             f("a.rs", 2, Rule::AmbientRng),
         ];
         report.sort();
@@ -214,7 +201,7 @@ mod tests {
     fn crate_level_findings_render_without_spans() {
         let mut report = Report::default();
         report.findings.push(Finding {
-            rule: Rule::UnwrapRatchet,
+            rule: Rule::PanicRatchet,
             file: "crates/campaign".to_string(),
             line: 0,
             col: 0,
@@ -222,7 +209,7 @@ mod tests {
         });
         report.files_scanned = 1;
         let human = report.render_human();
-        assert!(human.contains("crates/campaign: unwrap-ratchet: over budget"));
+        assert!(human.contains("crates/campaign: panic-ratchet: over budget"));
         assert!(!human.contains(":0:0:"));
     }
 }

@@ -9,24 +9,22 @@
 //! |------|-----------------|---------------------------|
 //! | `ambient-rng` | `thread_rng`, `from_entropy`, `rand::random`, `OsRng`, `getrandom` | all randomness must derive from per-trial seeds, never ambient entropy |
 //! | `addr-as-key` | pointer-to-`usize` casts (`as *const _ as usize`, `.as_ptr() as usize`) | addresses change per run; ordering or keying by them leaks ASLR into output |
-//! | `stray-print` | `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` in library code | the sink and `ProgressThrottle` are the only sanctioned outputs; stray prints interleave nondeterministically under threads |
-//! | `forbid-unsafe-header` | a crate root without `#![forbid(unsafe_code)]` | `unsafe` is where data races (and thus nondeterminism) enter |
-//! | `bare-allow` | `#[allow(…)]` with no justification comment | every suppressed diagnostic needs a reviewable reason |
-//! | `unwrap-ratchet` | per-crate `.unwrap()` counts above the committed budget | budgets in `detlint.toml` may only go down; new code uses `.expect("…")` |
 //! | `invalid-pragma` | malformed `detlint::allow` pragmas | an exemption with no reason is a silent hole in the contract |
 //! | `seed-provenance` | `seed_from_u64`/`from_seed` fed a literal in library code | a hard-coded seed silently decouples an RNG from the per-trial seed chain |
 //! | `panic-ratchet` | per-crate `panic!`/`unreachable!`/`[idx]` counts above the committed budget | a panic in a worker thread kills determinism *and* the trial |
 //!
-//! `seed-provenance`, `panic-ratchet` and `stray-print`'s test-mod
-//! exemption ride the [`crate::parser`] item tree; the rest are
-//! token-sequence patterns.
+//! `seed-provenance` and `panic-ratchet` ride the [`crate::parser`] item
+//! tree; the rest are token-sequence patterns.
 //!
-//! The wall-clock and hash-collection bans are not here: the workspace
-//! `clippy.toml` owns them (`disallowed-methods` for `Instant::now` /
-//! `SystemTime::now`, `disallowed-types` for `HashMap` / `HashSet`), and
-//! clippy resolves names where this lint only matches tokens.
+//! The bans that need name resolution are not here: the workspace
+//! `clippy.toml` owns the wall clock (`Instant::now`, `SystemTime::now`),
+//! hash collections (`HashMap`, `HashSet`), stray output (`println!` and
+//! its family, `dbg!`, `todo!`) and `.unwrap()`, and CI's clippy run
+//! denies `#[allow]`s without a reason and `unsafe` code.  Clippy resolves
+//! names where this lint only matches tokens, so a `use … as` alias cannot
+//! slip past it.
 
-use crate::lexer::{lex, Comment, Tok};
+use crate::lexer::{lex, Tok};
 use crate::parser::ItemTree;
 use crate::pragma::{parse_pragmas, Pragma};
 use crate::report::Finding;
@@ -37,10 +35,6 @@ use crate::report::Finding;
 pub enum Rule {
     AmbientRng,
     AddrAsKey,
-    StrayPrint,
-    ForbidUnsafeHeader,
-    BareAllow,
-    UnwrapRatchet,
     InvalidPragma,
     SeedProvenance,
     PanicRatchet,
@@ -48,13 +42,9 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in catalogue order.
-    pub const ALL: [Rule; 9] = [
+    pub const ALL: [Rule; 5] = [
         Rule::AmbientRng,
         Rule::AddrAsKey,
-        Rule::StrayPrint,
-        Rule::ForbidUnsafeHeader,
-        Rule::BareAllow,
-        Rule::UnwrapRatchet,
         Rule::InvalidPragma,
         Rule::SeedProvenance,
         Rule::PanicRatchet,
@@ -65,10 +55,6 @@ impl Rule {
         match self {
             Rule::AmbientRng => "ambient-rng",
             Rule::AddrAsKey => "addr-as-key",
-            Rule::StrayPrint => "stray-print",
-            Rule::ForbidUnsafeHeader => "forbid-unsafe-header",
-            Rule::BareAllow => "bare-allow",
-            Rule::UnwrapRatchet => "unwrap-ratchet",
             Rule::InvalidPragma => "invalid-pragma",
             Rule::SeedProvenance => "seed-provenance",
             Rule::PanicRatchet => "panic-ratchet",
@@ -87,10 +73,6 @@ impl Rule {
                 "ambient entropy (`thread_rng`, `from_entropy`, `rand::random`, `OsRng`)"
             }
             Rule::AddrAsKey => "pointer-to-`usize` cast usable as an ordering key",
-            Rule::StrayPrint => "`println!`-family output from library code",
-            Rule::ForbidUnsafeHeader => "crate root missing `#![forbid(unsafe_code)]`",
-            Rule::BareAllow => "`#[allow(…)]` without a justification comment",
-            Rule::UnwrapRatchet => ".unwrap() count above the crate's committed budget",
             Rule::InvalidPragma => "malformed `detlint::allow` pragma",
             Rule::SeedProvenance => "RNG seeded from a literal instead of the per-trial seed chain",
             Rule::PanicRatchet => {
@@ -103,23 +85,19 @@ impl Rule {
 /// Where a file sits in the workspace — determines which rules apply.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileContext {
-    /// The crate root (`src/lib.rs`): must carry `#![forbid(unsafe_code)]`.
-    pub is_lib_rs: bool,
-    /// `src/main.rs` or `src/bin/**`: a binary entry point, where
-    /// `stray-print` does not apply (stdout/stderr are its contract).
+    /// `src/main.rs`, `src/bin/**` or an example: a binary entry point,
+    /// which owns its exits and may fix a demo seed.
     pub is_binary_root: bool,
-    /// An integration-test or example file (root `tests/`, `examples/`):
-    /// prints are its own business, and the panic/seed rules don't bind.
+    /// An integration-test file (root `tests/`): the panic and seed rules
+    /// don't bind.
     pub is_test_code: bool,
 }
 
-/// Everything one file contributes: findings plus its `.unwrap()` and
-/// panic-surface counts (folded per crate by the workspace driver for
-/// the two ratchets).
+/// Everything one file contributes: findings plus its panic-surface
+/// count (folded per crate by the workspace driver for the ratchet).
 #[derive(Debug, Default)]
 pub struct FileReport {
     pub findings: Vec<Finding>,
-    pub unwrap_count: u64,
     pub panic_count: u64,
 }
 
@@ -144,19 +122,7 @@ pub fn check_file(file: &str, src: &str, ctx: &FileContext) -> FileReport {
     let mut raw = Vec::new();
     scan_ambient_rng(file, toks, &mut raw);
     scan_addr_as_key(file, toks, &mut raw);
-    scan_stray_print(file, toks, &tree, ctx, &mut raw);
-    scan_bare_allow(file, toks, &lexed.comments, &mut raw);
     scan_seed_provenance(file, toks, &tree, ctx, &mut raw);
-    if ctx.is_lib_rs && !has_forbid_unsafe_header(toks) {
-        raw.push(Finding {
-            rule: Rule::ForbidUnsafeHeader,
-            file: file.to_string(),
-            line: 1,
-            col: 1,
-            message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-        });
-    }
-    report.unwrap_count = count_unwraps(toks);
     report.panic_count = count_panic_surface(toks, &tree, ctx);
 
     // Pragma suppression: exact (rule, reach) matches only.
@@ -259,51 +225,6 @@ fn scan_addr_as_key(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
                     .to_string(),
             });
         }
-    }
-}
-
-/// `println!`-family macros (and the `todo!` placeholder, which prints
-/// its way into a panic) outside binary roots and `#[cfg(test)]` mods.
-fn scan_stray_print(
-    file: &str,
-    toks: &[Tok],
-    tree: &ItemTree,
-    ctx: &FileContext,
-    out: &mut Vec<Finding>,
-) {
-    if ctx.is_binary_root || ctx.is_test_code {
-        return;
-    }
-    for i in 0..toks.len() {
-        let Some(name @ ("println" | "eprintln" | "print" | "eprint" | "dbg" | "todo")) =
-            ident_at(toks, i)
-        else {
-            continue;
-        };
-        if !punct_at(toks, i + 1, '!') {
-            continue;
-        }
-        let line = toks[i].line;
-        if tree.line_in_test(line) {
-            continue;
-        }
-        let message = if name == "todo" {
-            "`todo!` in library code — unfinished code panics at runtime; finish it or \
-             return an error"
-                .to_string()
-        } else {
-            format!(
-                "`{name}!` in library code — the record sink and `ProgressThrottle` are the \
-                 only sanctioned outputs"
-            )
-        };
-        out.push(Finding {
-            rule: Rule::StrayPrint,
-            file: file.to_string(),
-            line,
-            col: toks[i].col,
-            message,
-        });
     }
 }
 
@@ -480,71 +401,6 @@ fn count_panic_surface(toks: &[Tok], tree: &ItemTree, ctx: &FileContext) -> u64 
     count
 }
 
-/// `#[allow(…)]` / `#![allow(…)]` without a justification: a non-doc
-/// comment on the same line or ending on the line directly above.
-fn scan_bare_allow(file: &str, toks: &[Tok], comments: &[Comment], out: &mut Vec<Finding>) {
-    for i in 0..toks.len() {
-        if !punct_at(toks, i, '#') {
-            continue;
-        }
-        let j = if punct_at(toks, i + 1, '!') {
-            i + 2
-        } else {
-            i + 1
-        };
-        if !punct_at(toks, j, '[') || ident_at(toks, j + 1) != Some("allow") {
-            continue;
-        }
-        let line = toks[i].line;
-        let justified = comments.iter().any(|c| {
-            !c.doc
-                && (c.line == line || c.end_line + 1 == line)
-                && !c
-                    .text
-                    .trim_start_matches(['/', '*', ' ', '\t'])
-                    .trim()
-                    .is_empty()
-        });
-        if !justified {
-            out.push(Finding {
-                rule: Rule::BareAllow,
-                file: file.to_string(),
-                line,
-                col: toks[i].col,
-                message: "`#[allow(…)]` without a justification — add a `// why` comment on the \
-                          same line or the line above"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// `#![forbid(unsafe_code)]` anywhere in the token stream (it must be a
-/// crate-root inner attribute to compile, so presence is enough).
-fn has_forbid_unsafe_header(toks: &[Tok]) -> bool {
-    (0..toks.len()).any(|i| {
-        punct_at(toks, i, '#')
-            && punct_at(toks, i + 1, '!')
-            && punct_at(toks, i + 2, '[')
-            && ident_at(toks, i + 3) == Some("forbid")
-            && punct_at(toks, i + 4, '(')
-            && ident_at(toks, i + 5) == Some("unsafe_code")
-    })
-}
-
-/// Counts `.unwrap()` call sites (test modules included — the ratchet
-/// covers the whole crate).
-fn count_unwraps(toks: &[Tok]) -> u64 {
-    (0..toks.len())
-        .filter(|&i| {
-            punct_at(toks, i, '.')
-                && ident_at(toks, i + 1) == Some("unwrap")
-                && punct_at(toks, i + 2, '(')
-                && punct_at(toks, i + 3, ')')
-        })
-        .count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,7 +417,7 @@ mod tests {
     fn pragma_reaches_past_attributes() {
         let src = "fn f() {\n\
                    // detlint::allow(seed-provenance, reason = \"seed-independent output\")\n\
-                   #[allow(unused_mut)] // the shuffle may be compiled out\n\
+                   #[allow(unused_mut, reason = \"the shuffle may be compiled out\")]\n\
                    let mut rng = StdRng::seed_from_u64(7);\n\
                    }\n";
         assert!(findings(src, &FileContext::default()).is_empty());
@@ -605,71 +461,6 @@ mod tests {
         );
         // An innocent integer cast is not a pointer key.
         assert!(findings("fn f(n: u32) -> usize { n as usize }\n", &scoped).is_empty());
-    }
-
-    #[test]
-    fn stray_print_skips_tests_and_binary_roots() {
-        let src = "fn f() { println!(\"x\"); }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                   fn t() { println!(\"fine in tests\"); }\n\
-                   }\n";
-        assert_eq!(
-            findings(src, &FileContext::default()),
-            [(Rule::StrayPrint, 1)]
-        );
-        let binary = FileContext {
-            is_binary_root: true,
-            ..FileContext::default()
-        };
-        assert!(findings(src, &binary).is_empty());
-    }
-
-    #[test]
-    fn forbid_unsafe_header_only_on_lib_roots() {
-        let ctx = FileContext {
-            is_lib_rs: true,
-            ..FileContext::default()
-        };
-        assert_eq!(
-            findings("pub fn f() {}\n", &ctx),
-            [(Rule::ForbidUnsafeHeader, 1)]
-        );
-        assert!(findings("#![forbid(unsafe_code)]\npub fn f() {}\n", &ctx).is_empty());
-        assert!(findings("pub fn f() {}\n", &FileContext::default()).is_empty());
-    }
-
-    #[test]
-    fn bare_allow_accepts_same_line_or_line_above() {
-        let ctx = FileContext::default();
-        assert_eq!(
-            findings("#[allow(dead_code)]\nfn f() {}\n", &ctx),
-            [(Rule::BareAllow, 1)]
-        );
-        assert!(findings(
-            "#[allow(dead_code)] // scaffolding for PR 8\nfn f() {}\n",
-            &ctx
-        )
-        .is_empty());
-        assert!(findings(
-            "// the builder keeps this arity\n#[allow(dead_code)]\nfn f() {}\n",
-            &ctx
-        )
-        .is_empty());
-        // A doc comment is documentation, not a justification.
-        assert_eq!(
-            findings("/// docs\n#[allow(dead_code)]\nfn f() {}\n", &ctx),
-            [(Rule::BareAllow, 2)]
-        );
-    }
-
-    #[test]
-    fn todo_is_a_stray_print() {
-        let src = "fn f() { todo!() }\n";
-        assert_eq!(
-            findings(src, &FileContext::default()),
-            [(Rule::StrayPrint, 1)]
-        );
     }
 
     #[test]
@@ -747,15 +538,5 @@ mod tests {
             check_file("t.rs", src, &FileContext::default()).panic_count,
             2
         );
-    }
-
-    #[test]
-    fn unwrap_counting_is_token_exact() {
-        let report = check_file(
-            "t.rs",
-            "fn f() { a.unwrap(); /* .unwrap() */ let s = \".unwrap()\"; b.unwrap ( ) ; }\n",
-            &FileContext::default(),
-        );
-        assert_eq!(report.unwrap_count, 2);
     }
 }

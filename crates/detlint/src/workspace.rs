@@ -2,8 +2,8 @@
 //!
 //! `--workspace` walks the root package's `src/` plus every
 //! `crates/*/src/` tree (sorted, so reports are byte-stable) and folds
-//! `.unwrap()` and panic-surface counts per crate into the two ratchets,
-//! against the budgets in `detlint.toml`.  Explicit-file mode lints the
+//! panic-surface counts per crate into the ratchet, against the budgets
+//! in `detlint.toml`.  Explicit-file mode lints the
 //! arguments with every file rule and no crate attribution — that is
 //! what the CI negative self-test runs over the committed violation
 //! fixture, and what the CI `examples/`/`tests/` sweep uses.
@@ -11,8 +11,8 @@
 //! Scope notes: crate-local `tests/`, `examples/`, `benches/` and
 //! `vendor/` are not walked — the contract binds the *library and
 //! binary* code that produces record bytes.  `src/main.rs` and
-//! `src/bin/**` are scanned, but `stray-print` and `panic-ratchet` do
-//! not apply there (a binary owns its stdio and its exits).  In
+//! `src/bin/**` are scanned, but `seed-provenance` and `panic-ratchet`
+//! do not apply there (a binary owns its demo seeds and its exits).  In
 //! explicit-file mode, paths under `examples/` count as binary roots and
 //! paths under `tests/` as test code.
 
@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::config::Config;
-use crate::report::{Finding, Report, UnwrapTally};
+use crate::report::{Finding, Report, Tally};
 use crate::rules::{check_file, FileContext, Rule};
 
 /// Lints the whole workspace rooted at `root` (the directory holding
@@ -36,7 +36,6 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     };
 
     let mut report = Report::default();
-    let mut unwrap_counts: BTreeMap<String, u64> = BTreeMap::new();
     let mut panic_counts: BTreeMap<String, u64> = BTreeMap::new();
 
     for (krate, src_dir) in discover_crates(root)? {
@@ -44,37 +43,23 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
         collect_rs_files(&src_dir, &mut files)
             .map_err(|e| format!("walking {}: {e}", src_dir.display()))?;
         files.sort();
-        let unwraps = unwrap_counts.entry(krate.clone()).or_insert(0);
         let panics = panic_counts.entry(krate.clone()).or_insert(0);
         for path in files {
             let src = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
             let label = rel_label(root, &path);
             let ctx = FileContext {
-                is_lib_rs: path == src_dir.join("lib.rs"),
                 is_binary_root: is_binary_root(&src_dir, &path),
                 is_test_code: false,
             };
             let file_report = check_file(&label, &src, &ctx);
             report.findings.extend(file_report.findings);
-            *unwraps += file_report.unwrap_count;
             *panics += file_report.panic_count;
             report.files_scanned += 1;
         }
     }
 
-    ratchet(
-        &config.unwrap_budget,
-        &unwrap_counts,
-        RatchetKind::Unwrap,
-        &mut report,
-    );
-    ratchet(
-        &config.panic_budget,
-        &panic_counts,
-        RatchetKind::Panic,
-        &mut report,
-    );
+    ratchet(&config.panic_budget, &panic_counts, &mut report);
     report.sort();
     Ok(report)
 }
@@ -128,11 +113,10 @@ pub fn lint_named_sources(sources: &[(String, String)]) -> Report {
 }
 
 /// How explicit-file mode classifies a path: `examples/` are binaries
-/// (they own their stdio), `tests/` are test code (prints, fixed seeds
-/// and panics are their own business).
+/// (they own their demo seeds and exits), `tests/` are test code (fixed
+/// seeds and panics are their own business).
 fn context_for_label(name: &str) -> FileContext {
     FileContext {
-        is_lib_rs: name.ends_with("src/lib.rs"),
         is_binary_root: name.ends_with("src/main.rs")
             || name.contains("/bin/")
             || name.starts_with("examples/")
@@ -141,59 +125,15 @@ fn context_for_label(name: &str) -> FileContext {
     }
 }
 
-/// Which budget a [`ratchet`] pass enforces.
-#[derive(Clone, Copy)]
-enum RatchetKind {
-    Unwrap,
-    Panic,
-}
-
-impl RatchetKind {
-    fn rule(self) -> Rule {
-        match self {
-            RatchetKind::Unwrap => Rule::UnwrapRatchet,
-            RatchetKind::Panic => Rule::PanicRatchet,
-        }
-    }
-
-    fn what(self) -> &'static str {
-        match self {
-            RatchetKind::Unwrap => "`.unwrap()` calls",
-            RatchetKind::Panic => "panic-surface sites (`panic!`/`unreachable!`/`[idx]`)",
-        }
-    }
-
-    fn fix(self) -> &'static str {
-        match self {
-            RatchetKind::Unwrap => "convert to `.expect(\"…\")` with a message",
-            RatchetKind::Panic => "return errors or document the invariant and re-budget",
-        }
-    }
-
-    fn section(self) -> &'static str {
-        match self {
-            RatchetKind::Unwrap => "unwrap_budget",
-            RatchetKind::Panic => "panic_budget",
-        }
-    }
-}
-
-/// Applies one budget ratchet: over budget or unbudgeted-with-sites is a
+/// Applies the panic budget: over budget or unbudgeted-with-sites is a
 /// finding; headroom is a note inviting a ratchet-down.
-fn ratchet(
-    budgets: &BTreeMap<String, u64>,
-    counts: &BTreeMap<String, u64>,
-    kind: RatchetKind,
-    report: &mut Report,
-) {
-    let (what, section) = (kind.what(), kind.section());
+fn ratchet(budgets: &BTreeMap<String, u64>, counts: &BTreeMap<String, u64>, report: &mut Report) {
+    const WHAT: &str = "panic-surface sites (`panic!`/`unreachable!`/`[idx]`)";
     for (krate, &count) in counts {
         let budget = budgets.get(krate).copied();
-        let tallies = match kind {
-            RatchetKind::Unwrap => &mut report.unwrap_tallies,
-            RatchetKind::Panic => &mut report.panic_tallies,
-        };
-        tallies.insert(krate.clone(), UnwrapTally { count, budget });
+        report
+            .panic_tallies
+            .insert(krate.clone(), Tally { count, budget });
         let anchor = if krate == "self_similar" {
             "src".to_string()
         } else {
@@ -201,28 +141,28 @@ fn ratchet(
         };
         match budget {
             Some(budget) if count > budget => report.findings.push(Finding {
-                rule: kind.rule(),
+                rule: Rule::PanicRatchet,
                 file: anchor,
                 line: 0,
                 col: 0,
                 message: format!(
-                    "{count} {what}, budget {budget} — {}; budgets only go down",
-                    kind.fix()
+                    "{count} {WHAT}, budget {budget} — return errors or document the \
+                     invariant and re-budget; budgets only go down"
                 ),
             }),
             Some(budget) if count < budget => report.notes.push(format!(
-                "crate `{krate}` has {count} {what}, {} under its budget of {budget} \
-                 — ratchet `[{section}]` in detlint.toml down",
+                "crate `{krate}` has {count} {WHAT}, {} under its budget of {budget} \
+                 — ratchet `[panic_budget]` in detlint.toml down",
                 budget - count
             )),
             Some(_) => {}
             None if count > 0 => report.findings.push(Finding {
-                rule: kind.rule(),
+                rule: Rule::PanicRatchet,
                 file: anchor,
                 line: 0,
                 col: 0,
                 message: format!(
-                    "{count} {what} but no `[{section}]` entry for `{krate}` in detlint.toml"
+                    "{count} {WHAT} but no `[panic_budget]` entry for `{krate}` in detlint.toml"
                 ),
             }),
             None => {}
@@ -233,12 +173,12 @@ fn ratchet(
     for krate in budgets.keys() {
         if !counts.contains_key(krate) {
             report.findings.push(Finding {
-                rule: kind.rule(),
+                rule: Rule::PanicRatchet,
                 file: "detlint.toml".to_string(),
                 line: 0,
                 col: 0,
                 message: format!(
-                    "`[{section}]` entry for `{krate}` names no crate in this workspace"
+                    "`[panic_budget]` entry for `{krate}` names no crate in this workspace"
                 ),
             });
         }
@@ -311,19 +251,14 @@ mod tests {
 
     #[test]
     fn over_budget_and_unbudgeted_crates_are_findings() {
-        let config = Config::parse("[unwrap_budget]\na = 1\nstale = 5\n").expect("config");
+        let config = Config::parse("[panic_budget]\na = 1\nstale = 5\n").expect("config");
         let counts = BTreeMap::from([
             ("a".to_string(), 3u64),
             ("b".to_string(), 2),
             ("c".to_string(), 0),
         ]);
         let mut report = Report::default();
-        ratchet(
-            &config.unwrap_budget,
-            &counts,
-            RatchetKind::Unwrap,
-            &mut report,
-        );
+        ratchet(&config.panic_budget, &counts, &mut report);
         report.sort();
         let anchors: Vec<(&str, Rule)> = report
             .findings
@@ -333,48 +268,24 @@ mod tests {
         assert_eq!(
             anchors,
             [
-                ("crates/a", Rule::UnwrapRatchet),     // 3 > 1
-                ("crates/b", Rule::UnwrapRatchet),     // no budget
-                ("detlint.toml", Rule::UnwrapRatchet)  // stale entry
+                ("crates/a", Rule::PanicRatchet),     // 3 > 1
+                ("crates/b", Rule::PanicRatchet),     // no budget
+                ("detlint.toml", Rule::PanicRatchet)  // stale entry
             ]
         );
-        assert_eq!(report.unwrap_tallies.len(), 3);
-        assert!(report.panic_tallies.is_empty());
+        assert!(report.findings[1].message.contains("[panic_budget]"));
+        assert_eq!(report.panic_tallies.len(), 3);
     }
 
     #[test]
     fn headroom_is_a_note_not_a_finding() {
-        let config = Config::parse("[unwrap_budget]\na = 9\n").expect("config");
+        let config = Config::parse("[panic_budget]\na = 9\n").expect("config");
         let counts = BTreeMap::from([("a".to_string(), 4u64)]);
         let mut report = Report::default();
-        ratchet(
-            &config.unwrap_budget,
-            &counts,
-            RatchetKind::Unwrap,
-            &mut report,
-        );
+        ratchet(&config.panic_budget, &counts, &mut report);
         assert!(report.findings.is_empty());
         assert_eq!(report.notes.len(), 1);
         assert!(report.notes[0].contains("ratchet"));
-    }
-
-    #[test]
-    fn panic_ratchet_mirrors_the_unwrap_ratchet() {
-        let config = Config::parse("[panic_budget]\na = 1\n").expect("config");
-        let counts = BTreeMap::from([("a".to_string(), 5u64), ("b".to_string(), 2)]);
-        let mut report = Report::default();
-        ratchet(
-            &config.panic_budget,
-            &counts,
-            RatchetKind::Panic,
-            &mut report,
-        );
-        report.sort();
-        assert_eq!(report.findings.len(), 2);
-        assert!(report.findings.iter().all(|f| f.rule == Rule::PanicRatchet));
-        assert!(report.findings[1].message.contains("[panic_budget]"));
-        assert_eq!(report.panic_tallies.len(), 2);
-        assert!(report.unwrap_tallies.is_empty());
     }
 
     #[test]

@@ -399,10 +399,21 @@ impl PeriodicPartitionEnv {
     ///
     /// # Panics
     ///
-    /// Panics if `blocks` is zero or `period` is zero.
+    /// Panics with the [`PeriodicPartitionEnv::validated`] message if
+    /// `blocks` is zero or `period` is zero.
     pub fn new(topology: Topology, blocks: usize, period: usize) -> Self {
-        assert!(blocks > 0, "need at least one block");
-        assert!(period > 0, "period must be positive");
+        Self::validated(topology, blocks, period).expect("PeriodicPartitionEnv")
+    }
+
+    /// Creates a periodic-partition environment, naming the offending
+    /// field when `blocks` or `period` is zero.
+    pub fn validated(topology: Topology, blocks: usize, period: usize) -> Result<Self, String> {
+        if blocks == 0 {
+            return Err("blocks must be positive, got 0".to_string());
+        }
+        if period == 0 {
+            return Err("period must be positive, got 0".to_string());
+        }
         let n = topology.agent_count();
         let block_size = n.div_ceil(blocks).max(1);
         let block_of = |agent: AgentId| agent.index() / block_size;
@@ -415,14 +426,14 @@ impl PeriodicPartitionEnv {
             .partition(|e| block_of(e.lo()) == block_of(e.hi()));
         let merged = EnvState::fully_enabled(&topology);
         let partitioned = merged.with_enabled_edges(intra);
-        PeriodicPartitionEnv {
+        Ok(PeriodicPartitionEnv {
             topology,
             period,
             tick: 0,
             cross,
             partitioned,
             merged,
-        }
+        })
     }
 
     /// The phase rule: whether step number `tick` (from 0) is a merge step.
@@ -791,6 +802,17 @@ mod tests {
     #[should_panic(expected = "period must be positive")]
     fn periodic_partition_rejects_zero_period() {
         let _ = PeriodicPartitionEnv::new(Topology::line(2), 1, 0);
+    }
+
+    #[test]
+    fn periodic_partition_validated_names_the_zero_field() {
+        let err =
+            PeriodicPartitionEnv::validated(Topology::line(2), 0, 4).expect_err("zero blocks");
+        assert!(err.contains("blocks"), "{err}");
+        let err =
+            PeriodicPartitionEnv::validated(Topology::line(2), 1, 0).expect_err("zero period");
+        assert!(err.contains("period"), "{err}");
+        assert!(PeriodicPartitionEnv::validated(Topology::line(2), 1, 1).is_ok());
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! edge up), and every other delta takes the full union-find pass.  The
 //! index sizes all of its buffers in `GroupIndex::new`.
 
+#![allow(
+    unsafe_code,
+    reason = "a counting `GlobalAlloc` must implement the unsafe trait; each method forwards to `System`"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -100,9 +100,11 @@ impl<S> Formula<S> {
     }
 
     /// Logical negation.
-    // a combinator-DSL constructor like `and`/`or`, not an operator:
-    // `std::ops::Not` would take `self` by value and break the symmetry
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "a combinator-DSL constructor like `and`/`or`, not an operator: \
+                  `std::ops::Not` would take `self` by value and break the symmetry"
+    )]
     pub fn not(inner: Formula<S>) -> Self {
         Formula::Not(Box::new(inner))
     }

@@ -17,6 +17,11 @@
 //! cargo run --release --example custom_environment
 //! ```
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "an example prints what it demonstrates"
+)]
+
 use rand::RngCore;
 use self_similar::env::{EnvState, Environment, Params, Topology};
 use selfsim_campaign::{
@@ -154,7 +159,9 @@ fn main() {
 
     // The round-trip law holds for user families exactly as for builtins.
     assert_eq!(
-        envs.resolve(&night_heavy.label()).unwrap().label(),
+        envs.resolve(&night_heavy.label())
+            .expect("a registered label round-trips")
+            .label(),
         night_heavy.label(),
     );
 

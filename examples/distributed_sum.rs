@@ -18,6 +18,11 @@
 //! cargo run --example distributed_sum
 //! ```
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "an example prints what it demonstrates"
+)]
+
 use self_similar::algorithms::sum;
 use self_similar::env::{RandomChurnEnv, StaticEnv, Topology};
 use self_similar::runtime::ExecutionMode;

@@ -18,6 +18,11 @@
 //! cargo run --example geo_hull
 //! ```
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "an example prints what it demonstrates"
+)]
+
 use self_similar::algorithms::{circumscribing, convex_hull};
 use self_similar::env::{RandomChurnEnv, Topology};
 use self_similar::geometry::{smallest_enclosing_circle, Point};

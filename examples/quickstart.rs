@@ -12,6 +12,11 @@
 //! cargo run --example quickstart
 //! ```
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "an example prints what it demonstrates"
+)]
+
 use self_similar::algorithms::minimum;
 use self_similar::env::{AdversarialEnv, Environment, RandomChurnEnv, StaticEnv, Topology};
 use self_similar::runtime::ExecutionMode;
@@ -23,7 +28,10 @@ fn main() {
 
     println!("minimum consensus over a ring of {} agents", values.len());
     println!("initial values: {values:?}");
-    println!("target: every agent holds {}", values.iter().min().unwrap());
+    println!(
+        "target: every agent holds {}",
+        values.iter().min().expect("at least one agent")
+    );
     println!();
 
     let mode = ExecutionMode::sync();

@@ -23,6 +23,11 @@
 //! cargo run --example sensor_min
 //! ```
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "an example prints what it demonstrates"
+)]
+
 use self_similar::algorithms::minimum;
 use self_similar::core::proof;
 use self_similar::env::{CrashRestartEnv, Topology};
@@ -39,7 +44,7 @@ fn main() {
         .map(|i| 50 + ((i as i64 * 37 + 11) % 100))
         .collect();
     let system = minimum::system(&readings, topology.clone());
-    let expected = *readings.iter().min().unwrap();
+    let expected = *readings.iter().min().expect("at least one reading");
 
     println!("sensor grid {rows}x{cols}, readings: {readings:?}");
     println!("true minimum reading: {expected}");

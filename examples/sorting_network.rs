@@ -16,6 +16,11 @@
 //! cargo run --example sorting_network
 //! ```
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "an example prints what it demonstrates"
+)]
+
 use self_similar::algorithms::sorting;
 use self_similar::env::{RandomChurnEnv, Topology};
 use self_similar::runtime::ExecutionMode;

@@ -97,7 +97,9 @@ fn self_similar_beats_snapshot_under_periodic_partitions() {
         &mut EventLog::disabled(),
     );
     assert_eq!(snap, Some(1));
-    let snapshot_rounds = snap_metrics.rounds_to_convergence.unwrap();
+    let snapshot_rounds = snap_metrics
+        .rounds_to_convergence
+        .expect("the snapshot run converges");
     assert!(
         ss <= snapshot_rounds,
         "self-similar ({ss}) should never be slower than the snapshot ({snapshot_rounds})"

@@ -471,7 +471,11 @@ fn delivery_rules_sweep_as_grid_cells_and_fix_the_partition_stall() {
     }
     // The rule is a visible column in both emitters.
     let table = emit::markdown_summary(&parallel.summaries);
-    assert!(table.lines().next().unwrap().contains("| delivery |"));
+    assert!(table
+        .lines()
+        .next()
+        .expect("a header row")
+        .contains("| delivery |"));
     for rule in DeliveryRule::all() {
         assert!(table.contains(&rule.label()), "{} missing", rule.label());
         assert!(
@@ -517,7 +521,11 @@ fn self_similar_and_baselines_sweep_both_runtimes_in_one_grid() {
     }
     // The markdown table carries the execution-mode column.
     let table = emit::markdown_summary(&result.summaries);
-    assert!(table.lines().next().unwrap().contains("| mode |"));
+    assert!(table
+        .lines()
+        .next()
+        .expect("a header row")
+        .contains("| mode |"));
     // The self-similar algorithm converges everywhere in this grid.
     for summary in result.summaries.iter().filter(|s| s.algorithm == "minimum") {
         assert_eq!(summary.converged, summary.trials, "{}", summary.scenario);
