@@ -97,11 +97,11 @@ mod tests {
             converged,
             expectation_met: converged,
             convergence_rate: converged as f64 / 5.0,
-            rounds: Summary::of_counts(&[3, 4, 5]),
-            messages: Summary::of(&[100.0, 120.0]),
-            messages_dropped: Summary::of(&[0.0, 0.0]),
-            messages_requeued: Summary::of(&[0.0, 0.0]),
-            effectiveness: Summary::of(&[0.5, 0.6]),
+            rounds: Summary::of_histogram([(3.0, 1), (4.0, 1), (5.0, 1)]),
+            messages: Summary::of_histogram([(100.0, 1), (120.0, 1)]),
+            messages_dropped: Summary::of_histogram([(0.0, 2)]),
+            messages_requeued: Summary::of_histogram([(0.0, 2)]),
+            effectiveness: Summary::of_histogram([(0.5, 1), (0.6, 1)]),
             all_monotone: true,
         }
     }
@@ -191,7 +191,7 @@ mod tests {
     fn summary_jsonl_escapes_labels() {
         let summary = ScenarioSummary {
             environment: "caf\u{e9}(e=0.3)".into(),
-            rounds: Summary::of(&[]),
+            rounds: Summary::default(),
             all_monotone: false,
             ..sample_summary("say \"hi\"\\n=8\nnext", 0)
         };

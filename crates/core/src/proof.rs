@@ -226,7 +226,7 @@ where
 /// fairness graph, the sum-style instances a *complete* one.
 ///
 /// This does not replace obligation 2 — it is a cheap structural sanity
-/// check used by the constructors in `selfsim-algorithms`.
+/// check, exercised by this module's tests; no constructor calls it.
 pub fn check_fairness_shape(fairness: &FairnessSpec, requires_complete: bool) -> AuditReport {
     let mut report = AuditReport {
         checks_run: 1,

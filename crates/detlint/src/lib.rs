@@ -21,7 +21,7 @@
 //!   `// detlint::allow(rule, reason = "…")` with a *required* non-empty
 //!   reason (`detlint::allow-file` for whole-file sanctions);
 //! * [`config`] — the committed `detlint.toml`: per-crate panic-surface
-//!   budgets that may only go down;
+//!   budgets that equal the counts and may only go down;
 //! * [`workspace`] — the `--workspace` walker and explicit-file driver;
 //! * [`report`] — byte-stable human and `--format json` reports.
 //!

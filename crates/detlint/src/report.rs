@@ -39,8 +39,6 @@ pub struct Report {
     /// `[panic_budget]` — empty in explicit-file mode, where crate
     /// attribution (and thus the budget) doesn't apply.
     pub panic_tallies: BTreeMap<String, Tally>,
-    /// Non-failing observations (e.g. ratchet headroom).
-    pub notes: Vec<String>,
 }
 
 impl Report {
@@ -87,9 +85,6 @@ impl Report {
                 }
             }
         }
-        for note in &self.notes {
-            let _ = writeln!(out, "note: {note}");
-        }
         let _ = writeln!(
             out,
             "detlint: {} finding{} in {} file{}",
@@ -130,15 +125,7 @@ impl Report {
             }
             out.push('}');
         }
-        out.push('}');
-        out.push_str(",\"notes\":[");
-        for (i, note) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string(note));
-        }
-        out.push_str("]}");
+        out.push_str("}}");
         out
     }
 }

@@ -11,7 +11,7 @@
 //! | `addr-as-key` | pointer-to-`usize` casts (`as *const _ as usize`, `.as_ptr() as usize`) | addresses change per run; ordering or keying by them leaks ASLR into output |
 //! | `invalid-pragma` | malformed `detlint::allow` pragmas | an exemption with no reason is a silent hole in the contract |
 //! | `seed-provenance` | `seed_from_u64`/`from_seed` fed a literal in library code | a hard-coded seed silently decouples an RNG from the per-trial seed chain |
-//! | `panic-ratchet` | per-crate `panic!`/`unreachable!`/`[idx]` counts above the committed budget | a panic in a worker thread kills determinism *and* the trial |
+//! | `panic-ratchet` | per-crate `panic!`/`unreachable!`/`[idx]` counts other than the committed budget | a panic in a worker thread kills determinism *and* the trial |
 //!
 //! `seed-provenance` and `panic-ratchet` ride the [`crate::parser`] item
 //! tree; the rest are token-sequence patterns.
@@ -76,7 +76,7 @@ impl Rule {
             Rule::InvalidPragma => "malformed `detlint::allow` pragma",
             Rule::SeedProvenance => "RNG seeded from a literal instead of the per-trial seed chain",
             Rule::PanicRatchet => {
-                "panic!/unreachable!/[idx] count above the crate's committed budget"
+                "panic!/unreachable!/[idx] count other than the crate's committed budget"
             }
         }
     }

@@ -125,8 +125,9 @@ fn context_for_label(name: &str) -> FileContext {
     }
 }
 
-/// Applies the panic budget: over budget or unbudgeted-with-sites is a
-/// finding; headroom is a note inviting a ratchet-down.
+/// Applies the panic budget: a budget must equal its crate's count, so
+/// over budget, under budget (the ratchet-down is due) and
+/// unbudgeted-with-sites are each a finding.
 fn ratchet(budgets: &BTreeMap<String, u64>, counts: &BTreeMap<String, u64>, report: &mut Report) {
     const WHAT: &str = "panic-surface sites (`panic!`/`unreachable!`/`[idx]`)";
     for (krate, &count) in counts {
@@ -150,11 +151,16 @@ fn ratchet(budgets: &BTreeMap<String, u64>, counts: &BTreeMap<String, u64>, repo
                      invariant and re-budget; budgets only go down"
                 ),
             }),
-            Some(budget) if count < budget => report.notes.push(format!(
-                "crate `{krate}` has {count} {WHAT}, {} under its budget of {budget} \
-                 — ratchet `[panic_budget]` in detlint.toml down",
-                budget - count
-            )),
+            Some(budget) if count < budget => report.findings.push(Finding {
+                rule: Rule::PanicRatchet,
+                file: anchor,
+                line: 0,
+                col: 0,
+                message: format!(
+                    "{count} {WHAT}, budget {budget} — ratchet `{krate} = {count}` into \
+                     `[panic_budget]` in detlint.toml"
+                ),
+            }),
             Some(_) => {}
             None if count > 0 => report.findings.push(Finding {
                 rule: Rule::PanicRatchet,
@@ -278,14 +284,15 @@ mod tests {
     }
 
     #[test]
-    fn headroom_is_a_note_not_a_finding() {
-        let config = Config::parse("[panic_budget]\na = 9\n").expect("config");
-        let counts = BTreeMap::from([("a".to_string(), 4u64)]);
+    fn headroom_is_a_finding_naming_the_new_budget() {
+        let config = Config::parse("[panic_budget]\na = 9\nb = 4\n").expect("config");
+        let counts = BTreeMap::from([("a".to_string(), 4u64), ("b".to_string(), 4)]);
         let mut report = Report::default();
         ratchet(&config.panic_budget, &counts, &mut report);
-        assert!(report.findings.is_empty());
-        assert_eq!(report.notes.len(), 1);
-        assert!(report.notes[0].contains("ratchet"));
+        assert_eq!(report.findings.len(), 1, "an exact budget is clean");
+        assert_eq!(report.findings[0].rule, Rule::PanicRatchet);
+        assert_eq!(report.findings[0].file, "crates/a");
+        assert!(report.findings[0].message.contains("`a = 4`"));
     }
 
     #[test]

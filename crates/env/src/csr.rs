@@ -130,15 +130,21 @@ mod tests {
 
     #[test]
     fn csr_matches_topology_adjacency() {
-        let topo = Topology::from_edges(5, [(0, 1), (1, 2), (3, 4), (0, 4)]);
+        let pairs = [(0, 1), (1, 2), (3, 4), (0, 4)];
+        let topo = Topology::from_edges(5, pairs);
         let csr = topo.csr();
         assert_eq!(csr.agent_count(), 5);
         assert_eq!(csr.edge_count(), 4);
         for a in 0..5 {
-            let mut nbrs: Vec<AgentId> =
-                csr.neighbors(a).map(|(b, _)| AgentId(b as usize)).collect();
+            let mut nbrs: Vec<usize> = csr.neighbors(a).map(|(b, _)| b as usize).collect();
             nbrs.sort();
-            assert_eq!(nbrs, topo.neighbors(AgentId(a)), "agent {a}");
+            let mut listed: Vec<usize> = (pairs.iter())
+                .flat_map(|&(x, y)| [(x, y), (y, x)])
+                .filter(|&(x, _)| x == a)
+                .map(|(_, y)| y)
+                .collect();
+            listed.sort();
+            assert_eq!(nbrs, listed, "agent {a}");
         }
         // Edge ids round-trip and the eid annotation agrees with `edge()`.
         for (eid, e) in csr.edges().iter().enumerate() {

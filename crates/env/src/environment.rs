@@ -563,7 +563,6 @@ impl Environment for CrashRestartEnv {
 #[derive(Clone, Debug)]
 pub struct AdversarialEnv {
     topology: Topology,
-    edge_order: Vec<Edge>,
     silence: usize,
     tick: usize,
 }
@@ -572,10 +571,8 @@ impl AdversarialEnv {
     /// Creates an adversary over `topology` that stays silent for `silence`
     /// steps between consecutive single-edge activations.
     pub fn new(topology: Topology, silence: usize) -> Self {
-        let edge_order: Vec<Edge> = topology.edges().to_vec();
         AdversarialEnv {
             topology,
-            edge_order,
             silence,
             tick: 0,
         }
@@ -597,10 +594,13 @@ impl Environment for AdversarialEnv {
             Some(cycle) => tick.is_multiple_of(cycle).then(|| tick / cycle),
             None => (tick == 0).then_some(0),
         };
-        let Some(cycle) = opened.filter(|_| !self.edge_order.is_empty()) else {
+        // Cycle `c` enables the topology's `c mod |E|`-th sorted edge, and
+        // an edgeless topology is always silent.
+        let edges = self.topology.edges();
+        let picked = opened.and_then(|cycle| edges.get(cycle.checked_rem(edges.len())?));
+        let Some(&edge) = picked else {
             return EnvState::fully_disabled(n);
         };
-        let edge = self.edge_order[cycle % self.edge_order.len()];
         EnvState::new(n, [edge], [edge.lo(), edge.hi()])
     }
 

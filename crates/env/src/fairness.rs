@@ -15,20 +15,20 @@ use selfsim_temporal::{Formula, Trace, Verdict};
 use crate::{Edge, EnvState, Topology};
 
 /// A fairness specification `Q_E`: one recurrence predicate per edge of a
-/// graph `E`, plus (optionally) per-agent enabledness predicates.
+/// graph `E`.
 ///
 /// The graph is held as a [`Topology`], so a spec shares its graph's sorted
 /// edge array and a clique spec stays symbolic:
 /// `FairnessSpec::complete(100000)` is O(1) like the topology it mirrors.
 ///
-/// An edge predicate `Q_e` is *satisfied* by an environment state when the
-/// edge is available **and** both its endpoints are enabled — that is the
-/// reading under which the endpoints can actually take a collaborative step,
-/// which is what the paper's escape arguments need.
+/// `Q_e` has one reading: it is *satisfied* by an environment state when
+/// the edge is available **and** both its endpoints are enabled.  That is
+/// the reading under which the endpoints can actually take a collaborative
+/// step, which is what the paper's escape arguments need; where the
+/// environment never disables an agent it is plain edge availability.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FairnessSpec {
     graph: Topology,
-    require_agents_enabled: bool,
 }
 
 impl FairnessSpec {
@@ -37,7 +37,6 @@ impl FairnessSpec {
     pub fn for_graph(graph: &Topology) -> Self {
         FairnessSpec {
             graph: graph.clone(),
-            require_agents_enabled: true,
         }
     }
 
@@ -64,14 +63,6 @@ impl FairnessSpec {
         Self::for_graph(&Topology::line(agent_count))
     }
 
-    /// Relaxes the spec so that only edge availability (not endpoint
-    /// enabledness) is required.  Useful for checking environments that
-    /// never disable agents.
-    pub fn edges_only(mut self) -> Self {
-        self.require_agents_enabled = false;
-        self
-    }
-
     /// The number of agents this spec refers to.
     pub fn agent_count(&self) -> usize {
         self.graph.agent_count()
@@ -85,13 +76,10 @@ impl FairnessSpec {
         self.graph.edges()
     }
 
-    /// Returns `true` if the single predicate `Q_e` holds in `state`.
+    /// Returns `true` if the single predicate `Q_e` holds in `state`: the
+    /// edge is up and both its endpoints are enabled.
     pub fn edge_satisfied(&self, edge: Edge, state: &EnvState) -> bool {
-        if self.require_agents_enabled {
-            state.can_communicate(edge.lo(), edge.hi())
-        } else {
-            state.is_edge_enabled(&edge)
-        }
+        state.can_communicate(edge.lo(), edge.hi())
     }
 
     /// Checks `□◇Q_e` for every edge `e` of the spec over a recorded
@@ -211,8 +199,8 @@ mod tests {
         let edge = Edge::new(AgentId(0), AgentId(1));
         let edge_up_agent_down = EnvState::new(3, [edge], [AgentId(0)]);
         assert!(!spec.edge_satisfied(edge, &edge_up_agent_down));
-        let relaxed = spec.clone().edges_only();
-        assert!(relaxed.edge_satisfied(edge, &edge_up_agent_down));
+        let both_up = EnvState::new(3, [edge], [AgentId(0), AgentId(1)]);
+        assert!(spec.edge_satisfied(edge, &both_up));
     }
 
     #[test]

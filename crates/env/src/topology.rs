@@ -64,11 +64,6 @@ impl Edge {
         self.hi
     }
 
-    /// Both endpoints, smaller id first.
-    pub fn endpoints(&self) -> (AgentId, AgentId) {
-        (self.lo, self.hi)
-    }
-
     /// Returns `true` if `agent` is one of the endpoints.
     pub fn touches(&self, agent: AgentId) -> bool {
         self.lo == agent || self.hi == agent
@@ -422,22 +417,6 @@ impl Topology {
         }
     }
 
-    /// The neighbours of `agent` in the topology, in ascending id order.
-    pub fn neighbors(&self, agent: AgentId) -> Vec<AgentId> {
-        if agent.0 >= self.n {
-            return Vec::new();
-        }
-        match &self.edges {
-            // A CSR row lists the edges `{x, agent}` with `x < agent`, then
-            // the edges `{agent, y}`, each in ascending edge order.
-            EdgeSet::Explicit(csr) => csr
-                .neighbors(agent.0)
-                .map(|(b, _)| AgentId(b as usize))
-                .collect(),
-            EdgeSet::Complete { n, .. } => (0..*n).map(AgentId).filter(|&a| a != agent).collect(),
-        }
-    }
-
     /// Returns `true` if the graph is connected (or has at most one agent).
     pub fn is_connected(&self) -> bool {
         match &self.edges {
@@ -650,6 +629,12 @@ mod tests {
         assert!(t.has_edge(AgentId(0), AgentId(4)));
     }
 
+    /// The neighbours of `agent`, read off the sorted edge list (so in
+    /// ascending id order).
+    fn neighbours(t: &Topology, agent: AgentId) -> Vec<AgentId> {
+        t.edges().iter().filter_map(|e| e.other(agent)).collect()
+    }
+
     #[test]
     fn line_graph_structure() {
         let t = Topology::line(4);
@@ -657,8 +642,8 @@ mod tests {
         assert!(t.has_edge(AgentId(0), AgentId(1)));
         assert!(!t.has_edge(AgentId(0), AgentId(2)));
         assert!(t.is_connected());
-        assert_eq!(t.neighbors(AgentId(1)), vec![AgentId(0), AgentId(2)]);
-        assert_eq!(t.neighbors(AgentId(0)), vec![AgentId(1)]);
+        assert_eq!(neighbours(&t, AgentId(1)), [AgentId(0), AgentId(2)]);
+        assert_eq!(neighbours(&t, AgentId(0)), [AgentId(1)]);
     }
 
     #[test]
@@ -674,8 +659,8 @@ mod tests {
     fn star_graph_structure() {
         let t = Topology::star(5);
         assert_eq!(t.edge_count(), 4);
-        assert_eq!(t.neighbors(AgentId(0)).len(), 4);
-        assert_eq!(t.neighbors(AgentId(3)), vec![AgentId(0)]);
+        assert_eq!(neighbours(&t, AgentId(0)).len(), 4);
+        assert_eq!(neighbours(&t, AgentId(3)), [AgentId(0)]);
     }
 
     #[test]
@@ -1045,10 +1030,6 @@ mod tests {
         assert_eq!(symbolic, explicit);
         assert_eq!(explicit, symbolic);
         assert_eq!(symbolic.edges(), explicit.edges());
-        assert_eq!(
-            symbolic.neighbors(AgentId(2)),
-            explicit.neighbors(AgentId(2))
-        );
         assert_eq!(symbolic.components(), explicit.components());
         assert_eq!(symbolic.clone(), symbolic);
         assert_ne!(symbolic, Topology::ring(6));
@@ -1065,8 +1046,6 @@ mod tests {
         assert!(!t.has_edge(AgentId(0), AgentId(100_000)));
         assert!(t.is_connected());
         assert_eq!(t.components().len(), 1);
-        assert_eq!(t.neighbors(AgentId(5)).len(), 99_999);
-        assert!(t.neighbors(AgentId(100_000)).is_empty());
         let _ = t.clone(); // clones stay symbolic (and cheap)
     }
 }

@@ -31,9 +31,7 @@
 #![warn(missing_docs)]
 
 mod multiset;
-mod ops;
 mod signed;
 
 pub use multiset::{IntoIter, Iter, Multiset};
-pub use ops::{map, max, min, partition_by, sum_by};
 pub use signed::SignedCounts;

@@ -122,17 +122,6 @@ impl<T: Ord> Multiset<T> {
         }
     }
 
-    /// Removes all occurrences of `value`, returning how many were removed.
-    pub fn remove_all(&mut self, value: &T) -> usize {
-        match self.counts.remove(value) {
-            Some(c) => {
-                self.len -= c;
-                c
-            }
-            None => 0,
-        }
-    }
-
     /// The smallest element, if any.
     pub fn min_value(&self) -> Option<&T> {
         self.counts.keys().next()
@@ -437,14 +426,6 @@ mod tests {
         assert_eq!(m.remove_n(&4, 5), 1);
         assert!(!m.contains(&4));
         assert_eq!(m.remove_n(&4, 1), 0);
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn remove_all_removes_every_occurrence() {
-        let mut m: Multiset<i32> = [4, 4, 4, 9].into();
-        assert_eq!(m.remove_all(&4), 3);
-        assert_eq!(m.remove_all(&4), 0);
         assert_eq!(m.len(), 1);
     }
 

@@ -96,16 +96,6 @@ impl RunMetrics {
             .windows(2)
             .all(|w| w[1] <= w[0] + tolerance)
     }
-
-    /// The fraction of group steps that changed state; a measure of how
-    /// much of the granted communication the algorithm actually used.
-    pub fn effectiveness(&self) -> f64 {
-        if self.group_steps == 0 {
-            0.0
-        } else {
-            self.effective_group_steps as f64 / self.group_steps as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +126,6 @@ mod tests {
         assert!(!m.converged());
         assert_eq!(m.final_objective(), None);
         assert_eq!(m.initial_objective(), None);
-        assert_eq!(m.effectiveness(), 0.0);
         assert!(m.objective_is_monotone(0.0));
     }
 
@@ -146,7 +135,6 @@ mod tests {
         assert!(m.converged());
         assert_eq!(m.initial_objective(), Some(40.0));
         assert_eq!(m.final_objective(), Some(8.0));
-        assert_eq!(m.effectiveness(), 0.4);
     }
 
     #[test]
