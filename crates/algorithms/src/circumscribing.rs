@@ -12,10 +12,13 @@
 //! Because of that, no objective function can rescue the naive formulation;
 //! the paper generalises the problem to the convex hull (see
 //! [`crate::convex_hull`]), from which the circumscribing circle is
-//! recovered at the end.  This module only provides the naive function, the
-//! agent state, and the machinery needed to reproduce the Figure 2
-//! counterexample mechanically; it deliberately does not offer a `system`
-//! constructor.
+//! recovered at the end.  This module provides the agent state, the one
+//! adopt-enclosing-circle rule ([`adopt_enclosing_circle`]), the naive
+//! function built on it, and the machinery needed to reproduce the Figure 2
+//! counterexample mechanically.  It offers no `system` constructor: a
+//! runnable system built from the rule (as the campaign's
+//! `circumscribing-circle` algorithm is) exists only to measure the
+//! failure.
 
 use selfsim_core::FnDistributedFunction;
 use selfsim_geometry::{enclosing_circle_of_circles, Circle, Point};
@@ -62,16 +65,24 @@ pub fn site_of(state: &State) -> Point {
     Point::new(state.0 as f64 / SCALE, state.1 as f64 / SCALE)
 }
 
-/// The naive distributed function: every agent's estimate becomes the
-/// smallest circle enclosing all the current estimates (sites are unchanged).
+/// The adopt-enclosing-circle rule: every agent of `states` keeps its site
+/// and adopts the smallest circle enclosing all their current estimates,
+/// taken in the order given.  [`naive_function`] applies it to the whole
+/// multiset; a group step applies it to one group.
+pub fn adopt_enclosing_circle(states: &[State]) -> Vec<State> {
+    let circles: Vec<Circle> = states.iter().map(estimate_of).collect();
+    let enclosing = enclosing_circle_of_circles(&circles);
+    (states.iter())
+        .map(|state| make_state(site_of(state), enclosing))
+        .collect()
+}
+
+/// The naive distributed function: the adopt-enclosing-circle rule over
+/// every agent, in ascending state order.
 pub fn naive_function() -> impl selfsim_core::DistributedFunction<State> {
     FnDistributedFunction::new("circumscribing-circle", |s: &Multiset<State>| {
-        if s.is_empty() {
-            return Multiset::new();
-        }
-        let circles: Vec<Circle> = s.iter().map(estimate_of).collect();
-        let enclosing = enclosing_circle_of_circles(&circles);
-        s.map(|state| make_state(site_of(state), enclosing))
+        let states: Vec<State> = s.iter().copied().collect();
+        adopt_enclosing_circle(&states).into_iter().collect()
     })
 }
 

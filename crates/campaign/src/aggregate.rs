@@ -233,11 +233,6 @@ impl Aggregator {
         }
     }
 
-    /// Number of scenario cells observed so far.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Total records folded so far.
     pub fn trial_count(&self) -> u64 {
         self.cells.values().map(|c| c.trials).sum()
@@ -323,7 +318,6 @@ mod tests {
         agg.observe(&record("a", 1, Some(6), 60));
         agg.observe(&record("a", 2, None, 100));
         agg.observe(&record("b", 0, Some(2), 10));
-        assert_eq!(agg.cell_count(), 2);
         assert_eq!(agg.trial_count(), 4);
 
         let summaries = agg.summaries();

@@ -31,7 +31,7 @@ use selfsim_algorithms::circumscribing;
 use selfsim_baselines::{FloodingAggregator, SnapshotAggregator};
 use selfsim_core::{FnGroupStep, SelfSimilarSystem, SummationObjective};
 use selfsim_env::{Environment, FairnessSpec, Params, Topology};
-use selfsim_geometry::{enclosing_circle_of_circles, Circle, Point};
+use selfsim_geometry::Point;
 use selfsim_runtime::ExecutionMode;
 use selfsim_trace::{EventLog, RunMetrics};
 
@@ -266,7 +266,7 @@ fn circumscribing_system(
     sites: &[Point],
     topology: Topology,
 ) -> SelfSimilarSystem<circumscribing::State> {
-    use circumscribing::{estimate_of, initial_state, make_state, site_of, SCALE};
+    use circumscribing::{adopt_enclosing_circle, initial_state, SCALE};
     let initial: Vec<circumscribing::State> = sites.iter().map(|p| initial_state(*p)).collect();
     SelfSimilarSystem::new(
         "circumscribing-circle",
@@ -279,12 +279,7 @@ fn circumscribing_system(
         FnGroupStep::new(
             "adopt-enclosing-circle",
             |states: &[circumscribing::State], _rng: &mut dyn rand::RngCore| {
-                let circles: Vec<Circle> = states.iter().map(estimate_of).collect();
-                let enclosing = enclosing_circle_of_circles(&circles);
-                states
-                    .iter()
-                    .map(|s| make_state(site_of(s), enclosing))
-                    .collect()
+                adopt_enclosing_circle(states)
             },
         ),
         initial,

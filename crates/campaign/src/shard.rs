@@ -15,7 +15,9 @@
 //! byte-identical output for a given `(scenarios, seed)` — holds
 //! regardless of threads *or* shards.
 
-use selfsim_trace::TraceEvent;
+use serde::Value;
+
+use crate::trial::required;
 
 /// Which slice of the campaign's job list this process runs: shard
 /// `index` of `count`, selecting jobs by stable stride.
@@ -299,28 +301,31 @@ impl MergeOrder {
     }
 
     /// Checks the next trace block of the merged stream by its opening
-    /// `trial-start` event — the only line of the block that is parsed.
+    /// `trial-start` event — the only line of the block that is parsed,
+    /// and only its `event`, `scenario` and `trial` fields are read.
     pub fn check_trace_block(&mut self, block: &[u8]) -> Result<(), String> {
         let start = block.split(|&b| b == b'\n').next().unwrap_or_default();
-        let event = std::str::from_utf8(start)
+        let malformed = |e: String| format!("malformed trace line: {e}");
+        let event: Value = std::str::from_utf8(start)
             .map_err(|e| e.to_string())
             .and_then(|line| serde_json::from_str(line).map_err(|e| e.to_string()))
-            .map_err(|e| format!("malformed trace line: {e}"))?;
-        match event {
-            TraceEvent::TrialStart {
-                scenario, trial, ..
-            } => self.check(&scenario, trial),
-            other => Err(format!(
-                "trace block opens with a `{}` event, not `trial-start`",
-                other.tag()
-            )),
+            .map_err(malformed)?;
+        let tag: String = required(&event, "event").map_err(|e| malformed(e.0))?;
+        if tag != "trial-start" {
+            return Err(format!(
+                "trace block opens with a `{tag}` event, not `trial-start`"
+            ));
         }
+        let scenario: String = required(&event, "scenario").map_err(|e| malformed(e.0))?;
+        let trial: u64 = required(&event, "trial").map_err(|e| malformed(e.0))?;
+        self.check(&scenario, trial)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selfsim_trace::TraceEvent;
     use std::io::Cursor;
 
     #[test]
@@ -582,5 +587,30 @@ mod tests {
             err.contains("scenario `a` trial 1 where trial 0 was expected"),
             "{err}"
         );
+        // A block's opening line is read by field name; each way it can
+        // fail to be a `trial-start` with a trial index is named.
+        for (start, problem) in [
+            ("trial-start", "malformed trace line: JSON error"),
+            (
+                r#"{"event":"group-step","tick":0}"#,
+                "opens with a `group-step` event, not `trial-start`",
+            ),
+            (
+                r#"{"event":"trial-start","scenario":"a"}"#,
+                "malformed trace line: missing field trial",
+            ),
+            (
+                r#"{"event":"trial-start","scenario":"a","trial":1.5}"#,
+                "malformed trace line: expected u64",
+            ),
+            (
+                r#"{"event":"trial-start","scenario":"a","trial":"0"}"#,
+                "malformed trace line: expected u64",
+            ),
+        ] {
+            let block = format!("{start}\n{{\"event\":\"trial-end\",\"trial\":0}}\n");
+            let err = merge(&block, "").expect_err(start);
+            assert!(err.contains(problem), "{start}: {err}");
+        }
     }
 }

@@ -84,17 +84,18 @@ pub struct TrialRecord {
     pub objective_monotone: bool,
 }
 
-// The skip-when-zero columns (`messages_requeued`, `events_processed`,
-// `peak_queue_depth`; see [`TrialRecord::write_jsonl`]) parse back as zero
-// when absent, so records produced before the columns existed still load;
-// every other field is required.
-fn required<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::Error> {
+/// Reads the required field `name` of a parsed JSON line.
+pub(crate) fn required<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::Error> {
     T::from_value(
         v.get_field(name)
             .ok_or_else(|| serde::Error(format!("missing field {name}")))?,
     )
 }
 
+// The skip-when-zero columns (`messages_requeued`, `events_processed`,
+// `peak_queue_depth`; see [`TrialRecord::write_jsonl`]) parse back as zero
+// when absent, so records produced before the columns existed still load;
+// every other field is required.
 impl Deserialize for TrialRecord {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         Ok(TrialRecord {

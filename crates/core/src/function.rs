@@ -37,11 +37,13 @@ impl<S: Ord + Clone, F: DistributedFunction<S> + ?Sized> DistributedFunction<S> 
     }
 }
 
-/// A distributed function defined by an arbitrary closure.
+/// A distributed function defined by an arbitrary closure over the whole
+/// multiset.
 ///
-/// This is the escape hatch for functions that are *not* expressible through
-/// a commutative associative operator — e.g. the naive second-smallest and
-/// circumscribing-circle functions the paper uses as counterexamples.
+/// Every `f` that is not a plain [`ConsensusFunction`] summary takes this
+/// form (sorting, sum concentration, the convex hull, the `k` smallest
+/// values), as does the naive circumscribing-circle function the paper
+/// uses as a counterexample.
 pub struct FnDistributedFunction<S, F> {
     name: String,
     func: F,
@@ -116,89 +118,6 @@ where
             return Multiset::new();
         }
         states.fill_with((self.summary)(states))
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// A distributed function built from a binary, commutative, associative
-/// operator on multisets: `f(X) = {x_0} ◦ {x_1} ◦ … ◦ {x_J}`, `f(∅) = ∅`.
-///
-/// The lemma of §3.4 states this form is *sufficient* for
-/// super-idempotence.  [`OperatorFunction::check_operator_laws`] verifies
-/// commutativity and associativity of the supplied operator on sample data,
-/// since the guarantee only holds when the operator genuinely has those
-/// properties.
-pub struct OperatorFunction<S, Op> {
-    name: String,
-    op: Op,
-    _marker: std::marker::PhantomData<fn(&S)>,
-}
-
-impl<S, Op> OperatorFunction<S, Op>
-where
-    S: Ord + Clone,
-    Op: Fn(&Multiset<S>, &Multiset<S>) -> Multiset<S>,
-{
-    /// Creates an operator-defined distributed function.
-    pub fn new(name: impl Into<String>, op: Op) -> Self {
-        OperatorFunction {
-            name: name.into(),
-            op,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Checks commutativity and associativity of the operator on the given
-    /// sample multisets (all pairs / triples).  Returns a description of the
-    /// first violation, if any.
-    pub fn check_operator_laws(&self, samples: &[Multiset<S>]) -> Result<(), String>
-    where
-        S: std::fmt::Debug,
-    {
-        for x in samples {
-            for y in samples {
-                let xy = (self.op)(x, y);
-                let yx = (self.op)(y, x);
-                if xy != yx {
-                    return Err(format!(
-                        "operator for `{}` is not commutative on {x:?}, {y:?}",
-                        self.name
-                    ));
-                }
-                for z in samples {
-                    let left = (self.op)(&(self.op)(x, y), z);
-                    let right = (self.op)(x, &(self.op)(y, z));
-                    if left != right {
-                        return Err(format!(
-                            "operator for `{}` is not associative on {x:?}, {y:?}, {z:?}",
-                            self.name
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<S, Op> DistributedFunction<S> for OperatorFunction<S, Op>
-where
-    S: Ord + Clone,
-    Op: Fn(&Multiset<S>, &Multiset<S>) -> Multiset<S>,
-{
-    fn apply(&self, states: &Multiset<S>) -> Multiset<S> {
-        let mut acc: Option<Multiset<S>> = None;
-        for v in states.iter() {
-            let singleton = Multiset::singleton(v.clone());
-            acc = Some(match acc {
-                None => singleton,
-                Some(prev) => (self.op)(&prev, &singleton),
-            });
-        }
-        acc.unwrap_or_default()
     }
 
     fn name(&self) -> &str {
@@ -370,28 +289,6 @@ mod tests {
         // And local-conservation-implies-global fails too, matching the
         // "exactly for super-idempotent functions" theorem.
         assert!(check_local_conservation_implies_global(&f, &samples).is_err());
-    }
-
-    #[test]
-    fn operator_function_min_matches_consensus() {
-        let op_min = OperatorFunction::new("min-op", |x: &Multiset<i64>, y: &Multiset<i64>| {
-            let joined = x.union(y);
-            let m = joined.min_value().copied().unwrap_or(0);
-            joined.fill_with(m)
-        });
-        let f = min_consensus();
-        for s in samples() {
-            assert_eq!(op_min.apply(&s), f.apply(&s), "on {s:?}");
-        }
-        assert!(op_min.check_operator_laws(&samples()).is_ok());
-    }
-
-    #[test]
-    fn operator_laws_detect_non_commutative_operator() {
-        // "Keep the left operand" is associative but not commutative.
-        let bad = OperatorFunction::new("left", |x: &Multiset<i64>, _y: &Multiset<i64>| x.clone());
-        let err = bad.check_operator_laws(&samples()).unwrap_err();
-        assert!(err.contains("not commutative"));
     }
 
     #[test]

@@ -55,9 +55,7 @@ mod relation;
 mod step;
 mod system;
 
-pub use function::{
-    ConsensusFunction, DistributedFunction, FnDistributedFunction, OperatorFunction,
-};
+pub use function::{ConsensusFunction, DistributedFunction, FnDistributedFunction};
 pub use objective::{
     check_local_to_global_improvement, FnObjective, ObjectiveFunction, SummationObjective, EPSILON,
 };

@@ -18,7 +18,6 @@
 
 use rand::Rng;
 
-use selfsim_env::FairnessSpec;
 use selfsim_multiset::Multiset;
 
 use crate::{RelationD, SelfSimilarSystem};
@@ -221,34 +220,6 @@ where
     report
 }
 
-/// Checks that the fairness assumption the system declares is strong enough
-/// for its own documentation: consensus-style instances need a *connected*
-/// fairness graph, the sum-style instances a *complete* one.
-///
-/// This does not replace obligation 2 — it is a cheap structural sanity
-/// check, exercised by this module's tests; no constructor calls it.
-pub fn check_fairness_shape(fairness: &FairnessSpec, requires_complete: bool) -> AuditReport {
-    let mut report = AuditReport {
-        checks_run: 1,
-        ..Default::default()
-    };
-    if requires_complete && !fairness.is_complete() {
-        report.violations.push(Violation {
-            obligation: "escape",
-            description:
-                "algorithm requires a complete fairness graph but the spec is not complete"
-                    .to_string(),
-        });
-    } else if !fairness.is_connected() {
-        report.violations.push(Violation {
-            obligation: "escape",
-            description: "fairness graph is not connected; isolated agents can never contribute"
-                .to_string(),
-        });
-    }
-    report
-}
-
 /// Runs all three obligations on a system, with sample group states derived
 /// from the initial state: every pair and triple of initial agent states,
 /// plus the full initial state, plus `extra_groups`.
@@ -339,7 +310,7 @@ mod tests {
     use crate::{ConsensusFunction, FnGroupStep, SummationObjective};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use selfsim_env::Topology;
+    use selfsim_env::{FairnessSpec, Topology};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(17)
@@ -437,21 +408,6 @@ mod tests {
         let groups = vec![vec![3i64, 5], vec![3, 7], vec![5, 7, 9]];
         let report = check_local_to_global(&sys, &groups, &mut rng());
         assert!(report.passed(), "violations: {:?}", report.violations);
-    }
-
-    #[test]
-    fn fairness_shape_checks() {
-        assert!(check_fairness_shape(&FairnessSpec::complete(4), true).passed());
-        assert!(!check_fairness_shape(&FairnessSpec::line(4), true).passed());
-        assert!(check_fairness_shape(&FairnessSpec::line(4), false).passed());
-        let sparse = FairnessSpec::for_edges(
-            4,
-            [selfsim_env::Edge::new(
-                selfsim_env::AgentId(0),
-                selfsim_env::AgentId(1),
-            )],
-        );
-        assert!(!check_fairness_shape(&sparse, false).passed());
     }
 
     #[test]

@@ -185,26 +185,14 @@ impl<S: Ord + Clone + std::fmt::Debug> SelfSimilarSystem<S> {
         self.multiset(state) == *self.target_ref()
     }
 
-    /// Returns `true` if the conservation law `f(S) = f(S(0))` holds in
-    /// `state` — the key invariant of §3.2; every reachable state must
-    /// satisfy it.
-    pub fn conservation_law_holds(&self, state: &[S]) -> bool {
-        self.f.apply(&self.multiset(state)) == *self.target_ref()
-    }
-
-    /// The global objective value `h(S)` of a positional state.
-    pub fn global_objective(&self, state: &[S]) -> f64 {
-        self.h.eval(&self.multiset(state))
-    }
-
     /// The global objective value `h(S)` of a multiset view that the caller
     /// already maintains (see [`Self::apply_group_step_with`]).
     ///
-    /// Because `h` folds the multiset in ascending value order, this is
-    /// byte-identical to [`Self::global_objective`] on any positional state
-    /// with the same multiset — a simulator that maintains the multiset
-    /// incrementally reproduces the exact `f64` trajectory of one that
-    /// rebuilds it from scratch every round.
+    /// Because `h` folds the multiset in ascending value order, the value
+    /// depends only on the multiset, not on how it was built — a simulator
+    /// that maintains the multiset incrementally reproduces the exact `f64`
+    /// trajectory of one that rebuilds it with [`Self::multiset`] every
+    /// round.
     pub fn objective_of(&self, multiset: &Multiset<S>) -> f64 {
         self.h.eval(multiset)
     }
@@ -365,13 +353,17 @@ mod tests {
     #[test]
     fn convergence_and_conservation_checks() {
         let sys = min_system(vec![3, 5, 3, 7]);
+        let conserves = |state: &[i64]| {
+            sys.function()
+                .conserves(sys.initial_multiset(), &sys.multiset(state))
+        };
         assert!(!sys.is_converged(&[3, 5, 3, 7]));
-        assert!(sys.conservation_law_holds(&[3, 5, 3, 7]));
+        assert!(conserves(&[3, 5, 3, 7]));
         assert!(sys.is_converged(&[3, 3, 3, 3]));
-        assert!(sys.conservation_law_holds(&[3, 3, 3, 3]));
+        assert!(conserves(&[3, 3, 3, 3]));
         // A state with the minimum lost violates the conservation law.
-        assert!(!sys.conservation_law_holds(&[4, 5, 4, 7]));
-        assert_eq!(sys.global_objective(&[3, 5, 3, 7]), 18.0);
+        assert!(!conserves(&[4, 5, 4, 7]));
+        assert_eq!(sys.objective_of(&sys.multiset(&[3, 5, 3, 7])), 18.0);
     }
 
     #[test]
@@ -441,7 +433,10 @@ mod tests {
             sys.multiset(&state),
             "incremental view tracks state"
         );
-        assert_eq!(sys.objective_of(&global), sys.global_objective(&state));
+        assert_eq!(
+            sys.objective_of(&global),
+            sys.objective().eval(&sys.multiset(&state))
+        );
         // A fixed group reports positionally_fixed and leaves the view alone.
         let out = sys.apply_group_step_with(
             &mut state,

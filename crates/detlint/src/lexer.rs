@@ -58,7 +58,7 @@ pub struct Comment {
     /// Raw text including `//` / `/* */` delimiters.
     pub text: String,
     /// Doc comments (`///`, `//!`, `/** */`, `/*! */`) never carry
-    /// pragmas or `bare-allow` justifications.
+    /// pragmas.
     pub doc: bool,
 }
 

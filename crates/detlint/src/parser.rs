@@ -1,9 +1,10 @@
 //! A lightweight item-tree parser over the [`crate::lexer`] token stream.
 //!
-//! Most rules are pure token-sequence patterns; `seed-provenance`,
-//! `panic-ratchet` and `stray-print` also need *structure*: which fn a
-//! token belongs to, what that fn's parameters are named, and whether a
-//! line sits inside a `#[cfg(test)]` mod.
+//! `ambient-rng`, `addr-as-key` and `invalid-pragma` are pure
+//! token-sequence patterns; `seed-provenance` and `panic-ratchet` also
+//! need *structure*: which fn a token belongs to, what that fn's
+//! parameters are named, and whether a line sits inside a `#[cfg(test)]`
+//! mod.
 //!
 //! This is deliberately not a Rust parser.  It is a single forward scan
 //! with brace matching that recognises exactly the item heads the rules

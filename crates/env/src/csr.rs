@@ -87,11 +87,6 @@ impl Csr {
         self.edges.len()
     }
 
-    /// The edge with dense id `id`.
-    pub fn edge(&self, id: u32) -> Edge {
-        at(&self.edges, id as usize)
-    }
-
     /// All edges in dense-id (ascending) order.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
@@ -105,11 +100,6 @@ impl Csr {
     /// The dense id of `edge`, or `None` if it is not in the edge set.
     pub fn edge_id(&self, edge: &Edge) -> Option<u32> {
         self.edges.binary_search(edge).ok().map(|i| i as u32)
-    }
-
-    /// Degree of agent `a`.
-    pub fn degree(&self, a: usize) -> usize {
-        (at(&self.xadj, a + 1) - at(&self.xadj, a)) as usize
     }
 
     /// Iterates the neighbours of agent `a` as `(neighbour index, edge id)`
@@ -146,29 +136,30 @@ mod tests {
             listed.sort();
             assert_eq!(nbrs, listed, "agent {a}");
         }
-        // Edge ids round-trip and the eid annotation agrees with `edge()`.
+        // Edge ids round-trip and the eid annotation names the edge to
+        // the neighbour.
         for (eid, e) in csr.edges().iter().enumerate() {
             assert_eq!(csr.edge_id(e), Some(eid as u32));
-            assert_eq!(csr.edge(eid as u32), *e);
         }
         for (b, eid) in csr.neighbors(0) {
-            let e = csr.edge(eid);
-            assert!(e.touches(AgentId(0)));
-            assert!(e.touches(AgentId(b as usize)));
+            assert_eq!(
+                csr.edges().get(eid as usize),
+                Some(&Edge::new(AgentId(0), AgentId(b as usize)))
+            );
         }
         assert_eq!(
             csr.edge_id(&Edge::new(AgentId(2), AgentId(3))),
             None,
             "absent edge has no id"
         );
-        assert_eq!(csr.degree(0), 2);
-        assert_eq!(csr.degree(2), 1);
+        assert_eq!(csr.neighbors(0).count(), 2);
+        assert_eq!(csr.neighbors(2).count(), 1);
     }
 
     #[test]
     fn csr_of_complete_topology_materialises() {
         let csr = Topology::complete(4).csr();
         assert_eq!(csr.edge_count(), 6);
-        assert_eq!(csr.degree(0), 3);
+        assert_eq!(csr.neighbors(0).count(), 3);
     }
 }

@@ -40,17 +40,6 @@ impl FairnessSpec {
         }
     }
 
-    /// The fairness set for an explicit collection of edges over
-    /// `agent_count` agents, in any order; repeats count once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an edge endpoint is out of range.
-    pub fn for_edges(agent_count: usize, edges: impl IntoIterator<Item = Edge>) -> Self {
-        let pairs = edges.into_iter().map(|e| (e.lo().index(), e.hi().index()));
-        Self::for_graph(&Topology::from_edges(agent_count, pairs))
-    }
-
     /// The fairness set of the *sum* example (§4.2): every pair of agents
     /// must be able to communicate infinitely often (complete graph).
     pub fn complete(agent_count: usize) -> Self {
@@ -69,9 +58,8 @@ impl FairnessSpec {
     }
 
     /// The edges whose availability must recur, sorted ascending.  A
-    /// symbolic clique is materialised (once) on first access; the
-    /// structural helpers below ([`FairnessSpec::is_complete`],
-    /// [`FairnessSpec::is_connected`]) never expand it.
+    /// symbolic clique is materialised (once) on first access;
+    /// [`FairnessSpec::is_complete`] never expands it.
     pub fn edges(&self) -> &[Edge] {
         self.graph.edges()
     }
@@ -124,16 +112,6 @@ impl FairnessSpec {
                 (e, count)
             })
             .collect()
-    }
-
-    /// Returns `true` if the fairness graph is connected over all the
-    /// agents (an agent no edge mentions is an isolated vertex).
-    ///
-    /// The minimum/hull examples require a *connected* fairness graph; the
-    /// sum example requires the complete graph.  This helper lets algorithm
-    /// constructors validate the spec they are given.
-    pub fn is_connected(&self) -> bool {
-        self.graph.is_connected()
     }
 
     /// Returns `true` if the fairness graph is the complete graph on all
@@ -206,28 +184,30 @@ mod tests {
     #[test]
     fn connectivity_and_completeness_helpers() {
         assert!(FairnessSpec::complete(5).is_complete());
-        assert!(FairnessSpec::complete(5).is_connected());
-        assert!(FairnessSpec::line(5).is_connected());
         assert!(!FairnessSpec::line(5).is_complete());
-        let sparse = FairnessSpec::for_edges(4, [Edge::new(AgentId(0), AgentId(1))]);
+        // A spec shares its graph, so the graph answers for connectivity.
+        let sparse = Topology::from_edges(4, [(0, 1)]);
         assert!(!sparse.is_connected());
+        assert!(!FairnessSpec::for_graph(&sparse).is_complete());
     }
 
     #[test]
     fn for_edges_sorts_and_deduplicates() {
         let e = |a: usize, b: usize| Edge::new(AgentId(a), AgentId(b));
+        let spec_of = |pairs: &[(usize, usize)]| {
+            FairnessSpec::for_graph(&Topology::from_edges(4, pairs.iter().copied()))
+        };
         let expected = [e(0, 1), e(0, 3), e(1, 2), e(2, 3)];
-        let sorted = FairnessSpec::for_edges(4, expected);
+        let sorted = spec_of(&[(0, 1), (0, 3), (1, 2), (2, 3)]);
         assert_eq!(sorted.edges(), expected);
         for listed in [
-            vec![e(2, 3), e(1, 2), e(0, 3), e(0, 1)],
-            vec![e(3, 2), e(2, 1), e(3, 0), e(1, 0)],
-            vec![e(1, 2), e(0, 1), e(1, 2), e(3, 2), e(0, 3), e(0, 1)],
+            vec![(2, 3), (1, 2), (0, 3), (0, 1)],
+            vec![(3, 2), (2, 1), (3, 0), (1, 0)],
+            vec![(1, 2), (0, 1), (1, 2), (3, 2), (0, 3), (0, 1)],
         ] {
-            let spec = FairnessSpec::for_edges(4, listed);
+            let spec = spec_of(&listed);
             assert_eq!(spec, sorted);
             assert_eq!(spec.edges(), expected);
-            assert!(spec.is_connected());
         }
     }
 
@@ -251,21 +231,21 @@ mod tests {
         // No call below may expand the 100k-agent clique.
         let spec = FairnessSpec::complete(100_000);
         assert!(spec.is_complete());
-        assert!(spec.is_connected());
         // Semantic equality across representations at a checkable size.
         let small = FairnessSpec::complete(5);
-        let explicit = FairnessSpec::for_edges(
+        let explicit = FairnessSpec::for_graph(&Topology::from_edges(
             5,
-            (0..5).flat_map(|i| ((i + 1)..5).map(move |j| Edge::new(AgentId(i), AgentId(j)))),
-        );
+            (0..5).flat_map(|i| ((i + 1)..5).map(move |j| (i, j))),
+        ));
         assert_eq!(small, explicit);
         assert_eq!(small.edges(), explicit.edges());
     }
 
     #[test]
     fn single_agent_spec_is_trivially_connected_and_complete() {
-        let spec = FairnessSpec::for_graph(&Topology::empty(1));
-        assert!(spec.is_connected());
+        let graph = Topology::empty(1);
+        let spec = FairnessSpec::for_graph(&graph);
+        assert!(graph.is_connected());
         assert!(spec.is_complete());
         assert!(spec.trace_satisfies(&Trace::from_states(vec![EnvState::fully_disabled(1)]), 0));
     }

@@ -63,23 +63,6 @@ impl Edge {
     pub fn hi(&self) -> AgentId {
         self.hi
     }
-
-    /// Returns `true` if `agent` is one of the endpoints.
-    pub fn touches(&self, agent: AgentId) -> bool {
-        self.lo == agent || self.hi == agent
-    }
-
-    /// Given one endpoint, returns the other; `None` if `agent` is not an
-    /// endpoint.
-    pub fn other(&self, agent: AgentId) -> Option<AgentId> {
-        if agent == self.lo {
-            Some(self.hi)
-        } else if agent == self.hi {
-            Some(self.lo)
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for Edge {
@@ -607,11 +590,6 @@ mod tests {
         assert_eq!(e1, e2);
         assert_eq!(e1.lo(), AgentId(1));
         assert_eq!(e1.hi(), AgentId(3));
-        assert_eq!(e1.other(AgentId(1)), Some(AgentId(3)));
-        assert_eq!(e1.other(AgentId(3)), Some(AgentId(1)));
-        assert_eq!(e1.other(AgentId(7)), None);
-        assert!(e1.touches(AgentId(1)));
-        assert!(!e1.touches(AgentId(2)));
     }
 
     #[test]
@@ -629,10 +607,12 @@ mod tests {
         assert!(t.has_edge(AgentId(0), AgentId(4)));
     }
 
-    /// The neighbours of `agent`, read off the sorted edge list (so in
-    /// ascending id order).
+    /// The neighbours of `agent`, read off the adjacency of the sorted
+    /// edge list (so in ascending id order).
     fn neighbours(t: &Topology, agent: AgentId) -> Vec<AgentId> {
-        t.edges().iter().filter_map(|e| e.other(agent)).collect()
+        (t.csr().neighbors(agent.index()))
+            .map(|(b, _)| AgentId(b as usize))
+            .collect()
     }
 
     #[test]

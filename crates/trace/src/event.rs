@@ -7,14 +7,15 @@
 //! seed).  The events are plain data — ordering, framing and shard
 //! merging are the campaign runner's job — and [`TraceEvent::write_jsonl`]
 //! writes each as one JSON line, whose first field is the `event` tag,
-//! through [`crate::json`], the one JSONL writer.
+//! through [`crate::json`], the one JSONL writer.  Traces are
+//! write-only: nothing parses an event back, and the shard merge's order
+//! check reads just the `event`, `scenario` and `trial` fields of a
+//! block's opening line.
 //!
 //! Recording goes through [`EventLog`], whose disabled form is a single
 //! branch per would-be event: the closure handed to [`EventLog::emit`] is
 //! never run and nothing allocates, which is what keeps the trace layer
 //! zero-cost when off.
-
-use serde::{Deserialize, Error, Value};
 
 use crate::json::JsonLine;
 
@@ -231,79 +232,6 @@ impl TraceEvent {
     }
 }
 
-fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
-    T::from_value(
-        v.get_field(name)
-            .ok_or_else(|| Error(format!("missing field `{name}`")))?,
-    )
-}
-
-impl Deserialize for TraceEvent {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let tag: String = field(v, "event")?;
-        match tag.as_str() {
-            "trial-start" => Ok(TraceEvent::TrialStart {
-                scenario: field(v, "scenario")?,
-                algorithm: field(v, "algorithm")?,
-                topology: field(v, "topology")?,
-                environment: field(v, "environment")?,
-                mode: field(v, "mode")?,
-                delivery: field(v, "delivery")?,
-                agents: field(v, "agents")?,
-                trial: field(v, "trial")?,
-                seed: field(v, "seed")?,
-            }),
-            "env-transition" => Ok(TraceEvent::EnvTransition {
-                tick: field(v, "tick")?,
-                edges: field(v, "edges")?,
-            }),
-            "group-step" => Ok(TraceEvent::GroupStep {
-                tick: field(v, "tick")?,
-                size: field(v, "size")?,
-                changed: field(v, "changed")?,
-            }),
-            "message-sent" => Ok(TraceEvent::MessageSent {
-                tick: field(v, "tick")?,
-                from: field(v, "from")?,
-                to: field(v, "to")?,
-                deliver_at: field(v, "deliver_at")?,
-            }),
-            "message-dropped" => Ok(TraceEvent::MessageDropped {
-                tick: field(v, "tick")?,
-                from: field(v, "from")?,
-                to: field(v, "to")?,
-            }),
-            "message-delivered" => Ok(TraceEvent::MessageDelivered {
-                tick: field(v, "tick")?,
-                from: field(v, "from")?,
-                to: field(v, "to")?,
-            }),
-            "message-discarded" => Ok(TraceEvent::MessageDiscarded {
-                tick: field(v, "tick")?,
-                from: field(v, "from")?,
-                to: field(v, "to")?,
-            }),
-            "message-requeued" => Ok(TraceEvent::MessageRequeued {
-                tick: field(v, "tick")?,
-                from: field(v, "from")?,
-                to: field(v, "to")?,
-            }),
-            "convergence-entered" => Ok(TraceEvent::ConvergenceEntered {
-                tick: field(v, "tick")?,
-            }),
-            "convergence-left" => Ok(TraceEvent::ConvergenceLeft {
-                tick: field(v, "tick")?,
-            }),
-            "trial-end" => Ok(TraceEvent::TrialEnd {
-                trial: field(v, "trial")?,
-                converged: field(v, "converged")?,
-                ticks: field(v, "ticks")?,
-            }),
-            other => Err(Error(format!("unknown trace event tag `{other}`"))),
-        }
-    }
-}
-
 /// A recorder that is a no-op unless explicitly enabled.
 ///
 /// Simulators and baselines thread an `&mut EventLog` through their hot
@@ -327,11 +255,6 @@ impl EventLog {
         }
     }
 
-    /// Whether events are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.events.is_some()
-    }
-
     /// Records the event `make` builds — but only when enabled; the
     /// closure is never evaluated on the off path.
     #[inline]
@@ -353,6 +276,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use serde::{Serialize, Value};
 
     fn samples() -> Vec<TraceEvent> {
         vec![
@@ -409,23 +333,10 @@ mod tests {
         ]
     }
 
-    /// Parses one JSONL line back through `Deserialize`.
-    fn parse(line: &[u8]) -> TraceEvent {
-        let text = std::str::from_utf8(line).expect("JSONL is UTF-8");
-        serde_json::from_str(text.trim_end_matches('\n')).expect("line parses back")
-    }
-
     fn line(event: &TraceEvent) -> Vec<u8> {
         let mut out = Vec::new();
         event.write_jsonl(&mut out);
         out
-    }
-
-    #[test]
-    fn every_variant_round_trips() {
-        for event in samples() {
-            assert_eq!(parse(&line(&event)), event);
-        }
     }
 
     #[test]
@@ -443,7 +354,6 @@ mod tests {
     /// declaration order, rendered by `serde_json`.  Kept as the writer's
     /// oracle.
     fn oracle(event: &TraceEvent) -> Value {
-        use serde::Serialize;
         let fields: Vec<(&str, Value)> = match event {
             TraceEvent::TrialStart {
                 scenario,
@@ -607,21 +517,13 @@ mod tests {
                 expected,
                 "case {case}: {event:?}"
             );
-            assert_eq!(parse(&line), event, "case {case}");
         }
         assert_eq!(tags.len(), 11, "every tag is covered");
     }
 
     #[test]
-    fn unknown_tags_are_rejected() {
-        let v = Value::Object(vec![("event".into(), Value::Str("warp".into()))]);
-        assert!(TraceEvent::from_value(&v).is_err());
-    }
-
-    #[test]
     fn disabled_log_records_nothing_and_skips_the_closure() {
         let mut log = EventLog::disabled();
-        assert!(!log.is_enabled());
         log.emit(|| panic!("closure must not run when disabled"));
         assert!(log.into_events().is_empty());
     }
@@ -629,7 +531,6 @@ mod tests {
     #[test]
     fn enabled_log_keeps_events_in_order() {
         let mut log = EventLog::enabled();
-        assert!(log.is_enabled());
         log.emit(|| TraceEvent::ConvergenceEntered { tick: 1 });
         log.emit(|| TraceEvent::ConvergenceLeft { tick: 2 });
         assert_eq!(
